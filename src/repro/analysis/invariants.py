@@ -138,10 +138,40 @@ class InvariantViolation(Exception):
         return (type(self), (self.report, self.args[0]))
 
 
+class FlowConservationError(InvariantViolation):
+    """A measurement window lost or invented packets.
+
+    ``report`` is the failing
+    :meth:`repro.metrics.hub.MetricsHub.verify` dict.  Subclasses
+    :class:`InvariantViolation` so one ``except`` clause covers the
+    whole verification gate while the flow-specific message format
+    stays intact.
+    """
+
+    def __init__(self, report: dict, message: str | None = None) -> None:
+        if message is None:
+            message = (
+                "flow conservation violated: injected={injected} delivered="
+                "{delivered} in_flight={in_flight} (expected "
+                "{expected_in_flight})".format(**report))
+        super().__init__(report, message)
+
+
 def enforce(report: dict | None) -> None:
-    """Raise :class:`InvariantViolation` when a verify report failed."""
-    if report is not None and not report["ok"]:
+    """Raise on a failed verify report — the one report → exception rule.
+
+    A report whose flow-conservation check failed (or a bare
+    flow-conservation report with no ``"checks"`` list) raises
+    :class:`FlowConservationError`; one that failed *only* on wider
+    invariants (Little's law, bounds, occupancy) raises the base
+    :class:`InvariantViolation` naming the failed checks.
+    """
+    if report is None or report["ok"]:
+        return
+    failed = [c for c in report.get("checks", ()) if not c.get("ok", True)]
+    if failed and all(c.get("check") != "flow_conservation" for c in failed):
         raise InvariantViolation(report)
+    raise FlowConservationError(report)
 
 
 # --------------------------------------------------------------- helpers
@@ -730,8 +760,8 @@ def render_markdown(reports, *, tolerance: float = DEFAULT_TOLERANCE,
 
 
 __all__ = [
-    "Check", "CheckSummary", "DEFAULT_TOLERANCE", "InvariantViolation",
-    "LITTLE_MIN_DELIVERED", "LITTLE_TOLERANCE", "LIVE_CHECKS",
+    "Check", "CheckSummary", "DEFAULT_TOLERANCE", "FlowConservationError",
+    "InvariantViolation", "LITTLE_MIN_DELIVERED", "LITTLE_TOLERANCE", "LIVE_CHECKS",
     "RECORD_CHECKS", "ResultReport", "VerifyReport", "check_record",
     "dragonfly_nodes", "enforce", "iter_records", "live_checks",
     "min_hop_floor", "min_latency_floor", "render_markdown",

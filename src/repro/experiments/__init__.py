@@ -2,22 +2,10 @@
 
 from repro.experiments.presets import SCALES, Scale
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.sweeps import (
-    burst_drain,
-    load_sweep,
-    mixed_sweep,
-    run_point,
-    threshold_sweep,
-)
 
 __all__ = [
     "Scale",
     "SCALES",
     "EXPERIMENTS",
     "run_experiment",
-    "run_point",
-    "load_sweep",
-    "mixed_sweep",
-    "burst_drain",
-    "threshold_sweep",
 ]

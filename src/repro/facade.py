@@ -37,6 +37,15 @@ def _percentile(sorted_values: list[int], q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
+class Cancelled(Exception):
+    """A ``should_cancel()`` hook returned true at a cancellation point."""
+
+
+def _checkpoint(should_cancel) -> None:
+    if should_cancel is not None and should_cancel():
+        raise Cancelled("run cancelled")
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Immutable snapshot of one measurement window.
@@ -191,14 +200,30 @@ class Session:
         self._sim.run(cycles)
         return self
 
-    def warmup(self, cycles: int) -> "Session":
-        """Run ``cycles`` cycles, then reset the measurement window; chainable."""
-        self._sim.run(cycles)
+    def warmup(self, cycles: int, *, should_cancel=None,
+               chunk: int = 250) -> "Session":
+        """Run ``cycles`` cycles, then reset the measurement window; chainable.
+
+        With a ``should_cancel()`` hook the run is advanced in ``chunk``
+        -cycle pieces and the hook polled before each (:class:`Cancelled`
+        is raised when it returns true); chunked stepping is
+        cycle-for-cycle identical to the single ``run()`` of the
+        un-hooked call.
+        """
+        sim = self._sim
+        if should_cancel is None:
+            sim.run(cycles)
+        else:
+            end = sim.now + cycles
+            while sim.now < end:
+                _checkpoint(should_cancel)
+                sim.run(min(chunk, end - sim.now))
         return self.reset()
 
     def warmup_until_steady(self, *, bucket: int = 250, window: int = 8,
                             rel_tolerance: float = 0.05,
-                            max_cycles: int = 50_000) -> "Session":
+                            max_cycles: int = 50_000,
+                            should_cancel=None) -> "Session":
         """Warm up until throughput is steady, then reset; chainable.
 
         Replaces blind ``warmup(N)`` with the moving-window
@@ -215,6 +240,9 @@ class Session:
         cap), ``samples`` (block throughputs) and
         ``steady_throughput`` (mean of the final window — the baseline
         the transient workers measure recovery against).
+        ``should_cancel()`` is polled once per block (:class:`Cancelled`
+        is raised when it returns true), so even a huge ``max_cycles``
+        cap is abandoned within one block.
         """
         if bucket <= 0:
             raise ValueError("bucket must be positive")
@@ -226,6 +254,7 @@ class Session:
         last = stats.delivered_phits
         steady = False
         while sim.now - start < max_cycles:
+            _checkpoint(should_cancel)
             step = min(bucket, start + max_cycles - sim.now)
             sim.run(step)
             if step < bucket:
@@ -262,7 +291,7 @@ class Session:
 
     def measure_series(self, cycles: int, *, bucket: int = 250,
                        latencies: bool = True, emit=None,
-                       meta: dict | None = None,
+                       should_cancel=None, meta: dict | None = None,
                        full_verify: bool = False) -> "SeriesResult":
         """Run ``cycles`` cycles with a metrics hub attached: a transient
         window.
@@ -286,8 +315,9 @@ class Session:
         last.  The emitted rows equal ``SeriesResult.records`` exactly —
         the serve layer streams them as live JSONL.  ``meta`` merges
         extra fields into the meta row (emitted and in ``records``
-        alike).  An ``emit`` that raises aborts the measurement; the
-        serve layer uses this for cancellation.
+        alike).  ``should_cancel()`` is polled before every chunk
+        (:class:`Cancelled` is raised when it returns true); a window
+        with neither hook is one single ``run()``.
 
         ``full_verify`` upgrades the captured ``verify`` report from
         the always-on flow-conservation check to the complete live
@@ -299,27 +329,27 @@ class Session:
         hub = MetricsHub(sim, bucket=bucket, latencies=latencies)
         try:
             end = sim.now + cycles
-            if emit is None:
+            if emit is None and should_cancel is None:
                 sim.run(cycles)
             else:
-                emit(hub.meta_row(end, meta))
+                if emit is not None:
+                    emit(hub.meta_row(end, meta))
                 emitted = 0
                 while sim.now < end:
+                    _checkpoint(should_cancel)
                     sim.run(min(bucket, end - sim.now))
-                    closed = (sim.now - hub.start_cycle) // bucket
-                    while emitted < closed:
-                        emit(hub.bucket_row(emitted))
-                        emitted += 1
+                    if emit is not None:
+                        closed = (sim.now - hub.start_cycle) // bucket
+                        while emitted < closed:
+                            emit(hub.bucket_row(emitted))
+                            emitted += 1
             sr = SeriesResult(
                 result=self._snapshot("measure"),
                 bucket=bucket,
                 start_cycle=hub.start_cycle,
                 series=hub.series(end),
                 records=tuple(hub.records(end, meta)),
-                # argless when flow-only: the call shape test doubles
-                # monkeypatching verify(self) rely on stays the default
-                verify=hub.verify(full=True) if full_verify
-                       else hub.verify(),
+                verify=hub.verify(full=full_verify),
             )
             if emit is not None:
                 emit(hub.summary_row(end))
@@ -404,41 +434,70 @@ def point_record(result: RunResult, config: SimConfig, **coords) -> dict:
     return rec
 
 
-def _enforce_verify(report: dict | None) -> None:
-    """Raise :class:`~repro.analysis.invariants.InvariantViolation` on a
-    failed verify report (lazy import: verification is opt-in)."""
-    if report is not None and not report["ok"]:
-        from repro.analysis.invariants import InvariantViolation
+def _full(verify) -> bool:
+    """Whether a ``verify`` level asks for the full live invariant set.
 
-        raise InvariantViolation(report)
+    Levels: ``False`` (no gate), ``"flow"`` (flow conservation only),
+    ``"full"`` (``True`` means the same).
+    """
+    if verify not in (False, True, "flow", "full"):
+        raise ValueError(
+            f"verify must be False, 'flow' or 'full', got {verify!r}")
+    return verify in (True, "full")
+
+
+def _gate(report: dict, verify) -> None:
+    """Enforce a window's verify report when a ``verify`` level is set
+    (raises through :func:`repro.analysis.invariants.enforce`; lazy
+    import: verification is opt-in)."""
+    if verify:
+        from repro.analysis.invariants import enforce
+
+        enforce(report)
 
 
 def run_point(config: SimConfig, pattern_spec: str, load: float,
               warmup: int, measure: int, steady: bool = False,
-              verify: bool = False) -> dict:
+              verify=False, *, bucket: int = 250, on_row=None,
+              should_cancel=None, meta: dict | None = None) -> dict:
     """One steady-state record: warm up, reset stats, measure.
 
     Picklable worker entry — the unit of work of the run-plan executors
-    (:mod:`repro.runplan`).  With ``steady=True`` the blind warm-up is
-    replaced by :meth:`Session.warmup_until_steady` with ``warmup`` as
-    the cycle cap; the record then carries ``warmup_cycles`` (spent)
-    and ``warmup_steady`` (whether the rule fired before the cap).
+    (:mod:`repro.runplan`) and of the service alike.  With
+    ``steady=True`` the blind warm-up is replaced by
+    :meth:`Session.warmup_until_steady` with ``warmup`` as the cycle
+    cap; the record then carries ``warmup_cycles`` (spent) and
+    ``warmup_steady`` (whether the rule fired before the cap).
 
-    ``verify=True`` runs the window instrumented and enforces the full
-    live invariant set (flow conservation, Little's law, occupancy,
-    capacity and latency floors), raising
-    :class:`~repro.analysis.invariants.InvariantViolation` on the
-    first violated check.  The record stays byte-identical — attaching
-    a hub never changes what a simulation measures (PR-4 guarantee).
+    ``verify`` (``False | "flow" | "full"``, ``True`` ≡ ``"full"``)
+    runs the window instrumented and enforces flow conservation or the
+    full live invariant set (Little's law, occupancy, capacity and
+    latency floors), raising
+    :class:`~repro.analysis.invariants.InvariantViolation` on a
+    violated check.
+
+    Hooks (how the serve layer streams and cancels; all optional):
+    ``on_row(row)`` receives the window's meta/bucket/summary rows
+    while it runs, at ``bucket``-cycle resolution, with ``meta`` merged
+    into the meta row; ``should_cancel()`` is polled every ``bucket``
+    cycles of warm-up and measurement and aborts the run with
+    :class:`Cancelled`.  The record is byte-identical with or without
+    ``verify`` and hooks — attaching a hub never changes what a
+    simulation measures and chunked stepping equals one long run — but
+    only the bare call keeps the single ``run()`` and hub-free
+    ``measure()`` that let the array core engage.
     """
+    full = _full(verify)
     s = session(config, pattern=pattern_spec, load=load)
     if steady:
-        s.warmup_until_steady(max_cycles=warmup)
+        s.warmup_until_steady(max_cycles=warmup, should_cancel=should_cancel)
     else:
-        s.warmup(warmup)
-    if verify:
-        sr = s.measure_series(measure, full_verify=True)
-        _enforce_verify(sr.verify)
+        s.warmup(warmup, should_cancel=should_cancel, chunk=bucket)
+    if verify or on_row is not None or should_cancel is not None:
+        sr = s.measure_series(measure, bucket=bucket, emit=on_row,
+                              should_cancel=should_cancel, meta=meta,
+                              full_verify=full)
+        _gate(sr.verify, verify)
         result = sr.result
     else:
         result = s.measure(measure)
@@ -450,22 +509,35 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
 
 
 def run_drain(config: SimConfig, pattern_spec: str, packets_per_node: int,
-              max_cycles: int, verify: bool = False) -> dict:
+              max_cycles: int, verify=False, *, bucket: int = 250,
+              on_row=None, should_cancel=None,
+              meta: dict | None = None) -> dict:
     """One burst-consumption record: inject a burst, run until drained.
 
     Picklable worker entry for ``kind="drain"`` run-plan points.
-    ``verify=True`` attaches a hub before the first injection (so flow
-    conservation reduces to ``injected == delivered`` at drain) and
-    enforces the full live invariant set.
+    ``verify`` (levels as in :func:`run_point`) attaches a hub before
+    the first injection, so flow conservation reduces to
+    ``injected == delivered`` at drain.
+
+    A drain has no end cycle known up front (the meta row needs one),
+    so ``on_row`` receives the row stream in one piece once the fabric
+    is empty rather than live; for the same reason ``should_cancel()``
+    is polled only before the drain starts — the drain itself is always
+    one ``run_until_drained`` call.
     """
+    full = _full(verify)
+    _checkpoint(should_cancel)
     s = session(config)
     pattern = pattern_by_name(pattern_spec, s.sim.topo)
     s.with_traffic(BurstTraffic(pattern, packets_per_node))
-    if verify:
-        hub = MetricsHub(s.sim, bucket=250, latencies=True)
+    if verify or on_row is not None:
+        hub = MetricsHub(s.sim, bucket=bucket, latencies=True)
         try:
             result = s.drain(max_cycles)
-            _enforce_verify(hub.verify(full=True))
+            _gate(hub.verify(full=full), verify)
+            if on_row is not None:
+                for row in hub.records(s.now, meta):
+                    on_row(row)
         finally:
             hub.detach()
     else:
@@ -477,7 +549,8 @@ def run_drain(config: SimConfig, pattern_spec: str, packets_per_node: int,
 def run_transient(config: SimConfig, pattern_spec: str, load: float,
                   packets_per_node: int, warmup: int, measure: int,
                   bucket: int = 250, rel_tolerance: float = 0.15,
-                  hold: int = 3, verify: bool = False) -> dict:
+                  hold: int = 3, verify=False, *, on_row=None,
+                  should_cancel=None, meta: dict | None = None) -> dict:
     """One transient burst-response record: load step onto steady traffic.
 
     Picklable worker entry for ``kind="transient"`` run-plan points —
@@ -495,19 +568,23 @@ def run_transient(config: SimConfig, pattern_spec: str, load: float,
        (:func:`repro.metrics.statistics.recovery_time`), clamped to
        ``measure`` with ``recovered=False`` when it never does.
 
-    ``verify=True`` enforces the full live invariant set over the
-    measured window (see :func:`run_point`).
+    ``verify`` and the ``on_row`` / ``should_cancel`` / ``meta`` hooks
+    are those of :func:`run_point`.  Here ``bucket`` is part of the
+    measurement, not just the stream resolution, so callers must never
+    substitute a display default for the point's own.
     """
+    full = _full(verify)
     s = session(config, pattern=pattern_spec, load=load)
-    s.warmup_until_steady(bucket=bucket, max_cycles=warmup)
+    s.warmup_until_steady(bucket=bucket, max_cycles=warmup,
+                          should_cancel=should_cancel)
     baseline = s.auto_warmup["steady_throughput"]
     sim = s.sim
     burst_pattern = pattern_by_name(pattern_spec, sim.topo)
     BurstTraffic(burst_pattern, packets_per_node).inject(sim, sim.now)
     sr = s.measure_series(measure, bucket=bucket, latencies=True,
-                          full_verify=verify)
-    if verify:
-        _enforce_verify(sr.verify)
+                          emit=on_row, should_cancel=should_cancel,
+                          meta=meta, full_verify=full)
+    _gate(sr.verify, verify)
     recovery = recovery_time(sr.series["throughput"], baseline,
                              bucket=bucket, rel_tolerance=rel_tolerance,
                              hold=hold)
@@ -527,5 +604,5 @@ def run_transient(config: SimConfig, pattern_spec: str, load: float,
     return rec
 
 
-__all__ = ["Session", "RunResult", "SeriesResult", "session", "run_point",
-           "run_drain", "run_transient", "point_record"]
+__all__ = ["Session", "RunResult", "SeriesResult", "Cancelled", "session",
+           "run_point", "run_drain", "run_transient", "point_record"]

@@ -2,7 +2,7 @@
 
 from repro.metrics.collector import StatsCollector
 from repro.metrics.hub import OBS_SCHEMA_VERSION, LatencyTap, MetricsHub
-from repro.metrics.probes import ThroughputProbe, injection_backlog, occupancy_snapshot
+from repro.metrics.probes import injection_backlog, occupancy_snapshot
 from repro.metrics.statistics import (
     BatchMeansResult,
     batch_means,
@@ -18,7 +18,6 @@ __all__ = [
     "MetricsHub",
     "LatencyTap",
     "OBS_SCHEMA_VERSION",
-    "ThroughputProbe",
     "occupancy_snapshot",
     "injection_backlog",
     "BatchMeansResult",

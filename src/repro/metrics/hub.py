@@ -72,8 +72,7 @@ class _Bucket:
 class LatencyTap:
     """Per-packet latency recorder on the eject tap.
 
-    The canonical replacement for the polling-era ``LatencyProbe``:
-    attaches through :meth:`Simulator.add_tap`, collects one latency
+    Attaches through :meth:`Simulator.add_tap`, collects one latency
     sample (bare int, delivery order) per ejected packet until
     detached.  The Session facade uses it for its percentile fields.
     Memory is O(packets delivered while attached); ``clear()`` after

@@ -1,76 +1,15 @@
-"""Deprecated probe names + polling-free state snapshots.
-
-The polling probes of the seed tree (`ThroughputProbe` sampled every
-cycle, which silently disabled the timing wheel's idle fast-forward)
-are kept as thin shims over the event-driven tap layer
-(:mod:`repro.metrics.hub`) and emit a :class:`DeprecationWarning`.
-New code attaches a :class:`~repro.metrics.hub.MetricsHub` (series,
-counters, JSONL) or a :class:`~repro.metrics.hub.LatencyTap` directly.
+"""Polling-free state snapshots of a live simulator.
 
 `occupancy_snapshot` and `injection_backlog` are one-shot state reads
-(no per-cycle cost) and remain first-class.
+(no per-cycle cost; ``repro point --probe`` prints them).  Time series
+and latency samples come from the event-driven tap layer:
+:class:`~repro.metrics.hub.MetricsHub` and
+:class:`~repro.metrics.hub.LatencyTap`.
 """
 
 from __future__ import annotations
 
-import warnings
-
-from repro.metrics.hub import LatencyTap, MetricsHub
 from repro.topology.base import PortKind
-
-
-class ThroughputProbe:
-    """Deprecated shim: interval throughput series over the event taps.
-
-    The historical polling API (``sample()`` once per cycle) is gone;
-    the shim wraps a :class:`~repro.metrics.hub.MetricsHub` whose
-    buckets are derived from delivery events, so an attached probe no
-    longer suppresses idle fast-forward (pinned in
-    ``tests/test_observability.py``).  ``series`` holds
-    phits/(node·cycle) per completed ``interval``.
-
-    Unlike the polling original (which only read ``sim.stats``), the
-    shim registers engine taps: call :meth:`detach` when done watching
-    a long-lived simulator, or the hub keeps observing — and buffering
-    buckets — for the simulator's whole life.
-    """
-
-    def __init__(self, sim, interval: int = 500) -> None:
-        warnings.warn(
-            "ThroughputProbe is deprecated; attach a repro.metrics.hub."
-            "MetricsHub (event-driven, fast-forward friendly) instead",
-            DeprecationWarning, stacklevel=2)
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.sim = sim
-        self.interval = interval
-        self._hub = MetricsHub(sim, bucket=interval, latencies=False)
-
-    @property
-    def series(self) -> list[float]:
-        return self._hub.throughput_series()
-
-    def sample(self) -> None:
-        """No-op (kept for API compatibility): buckets are event-driven."""
-
-    def run(self, cycles: int) -> list[float]:
-        """Advance the simulation; the series accrues from delivery events."""
-        self.sim.run(cycles)
-        return self.series
-
-    def detach(self) -> None:
-        """Stop observing (idempotent)."""
-        self._hub.detach()
-
-
-class LatencyProbe(LatencyTap):
-    """Deprecated shim over :class:`~repro.metrics.hub.LatencyTap`."""
-
-    def __init__(self, sim) -> None:
-        warnings.warn(
-            "LatencyProbe is deprecated; use repro.metrics.hub.LatencyTap",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(sim)
 
 
 def occupancy_snapshot(sim) -> dict:

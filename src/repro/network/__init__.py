@@ -8,7 +8,7 @@ same router architecture as the paper's in-house simulator.
 from repro.network.arbitration import Arbiter, RoundRobinArbiter, RandomArbiter, AgeArbiter
 from repro.network.arraysim import ArraySimulator
 from repro.network.config import SimConfig
-from repro.network.flowcontrol import FlowControl, VirtualCutThrough, Wormhole, flow_control_by_name
+from repro.network.flowcontrol import FlowControl, VirtualCutThrough, Wormhole
 from repro.network.packet import Packet, Flit
 from repro.network.simulator import Simulator, DeadlockError, build_simulator
 from repro.network.taps import TAP_EVENTS, Tap
@@ -27,7 +27,6 @@ __all__ = [
     "FlowControl",
     "VirtualCutThrough",
     "Wormhole",
-    "flow_control_by_name",
     "FLOW_CONTROL_REGISTRY",
     "Arbiter",
     "RoundRobinArbiter",

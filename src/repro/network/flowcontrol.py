@@ -87,25 +87,3 @@ class Wormhole(FlowControl):
 
     def required_space(self, flit: Flit) -> int:
         return flit.size
-
-
-def flow_control_by_name(name: str, *, flit_size: int | None = None) -> FlowControl:
-    """Build a registered flow-control policy (legacy shim).
-
-    Prefer ``FLOW_CONTROL_REGISTRY.get(name).from_config(config)``; this
-    wrapper survives for callers that only have a flit size at hand.
-    Wormhole has no meaningful default flit size, so ``"wh"`` requires
-    an explicit ``flit_size`` (the old implicit default of 0 crashed
-    inside ``Wormhole.__init__`` with a message that never mentioned
-    this function's missing argument).
-    """
-    cls = FLOW_CONTROL_REGISTRY.get(name)
-    if cls is Wormhole:
-        if flit_size is None:
-            raise ValueError(
-                "flow_control_by_name('wh') needs an explicit flit size, "
-                "e.g. flow_control_by_name('wh', flit_size=10) — or build "
-                "from a config: FLOW_CONTROL_REGISTRY.get('wh').from_config(cfg)"
-            )
-        return Wormhole(flit_size)
-    return cls()

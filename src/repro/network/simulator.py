@@ -121,9 +121,8 @@ class Simulator:
         self.traffic = traffic
         self.stats = StatsCollector()
         #: hooks ``(packet, cycle) -> None`` fired at tail ejection, in
-        #: registration order, legacy hook last (see :meth:`add_delivery_observer`)
+        #: registration order (see :meth:`add_delivery_observer`)
         self._delivery_observers: list = []
-        self._legacy_observer = None
         # ---- instrumentation taps (repro.network.taps): ``None`` when no
         # tap is registered for an event, so the hot path pays exactly one
         # ``is None`` check per event site and nothing polls per cycle
@@ -167,17 +166,10 @@ class Simulator:
         Returns ``fn`` so the method can be used as a decorator.  Any
         number of observers may be attached (metrics probes, trace
         writers, the Session latency recorder, ...).  Observers fire in
-        registration order; the legacy ``on_packet_delivered`` hook —
-        if assigned — always fires last, regardless of whether it was
-        assigned before or after the observers.
+        registration order.  Rebinds the list copy-on-write, like
+        :meth:`remove_delivery_observer`.
         """
-        observers = list(self._delivery_observers)
-        legacy = self._legacy_observer
-        if legacy is not None and observers and observers[-1] is legacy:
-            observers.insert(len(observers) - 1, fn)
-        else:
-            observers.append(fn)
-        self._delivery_observers = observers
+        self._delivery_observers = [*self._delivery_observers, fn]
         return fn
 
     def remove_delivery_observer(self, fn) -> None:
@@ -191,29 +183,6 @@ class Simulator:
         observers.remove(fn)  # equality match, as bound methods require
         self._delivery_observers = observers
 
-    @property
-    def on_packet_delivered(self):
-        """Legacy single-observer hook (shim over the observer list).
-
-        The hook is kept at the end of the observer list: it fires
-        *after* every observer added via :meth:`add_delivery_observer`,
-        and re-assigning it keeps it last.
-        """
-        return self._legacy_observer
-
-    @on_packet_delivered.setter
-    def on_packet_delivered(self, fn) -> None:
-        # tolerate a legacy hook already detached via remove_delivery_observer;
-        # rebind (copy-on-write) like the other observer mutators
-        prev = self._legacy_observer
-        observers = list(self._delivery_observers)
-        if prev is not None and prev in observers:
-            observers.remove(prev)
-        self._legacy_observer = fn
-        if fn is not None:
-            observers.append(fn)
-        self._delivery_observers = observers
-
     # ------------------------------------------------------------------ taps
     def add_tap(self, tap):
         """Attach an instrumentation tap (see :mod:`repro.network.taps`).
@@ -222,9 +191,8 @@ class Simulator:
         / ``on_ring_entry`` method defined on ``tap`` is wired onto the
         matching engine event point; at least one must be present.
         ``on_eject`` joins the delivery-observer list (so it fires in
-        registration order, before the legacy ``on_packet_delivered``
-        hook, and before ``on_grant`` for the same delivering tail
-        flit).  Returns ``tap`` for chaining.
+        registration order, and before ``on_grant`` for the same
+        delivering tail flit).  Returns ``tap`` for chaining.
         """
         wired = False
         for attr, fn in (("_tap_inject", getattr(tap, "on_inject", None)),

@@ -21,8 +21,7 @@ Event points (all cycle-stamped):
     flits following their head.
 ``on_eject(packet, cycle)``
     A tail flit left the network (fires once per delivered packet, at
-    the same point as the delivery observers — before the legacy
-    ``on_packet_delivered`` hook).
+    the same point as the delivery observers).
 ``on_credit(out, vc, amount, cycle)``
     A credit returned to output unit ``out`` for downstream VC ``vc``.
 ``on_ring_entry(router, out, vc, flit, cycle)``

@@ -33,7 +33,6 @@ from repro.runplan.executors import (
     default_workers,
     executor_for_jobs,
     resolve_executor,
-    run_stream,
 )
 from repro.runplan.runner import (
     PointOutcome,
@@ -75,7 +74,6 @@ __all__ = [
     "default_workers",
     "executor_for_jobs",
     "resolve_executor",
-    "run_stream",
     "SerialScheduler",
     "PoolScheduler",
     "PointError",

@@ -12,12 +12,7 @@ The contract is the streaming scheduler interface::
 Results are yielded as they complete (see :mod:`repro.runplan.scheduler`
 for the retry/quarantine semantics); ``fn`` is always a module-level
 picklable function (the run-plan worker entry), so process-based
-executors can ship it to workers.  The historic all-or-nothing
-``map(fn, items) -> list`` survives as a thin compatibility shim over
-``run`` — it collects the stream in item order and re-raises the first
-quarantined point's exception — so third-party executors that only
-implement ``map`` still work everywhere (they just cannot stream or
-quarantine).
+executors can ship it to workers.
 """
 
 from __future__ import annotations
@@ -26,12 +21,7 @@ import os
 import warnings
 
 from repro.registry import Registry
-from repro.runplan.scheduler import (
-    PlanExecutionError,
-    PointError,
-    PoolScheduler,
-    SerialScheduler,
-)
+from repro.runplan.scheduler import PoolScheduler, SerialScheduler
 
 #: run-plan executors (serial, process, third-party pools)
 EXECUTOR_REGISTRY = Registry("executor")
@@ -40,23 +30,6 @@ EXECUTOR_REGISTRY = Registry("executor")
 def default_workers() -> int:
     """Pool size leaving one core for the parent (never below 1)."""
     return max(1, (os.cpu_count() or 2) - 1)
-
-
-def _collect_map(stream, n: int) -> list:
-    """``map`` compat: order the stream, surface the first quarantine."""
-    results: list = [None] * n
-    errors: list[PointError] = []
-    for index, result in stream:
-        if isinstance(result, PointError):
-            errors.append(result)
-        else:
-            results[index] = result
-    if errors:
-        first = min(errors, key=lambda e: e.index)
-        if first.exception is not None:
-            raise first.exception
-        raise PlanExecutionError(sorted(errors, key=lambda e: e.index))
-    return results
 
 
 @EXECUTOR_REGISTRY.register(
@@ -89,10 +62,6 @@ class SerialExecutor:
     def run(self, fn, items):
         """Stream ``(index, result | PointError)`` in item order."""
         return self._scheduler.run(fn, items)
-
-    def map(self, fn, items) -> list:
-        items = list(items)
-        return _collect_map(self.run(fn, items), len(items))
 
 
 @EXECUTOR_REGISTRY.register(
@@ -136,17 +105,12 @@ class ProcessExecutor:
             fatal=self.fatal)
         return self._scheduler.run(fn, items)
 
-    def map(self, fn, items) -> list:
-        items = list(items)
-        return _collect_map(self.run(fn, items), len(items))
-
 
 def executor_for_jobs(jobs: int | None) -> str:
     """The conventional executor name for a ``--jobs`` value.
 
     ``None`` or 1 means serial; anything larger selects the process
-    pool.  The one policy shared by the CLI, the figure runners and the
-    compat ``parallel`` module.
+    pool.  The one policy shared by the CLI and the figure runners.
     """
     return "process" if jobs and jobs > 1 else "serial"
 
@@ -155,24 +119,13 @@ def resolve_executor(executor, jobs: int | None = None):
     """Resolve an executor name (or pass an instance through).
 
     Names go through :data:`EXECUTOR_REGISTRY` and are constructed with
-    ``jobs``; anything with a ``run`` or ``map`` attribute is accepted
-    as-is.
+    ``jobs``; anything with a ``run`` attribute (the streaming
+    contract above) is accepted as-is.
     """
     if isinstance(executor, str):
         return EXECUTOR_REGISTRY.get(executor)(jobs=jobs)
-    if hasattr(executor, "run") or hasattr(executor, "map"):
+    if hasattr(executor, "run"):
         return executor
-    raise TypeError(f"executor must be a registered name or have .run/.map, "
+    raise TypeError(f"executor must be a registered name or have .run, "
                     f"got {executor!r}")
 
-
-def run_stream(executor, fn, items):
-    """The streaming view of any executor (legacy ``map``-only included).
-
-    Native ``run`` executors stream incrementally; a ``map``-only
-    executor is adapted by materialising its list — no streaming, no
-    quarantine, but every call site keeps working.
-    """
-    if hasattr(executor, "run"):
-        return executor.run(fn, items)
-    return iter(enumerate(executor.map(fn, items)))

@@ -2,19 +2,21 @@
 
 The module-level :func:`execute_point` is the worker entry shipped to
 pool processes; it dispatches a :class:`RunPoint` to the matching
-picklable facade worker and merges the point's coordinate labels into
-the record.  :func:`execute` is the one call the experiments layer
+picklable facade worker.  :func:`execute` is the one call the experiments layer
 uses: specs in, records out, with executor / cache / replica
 aggregation handled behind the arguments.
 
-Execution is **streaming**: points flow through the scheduler contract
-(:mod:`repro.runplan.scheduler`) and every completed point is
-checkpointed to the cache *immediately* — a run killed halfway resumes
-with zero recomputation — and reported through the optional
-``on_result`` callback (a :class:`PointOutcome` per point: cache
-hit/computed/retried/quarantined, attempts, progress counters), which
-is what progressive figure rendering and the CLI ``--progress`` lines
-are built on.  Quarantined points never abort the plan mid-flight: the
+Execution is **streaming**: :func:`iter_outcomes` is the one loop that
+consults the cache, feeds the misses through the scheduler contract
+(:mod:`repro.runplan.scheduler`), checkpoints every completed point to
+the cache *immediately* — a run killed halfway resumes with zero
+recomputation — and yields a :class:`PointOutcome` per point (cache
+hit/computed/retried/quarantined, attempts, progress counters).
+:func:`execute_points` and the service's
+:func:`repro.serve.runner.run_submission` both consume it; the optional
+``on_result`` callback sees the same outcomes, which is what
+progressive figure rendering and the CLI ``--progress`` lines are
+built on.  Quarantined points never abort the plan mid-flight: the
 remaining points complete (and are cached) first, then the failures
 surface as :class:`~repro.runplan.scheduler.PlanExecutionError`
 (``errors="raise"``, the default) or are simply omitted from the
@@ -29,7 +31,7 @@ from functools import partial
 from repro.facade import run_drain, run_point, run_transient
 from repro.runplan.aggregate import aggregate_replicas
 from repro.runplan.cache import resolve_cache
-from repro.runplan.executors import resolve_executor, run_stream
+from repro.runplan.executors import resolve_executor
 from repro.runplan.scheduler import PlanExecutionError, PointError
 from repro.runplan.spec import (
     RunPoint,
@@ -40,34 +42,46 @@ from repro.runplan.spec import (
 )
 
 
-def execute_point(point: RunPoint, verify: bool = False) -> dict:
+def execute_point(point: RunPoint, verify=False, *, bucket: int = 250,
+                  on_row=None, should_cancel=None,
+                  meta: dict | None = None) -> dict:
     """Compute one point's raw record (picklable process-pool worker).
 
-    Display labels (``series``/``coords``) are merged by the caller
-    (:func:`execute_points`), never here, so the record is pure
+    The single ``kind`` dispatch onto the facade workers, offline and
+    served.  Display labels (``series``/``coords``) are merged by
+    :func:`iter_outcomes`, never here, so the record is pure
     measurement content — cacheable under the point's content hash and
     shareable between differently-labelled plans.
 
-    ``verify=True`` runs the point instrumented and enforces the full
-    physical-invariant set (flow conservation, Little's law, occupancy
-    and latency/capacity bounds) before the record is returned —
+    ``verify`` (``False | "flow" | "full"``, ``True`` ≡ ``"full"``)
+    runs the point instrumented and enforces flow conservation or the
+    full physical-invariant set (plus Little's law, occupancy and
+    latency/capacity bounds) before the record is returned —
     :class:`~repro.analysis.invariants.InvariantViolation` quarantines
-    the point instead of caching silently-wrong numbers.  Records are
-    byte-identical with or without verification, so verified and
-    unverified runs share cache entries.
+    the point instead of caching silently-wrong numbers.  ``on_row`` /
+    ``should_cancel`` / ``meta`` pass through to the worker (see
+    :func:`repro.facade.run_point`); ``bucket`` is the stream and
+    instrumentation resolution for kinds where it does not shape the
+    record (steady, drain) — a point's own ``bucket`` always wins, and
+    a transient point never takes this default.  Records are
+    byte-identical whatever the level and hooks, so all of them share
+    cache entries.
     """
+    hooks = dict(verify=verify, on_row=on_row, should_cancel=should_cancel,
+                 meta=meta)
     if point.kind == "drain":
         return run_drain(point.config, point.pattern,
                          point.packets_per_node,
-                         point.max_cycles or 1_000_000, verify=verify)
+                         point.max_cycles or 1_000_000,
+                         bucket=point.bucket or bucket, **hooks)
     if point.kind == "transient":
         return run_transient(point.config, point.pattern, point.load,
                              point.packets_per_node,
                              point.warmup, point.measure,
-                             bucket=point.bucket or 250, verify=verify)
+                             bucket=point.bucket or 250, **hooks)
     return run_point(point.config, point.pattern, point.load,
                      point.warmup, point.measure, steady=point.steady,
-                     verify=verify)
+                     bucket=point.bucket or bucket, **hooks)
 
 
 def labeled_record(point: RunPoint, record: dict) -> dict:
@@ -82,12 +96,9 @@ def labeled_record(point: RunPoint, record: dict) -> dict:
     return rec
 
 
-_labeled = labeled_record
-
-
 @dataclass(frozen=True)
 class PointOutcome:
-    """One completed point, as seen by an ``on_result`` callback.
+    """One completed point, as yielded by :func:`iter_outcomes`.
 
     ``status`` is ``"cached"`` (replayed from the cache, no work),
     ``"computed"`` (fresh, first attempt), ``"retried"`` (fresh, needed
@@ -107,6 +118,49 @@ class PointOutcome:
     attempts: int
     completed: int
     total: int
+
+
+def iter_outcomes(points, worker, *, executor="serial",
+                  jobs: int | None = None, cache=None):
+    """The cache → schedule → checkpoint → label loop, as a generator.
+
+    Yields one :class:`PointOutcome` per point of the list ``points``:
+    first the cache hits in plan order (replayed verbatim, no work),
+    then — only if something missed — the misses as ``executor``
+    completes ``worker(point)`` for them, each fresh record stored in
+    ``cache`` *before* it is yielded.  A quarantined point yields a
+    ``"failed"`` outcome and the rest carry on; exceptions the executor
+    treats as fatal propagate.  ``cache`` is anything with
+    ``get(point)`` / ``put(point, record)``.
+    """
+    total = len(points)
+    completed = 0
+    pending: list[tuple[int, RunPoint]] = []
+    for i, point in enumerate(points):
+        hit = None if cache is None else cache.get(point)
+        if hit is None:
+            pending.append((i, point))
+            continue
+        completed += 1
+        yield PointOutcome(i, point, labeled_record(point, hit), None,
+                           "cached", 0, completed, total)
+    if not pending:
+        return
+    pool = resolve_executor(executor, jobs)
+    for j, result in pool.run(worker, [p for _, p in pending]):
+        i, point = pending[j]
+        completed += 1
+        if isinstance(result, PointError):
+            error = replace(result, index=i, key=point.key())
+            yield PointOutcome(i, point, None, error, "failed",
+                               error.attempts, completed, total)
+            continue
+        if cache is not None:
+            cache.put(point, result)  # checkpoint before anything else
+        attempts = getattr(pool, "attempt_counts", {}).get(j, 1)
+        yield PointOutcome(i, point, labeled_record(point, result), None,
+                           "retried" if attempts > 1 else "computed",
+                           attempts, completed, total)
 
 
 def _resolve_shard(shard) -> tuple[int, int] | None:
@@ -146,48 +200,16 @@ def execute_points(points, *, executor="serial", jobs: int | None = None,
     if resolved_shard is not None:
         points = shard_points(points, *resolved_shard)
     cache = resolve_cache(cache)
-    total = len(points)
-    completed = 0
-    records: list[dict | None] = [None] * total
+    records: list[dict | None] = [None] * len(points)
     failures: list[PointError] = []
-    pending: list[tuple[int, RunPoint]] = []
-
-    def notify(**kw) -> None:
+    worker = partial(execute_point, verify=True) if verify else execute_point
+    for outcome in iter_outcomes(points, worker, executor=executor,
+                                 jobs=jobs, cache=cache):
+        records[outcome.index] = outcome.record
+        if outcome.error is not None:
+            failures.append(outcome.error)
         if on_result is not None:
-            on_result(PointOutcome(completed=completed, total=total, **kw))
-
-    for i, point in enumerate(points):
-        hit = None if cache is None else cache.get(point)
-        if hit is None:
-            pending.append((i, point))
-        else:
-            records[i] = _labeled(point, hit)
-            completed += 1
-            notify(index=i, point=point, record=records[i], error=None,
-                   status="cached", attempts=0)
-    if pending:
-        pool = resolve_executor(executor, jobs)
-        plan_index = {j: i for j, (i, _) in enumerate(pending)}
-        worker = (partial(execute_point, verify=True) if verify
-                  else execute_point)
-        for j, result in run_stream(pool, worker,
-                                    [p for _, p in pending]):
-            i = plan_index[j]
-            point = points[i]
-            completed += 1
-            if isinstance(result, PointError):
-                error = replace(result, index=i, key=point.key())
-                failures.append(error)
-                notify(index=i, point=point, record=None, error=error,
-                       status="failed", attempts=error.attempts)
-                continue
-            if cache is not None:
-                cache.put(point, result)  # checkpoint before anything else
-            records[i] = _labeled(point, result)
-            attempts = getattr(pool, "attempt_counts", {}).get(j, 1)
-            notify(index=i, point=point, record=records[i], error=None,
-                   status="retried" if attempts > 1 else "computed",
-                   attempts=attempts)
+            on_result(outcome)
     if cache is not None:
         cache.save_run_stats()
     if failures:

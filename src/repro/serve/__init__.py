@@ -18,13 +18,13 @@ framework-free ASGI application (``repro serve`` on the CLI):
 See ``docs/SERVICE.md`` for the full API and operational model.
 """
 
+from repro.analysis.invariants import FlowConservationError
 from repro.serve.app import ServeApp, create_app
 from repro.serve.jobs import Job, JobQueue, QueueFull
 from repro.serve.protocol import (SERVE_SCHEMA_VERSION, Submission,
                                   SubmissionError, parse_submission)
-from repro.serve.runner import (FlowConservationError, JobCancelled,
-                                execute_point_streamed, run_submission,
-                                stream_meta)
+from repro.serve.runner import (JobCancelled, execute_point_streamed,
+                                run_submission, stream_meta)
 from repro.serve.settings import ServeSettings
 
 __all__ = [

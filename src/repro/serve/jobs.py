@@ -16,8 +16,8 @@ One :class:`JobQueue` owns the whole execution side of the service:
   (:func:`repro.serve.runner.run_submission`); the event loop never
   blocks;
 * **timeout / cancellation** — both are delivered through the job's
-  ``threading.Event``, which the runner checks at bucket boundaries;
-  no thread is ever killed mid-bucket.
+  ``threading.Event``, which the facade workers poll every bucket of
+  warm-up and measurement; no thread is ever killed mid-bucket.
 
 Threading discipline: worker threads touch **only** the cache (itself
 safe: atomic writes, GIL-atomic dict ops) and signal everything else to
@@ -37,6 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
+from repro.analysis.invariants import FlowConservationError, InvariantViolation
 from repro.runplan.cache import ResultCache
 
 from . import runner
@@ -303,13 +304,13 @@ class JobQueue:
                             f"{self.settings.job_timeout}s"
                             if job.timed_out else "job cancelled"),
             })
-        except runner.FlowConservationError as e:
+        except FlowConservationError as e:
             finish(FAILED, error={
                 "type": "flow_conservation",
                 "message": str(e),
                 "report": e.report,
             })
-        except runner.InvariantViolation as e:
+        except InvariantViolation as e:
             # a full-verify gate tripped on a non-flow invariant
             finish(FAILED, error={
                 "type": "invariant_violation",

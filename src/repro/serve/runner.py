@@ -1,74 +1,38 @@
-"""Synchronous job execution: facade workers + streaming + cancellation.
+"""Synchronous job execution: the run-plan loop behind a job's hooks.
 
-The serve layer cannot call :func:`repro.facade.run_point` directly —
-it needs row-by-row metrics streaming and a cancellation point between
-buckets — so this module re-states each facade worker with those two
-hooks added.  Everything else is kept call-for-call identical, and the
-contract tests (``tests/test_serve_contract.py``) pin the consequence:
-for any point, the record produced here is **byte-identical**
-(:func:`~repro.runplan.cache.canonical_record_json`) to the offline
-facade worker's.  That identity is what makes the shared
-:class:`~repro.runplan.cache.ResultCache` safe — a record cached by a
-CLI sweep replays verbatim over HTTP and vice versa.
+The service computes nothing itself.  A point runs through
+:func:`repro.runplan.runner.execute_point` — the same ``kind`` dispatch
+onto the same :mod:`repro.facade` workers an offline sweep uses — with
+the worker's optional hooks filled in: ``on_row`` streams the metrics
+rows, ``should_cancel`` is the job's cancel event, ``meta`` is
+:func:`stream_meta`.  A submission runs through
+:func:`repro.runplan.runner.iter_outcomes`, the same cache-lookup →
+schedule → checkpoint → label loop behind
+:func:`~repro.runplan.runner.execute_points`.  So a served record is
+the offline record by construction, and the
+:class:`~repro.runplan.cache.ResultCache` shared with CLI sweeps has
+nothing to drift against.
 
-Why the identity holds despite the extra machinery:
-
-* attaching a :class:`~repro.metrics.hub.MetricsHub` never changes what
-  a simulation records (the PR-4 observation-only guarantee);
-* advancing the engine in bucket-sized chunks is cycle-for-cycle
-  identical to one long ``run()`` (the timing wheel holds no state
-  across ``run`` boundaries and fast-forward clamps to the limit);
-* cancellation is *cooperative* — checked between chunks, never
-  interrupting one — so an uncancelled run takes the exact same steps.
-
-Every window additionally self-checks flow conservation
-(``injected == delivered + Δin_flight``, satellite of PR 6): a tripped
-check raises :class:`FlowConservationError` and the job is marked
-failed rather than returning silently-wrong numbers.  A service
-configured with ``verify="full"`` widens that gate to the whole
-physical-invariant set (:mod:`repro.analysis.invariants` — Little's
-law, occupancy non-negativity, throughput/latency bounds); a non-flow
-failure surfaces as the base
-:class:`~repro.analysis.invariants.InvariantViolation`.
+What is left here is what only a job has: :class:`JobCancelled`, the
+adapter :func:`execute_point_streamed`, and :func:`run_submission`'s
+progress rows and result payload.  Every computed window is verified
+(``verify="flow"``: flow conservation; ``"full"``: the whole
+:mod:`repro.analysis.invariants` live set) and a violation fails the
+job rather than returning silently-wrong numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as _dc_replace
-
 from repro.analysis.invariants import InvariantViolation
-from repro.facade import point_record, session
-from repro.metrics.hub import MetricsHub
-from repro.metrics.statistics import recovery_time
+from repro.facade import Cancelled
 from repro.runplan.aggregate import aggregate_replicas
-from repro.runplan.runner import labeled_record
-from repro.runplan.scheduler import PointError, SerialScheduler
+from repro.runplan.runner import execute_point, iter_outcomes
+from repro.runplan.scheduler import SerialScheduler
 from repro.runplan.spec import RunPoint
-from repro.traffic.patterns import pattern_by_name
-from repro.traffic.processes import BurstTraffic
 
 
 class JobCancelled(Exception):
     """Raised inside a worker when the job's cancel event is set."""
-
-
-class FlowConservationError(InvariantViolation):
-    """A measurement window lost or invented packets.
-
-    ``report`` is the failing
-    :meth:`repro.metrics.hub.MetricsHub.verify` dict.  Subclasses
-    :class:`~repro.analysis.invariants.InvariantViolation` so one
-    ``except`` clause covers the whole verification gate while the
-    flow-specific message format stays intact.
-    """
-
-    def __init__(self, report: dict, message: str | None = None) -> None:
-        if message is None:
-            message = (
-                "flow conservation violated: injected={injected} delivered="
-                "{delivered} in_flight={in_flight} (expected "
-                "{expected_in_flight})".format(**report))
-        super().__init__(report, message)
 
 
 def stream_meta(point: RunPoint) -> dict:
@@ -82,161 +46,28 @@ def stream_meta(point: RunPoint) -> dict:
     }
 
 
-def _check(cancelled) -> None:
-    if cancelled is not None and cancelled.is_set():
-        raise JobCancelled("job cancelled")
-
-
-def _guard(emit, cancelled):
-    """Wrap ``emit`` so every bucket boundary is a cancellation point."""
-    def guarded(row: dict) -> None:
-        _check(cancelled)
-        emit(row)
-    return guarded
-
-
-def _chunked_warmup(s, cycles: int, bucket: int, cancelled) -> None:
-    """``Session.warmup(cycles)`` in bucket-sized chunks (cancellable).
-
-    Chunked runs are cycle-identical to one long run, so the post-warmup
-    state — and therefore the measured record — matches the facade's
-    blind ``warmup()`` exactly.
-    """
-    end = s.now + cycles
-    while s.now < end:
-        _check(cancelled)
-        s.run(min(bucket, end - s.now))
-    s.reset()
-
-
-def _check_conservation(report: dict | None) -> None:
-    """Raise on a failed verify report, keeping the error type specific.
-
-    Flow-conservation failures keep their dedicated
-    :class:`FlowConservationError` (and its message format, pinned by
-    the contract tests); a report that failed *only* on wider
-    invariants (Little's law, bounds, occupancy) raises the base
-    :class:`InvariantViolation` naming the failed checks.
-    """
-    if report is None or report["ok"]:
-        return
-    failed = [c for c in report.get("checks", ()) if not c.get("ok", True)]
-    if failed and all(c.get("check") != "flow_conservation" for c in failed):
-        raise InvariantViolation(report)
-    raise FlowConservationError(report)
-
-
-def _steady_streamed(point: RunPoint, emit, bucket: int, cancelled,
-                     full_verify: bool) -> dict:
-    """Mirror of :func:`repro.facade.run_point`, streaming the window."""
-    s = session(point.config, pattern=point.pattern, load=point.load)
-    if point.steady:
-        s.warmup_until_steady(max_cycles=point.warmup)
-        _check(cancelled)
-    else:
-        _chunked_warmup(s, point.warmup, bucket, cancelled)
-    sr = s.measure_series(point.measure, bucket=bucket,
-                          emit=_guard(emit, cancelled),
-                          meta=stream_meta(point), full_verify=full_verify)
-    _check_conservation(sr.verify)
-    rec = point_record(sr.result, point.config, pattern=point.pattern,
-                       load=point.load)
-    if point.steady:
-        rec["warmup_cycles"] = s.auto_warmup["cycles"]
-        rec["warmup_steady"] = s.auto_warmup["steady"]
-    return rec
-
-
-def _transient_streamed(point: RunPoint, emit, cancelled,
-                        full_verify: bool) -> dict:
-    """Mirror of :func:`repro.facade.run_transient`, streaming the window.
-
-    The bucket is the *point's* (default 250, exactly as the run-plan
-    dispatcher resolves it) because for transient records the bucket is
-    part of the measurement, not just the stream resolution — using the
-    service default here would poison the shared cache with records
-    that differ from offline runs of the same point key.
-    """
-    bucket = point.bucket or 250
-    s = session(point.config, pattern=point.pattern, load=point.load)
-    s.warmup_until_steady(bucket=bucket, max_cycles=point.warmup)
-    _check(cancelled)
-    baseline = s.auto_warmup["steady_throughput"]
-    sim = s.sim
-    burst_pattern = pattern_by_name(point.pattern, sim.topo)
-    BurstTraffic(burst_pattern, point.packets_per_node).inject(sim, sim.now)
-    sr = s.measure_series(point.measure, bucket=bucket, latencies=True,
-                          emit=_guard(emit, cancelled),
-                          meta=stream_meta(point), full_verify=full_verify)
-    _check_conservation(sr.verify)
-    recovery = recovery_time(sr.series["throughput"], baseline,
-                             bucket=bucket, rel_tolerance=0.15, hold=3)
-    rec = point_record(sr.result, point.config, pattern=point.pattern,
-                       load=point.load,
-                       packets_per_node=point.packets_per_node)
-    rec.update(
-        kind="transient",
-        bucket=bucket,
-        warmup_cycles=s.auto_warmup["cycles"],
-        warmup_steady=s.auto_warmup["steady"],
-        baseline_throughput=baseline,
-        recovered=recovery is not None,
-        recovery_cycles=point.measure if recovery is None else recovery,
-        throughput_series=sr.series["throughput"],
-        latency_series=sr.series["latency_mean"],
-    )
-    return rec
-
-
-def _drain_streamed(point: RunPoint, emit, bucket: int, cancelled,
-                    full_verify: bool) -> dict:
-    """Mirror of :func:`repro.facade.run_drain`, rows emitted on completion.
-
-    A drain run has no end cycle known up front (the meta row needs
-    one), so the row stream is emitted in one piece once the fabric is
-    empty rather than live; ``max_cycles`` bounds the wait.  For the
-    same reason cancellation takes effect only before the drain starts —
-    the drain itself must be the facade's single
-    ``run_until_drained`` call to keep ``drain_cycles`` byte-identical.
-    """
-    _check(cancelled)
-    s = session(point.config)
-    pattern = pattern_by_name(point.pattern, s.sim.topo)
-    s.with_traffic(BurstTraffic(pattern, point.packets_per_node))
-    hub = MetricsHub(s.sim, bucket=bucket, latencies=True)
-    try:
-        result = s.drain(point.max_cycles or 1_000_000)
-        _check_conservation(hub.verify(full=full_verify))
-        for row in hub.records(s.now, stream_meta(point)):
-            emit(row)
-    finally:
-        hub.detach()
-    return point_record(result, point.config, pattern=point.pattern,
-                        packets_per_node=point.packets_per_node)
-
-
 def execute_point_streamed(point: RunPoint, emit, *, bucket: int = 250,
                            cancelled=None, verify: str = "flow") -> dict:
     """One point's raw record, streaming metrics rows through ``emit``.
 
-    The serve-side twin of :func:`repro.runplan.runner.execute_point`:
-    same dispatch, same record bytes, plus ``emit(row)`` per
-    meta/bucket/summary row and a cooperative ``cancelled``
-    (``threading.Event``) checked at bucket boundaries.  ``bucket`` is
-    the stream resolution for kinds where it does not shape the record
-    (steady, drain); a point's own ``bucket`` always wins.  ``verify``
-    is ``"flow"`` (conservation only, the default) or ``"full"`` (the
-    whole live invariant set); either way the record bytes are
-    unchanged — verification only decides whether the point fails.
+    :func:`repro.runplan.runner.execute_point` with a job's hooks:
+    ``emit(row)`` per meta/bucket/summary row and a cooperative
+    ``cancelled`` (``threading.Event``) polled every bucket of warm-up
+    (blind or auto) and measurement, surfacing as :class:`JobCancelled`.
+    ``bucket`` is the stream resolution for kinds where it does not
+    shape the record (steady, drain); a point's own ``bucket`` always
+    wins.  ``verify`` is ``"flow"`` (conservation only, the default) or
+    ``"full"`` (the whole live invariant set); either way the record
+    bytes are unchanged — verification only decides whether the point
+    fails.
     """
-    full = verify == "full"
-    if point.kind == "drain":
-        return _drain_streamed(point, emit, point.bucket or bucket,
-                               cancelled, full)
-    if point.kind == "transient":
-        return _transient_streamed(point, emit, cancelled, full)
-    return _steady_streamed(point, emit, point.bucket or bucket,
-                            cancelled, full)
+    try:
+        return execute_point(
+            point, verify, bucket=bucket, on_row=emit,
+            should_cancel=None if cancelled is None else cancelled.is_set,
+            meta=stream_meta(point))
+    except Cancelled:
+        raise JobCancelled("job cancelled") from None
 
 
 def run_submission(submission, *, cache=None, default_bucket: int = 250,
@@ -244,102 +75,71 @@ def run_submission(submission, *, cache=None, default_bucket: int = 250,
                    verify: str = "flow") -> dict:
     """Execute a whole submission synchronously; the worker-thread entry.
 
-    Points run through the same :class:`~repro.runplan.scheduler`
-    contract as offline plans — a :class:`SerialScheduler` with
-    :class:`JobCancelled` and :class:`InvariantViolation` (which covers
-    :class:`FlowConservationError`) marked fatal, so cancellation and
-    the verification gate still abort the
-    job instantly while any *other* per-point failure is retried up to
-    ``max_retries`` times and then quarantined: the job completes with
-    the surviving records plus a ``point_errors`` list instead of
+    Points run through :func:`~repro.runplan.runner.iter_outcomes` on a
+    :class:`SerialScheduler` with :class:`JobCancelled` and
+    :class:`InvariantViolation` (which covers ``FlowConservationError``)
+    marked fatal, so cancellation and the verification gate still abort
+    the job instantly while any *other* per-point failure is retried up
+    to ``max_retries`` times and then quarantined: the job completes
+    with the surviving records plus a ``point_errors`` list instead of
     failing outright.  Only when **every** point failed does the first
     failure propagate as the job error.
 
-    Consults ``cache`` per point (hits replay verbatim and stream no
-    rows — their rows were streamed when the record was first computed),
-    stores fresh records the moment they land, labels every record
-    through :func:`~repro.runplan.runner.labeled_record`, and collapses
-    seed replicas when the submission asked to aggregate.  The result
-    payload reports how many points actually ran (``executed_points``)
-    versus replayed (``cached_points``).  When the submission opted in
-    (``progress``), one ``{"event": "point", ...}`` row per completed
-    point is interleaved with the metrics rows.  ``verify`` passes
-    through to :func:`execute_point_streamed` for every computed point;
-    cache hits replay without re-verification.
+    ``cache`` hits replay verbatim and stream no rows — their rows were
+    streamed when the record was first computed — and are not
+    re-verified; fresh records are stored the moment they land.  Seed
+    replicas collapse when the submission asked to aggregate.  The
+    result payload reports how many points actually ran
+    (``executed_points``) versus replayed (``cached_points``).  When
+    the submission opted in (``progress``), one ``{"event": "point",
+    ...}`` row per completed point is interleaved with the metrics rows.
     """
     if emit is None:
         def emit(row):
             return None
-    points = submission.points
-    total = len(points)
-    completed = 0
+    if cancelled is not None and cancelled.is_set():
+        raise JobCancelled("job cancelled")
     want_progress = getattr(submission, "progress", False)
 
-    def note(index: int, point: RunPoint, status: str, attempts: int,
-             error: str | None = None) -> None:
-        nonlocal completed
-        completed += 1
-        if want_progress:
-            row = {"event": "point", "index": index, "point": point.key(),
-                   "status": status, "attempts": attempts,
-                   "completed": completed, "total": total}
-            if error is not None:
-                row["error"] = error
-            emit(row)
+    def work(point):
+        return execute_point_streamed(point, emit, bucket=default_bucket,
+                                      cancelled=cancelled, verify=verify)
 
+    scheduler = SerialScheduler(max_retries=max_retries,
+                                fatal=(JobCancelled, InvariantViolation))
     records: dict[int, dict] = {}
-    errors: list[PointError] = []
-    pending: list[tuple[int, RunPoint]] = []
-    executed = cached = 0
-    for i, point in enumerate(points):
-        _check(cancelled)
-        hit = cache.get(point) if cache is not None else None
-        if hit is None:
-            pending.append((i, point))
+    errors = []
+    cached = 0
+    for done in iter_outcomes(submission.points, work, executor=scheduler,
+                              cache=cache):
+        if done.error is not None:
+            errors.append(done.error)
         else:
-            records[i] = labeled_record(point, hit)
-            cached += 1
-            note(i, point, "cached", 0)
-    if pending:
-        scheduler = SerialScheduler(
-            max_retries=max_retries,
-            fatal=(JobCancelled, InvariantViolation))
-
-        def work(item):
-            _check(cancelled)
-            _, point = item
-            return execute_point_streamed(point, emit, bucket=default_bucket,
-                                          cancelled=cancelled, verify=verify)
-
-        for j, result in scheduler.run(work, pending):
-            i, point = pending[j]
-            if isinstance(result, PointError):
-                errors.append(_dc_replace(result, index=i, key=point.key()))
-                note(i, point, "failed", result.attempts, error=result.error)
-                continue
-            if cache is not None:
-                cache.put(point, result)
-            executed += 1
-            records[i] = labeled_record(point, result)
-            attempts = scheduler.attempt_counts.get(j, 1)
-            note(i, point, "retried" if attempts > 1 else "computed", attempts)
+            records[done.index] = done.record
+            cached += done.status == "cached"
+        if want_progress:
+            row = {"event": "point", "index": done.index,
+                   "point": done.point.key(), "status": done.status,
+                   "attempts": done.attempts, "completed": done.completed,
+                   "total": done.total}
+            if done.error is not None:
+                row["error"] = done.error.error
+            emit(row)
     out = [records[i] for i in sorted(records)]
+    errors.sort(key=lambda e: e.index)
     if errors and not out:
-        first = min(errors, key=lambda e: e.index)
+        first = errors[0]
         if first.exception is not None:
             raise first.exception
         raise RuntimeError(
-            f"all {total} point(s) failed; first: "
+            f"all {len(errors)} point(s) failed; first: "
             f"[{first.error}] {first.message}")
-    if submission.aggregate:
-        out = aggregate_replicas(out)
     result = {
-        "records": out,
+        "records": aggregate_replicas(out) if submission.aggregate else out,
         "aggregated": submission.aggregate,
-        "executed_points": executed,
+        "executed_points": len(out) - cached,
         "cached_points": cached,
     }
     if errors:
-        result["point_errors"] = [
-            e.describe() for e in sorted(errors, key=lambda e: e.index)]
+        result["point_errors"] = [e.describe() for e in errors]
     return result

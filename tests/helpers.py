@@ -62,7 +62,7 @@ def collect_delivered(sim: Simulator, min_packets: int, max_cycles: int = 60000)
     Delivered packets are harvested via a wrapped stats callback.
     """
     delivered = []
-    sim.on_packet_delivered = lambda pkt, now: delivered.append(pkt)
+    sim.add_delivery_observer(lambda pkt, now: delivered.append(pkt))
     while len(delivered) < min_packets:
         assert sim.now < max_cycles, "simulation too slow to deliver packets"
         sim.step()

@@ -106,6 +106,32 @@ def test_array_engine_vectorises_the_saturated_goldens():
     assert sim_olm._mode == "wheel"
 
 
+def test_auto_engine_takes_the_wheel_path_under_a_metrics_hub():
+    """``engine="auto"`` picks per point: the array core for a saturated
+    untapped minimal-routing point, the wheel path once a full
+    ``MetricsHub`` needs the object engine's event sites — and the
+    record bytes are the same either way."""
+    from repro.facade import Session, point_record
+    from repro.metrics.hub import MetricsHub
+    from repro.network.arraysim import AutoSimulator
+
+    cfg = SimConfig(h=2, routing="minimal", seed=11)
+
+    def run(sim_cls, tapped):
+        s = Session(sim=sim_cls(cfg))
+        if tapped:
+            MetricsHub(s.sim, bucket=100)
+        result = s.bernoulli("uniform", 0.9).warmup(200).measure(200)
+        record = point_record(result, cfg, pattern="uniform", load=0.9)
+        return canonical_record_json(record), s.sim
+
+    untapped, sim = run(AutoSimulator, tapped=False)
+    assert sim._mode == "array"
+    tapped, sim = run(AutoSimulator, tapped=True)
+    assert sim._mode == "wheel"
+    assert tapped == untapped == run(ArraySimulator, False)[0]
+
+
 def test_unknown_engine_fails_with_suggestion():
     with pytest.raises(ValueError, match="unknown engine.*did you mean 'array'"):
         SimConfig(engine="aray")

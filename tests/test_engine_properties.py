@@ -57,7 +57,7 @@ def test_hop_logs_always_terminate_with_ejection(seed):
     cfg = SimConfig(h=2, routing="olm", seed=seed, record_hops=True)
     sim = Simulator(cfg)
     delivered = []
-    sim.on_packet_delivered = lambda p, t: delivered.append(p)
+    sim.add_delivery_observer(lambda p, t: delivered.append(p))
     rng_dsts = [(i, (i * 7 + 3) % sim.topo.num_nodes) for i in range(0, 60, 3)]
     for s, d in rng_dsts:
         if s != d:
@@ -77,9 +77,9 @@ def test_output_arbitration_roughly_fair():
     topo = sim.topo
     dst_router = topo.router_id(0, 1)
     counts = {0: 0, 1: 0}
-    sim.on_packet_delivered = lambda p, t: counts.__setitem__(
+    sim.add_delivery_observer(lambda p, t: counts.__setitem__(
         topo.node_index(p.src), counts[topo.node_index(p.src)] + 1
-    )
+    ))
     # both nodes of router 0 flood node 0 of router 1 through one local link
     for _ in range(120):
         sim.inject_packet(topo.node_id(0, 0), topo.node_id(dst_router, 0))

@@ -1,4 +1,4 @@
-"""Experiment harness: sweeps, registry, reporting, persistence."""
+"""Experiment harness: plan-backed sweeps, registry, reporting, persistence."""
 
 import json
 
@@ -13,15 +13,9 @@ from repro.experiments.reporting import (
     save_result,
     summarize_saturation,
 )
-from repro.experiments.sweeps import (
-    burst_drain,
-    load_sweep,
-    mixed_sweep,
-    run_point,
-    saturation_throughput,
-    threshold_sweep,
-)
+from repro.facade import run_point
 from repro.network.config import paper_vct_config
+from repro.runplan import RunPoint, RunSpec, execute, execute_points
 
 
 def test_registry_covers_every_figure_and_table():
@@ -58,30 +52,22 @@ def test_run_point_record_shape():
 
 def test_load_sweep_monotone_low_loads():
     cfg = paper_vct_config(h=2, routing="minimal", seed=1)
-    pts = load_sweep(cfg, "uniform", (0.1, 0.3), warmup=400, measure=400)
+    pts = execute(RunSpec(config=cfg, pattern="uniform", loads=(0.1, 0.3),
+                          warmup=400, measure=400))
+    assert [p["load"] for p in pts] == [0.1, 0.3]
     assert pts[1]["throughput"] > pts[0]["throughput"]
-    assert saturation_throughput(pts) == max(p["throughput"] for p in pts)
-    assert saturation_throughput([]) == 0.0
 
 
-def test_mixed_sweep_records():
+def test_threshold_points_group_by_coord():
+    """One load sweep per misrouting threshold (Figs 10/11), one pool pass."""
     cfg = paper_vct_config(h=2, routing="rlm", seed=1)
-    pts = mixed_sweep(cfg, (0, 100), 1.0, warmup=400, measure=400)
-    assert [p["global_pct"] for p in pts] == [0, 100]
-    assert all(p["throughput"] > 0 for p in pts)
-
-
-def test_burst_drain_records():
-    cfg = paper_vct_config(h=2, routing="olm", seed=1)
-    pts = burst_drain(cfg, (50,), packets_per_node=5, max_cycles=500000)
-    assert pts[0]["drain_cycles"] > 0
-    assert pts[0]["delivered"] == 5 * 72  # h=2: 72 nodes
-
-
-def test_threshold_sweep_keys():
-    cfg = paper_vct_config(h=2, routing="rlm", seed=1)
-    res = threshold_sweep(cfg, (0.3, 0.6), "uniform", (0.2,), warmup=300, measure=300)
-    assert set(res) == {0.3, 0.6}
+    points = [RunPoint(config=cfg.with_(threshold=th), pattern="uniform",
+                       load=0.2, warmup=300, measure=300,
+                       coords=(("threshold", th),))
+              for th in (0.3, 0.6)]
+    recs = execute_points(points)
+    assert [r["threshold"] for r in recs] == [0.3, 0.6]
+    assert points[0].key() != points[1].key()  # the threshold is simulated
 
 
 def test_run_experiment_tab1():

@@ -208,37 +208,17 @@ def test_hub_reset_restarts_window_keeps_physical_occupancy():
     assert hub._occ == occ
 
 
-# ------------------------------------------------------- deprecated shims
-def test_probe_shims_warn_and_still_work():
-    sim = _sim(seed=4)
-    with pytest.warns(DeprecationWarning, match="MetricsHub"):
-        from repro.metrics.probes import ThroughputProbe
-
-        probe = ThroughputProbe(sim, interval=400)
-    with pytest.warns(DeprecationWarning, match="LatencyTap"):
-        from repro.metrics.probes import LatencyProbe
-
-        lat = LatencyProbe(sim)
-    probe.run(1200)
-    assert len(probe.series) == 3
-    assert len(lat.latencies) == sim.stats.delivered > 0
-    probe.detach()
-    lat.detach()
-
-
-def test_attached_probe_no_longer_suppresses_fast_forward():
-    """Regression (satellite): the polling-era probe disabled idle
-    fast-forward by stepping cycle-by-cycle; the tap-based shim must not."""
+# ------------------------------------------------------- fast-forward
+def test_attached_hub_does_not_suppress_fast_forward():
+    """Regression: the polling-era probe disabled idle fast-forward by
+    stepping cycle-by-cycle; the event-driven hub must not."""
     cfg = SimConfig(h=2, routing="olm", seed=5)
 
     def drain_steps(attach_probe):
         sim = Simulator(cfg)
         sim.traffic = BurstTraffic(pattern_by_name("uniform", sim.topo), 3)
         if attach_probe:
-            with pytest.warns(DeprecationWarning):
-                from repro.metrics.probes import ThroughputProbe
-
-                ThroughputProbe(sim, interval=100)
+            MetricsHub(sim, bucket=100, latencies=False)
         steps = 0
         orig = sim.step
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.network.flowcontrol import (
     VirtualCutThrough,
     Wormhole,
-    flow_control_by_name,
 )
 from repro.network.packet import Packet, flitize
 
@@ -80,23 +79,6 @@ def test_wh_semantics():
     assert not fc.whole_packet_reservation
     with pytest.raises(ValueError):
         Wormhole(0)
-
-
-def test_factory():
-    assert isinstance(flow_control_by_name("vct"), VirtualCutThrough)
-    wh = flow_control_by_name("wh", flit_size=10)
-    assert isinstance(wh, Wormhole) and wh.flit_size == 10
-    with pytest.raises(ValueError):
-        flow_control_by_name("bubble")
-
-
-def test_factory_wh_requires_explicit_flit_size():
-    """The old default (flit_size=0) crashed deep inside Wormhole.__init__."""
-    with pytest.raises(ValueError, match="explicit flit size"):
-        flow_control_by_name("wh")
-    with pytest.raises(ValueError, match="flit_size must be positive"):
-        flow_control_by_name("wh", flit_size=0)  # explicit garbage stays loud
-    assert isinstance(flow_control_by_name("vct"), VirtualCutThrough)  # no size needed
 
 
 def test_both_policies_build_from_config():

@@ -8,9 +8,15 @@ order preserved, and figure runners unchanged by ``workers``.
 
 import pytest
 
-from repro.experiments.sweeps import load_sweep
 from repro.network.config import paper_vct_config
-from repro.runplan import RunPoint, default_workers, execute_points, executor_for_jobs
+from repro.runplan import (
+    RunPoint,
+    RunSpec,
+    default_workers,
+    execute,
+    execute_points,
+    executor_for_jobs,
+)
 
 
 def test_default_workers_positive():
@@ -24,12 +30,9 @@ def test_executor_for_jobs_policy():
 
 
 def test_parallel_matches_serial():
-    cfg = paper_vct_config(h=2, routing="minimal", seed=3)
-    loads = (0.1, 0.3)
-    serial = load_sweep(cfg, "uniform", loads, warmup=300, measure=300)
-    par = load_sweep(cfg, "uniform", loads, warmup=300, measure=300,
-                     executor="process", jobs=2)
-    assert par == serial
+    spec = RunSpec(config=paper_vct_config(h=2, routing="minimal", seed=3),
+                   pattern="uniform", loads=(0.1, 0.3), warmup=300, measure=300)
+    assert execute(spec, executor="process", jobs=2) == execute(spec)
 
 
 def test_run_points_order_preserved():

@@ -63,7 +63,6 @@ PUBLIC_MODULES = [
     "repro.analysis.cdg",
     "repro.experiments",
     "repro.experiments.presets",
-    "repro.experiments.sweeps",
     "repro.experiments.figures",
     "repro.experiments.registry",
     "repro.experiments.reporting",
@@ -124,16 +123,29 @@ def test_facade_and_registry_exports_pinned():
 
 
 def test_backward_compat_shims_unchanged():
-    """Pre-redesign imports keep working exactly as documented."""
+    """The pre-redesign imports that are still documented keep working;
+    the shims PR 13 deleted on purpose stay deleted."""
+    import repro.experiments
+    import repro.metrics
+    import repro.network.flowcontrol
+    import repro.runplan
     from repro import SimConfig, Simulator, build_simulator  # noqa: F401
     from repro.core import ROUTING_REGISTRY, routing_by_name
-    from repro.network.flowcontrol import flow_control_by_name
 
     sim = build_simulator(SimConfig(h=2, routing="minimal"))
-    assert sim.on_packet_delivered is None  # legacy hook still present
     assert routing_by_name("olm").name == "olm"
-    assert flow_control_by_name("wh", flit_size=4).flit_size == 4
     assert "olm" in ROUTING_REGISTRY
+    assert repro.metrics.occupancy_snapshot and repro.metrics.injection_backlog
+    for owner, gone in [
+        (sim, "on_packet_delivered"),
+        (repro.network.flowcontrol, "flow_control_by_name"),
+        (repro.metrics, "ThroughputProbe"),
+        (repro.runplan.SerialExecutor, "map"),
+        (repro.runplan.ProcessExecutor, "map"),
+        (repro.runplan, "run_stream"),
+        (repro.experiments, "load_sweep"),
+    ]:
+        assert not hasattr(owner, gone), gone
 
 
 def test_simulator_is_topology_agnostic():

@@ -13,6 +13,12 @@ The service is only trustworthy if going through HTTP changes nothing:
 * a persistent cache directory replays records across service
   restarts without re-simulating.
 
+Since PR 13 the service calls the offline facade workers through their
+``on_row`` / ``should_cancel`` hooks instead of mirroring them, so the
+first two contracts are also pinned one layer down: a hooked worker's
+record equals the un-hooked one and the rows it hands out equal a plain
+``MetricsHub`` export.
+
 Sims here are tiny (h=1) but real; the fast queue-semantics tests live
 in ``tests/test_serve.py``.
 """
@@ -21,11 +27,17 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.facade import run_drain, run_point, run_transient, session
-from repro.metrics.hub import jsonl_line, strict_jsonable
+from repro.metrics.hub import MetricsHub, jsonl_line, strict_jsonable
 from repro.network.config import SimConfig
+from repro.runplan import execute_point
 from repro.runplan.cache import canonical_record_json
-from repro.serve import ServeSettings, create_app, parse_submission, stream_meta
+from repro.serve import (JobCancelled, ServeSettings, create_app,
+                         parse_submission, stream_meta)
+from repro.traffic.patterns import pattern_by_name
+from repro.traffic.processes import BurstTraffic
 from repro.serve import runner as serve_runner
 from repro.serve.testclient import Client
 
@@ -97,6 +109,73 @@ def test_drain_record_matches_offline_facade():
     assert rows, "drain job produced no metrics rows"
 
 
+# ------------------------------------------- one path: hooked == un-hooked
+def hub_export(point) -> list[dict]:
+    """The point's window as a plain ``MetricsHub`` export: single
+    ``run()`` calls, no hooks, the hub's batch ``records()``."""
+    bucket = point.bucket or 150
+    if point.kind == "drain":
+        s = session(point.config)
+        s.with_traffic(BurstTraffic(
+            pattern_by_name(point.pattern, s.sim.topo), point.packets_per_node))
+        hub = MetricsHub(s.sim, bucket=bucket)
+        s.drain(point.max_cycles)
+        return list(hub.records(s.now, stream_meta(point)))
+    s = session(point.config, pattern=point.pattern, load=point.load)
+    if point.kind == "transient":
+        s.warmup_until_steady(bucket=bucket, max_cycles=point.warmup)
+        BurstTraffic(pattern_by_name(point.pattern, s.sim.topo),
+                     point.packets_per_node).inject(s.sim, s.now)
+    elif point.steady:
+        s.warmup_until_steady(max_cycles=point.warmup)
+    else:
+        s.warmup(point.warmup)
+    return list(s.measure_series(point.measure, bucket=bucket,
+                                 meta=stream_meta(point)).records)
+
+
+@pytest.mark.parametrize("payload", [
+    STEADY, {**STEADY, "steady": True}, TRANSIENT, DRAIN,
+], ids=["steady", "steady-autowarmup", "transient", "drain"])
+def test_hooked_worker_equals_unhooked_and_streams_the_hub_export(payload):
+    [point] = parse_submission(payload).points
+    rows = []
+    hooked = execute_point(point, "flow", bucket=150, on_row=rows.append,
+                           should_cancel=lambda: False,
+                           meta=stream_meta(point))
+    assert canonical(hooked) == canonical(execute_point(point))
+    assert ([jsonl_line(r) for r in rows]
+            == [jsonl_line(r) for r in hub_export(point)])
+
+
+class SetAfter:
+    """A cancel "event" that reads as set from its ``polls``-th poll on."""
+
+    def __init__(self, polls: int) -> None:
+        self.polls, self.seen = polls, 0
+
+    def is_set(self) -> bool:
+        self.seen += 1
+        return self.seen >= self.polls
+
+
+@pytest.mark.parametrize("payload", [
+    {**STEADY, "steady": True, "warmup": 10_000_000},
+    {**TRANSIENT, "warmup": 10_000_000},
+], ids=["steady-autowarmup", "transient"])
+def test_auto_warmup_is_cancelled_within_one_block(payload):
+    """Satellite bug: auto-warm-up polled the cancel event only after it
+    returned, so ``job_timeout`` could not stop a huge ``warmup`` cap."""
+    # polls: run_submission's entry, before block 1, before block 2
+    cancelled = SetAfter(3)
+    rows = []
+    with pytest.raises(JobCancelled):
+        serve_runner.run_submission(parse_submission(payload),
+                                    cancelled=cancelled, emit=rows.append)
+    assert cancelled.seen == 3  # one block after the event was set
+    assert rows == []  # still warming up: no window was opened
+
+
 # ------------------------------------------------------- stream byte-identity
 def test_streamed_jsonl_equals_offline_hub_export():
     """The live chunked stream == a batch MetricsHub export, byte for byte."""
@@ -154,6 +233,37 @@ def test_concurrent_identical_submissions_execute_once(monkeypatch):
     assert len(executed) == 2 and len(set(executed)) == 2
 
 
+def test_array_engine_job_equals_and_dedupes_onto_the_wheel_job():
+    """Engine choice is excluded from point identity, over HTTP too.
+
+    A saturated minimal-routing point — the one kind the array core
+    takes — served under both engine spellings: same record, same
+    stream bytes, and on one queue the two submissions are ONE job.
+    """
+    def payload(engine):
+        return {"config": {"h": 2, "routing": "minimal", "seed": 13,
+                           "engine": engine},
+                "pattern": "uniform", "load": 0.9,
+                "warmup": 200, "measure": 400, "bucket": 100}
+
+    served = {}
+    for engine in ("wheel", "array"):
+        body, stream = run_job(payload(engine))
+        assert body["state"] == "done", body
+        [record] = body["result"]["records"]
+        served[engine] = (canonical_record_json(record), stream)
+    assert served["array"] == served["wheel"]
+
+    async def main():
+        async with Client(create_app(ServeSettings(workers=1))) as client:
+            posts = [await client.post("/v1/jobs", json_body=payload(e))
+                     for e in ("wheel", "array")]
+            return [p.json() for p in posts]
+
+    first, second = asyncio.run(main())
+    assert second["job"] == first["job"] and second["deduped"]
+
+
 def test_persistent_cache_replays_across_restarts(tmp_path):
     """Same cache dir, fresh service: the record replays, nothing re-runs."""
     cache_dir = str(tmp_path / "cache")
@@ -194,8 +304,8 @@ def test_flow_conservation_gate_fails_job_on_real_sim(monkeypatch):
 
     real_verify = hub_mod.MetricsHub.verify
 
-    def lying_verify(self):
-        report = real_verify(self)
+    def lying_verify(self, full=False):
+        report = real_verify(self, full=full)
         report["ok"] = False
         report["injected"] += 1  # simulate a lost packet
         return report

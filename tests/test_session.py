@@ -114,56 +114,15 @@ def test_multiple_delivery_observers_all_fire():
     assert len(seen_a) == sim.stats.delivered  # still attached
 
 
-def test_legacy_on_packet_delivered_shim():
-    sim = repro.build_simulator(SimConfig(h=2, routing="minimal", seed=2),
-                                BernoulliTraffic(UniformRandom(), 0.3))
-    first, second, extra = [], [], []
-    sim.add_delivery_observer(lambda pkt, now: extra.append(pkt.pid))
-    sim.on_packet_delivered = lambda pkt, now: first.append(pkt.pid)
-    assert sim.on_packet_delivered is not None
-    # reassigning replaces the legacy hook but leaves other observers alone
-    sim.on_packet_delivered = lambda pkt, now: second.append(pkt.pid)
-    sim.run(400)
-    assert not first
-    assert second and len(second) == len(extra) == sim.stats.delivered
-    sim.on_packet_delivered = None
-    sim.run(100)
-    assert len(second) < sim.stats.delivered  # detached via the shim
-    assert len(extra) == sim.stats.delivered
-
-
-def test_legacy_hook_always_fires_last():
-    """Pinned firing order: observers in registration order, legacy hook last.
-
-    The seed engine only kept the legacy hook last when it was assigned
-    *after* the observers; an observer added later slipped behind it.
-    """
+def test_observers_fire_in_registration_order():
     sim = repro.build_simulator(SimConfig(h=2, routing="minimal", seed=8),
                                 BernoulliTraffic(UniformRandom(), 0.4))
     order = []
-    sim.on_packet_delivered = lambda pkt, now: order.append("legacy")
     sim.add_delivery_observer(lambda pkt, now: order.append("a"))
     sim.add_delivery_observer(lambda pkt, now: order.append("b"))
     while not order:
         sim.step()
-    assert order == ["a", "b", "legacy"]
-    # re-assigning the legacy hook keeps it last
-    order.clear()
-    sim.on_packet_delivered = lambda pkt, now: order.append("legacy2")
-    while not order:
-        sim.step()
-    assert order == ["a", "b", "legacy2"]
-
-
-def test_legacy_shim_tolerates_manual_removal():
-    sim = repro.build_simulator(SimConfig(h=2, routing="minimal", seed=3))
-    hook = lambda pkt, now: None
-    sim.on_packet_delivered = hook
-    sim.remove_delivery_observer(hook)  # mixing both APIs must not corrupt state
-    sim.on_packet_delivered = None  # must not raise
-    replacement = lambda pkt, now: None
-    sim.on_packet_delivered = replacement
-    assert sim._delivery_observers.count(replacement) == 1
+    assert order[:2] == ["a", "b"]
 
 
 def test_observer_may_detach_itself_without_skipping_others():
@@ -196,13 +155,12 @@ def test_session_close_detaches_from_prebuilt_sim():
     assert len(sim._delivery_observers) == baseline
 
 
-def test_latency_probe_observer():
-    from repro.metrics.probes import LatencyProbe
+def test_latency_tap_observer():
+    from repro.metrics import LatencyTap
 
     sim = repro.build_simulator(SimConfig(h=2, routing="minimal", seed=4),
                                 BernoulliTraffic(UniformRandom(), 0.2))
-    with pytest.warns(DeprecationWarning):
-        probe = LatencyProbe(sim)
+    probe = LatencyTap(sim)
     sim.run(500)
     assert len(probe.latencies) == sim.stats.delivered > 0
     assert max(probe.latencies) == sim.stats.latency_max

@@ -12,7 +12,7 @@ from repro.metrics.statistics import (
     steady_state_reached,
     t_quantile_975,
 )
-from repro.metrics.probes import ThroughputProbe, injection_backlog, occupancy_snapshot
+from repro.metrics import MetricsHub, injection_backlog, occupancy_snapshot
 from repro.traffic.patterns import AdversarialGlobal, UniformRandom
 from repro.traffic.processes import BernoulliTraffic
 
@@ -87,18 +87,16 @@ def test_steady_state_reached():
     assert steady_state_reached([0.0] * 6, window=5)
 
 
-def test_throughput_probe_converges():
+def test_hub_throughput_series_converges():
     sim = build_sim("minimal", record_hops=False)
     sim.traffic = BernoulliTraffic(UniformRandom(), 0.4)
-    with pytest.warns(DeprecationWarning):
-        probe = ThroughputProbe(sim, interval=400)
-    series = probe.run(4800)
+    hub = MetricsHub(sim, bucket=400, latencies=False)
+    sim.run(4800)
+    series = hub.throughput_series()
     assert len(series) == 12
     # after warm-up the interval throughput approaches the offered load
     assert series[-1] == pytest.approx(0.4, rel=0.3)
     assert steady_state_reached(series, window=4, rel_tolerance=0.3)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        ThroughputProbe(sim, interval=0)
 
 
 def test_occupancy_snapshot_finds_advg_hotspot():
