@@ -29,6 +29,13 @@ from repro.topology.base import (
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.network
     from repro.network.packet import Packet
 
+_EJECT, _LOCAL, _GLOBAL = PortKind.EJECT, PortKind.LOCAL, PortKind.GLOBAL
+# The misroute samplers draw ``rng.randrange(n)`` the way CPython's
+# ``Random._randbelow`` does — ``getrandbits(n.bit_length())``, redrawn
+# while ``>= n`` — minus two call frames per draw; the word stream is
+# the same (``traffic.mtstream.StreamRandom._randbelow`` mirrors the
+# same loop, and the engine goldens pin it).
+
 
 class Decision:
     """A grantable hop proposed by a routing algorithm.
@@ -84,6 +91,7 @@ class RoutingAlgorithm(abc.ABC):
         self.config = config
         self.trigger = trigger
         self.rng = rng
+        self._min_hop = topo.min_hop
         # fabrics predating the capability flags were Dragonfly-shaped
         self.topo_caps: frozenset = getattr(topo, "caps", DRAGONFLY_CAPS)
         missing = self.required_caps - self.topo_caps
@@ -104,6 +112,16 @@ class RoutingAlgorithm(abc.ABC):
         ``None`` means stall this cycle (the engine retries next cycle).
         Availability (serialization, credits, WH ownership) must already
         be verified for the returned decision.
+
+        A refusal may additionally set ``packet.retry_at`` to the cycle
+        the blocking output stops serialising (its ``busy_until``) —
+        the wheel engine then skips the calls in between — but only
+        when every call until then would refuse again without drawing
+        from ``self.rng`` and without any side effect: the output is the
+        head's only admissible one given its frozen packet state.  The
+        shared helpers (:meth:`_single_output`, the adaptive skeleton's
+        wait exits) do this; a mechanism that never sets it is merely
+        re-consulted every cycle.
         """
 
     def per_cycle(self, sim, now: int) -> None:
@@ -145,12 +163,6 @@ class RoutingAlgorithm(abc.ABC):
             packet.local_misroutes += 1
 
     # ------------------------------------------------------- shared helpers
-    def target_group(self, packet: Packet, cur_group: int) -> int:
-        """Current routing objective group (Valiant intermediate or destination)."""
-        if packet.valiant_group is not None and packet.g_hops == 0:
-            return packet.valiant_group
-        return packet.dst_group
-
     def minimal_hop(self, router, packet: Packet):
         """The fabric's minimal hop here: ``(out_idx, kind, target, vc)``.
 
@@ -158,36 +170,39 @@ class RoutingAlgorithm(abc.ABC):
         :meth:`~repro.topology.base.Topology.min_hop` oracle — the
         fabric decides the path shape *and* the deadlock-free VC;
         this method only maps the protocol-level port index onto the
-        router's output index.  ``target`` is the index-in-group of
-        the next router for LOCAL hops, the node index for EJECT, and
-        the global port for GLOBAL hops.
+        router's output index (``Router.out_base``, indexed by
+        :class:`PortKind`).  ``target`` is the index-in-group of the
+        next router for LOCAL hops, the node index for EJECT, and the
+        global port for GLOBAL hops.
         """
-        kind, port, target, vc = self.topo.min_hop(router.rid, packet)
-        if kind is PortKind.EJECT:
-            return router.out_eject(port), kind, target, vc
-        if kind is PortKind.LOCAL:
-            return router.out_local(port), kind, target, vc
-        return router.out_global(port), kind, target, vc
+        kind, port, target, vc = self._min_hop(router.rid, packet)
+        return router.out_base[kind] + port, kind, target, vc
 
-    def minimal_next(self, router, packet: Packet):
-        """The minimal hop at this router: ``(out_idx, kind, target)``.
+    def _single_output(self, router, packet: Packet, now: int, flit, hop,
+                       via: int | None = None) -> Decision | None:
+        """Grant or refuse the one admissible ``hop`` (a :meth:`minimal_hop`).
 
-        Like :meth:`minimal_hop` but without the oracle's VC — the
-        adaptive mechanisms apply their own paper VC disciplines to
-        the minimal output.
+        The availability tests are :meth:`Router.can_accept`'s, read off
+        the output unit once.  ``via`` is a Valiant token drawn for this
+        very call (committed by the returned decision).  A refusal
+        because the output serialises until ``busy_until`` is reported
+        through ``packet.retry_at`` (``docs/ARCHITECTURE.md``,
+        *stall-aware head retry*) — unless a random number was drawn to
+        get here (``via``), in which case every cycle's call matters.
         """
-        return self.minimal_hop(router, packet)[:3]
-
-    # --- Dragonfly VC discipline shared by PB / RLM minimal hops ---------
-    def vc_minimal(self, packet: Packet, kind: PortKind) -> int:
-        """Ascending 3/2 VC map: hop after ``g`` global hops uses VC ``g``.
-
-        The paper's Dragonfly discipline; fabric-agnostic mechanisms
-        take the VC from :meth:`minimal_hop` (the oracle) instead.
-        """
-        if kind == PortKind.EJECT:
-            return 0
-        return packet.g_hops  # 0-based: lVC1/gVC1 == 0
+        out, kind, target, vc = hop
+        o = router.outputs[out]
+        busy = o.busy_until
+        if busy > now:
+            if via is None:
+                packet.retry_at = busy
+            return None
+        if kind is not _EJECT and (
+                o.credits[vc] < flit.size
+                or (not flit.is_tail and o.owner[vc] is not None)):
+            return None  # no room downstream / wormhole VC held by another packet
+        return Decision(out, vc, valiant_group=via,
+                        local_target=target if kind is _LOCAL else None)
 
     def pick_valiant_group(self, packet: Packet) -> int:
         """Random Valiant intermediate token, excluding source and
@@ -211,6 +226,14 @@ class AdaptiveRouting(RoutingAlgorithm):
     #: maximum local hops inside the source group (minimal + divert)
     MAX_SOURCE_LOCAL_HOPS = 2
 
+    def __init__(self, topo: Topology, config, trigger: MisroutingTrigger, rng) -> None:
+        super().__init__(topo, config, trigger, rng)
+        self._candidates = config.misroute_candidates
+        self._global_weight = config.trigger_global_hop_weight
+        self._global_for_local = config.allow_global_misroute_local_traffic
+        self._group_exits = CAP_GROUP_EXITS in self.topo_caps
+        self._local_complete = CAP_LOCAL_COMPLETE in self.topo_caps
+
     # ---- hooks customised per mechanism -----------------------------------
     def vc_local_minimal(self, packet: Packet) -> int:
         return packet.g_hops
@@ -230,69 +253,95 @@ class AdaptiveRouting(RoutingAlgorithm):
         """Validity of a source-group local hop toward a Valiant exit router."""
         return True
 
+    #: escape-subnetwork fallback ``(router, packet, now, flit, kind,
+    #: min_occ) -> Decision | None`` tried when no adaptive hop is
+    #: grantable; ``None`` on mechanisms without one (all but OFAR)
+    _escape = None
+
     # ---- skeleton ----------------------------------------------------------
     def decide(self, router, packet: Packet, now: int, flit) -> Decision | None:
         """Minimal first; blocked → trigger-gated global/local misrouting."""
-        out, kind, target = self.minimal_next(router, packet)
-        if kind == PortKind.EJECT:
-            vc = 0
-        elif kind == PortKind.GLOBAL:
-            vc = self.vc_global(packet)
+        kind, port, target, _ = self._min_hop(router.rid, packet)
+        out = router.out_base[kind] + port
+        o = router.outputs[out]
+        busy = o.busy_until
+        if kind is _EJECT:
+            if busy <= now:
+                return Decision(out, 0)
+            min_occ = 0
         else:
-            vc = self.vc_local_minimal(packet)
-        if router.can_accept(out, vc, flit, now):
-            if kind == PortKind.LOCAL:
-                return Decision(out, vc, local_target=target)
-            return Decision(out, vc)
-        if packet.committed and packet.g_hops == 0:
-            return None  # diverted toward a Valiant exit: no further freedom yet
-        min_occ = router.occupancy(out, vc) if kind != PortKind.EJECT else 0
-        if min_occ <= 0:
-            return None  # transient serialization block: wait
-        inter_group = packet.dst_group != packet.src_group
-        if packet.g_hops == 0 and packet.valiant_group is None:
-            if inter_group or self.config.allow_global_misroute_local_traffic:
-                d = self._try_global_misroute(router, packet, now, flit, min_occ)
-                if d is not None:
-                    return d
-        if kind == PortKind.LOCAL:
+            vc = self.vc_global(packet) if kind is _GLOBAL else self.vc_local_minimal(packet)
+            credits = o.credits[vc]
+            if busy <= now and credits >= flit.size and (
+                    flit.is_tail or o.owner[vc] is None):
+                return Decision(out, vc, local_target=target if kind is _LOCAL else None)
+            min_occ = o.capacity - credits
+        escape = self._escape
+        if min_occ <= 0 or (packet.committed and packet.g_hops == 0):
+            # a transient serialization block (nothing queued to escape
+            # from), or a packet diverted toward its Valiant exit with
+            # no further freedom yet: wait for the minimal output
+            if escape is not None:
+                return escape(router, packet, now, flit, kind, min_occ)
+            if busy > now:
+                packet.retry_at = busy  # RNG-free refusal: see _single_output
+            return None
+        if packet.g_hops == 0 and packet.valiant_group is None and self._group_exits and (
+                packet.dst_group != packet.src_group or self._global_for_local):
+            d = self._try_global_misroute(router, packet, now, flit, min_occ)
+            if d is not None:
+                return d
+        if kind is _LOCAL and self._local_complete:
             d = self._try_local_misroute(router, packet, now, flit, min_occ, target)
             if d is not None:
                 return d
+        if escape is not None:
+            return escape(router, packet, now, flit, kind, min_occ)
         return None
 
     # ---- global misrouting (source group only) ----------------------------
     def _try_global_misroute(self, router, packet: Packet, now: int, flit,
                              min_occ: int) -> Decision | None:
-        if CAP_GROUP_EXITS not in self.topo_caps:
-            return None  # no one-link-per-group-pair structure to divert over
+        """Sample Valiant groups; needs the fabric's one-link-per-group-pair
+        structure (``CAP_GROUP_EXITS``, checked by the caller)."""
         topo = self.topo
-        rng = self.rng
+        getrandbits = self.rng.getrandbits
+        allows = self.trigger.allows
         num_groups = topo.num_groups
-        exclude_dst = packet.dst_group != packet.src_group
+        bits = num_groups.bit_length()
+        src_group = packet.src_group
+        # intra-group traffic may divert through its own destination group
+        dst_group = packet.dst_group if packet.dst_group != src_group else -1
         # UGAL-style: a Valiant path is ~2x longer, so weigh its queues
-        weight = self.config.trigger_global_hop_weight
-        for _ in range(self.config.misroute_candidates):
-            tg = rng.randrange(num_groups)
-            if tg == packet.src_group or (exclude_dst and tg == packet.dst_group):
+        weight = self._global_weight
+        outputs = router.outputs
+        size = flit.size
+        wormhole_head = not flit.is_tail
+        for _ in range(self._candidates):
+            tg = getrandbits(bits)  # rng.randrange(num_groups): module note
+            while tg >= num_groups:
+                tg = getrandbits(bits)
+            if tg == src_group or tg == dst_group:
                 continue
             exit_idx, gport = topo.exit_port(router.group, tg)
             if exit_idx == router.idx:
-                out = router.out_global(gport)
+                out = router.out_base[_GLOBAL] + gport
                 vc = self.vc_global(packet)
-                if router.can_accept(out, vc, flit, now) and \
-                        self.trigger.allows(min_occ, weight * router.occupancy(out, vc)):
-                    return Decision(out, vc, valiant_group=tg)
+                target = None
             else:
                 if packet.local_hops_group >= self.MAX_SOURCE_LOCAL_HOPS - 1:
                     continue  # the divert local hop would exceed the l-l-g budget
                 if not self.divert_valid(router, packet, exit_idx):
                     continue
-                out = router.out_local(topo.local_port_to(router.idx, exit_idx))
+                out = router.out_base[_LOCAL] + topo.local_port_to(router.idx, exit_idx)
                 vc = self.vc_local_minimal(packet)
-                if router.can_accept(out, vc, flit, now) and \
-                        self.trigger.allows(min_occ, weight * router.occupancy(out, vc)):
-                    return Decision(out, vc, valiant_group=tg, local_target=exit_idx)
+                target = exit_idx
+            o = outputs[out]
+            credits = o.credits[vc]
+            if o.busy_until <= now and credits >= size and not (
+                    wormhole_head and o.owner[vc] is not None) and \
+                    allows(min_occ, weight * (o.capacity - credits)):
+                return Decision(out, vc, valiant_group=tg, local_target=target)
         return None
 
     # ---- local misrouting (one per visited group) --------------------------
@@ -307,24 +356,36 @@ class AdaptiveRouting(RoutingAlgorithm):
 
     def _try_local_misroute(self, router, packet: Packet, now: int, flit,
                             min_occ: int, minimal_target: int) -> Decision | None:
-        if CAP_LOCAL_COMPLETE not in self.topo_caps:
-            return None  # the local network is not a complete graph
+        """Sample in-group detours; needs a complete local graph
+        (``CAP_LOCAL_COMPLETE``, checked by the caller)."""
         if not self._local_misroute_permitted(packet):
             return None
         vc = self.vc_local_misroute(packet)
         if vc is None:
             return None
         topo = self.topo
-        rng = self.rng
+        getrandbits = self.rng.getrandbits
+        allows = self.trigger.allows
         a = topo.a
-        for _ in range(self.config.misroute_candidates):
-            k = rng.randrange(a)
-            if k == router.idx or k == minimal_target:
+        bits = a.bit_length()
+        idx = router.idx
+        local_base = router.out_base[_LOCAL]
+        outputs = router.outputs
+        size = flit.size
+        wormhole_head = not flit.is_tail
+        for _ in range(self._candidates):
+            k = getrandbits(bits)  # rng.randrange(a): module note
+            while k >= a:
+                k = getrandbits(bits)
+            if k == idx or k == minimal_target:
                 continue
             if not self.local_misroute_valid(router, packet, k, minimal_target):
                 continue
-            out = router.out_local(topo.local_port_to(router.idx, k))
-            if router.can_accept(out, vc, flit, now) and \
-                    self.trigger.allows(min_occ, router.occupancy(out, vc)):
+            out = local_base + topo.local_port_to(idx, k)
+            o = outputs[out]
+            credits = o.credits[vc]
+            if o.busy_until <= now and credits >= size and not (
+                    wormhole_head and o.owner[vc] is not None) and \
+                    allows(min_occ, o.capacity - credits):
                 return Decision(out, vc, is_local_misroute=True, local_target=k)
         return None

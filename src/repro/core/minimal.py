@@ -11,8 +11,7 @@ comparison.
 
 from __future__ import annotations
 
-from repro.core.base import Decision, RoutingAlgorithm
-from repro.topology.base import PortKind
+from repro.core.base import RoutingAlgorithm
 from repro.registry import ROUTING_REGISTRY
 
 
@@ -28,9 +27,5 @@ class MinimalRouting(RoutingAlgorithm):
     array_core = True
 
     def decide(self, router, packet, now, flit):
-        out, kind, target, vc = self.minimal_hop(router, packet)
-        if not router.can_accept(out, vc, flit, now):
-            return None
-        if kind == PortKind.LOCAL:
-            return Decision(out, vc, local_target=target)
-        return Decision(out, vc)
+        return self._single_output(router, packet, now, flit,
+                                   self.minimal_hop(router, packet))

@@ -60,28 +60,19 @@ class OfarRouting(AdaptiveRouting):
         return min(packet.g_hops, 2)
 
     # ---- decision ----------------------------------------------------------
-    def decide(self, router, packet, now, flit):
-        adaptive = super().decide(router, packet, now, flit)
-        if adaptive is not None:
-            return adaptive
-        out, kind, _ = self.minimal_next(router, packet)
+    def _escape(self, router, packet, now, flit, kind, min_occ) -> Decision | None:
+        """Ring fallback of :meth:`AdaptiveRouting.decide`: the minimal
+        output ``kind`` holding ``min_occ`` phits offered no adaptive hop."""
         if kind == PortKind.EJECT:
             return None  # ejection frees within a serialization time: wait
-        if packet.mode != "escape":
-            vc = self.vc_global(packet) if kind == PortKind.GLOBAL \
-                else self.vc_local_minimal(packet)
-            if router.occupancy(out, vc) <= 0:
-                return None  # transient serialization block, not congestion
-        return self._escape_hop(router, packet, now, flit)
-
-    def _escape_hop(self, router, packet, now, flit) -> Decision | None:
-        nxt, kind, port = self._ring[router.rid]
-        if kind == PortKind.LOCAL:
-            out_idx = router.out_local(port)
+        if min_occ <= 0 and packet.mode != "escape":
+            return None  # transient serialization block, not congestion
+        nxt, ring_kind, port = self._ring[router.rid]
+        out_idx = router.out_base[ring_kind] + port
+        if ring_kind == PortKind.LOCAL:
             vc = self.ESCAPE_LVC
             target = self.topo.index_in_group(nxt)
         else:
-            out_idx = router.out_global(port)
             vc = self.ESCAPE_GVC
             target = None
         out = router.outputs[out_idx]

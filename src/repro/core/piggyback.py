@@ -18,8 +18,8 @@ ADVL traffic in Figure 6a.
 
 from __future__ import annotations
 
-from repro.core.base import Decision, RoutingAlgorithm
-from repro.topology.base import CAP_DRAGONFLY_PATHS, PortKind
+from repro.core.base import RoutingAlgorithm
+from repro.topology.base import CAP_DRAGONFLY_PATHS
 from repro.registry import ROUTING_REGISTRY
 
 
@@ -39,26 +39,33 @@ class PiggybackingRouting(RoutingAlgorithm):
         ]
         self._period = max(1, config.pb_update_period or 1)
         self._threshold = config.pb_threshold
-        self._sim = None
+        #: (router-in-group, global port) owning each group-local link
+        self._owners = [topo.global_link_owner(link)
+                        for link in range(topo.links_per_group)]
+        #: per group, the global :class:`OutputUnit` of each link; resolved
+        #: at the first broadcast, when ``sim.routers`` is known
+        self._link_outputs: list[list] | None = None
 
     # ------------------------------------------------------------ broadcast
     def per_cycle(self, sim, now: int) -> None:
-        self._sim = sim
         if now % self._period:
             return
-        topo = self.topo
-        for g in range(topo.num_groups):
-            row = self._flags[g]
-            for link in range(topo.links_per_group):
-                ridx, gport = topo.global_link_owner(link)
-                router = sim.routers[topo.router_id(g, ridx)]
-                out = router.outputs[router.out_global(gport)]
-                row[link] = out.mean_occupancy_fraction() > self._threshold
+        if self._link_outputs is None:
+            routers, router_id = sim.routers, self.topo.router_id
+            self._link_outputs = []
+            for g in range(self.topo.num_groups):
+                owners = [(routers[router_id(g, ridx)], gport)
+                          for ridx, gport in self._owners]
+                self._link_outputs.append(
+                    [router.outputs[router.out_global(gport)] for router, gport in owners])
+        threshold = self._threshold
+        for row, outs in zip(self._flags, self._link_outputs):
+            for link, out in enumerate(outs):
+                row[link] = out.mean_occupancy_fraction() > threshold
 
     def _link_flag(self, router, group: int, link: int) -> bool:
         """Flag of a global link; the owner router reads it live."""
-        topo = self.topo
-        ridx, gport = topo.global_link_owner(link)
+        ridx, gport = self._owners[link]
         if router.group == group and router.idx == ridx:
             out = router.outputs[router.out_global(gport)]
             return out.mean_occupancy_fraction() > self._threshold
@@ -104,10 +111,7 @@ class PiggybackingRouting(RoutingAlgorithm):
     def decide(self, router, packet, now, flit):
         if packet.mode is None:
             self._choose_mode(router, packet)
-        out, kind, target = self.minimal_next(router, packet)
-        vc = self.vc_minimal(packet, kind)
-        if not router.can_accept(out, vc, flit, now):
-            return None
-        if kind == PortKind.LOCAL:
-            return Decision(out, vc, local_target=target)
-        return Decision(out, vc)
+        # the oracle's VC is the paper's ascending 3/2 map: the hop after
+        # ``g`` global hops rides VC ``g`` (lVC1/gVC1 == 0)
+        return self._single_output(router, packet, now, flit,
+                                   self.minimal_hop(router, packet))

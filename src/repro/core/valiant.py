@@ -12,8 +12,7 @@ The baseline for adversarial-global traffic.
 
 from __future__ import annotations
 
-from repro.core.base import Decision, RoutingAlgorithm
-from repro.topology.base import PortKind
+from repro.core.base import RoutingAlgorithm
 from repro.registry import ROUTING_REGISTRY
 
 
@@ -34,21 +33,11 @@ class ValiantRouting(RoutingAlgorithm):
             # re-rolled each blocked cycle until the first hop is granted;
             # committed via Decision.valiant_group on the grant
             tg = self.topo.pick_via(self.rng, packet)
-            saved = packet.valiant_group
             packet.valiant_group = tg
             try:
-                out, kind, target, vc = self.minimal_hop(router, packet)
+                hop = self.minimal_hop(router, packet)
             finally:
-                packet.valiant_group = saved
-            if not router.can_accept(out, vc, flit, now):
-                return None
-            return Decision(
-                out, vc, valiant_group=tg,
-                local_target=target if kind == PortKind.LOCAL else None,
-            )
-        out, kind, target, vc = self.minimal_hop(router, packet)
-        if not router.can_accept(out, vc, flit, now):
-            return None
-        if kind == PortKind.LOCAL:
-            return Decision(out, vc, local_target=target)
-        return Decision(out, vc)
+                packet.valiant_group = None
+            return self._single_output(router, packet, now, flit, hop, via=tg)
+        return self._single_output(router, packet, now, flit,
+                                   self.minimal_hop(router, packet))

@@ -321,13 +321,17 @@ def render_experiments_md(results: dict[str, dict]) -> str:
         "",
         "Each point runs on the timing-wheel cycle engine (PR 3: "
         "cycle-indexed event buckets, an active-router set and idle "
-        "fast-forwarding).  The engine is byte-identical to the seed "
-        "engine on a pinned golden matrix "
+        "fast-forwarding; PR 14: compiled minimal-hop rows and "
+        "stall-aware head retry).  The engine is byte-identical to the "
+        "seed engine on a pinned golden matrix "
         "(`tests/test_engine_equivalence.py`), so these tables are "
         "engine-revision-independent; `tools/bench_engine.py` writes "
         "`BENCH_engine.json` with cycles/sec vs. the frozen seed hot "
-        "path (2-3.5x on sparse scenarios, ~1.1-1.3x when saturated "
-        "allocation dominates).",
+        "path, which shares the routing layer and so isolates the "
+        "engine: 2.4-3.9x on the sparse probe/superstep rows, 1.2-1.4x "
+        "on dense burst drains, 1.03-1.17x on the steady olm/pb rows, "
+        "0.92x on saturated par62/wormhole and 0.62x on the low-load "
+        "Bernoulli row (per-cycle injection overhead, not routing).",
         "",
         "Observability is event-driven (PR 4): instrumentation taps on "
         "the engine's event points (inject, grant/misroute, eject, "

@@ -37,6 +37,7 @@ class Packet:
         "prev_local_type",
         "last_local_vc",
         "mode",
+        "retry_at",
         # instrumentation
         "hops_log",
         "delivered_cycle",
@@ -68,6 +69,11 @@ class Packet:
         self.prev_local_type: int | None = None
         self.last_local_vc = 0
         self.mode: str | None = None
+        #: stall hint: a routing mechanism that refused this head without
+        #: drawing a random number, because its only admissible output
+        #: serialises until cycle ``c``, stores ``c`` here; the wheel
+        #: engine re-decides the head no earlier (``<= now``: no stall)
+        self.retry_at = 0
         self.hops_log: list | None = None
         self.delivered_cycle: int | None = None
         self.local_misroutes = 0

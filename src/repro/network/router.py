@@ -34,7 +34,7 @@ class Router:
     """One router: input VC buffers + output credit state."""
 
     __slots__ = ("rid", "group", "idx", "inputs", "outputs", "pending",
-                 "_local_base", "_global_base")
+                 "out_base", "wake_at")
 
     def __init__(self, rid: int, topo: Topology, *, local_vcs: int, global_vcs: int,
                  local_capacity: int, global_capacity: int,
@@ -43,10 +43,14 @@ class Router:
         self.group = topo.group_of(rid)
         self.idx = topo.index_in_group(rid)
         self.pending = 0  # flits buffered across all inputs (fast skip)
+        #: earliest cycle a buffered flit can move while every one of them
+        #: waits on a serialising port (engine-maintained; arrivals and
+        #: injections reset it to 0)
+        self.wake_at = 0
         p = topo.p
         nl, ng = topo.local_ports, topo.global_ports
-        self._local_base = p
-        self._global_base = p + nl
+        #: first output index of each :class:`PortKind` (eject, local, global)
+        self.out_base = (0, p, p + nl)
 
         inputs: list[InputPort] = []
         for k in range(p):
@@ -78,10 +82,10 @@ class Router:
         return node_index
 
     def out_local(self, port: int) -> int:
-        return self._local_base + port
+        return self.out_base[PortKind.LOCAL] + port
 
     def out_global(self, gport: int) -> int:
-        return self._global_base + gport
+        return self.out_base[PortKind.GLOBAL] + gport
 
     # --------------------------------------------------------- availability
     def can_accept(self, out_idx: int, vc: int, flit, now: int) -> bool:

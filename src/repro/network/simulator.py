@@ -32,10 +32,22 @@ strictly less work per cycle:
   win is huge on burst-drain tails (paper Figs 6b/9b).  Fast-forward
   is disabled when the routing algorithm has a per-cycle hook
   (Piggybacking broadcasts must observe every cycle).
+* **stall-aware head retry** (PR 14) — a routing mechanism that refuses
+  a head *without drawing a random number*, because the head's only
+  admissible output serialises until ``busy_until``, says so through
+  ``packet.retry_at``; the head is not re-decided before that cycle.  A
+  router whose every buffered flit waits on a serialising input or
+  output port records the earliest such cycle (``Router.wake_at``) and
+  is not visited until then, or until a flit arrives or is injected.
+  Sound because ``busy_until`` never decreases, a blocked head's packet
+  state cannot change, and no skipped ``decide`` call would have touched
+  ``rng_route`` (``docs/ARCHITECTURE.md`` spells the invariants out).
 
 The pre-rewrite hot path survives verbatim as
 :class:`repro.network.reference.ReferenceSimulator` for benchmarking
-(``tools/bench_engine.py``) and golden-record fidelity checks.
+(``tools/bench_engine.py``) and golden-record fidelity checks; it
+ignores ``retry_at`` and re-decides every head every cycle, which makes
+it the oracle for the skip.
 """
 
 from __future__ import annotations
@@ -59,6 +71,8 @@ from repro.registry import (
 from repro.topology import PortKind
 
 _EJECT = PortKind.EJECT
+#: "no refusal seen yet" sentinel of the per-router wake-cycle scan
+_NEVER = 1 << 62
 
 
 class DeadlockError(RuntimeError):
@@ -262,6 +276,7 @@ class Simulator:
         n = len(flits)
         port.buffered += n
         router.pending += n
+        router.wake_at = 0
         self._active.add(sr)
         self.stats.on_generated(pkt)
         self.packets_in_flight += 1
@@ -281,9 +296,12 @@ class Simulator:
             active_add = self._active.add
             for router, port_idx, vc_idx, flit in bucket:
                 port = router.inputs[port_idx]
-                port.vcs[vc_idx].push(flit)
+                vcb = port.vcs[vc_idx]  # VCBuffer.push, inlined
+                vcb.fifo.append(flit)
+                vcb.occupancy += flit.size
                 port.buffered += 1
                 router.pending += 1
+                router.wake_at = 0
                 active_add(router.rid)
             self._pending_events -= len(bucket)
             bucket.clear()
@@ -328,6 +346,8 @@ class Simulator:
             rids = sorted(active) if len(active) > 1 else tuple(active)
             for rid in rids:
                 router = routers[rid]
+                if router.wake_at > t:
+                    continue  # every buffered flit waits on a serialising port
                 if router.pending:
                     process(router, t)
                     if not router.pending:
@@ -445,13 +465,18 @@ class Simulator:
     # ------------------------------------------------------------ allocation
     def _process_router(self, router: Router, t: int) -> None:
         sels = None
+        # earliest cycle a flit refused here can move, while every refusal
+        # is a serialising port (input or output ``busy_until``); 0 once a
+        # refusal may lift sooner (credits, ownership, a re-drawn candidate)
+        wake = _NEVER
         algo_decide = self.algo.decide
         remaining = router.pending  # stop scanning once every flit is seen
         for ip in router.inputs:
             buffered = ip.buffered
             if not buffered:
                 continue
-            if ip.busy_until <= t:
+            busy = ip.busy_until
+            if busy <= t:
                 vcs = ip.vcs
                 nv = len(vcs)
                 rr = ip.rr
@@ -468,33 +493,52 @@ class Simulator:
                     oidx = vcb.route_out
                     if oidx is None:
                         # a head flit awaiting (or re-evaluating) its routing decision
-                        dec = algo_decide(router, flit.packet, t, flit)
-                        if dec is None:
-                            continue
-                        sel = (ip, vcb, flit, dec.out, dec.vc, dec)
-                    else:
-                        # body/tail flit following its head: Router.can_accept_body,
-                        # inlined (hot under Wormhole: one check per flit per cycle)
-                        ovc = vcb.route_vc
-                        o = router.outputs[oidx]
-                        if o.busy_until > t:
-                            continue
-                        if o.kind is not _EJECT and (
-                            o.credits[ovc] < flit.size
-                            or o.owner[ovc] != flit.packet.pid
-                        ):
-                            continue
-                        sel = (ip, vcb, flit, oidx, ovc, None)
+                        pkt = flit.packet
+                        stall = pkt.retry_at
+                        if stall <= t:
+                            dec = algo_decide(router, pkt, t, flit)
+                            if dec is not None:
+                                sel = (ip, vcb, flit, dec.out, dec.vc, dec)
+                                break
+                            stall = pkt.retry_at
+                            if stall <= t:
+                                wake = 0
+                                continue
+                        # stalled head: its one admissible output serialises
+                        # until ``stall`` and re-deciding before then would
+                        # draw no random number and refuse again
+                        if stall < wake:
+                            wake = stall
+                        continue
+                    # body/tail flit following its head: Router.can_accept_body,
+                    # inlined (hot under Wormhole: one check per flit per cycle)
+                    ovc = vcb.route_vc
+                    o = router.outputs[oidx]
+                    stall = o.busy_until
+                    if stall > t:
+                        if stall < wake:
+                            wake = stall
+                        continue
+                    if o.kind is not _EJECT and (
+                        o.credits[ovc] < flit.size
+                        or o.owner[ovc] != flit.packet.pid
+                    ):
+                        wake = 0
+                        continue
+                    sel = (ip, vcb, flit, oidx, ovc, None)
                     break
                 if sel is not None:
                     if sels is None:
                         sels = [sel]
                     else:
                         sels.append(sel)
+            elif busy < wake:
+                wake = busy
             remaining -= buffered
             if not remaining:
                 break
         if sels is None:
+            router.wake_at = wake
             return
         outputs = router.outputs
         nin = len(router.inputs)

@@ -161,6 +161,40 @@ class Dragonfly:
                     continue
                 row[t] = self.global_link_owner(self.arrangement.link_to_group(g, t))
             self._exit.append(row)
+        self._compile_min_hops()
+
+    def _compile_min_hops(self) -> None:
+        """Compile the minimal-hop oracle into per-router lookup rows.
+
+        The minimal hop is a pure function of (router, objective group)
+        outside the objective group and of (index, destination index)
+        inside it, so :meth:`min_hop` only indexes two lists.  Hop
+        tuples ``(kind, port, target)`` are interned — ``a*(a-1)`` local,
+        ``h`` global, ``p`` ejection — so a row costs one pointer per
+        group whatever the machine size.
+        """
+        a = self.a
+        #: in-group rows: ``_local_hops[idx][dst_idx]``, ``None`` at ``idx``
+        self._local_hops = [
+            [None if j == i else (PortKind.LOCAL, self.local_port_to(i, j), j)
+             for j in range(a)]
+            for i in range(a)
+        ]
+        global_hops = [(PortKind.GLOBAL, k, k) for k in range(self.h)]
+        #: ejection is a complete answer, VC 0 included
+        self._eject_hops = [(PortKind.EJECT, k, k, 0) for k in range(self.p)]
+        #: ``_group_hops[router][objective group]``, ``None`` at the own group
+        self._group_hops = []
+        for g in range(self.num_groups):
+            exits = self._exit[g]
+            for i in range(a):
+                local = self._local_hops[i]
+                self._group_hops.append([
+                    None if e is None
+                    else global_hops[e[1]] if e[0] == i
+                    else local[e[0]]
+                    for e in exits
+                ])
 
     def target_group_of(self, router: int, gport: int) -> int:
         """Group reached through global ``gport`` of ``router`` (table lookup)."""
@@ -188,25 +222,17 @@ class Dragonfly:
         taken yet, the destination group afterwards; the VC is the
         ascending ``lVC_{g+1}``/``gVC_{g+1}`` map (0-based: the hop
         after ``g`` global hops rides VC ``g``; ejection rides VC 0).
+        Two lookups into the rows of :meth:`_compile_min_hops`.
         """
-        cur_group = self.group_of(cur_router)
-        if packet.valiant_group is not None and packet.g_hops == 0:
-            tgt_group = packet.valiant_group
-        else:
-            tgt_group = packet.dst_group
-        idx = self.index_in_group(cur_router)
-        if cur_group == tgt_group:
-            dst_idx = self.index_in_group(packet.dst_router)
-            if idx == dst_idx:
-                k = self.node_index(packet.dst)
-                return PortKind.EJECT, k, k, 0
-            return (PortKind.LOCAL, self.local_port_to(idx, dst_idx),
-                    dst_idx, packet.g_hops)
-        exit_idx, gport = self.exit_port(cur_group, tgt_group)
-        if idx == exit_idx:
-            return PortKind.GLOBAL, gport, gport, packet.g_hops
-        return (PortKind.LOCAL, self.local_port_to(idx, exit_idx),
-                exit_idx, packet.g_hops)
+        g_hops = packet.g_hops
+        via = packet.valiant_group
+        hop = self._group_hops[cur_router][
+            packet.dst_group if via is None or g_hops else via]
+        if hop is None:  # inside the objective group
+            hop = self._local_hops[cur_router % self.a][packet.dst_router % self.a]
+            if hop is None:
+                return self._eject_hops[packet.dst % self.p]
+        return hop[0], hop[1], hop[2], g_hops
 
     def pick_via(self, rng, packet) -> int:
         """Random Valiant intermediate *group*, excluding source and

@@ -23,6 +23,32 @@ def bernoulli_sim(routing, pattern, load, **over) -> Simulator:
     return sim
 
 
+def closed_form_min_hop(topo, cur_router: int, packet):
+    """The Dragonfly minimal hop from id arithmetic and the exit map.
+
+    The test oracle for the rows ``Dragonfly._compile_min_hops`` builds:
+    the pre-compilation ``min_hop``, kept verbatim.
+    """
+    cur_group = topo.group_of(cur_router)
+    if packet.valiant_group is not None and packet.g_hops == 0:
+        tgt_group = packet.valiant_group
+    else:
+        tgt_group = packet.dst_group
+    idx = topo.index_in_group(cur_router)
+    if cur_group == tgt_group:
+        dst_idx = topo.index_in_group(packet.dst_router)
+        if idx == dst_idx:
+            k = topo.node_index(packet.dst)
+            return PortKind.EJECT, k, k, 0
+        return (PortKind.LOCAL, topo.local_port_to(idx, dst_idx),
+                dst_idx, packet.g_hops)
+    exit_idx, gport = topo.exit_port(cur_group, tgt_group)
+    if idx == exit_idx:
+        return PortKind.GLOBAL, gport, gport, packet.g_hops
+    return (PortKind.LOCAL, topo.local_port_to(idx, exit_idx),
+            exit_idx, packet.g_hops)
+
+
 def replay_path(sim: Simulator, packet) -> list[tuple[int, int, int, int]]:
     """Reconstruct (kind, vc, from_router, to_router) hops from a hop log."""
     topo = sim.topo

@@ -81,7 +81,7 @@ def test_adaptive_minimal_first_on_quiet_network():
         dst = sim.topo.node_id(sim.topo.router_id(4, 1), 0)
         pkt, flit, router = head_flit(sim, 0, dst)
         dec = sim.algo.decide(router, pkt, 0, flit)
-        mout, mkind, _ = sim.algo.minimal_next(router, pkt)
+        mout = sim.algo.minimal_hop(router, pkt)[0]
         assert dec.out == mout, routing
         assert not dec.is_local_misroute
         assert dec.valiant_group is None
@@ -93,7 +93,7 @@ def test_adaptive_misroutes_when_minimal_congested():
     topo = sim.topo
     dst = topo.node_id(topo.router_id(0, 1), 0)  # intra-group, router 0 -> 1
     pkt, flit, router = head_flit(sim, 0, dst)
-    mout, _, _ = sim.algo.minimal_next(router, pkt)
+    mout = sim.algo.minimal_hop(router, pkt)[0]
     out = router.outputs[mout]
     out.credits[0] = 0  # minimal local VC full: occupancy = capacity
     dec = None

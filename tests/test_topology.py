@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.topology import Dragonfly, validate_topology
+from repro.network.packet import Packet
+from repro.topology import Dragonfly, PortKind, validate_topology
+from repro.topology.arrangements import _ARRANGEMENTS
+
+from tests.helpers import closed_form_min_hop
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -129,3 +133,40 @@ def test_networkx_export():
     import networkx as nx
 
     assert nx.is_connected(nx.Graph(g))
+
+
+@pytest.mark.parametrize("arrangement", sorted(_ARRANGEMENTS))
+@pytest.mark.parametrize("h", [2, 3])
+def test_compiled_min_hop_rows_equal_the_closed_form(h, arrangement):
+    """Every (router, objective) the engine can ask about: destination in
+    every group / at every in-group index / on every ejection port, with
+    and without a Valiant intermediate, before and after global hops."""
+    t = Dragonfly(h, arrangement=arrangement)
+    checked = 0
+    for cur in range(t.num_routers):
+        for dst_group in range(t.num_groups):
+            # one destination router per group is enough outside the
+            # objective group; inside it every index and node port counts
+            dst_routers = ([t.router_id(dst_group, i) for i in range(t.a)]
+                           if dst_group == t.group_of(cur) else [t.router_id(dst_group, 1)])
+            for dst_router in dst_routers:
+                nodes = range(t.p) if dst_router == cur else (0,)
+                for k in nodes:
+                    pkt = Packet(0, 0, t.node_id(dst_router, k), 8, 0, 0, 0,
+                                 dst_router, dst_group)
+                    for via in (None, *range(t.num_groups)):
+                        for g_hops in (0, 1, 2):
+                            pkt.valiant_group, pkt.g_hops = via, g_hops
+                            hop = t.min_hop(cur, pkt)
+                            assert hop == closed_form_min_hop(t, cur, pkt), (
+                                cur, dst_router, k, via, g_hops)
+                            assert isinstance(hop[0], PortKind)
+                            checked += 1
+    assert checked > t.num_routers * t.num_groups
+
+
+def test_compiled_min_hop_tuples_are_interned():
+    """h=8 rows stay pointer-sized: hop tuples are shared, not rebuilt."""
+    t = Dragonfly(3)
+    distinct = {id(hop) for row in t._group_hops for hop in row if hop is not None}
+    assert len(distinct) <= t.a * (t.a - 1) + t.h

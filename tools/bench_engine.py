@@ -36,10 +36,12 @@ Scenario families (all record-gated, speedup-gated where marked):
   O(active), so the array core now has to at least match the wheel
   (>= 1x, gated) instead of losing outright.
 * ``low_load_bernoulli`` / ``burst_drain_dense`` / ``mid_load`` /
-  ``adversarial`` — wheel-vs-seed context rows (see PR 3).  The dense
-  vct drain additionally gates the array engine's wheel fallback at
-  >= 1x: olm routing falls back to the object engine, which must not
-  cost anything over using the wheel directly.
+  ``adversarial`` / ``saturated_uniform_par62_wh`` /
+  ``adversarial_pb_vct`` — wheel-vs-seed context rows (see PR 3; the
+  last two cover the mechanisms the paper's figures use beyond
+  olm/rlm).  The dense vct drain additionally gates the array engine's
+  wheel fallback at >= 1x: olm routing falls back to the object engine,
+  which must not cost anything over using the wheel directly.
 
 The ``auto`` engine (array when eligible, wheel otherwise) is in the
 smoke matrix so CI proves its records match whatever engine it picks.
@@ -47,7 +49,10 @@ smoke matrix so CI proves its records match whatever engine it picks.
 Speed gates are targets recorded in the report, never asserted by CI
 (CI machines are noisy); record equality is always asserted.
 ``--smoke`` runs a short matrix over all engines and exits
-non-zero on any record mismatch — the CI engine-equivalence gate.
+non-zero on any record mismatch — the CI engine-equivalence gate —
+or when ``wheel`` and ``reference`` leave ``rng_route`` in different
+states: the wheel's stall-aware head retry may only skip ``decide``
+calls that draw no random number.
 
 Usage::
 
@@ -134,6 +139,7 @@ def scenarios(smoke: bool) -> list[dict]:
             dict(name="saturated_bernoulli_wh", kind="point",
                  cfg=_cfg("wh", "minimal"), pattern="uniform", load=0.9,
                  warmup=200, measure=200, gate=None, engines=ENGINE_NAMES),
+            *figure_mechanism_rows(200, 200),
         ]
     return gated + [
         dict(name="low_load_probe_wh", kind="probe", cfg=_cfg("wh", "rlm"),
@@ -197,6 +203,20 @@ def scenarios(smoke: bool) -> list[dict]:
         dict(name="adversarial_vct", kind="point", cfg=_cfg("vct", "olm"),
              pattern="advg+1", load=0.3, warmup=w, measure=m, gate=None,
              engines=("reference", "wheel")),
+        *figure_mechanism_rows(w, m),
+    ]
+
+
+def figure_mechanism_rows(warmup: int, measure: int) -> list[dict]:
+    """Ungated wheel-vs-seed rows for what the figures run beyond olm/rlm."""
+    return [
+        dict(name="saturated_uniform_par62_wh", kind="point",
+             cfg=_cfg("wh", "par62"), pattern="uniform", load=0.9,
+             warmup=warmup, measure=measure, gate=None,
+             engines=("reference", "wheel")),
+        dict(name="adversarial_pb_vct", kind="point", cfg=_cfg("vct", "pb"),
+             pattern="advg+1", load=0.3, warmup=warmup, measure=measure,
+             gate=None, engines=("reference", "wheel")),
     ]
 
 
@@ -217,8 +237,9 @@ def _timed(fn) -> tuple[float, object]:
         gc.enable()
 
 
-def run_scenario(sc: dict, sim_cls, with_tap: bool = False) -> tuple[float, int, str]:
-    """(wall seconds, cycles simulated, canonical record) for one engine.
+def run_scenario(sc: dict, sim_cls, with_tap: bool = False) -> tuple[float, int, str, tuple]:
+    """(wall seconds, cycles simulated, canonical record, final
+    ``rng_route`` state) for one engine.
 
     ``with_tap`` attaches a full MetricsHub (every event point wired)
     before the run — the instrumentation-overhead gate: the emitted
@@ -261,7 +282,36 @@ def run_scenario(sc: dict, sim_cls, with_tap: bool = False) -> tuple[float, int,
         elapsed, result = _timed(lambda: session.measure(sc["steps"] * sc["period"]))
         record = result.to_dict()
     cycles = sim.now - (sc["warmup"] if kind == "point" else 0)
-    return elapsed, cycles, canonical_record_json(record)
+    return elapsed, cycles, canonical_record_json(record), sim.rng_route.getstate()
+
+
+def _previous_rows(path: str | None) -> dict[str, dict]:
+    """Scenario rows of the report about to be overwritten, by name."""
+    if not path or not Path(path).exists():
+        return {}
+    return {row["scenario"]: row
+            for row in json.loads(Path(path).read_text()).get("scenarios", [])}
+
+
+def _denominator_note(row: dict, before: dict | None) -> str | None:
+    """Why an array-vs-wheel ratio fell, when it is not the array's doing.
+
+    The ratio's denominator is the wheel: a faster wheel shrinks it even
+    when the array core runs exactly as fast as it did.  Within 5 %
+    (run-to-run noise of these rows) counts as "did not fall".
+    """
+    old_ratio = (before or {}).get("speedup_array_vs_wheel")
+    if old_ratio is None or row["speedup_array_vs_wheel"] >= old_ratio:
+        return None
+    old, new = before["engines"], row["engines"]
+    array_old, array_new = (e["array"]["cycles_per_sec"] for e in (old, new))
+    wheel_old, wheel_new = (e["wheel"]["cycles_per_sec"] for e in (old, new))
+    if array_new < 0.95 * array_old or wheel_new <= wheel_old:
+        return None
+    return (f"array/wheel fell {old_ratio:.2f} -> "
+            f"{row['speedup_array_vs_wheel']:.2f} because the wheel (the "
+            f"denominator) rose {wheel_old:.0f} -> {wheel_new:.0f} cycles/s; "
+            f"array cycles/s did not fall ({array_old:.0f} -> {array_new:.0f})")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -288,7 +338,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="report path (default BENCH_engine.json; smoke: none)")
     args = ap.parse_args(argv)
 
-    rows, mismatches = [], []
+    out = args.out or (None if args.smoke else "BENCH_engine.json")
+    previous = _previous_rows(out)
+    rows, mismatches, rng_drift = [], [], []
     for sc in scenarios(args.smoke):
         repeat = 1 if args.smoke else max(1, sc.get("repeat", args.repeat))
         engines = sc["engines"]
@@ -296,6 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             e for e in engines if e == args.engine)
         secs: dict[str, float] = {}
         recs: dict[str, str] = {}
+        rng_states: dict[str, tuple] = {}
         cycles = 0
         # rep-major order: each repetition cycles through every engine,
         # so slow drift of the host machine (frequency scaling, noisy
@@ -312,8 +365,8 @@ def main(argv: list[str] | None = None) -> int:
                 if rep >= reps_of[name]:
                     continue
                 tap = args.tap and name != "reference"
-                s, cycles, recs[name] = run_scenario(sc, ENGINES[name],
-                                                     with_tap=tap)
+                s, cycles, recs[name], rng_states[name] = run_scenario(
+                    sc, ENGINES[name], with_tap=tap)
                 if name in timed:
                     secs[name] = min(secs.get(name, s), s)
         if args.profile:
@@ -331,6 +384,12 @@ def main(argv: list[str] | None = None) -> int:
         identical = len(set(recs.values())) == 1
         if not identical:
             mismatches.append(sc["name"])
+        # the wheel skips ``decide`` calls it knows to be RNG-free refusals;
+        # the seed engine makes every one of them, so equal final states
+        # mean equally many ``rng_route`` draws
+        if ({"wheel", "reference"} <= rng_states.keys()
+                and rng_states["wheel"] != rng_states["reference"]):
+            rng_drift.append(sc["name"])
         row = {
             "scenario": sc["name"],
             "gate": sc["gate"],
@@ -346,13 +405,21 @@ def main(argv: list[str] | None = None) -> int:
         if "wheel" in secs and "array" in secs:
             row["speedup_array_vs_wheel"] = round(
                 secs["wheel"] / secs["array"], 3)
+            note = _denominator_note(row, previous.get(sc["name"]))
+            if note:
+                row["note"] = note
         rows.append(row)
-        perf = "  ".join(f"{n} {cycles / s:10.0f} cyc/s" for n, s in secs.items())
+        cps = {n: cycles / s for n, s in secs.items()}
+        perf = "  ".join(f"{n} {v:10.0f} cyc/s" for n, v in cps.items())
         ratios = "  ".join(
-            f"{k.split('_vs_')[0].split('speedup_')[1]}/{k.split('_vs_')[1]} "
-            f"x{row[k]:5.2f}" for k in row if k.startswith("speedup"))
+            f"{num}/{den} x{row[f'speedup_{num}_vs_{den}']:5.2f} "
+            f"({cps[num]:.0f}/{cps[den]:.0f})"
+            for num, den in (("wheel", "reference"), ("array", "wheel"))
+            if f"speedup_{num}_vs_{den}" in row)
         print(f"{sc['name']:30s} {cycles:7d} cyc  {perf}  {ratios}  "
               f"{'OK' if identical else 'RECORD MISMATCH'}")
+        if "note" in row:
+            print(f"{'':30s} note: {row['note']}")
 
     report = {
         "bench": "engine-backends",
@@ -368,16 +435,19 @@ def main(argv: list[str] | None = None) -> int:
                 "h=4 drains, >= 4x on the saturated Bernoulli steady "
                 "window now that injection is batched, and >= 1x on the "
                 "sparse-hotspot and wheel-fallback rows after "
-                "sparse-activity compaction)",
+                "sparse-activity compaction); a row's 'note' says when an "
+                "array-vs-wheel ratio fell below the previous report's only "
+                "because the wheel, its denominator, got faster",
     }
-    out = args.out or (None if args.smoke else "BENCH_engine.json")
     if out:
         Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
     if mismatches:
         print(f"ERROR: record mismatch in {mismatches}", flush=True)
-        return 1
-    return 0
+    if rng_drift:
+        print(f"ERROR: wheel and reference drew differently from rng_route "
+              f"in {rng_drift}", flush=True)
+    return 1 if mismatches or rng_drift else 0
 
 
 if __name__ == "__main__":
