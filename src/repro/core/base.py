@@ -81,7 +81,7 @@ class RoutingAlgorithm(abc.ABC):
     required_caps: frozenset = frozenset()
     #: True when the mechanism's paths are a pure function of injection
     #: state (no in-transit adaptivity, no RNG draws, no per-cycle hook),
-    #: which licenses the array engine's precomputed-route hot path
+    #: which licenses the array core's precomputed-route hot path
     #: (:mod:`repro.network.arraysim`); adaptive mechanisms stay False
     #: and run on the wheel path
     array_core = False

@@ -23,7 +23,7 @@ class MinimalRouting(RoutingAlgorithm):
     local_vcs = 3
     global_vcs = 2
     #: deterministic and oblivious: the whole path is fixed at injection,
-    #: so the array engine may precompute it (see arraysim.py)
+    #: so the array core may precompute it (see arraysim.py)
     array_core = True
 
     def decide(self, router, packet, now, flit):

@@ -97,8 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--load", type=float, default=0.5,
                        help="offered load in phits/(node*cycle)")
     point.add_argument("--engine", default=None,
-                       help="engine backend (wheel, array, auto, reference; "
-                            "see list-components); default: the --config "
+                       help="engine (wheel, auto, reference; see "
+                            "list-components): auto attaches the numpy "
+                            "array core when the point qualifies and is a "
+                            "wheel run otherwise; default: the --config "
                             "file's engine, else wheel")
     point.add_argument("--warmup", type=int, default=2000)
     point.add_argument("--measure", type=int, default=2000)
@@ -131,11 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--routing", default="olm",
                        help="routing mechanism (see list-components)")
     sweep.add_argument("--engine", default="auto",
-                       help="engine backend for every point (default auto: "
-                            "the numpy array core when the point qualifies, "
-                            "the timing wheel otherwise — records and cache "
-                            "keys are engine-invariant; overrides the "
-                            "--config file's engine)")
+                       help="engine for every point (default auto: the "
+                            "numpy array core when the point qualifies, a "
+                            "plain wheel run otherwise; pass wheel to keep "
+                            "the array core out — records and cache keys "
+                            "are engine-invariant; overrides the --config "
+                            "file's engine)")
     sweep.add_argument("--pattern", default="uniform",
                        help="traffic pattern spec (uniform, advg+h, mixed:40, ...)")
     sweep.add_argument("--loads", type=_loads_list,
@@ -220,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "each combination runs twice (plain and instrumented "
                          "with the full invariant gate) and the two records "
                          "must be byte-identical")
-    vr.add_argument("--engines", default="wheel,array,auto", metavar="LIST",
-                    help="comma-separated engines for --live")
+    vr.add_argument("--engines", default="wheel,auto", metavar="LIST",
+                    help="comma-separated engines for --live (wheel, auto, "
+                         "reference)")
     vr.add_argument("--topologies", metavar="LIST",
                     default="dragonfly,flattened_butterfly,torus",
                     help="comma-separated fabrics for --live")

@@ -91,7 +91,7 @@ class LatencyTap:
     def on_eject_batch(self, latencies, dones) -> None:
         """Batched form of :meth:`on_eject`: whole-cycle latency arrays.
 
-        The array engine delivers a cycle's packets as one call with the
+        The array core delivers a cycle's packets as one call with the
         latency and completion-cycle arrays in delivery order, so the
         sample list stays element-for-element identical to the scalar
         tap while skipping per-packet Python work.

@@ -6,7 +6,6 @@ same router architecture as the paper's in-house simulator.
 """
 
 from repro.network.arbitration import Arbiter, RoundRobinArbiter, RandomArbiter, AgeArbiter
-from repro.network.arraysim import ArraySimulator
 from repro.network.config import SimConfig
 from repro.network.flowcontrol import FlowControl, VirtualCutThrough, Wormhole
 from repro.network.packet import Packet, Flit
@@ -36,7 +35,6 @@ __all__ = [
     "Packet",
     "Flit",
     "Simulator",
-    "ArraySimulator",
     "DeadlockError",
     "build_simulator",
     "ENGINE_REGISTRY",

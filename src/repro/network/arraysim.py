@@ -1,18 +1,57 @@
-"""Array-core engine: numpy structure-of-arrays cycle simulator.
+"""The optional array core: numpy structure-of-arrays cycle kernels.
 
-The wheel engine (:class:`~repro.network.simulator.Simulator`) spends
+The wheel path of :class:`~repro.network.simulator.Simulator` spends
 its saturated-traffic cycles in per-flit Python object traversal:
 every buffered input port is visited, every candidate VC scanned, and
-every grant mutates a half-dozen heap objects.  This backend flattens
-all router/port/VC state into numpy structure-of-arrays and runs each
-cycle's arrival/credit/allocation/grant phases as batched vectorized
-passes over *all* routers at once — the per-cycle cost becomes a fixed
-number of array kernels instead of O(buffered flits) interpreter work.
+every grant mutates a half-dozen heap objects.  :class:`ArrayCore`
+flattens all router/port/VC state into numpy structure-of-arrays and
+runs each cycle's arrival/credit/allocation/grant phases as batched
+vectorized passes over *all* routers at once — the per-cycle cost
+becomes a fixed number of array kernels instead of O(buffered flits)
+interpreter work.
+
+The core is **not** a simulator.  The ``Simulator`` keeps the public
+API, the taps and observers, the run loops and every scalar they read
+(``now``, ``packets_in_flight``, ``_pending_events``,
+``_last_progress``); the core holds the SoA state and the kernels
+(:meth:`~ArrayCore.step`, :meth:`~ArrayCore.inject`,
+:meth:`~ArrayCore.inject_batch`, ``buffered``,
+:meth:`~ArrayCore.materialize`), is handed the simulator on every call
+(no back-reference, so a finished point is freed by refcount) and
+touches its scalars once per cycle or per batch, never per flit.
+Scheduled arrivals and credits live in the simulator's own
+timing-wheel slots as ``(ids, payload)`` array chunks instead of
+per-flit tuples, so its one next-event scan serves both paths.
+
+**One way in** — :func:`select_core`, which a ``Simulator`` built with
+``engine="auto"`` calls once.  The pure-array hot path needs routes
+that are a function of injection state alone: the routing class must
+declare ``array_core = True`` (minimal routing does; adaptive
+mechanisms re-decide per cycle and consume RNG), arbitration must be
+``rr`` or ``age`` (``random`` draws from the routing RNG per conflict),
+flow control must be the built-in VCT/WH pair, and no per-cycle routing
+hook may exist.  Any other point gets no core and *is* a wheel run.
+The arrays themselves are built at the first injection or step, so a
+tap attached right after construction costs nothing.
+
+**One way out** — ``Simulator._leave_core``.  Eject-only taps (the
+Session's ``LatencyTap``) are delivery observers and keep the core.
+Attaching a tap with ``on_inject``/``on_grant``/``on_credit``/
+``on_ring_entry`` (e.g. a :class:`~repro.metrics.hub.MetricsHub`), or
+reading the object graph through ``sim.routers`` / ``arrivals_due``,
+calls :meth:`ArrayCore.materialize`: the array state is written back
+into the object routers mid-run, the core is dropped and the
+simulation continues byte-identically on the wheel path.  While the
+arrays are authoritative ``sim.routers`` holds a :class:`_ParkedRouters`
+stand-in whose first use is that read; it stays a plain instance
+attribute, so the wheel path's own ``self.routers`` loads cost what
+they always did (a property, or a ``__getattr__`` hook on
+``Simulator``, would tax every attribute load of the wheel hot path).
 
 **Determinism contract** — records are byte-identical to the wheel
-engine (and hence to the frozen seed engine), enforced over the golden
+path (and hence to the frozen seed engine), enforced over the golden
 matrix in ``tests/test_engine_equivalence.py``.  The equivalence rests
-on three facts about the wheel engine's cycle:
+on three facts about the wheel's cycle:
 
 1. *Allocation is a pure function of pre-cycle state.*  Within one
    cycle the wheel computes every router's candidate selections before
@@ -29,41 +68,23 @@ on three facts about the wheel engine's cycle:
    credit adds are therefore race-free.
 3. *Grant order is reproducible.*  The wheel grants in ascending
    router id, then in requests-dict insertion order — i.e. by the flat
-   input-port id of each output's *first* requester.  The array engine
-   sorts its winners by exactly that key, so the few order-sensitive
-   effects (delivery-observer firing order, wheel-bucket append order
-   carried into a later :meth:`_materialize`) are preserved verbatim.
-
-**Eligibility** — the pure-array hot path needs routes that are a
-function of injection state alone: the routing class must declare
-``array_core = True`` (minimal routing does; adaptive mechanisms
-re-decide per cycle and consume RNG), arbitration must be ``rr`` or
-``age`` (``random`` draws from the routing RNG per conflict), flow
-control must be the built-in VCT/WH pair, and no per-cycle routing
-hook may exist.  Ineligible configurations silently run the inherited
-wheel path — same records, wheel speed.
-
-**Tap fallback** — eject-only taps (the Session's ``LatencyTap``) are
-delivery observers and keep the array path.  Attaching any tap with
-``on_inject``/``on_grant``/``on_credit``/``on_ring_entry`` (e.g. a
-:class:`~repro.metrics.hub.MetricsHub`) triggers a one-way
-:meth:`_materialize`: the array state is written back into the object
-routers mid-run and the simulation continues byte-identically on the
-inherited wheel path.  External reads of ``sim.routers`` materialize
-the same way, so introspection code sees ordinary object state.
+   input-port id of each output's *first* requester.  The core sorts
+   its winners by exactly that key, so the few order-sensitive effects
+   (delivery-observer firing order, wheel-bucket append order carried
+   into a later :meth:`~ArrayCore.materialize`) are preserved verbatim.
 
 With ``record_hops`` the whole hop log is prefilled at injection (the
 route is known then); the delivered log is byte-identical, it just
-exists earlier than the wheel engine's grant-time appends.
+exists earlier than the wheel's grant-time appends.
 
 **Batched injection** — when the traffic process offers the
 ``inject_batch(sim, now) -> (srcs, dsts)`` protocol (Bernoulli sources
 do), each cycle's injections arrive as two index arrays and
-:meth:`_array_inject_batch` applies them without creating a single
+:meth:`ArrayCore.inject_batch` applies them without creating a single
 Packet object: identity lives in the packet SoA (*lazy packets*), the
 route comes from a dense ``(src_router, dst_router)`` table, and the
-Packet is only reconstructed (:meth:`_ensure_pkt`) if something needs
-the object — a non-batch delivery observer or a materialization.
+Packet is only reconstructed (``_ensure_pkt``) if something needs the
+object — a non-batch delivery observer or a materialization.
 Deliveries of all-lazy grants are batched too, through
 ``StatsCollector.on_delivered_batch`` and the observers' optional
 ``on_eject_batch``.
@@ -79,6 +100,8 @@ kernel sequence on empty cycles.
 
 from __future__ import annotations
 
+import weakref
+
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - the toolchain bakes numpy in
@@ -88,47 +111,64 @@ from repro.core.base import RoutingAlgorithm
 from repro.core.paritysign import link_type
 from repro.network.flowcontrol import VirtualCutThrough, Wormhole
 from repro.network.packet import Flit, Packet
-from repro.network.simulator import Simulator
-from repro.registry import ENGINE_REGISTRY
 from repro.topology import PortKind
 
 _EJECT = PortKind.EJECT
 _LOCAL = PortKind.LOCAL
 _GLOBAL = PortKind.GLOBAL
 
-
 #: alloc-skip sentinel: "no time-driven unblock — wait for an event"
 _ALLOC_IDLE = 1 << 62
 
 
-#: per-class cache of wheel-bound companion classes (see _wheel_bound_class)
-_WHEEL_BOUND: dict = {}
+def select_core(sim) -> ArrayCore | None:
+    """The array core that runs ``sim``'s point, or ``None``: a wheel run.
 
-
-def _wheel_bound_class(cls):
-    """A cached companion subclass of ``cls`` pinned to the wheel path.
-
-    Two costs disappear at once.  ``ArraySimulator.routers`` is a data
-    descriptor (the property that materializes array state on external
-    reads), so it intercepts every read even after the mode is
-    irreversibly "wheel" — and the wheel hot path reads ``self.routers``
-    on every scheduled arrival; the companion shadows it with a plain
-    class attribute.  And the dispatch overrides (``step`` & co.) are
-    shadowed with the parent's functions *at the class level* — binding
-    them as instance attributes would dodge the per-call mode test but
-    defeats CPython's adaptive call-site specialization, which is
-    measurably worse than the test it removes.
+    The eligibility rule, written once (the module docstring says why
+    each clause is there).  Event taps are not part of it: they end a
+    core whenever they attach, through ``Simulator.add_tap``.
     """
-    sub = _WHEEL_BOUND.get(cls)
-    if sub is None:
-        ns = {"routers": None, "_wheel_bound": True}
-        for name in ("step", "inject_packet", "total_buffered_flits",
-                     "arrivals_due", "_next_event_cycle",
-                     "_fast_forward_target"):
-            ns[name] = getattr(Simulator, name)
-        sub = type(cls.__name__, (cls,), ns)
-        _WHEEL_BOUND[cls] = sub
-    return sub
+    algo_t = type(sim.algo)
+    eligible = (
+        _np is not None
+        and getattr(algo_t, "array_core", False)
+        and sim._per_cycle is None
+        and algo_t.is_escape_hop is RoutingAlgorithm.is_escape_hop
+        and sim.config.arbitration in ("rr", "age")
+        and type(sim.fc) in (VirtualCutThrough, Wormhole)
+    )
+    return ArrayCore() if eligible else None
+
+
+
+class _ParkedRouters:
+    """``sim.routers`` while an array core is live: using it leaves the core.
+
+    Iterating, indexing or sizing the router list means someone wants
+    the object graph, which is stale under a live core — so the first
+    use materializes (rebinding ``sim.routers`` to the real list) and
+    this and every later use delegate to that list.
+    """
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim) -> None:
+        self._sim = weakref.proxy(sim)  # no cycle: refcount frees the point
+
+    def _routers(self) -> list:
+        sim = self._sim
+        if sim._core is not None:
+            sim._leave_core()
+        return sim.routers
+
+    def __iter__(self):
+        return iter(self._routers())
+
+    def __len__(self) -> int:
+        return len(self._routers())
+
+    def __getitem__(self, index):
+        return self._routers()[index]
 
 
 def _grow(arr, needed: int, fill: int = 0):
@@ -142,152 +182,28 @@ def _grow(arr, needed: int, fill: int = 0):
     return out
 
 
-@ENGINE_REGISTRY.register(
-    "array", description="numpy structure-of-arrays core (fastest when saturated)")
-class ArraySimulator(Simulator):
-    """Structure-of-arrays engine backend (see module docstring).
+class ArrayCore:
+    """Structure-of-arrays state and kernels for one ``Simulator``.
 
-    Construction builds the ordinary object routers (they are the
-    fallback path and the materialization target); the array state is
-    built lazily at the first injection or step, once eligibility can
-    be judged against the fully-wired configuration and taps.
+    Construction is free; the arrays are built from the simulator's
+    (still pristine) object routers at the first injection or step.
+    Every entry point takes that simulator as ``sim``.
     """
 
-    def __init__(self, config, traffic=None) -> None:
-        #: "undecided" until the first inject/step, then "array" (SoA hot
-        #: path live) or "wheel" (inherited object path, byte-identical)
-        self._mode = "undecided"
-        self._routers_list = []
-        super().__init__(config, traffic)
-
-    # --------------------------------------------------------- mode plumbing
-    @property
-    def routers(self):
-        """The object routers; an external read materializes array state."""
-        if self._mode == "array":
-            self._materialize()
-        return self._routers_list
-
-    @routers.setter
-    def routers(self, value) -> None:
-        self._routers_list = value
-
-    def _decide_mode(self) -> None:
-        algo_t = type(self.algo)
-        eligible = (
-            _np is not None
-            and getattr(algo_t, "array_core", False)
-            and self._per_cycle is None
-            and algo_t.is_escape_hop is RoutingAlgorithm.is_escape_hop
-            and self.config.arbitration in ("rr", "age")
-            and type(self.fc) in (VirtualCutThrough, Wormhole)
-            and self._tap_inject is None
-            and self._tap_grant is None
-            and self._tap_credit is None
-            and self._tap_ring is None
-        )
-        if eligible:
-            self._build_arrays()
-            self._mode = "array"
-        else:
-            self._mode = "wheel"
-            self._bind_wheel_dispatch()
-
-    def _bind_wheel_dispatch(self) -> None:
-        """Pin the dispatch to the wheel path (mode is final).
-
-        Once the mode is irreversibly "wheel", the per-call mode test in
-        every override is pure overhead — the fallback would run a few
-        percent slower than a plain wheel :class:`Simulator` for no
-        reason.  Flip the instance onto the wheel-bound companion class
-        (see :func:`_wheel_bound_class`): the overrides and the
-        ``routers`` property are shadowed there at the class level, so
-        dispatch costs exactly what it does on the plain wheel engine.
-        """
-        if "_wheel_bound" not in type(self).__dict__:
-            routers = self._routers_list
-            self.__class__ = _wheel_bound_class(type(self))
-            self.routers = routers
-
-    def add_tap(self, tap):
-        """Attach a tap; non-eject-only taps end the array fast path.
-
-        Eject-only taps join the delivery observers and keep the array
-        path.  A tap with inject/grant/credit/ring events needs the
-        object engine's event sites, so a live array state is written
-        back first (one-way; the run continues on the wheel path).
-        """
-        if self._mode == "array" and any(
-            getattr(tap, name, None) is not None
-            for name in ("on_inject", "on_grant", "on_credit", "on_ring_entry")
-        ):
-            self._materialize()
-        return super().add_tap(tap)
-
-    # ------------------------------------------------------------ dispatch
-    def step(self) -> None:
-        mode = self._mode
-        if mode == "array":
-            self._array_step()
-        elif mode == "wheel":
-            super().step()
-        else:
-            self._decide_mode()
-            self.step()
-
-    def inject_packet(self, src: int, dst: int, now: int | None = None) -> Packet:
-        mode = self._mode
-        if mode == "array":
-            return self._array_inject(src, dst, now)
-        if mode == "wheel":
-            return super().inject_packet(src, dst, now)
-        self._decide_mode()
-        return self.inject_packet(src, dst, now)
-
-    def total_buffered_flits(self) -> int:
-        if self._mode == "array":
-            return int(self._buf_total)
-        return super().total_buffered_flits()
-
-    def arrivals_due(self, when: int) -> list:
-        if self._mode == "array":
-            self._materialize()  # introspection wants object tuples
-        return super().arrivals_due(when)
-
-    def _next_event_cycle(self) -> int | None:
-        if self._mode != "array":
-            return super()._next_event_cycle()
-        if not self._pending_events:
-            return None
-        horizon = self._horizon
-        now = self.now
-        arr, cr = self._a_arr_ring, self._a_cr_ring
-        for off in range(horizon):
-            slot = (now + off) % horizon
-            if arr[slot] or cr[slot]:
-                return now + off
-        return None  # unreachable while _pending_events is consistent
-
-    def _fast_forward_target(self, limit: int) -> int | None:
-        if self._mode != "array":
-            return super()._fast_forward_target(limit)
-        if self._buf_total or self._per_cycle is not None:
-            return None
-        traffic = self.traffic
-        if traffic is None or getattr(traffic, "exhausted", False):
-            tin = None
-        else:
-            nic = getattr(traffic, "next_injection_cycle", None)
-            if nic is None:
-                return None  # opaque open-loop source: every cycle may inject
-            tin = nic(self.now)
-        nxt = self._next_event_cycle()
-        target = min(t for t in (tin, nxt, limit) if t is not None)
-        return target if target > self.now else None
+    def __init__(self) -> None:
+        #: the object routers, parked here while the arrays are
+        #: authoritative (``None`` until :meth:`_build` takes them)
+        self.routers: list | None = None
+        #: flits buffered across all input VCs ("anything to allocate?")
+        self.buffered = 0
 
     # -------------------------------------------------------- array building
-    def _build_arrays(self) -> None:
-        routers = self._routers_list
+    def _build(self, sim) -> None:
+        routers = self.routers = sim.routers
+        sim.routers = _ParkedRouters(sim)
+        self.topo = sim.topo
+        self._horizon = sim._horizon
+        self._router_latency = sim._router_latency
         i64 = _np.int64
         nr = len(routers)
         nin = len(routers[0].inputs)
@@ -409,15 +325,14 @@ class ArraySimulator(Simulator):
         self._stage_ivc: dict = {}
         self._stage_n = 0
 
-        # ---- wheels: ring of chunk lists, one (ids, payload) pair per
+        # ---- wheels: the simulator's own (still empty) timing-wheel
+        # slots, holding chunk lists here — one (ids, payload) pair per
         # batched append; a slot only ever holds one target cycle
-        self._a_arr_ring: list[list] = [[] for _ in range(self._horizon)]
-        self._a_cr_ring: list[list] = [[] for _ in range(self._horizon)]
-        self._buf_total = 0
-        self._max_nvc = int(ip_nvc.max())
-        self._is_vct = self.fc.whole_packet_reservation
-        self._age_arb = self.config.arbitration == "age"
-        config = self.config
+        self._arr_ring: list[list] = sim._arr_wheel
+        self._cr_ring: list[list] = sim._cr_wheel
+        config = sim.config
+        self._is_vct = sim.fc.whole_packet_reservation
+        self._age_arb = config.arbitration == "age"
         self._packet_phits = config.packet_phits
         self._record_hops = config.record_hops
         self._int_eject = int(_EJECT)
@@ -472,7 +387,7 @@ class ArraySimulator(Simulator):
         #: earliest cycle the allocator could grant (alloc-skip gate);
         #: every arrival/credit/injection resets it to 0
         self._next_alloc_t = 0
-        #: candidate build reused across no-grant retries (_array_alloc);
+        #: candidate build reused across no-grant retries (_alloc);
         #: every buffer-mutating event drops it
         self._alloc_cache = None
         #: scan structure (ports, pair layout) keyed on _act_epoch —
@@ -591,16 +506,16 @@ class ArraySimulator(Simulator):
         self._route_cache[(sr, dr)] = ent
         return ent
 
-    def _array_inject(self, src: int, dst: int, now: int | None) -> Packet:
-        if src == dst:
-            raise ValueError("source and destination nodes must differ")
-        t = self.now if now is None else now
+    def inject(self, sim, src: int, dst: int, t: int) -> Packet:
+        """``Simulator.inject_packet`` on the array state (``src != dst``)."""
+        if self.routers is None:
+            self._build(sim)
         topo = self.topo
         sr = topo.router_of_node(src)
         dr = topo.router_of_node(dst)
-        pkt = Packet(self._next_pid, src, dst, self._packet_phits, t,
+        pkt = Packet(sim._next_pid, src, dst, self._packet_phits, t,
                      sr, topo.group_of(sr), dr, topo.group_of(dr))
-        self._next_pid += 1
+        sim._next_pid += 1
         ent = self._route_cache.get((sr, dr))
         if ent is None:
             ent = self._walk_route(sr, dr, pkt)
@@ -660,9 +575,9 @@ class ArraySimulator(Simulator):
             entry[2] += n
             entry[3] += self._packet_phits
         self._stage_n += n
-        self._buf_total += n
-        self.stats.on_generated(pkt)
-        self.packets_in_flight += 1
+        self.buffered += n
+        sim.stats.on_generated(pkt)
+        sim.packets_in_flight += 1
         return pkt
 
     def _flush_injections(self) -> None:
@@ -751,7 +666,7 @@ class ArraySimulator(Simulator):
         self._pair_rid[sr * self._nr + dr] = rid
         return rid
 
-    def _array_inject_batch(self, srcs, dsts, t: int) -> None:
+    def inject_batch(self, sim, srcs, dsts, t: int) -> None:
         """Consume one cycle's batched injections without Packet objects.
 
         The vectorized path covers the case that matters: single-flit
@@ -764,10 +679,10 @@ class ArraySimulator(Simulator):
         """
         if (len(self._flit_sizes) != 1
                 or bool((srcs[1:] <= srcs[:-1]).any())
-                or not hasattr(self.stats, "on_generated_batch")):
-            inject = self._array_inject
+                or not hasattr(sim.stats, "on_generated_batch")):
+            inject = self.inject
             for s, d in zip(srcs.tolist(), dsts.tolist()):
-                inject(s, d, t)
+                inject(sim, s, d, t)
             return
         i64 = _np.int64
         nb = int(srcs.size)
@@ -816,8 +731,8 @@ class ArraySimulator(Simulator):
                 self._grow_fl_pool(need)
             fs[take:] = _np.arange(s0, need)
 
-        pid0 = self._next_pid
-        self._next_pid = pid0 + nb
+        pid0 = sim._next_pid
+        sim._next_pid = pid0 + nb
         self._pk_pid[ps] = _np.arange(pid0, pid0 + nb)
         self._pk_src[ps] = srcs
         self._pk_dst[ps] = dsts
@@ -864,9 +779,9 @@ class ArraySimulator(Simulator):
             act.update(fpl)
             self._act_epoch += 1
             self._alloc_cache = None
-        self._buf_total += nb
-        self.packets_in_flight += nb
-        self.stats.on_generated_batch(nb)
+        self.buffered += nb
+        sim.packets_in_flight += nb
+        sim.stats.on_generated_batch(nb)
         self._next_alloc_t = 0
 
     def _ensure_pkt(self, ps: int) -> Packet:
@@ -901,7 +816,7 @@ class ArraySimulator(Simulator):
         self._pkt_obj[ps] = pkt
         return pkt
 
-    def _delivery_batch_observers(self):
+    def _delivery_batch_observers(self, sim):
         """Batch forms of the delivery observers, or ``False``.
 
         ``False`` means at least one observer has no ``on_eject_batch``
@@ -909,7 +824,7 @@ class ArraySimulator(Simulator):
         result is cached on the observer list's identity (the list is
         rebound copy-on-write by every attach/detach).
         """
-        obs = self._delivery_observers
+        obs = sim._delivery_observers
         key, val = self._obs_batch
         if key is obs:
             return val
@@ -924,10 +839,13 @@ class ArraySimulator(Simulator):
         return fns
 
     # ------------------------------------------------------------ main loop
-    def _array_step(self) -> None:
-        t = self.now
+    def step(self, sim) -> None:
+        """``Simulator.step`` on the array state: one cycle, batched."""
+        if self.routers is None:
+            self._build(sim)
+        t = sim.now
         slot = t % self._horizon
-        chunks = self._a_arr_ring[slot]
+        chunks = self._arr_ring[slot]
         if chunks:
             vb_tail = self._vb_tail
             act = self._act_set
@@ -953,12 +871,12 @@ class ArraySimulator(Simulator):
                 self._vb_occ[ivcs] += self._fl_size[flits]
                 self._ip_buffered[wp] += 1
                 popped += len(ivcs)
-            self._a_arr_ring[slot] = []
-            self._pending_events -= popped
-            self._buf_total += popped
-            self._last_progress = t
+            self._arr_ring[slot] = []
+            sim._pending_events -= popped
+            self.buffered += popped
+            sim._last_progress = t
             self._next_alloc_t = 0
-        cchunks = self._a_cr_ring[slot]
+        cchunks = self._cr_ring[slot]
         if cchunks:
             # credits wake the allocator only when a watched VC (an
             # op-free pair short on exactly these credits) is topped up;
@@ -966,18 +884,20 @@ class ArraySimulator(Simulator):
             # the gate is beyond ``t`` only right after a no-grant score
             watch = self._credit_watch
             wake = watch is None
+            popped = 0
             for ovcs, amounts in cchunks:
                 self._ov_credits[ovcs] += amounts
-                self._pending_events -= len(ovcs)
+                popped += len(ovcs)
                 if not wake and watch and not watch.isdisjoint(
                         ovcs.tolist()):
                     wake = True
-            self._a_cr_ring[slot] = []
-            self._last_progress = t
+            self._cr_ring[slot] = []
+            sim._pending_events -= popped
+            sim._last_progress = t
             if wake:
                 self._next_alloc_t = 0
                 self._credit_watch = None
-        traffic = self.traffic
+        traffic = sim.traffic
         if traffic is not None:
             # batched-injection protocol (see processes.BernoulliTraffic):
             # one cycle's (srcs, dsts) in bulk when the process offers
@@ -989,18 +909,18 @@ class ArraySimulator(Simulator):
                 tb = (traffic, getattr(traffic, "inject_batch", None))
                 self._tb_cache = tb
             inject_batch = tb[1]
-            batch = None if inject_batch is None else inject_batch(self, t)
+            batch = None if inject_batch is None else inject_batch(sim, t)
             if batch is None:
-                traffic.inject(self, t)
+                traffic.inject(sim, t)
             elif len(batch[0]):
                 if self._stage_n:
                     self._flush_injections()
-                self._array_inject_batch(batch[0], batch[1], t)
+                self.inject_batch(sim, batch[0], batch[1], t)
         if self._stage_n:
             self._flush_injections()
-        if self._buf_total and t >= self._next_alloc_t:
-            self._array_alloc(t)
-        self.now = t + 1
+        if self.buffered and t >= self._next_alloc_t:
+            self._alloc(sim, t)
+        sim.now = t + 1
 
     def _build_pair_struct(self, ports, key):
         """Flattened (port, VC-offset) scan layout over ``ports``.
@@ -1019,7 +939,7 @@ class ArraySimulator(Simulator):
         return (key, ports, reps, off, nvc[reps],
                 self._ip_vcbase[ports][reps], ports[reps])
 
-    def _array_alloc(self, t: int) -> None:
+    def _alloc(self, sim, t: int) -> None:
         # Retry fast path: between events the candidate-pair matrix is
         # invariant — credits, owners and busy-vs-now are the only
         # moving parts — so a build from an earlier no-grant cycle is
@@ -1029,7 +949,7 @@ class ArraySimulator(Simulator):
         # ``t`` and live in the score.
         c = self._alloc_cache
         if c is not None:
-            self._alloc_score(t, c)
+            self._alloc_score(sim, t, c)
             return
         # sparse-activity compaction: scan only the ports that hold
         # flits (sorted — ascending flat port id is the wheel scan
@@ -1096,12 +1016,12 @@ class ArraySimulator(Simulator):
              eff_op, eff_fovc, self._fl_size[head], self._fl_tail[head],
              self._op_eject[eff_op], ob, pb, _np.maximum(ob, pb))
         self._alloc_cache = c
-        self._alloc_score(t, c)
+        self._alloc_score(sim, t, c)
 
-    def _alloc_score(self, t: int, c) -> None:
+    def _alloc_score(self, sim, t: int, c) -> None:
         """Score a candidate build against live credit/owner state.
 
-        Everything in ``c`` is event-invariant (see :meth:`_array_alloc`);
+        Everything in ``c`` is event-invariant (see :meth:`_alloc`);
         the credit/owner gathers here are the only state that moves
         between events, and the cached busy-timers only move against
         ``t``.
@@ -1176,10 +1096,10 @@ class ArraySimulator(Simulator):
         first_sp = sp[by_port[bp_first]]  # aligned: unique outputs ascending
         winners = winners[_np.argsort(first_sp, kind="stable")]
 
-        self._apply_grants(t, sp[winners], sivc[winners], svi[winners],
+        self._apply_grants(sim, t, sp[winners], sivc[winners], svi[winners],
                            sflit[winners], sop[winners], sfovc[winners])
 
-    def _apply_grants(self, t, wp, wivc, wvi, wflit, wop, wfovc) -> None:
+    def _apply_grants(self, sim, t, wp, wivc, wvi, wflit, wop, wfovc) -> None:
         self._alloc_cache = None  # grants move heads, busies and pointers
         fl_next = self._fl_next
         sf = self._sf
@@ -1202,7 +1122,7 @@ class ArraySimulator(Simulator):
         if len(emptied):
             self._act_set.difference_update(emptied.tolist())
             self._act_epoch += 1
-        self._buf_total -= len(wp)
+        self.buffered -= len(wp)
         busy = t + size
         self._ip_busy[wp] = busy
         self._op_busy[wop] = busy
@@ -1252,7 +1172,7 @@ class ArraySimulator(Simulator):
                 in_rt, self._rt_op[ridx], self._pk_ej_op[ne_ps])
             self._fl_eff_fovc[ne_flit] = _np.where(
                 in_rt, self._rt_fovc[ridx], self._pk_ej_ovc[ne_ps])
-            ring = self._a_arr_ring
+            ring = self._arr_ring
             horizon = self._horizon
             dl = delay.tolist()
             classes = set(dl)
@@ -1264,7 +1184,7 @@ class ArraySimulator(Simulator):
                 for d in classes:
                     m = delay == d
                     ring[(t + d) % horizon].append((dest[m], ne_flit[m]))
-            self._pending_events += len(ne_flit)
+            sim._pending_events += len(ne_flit)
 
         # ---- upstream credit returns, grouped by link latency
         up = self._vb_up_ovc[wivc]
@@ -1273,7 +1193,7 @@ class ArraySimulator(Simulator):
             u_ovc = up[um]
             u_lat = self._vb_up_lat[wivc[um]]
             u_size = size[um]
-            cring = self._a_cr_ring
+            cring = self._cr_ring
             horizon = self._horizon
             ll = u_lat.tolist()
             classes = set(ll)
@@ -1283,21 +1203,21 @@ class ArraySimulator(Simulator):
                 for lv in classes:
                     m = u_lat == lv
                     cring[(t + lv) % horizon].append((u_ovc[m], u_size[m]))
-            self._pending_events += len(u_ovc)
-        self._last_progress = t
+            sim._pending_events += len(u_ovc)
+        sim._last_progress = t
 
         # ---- ejected flits leave the pool; tails deliver (in grant order)
         if eject.any():
             self._fl_free.extend(wflit[eject].tolist())
             deliver = eject if sf else (eject & tail)
             if deliver.any():
-                stats = self.stats
+                stats = sim.stats
                 dslots = pslot[deliver]
                 dones = busy[deliver]
                 # all-lazy deliveries with batch-capable sinks never
                 # materialize a Packet: counters and latency samples are
                 # computed straight from the SoA, in grant order
-                batch_obs = self._delivery_batch_observers()
+                batch_obs = self._delivery_batch_observers(sim)
                 if (batch_obs is not False
                         and bool(self._pk_lazy[dslots].all())
                         and hasattr(stats, "on_delivered_batch")):
@@ -1307,7 +1227,7 @@ class ArraySimulator(Simulator):
                         nd, nd * self._packet_phits, int(lats.sum()),
                         int(lats.max()),
                         int(self._pr_hops[self._pk_rid[dslots]].sum()))
-                    self.packets_in_flight -= nd
+                    sim.packets_in_flight -= nd
                     for fn in batch_obs:
                         fn(lats, dones)
                     self._pk_lazy[dslots] = False
@@ -1320,8 +1240,8 @@ class ArraySimulator(Simulator):
                         pkt = ensure(slot_)
                         pkt.delivered_cycle = done
                         stats.on_delivered(pkt, done)
-                        self.packets_in_flight -= 1
-                        observers = self._delivery_observers
+                        sim.packets_in_flight -= 1
+                        observers = sim._delivery_observers
                         if observers:
                             for observer in observers:
                                 observer(pkt, done)
@@ -1387,22 +1307,22 @@ class ArraySimulator(Simulator):
                     pkt.prev_local_type = link_type(
                         topo.index_in_group(fop // nout), topo.index_in_group(nxt))
 
-    def _materialize(self) -> None:
-        """Write the array state back into the object routers (one-way).
+    def materialize(self, sim) -> None:
+        """Write the array state back into the simulator's object graph.
 
-        After this the simulation continues on the inherited wheel
-        path, byte-identically: every piece of engine state — FIFOs,
+        One-way, and only ever called by ``Simulator._leave_core``, which
+        drops this core: afterwards the run continues on the wheel path,
+        byte-identically — every piece of engine state (FIFOs,
         occupancies, allocated routes, credit/owner/busy/rr state, the
-        timing wheels, progress counters — is reconstructed exactly as
-        the wheel engine would have built it.
+        timing wheels) is reconstructed exactly as the wheel would have
+        built it.
         """
-        if self._mode != "array":
-            return
+        routers = self.routers
+        if routers is None:
+            return  # never built: the object graph is still authoritative
         if self._stage_n:
             self._flush_injections()
-        self._mode = "wheel"
         self._rewind_in_flight_packets()
-        routers = self._routers_list
         nin, nout = self._nin, self._nout
         fl_pkt, fl_size = self._fl_pkt, self._fl_size
         fl_idx, fl_head, fl_tail = self._fl_idx, self._fl_head, self._fl_tail
@@ -1452,73 +1372,30 @@ class ArraySimulator(Simulator):
                     out.credits[v] = int(self._ov_credits[b + v])
                     owner = int(self._ov_owner[b + v])
                     out.owner[v] = None if owner < 0 else pkt_obj[owner].pid
-        self._active = {r.rid for r in routers if r.pending}
+        sim.routers = routers
+        sim._active = {r.rid for r in routers if r.pending}
 
-        # wheels: expand chunks into the wheel engine's tuple format,
-        # preserving append order (chunks were pushed in grant order)
+        # wheels: expand each slot's chunks, in place, into the wheel's
+        # tuple format, preserving append order (chunks were pushed in
+        # grant order)
         vb_port, vb_vcidx = self._vb_port, self._vb_vcidx
+        arr_wheel, cr_wheel = self._arr_ring, self._cr_ring
         for s in range(self._horizon):
-            bucket = self._arr_wheel[s]
-            bucket.clear()
-            for ivcs, flits in self._a_arr_ring[s]:
+            chunks, arr_wheel[s] = arr_wheel[s], []
+            bucket = arr_wheel[s]
+            for ivcs, flits in chunks:
                 for ivc, fs in zip(ivcs.tolist(), flits.tolist()):
                     fp = int(vb_port[ivc])
                     bucket.append((routers[fp // nin], fp % nin,
                                    int(vb_vcidx[ivc]), fobj(fs)))
-            cbucket = self._cr_wheel[s]
-            cbucket.clear()
-            for ovcs, amounts in self._a_cr_ring[s]:
+            chunks, cr_wheel[s] = cr_wheel[s], []
+            cbucket = cr_wheel[s]
+            for ovcs, amounts in chunks:
                 for fovc, amount in zip(ovcs.tolist(), amounts.tolist()):
                     fo = int(self._ovc_out[fovc])
                     out = routers[fo // nout].outputs[fo % nout]
                     cbucket.append((out, int(fovc - self._ovc_base[fo]),
                                     int(amount)))
-        # drop the array state: the object graph is authoritative now
-        self._a_arr_ring = self._a_cr_ring = None
-        self._pkt_obj = []
-        self._pr_ent = None
-        self._act_set = None
-        self._alloc_cache = None
-        self._alloc_struct = None
-        self._static_struct = None
-        self._credit_watch = None
-        self._obs_batch = (None, None)
-        self._tb_cache = (None, None)
-        for name in ("_ip_nvc", "_ip_vcbase", "_ip_busy", "_ip_rr",
-                     "_ip_buffered", "_ip_lidx", "_vb_port", "_vb_vcidx",
-                     "_vb_head", "_vb_tail", "_vb_occ", "_vb_route_op",
-                     "_vb_route_fovc", "_vb_up_ovc", "_vb_up_lat",
-                     "_op_eject", "_op_lat", "_op_busy", "_op_rr",
-                     "_ovc_base", "_ovc_out", "_ov_credits", "_ov_owner",
-                     "_ov_dest_ivc", "_fl_pkt", "_fl_size", "_fl_idx",
-                     "_fl_head", "_fl_tail", "_fl_next", "_fl_eff_op",
-                     "_fl_eff_fovc", "_pk_birth",
-                     "_pk_off", "_pk_hop", "_pk_nh", "_pk_ej_op",
-                     "_pk_ej_ovc", "_pk_pid", "_pk_src", "_pk_dst",
-                     "_pk_rid", "_pk_lazy", "_pr_off", "_pr_nh", "_pr_hops",
-                     "_pair_rid", "_node_rt", "_node_kidx", "_node_fp",
-                     "_node_ivc", "_node_ej_op", "_node_ej_ovc",
-                     "_rt_op", "_rt_fovc", "_route_cache",
-                     "_ovc_base_l", "_ip_vcbase_l", "_op_delay_vct"):
-            setattr(self, name, None)
-        # the mode is final: pin dispatch to the wheel path
-        self._bind_wheel_dispatch()
 
 
-@ENGINE_REGISTRY.register(
-    "auto", description="array core when the point is eligible, wheel otherwise")
-class AutoSimulator(ArraySimulator):
-    """Per-point engine selection, as an engine.
-
-    :class:`ArraySimulator` already embeds the exact eligibility test —
-    it runs the SoA core when the configuration qualifies (array-core
-    routing, VCT/WH flow control, rr/age arbitration, no event taps)
-    and the byte-identical wheel path otherwise, with dispatch pinned
-    so the fallback costs nothing over a plain wheel run.  ``auto`` is
-    that behaviour under a name the sweep runner can default to: each
-    point in a sweep independently gets the fastest engine that
-    preserves the record bytes.
-    """
-
-
-__all__ = ["ArraySimulator", "AutoSimulator"]
+__all__ = ["ArrayCore", "select_core"]

@@ -94,11 +94,12 @@ class SimConfig:
     pb_inj_backlog_packets: int = 4
 
     # ---- execution backend
-    #: simulation engine backend: "wheel" (object timing wheel), "array"
-    #: (numpy structure-of-arrays core) or "reference" (frozen seed
-    #: engine).  Engines are an *execution* choice, not a physics knob:
-    #: every engine emits byte-identical records, so this field is
-    #: excluded from :meth:`canonical_json` and cache keys.
+    #: simulation engine: "wheel" (object timing wheel), "auto" (the
+    #: same simulator, with the numpy array core attached when the point
+    #: is eligible) or "reference" (frozen seed engine).  Engines are an
+    #: *execution* choice, not a physics knob: every engine emits
+    #: byte-identical records, so this field is excluded from
+    #: :meth:`canonical_json` and cache keys.
     engine: str = "wheel"
 
     # ---- misc

@@ -43,6 +43,11 @@ strictly less work per cycle:
   state cannot change, and no skipped ``decide`` call would have touched
   ``rng_route`` (``docs/ARCHITECTURE.md`` spells the invariants out).
 
+**One simulator, an optional array core** — under ``engine="auto"`` an
+eligible point carries a numpy structure-of-arrays core in ``_core``
+and ``step`` / ``inject_packet`` hand over to it (one ``is not None``
+test); see :mod:`repro.network.arraysim` for the way in and the way out.
+
 The pre-rewrite hot path survives verbatim as
 :class:`repro.network.reference.ReferenceSimulator` for benchmarking
 (``tools/bench_engine.py``) and golden-record fidelity checks; it
@@ -58,6 +63,7 @@ from repro.core import MisroutingTrigger, routing_by_name
 from repro.core.base import RoutingAlgorithm
 from repro.metrics.collector import StatsCollector
 from repro.network import arbitration as _arbitration  # noqa: F401 (registers arbiters)
+from repro.network.arraysim import select_core
 from repro.network.config import SimConfig
 from repro.network.flowcontrol import FlowControl  # noqa: F401 (registers policies)
 from repro.network.packet import Flit, Packet
@@ -80,6 +86,8 @@ class DeadlockError(RuntimeError):
 
 
 @ENGINE_REGISTRY.register(
+    "auto", description="array core when the point is eligible, wheel otherwise")
+@ENGINE_REGISTRY.register(
     "wheel", description="object-graph engine with a cycle-indexed timing wheel")
 class Simulator:
     """Cycle-level simulator over any registered topology.
@@ -89,6 +97,8 @@ class Simulator:
     ``config.flow_control`` -> link policy, ``config.arbitration`` ->
     output arbiter.  The engine itself is topology-agnostic; it only
     uses the :class:`~repro.topology.base.Topology` protocol surface.
+    ``config.engine`` picks between the two names this class registers
+    under: ``"auto"`` may attach an array core, ``"wheel"`` never does.
     """
 
     def __init__(self, config: SimConfig, traffic=None) -> None:
@@ -172,6 +182,24 @@ class Simulator:
         overridden = type(self.algo).per_cycle is not RoutingAlgorithm.per_cycle
         self._per_cycle = self.algo.per_cycle if overridden else None
         self._fc_arrival_delay = self.fc.arrival_delay
+        #: the array core running this point, or ``None``: a wheel run.
+        #: Decided once, here; subclasses stay on the wheel because the
+        #: core would bypass their allocation overrides (the frozen
+        #: reference engine is one)
+        self._core = (select_core(self)
+                      if config.engine == "auto" and type(self) is Simulator
+                      else None)
+
+    # ------------------------------------------------------------ array core
+    def _leave_core(self) -> None:
+        """Write the array core's state back and drop it (one-way).
+
+        The only way off the core: the object routers, FIFOs, credits
+        and timing wheels come back exactly as the wheel would have
+        built them, and the run continues on the wheel path.
+        """
+        core, self._core = self._core, None
+        core.materialize(self)
 
     # ------------------------------------------------------------- observers
     def add_delivery_observer(self, fn):
@@ -207,6 +235,9 @@ class Simulator:
         ``on_eject`` joins the delivery-observer list (so it fires in
         registration order, and before ``on_grant`` for the same
         delivering tail flit).  Returns ``tap`` for chaining.
+
+        Eject-only taps keep a live array core; any other event needs
+        the object engine's event sites, so the core is left first.
         """
         wired = False
         for attr, fn in (("_tap_inject", getattr(tap, "on_inject", None)),
@@ -214,6 +245,8 @@ class Simulator:
                          ("_tap_credit", getattr(tap, "on_credit", None)),
                          ("_tap_ring", getattr(tap, "on_ring_entry", None))):
             if fn is not None:
+                if self._core is not None:
+                    self._leave_core()
                 current = getattr(self, attr)
                 setattr(self, attr, (fn,) if current is None else (*current, fn))
                 wired = True
@@ -259,6 +292,9 @@ class Simulator:
         if src == dst:
             raise ValueError("source and destination nodes must differ")
         t = self.now if now is None else now
+        core = self._core
+        if core is not None:
+            return core.inject(self, src, dst, t)
         topo = self.topo
         sr = topo.router_of_node(src)
         dr = topo.router_of_node(dst)
@@ -289,6 +325,10 @@ class Simulator:
     # ------------------------------------------------------------ main loop
     def step(self) -> None:
         """Advance the simulation by one cycle."""
+        core = self._core
+        if core is not None:
+            core.step(self)
+            return
         t = self.now
         slot = t % self._horizon
         bucket = self._arr_wheel[slot]
@@ -361,7 +401,9 @@ class Simulator:
 
         Offsets ``0..horizon-1`` cover every live slot: an event due at
         ``now`` itself (offset 0, not yet popped) must map to ``now``,
-        never alias to ``now + horizon``.
+        never alias to ``now + horizon``.  A live array core schedules
+        into the same slots (array chunks instead of tuples), so the
+        scan is the same.
         """
         if not self._pending_events:
             return None
@@ -386,7 +428,9 @@ class Simulator:
         processes).  The target is the earliest of the next scheduled
         arrival/credit, the next possible injection, and ``limit``.
         """
-        if self._active or self._per_cycle is not None:
+        core = self._core
+        buffered = self._active if core is None else core.buffered
+        if buffered or self._per_cycle is not None:
             return None
         traffic = self.traffic
         if traffic is None or getattr(traffic, "exhausted", False):
@@ -642,6 +686,9 @@ class Simulator:
 
     # ------------------------------------------------------------ utilities
     def total_buffered_flits(self) -> int:
+        core = self._core
+        if core is not None:
+            return core.buffered
         return sum(r.buffered_flits() for r in self.routers)
 
     def arrivals_due(self, when: int) -> list:
@@ -650,17 +697,22 @@ class Simulator:
         Entries are ``(router, port_idx, vc_idx, flit)`` tuples; the
         list is only meaningful for ``now <= when < now + horizon``.
         """
+        if self._core is not None:
+            self._leave_core()  # introspection wants object tuples
         return list(self._arr_wheel[when % self._horizon]) if self._horizon else []
 
 
 def build_simulator(config: SimConfig, traffic=None) -> Simulator:
-    """Build the engine backend selected by ``config.engine``.
+    """Build the engine selected by ``config.engine``.
 
     Resolved through :data:`~repro.registry.ENGINE_REGISTRY`, so
     third-party engines registered before the call are selectable like
-    built-ins.  All backends share the :class:`Simulator` interface and
-    emit byte-identical records (the golden-matrix contract).
+    built-ins.  ``wheel`` and ``auto`` are both :class:`Simulator` (it
+    reads ``config.engine`` to decide whether an array core may
+    attach); ``reference`` is the frozen seed hot path.  All of them
+    share the :class:`Simulator` interface and emit byte-identical
+    records (the golden-matrix contract).
     """
     if config.engine not in ENGINE_REGISTRY:
-        import repro.network  # noqa: F401  (registers array/reference engines)
+        import repro.network  # noqa: F401  (registers the reference engine)
     return ENGINE_REGISTRY.get(config.engine)(config, traffic)

@@ -163,7 +163,7 @@ ARBITER_REGISTRY = Registry("arbitration")
 PATTERN_REGISTRY = Registry("traffic pattern")
 #: traffic injection processes (when packets enter the network)
 PROCESS_REGISTRY = Registry("traffic process")
-#: simulation engine backends (object wheel, numpy array core, frozen seed)
+#: simulation engines (wheel, auto = wheel + optional array core, frozen seed)
 ENGINE_REGISTRY = Registry("engine")
 
 

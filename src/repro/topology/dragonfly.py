@@ -8,11 +8,7 @@ from __future__ import annotations
 
 from repro.registry import TOPOLOGY_REGISTRY
 from repro.topology.arrangements import GlobalArrangement, arrangement_by_name
-from repro.topology.base import (  # noqa: F401 (back-compat re-export)
-    DRAGONFLY_CAPS,
-    OutputPort,
-    PortKind,
-)
+from repro.topology.base import DRAGONFLY_CAPS, PortKind
 
 
 @TOPOLOGY_REGISTRY.register(

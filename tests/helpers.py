@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
-from repro.topology.dragonfly import PortKind
+from repro.topology import PortKind
 from repro.traffic.processes import BernoulliTraffic
 
 EJECT, LOCAL, GLOBAL = int(PortKind.EJECT), int(PortKind.LOCAL), int(PortKind.GLOBAL)

@@ -5,7 +5,7 @@ import pytest
 from repro.network.buffers import InputPort, VCBuffer
 from repro.network.packet import Packet, flitize
 from repro.network.ports import OutputUnit
-from repro.topology.dragonfly import PortKind
+from repro.topology import PortKind
 
 
 def flits(n=3, size=8):

@@ -94,20 +94,20 @@ def test_point_command_rejects_bad_config(tmp_path, capsys):
 
 def test_point_engine_flag_selects_backend(tmp_path, capsys):
     out_path = tmp_path / "point.json"
-    assert main(["point", "--engine", "array", "--pattern", "uniform",
+    assert main(["point", "--engine", "auto", "--pattern", "uniform",
                  "--load", "0.2", "--warmup", "100", "--measure", "100",
                  "--json", str(out_path)]) == 0
     capsys.readouterr()
     payload = json.loads(out_path.read_text())
-    assert payload["config"]["engine"] == "array"
+    assert payload["config"]["engine"] == "auto"
     assert payload["result"]["delivered"] > 0
 
 
 def test_point_engine_flag_did_you_mean(capsys):
-    assert main(["point", "--engine", "aray", "--measure", "10"]) == 2
+    assert main(["point", "--engine", "whel", "--measure", "10"]) == 2
     err = capsys.readouterr().err
-    assert "unknown engine 'aray'" in err
-    assert "did you mean 'array'?" in err
+    assert "unknown engine 'whel'" in err
+    assert "did you mean 'wheel'?" in err
 
 
 def _sweep_args(tmp_path, name, *extra):

@@ -22,10 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.facade import Session, point_record
-from repro.network.arraysim import ArraySimulator
 from repro.network.config import SimConfig
 from repro.network.reference import ReferenceSimulator
-from repro.network.simulator import Simulator
+from repro.network.simulator import Simulator, build_simulator
 from repro.runplan import canonical_record_json
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.processes import BurstTraffic
@@ -47,10 +46,10 @@ def _entry_id(entry: dict) -> str:
     return "-".join(parts)
 
 
-def replay(entry: dict, sim_cls) -> dict:
-    """One golden scenario through the Session workflow on ``sim_cls``."""
+def replay(entry: dict, engine: str) -> dict:
+    """One golden scenario through the Session workflow on ``engine``."""
     cfg = SimConfig.from_dict(entry["config"])
-    s = Session(sim=sim_cls(cfg))
+    s = Session(sim=build_simulator(cfg.with_(engine=engine)))
     if entry["kind"] == "point":
         result = (s.bernoulli(entry["pattern"], entry["load"])
                   .warmup(entry["warmup"]).measure(entry["measure"]))
@@ -65,7 +64,7 @@ def replay(entry: dict, sim_cls) -> dict:
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=_entry_id)
 def test_timing_wheel_engine_matches_seed_goldens(entry):
-    assert canonical_record_json(replay(entry, Simulator)) == entry["record"]
+    assert canonical_record_json(replay(entry, "wheel")) == entry["record"]
 
 
 # Spot-check the frozen baseline on a cheap cross-section (first/last
@@ -78,32 +77,16 @@ _SUBSET += [next(e for e in ENTRIES if e["config"]["flow_control"] == fc)
 
 @pytest.mark.parametrize("entry", _SUBSET, ids=_entry_id)
 def test_reference_simulator_is_still_the_seed_engine(entry):
-    assert canonical_record_json(replay(entry, ReferenceSimulator)) == entry["record"]
+    assert canonical_record_json(replay(entry, "reference")) == entry["record"]
 
 
-# The array engine must be byte-identical on the FULL golden matrix —
-# including scenarios it cannot vectorise (adaptive routings, per-cycle
-# hooks), which exercise its transparent fall-through to wheel mode.
+# ``auto`` must be byte-identical on the FULL golden matrix: the minimal
+# entries run on the array core (the selection-rule table in
+# tests/test_engine_selection.py pins that they really do), everything
+# else is a wheel run under another name.
 @pytest.mark.parametrize("entry", ENTRIES, ids=_entry_id)
-def test_array_engine_matches_seed_goldens(entry):
-    assert canonical_record_json(replay(entry, ArraySimulator)) == entry["record"]
-
-
-def test_array_engine_vectorises_the_saturated_goldens():
-    """The saturated minimal-routing goldens must run on the array core.
-
-    Guards against the eligibility gate silently regressing to wheel
-    mode: the matrix would still pass (fallback is byte-identical), but
-    the engine under test would no longer be the array core at all.
-    """
-    entry = next(e for e in ENTRIES if e["config"]["routing"] == "minimal"
-                 and e["config"].get("topology", "dragonfly") == "torus")
-    sim = ArraySimulator(SimConfig.from_dict(entry["config"]))
-    sim.inject_packet(0, sim.topo.num_nodes - 1)
-    assert sim._mode == "array"
-    sim_olm = ArraySimulator(SimConfig(h=2, routing="olm", seed=1))
-    sim_olm.inject_packet(0, 5)
-    assert sim_olm._mode == "wheel"
+def test_auto_engine_matches_seed_goldens(entry):
+    assert canonical_record_json(replay(entry, "auto")) == entry["record"]
 
 
 def test_auto_engine_takes_the_wheel_path_under_a_metrics_hub():
@@ -111,30 +94,31 @@ def test_auto_engine_takes_the_wheel_path_under_a_metrics_hub():
     untapped minimal-routing point, the wheel path once a full
     ``MetricsHub`` needs the object engine's event sites — and the
     record bytes are the same either way."""
-    from repro.facade import Session, point_record
     from repro.metrics.hub import MetricsHub
-    from repro.network.arraysim import AutoSimulator
 
-    cfg = SimConfig(h=2, routing="minimal", seed=11)
+    cfg = SimConfig(h=2, routing="minimal", seed=11, engine="auto")
 
-    def run(sim_cls, tapped):
-        s = Session(sim=sim_cls(cfg))
+    def run(tapped):
+        s = Session(sim=build_simulator(cfg))
         if tapped:
             MetricsHub(s.sim, bucket=100)
         result = s.bernoulli("uniform", 0.9).warmup(200).measure(200)
         record = point_record(result, cfg, pattern="uniform", load=0.9)
         return canonical_record_json(record), s.sim
 
-    untapped, sim = run(AutoSimulator, tapped=False)
-    assert sim._mode == "array"
-    tapped, sim = run(AutoSimulator, tapped=True)
-    assert sim._mode == "wheel"
-    assert tapped == untapped == run(ArraySimulator, False)[0]
+    untapped, sim = run(tapped=False)
+    assert sim._core is not None
+    tapped, sim = run(tapped=True)
+    assert sim._core is None
+    assert tapped == untapped
 
 
 def test_unknown_engine_fails_with_suggestion():
-    with pytest.raises(ValueError, match="unknown engine.*did you mean 'array'"):
-        SimConfig(engine="aray")
+    with pytest.raises(ValueError, match="unknown engine.*did you mean 'auto'"):
+        SimConfig(engine="aut")
+    # the retired name is as unknown as a typo
+    with pytest.raises(ValueError, match="unknown engine 'array'"):
+        SimConfig(engine="array")
 
 
 def test_engine_choice_does_not_change_point_identity():
@@ -147,14 +131,14 @@ def test_engine_choice_does_not_change_point_identity():
     from repro.runplan.spec import RunPoint
 
     cfgs = [SimConfig(h=2, routing="minimal", engine=e)
-            for e in ("wheel", "array", "reference")]
+            for e in ("wheel", "auto", "reference")]
     assert len({cfg.canonical_json() for cfg in cfgs}) == 1
     points = [RunPoint(config=cfg, pattern="uniform", load=0.4,
                        warmup=100, measure=100) for cfg in cfgs]
     assert len({p.key() for p in points}) == 1
     assert "engine" not in points[0].describe()["config"]
     # ...but the full to_dict round-trip keeps the field
-    assert SimConfig.from_dict(cfgs[1].to_dict()).engine == "array"
+    assert SimConfig.from_dict(cfgs[1].to_dict()).engine == "auto"
 
 
 def test_fast_forward_engages_on_drain():

@@ -114,7 +114,7 @@ def test_hop_logs_always_terminate_with_ejection(seed):
         if s != d:
             sim.inject_packet(s, d)
     sim.run_until_drained(100000)
-    from repro.topology.dragonfly import PortKind
+    from repro.topology import PortKind
 
     for p in delivered:
         assert p.hops_log[-1][0] == int(PortKind.EJECT)

@@ -1,0 +1,156 @@
+"""``engine="auto"``: which points get an array core, and every way off it.
+
+Two tables:
+
+* **selection** — for every registered routing × arbitration × tap
+  situation, an ``auto`` simulator carries a core exactly when the rule
+  (``repro.network.arraysim.select_core`` + "event taps end a core")
+  says so, and an ineligible one is a plain wheel run: no core, the
+  same class, the same ``step`` / ``inject_packet`` functions;
+* **exits** — leaving a live core mid-run through each of its three
+  triggers (an event tap, ``arrivals_due``, a look inside ``routers``) yields
+  delivery logs and counters byte-identical to a wheel run from cycle 0.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.network.config import SimConfig
+from repro.network.simulator import Simulator, build_simulator
+from repro.registry import ROUTING_REGISTRY
+from repro.traffic.patterns import UniformRandom
+from repro.traffic.processes import BernoulliTraffic
+
+
+class _EjectTap:
+    def on_eject(self, pkt, cycle):
+        pass
+
+
+class _GrantTap:
+    """A bare event tap: ``on_grant`` and nothing else."""
+
+    def __init__(self):
+        self.grants = 0
+
+    def on_grant(self, router, out, vc, flit, dec, cycle):
+        self.grants += 1
+
+
+# ---------------------------------------------------------------- selection
+@pytest.mark.parametrize("tap", ["none", "eject", "event"])
+@pytest.mark.parametrize("arbitration", ["rr", "age", "random"])
+@pytest.mark.parametrize("routing", ROUTING_REGISTRY.available())
+def test_auto_carries_a_core_iff_the_rule_says_so(routing, arbitration, tap):
+    cfg = SimConfig(h=2, routing=routing, arbitration=arbitration, seed=3,
+                    engine="auto")
+    sim = build_simulator(cfg)
+    if tap == "eject":
+        sim.add_tap(_EjectTap())
+    elif tap == "event":
+        sim.add_tap(_GrantTap())
+    sim.inject_packet(0, sim.topo.num_nodes - 1)
+    sim.step()
+    expected = (ROUTING_REGISTRY.get(routing).array_core
+                and arbitration in ("rr", "age") and tap != "event")
+    assert (sim._core is not None) == expected
+    if expected:
+        assert type(sim.routers) is not list  # parked on the core
+        return
+    # an ineligible auto point *is* a wheel run: same class, nothing
+    # shadowing the two hot entry points, the object graph in place
+    wheel = build_simulator(cfg.with_(engine="wheel"))
+    assert type(sim) is type(wheel) is Simulator
+    assert sim.step.__func__ is wheel.step.__func__ is Simulator.step
+    assert (sim.inject_packet.__func__ is wheel.inject_packet.__func__
+            is Simulator.inject_packet)
+    assert not {"step", "inject_packet"} & vars(sim).keys()
+    assert type(sim.routers) is list
+
+
+def test_wheel_and_reference_never_carry_a_core():
+    for engine in ("wheel", "reference"):
+        sim = build_simulator(SimConfig(h=2, routing="minimal", engine=engine))
+        assert sim._core is None
+
+
+def test_a_core_is_built_lazily_and_an_early_event_tap_costs_nothing():
+    sim = build_simulator(SimConfig(h=2, routing="minimal", engine="auto"))
+    core = sim._core
+    assert core is not None and core.routers is None  # selected, not built
+    routers = sim.routers  # pristine object graph: reading it is free
+    assert sim._core is core
+    sim.add_tap(_GrantTap())
+    assert sim._core is None and sim.routers is routers
+
+
+# -------------------------------------------------------------------- exits
+FABRICS = {
+    "dragonfly": dict(h=2),
+    "flattened_butterfly": dict(topology="flattened_butterfly", fb_routers=9,
+                                p=2),
+    "torus": dict(topology="torus", torus_rows=3, torus_cols=4, p=2),
+}
+FLOW = {"vct": dict(flow_control="vct"),
+        "wh": dict(flow_control="wh", packet_phits=40, flit_phits=10)}
+INJECT_CYCLES = 300
+ATTACH_CYCLES = (1, 45, 290)
+
+
+def _leave_by_tap(sim):
+    sim.add_tap(_GrantTap())
+
+
+def _leave_by_arrivals_due(sim):
+    due = sim.arrivals_due(sim.now)
+    assert all(len(entry) == 4 for entry in due)
+
+
+def _leave_by_routers_read(sim):
+    routers = sim.routers  # holding the stand-in is not a read ...
+    assert sim._core is not None
+    # ... looking inside is (MetricsHub and the probes iterate it)
+    assert [r.rid for r in routers] == list(range(sim.topo.num_routers))
+    assert routers[0] is sim.routers[0] and len(routers) == len(sim.routers)
+
+
+TRIGGERS = {"tap": _leave_by_tap, "arrivals_due": _leave_by_arrivals_due,
+            "routers": _leave_by_routers_read}
+
+
+def _run(cfg: SimConfig, leave=None, at: int | None = None):
+    """Delivery log + counters of a saturated window and its drain."""
+    sim = build_simulator(cfg, BernoulliTraffic(UniformRandom(), 0.8))
+    log = []
+    sim.add_delivery_observer(lambda pkt, cycle: log.append(
+        (pkt.pid, cycle, tuple(pkt.hops_log), pkt.g_hops,
+         pkt.local_hops_group, pkt.local_hops_total, pkt.prev_local_type,
+         pkt.last_local_vc, pkt.misrouted_group)))
+    if at is not None:
+        sim.run(at)
+        assert sim._core is not None and sim.packets_in_flight
+        leave(sim)
+        assert sim._core is None and type(sim.routers) is list
+        sim.run(INJECT_CYCLES - at)
+    else:
+        sim.run(INJECT_CYCLES)
+    sim.traffic = None
+    drained = sim.run_until_drained(50_000)
+    assert sim.total_buffered_flits() == 0
+    return log, drained, sim.now, sim.stats.as_dict(sim.topo.num_nodes, sim.now)
+
+
+@pytest.mark.parametrize("arbitration", ["rr", "age"])
+@pytest.mark.parametrize("flow", FLOW)
+@pytest.mark.parametrize("fabric", FABRICS)
+def test_leaving_the_core_mid_run_matches_a_wheel_run(fabric, flow, arbitration):
+    cfg = SimConfig(routing="minimal", arbitration=arbitration, seed=9,
+                    record_hops=True, **FABRICS[fabric], **FLOW[flow])
+    wheel = _run(cfg.with_(engine="wheel"))
+    assert len(wheel[0]) > 50  # a real window, not an empty one
+    auto = cfg.with_(engine="auto")
+    assert _run(auto) == wheel  # never leaving is the same bytes too
+    for name, leave in TRIGGERS.items():
+        for at in ATTACH_CYCLES:
+            assert _run(auto, leave, at) == wheel, (name, at)

@@ -3,7 +3,7 @@
 Two directions, both required for trust in ``repro verify-results``:
 
 * **no false positives** — randomized (but seeded) simulation points
-  across the wheel/array/auto engines pass the full invariant set, and
+  across the wheel and auto engines pass the full invariant set, and
   verification never changes the record bytes;
 * **no false negatives** — every checker in the registry demonstrably
   *fires*: a deliberately corrupted record or hub (a dropped packet, a
@@ -34,7 +34,7 @@ from repro.metrics.hub import MetricsHub
 from repro.network.config import SimConfig
 from repro.runplan.cache import canonical_record_json
 
-ENGINES = ("wheel", "array", "auto")
+ENGINES = ("wheel", "auto")
 
 
 def _checks_by_name(rec, tolerance=DEFAULT_TOLERANCE):

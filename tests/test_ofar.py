@@ -5,7 +5,7 @@ import pytest
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.topology import Dragonfly
-from repro.topology.dragonfly import PortKind
+from repro.topology import PortKind
 from repro.topology.ring import hamiltonian_ring, validate_ring
 from repro.traffic.patterns import AdversarialGlobal, AdversarialLocal, UniformRandom
 from repro.traffic.processes import BernoulliTraffic

@@ -90,7 +90,7 @@ def test_all_registries_lists_every_component_kind():
                          "traffic-pattern", "traffic-process", "executor",
                          "engine"}
     assert "dragonfly" in regs["topology"].available()
-    assert regs["engine"].available() == ("array", "auto", "reference", "wheel")
+    assert regs["engine"].available() == ("auto", "reference", "wheel")
     assert "olm" in regs["routing"].available()
     assert regs["flow-control"].available() == ("vct", "wh")
     assert regs["arbitration"].available() == ("age", "random", "rr")

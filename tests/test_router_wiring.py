@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
-from repro.topology.dragonfly import PortKind
+from repro.topology import PortKind
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ unambiguous situations, complementing the statistical discipline tests.
 from repro.core.base import Decision
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
-from repro.topology.dragonfly import PortKind
+from repro.topology import PortKind
 
 
 def quiet_sim(routing="minimal", **over):

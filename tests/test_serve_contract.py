@@ -233,7 +233,7 @@ def test_concurrent_identical_submissions_execute_once(monkeypatch):
     assert len(executed) == 2 and len(set(executed)) == 2
 
 
-def test_array_engine_job_equals_and_dedupes_onto_the_wheel_job():
+def test_auto_engine_job_equals_and_dedupes_onto_the_wheel_job():
     """Engine choice is excluded from point identity, over HTTP too.
 
     A saturated minimal-routing point — the one kind the array core
@@ -247,17 +247,17 @@ def test_array_engine_job_equals_and_dedupes_onto_the_wheel_job():
                 "warmup": 200, "measure": 400, "bucket": 100}
 
     served = {}
-    for engine in ("wheel", "array"):
+    for engine in ("wheel", "auto"):
         body, stream = run_job(payload(engine))
         assert body["state"] == "done", body
         [record] = body["result"]["records"]
         served[engine] = (canonical_record_json(record), stream)
-    assert served["array"] == served["wheel"]
+    assert served["auto"] == served["wheel"]
 
     async def main():
         async with Client(create_app(ServeSettings(workers=1))) as client:
             posts = [await client.post("/v1/jobs", json_body=payload(e))
-                     for e in ("wheel", "array")]
+                     for e in ("wheel", "auto")]
             return [p.json() for p in posts]
 
     first, second = asyncio.run(main())

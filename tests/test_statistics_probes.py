@@ -107,7 +107,7 @@ def test_occupancy_snapshot_finds_advg_hotspot():
     assert snap["hottest_fraction"] > snap["global_mean"]
     assert snap["hottest_link"] is not None
     # ADVG saturates global links: the hotspot must be a global port
-    from repro.topology.dragonfly import PortKind
+    from repro.topology import PortKind
 
     assert snap["hottest_link"][1] == int(PortKind.GLOBAL)
 

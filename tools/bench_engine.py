@@ -3,10 +3,10 @@
 
 Runs a pinned scenario set on the registered engines — the frozen seed
 hot path (``reference``), the live timing-wheel object engine
-(``wheel``), the numpy structure-of-arrays core (``array``) and the
-per-point selector (``auto``) — checks that every emitted record is
-byte-identical across engines, and writes ``BENCH_engine.json`` with
-cycles/sec and per-scenario speedups.
+(``wheel``) and the same simulator with the numpy structure-of-arrays
+core attached where the point is eligible (``auto``) — checks that
+every emitted record is byte-identical across engines, and writes
+``BENCH_engine.json`` with cycles/sec and per-scenario speedups.
 
 Scenario families (all record-gated, speedup-gated where marked):
 
@@ -39,15 +39,17 @@ Scenario families (all record-gated, speedup-gated where marked):
   ``adversarial`` / ``saturated_uniform_par62_wh`` /
   ``adversarial_pb_vct`` — wheel-vs-seed context rows (see PR 3; the
   last two cover the mechanisms the paper's figures use beyond
-  olm/rlm).  The dense vct drain additionally gates the array engine's
-  wheel fallback at >= 1x: olm routing falls back to the object engine,
-  which must not cost anything over using the wheel directly.
+  olm/rlm).  ``auto`` is not timed on them: an ineligible ``auto``
+  point carries no core and runs the very functions ``wheel`` runs
+  (``tests/test_engine_selection.py`` pins that structurally).
 
-The ``auto`` engine (array when eligible, wheel otherwise) is in the
-smoke matrix so CI proves its records match whatever engine it picks.
+The ``auto`` engine is in the smoke matrix on every row, so CI proves
+its records match on the array core and on the wheel alike.
 
-Speed gates are targets recorded in the report, never asserted by CI
-(CI machines are noisy); record equality is always asserted.
+Speed gates are ``{"metric", "operator", "value"}`` targets; every
+gated row reports ``gate_met`` and the report lists the misses, but a
+miss is never a CI failure (CI machines are noisy).  Record equality
+is always asserted.
 ``--smoke`` runs a short matrix over all engines and exits
 non-zero on any record mismatch — the CI engine-equivalence gate —
 or when ``wheel`` and ``reference`` leave ``rng_route`` in different
@@ -58,8 +60,8 @@ Usage::
 
     PYTHONPATH=src python tools/bench_engine.py              # full bench
     PYTHONPATH=src python tools/bench_engine.py --smoke      # CI gate
-    PYTHONPATH=src python tools/bench_engine.py --engine array
-    PYTHONPATH=src python tools/bench_engine.py --profile --engine array
+    PYTHONPATH=src python tools/bench_engine.py --engine auto
+    PYTHONPATH=src python tools/bench_engine.py --profile --engine auto
 """
 
 from __future__ import annotations
@@ -67,16 +69,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import operator
 import os
 import random
 import time
 from pathlib import Path
 
 from repro.facade import Session, point_record
-from repro.network.arraysim import ArraySimulator, AutoSimulator
 from repro.network.config import SimConfig
-from repro.network.reference import ReferenceSimulator
-from repro.network.simulator import Simulator
+from repro.network.simulator import build_simulator
 from repro.runplan import canonical_record_json
 from repro.traffic.extra import TraceReplay
 from repro.traffic.patterns import pattern_by_name
@@ -84,13 +85,14 @@ from repro.traffic.processes import BurstTraffic
 
 SEED = 11
 
-ENGINES = {
-    "reference": ReferenceSimulator,
-    "wheel": Simulator,
-    "array": ArraySimulator,
-    "auto": AutoSimulator,
-}
-ENGINE_NAMES = tuple(ENGINES)
+ENGINE_NAMES = ("reference", "wheel", "auto")
+GATE_OPERATORS = {">=": operator.ge}
+
+
+def _at_least(times: float, engine: str, baseline: str) -> dict:
+    """Speed target: ``engine`` runs >= ``times`` x ``baseline``."""
+    return {"metric": f"speedup_{engine}_vs_{baseline}", "operator": ">=",
+            "value": times}
 
 
 def _cfg(fc: str, routing: str, **over) -> dict:
@@ -119,17 +121,17 @@ def scenarios(smoke: bool) -> list[dict]:
     steps = 2 if smoke else 4
     gated = [
         dict(name="low_load_probe_vct", kind="probe", cfg=_cfg("vct", "olm"),
-             spacing=131, probes=probes, gate="wheel>=2x_vs_reference",
+             spacing=131, probes=probes, gate=_at_least(2, "wheel", "reference"),
              engines=("reference", "wheel")),
         dict(name="burst_drain_superstep_vct", kind="superstep",
              cfg=_cfg("vct", "olm"), period=5000, steps=steps,
-             packets_per_node=1, gate="wheel>=2x_vs_reference",
+             packets_per_node=1, gate=_at_least(2, "wheel", "reference"),
              engines=("reference", "wheel")),
     ]
     if smoke:
         # the CI gate: short windows, every engine on every row —
         # including a saturated minimal-routing row that actually runs
-        # on the array core (olm rows exercise its wheel fallback)
+        # on the array core (on olm rows ``auto`` is a plain wheel run)
         gated[0]["engines"] = gated[1]["engines"] = ENGINE_NAMES
         return gated + [
             dict(name="saturated_burst_vct", kind="drain",
@@ -143,11 +145,11 @@ def scenarios(smoke: bool) -> list[dict]:
         ]
     return gated + [
         dict(name="low_load_probe_wh", kind="probe", cfg=_cfg("wh", "rlm"),
-             spacing=131, probes=probes, gate="wheel>=2x_vs_reference",
+             spacing=131, probes=probes, gate=_at_least(2, "wheel", "reference"),
              engines=("reference", "wheel")),
         dict(name="burst_drain_superstep_wh", kind="superstep",
              cfg=_cfg("wh", "rlm"), period=5000, steps=steps,
-             packets_per_node=1, gate="wheel>=2x_vs_reference",
+             packets_per_node=1, gate=_at_least(2, "wheel", "reference"),
              engines=("reference", "wheel")),
         # ---- PR-7 array-core gates: saturated drains at h=4 scale.
         # The reference engine is omitted on the h=4 rows (several
@@ -156,12 +158,12 @@ def scenarios(smoke: bool) -> list[dict]:
         dict(name="saturated_burst_advg_vct_h4", kind="drain",
              cfg=_cfg("vct", "minimal", h=4), pattern="advg+1",
              packets_per_node=40, max_cycles=500_000,
-             gate="array>=5x_vs_wheel", engines=("wheel", "array"),
+             gate=_at_least(5, "auto", "wheel"), engines=("wheel", "auto"),
              repeat=1),
         dict(name="saturated_burst_advg_wh_h4", kind="drain",
              cfg=_cfg("wh", "minimal", h=4), pattern="advg+1",
              packets_per_node=15, max_cycles=500_000,
-             gate="array>=5x_vs_wheel", engines=("wheel", "array"),
+             gate=_at_least(5, "auto", "wheel"), engines=("wheel", "auto"),
              repeat=1),
         # ---- PR-9 array-core gates: the two former honesty rows.
         # The Bernoulli row measures a long steady window: the array
@@ -171,29 +173,24 @@ def scenarios(smoke: bool) -> list[dict]:
         # the wheel at this saturation.
         dict(name="saturated_bernoulli_vct_h3", kind="point",
              cfg=_cfg("vct", "minimal", h=3), pattern="uniform", load=0.9,
-             warmup=1000, measure=15000, gate="array>=4x_vs_wheel",
-             engines=("wheel", "array"), repeat=4),
+             warmup=1000, measure=15000, gate=_at_least(4, "auto", "wheel"),
+             engines=("wheel", "auto"), repeat=4),
         dict(name="saturated_burst_uniform_vct_h3", kind="drain",
              cfg=_cfg("vct", "minimal", h=3), pattern="uniform",
              packets_per_node=200, max_cycles=500_000, gate=None,
-             engines=("wheel", "array"), repeat=2),
+             engines=("wheel", "auto"), repeat=2),
         dict(name="sparse_hotspot_backlog", kind="drain",
              cfg=_cfg("vct", "minimal", h=3), pattern="hotspot",
              pattern_kwargs={"hot_node": 0}, packets_per_node=5,
-             max_cycles=500_000, gate="array>=1x_vs_wheel",
-             engines=("wheel", "array"), repeat=4),
+             max_cycles=500_000, gate=_at_least(1, "auto", "wheel"),
+             engines=("wheel", "auto"), repeat=4),
         # ---- wheel-vs-seed context rows (PR 3)
         dict(name="low_load_bernoulli_vct", kind="point", cfg=_cfg("vct", "olm"),
              pattern="uniform", load=0.02, warmup=w, measure=m, gate=None,
              engines=("reference", "wheel")),
-        # olm routing sends the array engine down its wheel fallback;
-        # the >=1x gate proves pinned dispatch makes that free.  The
-        # drain is ~30ms, so parity needs a deep best-of to shake
-        # timer noise out of both sides of the ratio.
         dict(name="burst_drain_dense_vct", kind="drain", cfg=_cfg("vct", "olm"),
              pattern="uniform", packets_per_node=10, max_cycles=500_000,
-             gate="array>=1x_vs_wheel",
-             engines=("reference", "wheel", "array"), repeat=10),
+             gate=None, engines=("reference", "wheel")),
         dict(name="burst_drain_dense_wh", kind="drain", cfg=_cfg("wh", "rlm"),
              pattern="uniform", packets_per_node=4, max_cycles=500_000,
              gate=None, engines=("reference", "wheel")),
@@ -225,7 +222,7 @@ def _timed(fn) -> tuple[float, object]:
 
     Collect before the clock starts and disable the collector while it
     runs: GC pauses otherwise land in one engine's window and tilt the
-    near-parity ratios (the wheel-fallback gate) by a few percent.
+    near-parity ratios (the sparse-hotspot gate) by a few percent.
     """
     gc.collect()
     gc.disable()
@@ -237,16 +234,16 @@ def _timed(fn) -> tuple[float, object]:
         gc.enable()
 
 
-def run_scenario(sc: dict, sim_cls, with_tap: bool = False) -> tuple[float, int, str, tuple]:
+def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple[float, int, str, tuple]:
     """(wall seconds, cycles simulated, canonical record, final
-    ``rng_route`` state) for one engine.
+    ``rng_route`` state) for one engine name.
 
     ``with_tap`` attaches a full MetricsHub (every event point wired)
     before the run — the instrumentation-overhead gate: the emitted
     record must stay byte-identical to the untapped reference engine.
     """
-    cfg = SimConfig(**sc["cfg"])
-    session = Session(sim=sim_cls(cfg))
+    cfg = SimConfig(**sc["cfg"])  # the record's config: engine-free
+    session = Session(sim=build_simulator(cfg.with_(engine=engine)))
     sim = session.sim
     if with_tap:
         from repro.metrics.hub import MetricsHub
@@ -294,24 +291,24 @@ def _previous_rows(path: str | None) -> dict[str, dict]:
 
 
 def _denominator_note(row: dict, before: dict | None) -> str | None:
-    """Why an array-vs-wheel ratio fell, when it is not the array's doing.
+    """Why an auto-vs-wheel ratio fell, when it is not the array core's doing.
 
     The ratio's denominator is the wheel: a faster wheel shrinks it even
     when the array core runs exactly as fast as it did.  Within 5 %
     (run-to-run noise of these rows) counts as "did not fall".
     """
-    old_ratio = (before or {}).get("speedup_array_vs_wheel")
-    if old_ratio is None or row["speedup_array_vs_wheel"] >= old_ratio:
+    old_ratio = (before or {}).get("speedup_auto_vs_wheel")
+    if old_ratio is None or row["speedup_auto_vs_wheel"] >= old_ratio:
         return None
     old, new = before["engines"], row["engines"]
-    array_old, array_new = (e["array"]["cycles_per_sec"] for e in (old, new))
+    auto_old, auto_new = (e["auto"]["cycles_per_sec"] for e in (old, new))
     wheel_old, wheel_new = (e["wheel"]["cycles_per_sec"] for e in (old, new))
-    if array_new < 0.95 * array_old or wheel_new <= wheel_old:
+    if auto_new < 0.95 * auto_old or wheel_new <= wheel_old:
         return None
-    return (f"array/wheel fell {old_ratio:.2f} -> "
-            f"{row['speedup_array_vs_wheel']:.2f} because the wheel (the "
+    return (f"auto/wheel fell {old_ratio:.2f} -> "
+            f"{row['speedup_auto_vs_wheel']:.2f} because the wheel (the "
             f"denominator) rose {wheel_old:.0f} -> {wheel_new:.0f} cycles/s; "
-            f"array cycles/s did not fall ({array_old:.0f} -> {array_new:.0f})")
+            f"auto cycles/s did not fall ({auto_old:.0f} -> {auto_new:.0f})")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="short matrix, all engines, no report file "
                          "unless --out is given (the CI equivalence gate)")
-    ap.add_argument("--engine", choices=(*ENGINES, "all"), default="all",
+    ap.add_argument("--engine", choices=(*ENGINE_NAMES, "all"), default="all",
                     help="time only this engine (records are still "
                          "cross-checked against every other engine the "
                          "scenario lists); default: all")
@@ -340,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out or (None if args.smoke else "BENCH_engine.json")
     previous = _previous_rows(out)
-    rows, mismatches, rng_drift = [], [], []
+    rows, mismatches, rng_drift, missed = [], [], [], []
     for sc in scenarios(args.smoke):
         repeat = 1 if args.smoke else max(1, sc.get("repeat", args.repeat))
         engines = sc["engines"]
@@ -356,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         # happened to run last — and the within-rep order rotates each
         # repetition, because under monotone drift a fixed order still
         # systematically taxes the engine in the last slot (visible as
-        # a few percent on the near-parity fallback rows); untimed
+        # a few percent on the near-parity rows); untimed
         # engines still run once for the record cross-check
         reps_of = {name: repeat if name in timed else 1 for name in engines}
         for rep in range(max(reps_of.values())):
@@ -366,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 tap = args.tap and name != "reference"
                 s, cycles, recs[name], rng_states[name] = run_scenario(
-                    sc, ENGINES[name], with_tap=tap)
+                    sc, name, with_tap=tap)
                 if name in timed:
                     secs[name] = min(secs.get(name, s), s)
         if args.profile:
@@ -376,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in timed:
                 prof = cProfile.Profile()
                 prof.enable()
-                run_scenario(sc, ENGINES[name],
+                run_scenario(sc, name,
                              with_tap=args.tap and name != "reference")
                 prof.disable()
                 print(f"--- profile: {sc['name']} / {name} ---")
@@ -402,22 +399,30 @@ def main(argv: list[str] | None = None) -> int:
         if "reference" in secs and "wheel" in secs:
             row["speedup_wheel_vs_reference"] = round(
                 secs["reference"] / secs["wheel"], 3)
-        if "wheel" in secs and "array" in secs:
-            row["speedup_array_vs_wheel"] = round(
-                secs["wheel"] / secs["array"], 3)
+        if "wheel" in secs and "auto" in secs:
+            row["speedup_auto_vs_wheel"] = round(
+                secs["wheel"] / secs["auto"], 3)
             note = _denominator_note(row, previous.get(sc["name"]))
             if note:
                 row["note"] = note
+        gate = sc["gate"]
+        if gate is not None and gate["metric"] in row:
+            row["gate_met"] = GATE_OPERATORS[gate["operator"]](
+                row[gate["metric"]], gate["value"])
+            if not row["gate_met"]:
+                missed.append(sc["name"])
         rows.append(row)
         cps = {n: cycles / s for n, s in secs.items()}
         perf = "  ".join(f"{n} {v:10.0f} cyc/s" for n, v in cps.items())
         ratios = "  ".join(
             f"{num}/{den} x{row[f'speedup_{num}_vs_{den}']:5.2f} "
             f"({cps[num]:.0f}/{cps[den]:.0f})"
-            for num, den in (("wheel", "reference"), ("array", "wheel"))
+            for num, den in (("wheel", "reference"), ("auto", "wheel"))
             if f"speedup_{num}_vs_{den}" in row)
+        verdict = {True: "  gate met", False: "  GATE MISSED"}.get(
+            row.get("gate_met"), "")
         print(f"{sc['name']:30s} {cycles:7d} cyc  {perf}  {ratios}  "
-              f"{'OK' if identical else 'RECORD MISMATCH'}")
+              f"{'OK' if identical else 'RECORD MISMATCH'}{verdict}")
         if "note" in row:
             print(f"{'':30s} note: {row['note']}")
 
@@ -429,19 +434,22 @@ def main(argv: list[str] | None = None) -> int:
         "repeat": args.repeat,
         "cpu_count": os.cpu_count(),
         "scenarios": rows,
+        "gates_missed": missed,
         "gate": "records byte-identical across engines on every scenario; "
-                "speed targets per row in 'gate' (wheel >= 2x the seed "
-                "engine on sparse rows, array >= 5x the wheel on saturated "
-                "h=4 drains, >= 4x on the saturated Bernoulli steady "
-                "window now that injection is batched, and >= 1x on the "
-                "sparse-hotspot and wheel-fallback rows after "
-                "sparse-activity compaction); a row's 'note' says when an "
-                "array-vs-wheel ratio fell below the previous report's only "
+                "speed targets per row in 'gate' as {metric, operator, "
+                "value}, evaluated into 'gate_met' and summarised in "
+                "'gates_missed' (wheel >= 2x the seed engine on sparse "
+                "rows, auto >= 5x the wheel on saturated h=4 drains, >= 4x "
+                "on the saturated Bernoulli steady window, >= 1x on the "
+                "sparse-hotspot row); a row's 'note' says when an "
+                "auto-vs-wheel ratio fell below the previous report's only "
                 "because the wheel, its denominator, got faster",
     }
     if out:
         Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
+    if missed:
+        print(f"speed gates missed (reported, never a failure): {missed}")
     if mismatches:
         print(f"ERROR: record mismatch in {mismatches}", flush=True)
     if rng_drift:
