@@ -75,7 +75,6 @@ from repro.facade import (
 from repro.metrics import LatencyTap, MetricsHub
 from repro.network.taps import Tap
 from repro.runplan import (
-    EXECUTOR_REGISTRY,
     ResultCache,
     RunPoint,
     RunSpec,
@@ -111,7 +110,6 @@ __all__ = [
     "replica_seeds",
     "aggregate_replicas",
     "ResultCache",
-    "EXECUTOR_REGISTRY",
     # registries
     "Registry",
     "UnknownComponentError",

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    FigureInterrupted,
+    run_experiment,
+)
 from repro.experiments.reporting import format_result, save_result
+from repro.metrics.hub import strict_jsonable
 
 
 def _loads_list(text: str) -> tuple[float, ...]:
@@ -44,10 +48,21 @@ def _shard_arg(text: str) -> str:
     return text
 
 
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"--jobs wants a pool size >= 1 (1 runs inline), got {text!r}")
+    return jobs
+
+
 def _add_plan_arguments(cmd: argparse.ArgumentParser) -> None:
     """Run-plan execution knobs shared by ``run`` and ``sweep``."""
-    cmd.add_argument("--jobs", "--workers", type=int, default=1, dest="jobs",
-                     help="process-pool size (1 = serial executor)")
+    cmd.add_argument("--jobs", type=_jobs_arg, default=1,
+                     help="process-pool size (1 = inline, no pool)")
     cmd.add_argument("--seeds", type=int, default=1,
                      help="seed replicas per point; >1 reports mean ± 95%% CI")
     cmd.add_argument("--cache", metavar="DIR",
@@ -154,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=None,
                        help="base seed (default: the --config file's seed, else 1)")
     _add_plan_arguments(sweep)
-    sweep.add_argument("--executor",
-                       help="executor name (default: 'process' when --jobs > 1, "
-                            "else 'serial'; see repro.runplan.EXECUTOR_REGISTRY)")
     sweep.add_argument("--raw", action="store_true",
                        help="emit one record per seed instead of mean ± CI")
     sweep.add_argument("--json", help="write the sweep payload to this JSON file")
@@ -271,17 +283,6 @@ def _list_components() -> None:
         print()
 
 
-def _sanitize(obj):
-    """NaN (empty measurement window) is not valid strict JSON: emit null."""
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _run_point(args) -> int:
     from repro.facade import session
     from repro.network.config import SimConfig
@@ -312,18 +313,17 @@ def _run_point(args) -> int:
         "config": config.to_dict(),
         "pattern": args.pattern,
         "load": args.load,
-        "result": _sanitize(result.to_dict()),
+        "result": strict_jsonable(result.to_dict()),
     }
     if args.auto_warmup:
-        payload["auto_warmup"] = _sanitize(dict(s.auto_warmup))
+        payload["auto_warmup"] = strict_jsonable(dict(s.auto_warmup))
     if sr is not None:
-        payload["series"] = _sanitize({"bucket": sr.bucket,
-                                       "start_cycle": sr.start_cycle,
-                                       **sr.series})
+        payload["series"] = strict_jsonable({
+            "bucket": sr.bucket, "start_cycle": sr.start_cycle, **sr.series})
     if args.probe:
         from repro.metrics.probes import injection_backlog, occupancy_snapshot
 
-        payload["probe"] = _sanitize({
+        payload["probe"] = strict_jsonable({
             "occupancy": occupancy_snapshot(s.sim),
             "injection_backlog": injection_backlog(s.sim),
         })
@@ -372,7 +372,6 @@ def _run_sweep(args) -> int:
         RunSpec,
         aggregate_replicas,
         execute,
-        executor_for_jobs,
         replica_seeds,
     )
 
@@ -396,8 +395,7 @@ def _run_sweep(args) -> int:
     except ValueError as e:  # unknown engine etc. — did-you-mean included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    loads = args.loads or (scale.loads_uniform if args.pattern == "uniform"
-                           else scale.loads_adversarial)
+    loads = args.loads or scale.loads_for(args.pattern)
     spec = RunSpec(
         config=config, pattern=args.pattern, loads=tuple(loads),
         warmup=scale.warmup if args.warmup is None else args.warmup,
@@ -406,7 +404,6 @@ def _run_sweep(args) -> int:
         steady=args.auto_warmup,
         series=config.routing,
     )
-    executor = args.executor or executor_for_jobs(args.jobs)
     aggregate = not args.raw and args.seeds > 1
     progress = _progress_callback(args)
     landed: list[dict] = []
@@ -426,7 +423,6 @@ def _run_sweep(args) -> int:
             "measure": spec.measure,
             "seeds": list(spec.seeds),
             "auto_warmup": spec.steady,
-            "executor": executor,
             "jobs": args.jobs,
             "records": records,
         }
@@ -434,12 +430,12 @@ def _run_sweep(args) -> int:
             body["shard"] = args.shard
         if partial:
             body["partial"] = True
-        return _sanitize(body)
+        return strict_jsonable(body)
 
     try:
-        records = execute(spec, executor=executor, jobs=args.jobs,
-                          cache=args.cache, aggregate=aggregate,
-                          shard=args.shard, on_result=collect)
+        records = execute(spec, jobs=args.jobs, cache=args.cache,
+                          aggregate=aggregate, shard=args.shard,
+                          on_result=collect)
     except KeyboardInterrupt:
         payload = payload_for(aggregate_replicas(landed) if aggregate
                               else list(landed), partial=True)
@@ -491,7 +487,7 @@ def _run_cache(args) -> int:
             "total_bytes": cache.total_bytes(),
             "last_run": cache.last_run_stats(),
         }
-        print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
+        print(json.dumps(strict_jsonable(payload), indent=2, sort_keys=True))
         return 0
     # prune
     try:
@@ -706,22 +702,17 @@ def main(argv: list[str] | None = None) -> int:
         return _run_cache(args)
     if args.command == "verify-results":
         return _run_verify_results(args)
-    from repro.experiments.figures import FigureInterrupted
     from repro.runplan import PlanExecutionError
 
     progress = _progress_callback(args)
-    kwargs = {}
-    if args.shard is not None:
-        kwargs["shard"] = args.shard
-    if progress is not None:
-        kwargs["on_result"] = progress
     ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     verify_reports = []
     for exp_id in ids:
         try:
             result = run_experiment(exp_id, scale=args.scale, seed=args.seed,
-                                    workers=args.jobs, seeds=args.seeds,
-                                    cache=args.cache, **kwargs)
+                                    seeds=args.seeds, jobs=args.jobs,
+                                    cache=args.cache, shard=args.shard,
+                                    on_result=progress)
         except FigureInterrupted as e:
             result = dict(e.partial, id=exp_id)
             target = (args.json if args.json and len(ids) == 1
@@ -748,7 +739,7 @@ def main(argv: list[str] | None = None) -> int:
             save_result(result, args.json)
         if args.json_dir:
             save_result(result, f"{args.json_dir.rstrip('/')}/{exp_id}.json")
-        if args.svg_dir and exp_id != "tab1":
+        if args.svg_dir and EXPERIMENTS[exp_id].simulated:
             from repro.experiments.svgplot import chart_from_result
 
             chart_from_result(result).save(f"{args.svg_dir.rstrip('/')}/{exp_id}.svg")

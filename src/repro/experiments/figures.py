@@ -1,34 +1,33 @@
-"""One runner per evaluation element of the paper.
+"""What each evaluation element of the paper simulates — and nothing else.
+
+A figure is a set of mechanism × traffic × load points.  Every builder
+here takes ``(scale, seed, seeds, **opts)`` — ``opts`` being the
+figure's own grid override (``loads``, ``percentages``, ``bursts``,
+``thresholds``) — and returns a :class:`FigurePlan`: one
+:class:`~repro.runplan.RunSpec` per curve, the payload's ``pattern``
+label and the legend order.  *How* a plan runs — pool size, result
+cache, shard, progress stream, the in-process memo — is decided in one
+place, :func:`repro.experiments.registry.run_experiment`; no builder
+sees any of it.
 
 Figure pairs that share simulations (4a/5a are the latency and
-throughput of the same sweep) are produced by a single runner; the
-registry exposes per-figure ids that project the shared records.
-
-Every runner builds a declarative run plan (:mod:`repro.runplan`) —
-one :class:`~repro.runplan.RunSpec` per curve — and executes the whole
-figure through a single executor pass, so ``workers > 1`` parallelises
-across *all* curves at once, ``cache=`` replays already-computed points
-and ``seeds > 1`` replicates every point and reports mean ± 95% CI.
+throughput of the same sweep) share one builder *object* in the
+catalogue (:data:`repro.experiments.registry.EXPERIMENTS`), which is
+what lets ``run all`` simulate each sweep once.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import NamedTuple
 
 from repro.core.paritysign import CANONICAL_ORDER, TYPE_NAMES, build_allowed_table
 from repro.experiments.presets import (
     XTOPO_TOPOLOGIES,
     cross_topology_config,
-    get_scale,
     preset_config,
-    preset_runspec,
 )
-from repro.runplan import (
-    RunSpec,
-    aggregate_replicas,
-    execute,
-    executor_for_jobs,
-    replica_seeds,
-    series_map,
-)
+from repro.runplan import RunSpec, replica_seeds
 
 #: mechanisms plotted per figure family (paper legend order)
 VCT_UN_MECHS = ("par62", "olm", "rlm", "minimal", "pb")
@@ -37,195 +36,103 @@ VCT_MIX_MECHS = ("par62", "olm", "rlm", "pb")
 WH_UN_MECHS = ("par62", "rlm", "minimal", "pb")
 WH_ADV_MECHS = ("par62", "rlm", "valiant", "pb")
 WH_MIX_MECHS = ("par62", "rlm", "pb")
+#: mechanisms compared on every fabric (the fabric-agnostic baselines)
+XTOPO_MECHS = ("minimal", "valiant")
 
 MIX_PERCENTAGES = (0, 20, 40, 60, 80, 100)
 THRESHOLDS = (0.30, 0.40, 0.45, 0.50, 0.60)
 
 
-class FigureInterrupted(KeyboardInterrupt):
-    """Ctrl-C landed mid-figure; ``partial`` holds the curves so far.
+class FigurePlan(NamedTuple):
+    """What one figure simulates: its curves, label and legend order."""
 
-    A ``KeyboardInterrupt`` subclass, so existing interrupt handling
-    (shells, test runners) is unchanged — but a consumer that wants the
-    progressive results (the CLI emits them as a ``"partial": true``
-    figure JSON) finds everything that landed before the interrupt,
-    already aggregated and grouped per series.
+    specs: list[RunSpec]
+    #: the payload's ``pattern`` label
+    pattern: str
+    #: series names in legend order (pre-seeds the payload's ``series``)
+    order: tuple[str, ...]
+
+
+def _curve(scale, seed: int, seeds: int, config, series: str, **fields) -> RunSpec:
+    """One curve of a figure — the only place this layer builds a spec.
+
+    The scale's warm-up / measure windows apply unless ``fields``
+    overrides them (drain specs never read them); ``seeds`` > 1 adds
+    replica seeds ``seed .. seed+seeds-1``, aggregated into mean ± CI
+    by the run-plan layer.
     """
-
-    def __init__(self, partial: dict) -> None:
-        super().__init__("figure interrupted; partial records attached")
-        self.partial = partial
-
-
-def _figure(specs, scale, pattern: str, order, *, workers=1, seeds=1,
-            cache=None, shard=None, on_result=None) -> dict:
-    """Execute a figure's specs in one streaming pass, grouped per curve.
-
-    Records are collected progressively through the scheduler's
-    ``on_result`` stream (the user callback, if any, sees every
-    :class:`~repro.runplan.PointOutcome` too), so an interrupt raises
-    :class:`FigureInterrupted` carrying the partial figure instead of
-    discarding the completed points — which are all checkpointed in
-    ``cache`` anyway and replay for free on the next run.
-    """
-    landed: list[dict] = []
-
-    def collect(outcome) -> None:
-        if outcome.record is not None:
-            landed.append(outcome.record)
-        if on_result is not None:
-            on_result(outcome)
-
-    def shaped(records, *, partial: bool = False) -> dict:
-        body = {"pattern": pattern, "scale": scale.name, "seeds": seeds,
-                "series": series_map(records, order)}
-        if partial:
-            body["partial"] = True
-        if shard is not None:
-            body["shard"] = shard if isinstance(shard, str) else "/".join(
-                str(x) for x in shard)
-        return body
-
-    try:
-        records = execute(specs, executor=executor_for_jobs(workers),
-                          jobs=workers, cache=cache, aggregate=seeds > 1,
-                          shard=shard, on_result=collect)
-    except KeyboardInterrupt as e:
-        partial = aggregate_replicas(landed) if seeds > 1 else list(landed)
-        raise FigureInterrupted(shaped(partial, partial=True)) from e
-    return shaped(records)
+    fields.setdefault("warmup", scale.warmup)
+    fields.setdefault("measure", scale.measure)
+    return RunSpec(config=config, seeds=replica_seeds(seed, seeds),
+                   series=series, **fields)
 
 
-def _sweep(mechs, preset: str, scale, pattern: str, loads, seed: int,
-           workers: int = 1, seeds: int = 1, cache=None, shard=None,
-           on_result=None) -> dict:
-    scale = get_scale(scale)
-    loads = tuple(loads) if loads is not None else None
-    specs = [
-        preset_runspec(preset, scale=scale, routing=mech, pattern=pattern,
-                       loads=loads, seed=seed, seeds=seeds)
-        for mech in mechs
-    ]
-    return _figure(specs, scale, pattern, mechs, workers=workers,
-                   seeds=seeds, cache=cache, shard=shard, on_result=on_result)
+# ------------------------------------------- load sweeps (Figs 4/5 and 7/8)
+def _sweep(mechs, preset: str, pattern: str, scale, seed, seeds,
+           loads=None) -> FigurePlan:
+    if loads is None:
+        loads = scale.loads_for(pattern)
+    return FigurePlan(
+        [_curve(scale, seed, seeds,
+                preset_config(preset, scale=scale, routing=mech, seed=seed),
+                mech, pattern=pattern, loads=tuple(loads))
+         for mech in mechs],
+        pattern, mechs)
 
 
-# ------------------------------------------------------------ VCT (Figs 4/5)
-def sweep_vct_uniform(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
-                      cache=None, shard=None, on_result=None) -> dict:
-    """Figures 4a + 5a: UN traffic, VCT."""
-    return _sweep(VCT_UN_MECHS, "vct", scale, "uniform", loads, seed,
-                  workers, seeds, cache, shard, on_result)
-
-
-def sweep_vct_advg1(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
-                    cache=None, shard=None, on_result=None) -> dict:
-    """Figures 4b + 5b: ADVG+1, VCT."""
-    return _sweep(VCT_ADV_MECHS, "vct", scale, "advg+1", loads, seed,
-                  workers, seeds, cache, shard, on_result)
-
-
-def sweep_vct_advgh(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
-                    cache=None, shard=None, on_result=None) -> dict:
-    """Figures 4c + 5c: ADVG+h, VCT (pathological local saturation)."""
-    return _sweep(VCT_ADV_MECHS, "vct", scale, "advg+h", loads, seed,
-                  workers, seeds, cache, shard, on_result)
-
-
-# ------------------------------------------------------------- WH (Figs 7/8)
-def sweep_wh_uniform(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
-                     cache=None, shard=None, on_result=None) -> dict:
-    """Figures 7a + 8a: UN traffic, WH."""
-    return _sweep(WH_UN_MECHS, "wh", scale, "uniform", loads, seed,
-                  workers, seeds, cache, shard, on_result)
-
-
-def sweep_wh_advg1(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
-                   cache=None, shard=None, on_result=None) -> dict:
-    """Figures 7b + 8b: ADVG+1, WH."""
-    return _sweep(WH_ADV_MECHS, "wh", scale, "advg+1", loads, seed,
-                  workers, seeds, cache, shard, on_result)
-
-
-def sweep_wh_advgh(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
-                   cache=None, shard=None, on_result=None) -> dict:
-    """Figures 7c + 8c: ADVG+h, WH."""
-    return _sweep(WH_ADV_MECHS, "wh", scale, "advg+h", loads, seed,
-                  workers, seeds, cache, shard, on_result)
+#: Figures 4a + 5a: UN traffic, VCT
+vct_uniform = partial(_sweep, VCT_UN_MECHS, "vct", "uniform")
+#: Figures 4b + 5b: ADVG+1, VCT
+vct_advg1 = partial(_sweep, VCT_ADV_MECHS, "vct", "advg+1")
+#: Figures 4c + 5c: ADVG+h, VCT (pathological local saturation)
+vct_advgh = partial(_sweep, VCT_ADV_MECHS, "vct", "advg+h")
+#: Figures 7a + 8a: UN traffic, WH
+wh_uniform = partial(_sweep, WH_UN_MECHS, "wh", "uniform")
+#: Figures 7b + 8b: ADVG+1, WH
+wh_advg1 = partial(_sweep, WH_ADV_MECHS, "wh", "advg+1")
+#: Figures 7c + 8c: ADVG+h, WH
+wh_advgh = partial(_sweep, WH_ADV_MECHS, "wh", "advg+h")
 
 
 # ------------------------------------------------ mixed + burst (Figs 6 / 9)
-def _mixed_specs(mechs, preset: str, scale, percentages, seed, seeds):
-    return [
-        RunSpec(config=preset_config(preset, scale=scale, routing=mech, seed=seed),
-                pattern=f"mixed:{pct}", loads=(1.0,),
-                warmup=scale.warmup, measure=scale.measure,
-                seeds=replica_seeds(seed, seeds),
-                series=mech, coords=(("global_pct", pct),))
-        for mech in mechs
-        for pct in percentages
-    ]
+def _mixed(mechs, preset: str, scale, seed, seeds,
+           percentages=MIX_PERCENTAGES) -> FigurePlan:
+    """ADVG+h/ADVL+1 mix throughput at offered load 1.0."""
+    return FigurePlan(
+        [_curve(scale, seed, seeds,
+                preset_config(preset, scale=scale, routing=mech, seed=seed),
+                mech, pattern=f"mixed:{pct}", loads=(1.0,),
+                coords=(("global_pct", pct),))
+         for mech in mechs for pct in percentages],
+        "mixed", mechs)
 
 
-def _burst_specs(mechs, preset: str, scale, percentages, packets_per_node,
-                 seed, seeds):
-    return [
-        RunSpec(config=preset_config(preset, scale=scale, routing=mech, seed=seed),
-                pattern=f"mixed:{pct}", kind="drain",
-                packets_per_node=packets_per_node,
+def _burst(mechs, preset: str, scale, seed, seeds,
+           percentages=MIX_PERCENTAGES) -> FigurePlan:
+    """Burst-consumption time under the ADVG/ADVL mix (the WH payload
+    is matched to the VCT one in phits)."""
+    packets = {"vct": scale.burst_vct, "wh": scale.burst_wh}[preset]
+    return FigurePlan(
+        [_curve(scale, seed, seeds,
+                preset_config(preset, scale=scale, routing=mech, seed=seed),
+                mech, pattern=f"mixed:{pct}", kind="drain",
+                packets_per_node=packets,
                 max_cycles=scale.max_drain_cycles,
-                seeds=replica_seeds(seed, seeds),
-                series=mech, coords=(("global_pct", pct),))
-        for mech in mechs
-        for pct in percentages
-    ]
+                coords=(("global_pct", pct),))
+         for mech in mechs for pct in percentages],
+        "burst", mechs)
 
 
-def mixed_vct(scale="tiny", percentages=MIX_PERCENTAGES, seed=1, workers=1,
-              seeds=1, cache=None, shard=None, on_result=None) -> dict:
-    """Figure 6a: ADVG+h/ADVL+1 mix throughput at offered load 1.0, VCT."""
-    scale = get_scale(scale)
-    specs = _mixed_specs(VCT_MIX_MECHS, "vct", scale, percentages, seed, seeds)
-    return _figure(specs, scale, "mixed", VCT_MIX_MECHS,
-                   workers=workers, seeds=seeds, cache=cache,
-                   shard=shard, on_result=on_result)
-
-
-def burst_vct(scale="tiny", percentages=MIX_PERCENTAGES, seed=1, workers=1,
-              seeds=1, cache=None, shard=None, on_result=None) -> dict:
-    """Figure 6b: burst-consumption time under the ADVG/ADVL mix, VCT."""
-    scale = get_scale(scale)
-    specs = _burst_specs(VCT_MIX_MECHS, "vct", scale, percentages,
-                         scale.burst_vct, seed, seeds)
-    return _figure(specs, scale, "burst", VCT_MIX_MECHS,
-                   workers=workers, seeds=seeds, cache=cache,
-                   shard=shard, on_result=on_result)
-
-
-def mixed_wh(scale="tiny", percentages=MIX_PERCENTAGES, seed=1, workers=1,
-             seeds=1, cache=None, shard=None, on_result=None) -> dict:
-    """Figure 9a: mix throughput, WH."""
-    scale = get_scale(scale)
-    specs = _mixed_specs(WH_MIX_MECHS, "wh", scale, percentages, seed, seeds)
-    return _figure(specs, scale, "mixed", WH_MIX_MECHS,
-                   workers=workers, seeds=seeds, cache=cache,
-                   shard=shard, on_result=on_result)
-
-
-def burst_wh(scale="tiny", percentages=MIX_PERCENTAGES, seed=1, workers=1,
-             seeds=1, cache=None, shard=None, on_result=None) -> dict:
-    """Figure 9b: burst-consumption time, WH (payload matched to Fig 6b)."""
-    scale = get_scale(scale)
-    specs = _burst_specs(WH_MIX_MECHS, "wh", scale, percentages,
-                         scale.burst_wh, seed, seeds)
-    return _figure(specs, scale, "burst", WH_MIX_MECHS,
-                   workers=workers, seeds=seeds, cache=cache,
-                   shard=shard, on_result=on_result)
+#: Figure 6a / 9a: mix throughput, VCT / WH
+mixed_vct = partial(_mixed, VCT_MIX_MECHS, "vct")
+mixed_wh = partial(_mixed, WH_MIX_MECHS, "wh")
+#: Figure 6b / 9b: burst-consumption time, VCT / WH
+burst_vct = partial(_burst, VCT_MIX_MECHS, "vct")
+burst_wh = partial(_burst, WH_MIX_MECHS, "wh")
 
 
 # --------------------------------------------- transient burst response (new)
-def burst_response(scale="tiny", bursts=None, seed=1, workers=1, seeds=1,
-                   cache=None, shard=None, on_result=None) -> dict:
+def burst_response(scale, seed, seeds, bursts=None) -> FigurePlan:
     """Transient burst response: recovery time after a load step, VCT.
 
     Not a paper figure — the congestion story of §II told as a time
@@ -235,32 +142,23 @@ def burst_response(scale="tiny", bursts=None, seed=1, workers=1, seeds=1,
     (``recovery_cycles``, via auto-detected steady state and the
     event-driven metrics hub), per mechanism and burst size.
     """
-    scale = get_scale(scale)
-    bursts = tuple(bursts) if bursts is not None else scale.trans_bursts
-    specs = [
-        RunSpec(config=preset_config("vct", scale=scale, routing=mech, seed=seed),
-                pattern="uniform", kind="transient",
+    if bursts is None:
+        bursts = scale.trans_bursts
+    return FigurePlan(
+        [_curve(scale, seed, seeds,
+                preset_config("vct", scale=scale, routing=mech, seed=seed),
+                mech, pattern="uniform", kind="transient",
                 loads=(scale.trans_load,),
                 warmup=4 * scale.warmup,  # cap for the auto warm-up
                 measure=scale.trans_measure,
                 packets_per_node=n, bucket=scale.trans_bucket,
-                seeds=replica_seeds(seed, seeds),
-                series=mech, coords=(("burst", n),))
-        for mech in VCT_MIX_MECHS
-        for n in bursts
-    ]
-    return _figure(specs, scale, "uniform+burst", VCT_MIX_MECHS,
-                   workers=workers, seeds=seeds, cache=cache,
-                   shard=shard, on_result=on_result)
+                coords=(("burst", n),))
+         for mech in VCT_MIX_MECHS for n in bursts],
+        "uniform+burst", VCT_MIX_MECHS)
 
 
 # ------------------------------------------------ cross-topology (new)
-#: mechanisms compared on every fabric (the fabric-agnostic baselines)
-XTOPO_MECHS = ("minimal", "valiant")
-
-
-def cross_topology(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
-                   cache=None, shard=None, on_result=None) -> dict:
+def cross_topology(scale, seed, seeds, loads=None) -> FigurePlan:
     """Cross-fabric comparison: throughput vs load per topology, VCT.
 
     Not a paper figure — the generality check of the topology-agnostic
@@ -272,63 +170,44 @@ def cross_topology(scale="tiny", loads=None, seed=1, workers=1, seeds=1,
     curve per (fabric, mechanism); records carry a ``topology``
     coordinate.
     """
-    scale = get_scale(scale)
-    loads = tuple(loads) if loads is not None else scale.loads_uniform
-    order = [f"{topo}/{mech}" for topo in XTOPO_TOPOLOGIES
-             for mech in XTOPO_MECHS]
-    specs = [
-        RunSpec(config=cross_topology_config(topo, scale=scale, routing=mech,
-                                             seed=seed),
-                pattern="uniform", loads=loads,
-                warmup=scale.warmup, measure=scale.measure,
-                seeds=replica_seeds(seed, seeds),
-                series=f"{topo}/{mech}", coords=(("topology", topo),))
-        for topo in XTOPO_TOPOLOGIES
-        for mech in XTOPO_MECHS
-    ]
-    return _figure(specs, scale, "uniform", order,
-                   workers=workers, seeds=seeds, cache=cache,
-                   shard=shard, on_result=on_result)
+    if loads is None:
+        loads = scale.loads_uniform
+    pairs = [(topo, mech) for topo in XTOPO_TOPOLOGIES for mech in XTOPO_MECHS]
+    return FigurePlan(
+        [_curve(scale, seed, seeds,
+                cross_topology_config(topo, scale=scale, routing=mech, seed=seed),
+                f"{topo}/{mech}", pattern="uniform", loads=tuple(loads),
+                coords=(("topology", topo),))
+         for topo, mech in pairs],
+        "uniform", tuple(f"{topo}/{mech}" for topo, mech in pairs))
 
 
 # ------------------------------------------------- thresholds (Figs 10 / 11)
-def _threshold_figure(scale, pattern: str, loads, thresholds, seed, workers,
-                      seeds, cache, shard=None, on_result=None) -> dict:
-    scale = get_scale(scale)
-    labels = {th: f"th={int(th * 100)}%" for th in thresholds}
-    specs = [
-        RunSpec(config=preset_config("vct", scale=scale, routing="rlm",
-                                     seed=seed).with_(threshold=th),
-                pattern=pattern, loads=tuple(loads),
-                warmup=scale.warmup, measure=scale.measure,
-                seeds=replica_seeds(seed, seeds),
-                series=labels[th], coords=(("threshold", th),))
-        for th in thresholds
-    ]
-    return _figure(specs, scale, pattern, labels.values(),
-                   workers=workers, seeds=seeds, cache=cache,
-                   shard=shard, on_result=on_result)
+def _thresholds(pattern: str, scale, seed, seeds,
+                thresholds=THRESHOLDS) -> FigurePlan:
+    """RLM/VCT misrouting-threshold sweep over the pattern's load grid."""
+    labels = tuple(f"th={int(th * 100)}%" for th in thresholds)
+    return FigurePlan(
+        [_curve(scale, seed, seeds,
+                preset_config("vct", scale=scale, routing="rlm",
+                              seed=seed).with_(threshold=th),
+                label, pattern=pattern, loads=scale.loads_for(pattern),
+                coords=(("threshold", th),))
+         for th, label in zip(thresholds, labels)],
+        pattern, labels)
 
 
-def threshold_uniform(scale="tiny", thresholds=THRESHOLDS, seed=1, workers=1,
-                      seeds=1, cache=None, shard=None, on_result=None) -> dict:
-    """Figure 10: RLM/VCT misrouting-threshold sweep under UN."""
-    return _threshold_figure(scale, "uniform", get_scale(scale).loads_uniform,
-                             thresholds, seed, workers, seeds, cache,
-                             shard, on_result)
-
-
-def threshold_advg1(scale="tiny", thresholds=THRESHOLDS, seed=1, workers=1,
-                    seeds=1, cache=None, shard=None, on_result=None) -> dict:
-    """Figure 11: RLM/VCT misrouting-threshold sweep under ADVG+1."""
-    return _threshold_figure(scale, "advg+1", get_scale(scale).loads_adversarial,
-                             thresholds, seed, workers, seeds, cache,
-                             shard, on_result)
+#: Figure 10 / 11: threshold sweep under UN / ADVG+1
+threshold_uniform = partial(_thresholds, "uniform")
+threshold_advg1 = partial(_thresholds, "advg+1")
 
 
 # ----------------------------------------------------------------- Table I
-def table1(**_ignored) -> dict:
-    """Table I: the parity-sign hop-combination table, regenerated."""
+def table1() -> dict:
+    """Table I: the parity-sign hop-combination table, regenerated.
+
+    Computed, not simulated: the finished payload rather than a plan.
+    """
     table = build_allowed_table(CANONICAL_ORDER)
     rows = [
         {

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.network.config import SimConfig, paper_vct_config, paper_wh_config
-from repro.runplan import RunSpec, replica_seeds
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,11 @@ class Scale:
     trans_measure: int = 6000
     #: series bucket width (cycles) for transient figures
     trans_bucket: int = 250
+
+    def loads_for(self, pattern: str) -> tuple[float, ...]:
+        """The scale's offered-load grid for a traffic pattern."""
+        return (self.loads_uniform if pattern == "uniform"
+                else self.loads_adversarial)
 
 
 SCALES: dict[str, Scale] = {
@@ -155,26 +159,3 @@ def cross_topology_config(topology: str, *, scale, routing: str, seed: int = 1,
     # any other registered fabric: selected as-is, sized by its own
     # from_config defaults (raises UnknownComponentError when unknown)
     return cfg.with_(topology=topology)
-
-
-def preset_runspec(flow_control: str, *, scale, routing: str, pattern: str,
-                   loads=None, seed: int = 1, seeds: int = 1,
-                   series: str | None = None, **over) -> RunSpec:
-    """Declarative :class:`~repro.runplan.RunSpec` for one figure series.
-
-    Combines :func:`preset_config` with the scale's measurement windows
-    and load grid; ``seeds`` > 1 adds replica seeds ``seed .. seed+K-1``
-    (aggregated into mean ± CI by the run-plan layer).
-    """
-    scale = get_scale(scale)
-    if loads is None:
-        loads = (scale.loads_uniform if pattern == "uniform"
-                 else scale.loads_adversarial)
-    return RunSpec(
-        config=preset_config(flow_control, scale=scale, routing=routing,
-                             seed=seed, **over),
-        pattern=pattern, loads=tuple(loads),
-        warmup=scale.warmup, measure=scale.measure,
-        seeds=replica_seeds(seed, seeds),
-        series=routing if series is None else series,
-    )

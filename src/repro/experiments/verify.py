@@ -4,7 +4,10 @@ The reproduction contract (DESIGN.md): absolute numbers move with scale
 (the paper simulates h=8, the default harness h=2/3), but *who wins, by
 roughly what factor, and where crossovers fall* must match.  This
 module encodes each figure's headline claims as predicates over the
-result records and renders EXPERIMENTS.md from them.
+result records — the figure catalogue
+(:data:`repro.experiments.registry.EXPERIMENTS`) says which predicate
+and which paper expectation belong to which id — and renders
+EXPERIMENTS.md from them.
 """
 
 from __future__ import annotations
@@ -250,48 +253,18 @@ def check_table1(result) -> list[Claim]:
     ]
 
 
-#: figure id -> (checker, paper expectation text)
-CHECKS = {
-    "fig4a": (check_vct_uniform, "PAR-6/2 ≳ OLM ≳ RLM > minimal > PB; adaptive pays latency at low load"),
-    "fig5a": (check_vct_uniform, "same sweep as 4a; paper: OLM +24.2% over PB under UN at h=8"),
-    "fig4b": (check_vct_advg1, "adaptive saturate later than Valiant/PB"),
-    "fig5b": (check_vct_advg1, "adaptive > Valiant > PB under ADVG+1"),
-    "fig4c": (check_vct_advgh, "Valiant/PB capped near 1/h; adaptive well above"),
-    "fig5c": (check_vct_advgh, "paper (h=8): PAR/OLM ≈0.35, RLM ≈0.3, Valiant/PB <0.125"),
-    "fig6a": (check_mixed, "paper at 0% global: OLM/PAR 0.79, RLM 0.61, PB ≈0.5"),
-    "fig6b": (check_burst, "paper: OLM ≈36%, RLM ≈42.5% of PB's drain time"),
-    "fig7a": (check_wh_uniform, "PAR-6/2 best; RLM ≈ PB"),
-    "fig8a": (check_wh_uniform, "same sweep as 7a"),
-    "fig7b": (check_wh_adv, "RLM/PAR above PB and Valiant"),
-    "fig8b": (check_wh_adv, "paper: PAR highest, RLM close"),
-    "fig7c": (check_wh_adv, "gap to Valiant/PB grows for ADVG+h"),
-    "fig8c": (check_wh_adv, "local misrouting required"),
-    "fig9a": (lambda r: check_mixed(r, ("par62", "rlm", "pb")),
-              "paper at 0%: PAR 0.59, RLM 0.54, PB 0.39; at 100%: 0.39/0.34/0.125"),
-    "fig9b": (lambda r: check_burst(r, olm_expected=None, rlm_expected=0.43),
-              "paper: RLM ≈43% of PB's drain time"),
-    "fig10": (check_threshold_uniform, "low thresholds win under UN"),
-    "fig11": (check_threshold_advg, "high thresholds win under ADVG+1; 45% balanced"),
-    "tab1": (check_table1, "Table I regenerated exactly"),
-    "xtopo1": (check_cross_topology,
-               "not in the paper: the topology-agnostic engine routing the "
-               "same minimal/Valiant baselines over three fabrics at "
-               "matched node counts — fabric-independent orderings only"),
-    "trans1": (check_burst_response,
-               "not in the paper: §II's congestion dynamics as a time series "
-               "— a burst stepped onto steady load drains fastest under "
-               "local-misrouting mechanisms"),
-}
-
-
 def verify_result(result: dict) -> list[Claim]:
-    """Run the registered shape checks for one experiment result."""
-    checker, _ = CHECKS[result["id"]]
-    return checker(result)
+    """Run the catalogue's shape check for one experiment result."""
+    # imported here: the catalogue's rows name this module's checks
+    from repro.experiments.registry import EXPERIMENTS
+
+    return EXPERIMENTS[result["id"]].check(result)
 
 
 def render_experiments_md(results: dict[str, dict]) -> str:
     """Render EXPERIMENTS.md from a full set of experiment results."""
+    from repro.experiments.registry import EXPERIMENTS
+
     scale = next((r.get("scale") for r in results.values()
                   if r.get("scale") not in (None, "n/a")), "tiny")
     lines = [
@@ -364,14 +337,13 @@ def render_experiments_md(results: dict[str, dict]) -> str:
         "",
     ]
     passed = failed = 0
-    for exp_id in sorted(CHECKS):
+    for exp_id in sorted(EXPERIMENTS):
         if exp_id not in results:
             continue
         result = results[exp_id]
-        _, expectation = CHECKS[exp_id]
         lines.append(f"## {exp_id} — {result.get('description', '')}")
         lines.append("")
-        lines.append(f"*Paper expectation*: {expectation}")
+        lines.append(f"*Paper expectation*: {EXPERIMENTS[exp_id].expectation}")
         lines.append("")
         lines.append("| claim | ok | measured |")
         lines.append("|---|---|---|")

@@ -18,23 +18,14 @@ through ``session.sim`` for low-level work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
-from repro.metrics.hub import LatencyTap, MetricsHub
+from repro.metrics.hub import LatencyTap, MetricsHub, _percentile
 from repro.metrics.statistics import recovery_time, steady_state_reached
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator, build_simulator
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.processes import BernoulliTraffic, BurstTraffic
-
-
-def _percentile(sorted_values: list[int], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample list."""
-    if not sorted_values:
-        return float("nan")
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return float(sorted_values[rank - 1])
 
 
 class Cancelled(Exception):
@@ -138,7 +129,7 @@ class Session:
     Determinism: a session is a pure function of its config (seeded RNG
     streams for traffic and routing) and its call sequence — replaying
     the same calls on the same config yields byte-identical results on
-    any fabric, executor or host (see ``docs/ARCHITECTURE.md``).
+    any fabric, scheduler or host (see ``docs/ARCHITECTURE.md``).
     """
 
     def __init__(self, config: SimConfig | None = None, *, traffic=None,
@@ -416,7 +407,7 @@ def session(config: SimConfig | None = None, *, traffic=None,
 # --------------------------------------------------------------- worker entries
 #
 # Module-level functions (picklable, importable by name) so process-pool
-# executors can ship one simulation point to a worker.  They return plain
+# schedulers can ship one simulation point to a worker.  They return plain
 # dict records: the RunResult fields plus the point's coordinates, the
 # interchange format of the sweeps / run-plan / reporting layers.
 
@@ -462,7 +453,7 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
               should_cancel=None, meta: dict | None = None) -> dict:
     """One steady-state record: warm up, reset stats, measure.
 
-    Picklable worker entry — the unit of work of the run-plan executors
+    Picklable worker entry — the unit of work of the run-plan schedulers
     (:mod:`repro.runplan`) and of the service alike.  With
     ``steady=True`` the blind warm-up is replaced by
     :meth:`Session.warmup_until_steady` with ``warmup`` as the cycle

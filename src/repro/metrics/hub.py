@@ -509,7 +509,7 @@ class MetricsHub:
 
         Records are canonically encoded (sorted keys, fixed separators,
         NaN mapped to null), so identical runs produce byte-identical
-        files regardless of executor or platform.
+        files regardless of scheduler or platform.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -518,25 +518,21 @@ class MetricsHub:
         return path
 
 
-def _strict(obj):
-    """NaN is not valid strict JSON: map it to null, recursively."""
+def strict_jsonable(obj):
+    """NaN is not valid strict JSON: map it to null, recursively (the
+    one copy — JSONL export, the CLI payloads and the serve layer)."""
     if isinstance(obj, float) and math.isnan(obj):
         return None
     if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
+        return {k: strict_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
+        return [strict_jsonable(v) for v in obj]
     return obj
-
-
-def strict_jsonable(obj):
-    """Public alias of the NaN-to-null mapping (serve layer, reporting)."""
-    return _strict(obj)
 
 
 def jsonl_line(record: dict) -> str:
     """One canonical JSONL line (sorted keys, strict JSON, no spaces)."""
-    return json.dumps(_strict(record), sort_keys=True, separators=(",", ":"),
+    return json.dumps(strict_jsonable(record), sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
 
 

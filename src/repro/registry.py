@@ -169,12 +169,8 @@ ENGINE_REGISTRY = Registry("engine")
 
 def all_registries() -> dict[str, Registry]:
     """Every component registry by kind, for introspection and the CLI."""
-    # imported lazily: runplan itself registers into a Registry from this
-    # module, so a top-level import would be circular; likewise the
-    # engine backends live in repro.network, which imports SimConfig
-    # (and hence this module) at import time
-    from repro.runplan.executors import EXECUTOR_REGISTRY
-
+    # imported lazily: the engine backends live in repro.network, which
+    # imports SimConfig (and hence this module) at import time
     import repro.network  # noqa: F401  (registers the engine backends)
 
     return {
@@ -184,7 +180,6 @@ def all_registries() -> dict[str, Registry]:
         "arbitration": ARBITER_REGISTRY,
         "traffic-pattern": PATTERN_REGISTRY,
         "traffic-process": PROCESS_REGISTRY,
-        "executor": EXECUTOR_REGISTRY,
         "engine": ENGINE_REGISTRY,
     }
 

@@ -1,4 +1,4 @@
-"""Parallel experiment execution: declarative plans, executors, caching.
+"""Parallel experiment execution: declarative plans, scheduling, caching.
 
 The subsystem behind every sweep in the repo::
 
@@ -7,16 +7,18 @@ The subsystem behind every sweep in the repo::
     spec = RunSpec(config=cfg, pattern="uniform",
                    loads=(0.1, 0.3, 0.5), warmup=2000, measure=2000,
                    seeds=replica_seeds(1, 3), series="olm")
-    records = execute(spec, executor="process", jobs=4, cache=".runcache")
+    records = execute(spec, jobs=4, cache=".runcache")
 
 A :class:`RunSpec` expands into independent :class:`RunPoint` jobs
-(loads x seed replicas); a pluggable executor (``serial`` or
-``process``, registered in :data:`EXECUTOR_REGISTRY`) computes them; a
+(loads x seed replicas); ``jobs`` says how they are computed — inline
+(``None`` / 1, :class:`SerialScheduler`) or on a pool of that many
+processes (:class:`PoolScheduler`), with ``scheduler=`` taking any
+instance that has ``run(fn, items)`` instead; a
 content-addressed :class:`ResultCache` replays already-computed points
 byte-identically; and multi-seed results are merged into mean ± 95%-CI
 records by :func:`aggregate_replicas`.  Determinism is a contract:
-the same plan yields identical records under any executor, pool size or
-cache state (``tests/test_runplan.py``).
+the same plan yields identical records under any scheduler, pool size
+or cache state (``tests/test_runplan.py``).
 """
 
 from repro.runplan.aggregate import COORD_KEYS, aggregate_replicas
@@ -25,14 +27,6 @@ from repro.runplan.cache import (
     canonical_record_json,
     plan_keys,
     resolve_cache,
-)
-from repro.runplan.executors import (
-    EXECUTOR_REGISTRY,
-    ProcessExecutor,
-    SerialExecutor,
-    default_workers,
-    executor_for_jobs,
-    resolve_executor,
 )
 from repro.runplan.runner import (
     PointOutcome,
@@ -68,12 +62,6 @@ __all__ = [
     "parse_shard",
     "in_shard",
     "shard_points",
-    "EXECUTOR_REGISTRY",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "default_workers",
-    "executor_for_jobs",
-    "resolve_executor",
     "SerialScheduler",
     "PoolScheduler",
     "PointError",

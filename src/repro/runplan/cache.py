@@ -61,12 +61,18 @@ class ResultCache:
         The serve layer's ``GET /v1/results/{content_hash}`` endpoint
         reads the cache this way — straight by hash, without a
         :class:`RunPoint` in hand and without touching the job queue.
+        A damaged entry — truncated or non-UTF-8 bytes, JSON that is not
+        an object, no ``"record"`` or one that is not a dict — is a
+        miss like a missing file: the point is recomputed and the next
+        :meth:`put` overwrites it.  Never a traceback, never a non-dict
+        record.
         """
         try:
             payload = json.loads(self._path(key).read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError):  # JSON / Unicode decode errors
             return None
-        return payload["record"]
+        record = payload.get("record") if isinstance(payload, dict) else None
+        return record if isinstance(record, dict) else None
 
     def put(self, point: RunPoint, record: dict) -> None:
         """Store ``record`` atomically: temp file in the cache dir + rename.

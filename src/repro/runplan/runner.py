@@ -3,8 +3,9 @@
 The module-level :func:`execute_point` is the worker entry shipped to
 pool processes; it dispatches a :class:`RunPoint` to the matching
 picklable facade worker.  :func:`execute` is the one call the experiments layer
-uses: specs in, records out, with executor / cache / replica
-aggregation handled behind the arguments.
+uses: specs in, records out, with scheduling (``jobs=``, the one
+scheduling input), cache and replica aggregation handled behind the
+arguments.
 
 Execution is **streaming**: :func:`iter_outcomes` is the one loop that
 consults the cache, feeds the misses through the scheduler contract
@@ -31,8 +32,11 @@ from functools import partial
 from repro.facade import run_drain, run_point, run_transient
 from repro.runplan.aggregate import aggregate_replicas
 from repro.runplan.cache import resolve_cache
-from repro.runplan.executors import resolve_executor
-from repro.runplan.scheduler import PlanExecutionError, PointError
+from repro.runplan.scheduler import (
+    PlanExecutionError,
+    PointError,
+    scheduler_for,
+)
 from repro.runplan.spec import (
     RunPoint,
     RunSpec,
@@ -120,19 +124,23 @@ class PointOutcome:
     total: int
 
 
-def iter_outcomes(points, worker, *, executor="serial",
-                  jobs: int | None = None, cache=None):
+def iter_outcomes(points, worker, *, jobs: int | None = None,
+                  scheduler=None, cache=None):
     """The cache → schedule → checkpoint → label loop, as a generator.
 
     Yields one :class:`PointOutcome` per point of the list ``points``:
     first the cache hits in plan order (replayed verbatim, no work),
-    then — only if something missed — the misses as ``executor``
+    then — only if something missed — the misses as the scheduler
     completes ``worker(point)`` for them, each fresh record stored in
-    ``cache`` *before* it is yielded.  A quarantined point yields a
-    ``"failed"`` outcome and the rest carry on; exceptions the executor
-    treats as fatal propagate.  ``cache`` is anything with
-    ``get(point)`` / ``put(point, record)``.
+    ``cache`` *before* it is yielded.  ``jobs`` / ``scheduler`` select
+    it (:func:`~repro.runplan.scheduler.scheduler_for`: inline for
+    ``None`` / 1, a pool of ``jobs`` processes from 2 up, or the given
+    instance).  A quarantined point yields a ``"failed"`` outcome and
+    the rest carry on; exceptions the scheduler treats as fatal
+    propagate.  ``cache`` is anything with ``get(point)`` /
+    ``put(point, record)``.
     """
+    pool = scheduler_for(jobs, scheduler)
     total = len(points)
     completed = 0
     pending: list[tuple[int, RunPoint]] = []
@@ -146,7 +154,6 @@ def iter_outcomes(points, worker, *, executor="serial",
                            "cached", 0, completed, total)
     if not pending:
         return
-    pool = resolve_executor(executor, jobs)
     for j, result in pool.run(worker, [p for _, p in pending]):
         i, point = pending[j]
         completed += 1
@@ -163,25 +170,18 @@ def iter_outcomes(points, worker, *, executor="serial",
                            attempts, completed, total)
 
 
-def _resolve_shard(shard) -> tuple[int, int] | None:
-    if shard is None:
-        return None
-    if isinstance(shard, str):
-        return parse_shard(shard)
-    index, count = shard
-    return int(index), int(count)
-
-
-def execute_points(points, *, executor="serial", jobs: int | None = None,
+def execute_points(points, *, jobs: int | None = None, scheduler=None,
                    cache=None, on_result=None, errors: str = "raise",
                    shard=None, verify: bool = False) -> list[dict]:
     """Execute a flat point list; results come back in point order.
 
-    ``cache`` (a directory path or :class:`ResultCache`) is consulted
-    per point before any work is scheduled: hits are replayed verbatim,
-    only misses reach the executor, and every fresh record is stored
-    the moment it lands — the checkpoint that makes killed runs
-    resumable.  ``shard`` (``"i/n"`` or ``(i, n)``) restricts execution
+    ``jobs`` is the pool size (``None`` / 1: inline); ``scheduler`` is
+    an instance with ``run(fn, items)`` for anything else (see
+    :func:`iter_outcomes`).  ``cache`` (a directory path or
+    :class:`ResultCache`) is consulted per point before any work is
+    scheduled: hits are replayed verbatim, only misses reach the
+    scheduler, and every fresh record is stored the moment it lands —
+    the checkpoint that makes killed runs resumable.  ``shard`` (``"i/n"`` or ``(i, n)``) restricts execution
     to that deterministic partition of the plan (see
     :func:`~repro.runplan.spec.shard_points`); only the shard's records
     are returned.  ``on_result`` receives a :class:`PointOutcome` per
@@ -196,15 +196,14 @@ def execute_points(points, *, executor="serial", jobs: int | None = None,
     if errors not in ("raise", "skip"):
         raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
     points = list(points)
-    resolved_shard = _resolve_shard(shard)
-    if resolved_shard is not None:
-        points = shard_points(points, *resolved_shard)
+    if shard is not None:
+        points = shard_points(points, *parse_shard(shard))
     cache = resolve_cache(cache)
     records: list[dict | None] = [None] * len(points)
     failures: list[PointError] = []
     worker = partial(execute_point, verify=True) if verify else execute_point
-    for outcome in iter_outcomes(points, worker, executor=executor,
-                                 jobs=jobs, cache=cache):
+    for outcome in iter_outcomes(points, worker, jobs=jobs,
+                                 scheduler=scheduler, cache=cache):
         records[outcome.index] = outcome.record
         if outcome.error is not None:
             failures.append(outcome.error)
@@ -220,7 +219,7 @@ def execute_points(points, *, executor="serial", jobs: int | None = None,
     return records  # type: ignore[return-value]
 
 
-def execute(specs, *, executor="serial", jobs: int | None = None,
+def execute(specs, *, jobs: int | None = None, scheduler=None,
             cache=None, aggregate: bool | None = None, on_result=None,
             errors: str = "raise", shard=None,
             verify: bool = False) -> list[dict]:
@@ -231,16 +230,18 @@ def execute(specs, *, executor="serial", jobs: int | None = None,
     raw per-seed records or ``True`` to force aggregation.  (When a
     ``shard`` is given, a shard may hold only part of a replica group —
     aggregate after merging shard caches, or pass ``aggregate=False``
-    per shard.)  ``on_result`` / ``errors`` / ``shard`` pass through to
-    :func:`execute_points`, as does ``verify`` (opt-in full
-    physical-invariant enforcement on every computed point).
+    per shard.)  ``jobs`` / ``scheduler`` / ``on_result`` / ``errors`` /
+    ``shard`` pass through to :func:`execute_points`, as does
+    ``verify`` (opt-in full physical-invariant enforcement on every
+    computed point).
     """
     if isinstance(specs, RunSpec):
         specs = [specs]
     specs = list(specs)
-    records = execute_points(expand_specs(specs), executor=executor,
-                             jobs=jobs, cache=cache, on_result=on_result,
-                             errors=errors, shard=shard, verify=verify)
+    records = execute_points(expand_specs(specs), jobs=jobs,
+                             scheduler=scheduler, cache=cache,
+                             on_result=on_result, errors=errors,
+                             shard=shard, verify=verify)
     if aggregate is None:
         aggregate = any(len(spec.seeds) > 1 for spec in specs)
     return aggregate_replicas(records) if aggregate else records

@@ -1,11 +1,14 @@
 """Streaming point scheduler: incremental results, retry, quarantine.
 
-The executor contract used to be all-or-nothing — ``map(fn, items) ->
-list`` either returns every result or aborts the whole plan on the
-first exception (and loses every in-flight result when a pool worker
-dies).  This module provides the incremental replacement::
+How a flat list of run points gets computed.  The contract is one
+method — anything that has it can be passed as ``scheduler=`` to
+:func:`repro.runplan.execute` (an MPI pool, a job-queue client, a test
+fake)::
 
     scheduler.run(fn, items) -> iterator of (index, result | PointError)
+
+``fn`` is always a module-level picklable function (the run-plan worker
+entry), so process-based schedulers can ship it to workers.
 
 * results are yielded **as they complete** (out of submission order on
   a pool), so consumers can checkpoint, aggregate and render
@@ -25,7 +28,9 @@ inline (``fn`` need not be picklable; results arrive in order) and
 :class:`PoolScheduler` fans out over a process pool with *wave*
 dispatch — at most ``jobs`` attempts are in flight at a time, so free
 workers steal the next pending point and the blame set for a pool
-break is bounded by the wave, never the whole plan.
+break is bounded by the wave, never the whole plan.  Callers pick
+between them with one integer: :func:`scheduler_for` maps ``jobs`` to
+an instance.
 
 Exception types listed in ``fatal`` are never retried or quarantined;
 they propagate immediately and abort the run (the serve layer uses
@@ -45,6 +50,7 @@ __all__ = [
     "PlanExecutionError",
     "SerialScheduler",
     "PoolScheduler",
+    "scheduler_for",
 ]
 
 
@@ -123,9 +129,8 @@ class SerialScheduler:
     process kills the plan (use :class:`PoolScheduler` for isolation).
     """
 
-    def __init__(self, jobs: int | None = None, *, max_retries: int = 0,
-                 backoff: float = 0.0, fatal: tuple = ()) -> None:
-        self.jobs = 1
+    def __init__(self, *, max_retries: int = 0, backoff: float = 0.0,
+                 fatal: tuple = ()) -> None:
         self.max_retries = max(0, max_retries)
         self.backoff = backoff
         self.fatal = tuple(fatal)
@@ -168,9 +173,8 @@ class PoolScheduler:
     ``backoff * 2**(n-1)`` seconds before the *n*-th consecutive respawn
     (capped at 5 s) so a crash-looping plan cannot hot-spin fork().
 
-    ``jobs <= 1`` or a single item falls back to inline execution (no
-    pool, no worker-death isolation) — same short-circuit the old
-    ``ProcessExecutor.map`` had.
+    A single item (or ``jobs=1``) runs inline: no pool, no
+    worker-death isolation.
     """
 
     #: hard ceiling on one backoff sleep, seconds
@@ -273,3 +277,25 @@ class PoolScheduler:
                     pool = self._spawn(len(items))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+
+
+def scheduler_for(jobs: int | None = None, scheduler=None):
+    """The scheduler a ``jobs=`` / ``scheduler=`` argument pair asks for.
+
+    ``jobs`` is the one scheduling input: ``None`` or 1 runs inline on a
+    :class:`SerialScheduler`, 2 or more fans out over a
+    :class:`PoolScheduler` of that many processes, anything below 1 is
+    a ``ValueError``.  ``scheduler`` is an *instance* with
+    ``run(fn, items)`` — for custom retry / ``fatal`` settings (the
+    serve layer), test fakes and third-party pools — and brings its own
+    parallelism, so combining it with ``jobs > 1`` is an error.
+    """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1 (1 runs inline, N >= 2 is a "
+                         f"pool of N processes), got {jobs}")
+    if scheduler is None:
+        return SerialScheduler() if jobs in (None, 1) else PoolScheduler(jobs)
+    if jobs not in (None, 1):
+        raise ValueError(f"pass jobs={jobs} or scheduler=, not both: a "
+                         "scheduler instance brings its own pool")
+    return scheduler

@@ -5,7 +5,7 @@ A :class:`RunSpec` describes one experiment series — a base
 load grid and a tuple of seed replicas — and :meth:`RunSpec.expand`
 flattens it into self-contained :class:`RunPoint` jobs.  Points are
 mutually independent (each owns its config and RNG seed), which is what
-lets the executors fan them out over a process pool and the cache
+lets a scheduler fan them out over a process pool and the cache
 address results by point content alone.
 """
 
@@ -114,7 +114,7 @@ class RunSpec:
     ``packets_per_node`` counts whole packets.  Expansion
     (:meth:`expand`) is deterministic — seeds outer, loads inner, in
     declaration order — and each point's record depends only on the
-    point's content, never on the executor that computes it.
+    point's content, never on the scheduler that computes it.
 
     ``seeds`` holds the explicit replica seeds (see :func:`replica_seeds`);
     each expands to its own point with ``config.with_(seed=s)``, so a
@@ -179,24 +179,26 @@ class RunSpec:
 
 
 def expand_specs(specs) -> list[RunPoint]:
-    """Expand several specs into one flat job list (one executor pass)."""
+    """Expand several specs into one flat job list (one scheduler pass)."""
     points: list[RunPoint] = []
     for spec in specs:
         points.extend(spec.expand())
     return points
 
 
-def parse_shard(shard: str) -> tuple[int, int]:
-    """Parse a CLI-style ``"i/n"`` shard selector into ``(index, count)``.
+def parse_shard(shard) -> tuple[int, int]:
+    """Normalise a shard selector — CLI-style ``"i/n"`` or an ``(i, n)``
+    pair — into a validated ``(index, count)``.
 
     ``index`` is zero-based: ``"0/2"`` and ``"1/2"`` together cover a
     plan.  Raises ``ValueError`` with the expected grammar on anything
     else.
     """
     try:
-        index_text, count_text = shard.split("/", 1)
+        index_text, count_text = (shard.split("/", 1) if isinstance(shard, str)
+                                  else shard)
         index, count = int(index_text), int(count_text)
-    except (ValueError, AttributeError):
+    except (ValueError, TypeError, AttributeError):
         raise ValueError(
             f"shard selector must look like 'i/n' (e.g. '0/2'), got "
             f"{shard!r}") from None

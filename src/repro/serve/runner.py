@@ -110,7 +110,7 @@ def run_submission(submission, *, cache=None, default_bucket: int = 250,
     records: dict[int, dict] = {}
     errors = []
     cached = 0
-    for done in iter_outcomes(submission.points, work, executor=scheduler,
+    for done in iter_outcomes(submission.points, work, scheduler=scheduler,
                               cache=cache):
         if done.error is not None:
             errors.append(done.error)

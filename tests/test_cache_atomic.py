@@ -12,6 +12,8 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
+import pytest
+
 from repro.network.config import SimConfig
 from repro.runplan.cache import ResultCache
 from repro.runplan.spec import RunPoint
@@ -99,3 +101,25 @@ def test_get_record_by_raw_hash(tmp_path):
     assert cache.hits == 0 and cache.misses == 0  # raw lookups: uncounted
     assert cache.get(point) == {"throughput": 0.5}
     assert cache.hits == 1  # point lookups still count
+
+
+@pytest.mark.parametrize("damage", [
+    b'{"point": {}}',          # valid JSON, no record
+    b"[]", b"3",               # valid JSON, not an object
+    b"\xff\xfe\x00 not utf-8",  # not text at all
+    b'{"record": 5}',          # a "record" that is not a record
+    b'{"record": {"x": 1',     # truncated write
+], ids=["no-record", "list", "number", "non-utf8", "scalar-record",
+        "truncated"])
+def test_damaged_entry_is_a_miss_and_gets_overwritten(tmp_path, damage):
+    """Never a traceback, never a non-dict record: a damaged entry
+    reads as a miss, is counted as one, and the next put repairs it."""
+    cache = ResultCache(tmp_path)
+    point = mk_point()
+    cache.put(point, {"version": 1})
+    (path,) = [p for _, p in cache.iter_entries()]
+    path.write_bytes(damage)
+    assert cache.get_record(point.key()) is None
+    assert cache.get(point) is None and cache.misses == 1
+    cache.put(point, {"version": 2})
+    assert cache.get(point) == {"version": 2}

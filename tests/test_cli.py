@@ -153,6 +153,35 @@ def test_sweep_rejects_bad_loads():
         build_parser().parse_args(["sweep", "--loads", "0.1,abc"])
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    (["run", "fig4a", "--jobs", "0"], "pool size >= 1 (1 runs inline), got '0'"),
+    (["run", "fig4a", "--jobs", "-1"], "got '-1'"),
+    (["sweep", "--jobs", "0"], "got '0'"),
+    (["sweep", "--jobs", "-1"], "got '-1'"),
+    (["sweep", "--jobs", "two"], "got 'two'"),
+    # removed spellings: one pool size, one flag
+    (["sweep", "--executor", "process"], "unrecognized arguments: --executor"),
+    (["sweep", "--workers", "2"], "unrecognized arguments: --workers"),
+    (["run", "fig4a", "--workers", "2"], "unrecognized arguments: --workers"),
+])
+def test_plan_commands_reject_bad_pool_arguments(argv, complaint, capsys):
+    """``--jobs`` < 1 used to run serial silently; ``--executor`` and the
+    ``--workers`` alias are gone (``serve --workers`` means threads and
+    stays).  All are usage errors: exit 2, nothing simulated."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
+def test_sweep_payload_reports_jobs_not_an_executor(tmp_path, capsys):
+    out, args = _sweep_args(tmp_path, "keys")
+    assert main(args) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert payload["jobs"] == 1 and "executor" not in payload
+
+
 def test_sweep_defaults_to_auto_engine(tmp_path, capsys):
     out, args = _sweep_args(tmp_path, "auto")
     assert main(args) == 0

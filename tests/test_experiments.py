@@ -1,12 +1,18 @@
 """Experiment harness: plan-backed sweeps, registry, reporting, persistence."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.presets import SCALES, get_scale
-from repro.experiments.registry import ExperimentSpec
+from repro.experiments.presets import SCALES, Scale, get_scale
+from repro.experiments.registry import (
+    _MEMO,
+    ExperimentSpec,
+    FigureInterrupted,
+    clear_cache,
+)
 from repro.experiments.reporting import (
     format_result,
     load_result,
@@ -113,9 +119,6 @@ def test_format_result_numeric_table():
 
 
 def test_figure_interrupt_carries_partial_series():
-    from repro.experiments.figures import FigureInterrupted, sweep_vct_uniform
-    from repro.experiments.registry import clear_cache
-
     clear_cache()
 
     def die_after_two(outcome):
@@ -123,41 +126,73 @@ def test_figure_interrupt_carries_partial_series():
             raise KeyboardInterrupt
 
     with pytest.raises(FigureInterrupted) as ei:
-        sweep_vct_uniform(scale="tiny", loads=(0.1,), on_result=die_after_two)
+        run_experiment("fig4a", scale="tiny", loads=(0.1,),
+                       on_result=die_after_two)
     partial = ei.value.partial
     assert partial["partial"] is True
     assert sum(len(v) for v in partial["series"].values()) == 2
     assert isinstance(ei.value, KeyboardInterrupt)  # plain ^C handling works
+    assert not _MEMO  # a partial figure is never memoized
 
 
 def test_figure_runner_shard_restricts_and_labels():
-    from repro.experiments.figures import sweep_vct_uniform
-    from repro.experiments.registry import clear_cache
-
     clear_cache()
-    full = sweep_vct_uniform(scale="tiny", loads=(0.1,))
-    part0 = sweep_vct_uniform(scale="tiny", loads=(0.1,), shard="0/2")
-    part1 = sweep_vct_uniform(scale="tiny", loads=(0.1,), shard=(1, 2))
+    full = run_experiment("fig4a", scale="tiny", loads=(0.1,))
+    part0 = run_experiment("fig4a", scale="tiny", loads=(0.1,), shard="0/2")
+    part1 = run_experiment("fig4a", scale="tiny", loads=(0.1,), shard=(1, 2))
     assert "shard" not in full
     assert part0["shard"] == "0/2" and part1["shard"] == "1/2"
     n = sum(len(v) for v in full["series"].values())
     n0 = sum(len(v) for v in part0["series"].values())
     n1 = sum(len(v) for v in part1["series"].values())
     assert n0 + n1 == n
+    # both spellings of a shard are one memo slot
+    assert len(_MEMO) == 3
+    again = run_experiment("fig4a", scale="tiny", loads=(0.1,), shard=(0, 2))
+    assert len(_MEMO) == 3 and again["series"] is part0["series"]
 
 
 def test_run_experiment_memo_ignores_on_result_callback():
-    from repro.experiments.registry import _RUNNER_CACHE, clear_cache
-
     clear_cache()
     seen = []
     first = run_experiment("fig4a", scale="tiny", loads=(0.1,),
                            on_result=seen.append)
     assert seen  # the callback really streamed outcomes
-    assert len(_RUNNER_CACHE) == 1
-    again = run_experiment("fig4a", scale="tiny", loads=(0.1,))
-    assert len(_RUNNER_CACHE) == 1  # same memo slot despite the callback
-    assert again["series"] == first["series"]
+    assert len(_MEMO) == 1
+    # neither a callback nor a pool size can change a record: same slot
+    again = run_experiment("fig4a", scale="tiny", loads=(0.1,), jobs=2)
+    assert len(_MEMO) == 1
+    assert again["series"] is first["series"]
+
+
+def test_run_experiment_memo_keys_on_the_scale_value_not_its_name():
+    """Regression: two scales sharing a ``name`` used to alias — the
+    second call returned the first call's (shorter-window) records."""
+    clear_cache()
+    starts = [
+        run_experiment("fig4a", scale=replace(SCALES["smoke"], warmup=cycles,
+                                              measure=cycles),
+                       loads=(0.2,))["series"]["minimal"][0]["start_cycle"]
+        for cycles in (100, 300)]
+    assert starts == [100, 300]
+
+
+def test_run_experiment_memo_takes_list_options():
+    """Regression: ``loads=[0.2]`` raised ``TypeError: unhashable type``;
+    a list now lands in the slot of its tuple spelling."""
+    clear_cache()
+    scale = SCALES["smoke"]
+    quick = Scale(name="quick", h=2, warmup=60, measure=60,
+                  loads_uniform=scale.loads_uniform,
+                  loads_adversarial=scale.loads_adversarial,
+                  burst_vct=2, burst_wh=1)
+    as_list = run_experiment("fig4a", scale=quick, loads=[0.2])
+    as_tuple = run_experiment("fig5a", scale=quick, loads=(0.2,))
+    assert len(_MEMO) == 1 and as_list["series"] is as_tuple["series"]
+    mixes = run_experiment("fig6b", scale=quick, percentages=[0, 100])
+    assert [p["global_pct"] for p in mixes["series"]["pb"]] == [0, 100]
+    run_experiment("fig6b", scale=quick, percentages=(0, 100))
+    assert len(_MEMO) == 2
 
 
 def test_progress_printer_formats_outcomes():

@@ -46,7 +46,7 @@ PUBLIC_MODULES = [
     "repro.metrics.hub",
     "repro.runplan",
     "repro.runplan.spec",
-    "repro.runplan.executors",
+    "repro.runplan.scheduler",
     "repro.runplan.cache",
     "repro.runplan.aggregate",
     "repro.runplan.runner",
@@ -140,9 +140,13 @@ def test_backward_compat_shims_unchanged():
         (sim, "on_packet_delivered"),
         (repro.network.flowcontrol, "flow_control_by_name"),
         (repro.metrics, "ThroughputProbe"),
-        (repro.runplan.SerialExecutor, "map"),
-        (repro.runplan.ProcessExecutor, "map"),
         (repro.runplan, "run_stream"),
+        # PR 17: the executor layer — ``jobs`` / ``scheduler=`` replace it
+        (repro.runplan, "SerialExecutor"),
+        (repro.runplan, "ProcessExecutor"),
+        (repro.runplan, "EXECUTOR_REGISTRY"),
+        (repro.runplan, "resolve_executor"),
+        (repro, "EXECUTOR_REGISTRY"),
         (repro.experiments, "load_sweep"),
     ]:
         assert not hasattr(owner, gone), gone

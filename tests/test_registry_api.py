@@ -87,8 +87,7 @@ def test_registry_is_a_mapping():
 def test_all_registries_lists_every_component_kind():
     regs = all_registries()
     assert set(regs) == {"topology", "routing", "flow-control", "arbitration",
-                         "traffic-pattern", "traffic-process", "executor",
-                         "engine"}
+                         "traffic-pattern", "traffic-process", "engine"}
     assert "dragonfly" in regs["topology"].available()
     assert regs["engine"].available() == ("auto", "reference", "wheel")
     assert "olm" in regs["routing"].available()

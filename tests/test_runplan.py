@@ -1,20 +1,19 @@
-"""Run-plan subsystem: specs, executors, caching, replica aggregation.
+"""Run-plan subsystem: specs, scheduling, caching, replica aggregation.
 
 The determinism contract is the headline: the same plan produces
-byte-identical records (canonical JSON) under the serial executor, the
-process executor and a cache replay.
+byte-identical records (canonical JSON) run inline, on a process pool
+and from a cache replay.
 """
 
 import json
 import math
+import os
 
 import pytest
 
 from repro.metrics.statistics import mean_ci, t_quantile_975
 from repro.network.config import SimConfig, paper_vct_config
 from repro.runplan import (
-    EXECUTOR_REGISTRY,
-    ProcessExecutor,
     ResultCache,
     RunPoint,
     RunSpec,
@@ -132,8 +131,8 @@ def test_steady_flag_is_part_of_the_cache_key():
 def test_serial_process_and_cache_replay_identical(tmp_path):
     """The satellite contract: serial == process == cache replay, byte-wise."""
     spec = tiny_spec(seeds=2)
-    serial = execute(spec, executor="serial", aggregate=False)
-    parallel = execute(spec, executor="process", jobs=2, aggregate=False)
+    serial = execute(spec, aggregate=False)
+    parallel = execute(spec, jobs=2, aggregate=False)
     cache_dir = tmp_path / "runcache"
     first = execute(spec, cache=cache_dir, aggregate=False)
     replay = execute(spec, cache=cache_dir, aggregate=False)
@@ -144,14 +143,14 @@ def test_serial_process_and_cache_replay_identical(tmp_path):
 
 def test_transient_series_identical_across_executors_and_cache(tmp_path):
     """Observability determinism (satellite): the transient records —
-    including their embedded time series — are byte-identical under the
-    serial executor, the process pool and a cache replay."""
+    including their embedded time series — are byte-identical run
+    inline, on the process pool and from a cache replay."""
     spec = RunSpec(config=paper_vct_config(h=2, routing="olm", seed=5),
                    pattern="uniform", kind="transient", loads=(0.3,),
                    warmup=8000, measure=2000, packets_per_node=6, bucket=250,
                    seeds=(5, 6), series="olm")
-    serial = execute(spec, executor="serial", aggregate=False)
-    parallel = execute(spec, executor="process", jobs=2, aggregate=False)
+    serial = execute(spec, aggregate=False)
+    parallel = execute(spec, jobs=2, aggregate=False)
     cache_dir = tmp_path / "c"
     first = execute(spec, cache=cache_dir, aggregate=False)
     replay = execute(spec, cache=cache_dir, aggregate=False)
@@ -169,8 +168,8 @@ def test_transient_series_identical_across_executors_and_cache(tmp_path):
 
 def test_steady_points_identical_across_executors():
     spec = tiny_spec(loads=(0.2, 0.4), steady=True)
-    serial = execute(spec, executor="serial", aggregate=False)
-    parallel = execute(spec, executor="process", jobs=2, aggregate=False)
+    serial = execute(spec, aggregate=False)
+    parallel = execute(spec, jobs=2, aggregate=False)
     assert ([canonical_record_json(r) for r in serial]
             == [canonical_record_json(r) for r in parallel])
     assert all("warmup_cycles" in r and "warmup_steady" in r for r in serial)
@@ -178,14 +177,14 @@ def test_steady_points_identical_across_executors():
 
 def test_cache_replay_skips_execution(tmp_path):
     class Exploding:
-        def map(self, fn, items):
+        def run(self, fn, items):
             raise AssertionError("cache should have satisfied every point")
 
     spec = tiny_spec()
     cache = ResultCache(tmp_path / "c")
     execute(spec, cache=cache, aggregate=False)
     assert len(cache) == len(spec.expand())
-    replay = execute(spec, executor=Exploding(), cache=cache, aggregate=False)
+    replay = execute(spec, scheduler=Exploding(), cache=cache, aggregate=False)
     assert [r["load"] for r in replay] == [0.1, 0.2]
     assert cache.stats()["hits"] == len(spec.expand())
 
@@ -198,34 +197,45 @@ def test_cache_partial_hit_mixes_replay_and_fresh(tmp_path):
     assert cache.hits == 1 and len(cache) == 2
 
 
-def test_executor_registry_names():
-    assert {"serial", "process"} <= set(EXECUTOR_REGISTRY.available())
-    pool = ProcessExecutor(jobs=3)
-    assert pool.jobs == 3
+def worker_pid(point):
+    """Module-level (picklable) worker: which process ran this point?"""
+    return {"pid": os.getpid()}
 
 
-def test_process_executor_rejects_zero_jobs():
-    """Satellite: jobs=0 is an actionable error, not a silent clamp to 1."""
-    with pytest.raises(ValueError, match="jobs >= 1"):
-        ProcessExecutor(jobs=0)
-    with pytest.raises(ValueError, match="jobs >= 1"):
-        execute_points(tiny_spec(loads=(0.1,)).expand(),
-                       executor="process", jobs=0)
+def test_jobs_means_a_pool_on_any_host():
+    """``jobs=2`` over two points really leaves this process — on a
+    1-CPU host too (no machine-sized default can shrink the pool to an
+    inline run)."""
+    from repro.runplan.runner import iter_outcomes
+
+    points = tiny_spec().expand()
+    inline = [o.record["pid"] for o in iter_outcomes(points, worker_pid)]
+    pooled = [o.record["pid"] for o in iter_outcomes(points, worker_pid, jobs=2)]
+    assert set(inline) == {os.getpid()}
+    assert len(pooled) == 2 and os.getpid() not in pooled
 
 
-def test_serial_executor_warns_on_jobs():
-    """Satellite: SerialExecutor no longer swallows jobs>1 silently."""
-    from repro.runplan import SerialExecutor
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_an_error_naming_the_value(jobs, tmp_path):
+    """``jobs`` < 1 is an actionable error, never a silent inline run —
+    even when a warm cache leaves nothing to schedule."""
+    spec = tiny_spec(loads=(0.1,))
+    with pytest.raises(ValueError, match=f"jobs must be >= 1.*got {jobs}"):
+        execute(spec, jobs=jobs)
+    execute(spec, cache=tmp_path)
+    with pytest.raises(ValueError, match=f"got {jobs}"):
+        execute_points(spec.expand(), jobs=jobs, cache=tmp_path)
 
-    with pytest.warns(RuntimeWarning, match="jobs=4 has no effect"):
-        SerialExecutor(jobs=4)
-    # jobs=None and jobs=1 stay silent
-    import warnings as _warnings
 
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        SerialExecutor()
-        SerialExecutor(jobs=1)
+def test_jobs_and_a_scheduler_instance_do_not_combine():
+    """One pool size, one spelling: a scheduler instance brings its own
+    parallelism, so ``jobs=2`` next to it is an error, not a warning."""
+    from repro.runplan import SerialScheduler
+
+    spec = tiny_spec(loads=(0.1,))
+    with pytest.raises(ValueError, match="not both"):
+        execute(spec, jobs=2, scheduler=SerialScheduler())
+    assert len(execute(spec, jobs=1, scheduler=SerialScheduler())) == 1
 
 
 # -------------------------------------------------------------- aggregation
@@ -294,9 +304,9 @@ def test_drain_point_record_shape():
 
 
 def test_figure_runner_multi_seed_reports_ci():
-    from repro.experiments.figures import sweep_vct_uniform
+    from repro.experiments import run_experiment
 
-    res = sweep_vct_uniform(scale="smoke", loads=(0.2,), seed=7, seeds=2)
+    res = run_experiment("fig4a", scale="smoke", loads=(0.2,), seed=7, seeds=2)
     assert res["seeds"] == 2
     for pts in res["series"].values():
         assert len(pts) == 1

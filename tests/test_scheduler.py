@@ -23,7 +23,6 @@ from repro.runplan import (
     PlanExecutionError,
     PointError,
     PoolScheduler,
-    ProcessExecutor,
     ResultCache,
     RunSpec,
     SerialScheduler,
@@ -162,17 +161,13 @@ def test_pool_scheduler_rejects_bad_jobs():
         PoolScheduler(jobs=0)
 
 
-def test_process_executor_streams_out_of_order_results():
-    ex = ProcessExecutor(jobs=2)
-    results = dict(ex.run(square, list(range(6))))
-    assert results == {i: i * i for i in range(6)}
-
-
 # ------------------------------------------------------------------ sharding
 def test_parse_shard_grammar():
     assert parse_shard("0/2") == (0, 2)
     assert parse_shard("3/8") == (3, 8)
-    for bad in ("", "2", "2/2", "-1/2", "a/b", "1/0", "1/2/3"):
+    assert parse_shard((1, 2)) == (1, 2)  # the pair spelling normalises too
+    for bad in ("", "2", "2/2", "-1/2", "a/b", "1/0", "1/2/3",
+                (2, 2), (0,), (0, 1, 2), None, 3):
         with pytest.raises(ValueError):
             parse_shard(bad)
 
@@ -245,7 +240,7 @@ def test_killed_run_resumes_with_zero_recomputation(tmp_path):
 
     # resumed == serial == process, byte for byte
     serial = execute_points(points)
-    process = execute_points(points, executor="process", jobs=2,
+    process = execute_points(points, jobs=2,
                              cache=ResultCache(tmp_path / "p"))
     for a, b, c in zip(serial, resumed, process):
         assert canonical_record_json(a) == canonical_record_json(b)

@@ -18,7 +18,6 @@ from repro.network.config import SimConfig
 from repro.network.packet import Packet
 from repro.network.simulator import Simulator
 from repro.runplan import (
-    ProcessExecutor,
     ResultCache,
     RunSpec,
     canonical_record_json,
@@ -257,7 +256,7 @@ def test_runplan_determinism_on_new_fabrics(config, tmp_path):
                    pattern="uniform", loads=(0.15, 0.3), warmup=250,
                    measure=250, series="valiant")
     serial = execute(spec, aggregate=False)
-    process = execute(spec, executor=ProcessExecutor(), jobs=2, aggregate=False)
+    process = execute(spec, jobs=2, aggregate=False)
     cache = ResultCache(tmp_path / "cache")
     execute(spec, cache=cache, aggregate=False)
     replayed = execute(spec, cache=cache, aggregate=False)

@@ -2,7 +2,6 @@
 
 
 from repro.experiments.verify import (
-    CHECKS,
     Claim,
     check_burst,
     check_cross_topology,
@@ -127,12 +126,6 @@ def test_cross_topology_claims_fail_on_broken_fabric():
     assert not check_cross_topology(r)[1].passed
 
 
-def test_every_check_has_expectation_text():
-    for exp_id, (checker, expectation) in CHECKS.items():
-        assert callable(checker)
-        assert expectation
-
-
 def test_render_markdown():
     from repro.experiments.registry import run_experiment
 
@@ -148,3 +141,27 @@ def test_claim_row_rendering():
     c = Claim("demo", True, "x=1")
     assert "✅" in c.row()
     assert "❌" in Claim("demo", False, "x").row()
+
+
+def test_checked_in_results_hold_the_orderings_no_claim_words():
+    """Orderings the deleted ``benchmarks/`` tree asserted that none of
+    the 46 claims states, kept on the committed ``tiny`` results:
+    PAR-6/2's burst drain against PB (Figs 6b/9b), every WH mechanism
+    near minimal under UN (Fig 8a), and a strict win over Valiant under
+    ADVG+h (Figs 5c/8c)."""
+    from pathlib import Path
+
+    from repro.experiments.reporting import load_result
+
+    results = Path(__file__).resolve().parent.parent / "results"
+    series = {f: load_result(results / f"{f}.json")["series"]
+              for f in ("fig5c", "fig6b", "fig8a", "fig8c", "fig9b")}
+    for fig, bound in (("fig6b", 0.80), ("fig9b", 0.85)):
+        drains = series[fig]
+        assert mean_drain(drains["par62"]) < bound * mean_drain(drains["pb"])
+    sat = {m: saturation(p) for m, p in series["fig8a"].items()}
+    assert min(sat["par62"], sat["rlm"], sat["pb"]) >= 0.75 * sat["minimal"]
+    for fig, mechs in (("fig5c", ("par62", "olm", "rlm")),
+                       ("fig8c", ("par62", "rlm"))):
+        sat = {m: saturation(p) for m, p in series[fig].items()}
+        assert all(sat[m] > sat["valiant"] for m in mechs), sat
