@@ -1,5 +1,7 @@
-"""Analytical helpers: throughput bounds (§II), CDG deadlock proofs
-(§III) and the physical-invariant verification layer."""
+"""Analytical helpers: throughput bounds (§II) and the physical-invariant
+verification layer, both stdlib-only.  The CDG deadlock proofs (§III)
+are :mod:`repro.analysis.cdg`, imported by that name only: they need a
+graph library, and nothing a simulation or ``verify-results`` runs does."""
 
 from repro.analysis.bounds import (
     advg_minimal_bound,
@@ -7,12 +9,6 @@ from repro.analysis.bounds import (
     advg_valiant_local_bound,
     advl_minimal_bound,
     uniform_capacity,
-)
-from repro.analysis.cdg import (
-    build_cdg,
-    cycle_witness,
-    escape_reachable,
-    is_deadlock_free,
 )
 from repro.analysis.invariants import (
     Check,
@@ -30,10 +26,6 @@ __all__ = [
     "advg_valiant_local_bound",
     "advl_minimal_bound",
     "uniform_capacity",
-    "build_cdg",
-    "cycle_witness",
-    "escape_reachable",
-    "is_deadlock_free",
     "Check",
     "InvariantViolation",
     "VerifyReport",

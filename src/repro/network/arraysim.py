@@ -32,7 +32,10 @@ mechanisms re-decide per cycle and consume RNG), arbitration must be
 flow control must be the built-in VCT/WH pair, and no per-cycle routing
 hook may exist.  Any other point gets no core and *is* a wheel run.
 The arrays themselves are built at the first injection or step, so a
-tap attached right after construction costs nothing.
+tap attached right after construction costs nothing.  This module is
+imported there and nowhere else (numpy with it, unconditionally): a
+simulator that never asks for a core never pays for either, and a
+numpy-less ``auto`` fails that one import and stays on the wheel.
 
 **One way out** — ``Simulator._leave_core``.  Eject-only taps (the
 Session's ``LatencyTap``) are delivery observers and keep the core.
@@ -47,6 +50,13 @@ stand-in whose first use is that read; it stays a plain instance
 attribute, so the wheel path's own ``self.routers`` loads cost what
 they always did (a property, or a ``__getattr__`` hook on
 ``Simulator``, would tax every attribute load of the wheel hot path).
+A run that has left keeps the ``StreamRandom`` the core installed and
+injects through the wheel's one call, ``traffic.inject``, which draws
+each gate with a Python-level ``random()``: ≈ 1.5 µs a node a cycle
+more than the batched walk, measured as +0.15 s on a 0.39 s verified
+h=3 point (300 + 300 cycles, 0 of 12 alternating pairs faster) and
+unresolved at h=2.  The wheel keeps no batch branch to spare this
+path; no ``bench_e2e`` operation takes it.
 
 **Determinism contract** — records are byte-identical to the wheel
 path (and hence to the frozen seed engine), enforced over the golden
@@ -77,14 +87,18 @@ With ``record_hops`` the whole hop log is prefilled at injection (the
 route is known then); the delivered log is byte-identical, it just
 exists earlier than the wheel's grant-time appends.
 
-**Batched injection** — when the traffic process offers the
-``inject_batch(sim, now) -> (srcs, dsts)`` protocol (Bernoulli sources
-do), each cycle's injections arrive as two index arrays and
-:meth:`ArrayCore.inject_batch` applies them without creating a single
-Packet object: identity lives in the packet SoA (*lazy packets*), the
-route comes from a dense ``(src_router, dst_router)`` table, and the
-Packet is only reconstructed (``_ensure_pkt``) if something needs the
-object — a non-batch delivery observer or a materialization.
+**Batched injection** — :meth:`ArrayCore.step` is the only caller of
+the ``inject_batch(sim, now) -> (srcs, dsts)`` protocol (the wheel
+injects through ``traffic.inject``: undoing a batch packet by packet
+cost it more than the scalar loop at every fabric size it runs).  When
+the traffic process offers it (Bernoulli sources do; burst and trace
+processes fall through to ``inject``), each cycle's injections arrive
+as two index arrays and :meth:`ArrayCore.inject_batch` applies them
+without creating a single Packet object: identity lives in the packet
+SoA (*lazy packets*), the route comes from a dense ``(src_router,
+dst_router)`` table, and the Packet is only reconstructed
+(``_ensure_pkt``) if something needs the object — a non-batch
+delivery observer or a materialization.
 Deliveries of all-lazy grants are batched too, through
 ``StatsCollector.on_delivered_batch`` and the observers' optional
 ``on_eject_batch``.
@@ -102,10 +116,7 @@ from __future__ import annotations
 
 import weakref
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
+import numpy as _np
 
 from repro.core.base import RoutingAlgorithm
 from repro.core.paritysign import link_type
@@ -130,15 +141,13 @@ def select_core(sim) -> ArrayCore | None:
     """
     algo_t = type(sim.algo)
     eligible = (
-        _np is not None
-        and getattr(algo_t, "array_core", False)
+        getattr(algo_t, "array_core", False)
         and sim._per_cycle is None
         and algo_t.is_escape_hop is RoutingAlgorithm.is_escape_hop
         and sim.config.arbitration in ("rr", "age")
         and type(sim.fc) in (VirtualCutThrough, Wormhole)
     )
     return ArrayCore() if eligible else None
-
 
 
 class _ParkedRouters:
@@ -670,16 +679,15 @@ class ArrayCore:
         """Consume one cycle's batched injections without Packet objects.
 
         The vectorized path covers the case that matters: single-flit
-        packets (VCT, or WH with flit >= packet), strictly ascending
+        packets (VCT, or WH with flit >= packet) and strictly ascending
         sources (what ``inject_batch`` emits — at most one packet per
-        node per cycle), and a stats sink that understands batch counts.
-        Packets land *lazy*: identity lives in the SoA and the object is
-        only reconstructed if something needs it.  Anything else falls
-        through to the scalar injection loop — same records either way.
+        node per cycle).  Packets land *lazy*: identity lives in the SoA
+        and the object is only reconstructed if something needs it.
+        Anything else falls through to the scalar injection loop — same
+        records either way.
         """
         if (len(self._flit_sizes) != 1
-                or bool((srcs[1:] <= srcs[:-1]).any())
-                or not hasattr(sim.stats, "on_generated_batch")):
+                or bool((srcs[1:] <= srcs[:-1]).any())):
             inject = self.inject
             for s, d in zip(srcs.tolist(), dsts.tolist()):
                 inject(sim, s, d, t)

@@ -5,7 +5,7 @@ algorithm instance and the traffic process.  Each cycle it
 
 1. delivers flits whose link traversal completes this cycle,
 2. applies returned credits,
-3. lets the traffic process inject packets,
+3. lets the traffic process inject packets (``traffic.inject``),
 4. runs the per-cycle routing hook (Piggybacking broadcasts),
 5. performs routing + switch allocation at every router with buffered
    flits (round-robin over the VCs of an input port, round-robin over
@@ -47,6 +47,9 @@ strictly less work per cycle:
 eligible point carries a numpy structure-of-arrays core in ``_core``
 and ``step`` / ``inject_packet`` hand over to it (one ``is not None``
 test); see :mod:`repro.network.arraysim` for the way in and the way out.
+That module (and numpy with it) is imported only when a simulator asks
+for a core, so a wheel run is stdlib-only, and batched injection is the
+core's protocol: the wheel has one injection call, ``traffic.inject``.
 
 The pre-rewrite hot path survives verbatim as
 :class:`repro.network.reference.ReferenceSimulator` for benchmarking
@@ -63,7 +66,6 @@ from repro.core import MisroutingTrigger, routing_by_name
 from repro.core.base import RoutingAlgorithm
 from repro.metrics.collector import StatsCollector
 from repro.network import arbitration as _arbitration  # noqa: F401 (registers arbiters)
-from repro.network.arraysim import select_core
 from repro.network.config import SimConfig
 from repro.network.flowcontrol import FlowControl  # noqa: F401 (registers policies)
 from repro.network.packet import Flit, Packet
@@ -186,9 +188,14 @@ class Simulator:
         #: Decided once, here; subclasses stay on the wheel because the
         #: core would bypass their allocation overrides (the frozen
         #: reference engine is one)
-        self._core = (select_core(self)
-                      if config.engine == "auto" and type(self) is Simulator
-                      else None)
+        self._core = None
+        if config.engine == "auto" and type(self) is Simulator:
+            try:
+                from repro.network.arraysim import select_core
+            except ImportError:
+                pass  # no numpy: an ``auto`` point is the wheel run
+            else:
+                self._core = select_core(self)
 
     # ------------------------------------------------------------ array core
     def _leave_core(self) -> None:
@@ -363,17 +370,7 @@ class Simulator:
             self._last_progress = t
         traffic = self.traffic
         if traffic is not None:
-            # batched-injection protocol: a traffic process may hand over
-            # one cycle's (srcs, dsts) in bulk; the per-packet injection
-            # below preserves pid order, tap firing and routing exactly
-            inject_batch = getattr(traffic, "inject_batch", None)
-            batch = None if inject_batch is None else inject_batch(self, t)
-            if batch is None:
-                traffic.inject(self, t)
-            elif len(batch[0]):
-                inject_packet = self.inject_packet
-                for src, dst in zip(batch[0].tolist(), batch[1].tolist()):
-                    inject_packet(src, dst, t)
+            traffic.inject(self, t)
         per_cycle = self._per_cycle
         if per_cycle is not None:
             per_cycle(self, t)

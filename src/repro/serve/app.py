@@ -209,7 +209,6 @@ class ServeApp:
                     return
 
         watcher = asyncio.create_task(watch())
-        job.subscribers += 1
         try:
             i = 0
             while not disconnected.is_set():
@@ -232,7 +231,6 @@ class ServeApp:
                 await send({"type": "http.response.body", "body": b"",
                             "more_body": False})
         finally:
-            job.subscribers -= 1
             watcher.cancel()
 
 

@@ -108,7 +108,6 @@ class Job:
         self.result: dict | None = None
         self.error: dict | None = None
         self.timed_out = False
-        self.subscribers = 0
         self.created = time.time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
@@ -339,29 +338,6 @@ class JobQueue:
     def result_by_hash(self, content_hash: str) -> dict | None:
         """A cached point record by raw content hash (no queue involved)."""
         return self.cache.get_record(content_hash)
-
-    async def subscribe(self, job: Job, start: int = 0):
-        """Yield the job's rows from index ``start``, live until finished.
-
-        Multiple subscribers share ``job.rows`` and each drains at its
-        own pace; replaying a finished job just yields the stored rows.
-        The ``updated`` event is captured before the index check (see
-        :class:`Job`), so a row appended after the check still wakes
-        the wait.
-        """
-        i = start
-        job.subscribers += 1
-        try:
-            while True:
-                updated = job.updated
-                while i < len(job.rows):
-                    yield job.rows[i]
-                    i += 1
-                if job.finished:
-                    return
-                await updated.wait()
-        finally:
-            job.subscribers -= 1
 
     def _evict(self) -> None:
         """Trim retained *finished* jobs to ``keep_jobs`` (oldest first)."""

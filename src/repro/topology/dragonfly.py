@@ -134,11 +134,6 @@ class Dragonfly:
         return self.router_id(pg, pi), pport
 
     # ------------------------------------------------------------- route maps
-    def exit_router_to_group(self, group: int, target_group: int) -> tuple[int, int]:
-        """(router-in-group, global port) of ``group``'s single link to ``target_group``."""
-        link = self.arrangement.link_to_group(group, target_group)
-        return self.global_link_owner(link)
-
     def _build_tables(self) -> None:
         # target group of each (group, router-in-group, gport)
         self._gtarget = [
@@ -202,12 +197,6 @@ class Dragonfly:
         if e is None:
             raise ValueError("no global link inside a group")
         return e
-
-    # keep the slow path available for validation
-    def _gport_target_abs(self, router: int, gport: int) -> int:
-        g = self.group_of(router)
-        i = self.index_in_group(router)
-        return self.arrangement.target_group(g, self.global_link_index(i, gport))
 
     # --------------------------------------------------------- routing oracle
     def min_hop(self, cur_router: int, packet) -> tuple[PortKind, int, int, int]:

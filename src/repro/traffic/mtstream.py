@@ -33,16 +33,18 @@ gate-plus-destination hit loop inside the gate walk).
 The contract is checked end to end by ``tests/test_inject_batch.py``
 and the engine golden matrix; the frozen reference engine never sees
 this class.
+
+numpy is imported unconditionally: this module is reached only from
+``BernoulliTraffic.inject_batch``, which only a live array core calls
+(``import repro.traffic`` does not load it), so a wheel run never pays
+for it and a numpy-less install never gets here.
 """
 
 from __future__ import annotations
 
 import random
 
-try:  # numpy is optional repo-wide; callers decline to batch without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
+import numpy as _np
 
 #: 2**53 as a float — ``random()`` is ``(a*2**26 + b) * 2**-53`` exactly
 _TWO53 = 9007199254740992.0

@@ -5,13 +5,7 @@ from __future__ import annotations
 import random
 
 from repro.registry import PROCESS_REGISTRY
-from repro.traffic.mtstream import StreamRandom
 from repro.traffic.patterns import TrafficPattern, UniformRandom
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
 
 
 @PROCESS_REGISTRY.register("bernoulli", description="open-loop Bernoulli sources at a fixed offered load")
@@ -57,11 +51,13 @@ class BernoulliTraffic:
     def inject_batch(self, sim, now: int):
         """One cycle's injections as ``(srcs, dsts)`` index arrays.
 
-        The batched-injection protocol: engines call this instead of
-        :meth:`inject` when available, and consume the arrays without
-        per-packet Python work.  Returns ``None`` to decline (no numpy,
-        or an unrecognised RNG), in which case the engine falls back to
-        the scalar loop.
+        The batched-injection protocol: a live array core calls this
+        instead of :meth:`inject` and consumes the arrays without
+        per-packet Python work (the wheel only ever calls
+        :meth:`inject`: at its scales numpy's per-call floor costs more
+        than the scalar loop).  Returns ``None`` to decline — the one
+        case is an unrecognised RNG — and the core falls back to the
+        scalar loop.
 
         The draw stream is the scalar loop's, byte for byte: the first
         call replaces ``sim.rng_traffic`` with a :class:`StreamRandom`
@@ -71,8 +67,12 @@ class BernoulliTraffic:
         Deterministic patterns skip the hit loop entirely via a
         precomputed destination table.
         """
-        if _np is None:
-            return None
+        # numpy and the stream wrapper load with the first core that
+        # batches, never with ``import repro.traffic``
+        import numpy as _np
+
+        from repro.traffic.mtstream import StreamRandom
+
         p = self.load / sim.config.packet_phits
         if p <= 0:
             empty = _np.empty(0, dtype=_np.int64)

@@ -1,6 +1,6 @@
 """``engine="auto"``: which points get an array core, and every way off it.
 
-Two tables:
+Three tables:
 
 * **selection** — for every registered routing × arbitration × tap
   situation, an ``auto`` simulator carries a core exactly when the rule
@@ -9,10 +9,16 @@ Two tables:
   same class, the same ``step`` / ``inject_packet`` functions;
 * **exits** — leaving a live core mid-run through each of its three
   triggers (an event tap, ``arrivals_due``, a look inside ``routers``) yields
-  delivery logs and counters byte-identical to a wheel run from cycle 0.
+  delivery logs and counters byte-identical to a wheel run from cycle 0;
+* **injection** — one injection path per engine: the wheel calls
+  ``traffic.inject`` and keeps a plain ``random.Random``, a live core
+  calls ``inject_batch`` and installs a ``StreamRandom``, and a run that
+  left its core continues through ``inject`` on that same stream.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -154,3 +160,70 @@ def test_leaving_the_core_mid_run_matches_a_wheel_run(fabric, flow, arbitration)
     for name, leave in TRIGGERS.items():
         for at in ATTACH_CYCLES:
             assert _run(auto, leave, at) == wheel, (name, at)
+
+
+# ---------------------------------------------------------------- injection
+class _SpyTraffic(BernoulliTraffic):
+    """Logs which of the two injection entry points each cycle used."""
+
+    def __init__(self, pattern, load):
+        super().__init__(pattern, load)
+        self.calls: list[str] = []
+
+    def inject(self, sim, now):
+        self.calls.append("inject")
+        super().inject(sim, now)
+
+    def inject_batch(self, sim, now):
+        self.calls.append("inject_batch")
+        return super().inject_batch(sim, now)
+
+
+def _spy_run(cfg: SimConfig, leave_at: int | None = None):
+    traffic = _SpyTraffic(UniformRandom(), 0.6)
+    sim = build_simulator(cfg, traffic)
+    log = []
+    sim.add_delivery_observer(
+        lambda pkt, cycle: log.append((pkt.pid, pkt.src, pkt.dst, cycle)))
+    rng_types = set()
+    for cycle in range(120):
+        if cycle == leave_at:
+            sim._leave_core()
+        sim.step()
+        rng_types.add(type(sim.rng_traffic))
+    outcome = (log, sim.stats.as_dict(sim.topo.num_nodes, sim.now))
+    return sim, traffic.calls, rng_types, outcome
+
+
+@pytest.mark.parametrize("engine", ["wheel", "auto"])
+def test_a_wheel_run_injects_through_inject_on_a_plain_random(engine):
+    cfg = SimConfig(h=2, routing="olm", seed=5, engine=engine)
+    sim, calls, rng_types, _ = _spy_run(cfg)
+    assert sim._core is None
+    assert calls == ["inject"] * 120
+    assert rng_types == {random.Random}  # first cycle to last
+
+
+def test_a_live_core_injects_through_inject_batch_and_leaves_on_inject():
+    from repro.traffic.mtstream import StreamRandom
+
+    cfg = SimConfig(h=2, routing="minimal", seed=5)
+    *_, wheel = _spy_run(cfg.with_(engine="wheel"))
+    assert len(wheel[0]) > 50  # a real window, not an empty one
+
+    sim, calls, rng_types, outcome = _spy_run(cfg.with_(engine="auto"))
+    assert sim._core is not None
+    assert calls == ["inject_batch"] * 120
+    assert rng_types == {StreamRandom}
+    assert outcome == wheel
+
+    # a drawn-cycle exit: batched up to it, scalar after it, on the
+    # stream wrapper the core installed — and still the wheel's bytes
+    leave_at = random.Random(17).randrange(10, 110)
+    sim, calls, rng_types, outcome = _spy_run(cfg.with_(engine="auto"),
+                                              leave_at)
+    assert sim._core is None and sim.packets_in_flight
+    assert calls == (["inject_batch"] * leave_at
+                     + ["inject"] * (120 - leave_at))
+    assert rng_types == {StreamRandom}
+    assert outcome == wheel

@@ -21,8 +21,9 @@ Scenario families (all record-gated, speedup-gated where marked):
   (>= 5x over the wheel).
 * ``saturated_bernoulli_*`` — formerly honesty rows, now gated on the
   vct row (>= 4x over the wheel): the batched-injection protocol
-  (``TrafficProcess.inject_batch``) lets the array core consume a whole
-  cycle's Bernoulli arrivals as (srcs, dsts) vectors, and the per-flit
+  (``BernoulliTraffic.inject_batch``, a duck-typed method only the
+  array core calls) lets the core consume a whole cycle's Bernoulli
+  arrivals as (srcs, dsts) vectors, and the per-flit
   next-hop cache plus single-flit allocation fast path removed the
   remaining per-cycle numpy overhead.  The RNG draw itself stays a
   Python-loop contract floor shared by every engine, which is why the
@@ -39,7 +40,10 @@ Scenario families (all record-gated, speedup-gated where marked):
   ``adversarial`` / ``saturated_uniform_par62_wh`` /
   ``adversarial_pb_vct`` — wheel-vs-seed context rows (see PR 3; the
   last two cover the mechanisms the paper's figures use beyond
-  olm/rlm).  ``auto`` is not timed on them: an ineligible ``auto``
+  olm/rlm).  ``low_load_bernoulli_vct`` alone is gated (wheel >= 1x the
+  seed engine): a near-idle window is all injection, the wheel's
+  injection call is the seed engine's, and the row read 0.67x while
+  the wheel still took batches it had to undo.  ``auto`` is not timed on them: an ineligible ``auto``
   point carries no core and runs the very functions ``wheel`` runs
   (``tests/test_engine_selection.py`` pins that structurally).
 
@@ -184,9 +188,12 @@ def scenarios(smoke: bool) -> list[dict]:
              pattern_kwargs={"hot_node": 0}, packets_per_node=5,
              max_cycles=500_000, gate=_at_least(1, "auto", "wheel"),
              engines=("wheel", "auto"), repeat=4),
-        # ---- wheel-vs-seed context rows (PR 3)
+        # ---- wheel-vs-seed context rows (PR 3).  The first is gated
+        # since PR 18: injection is all a near-idle Bernoulli window
+        # does, and the wheel injects exactly as the seed engine does
         dict(name="low_load_bernoulli_vct", kind="point", cfg=_cfg("vct", "olm"),
-             pattern="uniform", load=0.02, warmup=w, measure=m, gate=None,
+             pattern="uniform", load=0.02, warmup=w, measure=m,
+             gate=_at_least(1, "wheel", "reference"),
              engines=("reference", "wheel")),
         dict(name="burst_drain_dense_vct", kind="drain", cfg=_cfg("vct", "olm"),
              pattern="uniform", packets_per_node=10, max_cycles=500_000,
@@ -439,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
                 "speed targets per row in 'gate' as {metric, operator, "
                 "value}, evaluated into 'gate_met' and summarised in "
                 "'gates_missed' (wheel >= 2x the seed engine on sparse "
-                "rows, auto >= 5x the wheel on saturated h=4 drains, >= 4x "
+                "rows and >= 1x on the low-load Bernoulli window, auto >= "
+                "5x the wheel on saturated h=4 drains, >= 4x "
                 "on the saturated Bernoulli steady window, >= 1x on the "
                 "sparse-hotspot row); a row's 'note' says when an "
                 "auto-vs-wheel ratio fell below the previous report's only "
