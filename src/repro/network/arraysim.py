@@ -23,33 +23,50 @@ Scheduled arrivals and credits live in the simulator's own
 timing-wheel slots as ``(ids, payload)`` array chunks instead of
 per-flit tuples, so its one next-event scan serves both paths.
 
+**What a point borrows** — everything that is a pure function of the
+fabric is compiled once per process (:mod:`repro.topology.fabric`) and
+shared by every core on it: the :class:`_Layout` (port / VC numbering,
+link wiring, initial credits, node tables — read-only arrays computed
+from the ``Topology`` protocol, no object router involved; one per VC
+counts, buffer depths and latencies) and the :class:`_RouteTable`
+(minimal routes per router pair, append-only, filled by whichever point
+first needs a pair; one per VC counts, whatever the buffers and
+latencies).  Neither holds a reference to any simulator, and neither can
+show in a record: an entry is the same whoever wrote it.  A core
+allocates only what its point mutates — busy timers, round-robin
+pointers, FIFO links, credits, owners, the flit and packet pools, the
+staging lists.
+
 **One way in** — :func:`select_core`, which a ``Simulator`` built with
-``engine="auto"`` calls once.  The pure-array hot path needs routes
-that are a function of injection state alone: the routing class must
-declare ``array_core = True`` (minimal routing does; adaptive
-mechanisms re-decide per cycle and consume RNG), arbitration must be
-``rr`` or ``age`` (``random`` draws from the routing RNG per conflict),
-flow control must be the built-in VCT/WH pair, and no per-cycle routing
-hook may exist.  Any other point gets no core and *is* a wheel run.
-The arrays themselves are built at the first injection or step, so a
-tap attached right after construction costs nothing.  This module is
-imported there and nowhere else (numpy with it, unconditionally): a
-simulator that never asks for a core never pays for either, and a
-numpy-less ``auto`` fails that one import and stays on the wheel.
+``engine="auto"`` calls once, *before* it would build object routers.
+The pure-array hot path needs routes that are a function of injection
+state alone: the routing class must declare ``array_core = True``
+(minimal routing does; adaptive mechanisms re-decide per cycle and
+consume RNG), arbitration must be ``rr`` or ``age`` (``random`` draws
+from the routing RNG per conflict), flow control must be the built-in
+VCT/WH pair, and no per-cycle routing hook may exist.  Any other point
+gets no core and *is* a wheel run.  A point with a core constructs no
+``Router``: ``sim.routers`` is a :class:`ParkedRouters` stand-in from
+the start, and the core's own arrays are built at the first injection
+or step, so a tap attached right after construction costs what a wheel
+construction costs and nothing more.  This module is imported there and
+nowhere else (numpy with it, unconditionally): a simulator that never
+asks for a core never pays for either, and a numpy-less ``auto`` fails
+that one import and stays on the wheel.
 
 **One way out** — ``Simulator._leave_core``.  Eject-only taps (the
 Session's ``LatencyTap``) are delivery observers and keep the core.
 Attaching a tap with ``on_inject``/``on_grant``/``on_credit``/
 ``on_ring_entry`` (e.g. a :class:`~repro.metrics.hub.MetricsHub`), or
 reading the object graph through ``sim.routers`` / ``arrivals_due``,
-calls :meth:`ArrayCore.materialize`: the array state is written back
-into the object routers mid-run, the core is dropped and the
-simulation continues byte-identically on the wheel path.  While the
-arrays are authoritative ``sim.routers`` holds a :class:`_ParkedRouters`
-stand-in whose first use is that read; it stays a plain instance
-attribute, so the wheel path's own ``self.routers`` loads cost what
-they always did (a property, or a ``__getattr__`` hook on
-``Simulator``, would tax every attribute load of the wheel hot path).
+leaves it: fresh object routers are built and wired — here, and only
+for runs that leave — :meth:`ArrayCore.materialize` writes the array
+state into them mid-run, the core is dropped and the simulation
+continues byte-identically on the wheel path.  ``sim.routers`` stays a
+plain instance attribute throughout, so the wheel path's own
+``self.routers`` loads cost what they always did (a property, or a
+``__getattr__`` hook on ``Simulator``, would tax every attribute load
+of the wheel hot path).
 A run that has left keeps the ``StreamRandom`` the core installed and
 injects through the wheel's one call, ``traffic.inject``, which draws
 each gate with a Python-level ``random()``: ≈ 1.5 µs a node a cycle
@@ -95,8 +112,8 @@ the traffic process offers it (Bernoulli sources do; burst and trace
 processes fall through to ``inject``), each cycle's injections arrive
 as two index arrays and :meth:`ArrayCore.inject_batch` applies them
 without creating a single Packet object: identity lives in the packet
-SoA (*lazy packets*), the route comes from a dense ``(src_router,
-dst_router)`` table, and the Packet is only reconstructed
+SoA (*lazy packets*), the route comes from the fabric's dense
+``(src_router, dst_router)`` table, and the Packet is only reconstructed
 (``_ensure_pkt``) if something needs the object — a non-batch
 delivery observer or a materialization.
 Deliveries of all-lazy grants are batched too, through
@@ -123,10 +140,12 @@ from repro.core.paritysign import link_type
 from repro.network.flowcontrol import VirtualCutThrough, Wormhole
 from repro.network.packet import Flit, Packet
 from repro.topology import PortKind
+from repro.topology.fabric import MAX_LAYOUTS
 
 _EJECT = PortKind.EJECT
 _LOCAL = PortKind.LOCAL
 _GLOBAL = PortKind.GLOBAL
+_INT_EJECT, _INT_LOCAL, _INT_GLOBAL = int(_EJECT), int(_LOCAL), int(_GLOBAL)
 
 #: alloc-skip sentinel: "no time-driven unblock — wait for an event"
 _ALLOC_IDLE = 1 << 62
@@ -150,13 +169,14 @@ def select_core(sim) -> ArrayCore | None:
     return ArrayCore() if eligible else None
 
 
-class _ParkedRouters:
-    """``sim.routers`` while an array core is live: using it leaves the core.
+class ParkedRouters:
+    """``sim.routers`` while an array core runs the point: using it leaves the core.
 
     Iterating, indexing or sizing the router list means someone wants
-    the object graph, which is stale under a live core — so the first
-    use materializes (rebinding ``sim.routers`` to the real list) and
-    this and every later use delegate to that list.
+    the object graph, which does not exist under a core — so the first
+    use leaves it (``Simulator._leave_core`` builds the routers, fills
+    them from the arrays and rebinds ``sim.routers`` to the real list)
+    and this and every later use delegate to that list.
     """
 
     __slots__ = ("_sim",)
@@ -191,110 +211,310 @@ def _grow(arr, needed: int, fill: int = 0):
     return out
 
 
+class _RouteTable:
+    """Minimal routes of one compiled fabric and one pair of VC counts:
+    append-only, shared by every point (and every :class:`_Layout`) on them.
+
+    ``pair_rid[sr * nr + dr]`` is the one index: the route id of a
+    router pair, ``-1`` until some point first needs the pair.  A route
+    is one row — ``off`` / ``nh`` (its slice of the hop pool
+    ``rt_op`` / ``rt_fovc``: flat output port and flat output VC per
+    hop, the eject hop excluded — it depends on the destination *node*),
+    ``hops`` (the hop count a delivery adds to the statistics) and
+    ``final`` (the packet counters the wheel's per-grant ``on_hop``
+    calls would have left: five small values, interned, so a row costs
+    one pointer).  Every entry is a pure function of (fabric, pair), so
+    which point filled it never shows in a record.  The dtypes are as
+    narrow as the hot path tolerates: the paper's h=8 fabric has 4.26 M
+    router pairs, so ``pair_rid`` alone is 17 MB as int32 and a fully
+    touched table ≈ 47 B a pair (24 + 8 per hop).
+
+    Readers take no lock.  The miss path (:meth:`_resolve`, reached
+    through :meth:`rids` with a whole cycle's unknown pairs at once)
+    does, and publishes ``pair_rid`` last, after every array the new
+    ids index; an array that had to grow is replaced, never resized in
+    place.  So a reader must get its ids *before* it loads the row and
+    pool arrays it indexes with them, and cores read those through the
+    table at each use rather than keeping their own references.
+    """
+
+    def __init__(self, topo, nout: int, ovc_base: list, lock) -> None:
+        self._topo = topo
+        self._nout = nout
+        self._ovc_base = ovc_base
+        self._lock = lock
+        self.pair_rid = _np.full(topo.num_routers ** 2, -1, _np.int32)
+        self.pr_off = _np.zeros(64, _np.int64)  # an index itself: native width
+        self.pr_nh = _np.zeros(64, _np.int16)
+        self.pr_hops = _np.zeros(64, _np.int16)
+        self.final: list[tuple] = []
+        self.rt_op = _np.zeros(256, _np.int32)
+        self.rt_fovc = _np.zeros(256, _np.int32)
+        self._rt_len = 0
+        self._interned: dict[tuple, tuple] = {}
+
+    def rids(self, pairs):
+        """Route ids of the flat router pairs ``pairs`` (an index array),
+        walking first the ones no point has needed yet."""
+        rid = self.pair_rid[pairs]
+        miss = rid < 0
+        if miss.any():
+            self._resolve(pairs[miss].tolist())
+            rid = self.pair_rid[pairs]
+        # the ids index three arrays a cycle: widen once (an int32 index
+        # costs every gather a conversion)
+        return rid.astype(_np.int64)
+
+    def _resolve(self, pairs: list) -> None:
+        """Walk and publish every not-yet-known pair among ``pairs``."""
+        with self._lock:
+            pair_rid = self.pair_rid
+            known = pair_rid.item
+            # distinct, and re-checked now that the lock is held
+            todo = [pair for pair in dict.fromkeys(pairs) if known(pair) < 0]
+            if not todo:
+                return
+            topo = self._topo
+            nr, nout = topo.num_routers, self._nout
+            lbase = topo.p
+            gbase = lbase + topo.local_ports
+            ovc_base = self._ovc_base
+            min_hop = topo.min_hop
+            intern = self._interned.setdefault
+            ops: list[int] = []
+            fovcs: list[int] = []
+            offs: list[int] = []
+            nhs: list[int] = []
+            finals: list[tuple] = []
+            start = self._rt_len
+            for pair in todo:
+                sr, dr = divmod(pair, nr)
+                # the oracle reads the packet's counters mid-path
+                # (dragonfly VC selection uses ``g_hops``), so a
+                # throwaway packet carries them along the walk; minimal
+                # routes depend on the router pair only, any node of
+                # each router stands for all of them
+                pkt = Packet(-1, topo.node_id(sr, 0), topo.node_id(dr, 0), 0, 0,
+                             sr, topo.group_of(sr), dr, topo.group_of(dr))
+                first = len(ops)
+                offs.append(start + first)
+                cur = sr
+                while cur != dr:
+                    kind, port, target, vc = min_hop(cur, pkt)
+                    fop = cur * nout + ((lbase + port) if kind is _LOCAL
+                                        else (gbase + port))
+                    ops.append(fop)
+                    fovcs.append(ovc_base[fop] + vc)
+                    if kind is _GLOBAL:
+                        pkt.g_hops += 1
+                        pkt.local_hops_group = 0
+                        pkt.prev_local_type = None
+                        cur = topo.global_neighbor(cur, port)[0]
+                    else:
+                        pkt.local_hops_group += 1
+                        pkt.local_hops_total += 1
+                        pkt.last_local_vc = vc
+                        pkt.prev_local_type = link_type(
+                            topo.index_in_group(cur), target)
+                        cur = topo.router_id(topo.group_of(cur), target)
+                nhs.append(len(ops) - first)
+                final = (pkt.g_hops, pkt.local_hops_group, pkt.local_hops_total,
+                         pkt.prev_local_type, pkt.last_local_vc)
+                finals.append(intern(final, final))
+            # one store per field for the whole batch of misses
+            end = start + len(ops)
+            self.rt_op = _grow(self.rt_op, end + 1)  # +1: clamp-gather headroom
+            self.rt_fovc = _grow(self.rt_fovc, end + 1)
+            self.rt_op[start:end] = ops
+            self.rt_fovc[start:end] = fovcs
+            self._rt_len = end
+            r0 = len(self.final)
+            r1 = r0 + len(todo)
+            self.pr_off = _grow(self.pr_off, r1)
+            self.pr_nh = _grow(self.pr_nh, r1)
+            self.pr_hops = _grow(self.pr_hops, r1)
+            self.pr_off[r0:r1] = offs
+            self.pr_nh[r0:r1] = nhs
+            self.pr_hops[r0:r1] = [f[0] + f[2] for f in finals]
+            self.final.extend(finals)
+            pair_rid[todo] = range(r0, r1)  # published last
+
+    def hop_log(self, rid: int) -> list[tuple]:
+        """The ``record_hops`` entries ``(kind, port, vc)`` of route ``rid``."""
+        nout = self._nout
+        lbase = self._topo.p
+        gbase = lbase + self._topo.local_ports
+        ovc_base = self._ovc_base
+        off = int(self.pr_off[rid])
+        fops = self.rt_op[off:off + int(self.pr_nh[rid])].tolist()
+        fovcs = self.rt_fovc[off:off + len(fops)].tolist()
+        log = []
+        for fop, fovc in zip(fops, fovcs):
+            oidx = fop % nout
+            log.append((_INT_GLOBAL, oidx - gbase, fovc - ovc_base[fop])
+                       if oidx >= gbase
+                       else (_INT_LOCAL, oidx - lbase, fovc - ovc_base[fop]))
+        return log
+
+
+class _Layout:
+    """The static half of the arrays: one per compiled fabric and shape key.
+
+    Everything here is a function of the topology and of what shapes a
+    router — VC counts per port kind, buffer depths, link and router
+    latencies — computed from the ``Topology`` protocol's port counts
+    and neighbour maps exactly as ``Router.__init__`` wires its ports
+    (``tests/test_fabric_memo.py`` compares the two).  The arrays are
+    read-only and borrowed by reference by every core on the fabric
+    (``ArrayCore._build`` copies this object's attributes, which is why
+    they carry the core's names); :attr:`_routes`, attached by
+    :func:`_layout_for`, is the append-only :class:`_RouteTable` of the
+    fabric and these VC counts.
+    """
+
+    def __init__(self, topo, local_vcs: int, global_vcs: int,
+                 local_buffer: int, global_buffer: int, local_latency: int,
+                 global_latency: int, router_latency: int) -> None:
+        i64 = _np.int64
+        self.topo = topo
+        p, nl, ng = topo.p, topo.local_ports, topo.global_ports
+        nr = self._nr = topo.num_routers
+        # a router's ports in index order: p inject/eject, local, global
+        # (inputs and outputs mirror each other, see network/router.py)
+        nin = self._nin = self._nout = p + nl + ng
+        np_ports = self._np_ports = nr * nin
+        port_nvc = _np.asarray([1] * p + [local_vcs] * nl + [global_vcs] * ng, i64)
+        port_credits = [0] * p + [local_buffer] * nl + [global_buffer] * ng
+        port_lat = _np.asarray([0] * p + [local_latency] * nl
+                               + [global_latency] * ng, i64)
+
+        # ---- input ports + input VCs (outputs carry the same VC counts,
+        # so the flat output-VC numbering coincides with the input one)
+        nvc = self._ip_nvc = _np.tile(port_nvc, nr)
+        vcbase = _np.zeros(np_ports, i64)
+        _np.cumsum(nvc[:-1], out=vcbase[1:])
+        self._ip_vcbase = self._ovc_base = vcbase
+        self._ip_lidx = _np.tile(_np.arange(nin, dtype=i64), nr)
+        vb_port = self._vb_port = self._ovc_out = _np.repeat(
+            _np.arange(np_ports, dtype=i64), nvc)
+        vb_vcidx = self._vb_vcidx = _np.arange(len(vb_port), dtype=i64) - vcbase[vb_port]
+
+        # ---- output ports + output VCs
+        self._op_eject = _np.tile(_np.arange(nin) < p, nr)
+        self._op_lat = _np.tile(port_lat, nr)
+        # per-output arrival delay for whole-packet (VCT) sends; WH delay
+        # depends on the flit size and is computed at grant time
+        self._op_delay_vct = self._op_lat + 1 + router_latency
+        self._ov_credits0 = _np.repeat(
+            _np.tile(_np.asarray(port_credits, i64), nr), nvc)
+        # flat input port each output feeds (-1: eject), through the
+        # protocol's neighbour maps
+        dest_fp = []
+        for r in range(nr):
+            group, idx = topo.group_of(r), topo.index_in_group(r)
+            dest_fp += [-1] * p
+            for q in range(nl):
+                nbr_idx = topo.local_neighbor_index(idx, q)
+                dest_fp.append(topo.router_id(group, nbr_idx) * nin + p
+                               + topo.local_port_to(nbr_idx, idx))
+            for k in range(ng):
+                peer, pport = topo.global_neighbor(r, k)
+                dest_fp.append(peer * nin + p + nl + pport)
+        # wire each output VC to the downstream input VC it feeds, and
+        # the reverse map (with the link latency) for credit returns
+        dest_fp = _np.asarray(dest_fp, i64)[vb_port]
+        ovcs = (dest_fp >= 0).nonzero()[0]
+        ivcs = vcbase[dest_fp[ovcs]] + vb_vcidx[ovcs]
+        self._ov_dest_ivc = _np.full(len(vb_port), -1, i64)
+        self._ov_dest_ivc[ovcs] = ivcs
+        self._vb_up_ovc = _np.full(len(vb_port), -1, i64)
+        self._vb_up_ovc[ivcs] = ovcs
+        self._vb_up_lat = _np.zeros(len(vb_port), i64)
+        self._vb_up_lat[ivcs] = self._op_lat[vb_port[ovcs]]
+
+        # ---- node-level lookup tables of batched injection (src node ->
+        # injection port/VC, dst node -> eject port/VC)
+        nodes = range(topo.num_nodes)
+        self._node_rt = _np.asarray([topo.router_of_node(n) for n in nodes], i64)
+        self._node_kidx = _np.asarray([topo.node_index(n) for n in nodes], i64)
+        self._node_fp = self._node_ej_op = self._node_rt * nin + self._node_kidx
+        self._node_ivc = self._node_ej_ovc = vcbase[self._node_fp]  # one VC each
+        for arr in vars(self).values():
+            if isinstance(arr, _np.ndarray):
+                arr.flags.writeable = False
+        # plain-list mirror for O(30ns) scalar lookups on the inject path
+        self._ovc_base_l = self._ip_vcbase_l = vcbase.tolist()
+
+
+def _layout_for(sim) -> _Layout:
+    """The compiled layout ``sim``'s point borrows, built on first use.
+
+    Called once per point, under the fabric's lock.  A route depends on
+    the fabric and the VC counts only (through the flat output-VC
+    numbering), so layouts that differ in buffer depths or latencies
+    alone share one :class:`_RouteTable`.
+    """
+    config = sim.config
+    key = (sim.local_vcs, sim.global_vcs, config.local_buffer_phits,
+           config.global_buffer_phits, config.local_latency,
+           config.global_latency, config.router_latency)
+    fabric = sim._fabric
+    layouts = fabric.layouts
+    with fabric.lock:
+        layout = layouts.pop(key, None)
+        if layout is None:
+            routes = next((known._routes for shape, known in layouts.items()
+                           if shape[:2] == key[:2]), None)
+            if len(layouts) >= MAX_LAYOUTS:
+                del layouts[next(iter(layouts))]  # least recently used out
+            layout = _Layout(fabric.topo, *key)
+            layout._routes = routes if routes is not None else _RouteTable(
+                fabric.topo, layout._nout, layout._ovc_base_l, fabric.lock)
+        layouts[key] = layout  # most recently used last
+    return layout
+
+
 class ArrayCore:
     """Structure-of-arrays state and kernels for one ``Simulator``.
 
-    Construction is free; the arrays are built from the simulator's
-    (still pristine) object routers at the first injection or step.
-    Every entry point takes that simulator as ``sim``.
+    Construction is free; at the first injection or step the core
+    borrows its fabric's compiled :class:`_Layout` and allocates only
+    what a point mutates.  Every entry point takes the simulator as
+    ``sim``.
     """
 
     def __init__(self) -> None:
-        #: the object routers, parked here while the arrays are
-        #: authoritative (``None`` until :meth:`_build` takes them)
-        self.routers: list | None = None
+        #: the fabric's route table — ``None`` until :meth:`_build`
+        self._routes: _RouteTable | None = None
         #: flits buffered across all input VCs ("anything to allocate?")
         self.buffered = 0
 
     # -------------------------------------------------------- array building
     def _build(self, sim) -> None:
-        routers = self.routers = sim.routers
-        sim.routers = _ParkedRouters(sim)
-        self.topo = sim.topo
+        # the static half, by reference: topo, dimensions, the read-only
+        # arrays and the route table
+        vars(self).update(vars(_layout_for(sim)))
         self._horizon = sim._horizon
         self._router_latency = sim._router_latency
         i64 = _np.int64
-        nr = len(routers)
-        nin = len(routers[0].inputs)
-        nout = len(routers[0].outputs)
-        self._nr, self._nin, self._nout = nr, nin, nout
-        np_ports = nr * nin
+        np_ports = self._np_ports
+        vc_count = len(self._vb_port)
 
-        # ---- input ports + input VCs
-        ip_nvc = _np.empty(np_ports, i64)
-        ip_vcbase = _np.empty(np_ports, i64)
-        vc_count = 0
-        vb_port_l: list[int] = []
-        vb_vcidx_l: list[int] = []
-        for r, router in enumerate(routers):
-            for i, ip in enumerate(router.inputs):
-                fp = r * nin + i
-                nv = len(ip.vcs)
-                ip_nvc[fp] = nv
-                ip_vcbase[fp] = vc_count
-                vc_count += nv
-                vb_port_l.extend([fp] * nv)
-                vb_vcidx_l.extend(range(nv))
-        self._ip_nvc = ip_nvc
-        self._ip_vcbase = ip_vcbase
+        # ---- what a point mutates: port/VC state
         self._ip_busy = _np.zeros(np_ports, i64)
         self._ip_rr = _np.zeros(np_ports, i64)
         self._ip_buffered = _np.zeros(np_ports, i64)
-        self._ip_lidx = _np.tile(_np.arange(nin, dtype=i64), nr)
-        self._vb_port = _np.asarray(vb_port_l, i64)
-        self._vb_vcidx = _np.asarray(vb_vcidx_l, i64)
         self._vb_head = _np.full(vc_count, -1, i64)
         self._vb_tail = _np.full(vc_count, -1, i64)
         self._vb_occ = _np.zeros(vc_count, i64)
         self._vb_route_op = _np.full(vc_count, -1, i64)
         self._vb_route_fovc = _np.full(vc_count, -1, i64)
-        self._vb_up_ovc = _np.full(vc_count, -1, i64)
-        self._vb_up_lat = _np.zeros(vc_count, i64)
+        self._op_busy = _np.zeros(np_ports, i64)
+        self._op_rr = _np.zeros(np_ports, i64)
+        self._ov_credits = self._ov_credits0.copy()
+        self._ov_owner = _np.full(vc_count, -1, i64)
 
-        # ---- output ports + output VCs
-        no_ports = nr * nout
-        op_eject = _np.zeros(no_ports, bool)
-        op_lat = _np.zeros(no_ports, i64)
-        ovc_base = _np.empty(no_ports, i64)
-        ov_count = 0
-        ov_credits_l: list[int] = []
-        ovc_out_l: list[int] = []
-        for r, router in enumerate(routers):
-            for o, out in enumerate(router.outputs):
-                fo = r * nout + o
-                nv = len(out.credits)
-                ovc_base[fo] = ov_count
-                ov_count += nv
-                ov_credits_l.extend(out.credits)
-                ovc_out_l.extend([fo] * nv)
-                op_lat[fo] = out.latency
-                op_eject[fo] = out.kind is _EJECT
-        self._op_eject = op_eject
-        self._op_lat = op_lat
-        self._op_busy = _np.zeros(no_ports, i64)
-        self._op_rr = _np.zeros(no_ports, i64)
-        self._ovc_base = ovc_base
-        self._ovc_out = _np.asarray(ovc_out_l, i64)
-        self._ov_credits = _np.asarray(ov_credits_l, i64)
-        self._ov_owner = _np.full(ov_count, -1, i64)
-        self._ov_dest_ivc = _np.full(ov_count, -1, i64)
-        # wire each output VC to the downstream input VC it feeds, and
-        # the reverse map for credit returns
-        for r, router in enumerate(routers):
-            for o, out in enumerate(router.outputs):
-                if out.kind is _EJECT:
-                    continue
-                fo = r * nout + o
-                dfp = out.dest_router * nin + out.dest_port
-                dbase = ip_vcbase[dfp]
-                obase = ovc_base[fo]
-                for v in range(len(out.credits)):
-                    self._ov_dest_ivc[obase + v] = dbase + v
-                    self._vb_up_ovc[dbase + v] = obase + v
-                    self._vb_up_lat[dbase + v] = out.latency
-
-        # ---- growable flit / packet / route pools (free-list recycled;
-        # the route pool only grows — int hops, a few bytes per packet)
+        # ---- growable flit / packet pools (free-list recycled)
         self._fl_pkt = _np.zeros(0, i64)
         self._fl_size = _np.zeros(0, i64)
         self._fl_idx = _np.zeros(0, i64)
@@ -319,17 +539,9 @@ class ArrayCore:
         self._pk_free: list[int] = []
         self._pk_used = 0
         self._pkt_obj: list = []
-        self._rt_op = _np.zeros(0, i64)
-        self._rt_fovc = _np.zeros(0, i64)
-        self._rt_len = 0
-        #: (src_router, dst_router) -> shared route-pool entry (_walk_route)
-        self._route_cache: dict = {}
-        # plain-list mirrors for O(30ns) scalar lookups on the inject path
-        self._ovc_base_l = ovc_base.tolist()
-        self._ip_vcbase_l = ip_vcbase.tolist()
         # per-cycle injection staging (see _flush_injections):
         # packet fields, flit fields + FIFO chain links, per-VC aggregates
-        self._stage: tuple = ([], [], [], [], [], [])
+        self._stage: tuple = ([], [], [], [], [])
         self._stage_fl: tuple = ([], [], [], [], [], [], [], [])
         self._stage_ivc: dict = {}
         self._stage_n = 0
@@ -344,7 +556,6 @@ class ArrayCore:
         self._age_arb = config.arbitration == "age"
         self._packet_phits = config.packet_phits
         self._record_hops = config.record_hops
-        self._int_eject = int(_EJECT)
         # every packet has the same phit size, so the flit split is fixed
         size = config.packet_phits
         fs = config.flit_phits
@@ -357,33 +568,7 @@ class ArrayCore:
         # flit is head and tail, so routes are never held and output-VC
         # ownership never engages — the allocator skips that machinery
         self._sf = len(self._flit_sizes) == 1
-        # per-output arrival delay for whole-packet (VCT) sends; WH delay
-        # depends on the flit size and is computed at grant time
-        self._op_delay_vct = op_lat + 1 + self._router_latency
 
-        # ---- batched-injection support: node-level lookup tables (src
-        # node -> injection port/VC, dst node -> eject port/VC) and a
-        # dense (src_router, dst_router) -> route-table id so a whole
-        # cycle's batch resolves its routes with two gathers
-        topo = self.topo
-        nn = topo.num_nodes
-        node_rt = _np.empty(nn, i64)
-        node_k = _np.empty(nn, i64)
-        for node in range(nn):
-            node_rt[node] = topo.router_of_node(node)
-            node_k[node] = topo.node_index(node)
-        self._node_rt = node_rt
-        self._node_kidx = node_k
-        self._node_fp = node_rt * nin + node_k
-        self._node_ivc = ip_vcbase[self._node_fp]  # injection ports: one VC
-        node_ej_op = node_rt * nout + node_k
-        self._node_ej_op = node_ej_op
-        self._node_ej_ovc = ovc_base[node_ej_op]
-        self._pair_rid = _np.full(nr * nr, -1, i64)
-        self._pr_off = _np.zeros(0, i64)
-        self._pr_nh = _np.zeros(0, i64)
-        self._pr_hops = _np.zeros(0, i64)
-        self._pr_ent: list = []
         # lazy-packet SoA: identity fields for batch-injected packets;
         # the Packet object is reconstructed on demand (_ensure_pkt)
         self._pk_pid = _np.zeros(0, i64)
@@ -403,7 +588,6 @@ class ArrayCore:
         #: reused while the set of active ports is membership-stable
         self._alloc_struct = None
         self._act_epoch = 0
-        self._np_ports = np_ports
         #: full-fabric pair layout (key None): used when most ports are
         #: active, so membership churn never forces a rebuild — the
         #: buffered-head filter does the activity cut instead
@@ -457,67 +641,9 @@ class ArrayCore:
         self._fl_eff_fovc = _grow(self._fl_eff_fovc, need)
 
     # ------------------------------------------------------------ injection
-    def _walk_route(self, sr: int, dr: int, pkt: Packet) -> tuple:
-        """Walk the router path ``sr -> dr``, cache it, return the entry.
-
-        Minimal routing is a pure function of injection state, so the
-        whole hop sequence (and the packet-counter state the wheel
-        engine would accumulate through its per-grant ``on_hop`` calls)
-        is computed here once per ``(src_router, dst_router)`` pair and
-        shared by every later packet on that pair.  The hops land in
-        the append-only route pool; the eject hop is *not* stored — it
-        is reconstructed per packet from ``_pk_ej_op``/``_pk_ej_ovc``
-        (it depends on the destination node, not just the router).
-
-        The walk mutates ``pkt``'s counters in hop order because the
-        oracle reads them mid-path (dragonfly VC selection uses
-        ``g_hops``); the final values are cached for cache-hit packets.
-        """
-        topo = self.topo
-        nout = self._nout
-        lbase = topo.p
-        gbase = lbase + topo.local_ports
-        ovc_base = self._ovc_base_l
-        hops: list[int] = []
-        fovcs: list[int] = []
-        log: list[tuple] = []
-        cur = sr
-        while cur != dr:
-            kind, port, target, vc = topo.min_hop(cur, pkt)
-            oidx = (lbase + port) if kind is _LOCAL else (gbase + port)
-            fop = cur * nout + oidx
-            hops.append(fop)
-            fovcs.append(ovc_base[fop] + vc)
-            log.append((int(kind), port, vc))
-            if kind is _GLOBAL:
-                pkt.g_hops += 1
-                pkt.local_hops_group = 0
-                pkt.misrouted_group = False
-                pkt.prev_local_type = None
-                cur = topo.global_neighbor(cur, port)[0]
-            else:
-                pkt.local_hops_group += 1
-                pkt.local_hops_total += 1
-                pkt.last_local_vc = vc
-                pkt.prev_local_type = link_type(topo.index_in_group(cur), target)
-                cur = topo.router_id(topo.group_of(cur), target)
-        nh = len(hops)
-        start = self._rt_len
-        if start + nh + 1 > len(self._rt_op):  # +1: clamp-gather headroom
-            self._rt_op = _grow(self._rt_op, start + nh + 1)
-            self._rt_fovc = _grow(self._rt_fovc, start + nh + 1)
-        self._rt_op[start:start + nh] = hops
-        self._rt_fovc[start:start + nh] = fovcs
-        self._rt_len = start + nh
-        ent = (start, nh, pkt.g_hops, pkt.local_hops_group,
-               pkt.local_hops_total, pkt.prev_local_type, pkt.last_local_vc,
-               tuple(log))
-        self._route_cache[(sr, dr)] = ent
-        return ent
-
     def inject(self, sim, src: int, dst: int, t: int) -> Packet:
         """``Simulator.inject_packet`` on the array state (``src != dst``)."""
-        if self.routers is None:
+        if self._routes is None:
             self._build(sim)
         topo = self.topo
         sr = topo.router_of_node(src)
@@ -525,33 +651,21 @@ class ArrayCore:
         pkt = Packet(sim._next_pid, src, dst, self._packet_phits, t,
                      sr, topo.group_of(sr), dr, topo.group_of(dr))
         sim._next_pid += 1
-        ent = self._route_cache.get((sr, dr))
-        if ent is None:
-            ent = self._walk_route(sr, dr, pkt)
-        else:
-            pkt.g_hops = ent[2]
-            pkt.local_hops_group = ent[3]
-            pkt.local_hops_total = ent[4]
-            pkt.prev_local_type = ent[5]
-            pkt.last_local_vc = ent[6]
-        k = topo.node_index(dst)
-        ej_op = dr * self._nout + k
-        if self._record_hops:
-            pkt.hops_log = [*ent[7], (self._int_eject, k, 0)]
+        ej_op = dr * self._nout + topo.node_index(dst)
 
         # ---- stage the SoA writes: pure list appends here, one batch of
         # vectorized array writes per cycle in _flush_injections (scalar
         # numpy stores are ~100x a list append; injection is the hot path
-        # of every saturated scenario)
+        # of every saturated scenario).  The route is looked up there
+        # too, so a cycle's unknown pairs are walked in one batch
         ps = self._alloc_pkt_slot()
         self._pkt_obj[ps] = pkt
         st = self._stage
         st[0].append(ps)
         st[1].append(t)
-        st[2].append(ent[0])
-        st[3].append(ent[1])
-        st[4].append(ej_op)
-        st[5].append(self._ovc_base_l[ej_op])
+        st[2].append(sr * self._nr + dr)
+        st[3].append(ej_op)
+        st[4].append(self._ovc_base_l[ej_op])
 
         sizes = self._flit_sizes  # all packets share one size: precomputed
         n = len(sizes)
@@ -596,13 +710,23 @@ class ArrayCore:
         asarray = _np.asarray
         i64 = _np.int64
         st = self._stage
+        routes = self._routes
         ps = asarray(st[0], i64)
+        rid = routes.rids(asarray(st[2], i64))
+        # minimal routes are fixed at injection: each packet carries
+        # the counters its whole walk leaves (a rewind rolls them back
+        # to the granted prefix if the run leaves the core) and, with
+        # ``record_hops``, its whole hop log
+        pkt_obj, nout = self._pkt_obj, self._nout
+        for slot, r, ej_op in zip(st[0], rid.tolist(), st[3]):
+            self._stamp_route(pkt_obj[slot], r, ej_op % nout)
         self._pk_birth[ps] = st[1]
         self._pk_hop[ps] = 0
-        self._pk_off[ps] = st[2]
-        self._pk_nh[ps] = st[3]
-        self._pk_ej_op[ps] = st[4]
-        self._pk_ej_ovc[ps] = st[5]
+        self._pk_off[ps] = routes.pr_off[rid]
+        self._pk_nh[ps] = routes.pr_nh[rid]
+        self._pk_ej_op[ps] = st[3]
+        self._pk_ej_ovc[ps] = st[4]
+        rt_op, rt_fovc = routes.rt_op, routes.rt_fovc
         fl_slot, fl_pkt, fl_size, fl_idx, fl_hd, fl_tl, ln_src, ln_dst = \
             self._stage_fl
         fs = asarray(fl_slot, i64)
@@ -615,9 +739,9 @@ class ArrayCore:
         fps_of_flit = asarray(fl_pkt, i64)
         off = self._pk_off[fps_of_flit]
         in_rt = self._pk_nh[fps_of_flit] > 0
-        self._fl_eff_op[fs] = _np.where(in_rt, self._rt_op[off],
+        self._fl_eff_op[fs] = _np.where(in_rt, rt_op[off],
                                         self._pk_ej_op[fps_of_flit])
-        self._fl_eff_fovc[fs] = _np.where(in_rt, self._rt_fovc[off],
+        self._fl_eff_fovc[fs] = _np.where(in_rt, rt_fovc[off],
                                           self._pk_ej_ovc[fps_of_flit])
         if ln_src:
             self._fl_next[asarray(ln_src, i64)] = ln_dst
@@ -644,36 +768,10 @@ class ArrayCore:
             self._act_epoch += 1
             self._alloc_cache = None
         self._next_alloc_t = 0
-        self._stage = ([], [], [], [], [], [])
+        self._stage = ([], [], [], [], [])
         self._stage_fl = ([], [], [], [], [], [], [], [])
         self._stage_ivc = {}
         self._stage_n = 0
-
-    def _pair_entry(self, src: int, dst: int, sr: int, dr: int, t: int) -> int:
-        """Route-table id for ``(sr, dr)``, walking the route on a miss.
-
-        Shares the scalar path's ``_route_cache`` entries (and its route
-        pool) — a pair walked by either path serves both.  The walk
-        needs a Packet for the routing oracle's counter reads; a
-        throwaway one (pid -1) stands in, since minimal routes depend
-        only on the router pair.
-        """
-        ent = self._route_cache.get((sr, dr))
-        if ent is None:
-            topo = self.topo
-            pkt = Packet(-1, src, dst, self._packet_phits, t,
-                         sr, topo.group_of(sr), dr, topo.group_of(dr))
-            ent = self._walk_route(sr, dr, pkt)
-        rid = len(self._pr_ent)
-        self._pr_ent.append(ent)
-        self._pr_off = _grow(self._pr_off, rid + 1)
-        self._pr_nh = _grow(self._pr_nh, rid + 1)
-        self._pr_hops = _grow(self._pr_hops, rid + 1)
-        self._pr_off[rid] = ent[0]
-        self._pr_nh[rid] = ent[1]
-        self._pr_hops[rid] = ent[2] + ent[4]  # g_hops + local_hops_total
-        self._pair_rid[sr * self._nr + dr] = rid
-        return rid
 
     def inject_batch(self, sim, srcs, dsts, t: int) -> None:
         """Consume one cycle's batched injections without Packet objects.
@@ -695,19 +793,11 @@ class ArrayCore:
         i64 = _np.int64
         nb = int(srcs.size)
         node_rt = self._node_rt
-        sr = node_rt[srcs]
-        dr = node_rt[dsts]
-        pair = sr * self._nr + dr
-        rid = self._pair_rid[pair]
-        miss = rid < 0
-        if miss.any():
-            pair_rid = self._pair_rid
-            pair_entry = self._pair_entry
-            for i in miss.nonzero()[0].tolist():
-                if pair_rid[pair[i]] < 0:
-                    pair_entry(int(srcs[i]), int(dsts[i]),
-                               int(sr[i]), int(dr[i]), t)
-            rid = pair_rid[pair]
+        routes = self._routes
+        rid = routes.rids(node_rt[srcs] * self._nr + node_rt[dsts])
+        # loaded after the ids: every row and hop ``rid`` names is in them
+        pr_off, pr_nh = routes.pr_off, routes.pr_nh
+        rt_op, rt_fovc = routes.rt_op, routes.rt_fovc
 
         # ---- slot allocation: recycled free-list slots first, then a
         # contiguous block off the end of each pool
@@ -748,11 +838,12 @@ class ArrayCore:
         self._pk_lazy[ps] = True
         self._pk_birth[ps] = t
         self._pk_hop[ps] = 0
-        off = self._pr_off[rid]
+        off = pr_off[rid]
+        nh = pr_nh[rid]
         ej_op = self._node_ej_op[dsts]
         ej_ovc = self._node_ej_ovc[dsts]
         self._pk_off[ps] = off
-        self._pk_nh[ps] = self._pr_nh[rid]
+        self._pk_nh[ps] = nh
         self._pk_ej_op[ps] = ej_op
         self._pk_ej_ovc[ps] = ej_ovc
         size = self._packet_phits
@@ -764,9 +855,9 @@ class ArrayCore:
         self._fl_next[fs] = -1
         # next-hop at the injection router (hop 0): first stored hop,
         # or straight to eject when src and dst share a router
-        in_rt = self._pr_nh[rid] > 0
-        self._fl_eff_op[fs] = _np.where(in_rt, self._rt_op[off], ej_op)
-        self._fl_eff_fovc[fs] = _np.where(in_rt, self._rt_fovc[off], ej_ovc)
+        in_rt = nh > 0
+        self._fl_eff_op[fs] = _np.where(in_rt, rt_op[off], ej_op)
+        self._fl_eff_fovc[fs] = _np.where(in_rt, rt_fovc[off], ej_ovc)
         # FIFO appends: sources are unique, so every injection VC gains
         # exactly one tail flit — one scatter per field
         ivcs = self._node_ivc[srcs]
@@ -792,6 +883,14 @@ class ArrayCore:
         sim.stats.on_generated_batch(nb)
         self._next_alloc_t = 0
 
+    def _stamp_route(self, pkt: Packet, rid: int, k: int) -> None:
+        """Give ``pkt`` what walking route ``rid`` to eject port ``k`` leaves."""
+        routes = self._routes
+        (pkt.g_hops, pkt.local_hops_group, pkt.local_hops_total,
+         pkt.prev_local_type, pkt.last_local_vc) = routes.final[rid]
+        if self._record_hops:
+            pkt.hops_log = [*routes.hop_log(rid), (_INT_EJECT, k, 0)]
+
     def _ensure_pkt(self, ps: int) -> Packet:
         """The Packet object of slot ``ps``, reconstructing a lazy one.
 
@@ -811,15 +910,7 @@ class ArrayCore:
         pkt = Packet(int(self._pk_pid[ps]), src, dst, self._packet_phits,
                      int(self._pk_birth[ps]), sr, topo.group_of(sr), dr,
                      topo.group_of(dr))
-        ent = self._pr_ent[int(self._pk_rid[ps])]
-        pkt.g_hops = ent[2]
-        pkt.local_hops_group = ent[3]
-        pkt.local_hops_total = ent[4]
-        pkt.prev_local_type = ent[5]
-        pkt.last_local_vc = ent[6]
-        if self._record_hops:
-            pkt.hops_log = [*ent[7],
-                            (self._int_eject, int(self._node_kidx[dst]), 0)]
+        self._stamp_route(pkt, int(self._pk_rid[ps]), int(self._node_kidx[dst]))
         self._pk_lazy[ps] = False
         self._pkt_obj[ps] = pkt
         return pkt
@@ -849,7 +940,7 @@ class ArrayCore:
     # ------------------------------------------------------------ main loop
     def step(self, sim) -> None:
         """``Simulator.step`` on the array state: one cycle, batched."""
-        if self.routers is None:
+        if self._routes is None:
             self._build(sim)
         t = sim.now
         slot = t % self._horizon
@@ -1174,12 +1265,13 @@ class ArrayCore:
             ne_ps = pslot[ne]
             hop = self._pk_hop[ne_ps]
             in_rt = hop < self._pk_nh[ne_ps]
-            ridx = _np.minimum(self._pk_off[ne_ps] + hop,
-                               len(self._rt_op) - 1)
+            routes = self._routes
+            rt_op, rt_fovc = routes.rt_op, routes.rt_fovc
+            ridx = _np.minimum(self._pk_off[ne_ps] + hop, len(rt_op) - 1)
             self._fl_eff_op[ne_flit] = _np.where(
-                in_rt, self._rt_op[ridx], self._pk_ej_op[ne_ps])
+                in_rt, rt_op[ridx], self._pk_ej_op[ne_ps])
             self._fl_eff_fovc[ne_flit] = _np.where(
-                in_rt, self._rt_fovc[ridx], self._pk_ej_ovc[ne_ps])
+                in_rt, rt_fovc[ridx], self._pk_ej_ovc[ne_ps])
             ring = self._arr_ring
             horizon = self._horizon
             dl = delay.tolist()
@@ -1234,7 +1326,7 @@ class ArrayCore:
                     stats.on_delivered_batch(
                         nd, nd * self._packet_phits, int(lats.sum()),
                         int(lats.max()),
-                        int(self._pr_hops[self._pk_rid[dslots]].sum()))
+                        int(self._routes.pr_hops[self._pk_rid[dslots]].sum()))
                     sim.packets_in_flight -= nd
                     for fn in batch_obs:
                         fn(lats, dones)
@@ -1274,7 +1366,7 @@ class ArrayCore:
         nout = self._nout
         lbase = topo.p
         gbase = lbase + topo.local_ports
-        rt_op, rt_fovc = self._rt_op, self._rt_fovc
+        rt_op, rt_fovc = self._routes.rt_op, self._routes.rt_fovc
         ovc_base = self._ovc_base
         lazy = self._pk_lazy
         for ps in range(self._pk_used):
@@ -1325,9 +1417,9 @@ class ArrayCore:
         timing wheels) is reconstructed exactly as the wheel would have
         built it.
         """
-        routers = self.routers
-        if routers is None:
-            return  # never built: the object graph is still authoritative
+        if self._routes is None:
+            return  # never built: the fresh routers are the whole state
+        routers = sim.routers
         if self._stage_n:
             self._flush_injections()
         self._rewind_in_flight_packets()
@@ -1380,7 +1472,6 @@ class ArrayCore:
                     out.credits[v] = int(self._ov_credits[b + v])
                     owner = int(self._ov_owner[b + v])
                     out.owner[v] = None if owner < 0 else pkt_obj[owner].pid
-        sim.routers = routers
         sim._active = {r.rid for r in routers if r.pending}
 
         # wheels: expand each slot's chunks, in place, into the wheel's
@@ -1406,4 +1497,4 @@ class ArrayCore:
                                     int(amount)))
 
 
-__all__ = ["ArrayCore", "select_core"]
+__all__ = ["ArrayCore", "ParkedRouters", "select_core"]

@@ -1,7 +1,10 @@
 """The cycle engine: arrivals, allocation, grants, credits, statistics.
 
-One :class:`Simulator` owns the topology, the routers, the routing
-algorithm instance and the traffic process.  Each cycle it
+One :class:`Simulator` owns the routers, the routing algorithm instance
+and the traffic process, and *borrows* the topology: fabrics are
+compiled once per process and shared by every point on them
+(:mod:`repro.topology.fabric`), so a simulator allocates only what its
+point mutates.  Each cycle it
 
 1. delivers flits whose link traversal completes this cycle,
 2. applies returned credits,
@@ -50,6 +53,9 @@ test); see :mod:`repro.network.arraysim` for the way in and the way out.
 That module (and numpy with it) is imported only when a simulator asks
 for a core, so a wheel run is stdlib-only, and batched injection is the
 core's protocol: the wheel has one injection call, ``traffic.inject``.
+The core is chosen before any object router exists: a point that stays
+on it builds none (its arrays' static half comes from the compiled
+fabric), and ``_leave_core`` builds them for the runs that leave.
 
 The pre-rewrite hot path survives verbatim as
 :class:`repro.network.reference.ReferenceSimulator` for benchmarking
@@ -74,9 +80,9 @@ from repro.registry import (
     ARBITER_REGISTRY,
     ENGINE_REGISTRY,
     FLOW_CONTROL_REGISTRY,
-    TOPOLOGY_REGISTRY,
 )
 from repro.topology import PortKind
+from repro.topology.fabric import fabric_for
 
 _EJECT = PortKind.EJECT
 #: "no refusal seen yet" sentinel of the per-router wake-cycle scan
@@ -105,7 +111,10 @@ class Simulator:
 
     def __init__(self, config: SimConfig, traffic=None) -> None:
         self.config = config
-        self.topo = TOPOLOGY_REGISTRY.get(config.topology).from_config(config)
+        #: the compiled fabric this point borrows (topology, and under a
+        #: core the array layout and route table): shared, never written
+        self._fabric = fabric_for(config)
+        self.topo = self._fabric.topo
         algo_cls = routing_by_name(config.routing)
         self.fc = FLOW_CONTROL_REGISTRY.get(config.flow_control).from_config(config)
         if algo_cls.requires_vct and not self.fc.whole_packet_reservation:
@@ -132,18 +141,6 @@ class Simulator:
         self.rng_route = random.Random(config.seed ^ 0x9E3779B9)
         self.trigger = MisroutingTrigger(config.threshold)
         self.algo = algo_cls(self.topo, config, self.trigger, self.rng_route)
-        self.routers = [
-            Router(
-                rid, self.topo,
-                local_vcs=self.local_vcs, global_vcs=self.global_vcs,
-                local_capacity=config.local_buffer_phits,
-                global_capacity=config.global_buffer_phits,
-                local_latency=config.local_latency,
-                global_latency=config.global_latency,
-            )
-            for rid in range(self.topo.num_routers)
-        ]
-        self._wire_credit_upstreams()
         self.traffic = traffic
         self.stats = StatsCollector()
         #: hooks ``(packet, cycle) -> None`` fired at tail ejection, in
@@ -191,21 +188,51 @@ class Simulator:
         self._core = None
         if config.engine == "auto" and type(self) is Simulator:
             try:
-                from repro.network.arraysim import select_core
+                from repro.network.arraysim import ParkedRouters, select_core
             except ImportError:
                 pass  # no numpy: an ``auto`` point is the wheel run
             else:
                 self._core = select_core(self)
+        #: the object routers — or, while a core runs the point, a
+        #: stand-in whose first use leaves the core: a point that stays
+        #: on its core never builds a ``Router``
+        self.routers = (self._build_routers() if self._core is None
+                        else ParkedRouters(self))
+
+    def _build_routers(self) -> list:
+        """Fresh object routers for this point, credit upstreams wired."""
+        config = self.config
+        routers = [
+            Router(
+                rid, self.topo,
+                local_vcs=self.local_vcs, global_vcs=self.global_vcs,
+                local_capacity=config.local_buffer_phits,
+                global_capacity=config.global_buffer_phits,
+                local_latency=config.local_latency,
+                global_latency=config.global_latency,
+            )
+            for rid in range(self.topo.num_routers)
+        ]
+        # point every input VC buffer at the output unit feeding it
+        for router in routers:
+            for out in router.outputs:
+                if out.kind is _EJECT:
+                    continue
+                for vcb in routers[out.dest_router].inputs[out.dest_port].vcs:
+                    vcb.upstream_output = out
+        return routers
 
     # ------------------------------------------------------------ array core
     def _leave_core(self) -> None:
-        """Write the array core's state back and drop it (one-way).
+        """Build the object routers, fill them from the core, drop it (one-way).
 
-        The only way off the core: the object routers, FIFOs, credits
-        and timing wheels come back exactly as the wheel would have
-        built them, and the run continues on the wheel path.
+        The only way off the core, and the only place an ``auto`` point
+        that had one pays for object routers: they, the FIFOs, credits
+        and timing wheels come out exactly as the wheel would have built
+        them, and the run continues on the wheel path.
         """
         core, self._core = self._core, None
+        self.routers = self._build_routers()
         core.materialize(self)
 
     # ------------------------------------------------------------- observers
@@ -281,17 +308,6 @@ class Simulator:
         eject = getattr(tap, "on_eject", None)
         if eject is not None and eject in self._delivery_observers:
             self.remove_delivery_observer(eject)
-
-    def _wire_credit_upstreams(self) -> None:
-        """Point every input VC buffer at the output unit feeding it."""
-        for router in self.routers:
-            for out in router.outputs:
-                if out.kind == PortKind.EJECT:
-                    continue
-                dest = self.routers[out.dest_router]
-                port = dest.inputs[out.dest_port]
-                for vcb in port.vcs:
-                    vcb.upstream_output = out
 
     # ------------------------------------------------------------ injection
     def inject_packet(self, src: int, dst: int, now: int | None = None) -> Packet:

@@ -10,6 +10,8 @@ simulator by decorating their own class::
 
     @TOPOLOGY_REGISTRY.register("torus", description="3-D torus fabric")
     class Torus:
+        config_fields = ("torus_rows", "torus_cols", "p")  # what it reads
+
         @classmethod
         def from_config(cls, config): ...
 

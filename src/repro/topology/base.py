@@ -4,7 +4,11 @@ A registered topology (see ``repro.registry.TOPOLOGY_REGISTRY``) is any
 class exposing this surface.  The engine builds it from a
 :class:`~repro.network.config.SimConfig` via ``from_config`` and only
 ever talks to the protocol — ``Simulator`` and ``Router`` have no
-knowledge of which fabric they are driving.  Three fabrics ship with
+knowledge of which fabric they are driving.  It builds it *once per
+process*: every point whose config agrees on the class's
+``config_fields`` borrows the same instance
+(:mod:`repro.topology.fabric`), so an instance must never change after
+construction and ``from_config`` may read the declared fields only.  Three fabrics ship with
 the package: the :class:`~repro.topology.dragonfly.Dragonfly` of the
 reproduced paper, the 1-D
 :class:`~repro.topology.flattened_butterfly.FlattenedButterfly` and
@@ -133,7 +137,14 @@ class Topology(Protocol):
 
     @classmethod
     def from_config(cls, config) -> "Topology":
-        """Build an instance from a :class:`SimConfig`."""
+        """Build an instance from a :class:`SimConfig`.
+
+        The class declares ``config_fields`` — a tuple naming the
+        fields this method reads.  It is handed a view exposing exactly
+        those, and the instance is shared by every point that agrees on
+        them; the engine refuses a registered class without the
+        declaration (``TypeError``).
+        """
         ...
 
     # ---- id arithmetic

@@ -43,6 +43,9 @@ class Dragonfly:
     #: Valiant path), global VC == global hops taken (0..1)
     route_local_vcs = 3
     route_global_vcs = 2
+    #: the ``SimConfig`` fields :meth:`from_config` reads — the fabric's
+    #: memo key (see :mod:`repro.topology.fabric`)
+    config_fields = ("h", "p", "a", "arrangement")
 
     def __init__(self, h: int, *, p: int | None = None, a: int | None = None,
                  arrangement: str = "palmtree") -> None:
@@ -126,15 +129,21 @@ class Dragonfly:
         return link // self.h, link % self.h
 
     def global_neighbor(self, router: int, gport: int) -> tuple[int, int]:
-        """(peer router id, peer global port) across global ``gport``."""
-        g = self.group_of(router)
-        i = self.index_in_group(router)
-        pg, plink = self.arrangement.peer(g, self.global_link_index(i, gport))
-        pi, pport = self.global_link_owner(plink)
-        return self.router_id(pg, pi), pport
+        """(peer router id, peer global port) across global ``gport`` (table lookup)."""
+        return self._gpeer[router][gport]
 
     # ------------------------------------------------------------- route maps
     def _build_tables(self) -> None:
+        # far end of each (router, gport): (peer router id, peer gport)
+        self._gpeer = []
+        for g in range(self.num_groups):
+            for i in range(self.a):
+                row = []
+                for k in range(self.h):
+                    pg, plink = self.arrangement.peer(g, self.global_link_index(i, k))
+                    pi, pport = self.global_link_owner(plink)
+                    row.append((self.router_id(pg, pi), pport))
+                self._gpeer.append(row)
         # target group of each (group, router-in-group, gport)
         self._gtarget = [
             [

@@ -47,6 +47,8 @@ class FlattenedButterfly:
     #: the (Valiant) second
     route_local_vcs = 2
     route_global_vcs = 1  # no global ports; one VC keeps sizing well-defined
+    #: the ``SimConfig`` fields :meth:`from_config` reads (the memo key)
+    config_fields = ("fb_routers", "p")
 
     def __init__(self, routers: int, *, p: int = 2) -> None:
         if routers < 2:

@@ -69,6 +69,8 @@ class Torus2D:
     #: date-line discipline over two Valiant phases: VC = phase + crossed
     route_local_vcs = 3
     route_global_vcs = 3
+    #: the ``SimConfig`` fields :meth:`from_config` reads (the memo key)
+    config_fields = ("torus_rows", "torus_cols", "p")
 
     def __init__(self, rows: int, cols: int, *, p: int = 2) -> None:
         for name, value in (("rows", rows), ("cols", cols)):

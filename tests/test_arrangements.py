@@ -81,3 +81,23 @@ def test_palmtree_formula():
     assert arr.peer(0, 0) == (1, 7)
     assert arr.peer(0, 7) == (8, 0)
     assert arr.peer(4, 3) == (8, 4)
+
+
+@pytest.mark.parametrize("arrangement", ["palmtree", "consecutive"])
+@pytest.mark.parametrize("h", [2, 3])
+def test_global_neighbor_table_equals_the_arrangement_formula(arrangement, h):
+    """``Dragonfly.global_neighbor`` is a lookup; the table it reads is
+    the arrangement's ``peer`` composed with the link-ownership maps,
+    for every (router, global port) of the fabric."""
+    from repro.topology import Dragonfly
+
+    topo = Dragonfly(h, arrangement=arrangement)
+    for router in range(topo.num_routers):
+        group, index = topo.group_of(router), topo.index_in_group(router)
+        for gport in range(topo.h):
+            peer_group, peer_link = topo.arrangement.peer(
+                group, topo.global_link_index(index, gport))
+            peer_index, peer_port = topo.global_link_owner(peer_link)
+            assert (topo.global_neighbor(router, gport)
+                    == (topo.router_id(peer_group, peer_index), peer_port))
+            assert topo.target_group_of(router, gport) == peer_group

@@ -3,12 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.facade import run_point
+from repro.facade import point_record, run_point, session
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.runplan.cache import canonical_record_json
-from repro.traffic.patterns import AdversarialGlobal, AdversarialLocal, UniformRandom
-from repro.traffic.processes import BernoulliTraffic
+from repro.topology.fabric import clear_fabrics
+from repro.traffic.patterns import (
+    AdversarialGlobal,
+    AdversarialLocal,
+    UniformRandom,
+    pattern_by_name,
+)
+from repro.traffic.processes import BernoulliTraffic, BurstTraffic
 
 PATTERNS = [UniformRandom(), AdversarialGlobal(1), AdversarialLocal(1)]
 
@@ -100,6 +106,80 @@ def test_wheel_records_equal_the_reference_engine(case, load, seed):
                       verify=verify, bucket=75)
     reference = run_point(config.with_(engine="reference"), pattern, load, 300, 600)
     assert canonical_record_json(wheel) == canonical_record_json(reference)
+
+
+# ------------------------------ shared fabric == private fabric (metamorphic)
+_SHARED_FABRICS = [
+    dict(h=2),
+    dict(topology="torus", torus_rows=3, torus_cols=4, p=2),
+    dict(topology="flattened_butterfly", fb_routers=6, p=2),
+]
+_WARMUP = _MEASURE = 60
+_core_point = st.fixed_dictionaries(dict(
+    pattern=st.sampled_from(["uniform", "advg+1", "advl+1"]),
+    load=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+    wh=st.booleans(),
+    record_hops=st.booleans(),
+    arbitration=st.sampled_from(["rr", "age"]),
+    #: cycle at which the run leaves its core, if it does
+    leave_at=st.none() | st.integers(0, _WARMUP + _MEASURE - 1),
+    #: a burst drain instead of a steady window
+    burst=st.booleans(),
+))
+
+
+def _run_core_point(fabric: dict, point: dict, engine: str) -> tuple:
+    """Record bytes and, with ``record_hops``, the per-packet delivery log."""
+    cfg = SimConfig(routing="minimal", engine=engine, seed=point["seed"],
+                    arbitration=point["arbitration"],
+                    record_hops=point["record_hops"],
+                    **(_WH if point["wh"] else {}), **fabric)
+    s = session(cfg)
+    sim = s.sim
+    pattern = pattern_by_name(point["pattern"], sim.topo)
+    s.with_traffic(BurstTraffic(pattern, 2) if point["burst"]
+                   else BernoulliTraffic(pattern, point["load"]))
+    log = []
+    if point["record_hops"]:  # a scalar observer: every packet gets built
+        sim.add_delivery_observer(lambda pkt, cycle: log.append(
+            (pkt.pid, cycle, tuple(pkt.hops_log), pkt.g_hops,
+             pkt.local_hops_group, pkt.local_hops_total, pkt.prev_local_type,
+             pkt.last_local_vc)))
+    assert (sim._core is not None) == (engine == "auto")
+    leave_at = point["leave_at"]
+    first = _WARMUP if leave_at is None else min(leave_at, _WARMUP)
+    s.run(first)
+    if leave_at is not None and leave_at <= _WARMUP and sim._core is not None:
+        sim._leave_core()
+    s.warmup(_WARMUP - first)
+    if leave_at is not None and leave_at > _WARMUP:
+        s.run(leave_at - _WARMUP)
+        if sim._core is not None:
+            sim._leave_core()
+    result = (s.drain(200_000) if point["burst"]
+              else s.measure(_WARMUP + _MEASURE - max(leave_at or 0, _WARMUP)))
+    assert (sim._core is None) == (engine == "wheel" or leave_at is not None)
+    return canonical_record_json(point_record(result, cfg)), log
+
+
+@given(fabric=st.sampled_from(_SHARED_FABRICS),
+       points=st.lists(_core_point, min_size=2, max_size=5))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+def test_a_record_does_not_know_what_ran_before_it(fabric, points):
+    """Points on one compiled fabric equal the same points run alone.
+
+    Everything a process keeps between points (topology, array layout,
+    route table — ``repro.topology.fabric``) must be a pure function of
+    the fabric: a sequence sharing one warm fabric, each point again on
+    a fabric nobody has used, and the wheel all give the same bytes.
+    """
+    clear_fabrics()
+    shared = [_run_core_point(fabric, point, "auto") for point in points]
+    for point, outcome in zip(points, shared):
+        clear_fabrics()
+        assert outcome == _run_core_point(fabric, point, "auto")
+        assert outcome == _run_core_point(fabric, point, "wheel")
 
 
 @given(seed=st.integers(0, 2**16))

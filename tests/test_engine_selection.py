@@ -84,11 +84,42 @@ def test_wheel_and_reference_never_carry_a_core():
 def test_a_core_is_built_lazily_and_an_early_event_tap_costs_nothing():
     sim = build_simulator(SimConfig(h=2, routing="minimal", engine="auto"))
     core = sim._core
-    assert core is not None and core.routers is None  # selected, not built
-    routers = sim.routers  # pristine object graph: reading it is free
-    assert sim._core is core
+    assert core is not None and core._routes is None  # selected, not built
+    parked = sim.routers  # holding the stand-in is free: no arrays, no routers
+    assert sim._core is core and type(parked) is not list
     sim.add_tap(_GrantTap())
-    assert sim._core is None and sim.routers is routers
+    # the early tap paid for object routers, as a wheel construction
+    # does, and for nothing else: the core never built an array
+    assert sim._core is None and core._routes is None
+    assert type(sim.routers) is list and parked[0] is sim.routers[0]
+
+
+def test_an_eligible_auto_point_builds_no_router_until_it_leaves(monkeypatch):
+    import repro.network.simulator as simulator
+
+    built = []
+
+    class CountingRouter(simulator.Router):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "Router", CountingRouter)
+    cfg = SimConfig(h=2, routing="minimal", engine="auto", seed=5)
+    sim = build_simulator(cfg, BernoulliTraffic(UniformRandom(), 0.5))
+    sim.run(80)
+    assert sim._core is not None and sim.packets_in_flight and not built
+    sim._leave_core()
+    assert built == list(range(sim.topo.num_routers))
+    sim.run(80)
+    assert len(built) == sim.topo.num_routers  # built once, on the way out
+    # ineligible and wheel points build them at construction
+    for other in (cfg.with_(engine="wheel"), cfg.with_(routing="olm")):
+        del built[:]
+        build_simulator(other)
+        assert len(built) == sim.topo.num_routers
 
 
 # -------------------------------------------------------------------- exits

@@ -6,7 +6,10 @@ numpy is the array core's dependency (``network/arraysim.py``,
 on the wheel — ``import repro``, the service, the CLI, a point, a
 verified point, ``verify-results`` — must load neither, and a
 numpy-less interpreter must run ``engine="auto"`` as the wheel run it
-is.  Each case needs a fresh interpreter, hence the subprocesses.
+is.  The per-process fabric memo (``repro.topology.fabric``) sits on the
+wheel's path too, so it is stdlib-only; its array half lives in
+``arraysim``.  Each case needs a fresh interpreter, hence the
+subprocesses.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ run_point(olm, "uniform", 0.4, 60, 60)
 run_point(olm, "uniform", 0.4, 60, 60, verify="full")
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify-results", "results/tab1.json"]) == 0
+import repro.topology.fabric as fabric
+assert fabric.fabric_cache_info().misses == 1, "the wheel points share a fabric"
 loaded = {"numpy", "networkx"} & sys.modules.keys()
 assert not loaded, f"the wheel path loaded {sorted(loaded)}"
 
@@ -55,7 +60,9 @@ import repro
 from repro import SimConfig, build_simulator, run_point
 
 auto = SimConfig(h=2, routing="minimal", engine="auto")
-assert build_simulator(auto)._core is None
+sim = build_simulator(auto)
+assert sim._core is None
+assert type(sim.routers) is list and len(sim.routers) == sim.topo.num_routers
 assert (run_point(auto, "uniform", 0.4, 60, 60)
         == run_point(auto.with_(engine="wheel"), "uniform", 0.4, 60, 60))
 """

@@ -153,11 +153,16 @@ def test_backward_compat_shims_unchanged():
 
 
 def test_simulator_is_topology_agnostic():
-    """The engine resolves the fabric via TOPOLOGY_REGISTRY, never directly."""
+    """The engine resolves the fabric via TOPOLOGY_REGISTRY, never directly
+    (through the per-process memo, which is the one place that asks)."""
     import inspect
 
     import repro.network.simulator as engine
+    import repro.topology.fabric as memo
 
     src = inspect.getsource(engine)
     assert "Dragonfly" not in src
-    assert "TOPOLOGY_REGISTRY" in src
+    assert "fabric_for(config)" in src
+    memo_src = inspect.getsource(memo)
+    assert "Dragonfly" not in memo_src
+    assert "TOPOLOGY_REGISTRY.get(config.topology)" in memo_src

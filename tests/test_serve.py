@@ -458,3 +458,37 @@ def test_stats_counts_quarantined_points(monkeypatch):
         assert stats["quarantined_points"] == 1
         assert stats["settings"]["point_retries"] == 3
         assert seen_retries == [3]
+
+
+# ------------------------------- two workers, one fabric nobody has compiled
+def test_two_workers_share_one_cold_fabric():
+    """Two ``auto`` jobs on one fabric, run by two worker threads at once,
+    compile it between them and still answer what the facade answers."""
+    from repro.facade import run_point
+    from repro.metrics.hub import strict_jsonable
+    from repro.network.config import SimConfig
+    from repro.runplan.cache import canonical_record_json
+    from repro.topology.fabric import clear_fabrics, fabric_cache_info
+
+    config = {"h": 3, "routing": "minimal", "engine": "auto", "seed": 5}
+    jobs = [{"config": config, "pattern": pattern, "load": load,
+             "warmup": 80, "measure": 80}
+            for pattern, load in (("uniform", 0.7), ("advg+1", 0.3))]
+    offline = [canonical_record_json(strict_jsonable(run_point(
+        SimConfig(**config), job["pattern"], job["load"], 80, 80)))
+        for job in jobs]
+    clear_fabrics()
+
+    @serve_test(ServeSettings(workers=2, job_timeout=60))
+    async def _(client, app):
+        posted = await asyncio.gather(
+            *(client.post("/v1/jobs", json_body=job) for job in jobs))
+        assert [resp.status for resp in posted] == [202, 202]
+        bodies = [await wait_state(client, resp.json()["job"], "done",
+                                   "failed", timeout=60) for resp in posted]
+        assert [body["state"] for body in bodies] == ["done", "done"], bodies
+        served = [canonical_record_json(body["result"]["records"][0])
+                  for body in bodies]
+        assert served == offline
+
+    assert fabric_cache_info().misses == 1  # one build, borrowed by both

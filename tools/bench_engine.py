@@ -28,8 +28,8 @@ Scenario families (all record-gated, speedup-gated where marked):
   remaining per-cycle numpy overhead.  The RNG draw itself stays a
   Python-loop contract floor shared by every engine, which is why the
   gate is 4x rather than the drain rows' 5x.  Measured over a long
-  steady window (warmup excluded) because the array core's one-time
-  route-cache population otherwise dilutes the steady-state ratio.
+  steady window (warmup excluded) because walking the routes of a cold
+  fabric otherwise dilutes the steady-state ratio.
 * ``sparse_hotspot_backlog`` — formerly the array core's worst case:
   only a handful of routers are ever active.  Sparse-activity
   compaction (epoch-keyed active-pair layouts, the event-driven
@@ -49,6 +49,21 @@ Scenario families (all record-gated, speedup-gated where marked):
 
 The ``auto`` engine is in the smoke matrix on every row, so CI proves
 its records match on the array core and on the wheel alike.
+
+**Cold and warm fabrics.**  A process compiles a fabric once
+(``repro.topology.fabric``) and the repeats of a row share this
+process, so left alone the 2nd and 3rd repeat of an ``auto`` row would
+quietly time a warm fabric — no layout to compile, no route to walk.
+Every ``auto`` repeat is therefore run twice: with the memo cleared
+first (what the row always measured; ``engines.auto`` and every gate
+read this one, and ``cpu_s_cold_fabric`` is its CPU time) and again
+with the fabric that run left behind (``cpu_s_warm_fabric``).  Both
+records join the row's equality check, which is also how ``--smoke``
+proves that a point on a borrowed fabric emits the bytes of a point on
+its own.  ``second_point_same_fabric_*`` (minimal, uniform, 120 + 120
+cycles at h=3 and h=4, construction inside the clock) is the number a
+sweep cares about: the first point of a fresh process against its
+replica on the now-warm fabric.
 
 Speed gates are ``{"metric", "operator", "value"}`` targets; every
 gated row reports ``gate_met`` and the report lists the misses, but a
@@ -83,6 +98,7 @@ from repro.facade import Session, point_record
 from repro.network.config import SimConfig
 from repro.network.simulator import build_simulator
 from repro.runplan import canonical_record_json
+from repro.topology.fabric import clear_fabrics
 from repro.traffic.extra import TraceReplay
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.processes import BurstTraffic
@@ -170,9 +186,9 @@ def scenarios(smoke: bool) -> list[dict]:
              gate=_at_least(5, "auto", "wheel"), engines=("wheel", "auto"),
              repeat=1),
         # ---- PR-9 array-core gates: the two former honesty rows.
-        # The Bernoulli row measures a long steady window: the array
-        # core pays a one-time ~0.5s route-cache population (a Python
-        # walk per hot router pair) that would dilute the steady-state
+        # The Bernoulli row measures a long steady window: on a cold
+        # fabric the array core pays ~0.5s of route walks (Python, one
+        # per hot router pair) that would dilute the steady-state
         # ratio the row exists to report — per-cycle it runs ~4.5-5x
         # the wheel at this saturation.
         dict(name="saturated_bernoulli_vct_h3", kind="point",
@@ -188,6 +204,12 @@ def scenarios(smoke: bool) -> list[dict]:
              pattern_kwargs={"hot_node": 0}, packets_per_node=5,
              max_cycles=500_000, gate=_at_least(1, "auto", "wheel"),
              engines=("wheel", "auto"), repeat=4),
+        # ---- what the second point on a fabric saves (ungated): the
+        # first point compiles the fabric, its replica borrows it
+        *(dict(name=f"second_point_same_fabric_h{h}", kind="second_point",
+               cfg=_cfg("vct", "minimal", h=h), pattern="uniform", load=0.7,
+               warmup=120, measure=120, gate=None, engines=("wheel", "auto"))
+          for h in (3, 4)),
         # ---- wheel-vs-seed context rows (PR 3).  The first is gated
         # since PR 18: injection is all a near-idle Bernoulli window
         # does, and the wheel injects exactly as the seed engine does
@@ -224,8 +246,8 @@ def figure_mechanism_rows(warmup: int, measure: int) -> list[dict]:
     ]
 
 
-def _timed(fn) -> tuple[float, object]:
-    """(wall seconds, result) of ``fn()`` with the cyclic GC parked.
+def _timed(fn) -> tuple[tuple[float, float], object]:
+    """((wall, CPU) seconds, result) of ``fn()`` with the cyclic GC parked.
 
     Collect before the clock starts and disable the collector while it
     runs: GC pauses otherwise land in one engine's window and tilt the
@@ -234,33 +256,36 @@ def _timed(fn) -> tuple[float, object]:
     gc.collect()
     gc.disable()
     try:
-        start = time.perf_counter()
+        wall, cpu = time.perf_counter(), time.process_time()
         result = fn()
-        return time.perf_counter() - start, result
+        return (time.perf_counter() - wall, time.process_time() - cpu), result
     finally:
         gc.enable()
 
 
-def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple[float, int, str, tuple]:
-    """(wall seconds, cycles simulated, canonical record, final
-    ``rng_route`` state) for one engine name.
+def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple:
+    """(``[(wall, CPU) seconds]``, cycles simulated, canonical record,
+    final ``rng_route`` state) for one engine name; a ``second_point``
+    scenario times two points and its list has two entries.
 
     ``with_tap`` attaches a full MetricsHub (every event point wired)
     before the run — the instrumentation-overhead gate: the emitted
     record must stay byte-identical to the untapped reference engine.
     """
     cfg = SimConfig(**sc["cfg"])  # the record's config: engine-free
+    kind = sc["kind"]
+    if kind == "second_point":
+        return _second_point(sc, cfg, engine, with_tap)
     session = Session(sim=build_simulator(cfg.with_(engine=engine)))
     sim = session.sim
     if with_tap:
         from repro.metrics.hub import MetricsHub
 
         MetricsHub(sim, bucket=500)
-    kind = sc["kind"]
     if kind == "point":
         # Warm-up is outside the clock: steady-state rows compare the
-        # engines' per-cycle rate, not one-time setup (the array core
-        # populates its route cache during the first injected cycles).
+        # engines' per-cycle rate, not one-time setup (on a cold fabric
+        # the array core walks its routes during the first injected cycles).
         session.bernoulli(sc["pattern"], sc["load"]).warmup(sc["warmup"])
         elapsed, result = _timed(lambda: session.measure(sc["measure"]))
         record = point_record(result, cfg, pattern=sc["pattern"], load=sc["load"])
@@ -286,7 +311,31 @@ def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple[float, 
         elapsed, result = _timed(lambda: session.measure(sc["steps"] * sc["period"]))
         record = result.to_dict()
     cycles = sim.now - (sc["warmup"] if kind == "point" else 0)
-    return elapsed, cycles, canonical_record_json(record), sim.rng_route.getstate()
+    return [elapsed], cycles, canonical_record_json(record), sim.rng_route.getstate()
+
+
+def _second_point(sc: dict, cfg: SimConfig, engine: str, with_tap: bool) -> tuple:
+    """A point and its replica (the next seed), each timed whole —
+    construction, warm-up and measurement — and back to back: under
+    ``auto`` the replica borrows the fabric the point compiled.  The
+    record is both points' records."""
+    def whole_point(config: SimConfig):
+        session = Session(sim=build_simulator(config.with_(engine=engine)))
+        if with_tap:
+            from repro.metrics.hub import MetricsHub
+
+            MetricsHub(session.sim, bucket=500)
+        session.bernoulli(sc["pattern"], sc["load"]).warmup(sc["warmup"])
+        return session.sim, point_record(
+            session.measure(sc["measure"]), config, pattern=sc["pattern"],
+            load=sc["load"])
+
+    first, (_, record) = _timed(lambda: whole_point(cfg))
+    second, (sim, replica) = _timed(
+        lambda: whole_point(cfg.with_(seed=cfg.seed + 1)))
+    return ([first, second], sim.now,
+            canonical_record_json({"point": record, "replica": replica}),
+            sim.rng_route.getstate())
 
 
 def _previous_rows(path: str | None) -> dict[str, dict]:
@@ -351,6 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         timed = engines if args.engine == "all" else tuple(
             e for e in engines if e == args.engine)
         secs: dict[str, float] = {}
+        #: best CPU seconds of the ``auto`` runs, by fabric state
+        fabric_cpu: dict[str, float] = {}
         recs: dict[str, str] = {}
         rng_states: dict[str, tuple] = {}
         cycles = 0
@@ -369,10 +420,18 @@ def main(argv: list[str] | None = None) -> int:
                 if rep >= reps_of[name]:
                     continue
                 tap = args.tap and name != "reference"
-                s, cycles, recs[name], rng_states[name] = run_scenario(
+                clear_fabrics()  # every run compiles its own fabric ...
+                times, cycles, recs[name], rng_states[name] = run_scenario(
                     sc, name, with_tap=tap)
+                if name == "auto":
+                    if len(times) == 1:  # ... and ``auto`` reruns on the one it left
+                        warm, _, recs["auto, warm fabric"], _ = run_scenario(
+                            sc, name, with_tap=tap)
+                        times += warm
+                    for state, (_, cpu) in zip(("cold", "warm"), times):
+                        fabric_cpu[state] = min(fabric_cpu.get(state, cpu), cpu)
                 if name in timed:
-                    secs[name] = min(secs.get(name, s), s)
+                    secs[name] = min(secs.get(name, times[0][0]), times[0][0])
         if args.profile:
             import cProfile
             import pstats
@@ -412,6 +471,11 @@ def main(argv: list[str] | None = None) -> int:
             note = _denominator_note(row, previous.get(sc["name"]))
             if note:
                 row["note"] = note
+        if "auto" in secs:
+            row["cpu_s_cold_fabric"] = round(fabric_cpu["cold"], 4)
+            row["cpu_s_warm_fabric"] = round(fabric_cpu["warm"], 4)
+            row["speedup_warm_vs_cold_fabric"] = round(
+                fabric_cpu["cold"] / fabric_cpu["warm"], 3)
         gate = sc["gate"]
         if gate is not None and gate["metric"] in row:
             row["gate_met"] = GATE_OPERATORS[gate["operator"]](
@@ -426,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
             f"({cps[num]:.0f}/{cps[den]:.0f})"
             for num, den in (("wheel", "reference"), ("auto", "wheel"))
             if f"speedup_{num}_vs_{den}" in row)
+        if "auto" in secs:
+            ratios += (f"  fabric cold {fabric_cpu['cold']:.3f} / warm "
+                       f"{fabric_cpu['warm']:.3f} CPU s")
         verdict = {True: "  gate met", False: "  GATE MISSED"}.get(
             row.get("gate_met"), "")
         print(f"{sc['name']:30s} {cycles:7d} cyc  {perf}  {ratios}  "
@@ -451,7 +518,13 @@ def main(argv: list[str] | None = None) -> int:
                 "on the saturated Bernoulli steady window, >= 1x on the "
                 "sparse-hotspot row); a row's 'note' says when an "
                 "auto-vs-wheel ratio fell below the previous report's only "
-                "because the wheel, its denominator, got faster",
+                "because the wheel, its denominator, got faster; every "
+                "engine time and gate is a run that compiled its own "
+                "fabric (memo cleared first), 'cpu_s_cold_fabric' / "
+                "'cpu_s_warm_fabric' are auto's CPU seconds on that run "
+                "and on a rerun borrowing the fabric it left (on the "
+                "second_point_same_fabric rows: a whole point, "
+                "construction included, and its replica)",
     }
     if out:
         Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
