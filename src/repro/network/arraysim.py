@@ -120,13 +120,26 @@ Deliveries of all-lazy grants are batched too, through
 ``StatsCollector.on_delivered_batch`` and the observers' optional
 ``on_eject_batch``.
 
-**Sparse activity** — a set of flat input ports with buffered flits is
-maintained across all mutation sites, so the per-cycle allocator scans
-O(active ports) instead of O(all ports), and whenever a pass proves no
-grant can happen before a *known* busy-timer expiry, allocation is
-skipped entirely until that cycle (any arrival, credit or injection
-resets the skip).  Sparse backlogged scenarios no longer pay the full
-kernel sequence on empty cycles.
+**What the allocator reads, and the one integer it keeps** —
+:meth:`ArrayCore._alloc` is a function of the arrays and the cycle.
+Which ports to scan it reads from ``_ip_buffered``, the per-port flit
+count the core keeps anyway (:meth:`~ArrayCore.materialize` hands it to
+the routers): when an eighth of the fabric's ports hold flits the scan
+is the fabric's own (port, VC offset) layout — four read-only
+:class:`_Layout` columns, nothing built — and otherwise the same
+columns are laid out over the occupied ports on the spot, so a sparse
+backlog costs O(occupied ports) a cycle.  Between cycles it keeps
+``_next_alloc_t`` and nothing else: a pass that grants nothing proves
+no grant can happen before the earliest busy timer still running (or
+ever, if none is), so allocation is skipped until that cycle, and
+:meth:`~ArrayCore.step` reopens the gate whenever an arrival, a credit
+or an injection lands.  There is no candidate cache, no activity set
+and no credit watch to keep in step with the arrays — a kernel added
+here has no invalidation protocol to honour — which makes
+``_ip_buffered`` load-bearing: a port whose count drifted to 0 with
+flits queued would stall silently.  ``tests/helpers.py``
+(``assert_core_ledgers``) checks that ledger and the others the
+kernels trust against the FIFO chains and the rings.
 """
 
 from __future__ import annotations
@@ -398,6 +411,11 @@ class _Layout:
         vb_port = self._vb_port = self._ovc_out = _np.repeat(
             _np.arange(np_ports, dtype=i64), nvc)
         vb_vcidx = self._vb_vcidx = _np.arange(len(vb_port), dtype=i64) - vcbase[vb_port]
+        # with ``_vb_port`` / ``_vb_vcidx``, the allocator's scan of the
+        # whole fabric: per (port, VC offset) pair its port's VC count
+        # and first flat VC
+        self._vb_nvc = nvc[vb_port]
+        self._vb_vcbase = vcbase[vb_port]
 
         # ---- output ports + output VCs
         self._op_eject = _np.tile(_np.arange(nin) < p, nr)
@@ -576,26 +594,11 @@ class ArrayCore:
         self._pk_dst = _np.zeros(0, i64)
         self._pk_rid = _np.zeros(0, i64)
         self._pk_lazy = _np.zeros(0, bool)
-        #: flat input ports with ip_buffered > 0 (sparse-activity index)
-        self._act_set: set = set()
-        #: earliest cycle the allocator could grant (alloc-skip gate);
-        #: every arrival/credit/injection resets it to 0
+        #: earliest cycle the allocator could grant — the one thing it
+        #: keeps between cycles: :meth:`_alloc` sets it after a pass
+        #: without a grant, :meth:`step` resets it when an arrival, a
+        #: credit or an injection lands
         self._next_alloc_t = 0
-        #: candidate build reused across no-grant retries (_alloc);
-        #: every buffer-mutating event drops it
-        self._alloc_cache = None
-        #: scan structure (ports, pair layout) keyed on _act_epoch —
-        #: reused while the set of active ports is membership-stable
-        self._alloc_struct = None
-        self._act_epoch = 0
-        #: full-fabric pair layout (key None): used when most ports are
-        #: active, so membership churn never forces a rebuild — the
-        #: buffered-head filter does the activity cut instead
-        self._static_struct = None
-        #: output VCs whose credits could unlock a grant (None = any)
-        self._credit_watch = None
-        #: (traffic identity, its inject_batch) — per-cycle getattr saved
-        self._tb_cache: tuple = (None, None)
         #: (observer-list identity, batch forms) cache, see
         #: _delivery_batch_observers
         self._obs_batch: tuple = (None, None)
@@ -756,18 +759,8 @@ class ArrayCore:
         self._fl_next[tails[~em]] = firsts[~em]
         self._vb_tail[ivcs] = [e[1] for e in agg]
         self._vb_occ[ivcs] += asarray([e[3] for e in agg], i64)
-        fps = [e[4] for e in agg]
-        self._ip_buffered[asarray(fps, i64)] += \
+        self._ip_buffered[asarray([e[4] for e in agg], i64)] += \
             asarray([e[2] for e in agg], i64)
-        # injection ports have one VC each, so a new head (em) and a
-        # newly active port are the same condition; appends behind an
-        # existing tail leave the candidate matrix intact
-        act = self._act_set
-        if not act.issuperset(fps):
-            act.update(fps)
-            self._act_epoch += 1
-            self._alloc_cache = None
-        self._next_alloc_t = 0
         self._stage = ([], [], [], [], [])
         self._stage_fl = ([], [], [], [], [], [], [], [])
         self._stage_ivc = {}
@@ -867,21 +860,10 @@ class ArrayCore:
         self._fl_next[tails[~em]] = fs[~em]
         self._vb_tail[ivcs] = fs
         self._vb_occ[ivcs] += size
-        fps = self._node_fp[srcs]
-        self._ip_buffered[fps] += 1
-        # injection ports have one VC each: a new head and a newly
-        # active port coincide, and appends behind existing backlog
-        # (the saturated steady state) leave the candidate matrix valid
-        fpl = fps.tolist()
-        act = self._act_set
-        if not act.issuperset(fpl):
-            act.update(fpl)
-            self._act_epoch += 1
-            self._alloc_cache = None
+        self._ip_buffered[self._node_fp[srcs]] += 1
         self.buffered += nb
         sim.packets_in_flight += nb
         sim.stats.on_generated_batch(nb)
-        self._next_alloc_t = 0
 
     def _stamp_route(self, pkt: Packet, rid: int, k: int) -> None:
         """Give ``pkt`` what walking route ``rid`` to eject port ``k`` leaves."""
@@ -947,28 +929,15 @@ class ArrayCore:
         chunks = self._arr_ring[slot]
         if chunks:
             vb_tail = self._vb_tail
-            act = self._act_set
             popped = 0
             for ivcs, flits in chunks:
                 tails = vb_tail[ivcs]
                 em = tails < 0
-                wp = self._vb_port[ivcs]
-                wpl = wp.tolist()
-                if not act.issuperset(wpl):
-                    # a previously idle port activates: new scan layout
-                    act.update(wpl)
-                    self._act_epoch += 1
-                    self._alloc_cache = None
-                elif self._alloc_cache is not None and bool(em.any()):
-                    # an arrival into an empty VC of an active port is a
-                    # new head — same layout, different candidates;
-                    # appends behind existing flits change neither
-                    self._alloc_cache = None
                 self._vb_head[ivcs[em]] = flits[em]
                 self._fl_next[tails[~em]] = flits[~em]
                 vb_tail[ivcs] = flits
                 self._vb_occ[ivcs] += self._fl_size[flits]
-                self._ip_buffered[wp] += 1
+                self._ip_buffered[self._vb_port[ivcs]] += 1
                 popped += len(ivcs)
             self._arr_ring[slot] = []
             sim._pending_events -= popped
@@ -977,25 +946,14 @@ class ArrayCore:
             self._next_alloc_t = 0
         cchunks = self._cr_ring[slot]
         if cchunks:
-            # credits wake the allocator only when a watched VC (an
-            # op-free pair short on exactly these credits) is topped up;
-            # a stale watch can only over-wake, never oversleep, because
-            # the gate is beyond ``t`` only right after a no-grant score
-            watch = self._credit_watch
-            wake = watch is None
             popped = 0
             for ovcs, amounts in cchunks:
                 self._ov_credits[ovcs] += amounts
                 popped += len(ovcs)
-                if not wake and watch and not watch.isdisjoint(
-                        ovcs.tolist()):
-                    wake = True
             self._cr_ring[slot] = []
             sim._pending_events -= popped
             sim._last_progress = t
-            if wake:
-                self._next_alloc_t = 0
-                self._credit_watch = None
+            self._next_alloc_t = 0
         traffic = sim.traffic
         if traffic is not None:
             # batched-injection protocol (see processes.BernoulliTraffic):
@@ -1003,11 +961,7 @@ class ArrayCore:
             # it, the scalar per-packet loop otherwise.  Out-of-step
             # injections staged before this cycle flush first so FIFO
             # order within each injection VC is preserved.
-            tb = self._tb_cache
-            if tb[0] is not traffic:
-                tb = (traffic, getattr(traffic, "inject_batch", None))
-                self._tb_cache = tb
-            inject_batch = tb[1]
+            inject_batch = getattr(traffic, "inject_batch", None)
             batch = None if inject_batch is None else inject_batch(sim, t)
             if batch is None:
                 traffic.inject(sim, t)
@@ -1015,156 +969,81 @@ class ArrayCore:
                 if self._stage_n:
                     self._flush_injections()
                 self.inject_batch(sim, batch[0], batch[1], t)
+                self._next_alloc_t = 0
         if self._stage_n:
             self._flush_injections()
+            self._next_alloc_t = 0
         if self.buffered and t >= self._next_alloc_t:
             self._alloc(sim, t)
         sim.now = t + 1
 
-    def _build_pair_struct(self, ports, key):
-        """Flattened (port, VC-offset) scan layout over ``ports``.
-
-        Pure membership function: reusable until the port list changes
-        (``key`` is the act-epoch it was built for, or None for the
-        full-fabric layout, which never goes stale).
-        """
-        nvc = self._ip_nvc[ports]
-        n = len(ports)
-        starts = _np.zeros(n, _np.int64)
-        _np.cumsum(nvc[:-1], out=starts[1:])
-        total = int(starts[-1] + nvc[-1]) if n else 0
-        reps = _np.repeat(_np.arange(n), nvc)  # port position per pair
-        off = _np.arange(total) - starts[reps]
-        return (key, ports, reps, off, nvc[reps],
-                self._ip_vcbase[ports][reps], ports[reps])
-
     def _alloc(self, sim, t: int) -> None:
-        # Retry fast path: between events the candidate-pair matrix is
-        # invariant — credits, owners and busy-vs-now are the only
-        # moving parts — so a build from an earlier no-grant cycle is
-        # re-scored with a handful of gathers.  Every event-driven way
-        # the candidate set can change invalidates the cache at the
-        # event site; port/output busy expiries are pure functions of
-        # ``t`` and live in the score.
-        c = self._alloc_cache
-        if c is not None:
-            self._alloc_score(sim, t, c)
-            return
-        # sparse-activity compaction: scan only the ports that hold
-        # flits (sorted — ascending flat port id is the wheel scan
-        # order).  The flattened (port, offset) layout depends only on
-        # the membership of the active set, so it is cached and reused
-        # across builds until a port activates or drains (_act_epoch).
-        # A saturated fabric churns membership at the transit-port
-        # margin every cycle; there the full-fabric layout (key None,
-        # built once) wins — the buffered-head filter cuts idle VCs
-        # anyway — with hysteresis so drains fall back to compaction.
-        s = self._alloc_struct
-        act = self._act_set
-        np_p = self._np_ports
-        if (s is None
-                or (s[0] is None and 16 * len(act) < np_p)
-                or (s[0] is not None and s[0] != self._act_epoch)):
-            if 8 * len(act) >= np_p:
-                s = self._static_struct
-                if s is None:
-                    s = self._build_pair_struct(_np.arange(np_p), None)
-                    self._static_struct = s
-            else:
-                ports = _np.fromiter(act, _np.int64, len(act))
-                ports.sort()
-                s = self._build_pair_struct(ports, self._act_epoch)
-            self._alloc_struct = s
-        _, ports, reps, off, nvp, vcb, spp = s
-        if not len(ports):
-            return
-        # flatten the round-robin VC scan into one (port, offset) pair
-        # matrix, port-major / offset-minor: for each candidate port,
-        # offset o visits VC (rr + o) mod nvc.  The first *sendable*
-        # pair per port wins — exactly the wheel's scan-and-break —
-        # and port-major order makes "first" a plain first-occurrence.
-        vi = self._ip_rr[ports][reps] + off
+        """One cycle's allocation: a function of the arrays and ``t``."""
+        # the ports worth scanning hold flits (ascending flat port id is
+        # the wheel's scan order).  When an eighth of the fabric does,
+        # scan all of it — the fabric's own layout, nothing to build, and
+        # the buffered-head filter below drops the idle VCs anyway;
+        # otherwise lay the same columns out over the active ports only
+        active = self._ip_buffered.nonzero()[0]
+        if 8 * len(active) >= self._np_ports:
+            sp, off = self._vb_port, self._vb_vcidx
+            nvp, vcb = self._vb_nvc, self._vb_vcbase
+        else:
+            nvc = self._ip_nvc[active]
+            sp = _np.repeat(active, nvc)
+            off = _np.arange(len(sp)) - _np.repeat(_np.cumsum(nvc) - nvc, nvc)
+            nvp, vcb = self._ip_nvc[sp], self._ip_vcbase[sp]
+        # the round-robin VC scan as one (port, offset) pair matrix,
+        # port-major / offset-minor: for each port, offset o visits VC
+        # (rr + o) mod nvc.  The first *sendable* pair per port wins —
+        # exactly the wheel's scan-and-break — and port-major order
+        # makes "first" a plain first-occurrence.
+        vi = self._ip_rr[sp] + off
         vi -= (vi >= nvp) * nvp
         ivc = vcb + vi
         head = self._vb_head[ivc]
         pi = (head >= 0).nonzero()[0]  # pairs with a buffered flit
-        if not len(pi):
-            self._credit_watch = None  # defensive: wake on any credit
-            return
-        reps = reps[pi]
+        sp = sp[pi]
         ivc = ivc[pi]
         vi = vi[pi]
         head = head[pi]
-        pslot = self._fl_pkt[head]
-        if self._sf:
-            # single-flit: routes are never held, the cached per-flit
-            # next-hop is always the live one
-            alloc = None
-            eff_op = self._fl_eff_op[head]
-            eff_fovc = self._fl_eff_fovc[head]
-        else:
+        eff_op = self._fl_eff_op[head]
+        eff_fovc = self._fl_eff_fovc[head]
+        if not self._sf:
+            # a multi-flit packet holds its route while flits follow the
+            # head, and owns the output VC it streams into (single-flit:
+            # routes are never held, the cached next hop is the live one)
             rop = self._vb_route_op[ivc]
-            alloc = rop >= 0
-            eff_op = _np.where(alloc, rop, self._fl_eff_op[head])
-            eff_fovc = _np.where(alloc, self._vb_route_fovc[ivc],
-                                 self._fl_eff_fovc[head])
-        spp = spp[pi]
-        ob = self._op_busy[eff_op]
-        pb = self._ip_busy[spp]
-        c = (spp, reps, ivc, vi, head, pslot, alloc,
-             eff_op, eff_fovc, self._fl_size[head], self._fl_tail[head],
-             self._op_eject[eff_op], ob, pb, _np.maximum(ob, pb))
-        self._alloc_cache = c
-        self._alloc_score(sim, t, c)
-
-    def _alloc_score(self, sim, t: int, c) -> None:
-        """Score a candidate build against live credit/owner state.
-
-        Everything in ``c`` is event-invariant (see :meth:`_alloc`);
-        the credit/owner gathers here are the only state that moves
-        between events, and the cached busy-timers only move against
-        ``t``.
-        """
-        (sp, reps, ivc, vi, head, pslot, alloc,
-         eff_op, eff_fovc, size, tail, ej, ob, pb, bmax) = c
-        cr_ok = self._ov_credits[eff_fovc] >= size
-        busy_ok = bmax <= t  # fused input-port and output readiness
-        if alloc is None:  # single-flit: ownership never engages
-            sendable = busy_ok & (ej | cr_ok)
-        else:
+            held = rop >= 0
+            eff_op = _np.where(held, rop, eff_op)
+            eff_fovc = _np.where(held, self._vb_route_fovc[ivc], eff_fovc)
+        takes = self._ov_credits[eff_fovc] >= self._fl_size[head]
+        if not self._sf:
             owner = self._ov_owner[eff_fovc]
-            own_ok = _np.where(alloc, owner == pslot, tail | (owner < 0))
-            sendable = busy_ok & (ej | (cr_ok & own_ok))
+            takes &= _np.where(held, owner == self._fl_pkt[head],
+                               self._fl_tail[head] | (owner < 0))
+        # fused input-port and output readiness
+        busy = _np.maximum(self._op_busy[eff_op], self._ip_busy[sp])
+        sendable = (busy <= t) & (self._op_eject[eff_op] | takes)
         si = sendable.nonzero()[0]
         if not len(si):
-            # every blocked pair waits on a busy-timer (known future
-            # cycle) or on credits/owner state (pure event); nothing
-            # can change before min(wake) without an event, and events
-            # reset the gate.  The watch-set narrows the credit case:
-            # only credits for a ready, op-free, credit-short pair's VC
-            # can produce a grant before the wake cycle.
-            wake = _ALLOC_IDLE
-            fut = pb[pb > t]
-            if len(fut):
-                wake = int(fut.min())
-            fut = ob[ob > t]
-            if len(fut):
-                w2 = int(fut.min())
-                if w2 < wake:
-                    wake = w2
-            self._credit_watch = set(
-                eff_fovc[busy_ok & ~ej & ~cr_ok].tolist())
-            self._next_alloc_t = wake
+            # every pair waits on a busy timer (a known cycle) or on
+            # credits / ownership (an arrival, a credit or an injection
+            # away — ``step`` reopens the gate for those): no grant is
+            # possible before the earliest timer still running
+            serialising = busy[busy > t]
+            self._next_alloc_t = (int(serialising.min()) if len(serialising)
+                                  else _ALLOC_IDLE)
             return
         # first sendable pair per port: pairs are in (port, offset)
-        # order, so reps[si] is sorted and a neighbour-diff flags each
+        # order, so sp[si] is sorted and a neighbour-diff flags each
         # port's first occurrence — the wheel's winning VC
-        rsi = reps[si]
-        first = _np.empty(len(rsi), bool)
+        ssp = sp[si]
+        first = _np.empty(len(ssp), bool)
         first[0] = True
-        first[1:] = rsi[1:] != rsi[:-1]
+        first[1:] = ssp[1:] != ssp[:-1]
         w = si[first]
-        sp = sp[w]
+        sp = ssp[first]
         sflit = head[w]
         sivc = ivc[w]
         svi = vi[w]
@@ -1176,7 +1055,7 @@ class ArrayCore:
         lidx = self._ip_lidx[sp]
         nin = self._nin
         if self._age_arb:
-            order = _np.lexsort((lidx, self._pk_birth[pslot[w]], sop))
+            order = _np.lexsort((lidx, self._pk_birth[self._fl_pkt[sflit]], sop))
         else:
             order = _np.lexsort(((lidx - self._op_rr[sop]) % nin, sop))
         ssop = sop[order]
@@ -1199,7 +1078,6 @@ class ArrayCore:
                            sflit[winners], sop[winners], sfovc[winners])
 
     def _apply_grants(self, sim, t, wp, wivc, wvi, wflit, wop, wfovc) -> None:
-        self._alloc_cache = None  # grants move heads, busies and pointers
         fl_next = self._fl_next
         sf = self._sf
         size = self._fl_size[wflit]
@@ -1215,12 +1093,7 @@ class ArrayCore:
             self._vb_tail[wivc[drained]] = -1
         fl_next[wflit] = -1
         self._vb_occ[wivc] -= size
-        ip_buffered = self._ip_buffered
-        ip_buffered[wp] -= 1
-        emptied = wp[ip_buffered[wp] == 0]
-        if len(emptied):
-            self._act_set.difference_update(emptied.tolist())
-            self._act_epoch += 1
+        self._ip_buffered[wp] -= 1
         self.buffered -= len(wp)
         busy = t + size
         self._ip_busy[wp] = busy
@@ -1319,8 +1192,7 @@ class ArrayCore:
                 # computed straight from the SoA, in grant order
                 batch_obs = self._delivery_batch_observers(sim)
                 if (batch_obs is not False
-                        and bool(self._pk_lazy[dslots].all())
-                        and hasattr(stats, "on_delivered_batch")):
+                        and bool(self._pk_lazy[dslots].all())):
                     nd = len(dslots)
                     lats = dones - self._pk_birth[dslots]
                     stats.on_delivered_batch(

@@ -712,7 +712,7 @@ class Simulator:
         """
         if self._core is not None:
             self._leave_core()  # introspection wants object tuples
-        return list(self._arr_wheel[when % self._horizon]) if self._horizon else []
+        return list(self._arr_wheel[when % self._horizon])
 
 
 def build_simulator(config: SimConfig, traffic=None) -> Simulator:

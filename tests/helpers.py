@@ -9,6 +9,14 @@ from repro.traffic.processes import BernoulliTraffic
 
 EJECT, LOCAL, GLOBAL = int(PortKind.EJECT), int(PortKind.LOCAL), int(PortKind.GLOBAL)
 
+#: one small instance of each shipped fabric, as ``SimConfig`` knobs
+FABRICS = {
+    "dragonfly": dict(h=2),
+    "flattened_butterfly": dict(topology="flattened_butterfly", fb_routers=9,
+                                p=2),
+    "torus": dict(topology="torus", torus_rows=3, torus_cols=4, p=2),
+}
+
 
 def build_sim(routing="minimal", traffic=None, **over) -> Simulator:
     """A small h=2 simulator with hop recording on, overridable via kwargs."""
@@ -155,3 +163,62 @@ def assert_olm_discipline(sim, packet):
             assert vc <= g_before, (vc, g_before, path)
     for seg in group_segments(sim, path):
         assert len(seg) <= 2
+
+
+# ------------------------------------------------------- array-core ledgers
+def core_ledger_checks(core) -> dict[str, bool]:
+    """The counts an :class:`ArrayCore`'s kernels trust, by name -> holds.
+
+    Each ledger is recomputed from what it summarises — the FIFO chains
+    (``_vb_head`` -> ``_fl_next``) and the chunks waiting in the arrival
+    and credit rings — for a built core between two steps.  The
+    allocator scans the ports ``_ip_buffered`` names and nothing else, so
+    a count that drifted low is a silent stall, not a slow scan.
+    """
+    import numpy as np
+
+    vc_count = len(core._vb_port)
+    flits = np.zeros(vc_count, np.int64)
+    phits = np.zeros(vc_count, np.int64)
+    fl_next, fl_size = core._fl_next.tolist(), core._fl_size.tolist()
+    for ivc, slot in enumerate(core._vb_head.tolist()):
+        while slot >= 0:
+            flits[ivc] += 1
+            phits[ivc] += fl_size[slot]
+            slot = fl_next[slot]
+    per_port = np.bincount(core._vb_port, flits, core._np_ports)
+    # on the wire: phits bound for each input VC, credits for each output VC
+    arriving = np.zeros(vc_count, np.int64)
+    returning = np.zeros(vc_count, np.int64)
+    for chunks in core._arr_ring:
+        for ivcs, slots in chunks:
+            np.add.at(arriving, ivcs, core._fl_size[slots])
+    for chunks in core._cr_ring:
+        for ovcs, amounts in chunks:
+            np.add.at(returning, ovcs, amounts)
+    links = (core._ov_dest_ivc >= 0).nonzero()[0]  # output VCs feeding a link
+    fed = core._ov_dest_ivc[links]  # ... and the input VC at its far end
+    return {
+        # _ip_buffered[p] is the flits chained in port p's VCs
+        "port_count": bool((core._ip_buffered == per_port).all()),
+        # buffered is their sum (plus injections staged for the next flush)
+        "total_count":
+            core.buffered == int(core._ip_buffered.sum()) + core._stage_n,
+        # _vb_occ[v] is the phits chained in VC v ...
+        "vc_occupancy": bool((core._vb_occ == phits).all()),
+        # ... and fits the configured depth
+        "vc_depth":
+            bool((core._vb_occ[fed] <= core._ov_credits0[links]).all()),
+        "credits_nonnegative": bool((core._ov_credits >= 0).all()),
+        # per link: credits + occupancy + phits and credits on the wire
+        # is the depth
+        "link_conservation":
+            bool((core._ov_credits[links] + core._vb_occ[fed] + arriving[fed]
+                  + returning[links] == core._ov_credits0[links]).all()),
+    }
+
+
+def assert_core_ledgers(core) -> None:
+    broken = [name for name, holds in core_ledger_checks(core).items()
+              if not holds]
+    assert not broken, broken

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.facade import point_record, run_point, session
+from repro.metrics.hub import MetricsHub
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.runplan.cache import canonical_record_json
@@ -122,8 +123,9 @@ _core_point = st.fixed_dictionaries(dict(
     wh=st.booleans(),
     record_hops=st.booleans(),
     arbitration=st.sampled_from(["rr", "age"]),
-    #: cycle at which the run leaves its core, if it does
+    #: cycle at which the run leaves its core, if it does, and how
     leave_at=st.none() | st.integers(0, _WARMUP + _MEASURE - 1),
+    leave_by=st.sampled_from(["hub", "routers", "arrivals_due"]),
     #: a burst drain instead of a steady window
     burst=st.booleans(),
 ))
@@ -147,19 +149,39 @@ def _run_core_point(fabric: dict, point: dict, engine: str) -> tuple:
              pkt.local_hops_group, pkt.local_hops_total, pkt.prev_local_type,
              pkt.last_local_vc)))
     assert (sim._core is not None) == (engine == "auto")
+    hubs = []
+
+    def leave() -> None:
+        """End the core, if the run has one, in the way the point drew."""
+        if sim._core is None:
+            return
+        if point["leave_by"] == "hub":
+            hubs.append(MetricsHub(sim, bucket=20))
+        elif point["leave_by"] == "routers":
+            assert sim.routers[0].rid == 0
+        else:
+            sim.arrivals_due(sim.now)
+        assert sim._core is None
+
     leave_at = point["leave_at"]
     first = _WARMUP if leave_at is None else min(leave_at, _WARMUP)
     s.run(first)
-    if leave_at is not None and leave_at <= _WARMUP and sim._core is not None:
-        sim._leave_core()
+    if leave_at is not None and leave_at <= _WARMUP:
+        leave()
     s.warmup(_WARMUP - first)
     if leave_at is not None and leave_at > _WARMUP:
         s.run(leave_at - _WARMUP)
-        if sim._core is not None:
-            sim._leave_core()
+        leave()
     result = (s.drain(200_000) if point["burst"]
               else s.measure(_WARMUP + _MEASURE - max(leave_at or 0, _WARMUP)))
-    assert (sim._core is None) == (engine == "wheel" or leave_at is not None)
+    assert (sim._core is None) == (engine != "auto" or leave_at is not None)
+    for hub in hubs:
+        # the full live set but Little's law, which wants a stationary
+        # window: these runs go to load 1.0, into drains, and the hub's
+        # window opens mid-run
+        failed = [check for check in hub.verify(full=True)["checks"]
+                  if not check["ok"] and check["check"] != "little_law"]
+        assert not failed, failed
     return canonical_record_json(point_record(result, cfg)), log
 
 
@@ -172,7 +194,9 @@ def test_a_record_does_not_know_what_ran_before_it(fabric, points):
     Everything a process keeps between points (topology, array layout,
     route table — ``repro.topology.fabric``) must be a pure function of
     the fabric: a sequence sharing one warm fabric, each point again on
-    a fabric nobody has used, and the wheel all give the same bytes.
+    a fabric nobody has used, the wheel and the frozen seed engine all
+    give the same bytes — whichever way a run leaves its core, and with
+    the live invariants holding on the runs a hub watched from there.
     """
     clear_fabrics()
     shared = [_run_core_point(fabric, point, "auto") for point in points]
@@ -180,6 +204,7 @@ def test_a_record_does_not_know_what_ran_before_it(fabric, points):
         clear_fabrics()
         assert outcome == _run_core_point(fabric, point, "auto")
         assert outcome == _run_core_point(fabric, point, "wheel")
+        assert outcome == _run_core_point(fabric, point, "reference")
 
 
 @given(seed=st.integers(0, 2**16))

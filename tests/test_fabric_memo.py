@@ -20,6 +20,7 @@ import weakref
 
 import numpy as np
 import pytest
+from helpers import FABRICS
 
 from repro.facade import run_point
 from repro.network import arraysim
@@ -37,13 +38,6 @@ from repro.topology.fabric import (
 )
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.processes import BernoulliTraffic
-
-FABRICS = {
-    "dragonfly": dict(h=2),
-    "flattened_butterfly": dict(topology="flattened_butterfly", fb_routers=9,
-                                p=2),
-    "torus": dict(topology="torus", torus_rows=3, torus_cols=4, p=2),
-}
 
 
 @pytest.fixture(autouse=True)
@@ -143,6 +137,8 @@ def test_points_on_one_fabric_borrow_the_identical_objects():
     static = [name for name, value in vars(one._core).items()
               if isinstance(value, np.ndarray) and not value.flags.writeable]
     assert len(static) >= 20
+    # the allocator's full scan is among them: one set per compiled fabric
+    assert {"_vb_port", "_vb_vcidx", "_vb_nvc", "_vb_vcbase"} <= set(static)
     for name in static:
         assert getattr(one._core, name) is getattr(other._core, name), name
     info = fabric_cache_info()
@@ -289,12 +285,14 @@ def test_the_layout_equals_the_object_routers_wiring(knobs):
     routers = sim._build_routers()
     nin, nout = len(routers[0].inputs), len(routers[0].outputs)
     assert (layout._nr, layout._nin, layout._nout) == (len(routers), nin, nout)
-    ip_vcbase, vb_port, vb_vcidx = [], [], []
+    ip_vcbase, vb_port, vb_vcidx, vb_nvc, vb_vcbase = [], [], [], [], []
     for r, router in enumerate(routers):
         for i, ip in enumerate(router.inputs):
             ip_vcbase.append(len(vb_port))
+            vb_vcbase += [len(vb_port)] * len(ip.vcs)
             vb_port += [r * nin + i] * len(ip.vcs)
             vb_vcidx += range(len(ip.vcs))
+            vb_nvc += [len(ip.vcs)] * len(ip.vcs)
     ovc_base, ovc_out, credits, lat, eject = [], [], [], [], []
     for r, router in enumerate(routers):
         for o, out in enumerate(router.outputs):
@@ -321,6 +319,7 @@ def test_the_layout_equals_the_object_routers_wiring(knobs):
     expected = dict(
         _ip_nvc=[len(ip.vcs) for router in routers for ip in router.inputs],
         _ip_vcbase=ip_vcbase, _vb_port=vb_port, _vb_vcidx=vb_vcidx,
+        _vb_nvc=vb_nvc, _vb_vcbase=vb_vcbase,
         _ip_lidx=list(range(nin)) * len(routers),
         _ovc_base=ovc_base, _ovc_out=ovc_out, _ov_credits0=credits,
         _op_lat=lat, _op_eject=eject,

@@ -118,7 +118,8 @@ def scenario_matrix() -> list[dict]:
     # and mixed draw extra uniforms per hit (the interleaved
     # destination-draw contract), shift is deterministic (fully
     # vectorized destinations) — plus a sparse-hotspot drain pinning
-    # the compaction path where only a handful of lanes stay live.
+    # the allocator's sparse scan and its busy-timer gate, where only a
+    # handful of ports hold flits.
     base = SimConfig(h=2, routing="minimal", flow_control="vct", seed=SEED)
     for pattern, load in (("hotspot", 0.85), ("shift", 0.9), ("mixed:40", 0.8)):
         entries.append({
