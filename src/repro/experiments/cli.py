@@ -149,11 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="routing mechanism (see list-components)")
     sweep.add_argument("--engine", default="auto",
                        help="engine for every point (default auto: the "
-                            "numpy array core when the point qualifies, a "
-                            "plain wheel run otherwise; pass wheel to keep "
-                            "the array core out — records and cache keys "
-                            "are engine-invariant; overrides the --config "
-                            "file's engine)")
+                            "numpy array core where it wins the point — "
+                            "minimal routing with rr/age arbitration and, "
+                            "decided at the point's first cycle, enough "
+                            "offered load for the fabric's size — and a "
+                            "plain, numpy-free wheel run everywhere else; "
+                            "pass wheel to keep the array core out — "
+                            "records and cache keys are engine-invariant; "
+                            "overrides the --config file's engine)")
     sweep.add_argument("--pattern", default="uniform",
                        help="traffic pattern spec (uniform, advg+h, mixed:40, ...)")
     sweep.add_argument("--loads", type=_loads_list,
@@ -592,11 +595,13 @@ def _verify_live_matrix(engines, topologies, *, scale_name: str, load: float,
     instrumented with the full invariant set enforced — and the two
     records must be byte-identical (the observation-only guarantee the
     whole shared cache rests on).  Returns one
-    :class:`~repro.analysis.invariants.ResultReport` per combination.
+    :class:`~repro.analysis.invariants.ResultReport` per combination;
+    its heading says which engine path the plain run took and why (an
+    ``auto`` row is a core run only where the core wins the point).
     """
     from repro.analysis.invariants import InvariantViolation, verify_result
     from repro.experiments.presets import cross_topology_config, get_scale
-    from repro.facade import run_point
+    from repro.facade import point_record, run_point, session
     from repro.runplan.cache import canonical_record_json
 
     scale = get_scale(scale_name)
@@ -608,7 +613,14 @@ def _verify_live_matrix(engines, topologies, *, scale_name: str, load: float,
             label = f"{topo}/{engine}"
             config = cross_topology_config(
                 topo, scale=scale, routing="minimal").with_(engine=engine)
-            plain = run_point(config, "uniform", load, scale.warmup, measure)
+            # ``run_point``, spelt out to read the path off the simulator
+            s = session(config, pattern="uniform", load=load)
+            try:
+                plain = point_record(s.warmup(scale.warmup).measure(measure),
+                                     config, pattern="uniform", load=load)
+                ran_on = f"{s.sim.engine_path}: {s.sim.engine_why}"
+            finally:
+                s.close()
             gate_failures: list[dict] = []
             checked = None
             try:
@@ -622,7 +634,8 @@ def _verify_live_matrix(engines, topologies, *, scale_name: str, load: float,
             payload = {
                 "id": f"live:{label}",
                 "description": (f"live re-run, scale {scale_name}, uniform "
-                                f"load {load:g}, engine {engine}"),
+                                f"load {load:g}, engine {engine} "
+                                f"({ran_on})"),
                 "series": {label: [plain]},
             }
             report = verify_result(payload, tolerance=tolerance)

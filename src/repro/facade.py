@@ -156,7 +156,10 @@ class Session:
 
         Call when wrapping a long-lived prebuilt simulator in several
         short-lived sessions; otherwise each session would keep
-        recording deliveries forever.
+        recording deliveries forever.  It also undoes the one reference
+        cycle a session makes (observer list ↔ latency tap), so a closed
+        session's simulator is freed by refcount when the last
+        reference to it goes — the worker entries below close theirs.
         """
         self._probe.detach()
 
@@ -480,18 +483,21 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
     """
     full = _full(verify)
     s = session(config, pattern=pattern_spec, load=load)
-    if steady:
-        s.warmup_until_steady(max_cycles=warmup, should_cancel=should_cancel)
-    else:
-        s.warmup(warmup, should_cancel=should_cancel, chunk=bucket)
-    if verify or on_row is not None or should_cancel is not None:
-        sr = s.measure_series(measure, bucket=bucket, emit=on_row,
-                              should_cancel=should_cancel, meta=meta,
-                              full_verify=full)
-        _gate(sr.verify, verify)
-        result = sr.result
-    else:
-        result = s.measure(measure)
+    try:
+        if steady:
+            s.warmup_until_steady(max_cycles=warmup, should_cancel=should_cancel)
+        else:
+            s.warmup(warmup, should_cancel=should_cancel, chunk=bucket)
+        if verify or on_row is not None or should_cancel is not None:
+            sr = s.measure_series(measure, bucket=bucket, emit=on_row,
+                                  should_cancel=should_cancel, meta=meta,
+                                  full_verify=full)
+            _gate(sr.verify, verify)
+            result = sr.result
+        else:
+            result = s.measure(measure)
+    finally:
+        s.close()
     rec = point_record(result, config, pattern=pattern_spec, load=load)
     if steady:
         rec["warmup_cycles"] = s.auto_warmup["cycles"]
@@ -519,20 +525,23 @@ def run_drain(config: SimConfig, pattern_spec: str, packets_per_node: int,
     full = _full(verify)
     _checkpoint(should_cancel)
     s = session(config)
-    pattern = pattern_by_name(pattern_spec, s.sim.topo)
-    s.with_traffic(BurstTraffic(pattern, packets_per_node))
-    if verify or on_row is not None:
-        hub = MetricsHub(s.sim, bucket=bucket, latencies=True)
-        try:
+    try:
+        pattern = pattern_by_name(pattern_spec, s.sim.topo)
+        s.with_traffic(BurstTraffic(pattern, packets_per_node))
+        if verify or on_row is not None:
+            hub = MetricsHub(s.sim, bucket=bucket, latencies=True)
+            try:
+                result = s.drain(max_cycles)
+                _gate(hub.verify(full=full), verify)
+                if on_row is not None:
+                    for row in hub.records(s.now, meta):
+                        on_row(row)
+            finally:
+                hub.detach()
+        else:
             result = s.drain(max_cycles)
-            _gate(hub.verify(full=full), verify)
-            if on_row is not None:
-                for row in hub.records(s.now, meta):
-                    on_row(row)
-        finally:
-            hub.detach()
-    else:
-        result = s.drain(max_cycles)
+    finally:
+        s.close()
     return point_record(result, config, pattern=pattern_spec,
                         packets_per_node=packets_per_node)
 
@@ -566,16 +575,19 @@ def run_transient(config: SimConfig, pattern_spec: str, load: float,
     """
     full = _full(verify)
     s = session(config, pattern=pattern_spec, load=load)
-    s.warmup_until_steady(bucket=bucket, max_cycles=warmup,
-                          should_cancel=should_cancel)
-    baseline = s.auto_warmup["steady_throughput"]
-    sim = s.sim
-    burst_pattern = pattern_by_name(pattern_spec, sim.topo)
-    BurstTraffic(burst_pattern, packets_per_node).inject(sim, sim.now)
-    sr = s.measure_series(measure, bucket=bucket, latencies=True,
-                          emit=on_row, should_cancel=should_cancel,
-                          meta=meta, full_verify=full)
-    _gate(sr.verify, verify)
+    try:
+        s.warmup_until_steady(bucket=bucket, max_cycles=warmup,
+                              should_cancel=should_cancel)
+        baseline = s.auto_warmup["steady_throughput"]
+        sim = s.sim
+        burst_pattern = pattern_by_name(pattern_spec, sim.topo)
+        BurstTraffic(burst_pattern, packets_per_node).inject(sim, sim.now)
+        sr = s.measure_series(measure, bucket=bucket, latencies=True,
+                              emit=on_row, should_cancel=should_cancel,
+                              meta=meta, full_verify=full)
+        _gate(sr.verify, verify)
+    finally:
+        s.close()
     recovery = recovery_time(sr.series["throughput"], baseline,
                              bucket=bucket, rel_tolerance=rel_tolerance,
                              hold=hold)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.topology.base import PortKind
 
@@ -102,10 +103,16 @@ class LatencyTap:
         self.latencies.clear()
 
     def detach(self) -> None:
-        """Stop observing (idempotent)."""
+        """Stop observing and let go of the simulator (idempotent).
+
+        Dropping ``sim`` is what lets a finished point be freed by
+        refcount: an array core may still hold this tap's
+        ``on_eject_batch`` for the observer list it last delivered to.
+        """
         if self._attached:
             self._attached = False
             self.sim.remove_tap(self)
+            self.sim = None
 
 
 class MetricsHub:
@@ -264,10 +271,19 @@ class MetricsHub:
         self._zero_window(self.sim.now if now is None else now)
 
     def detach(self) -> None:
-        """Stop observing (idempotent); collected data stays readable."""
+        """Stop observing (idempotent); collected data stays readable.
+
+        The hub lets go of the simulator, so whoever keeps a hub keeps
+        no finished point alive, and holds on to what its read-out and
+        :meth:`verify` ask of one, as it stood.
+        """
         if self._attached:
             self._attached = False
-            self.sim.remove_tap(self)
+            sim = self.sim
+            sim.remove_tap(self)
+            self.sim = SimpleNamespace(
+                now=sim.now, topo=sim.topo, config=sim.config,
+                packets_in_flight=sim.packets_in_flight)
 
     # ----------------------------------------------------------- verification
     def verify(self, full: bool = False) -> dict:

@@ -37,22 +37,17 @@ allocates only what its point mutates — busy timers, round-robin
 pointers, FIFO links, credits, owners, the flit and packet pools, the
 staging lists.
 
-**One way in** — :func:`select_core`, which a ``Simulator`` built with
-``engine="auto"`` calls once, *before* it would build object routers.
-The pure-array hot path needs routes that are a function of injection
-state alone: the routing class must declare ``array_core = True``
-(minimal routing does; adaptive mechanisms re-decide per cycle and
-consume RNG), arbitration must be ``rr`` or ``age`` (``random`` draws
-from the routing RNG per conflict), flow control must be the built-in
-VCT/WH pair, and no per-cycle routing hook may exist.  Any other point
-gets no core and *is* a wheel run.  A point with a core constructs no
-``Router``: ``sim.routers`` is a :class:`ParkedRouters` stand-in from
-the start, and the core's own arrays are built at the first injection
-or step, so a tap attached right after construction costs what a wheel
-construction costs and nothing more.  This module is imported there and
-nowhere else (numpy with it, unconditionally): a simulator that never
-asks for a core never pays for either, and a numpy-less ``auto`` fails
-that one import and stays on the wheel.
+**One way in** — ``corechoice._decide``, the one place that imports
+this module (numpy with it, unconditionally) and constructs an
+:class:`ArrayCore`.  :mod:`repro.network.corechoice` (stdlib) holds
+both halves of the rule: the static eligibility clauses a ``Simulator``
+built with ``engine="auto"`` checks *before* it would build object
+routers, and the offered-load threshold its undecided stand-in reads at
+the first ``step`` or injection.  A point that is ineligible, that the
+wheel wins, or that finds no numpy never gets here: it *is* a wheel run
+and pays for none of this.  A point that does constructs no ``Router``
+(``sim.routers`` is a ``ParkedRouters`` stand-in from the start) and the
+core's own arrays are built as it is installed.
 
 **One way out** — ``Simulator._leave_core``.  Eject-only taps (the
 Session's ``LatencyTap``) are delivery observers and keep the core.
@@ -144,13 +139,9 @@ kernels trust against the FIFO chains and the rings.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as _np
 
-from repro.core.base import RoutingAlgorithm
 from repro.core.paritysign import link_type
-from repro.network.flowcontrol import VirtualCutThrough, Wormhole
 from repro.network.packet import Flit, Packet
 from repro.topology import PortKind
 from repro.topology.fabric import MAX_LAYOUTS
@@ -162,55 +153,6 @@ _INT_EJECT, _INT_LOCAL, _INT_GLOBAL = int(_EJECT), int(_LOCAL), int(_GLOBAL)
 
 #: alloc-skip sentinel: "no time-driven unblock — wait for an event"
 _ALLOC_IDLE = 1 << 62
-
-
-def select_core(sim) -> ArrayCore | None:
-    """The array core that runs ``sim``'s point, or ``None``: a wheel run.
-
-    The eligibility rule, written once (the module docstring says why
-    each clause is there).  Event taps are not part of it: they end a
-    core whenever they attach, through ``Simulator.add_tap``.
-    """
-    algo_t = type(sim.algo)
-    eligible = (
-        getattr(algo_t, "array_core", False)
-        and sim._per_cycle is None
-        and algo_t.is_escape_hop is RoutingAlgorithm.is_escape_hop
-        and sim.config.arbitration in ("rr", "age")
-        and type(sim.fc) in (VirtualCutThrough, Wormhole)
-    )
-    return ArrayCore() if eligible else None
-
-
-class ParkedRouters:
-    """``sim.routers`` while an array core runs the point: using it leaves the core.
-
-    Iterating, indexing or sizing the router list means someone wants
-    the object graph, which does not exist under a core — so the first
-    use leaves it (``Simulator._leave_core`` builds the routers, fills
-    them from the arrays and rebinds ``sim.routers`` to the real list)
-    and this and every later use delegate to that list.
-    """
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim) -> None:
-        self._sim = weakref.proxy(sim)  # no cycle: refcount frees the point
-
-    def _routers(self) -> list:
-        sim = self._sim
-        if sim._core is not None:
-            sim._leave_core()
-        return sim.routers
-
-    def __iter__(self):
-        return iter(self._routers())
-
-    def __len__(self) -> int:
-        return len(self._routers())
-
-    def __getitem__(self, index):
-        return self._routers()[index]
 
 
 def _grow(arr, needed: int, fill: int = 0):
@@ -379,7 +321,7 @@ class _Layout:
     and neighbour maps exactly as ``Router.__init__`` wires its ports
     (``tests/test_fabric_memo.py`` compares the two).  The arrays are
     read-only and borrowed by reference by every core on the fabric
-    (``ArrayCore._build`` copies this object's attributes, which is why
+    (``ArrayCore.__init__`` copies this object's attributes, which is why
     they carry the core's names); :attr:`_routes`, attached by
     :func:`_layout_for`, is the append-only :class:`_RouteTable` of the
     fabric and these VC counts.
@@ -495,20 +437,15 @@ def _layout_for(sim) -> _Layout:
 class ArrayCore:
     """Structure-of-arrays state and kernels for one ``Simulator``.
 
-    Construction is free; at the first injection or step the core
-    borrows its fabric's compiled :class:`_Layout` and allocates only
-    what a point mutates.  Every entry point takes the simulator as
-    ``sim``.
+    Constructed for a point the core has won, at its first step
+    (``corechoice._decide``): it borrows its fabric's compiled
+    :class:`_Layout` and allocates only what a point mutates.  It keeps
+    no reference to the simulator: every entry point takes it as ``sim``.
     """
 
-    def __init__(self) -> None:
-        #: the fabric's route table — ``None`` until :meth:`_build`
-        self._routes: _RouteTable | None = None
+    def __init__(self, sim) -> None:
         #: flits buffered across all input VCs ("anything to allocate?")
         self.buffered = 0
-
-    # -------------------------------------------------------- array building
-    def _build(self, sim) -> None:
         # the static half, by reference: topo, dimensions, the read-only
         # arrays and the route table
         vars(self).update(vars(_layout_for(sim)))
@@ -646,8 +583,6 @@ class ArrayCore:
     # ------------------------------------------------------------ injection
     def inject(self, sim, src: int, dst: int, t: int) -> Packet:
         """``Simulator.inject_packet`` on the array state (``src != dst``)."""
-        if self._routes is None:
-            self._build(sim)
         topo = self.topo
         sr = topo.router_of_node(src)
         dr = topo.router_of_node(dst)
@@ -922,8 +857,6 @@ class ArrayCore:
     # ------------------------------------------------------------ main loop
     def step(self, sim) -> None:
         """``Simulator.step`` on the array state: one cycle, batched."""
-        if self._routes is None:
-            self._build(sim)
         t = sim.now
         slot = t % self._horizon
         chunks = self._arr_ring[slot]
@@ -1289,8 +1222,6 @@ class ArrayCore:
         timing wheels) is reconstructed exactly as the wheel would have
         built it.
         """
-        if self._routes is None:
-            return  # never built: the fresh routers are the whole state
         routers = sim.routers
         if self._stage_n:
             self._flush_injections()
@@ -1369,4 +1300,4 @@ class ArrayCore:
                                     int(amount)))
 
 
-__all__ = ["ArrayCore", "ParkedRouters", "select_core"]
+__all__ = ["ArrayCore"]

@@ -95,8 +95,8 @@ class SimConfig:
 
     # ---- execution backend
     #: simulation engine: "wheel" (object timing wheel), "auto" (the
-    #: same simulator, with the numpy array core attached when the point
-    #: is eligible) or "reference" (frozen seed engine).  Engines are an
+    #: same simulator, with the numpy array core attached where it wins
+    #: the point) or "reference" (frozen seed engine).  Engines are an
     #: *execution* choice, not a physics knob: every engine emits
     #: byte-identical records, so this field is excluded from
     #: :meth:`canonical_json` and cache keys.

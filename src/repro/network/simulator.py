@@ -46,16 +46,24 @@ strictly less work per cycle:
   state cannot change, and no skipped ``decide`` call would have touched
   ``rng_route`` (``docs/ARCHITECTURE.md`` spells the invariants out).
 
-**One simulator, an optional array core** — under ``engine="auto"`` an
-eligible point carries a numpy structure-of-arrays core in ``_core``
-and ``step`` / ``inject_packet`` hand over to it (one ``is not None``
-test); see :mod:`repro.network.arraysim` for the way in and the way out.
-That module (and numpy with it) is imported only when a simulator asks
-for a core, so a wheel run is stdlib-only, and batched injection is the
-core's protocol: the wheel has one injection call, ``traffic.inject``.
-The core is chosen before any object router exists: a point that stays
-on it builds none (its arrays' static half comes from the compiled
-fabric), and ``_leave_core`` builds them for the runs that leave.
+**One simulator, an optional array core** — under ``engine="auto"`` a
+point the core wins carries a numpy structure-of-arrays core in
+``_core`` and ``step`` / ``inject_packet`` hand over to it (one ``is not
+None`` test).  The choice is made in two places, both in
+:mod:`repro.network.corechoice` (stdlib): ``__init__`` asks only
+whether the point's components *could* run on the core, and parks an
+undecided stand-in if so; the first ``step`` or injection — the first
+time an offered load exists — sends the point to the engine that wins
+it.  :mod:`repro.network.arraysim` (and numpy with it) is imported
+there, for a point the core wins, and nowhere else, so a wheel run — an
+``auto`` point the rule keeps on the wheel included — is stdlib-only,
+and batched injection is the core's protocol: the wheel has one
+injection call, ``traffic.inject``.  No object router exists until the
+wheel is chosen: a point that stays on its core builds none (its
+arrays' static half comes from the compiled fabric), and
+``_leave_core`` builds them for every run that ends up on the wheel.
+``Simulator.engine_path`` / ``engine_why`` say which
+way a point went and why.
 
 The pre-rewrite hot path survives verbatim as
 :class:`repro.network.reference.ReferenceSimulator` for benchmarking
@@ -73,6 +81,7 @@ from repro.core.base import RoutingAlgorithm
 from repro.metrics.collector import StatsCollector
 from repro.network import arbitration as _arbitration  # noqa: F401 (registers arbiters)
 from repro.network.config import SimConfig
+from repro.network.corechoice import UNDECIDED, ParkedRouters, select_core
 from repro.network.flowcontrol import FlowControl  # noqa: F401 (registers policies)
 from repro.network.packet import Flit, Packet
 from repro.network.router import Router
@@ -94,7 +103,7 @@ class DeadlockError(RuntimeError):
 
 
 @ENGINE_REGISTRY.register(
-    "auto", description="array core when the point is eligible, wheel otherwise")
+    "auto", description="array core where it wins the point, wheel otherwise")
 @ENGINE_REGISTRY.register(
     "wheel", description="object-graph engine with a cycle-indexed timing wheel")
 class Simulator:
@@ -108,6 +117,16 @@ class Simulator:
     ``config.engine`` picks between the two names this class registers
     under: ``"auto"`` may attach an array core, ``"wheel"`` never does.
     """
+
+    @property
+    def engine_path(self) -> str:
+        """``"wheel"``, ``"core"``, or ``"undecided"`` (an eligible
+        ``auto`` point before its first step or injection).  Telemetry:
+        never part of a record, a cache key or a streamed row."""
+        core = self._core
+        if core is None:
+            return "wheel"
+        return "undecided" if core is UNDECIDED else "core"
 
     def __init__(self, config: SimConfig, traffic=None) -> None:
         self.config = config
@@ -181,21 +200,20 @@ class Simulator:
         overridden = type(self.algo).per_cycle is not RoutingAlgorithm.per_cycle
         self._per_cycle = self.algo.per_cycle if overridden else None
         self._fc_arrival_delay = self.fc.arrival_delay
-        #: the array core running this point, or ``None``: a wheel run.
-        #: Decided once, here; subclasses stay on the wheel because the
-        #: core would bypass their allocation overrides (the frozen
-        #: reference engine is one)
-        self._core = None
+        #: the array core running this point, the undecided stand-in until
+        #: the first step says which engine wins it, or ``None``: a wheel
+        #: run.  Subclasses stay on the wheel because the core would
+        #: bypass their allocation overrides (the frozen reference engine
+        #: is one)
+        #: ``engine_why``: the clause that decided :attr:`engine_path`, as
+        #: a short string (telemetry, like the path)
         if config.engine == "auto" and type(self) is Simulator:
-            try:
-                from repro.network.arraysim import ParkedRouters, select_core
-            except ImportError:
-                pass  # no numpy: an ``auto`` point is the wheel run
-            else:
-                self._core = select_core(self)
-        #: the object routers — or, while a core runs the point, a
-        #: stand-in whose first use leaves the core: a point that stays
-        #: on its core never builds a ``Router``
+            self._core, self.engine_why = select_core(self)
+        else:
+            self._core, self.engine_why = None, f"engine={config.engine!r}"
+        #: the object routers — or, until the wheel is chosen, a stand-in
+        #: whose first use chooses it: a point that stays on its core
+        #: never builds a ``Router``
         self.routers = (self._build_routers() if self._core is None
                         else ParkedRouters(self))
 
@@ -223,15 +241,17 @@ class Simulator:
         return routers
 
     # ------------------------------------------------------------ array core
-    def _leave_core(self) -> None:
+    def _leave_core(self, why: str = "_leave_core() was called") -> None:
         """Build the object routers, fill them from the core, drop it (one-way).
 
-        The only way off the core, and the only place an ``auto`` point
-        that had one pays for object routers: they, the FIFOs, credits
+        The only way off the core (or off the undecided stand-in, which
+        has nothing to hand over), and the only place an eligible
+        ``auto`` point pays for object routers: they, the FIFOs, credits
         and timing wheels come out exactly as the wheel would have built
         them, and the run continues on the wheel path.
         """
         core, self._core = self._core, None
+        self.engine_why = why
         self.routers = self._build_routers()
         core.materialize(self)
 
@@ -280,7 +300,7 @@ class Simulator:
                          ("_tap_ring", getattr(tap, "on_ring_entry", None))):
             if fn is not None:
                 if self._core is not None:
-                    self._leave_core()
+                    self._leave_core("an event tap attached")
                 current = getattr(self, attr)
                 setattr(self, attr, (fn,) if current is None else (*current, fn))
                 wired = True
@@ -711,7 +731,7 @@ class Simulator:
         list is only meaningful for ``now <= when < now + horizon``.
         """
         if self._core is not None:
-            self._leave_core()  # introspection wants object tuples
+            self._leave_core("arrivals_due was read")  # wants object tuples
         return list(self._arr_wheel[when % self._horizon])
 
 

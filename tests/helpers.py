@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.network import corechoice
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.topology import PortKind
@@ -16,6 +17,13 @@ FABRICS = {
                                 p=2),
     "torus": dict(topology="torus", torus_rows=3, torus_cols=4, p=2),
 }
+
+
+def pin_core_wins(monkeypatch) -> None:
+    """Replace the offered-load rule with "the core wins" (a test fake;
+    the ``core_wins_everywhere`` fixture of ``conftest.py`` is this)."""
+    monkeypatch.setattr(corechoice, "core_wins",
+                        lambda *point: (True, "pinned by the test"))
 
 
 def build_sim(routing="minimal", traffic=None, **over) -> Simulator:

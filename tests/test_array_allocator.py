@@ -13,6 +13,9 @@ arrival, credit or injection.  Two tables:
 * **scans** — the full scan, the sparse scan, the gated tail and the
   crossings between them emit the wheel's record bytes, also when the
   run leaves its core inside each regime.
+
+The fabrics are small on purpose, so the module pins the offered-load
+rule to "the core wins" (``core_wins_everywhere``).
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ import pytest
 from helpers import FABRICS, assert_core_ledgers, core_ledger_checks
 
 from repro.facade import point_record, session
+from repro.network import corechoice
 from repro.network.config import SimConfig
 from repro.network.simulator import build_simulator
 from repro.runplan.cache import canonical_record_json
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.processes import BernoulliTraffic, BurstTraffic
+
+pytestmark = pytest.mark.usefixtures("core_wins_everywhere")
 
 _WH = dict(flow_control="wh", packet_phits=40, flit_phits=10)
 #: name -> (config fragment, pattern, pattern kwargs, Bernoulli load or
@@ -51,6 +57,7 @@ class _Watched:
         pat = pattern_by_name(pattern, sim.topo, **kwargs)
         sim.traffic = (BernoulliTraffic(pat, load) if burst is None
                        else BurstTraffic(pat, burst))
+        corechoice._decide(sim)  # what the first step would do, minus the step
         core = self.core = sim._core
         #: regime -> the first cycle whose step took it
         self.first_cycle: dict[str, int] = {}

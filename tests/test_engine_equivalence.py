@@ -80,16 +80,25 @@ def test_reference_simulator_is_still_the_seed_engine(entry):
     assert canonical_record_json(replay(entry, "reference")) == entry["record"]
 
 
-# ``auto`` must be byte-identical on the FULL golden matrix: the minimal
-# entries run on the array core (the selection-rule table in
-# tests/test_engine_selection.py pins that they really do), everything
-# else is a wheel run under another name.
+# ``auto`` must be byte-identical on the FULL golden matrix, both ways
+# its rule can send a point.  Pinned to the core, the minimal entries run
+# on the array core (the selection table in tests/test_engine_selection.py
+# pins that they really do); under the real rule the goldens' h=2 fabrics
+# go to the wheel at the first step, through the undecided stand-in.
+# Everything that is not minimal is a wheel run under another name.
 @pytest.mark.parametrize("entry", ENTRIES, ids=_entry_id)
 def test_auto_engine_matches_seed_goldens(entry):
     assert canonical_record_json(replay(entry, "auto")) == entry["record"]
 
 
-def test_auto_engine_takes_the_wheel_path_under_a_metrics_hub():
+@pytest.mark.parametrize("entry", ENTRIES, ids=_entry_id)
+def test_auto_engine_pinned_to_the_core_matches_seed_goldens(
+        entry, core_wins_everywhere):
+    assert canonical_record_json(replay(entry, "auto")) == entry["record"]
+
+
+def test_auto_engine_takes_the_wheel_path_under_a_metrics_hub(
+        core_wins_everywhere):
     """``engine="auto"`` picks per point: the array core for a saturated
     untapped minimal-routing point, the wheel path once a full
     ``MetricsHub`` needs the object engine's event sites — and the

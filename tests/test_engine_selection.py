@@ -1,12 +1,20 @@
 """``engine="auto"``: which points get an array core, and every way off it.
 
-Three tables:
+Four tables:
 
+* **the rule** — ``corechoice.core_wins`` on the measured rows either
+  side of its two constants, and on burst / trace / no-traffic points,
+  wormhole and the two other fabrics: a pure function, no simulation;
+  plus what a real (unpinned) ``auto`` simulator reports as
+  ``engine_path`` / ``engine_why`` before and after its first step.
+  Everything below runs with the rule pinned to "the core wins"
+  (``core_wins_everywhere``): the fabrics are tiny on purpose;
 * **selection** — for every registered routing × arbitration × tap
-  situation, an ``auto`` simulator carries a core exactly when the rule
-  (``repro.network.arraysim.select_core`` + "event taps end a core")
-  says so, and an ineligible one is a plain wheel run: no core, the
-  same class, the same ``step`` / ``inject_packet`` functions;
+  situation, an ``auto`` simulator carries a core exactly when the
+  eligibility clauses (``repro.network.corechoice.select_core`` + "event
+  taps end a core") say so, and an ineligible one is a plain wheel run:
+  no core, the same class, the same ``step`` / ``inject_packet``
+  functions;
 * **exits** — leaving a live core mid-run through each of its three
   triggers (an event tap, ``arrivals_due``, a look inside ``routers``) yields
   delivery logs and counters byte-identical to a wheel run from cycle 0;
@@ -22,11 +30,13 @@ import random
 
 import pytest
 
-from repro.network.config import SimConfig
+import repro.network.corechoice as corechoice
+from repro.network.config import SimConfig, paper_vct_config, paper_wh_config
 from repro.network.simulator import Simulator, build_simulator
 from repro.registry import ROUTING_REGISTRY
+from repro.traffic.extra import TraceReplay
 from repro.traffic.patterns import UniformRandom
-from repro.traffic.processes import BernoulliTraffic
+from repro.traffic.processes import BernoulliTraffic, BurstTraffic
 
 
 class _EjectTap:
@@ -44,7 +54,160 @@ class _GrantTap:
         self.grants += 1
 
 
+# ----------------------------------------------------------------- the rule
+#: (nodes, load, unit, VCT?) -> core wins?  The first block is the
+#: measured table the constants were read from (corechoice.py,
+#: docs/measurements/pr-23.md): Dragonfly h=2 / 3 / 4 / 5 have 72 / 342 /
+#: 1 056 / 2 550 nodes, VCT packets are 8 phits, WH flits 10
+RULE_ROWS = [
+    # VCT: loses below ~10 offered flits a cycle ...
+    (72, 0.15, 8, True, False),
+    (72, 1.0, 8, True, False),     # 9.0: all of h=2, saturated included
+    (342, 0.15, 8, True, False),   # 6.4: grid_cold_warm's h=3 points
+    (342, 0.2, 8, True, False),    # 8.6
+    # ... and wins from there
+    (342, 0.25, 8, True, True),    # 10.7
+    (342, 0.4, 8, True, True),
+    (1056, 0.1, 8, True, True),    # 13.2
+    (1056, 0.7, 8, True, True),
+    # WH: the threshold sits higher
+    (342, 0.1, 10, False, False),  # 3.4
+    (342, 0.4, 10, False, False),  # 13.7
+    (1056, 0.15, 10, False, False),  # 15.8
+    (1056, 0.2, 10, False, True),  # 21.1
+    (342, 0.9, 10, False, True),   # 30.8
+    # no readable load (burst, trace, hand injection): judged at load
+    # 1.0 — a fabric-size clause
+    (72, None, 8, True, False),
+    (342, None, 8, True, True),
+    (1056, None, 8, True, True),
+    (72, None, 10, False, False),
+    (342, None, 10, False, True),
+    # the other fabrics are just node counts to the rule: the 9-router
+    # flattened butterfly and the 3 x 4 torus of the test matrix (p=2) ...
+    (18, 1.0, 8, True, False),
+    (24, None, 8, True, False),
+    # ... and sizes someone would sweep
+    (512, 0.5, 8, True, True),     # 16 x 16 torus, p=2
+    (512, 0.1, 8, True, False),
+    # zero load never wins
+    (1056, 0.0, 8, True, False),
+]
+
+
+@pytest.mark.parametrize("nodes,load,unit,vct,wins", RULE_ROWS)
+def test_the_rule_is_a_table(nodes, load, unit, vct, wins):
+    decided, why = corechoice.core_wins(nodes, load, unit, vct)
+    assert decided is wins
+    # the clause names both numbers and the regime
+    offered = nodes * (1.0 if load is None else load) / unit
+    threshold = (corechoice.CORE_WINS_FROM_VCT if vct
+                 else corechoice.CORE_WINS_FROM_WH)
+    assert f"{offered:.1f}" in why and f"{threshold:g}" in why
+    assert ("vct" if vct else "wh") in why and (">=" if wins else "<") in why
+
+
+def _traffic(kind, sim):
+    if kind == "burst":
+        return BurstTraffic(UniformRandom(), 1)
+    if kind == "trace":
+        return TraceReplay([(0, 0, sim.topo.num_nodes - 1)])
+    return None if kind == "none" else BernoulliTraffic(UniformRandom(), kind)
+
+
+@pytest.mark.parametrize("config,traffic,path", [
+    (paper_vct_config(h=2), 0.4, "wheel"),
+    (paper_vct_config(h=2), 1.0, "wheel"),
+    (paper_vct_config(h=3), 0.15, "wheel"),
+    (paper_vct_config(h=3), 0.6, "core"),
+    (paper_wh_config(h=3), 0.3, "wheel"),
+    (paper_wh_config(h=3), 0.9, "core"),
+    (paper_vct_config(h=2), "burst", "wheel"),
+    (paper_vct_config(h=3), "burst", "core"),
+    (paper_vct_config(h=3), "trace", "core"),
+    (paper_vct_config(h=3), "none", "core"),  # packets injected by hand
+    (paper_vct_config(h=2), "none", "wheel"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_auto_decides_at_the_first_step_under_the_real_rule(config, traffic, path):
+    sim = build_simulator(config.with_(routing="minimal", engine="auto"))
+    sim.traffic = _traffic(traffic, sim)
+    # eligible, nobody stepped: no router built, nothing decided
+    assert (sim.engine_path, sim.engine_why) == ("undecided", "")
+    assert sim._core is corechoice.UNDECIDED and type(sim.routers) is not list
+    if traffic == "none":
+        sim.inject_packet(0, sim.topo.num_nodes - 1)
+    else:
+        sim.step()
+    assert sim.engine_path == path
+    assert ("<" if path == "wheel" else ">=") in sim.engine_why
+    assert (type(sim.routers) is list) == (path == "wheel")
+    sim.run(40)
+    assert sim.engine_path == path  # decided once
+
+
+@pytest.mark.parametrize("engine,routing,arbitration,why", [
+    ("wheel", "minimal", "rr", "engine='wheel'"),
+    ("reference", "minimal", "rr", "engine='reference'"),
+    ("auto", "olm", "rr", "routing 'olm' is not array_core"),
+    ("auto", "pb", "rr", "routing 'pb' is not array_core"),
+    ("auto", "minimal", "random", "arbitration 'random' draws per conflict"),
+])
+def test_an_ineligible_point_says_which_clause_made_it_a_wheel_run(
+        engine, routing, arbitration, why):
+    sim = build_simulator(SimConfig(h=3, routing=routing, engine=engine,
+                                    arbitration=arbitration))
+    assert (sim.engine_path, sim.engine_why) == ("wheel", why)
+
+
+def test_every_eligibility_clause_is_reported(monkeypatch):
+    """The three clauses no shipped component combination reaches alone."""
+    from repro.core.minimal import MinimalRouting
+    from repro.network.flowcontrol import VirtualCutThrough
+
+    def why_with(attr, value, owner=MinimalRouting):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, value)
+            sim = build_simulator(SimConfig(h=2, routing="minimal",
+                                            engine="auto"))
+            assert sim.engine_path == "wheel"
+            return sim.engine_why
+
+    assert "per-cycle hook" in why_with("per_cycle", lambda self, sim, t: None)
+    assert "escape ring" in why_with("is_escape_hop",
+                                     lambda self, kind, vc: False)
+
+    class Foreign(VirtualCutThrough):
+        pass
+
+    import repro.network.simulator as simulator
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator.FLOW_CONTROL_REGISTRY.get("vct"), "from_config",
+                      classmethod(lambda cls, config: Foreign()))
+        sim = build_simulator(SimConfig(h=2, routing="minimal", engine="auto"))
+    assert (sim.engine_path, "not built in" in sim.engine_why) == ("wheel", True)
+
+
+def test_leaving_says_what_asked_for_the_object_graph(core_wins_everywhere):
+    def left_by(leave):
+        sim = build_simulator(SimConfig(h=2, routing="minimal", engine="auto"),
+                              BernoulliTraffic(UniformRandom(), 0.5))
+        sim.run(20)
+        assert (sim.engine_path, sim.engine_why) == ("core", "pinned by the test")
+        leave(sim)
+        assert sim.engine_path == "wheel"
+        return sim.engine_why
+
+    assert left_by(_leave_by_tap) == "an event tap attached"
+    assert left_by(_leave_by_arrivals_due) == "arrivals_due was read"
+    assert left_by(_leave_by_routers_read) == "sim.routers was read"
+
+
 # ---------------------------------------------------------------- selection
+pinned = pytest.mark.usefixtures("core_wins_everywhere")
+
+
+@pinned
 @pytest.mark.parametrize("tap", ["none", "eject", "event"])
 @pytest.mark.parametrize("arbitration", ["rr", "age", "random"])
 @pytest.mark.parametrize("routing", ROUTING_REGISTRY.available())
@@ -81,19 +244,24 @@ def test_wheel_and_reference_never_carry_a_core():
         assert sim._core is None
 
 
-def test_a_core_is_built_lazily_and_an_early_event_tap_costs_nothing():
+@pinned
+def test_nothing_is_built_before_the_first_step_and_an_early_event_tap_costs_nothing():
+    import sys
+
+    loaded = "repro.network.arraysim" in sys.modules
     sim = build_simulator(SimConfig(h=2, routing="minimal", engine="auto"))
-    core = sim._core
-    assert core is not None and core._routes is None  # selected, not built
+    assert sim._core is corechoice.UNDECIDED  # eligible, not decided
     parked = sim.routers  # holding the stand-in is free: no arrays, no routers
-    assert sim._core is core and type(parked) is not list
+    assert sim.engine_path == "undecided" and type(parked) is not list
     sim.add_tap(_GrantTap())
     # the early tap paid for object routers, as a wheel construction
-    # does, and for nothing else: the core never built an array
-    assert sim._core is None and core._routes is None
+    # does, and for nothing else: no core was ever constructed
+    assert sim._core is None and sim.engine_why == "an event tap attached"
+    assert ("repro.network.arraysim" in sys.modules) == loaded
     assert type(sim.routers) is list and parked[0] is sim.routers[0]
 
 
+@pinned
 def test_an_eligible_auto_point_builds_no_router_until_it_leaves(monkeypatch):
     import repro.network.simulator as simulator
 
@@ -178,6 +346,7 @@ def _run(cfg: SimConfig, leave=None, at: int | None = None):
     return log, drained, sim.now, sim.stats.as_dict(sim.topo.num_nodes, sim.now)
 
 
+@pinned
 @pytest.mark.parametrize("arbitration", ["rr", "age"])
 @pytest.mark.parametrize("flow", FLOW)
 @pytest.mark.parametrize("fabric", FABRICS)
@@ -235,6 +404,7 @@ def test_a_wheel_run_injects_through_inject_on_a_plain_random(engine):
     assert rng_types == {random.Random}  # first cycle to last
 
 
+@pinned
 def test_a_live_core_injects_through_inject_batch_and_leaves_on_inject():
     from repro.traffic.mtstream import StreamRandom
 

@@ -41,7 +41,9 @@ from repro.traffic.processes import BernoulliTraffic
 
 
 @pytest.fixture(autouse=True)
-def cold_memo():
+def cold_memo(core_wins_everywhere):
+    """Every test starts and ends on an empty memo — and, the fabrics
+    here being tiny, with the offered-load rule pinned to the core."""
     clear_fabrics()
     yield
     clear_fabrics()

@@ -6,10 +6,12 @@ numpy is the array core's dependency (``network/arraysim.py``,
 on the wheel — ``import repro``, the service, the CLI, a point, a
 verified point, ``verify-results`` — must load neither, and a
 numpy-less interpreter must run ``engine="auto"`` as the wheel run it
-is.  The per-process fabric memo (``repro.topology.fabric``) sits on the
-wheel's path too, so it is stdlib-only; its array half lives in
-``arraysim``.  Each case needs a fresh interpreter, hence the
-subprocesses.
+is.  So must an ``auto`` point the offered-load rule keeps on the wheel:
+the rule and the undecided stand-in (``network/corechoice.py``) are
+stdlib, and numpy loads with the first point the core wins.  The
+per-process fabric memo (``repro.topology.fabric``) sits on the wheel's
+path too, so it is stdlib-only; its array half lives in ``arraysim``.
+Each case needs a fresh interpreter, hence the subprocesses.
 """
 
 from __future__ import annotations
@@ -43,12 +45,35 @@ assert fabric.fabric_cache_info().misses == 1, "the wheel points share a fabric"
 loaded = {"numpy", "networkx"} & sys.modules.keys()
 assert not loaded, f"the wheel path loaded {sorted(loaded)}"
 
-minimal = SimConfig(h=2, routing="minimal")
-wheel = run_point(minimal, "uniform", 0.4, 60, 60)
-auto = run_point(minimal.with_(engine="auto"), "uniform", 0.4, 60, 60)
+"""
+
+AUTO_LOADS_NUMPY_WITH_THE_FIRST_POINT_THE_CORE_WINS = """
+import sys
+
+import repro
+import repro.topology.fabric as fabric
+from repro import SimConfig, build_simulator, run_point
+
+def both(h, load):
+    minimal = SimConfig(h=h, routing="minimal")
+    wheel = run_point(minimal, "uniform", load, 60, 60)
+    assert run_point(minimal.with_(engine="auto"), "uniform", load, 60, 60) == wheel
+
+# points the rule gives to the wheel: 3.6 and 6.4 offered flits a cycle
+both(2, 0.4)
+both(3, 0.15)
+assert "numpy" not in sys.modules, "a point the wheel wins loaded numpy"
+info = fabric.fabric_cache_info()
+assert (info.misses, info.hits) == (2, 2), "auto and wheel share each fabric"
+
+# an eligible simulator nobody stepped has not decided, and loaded nothing
+sim = build_simulator(SimConfig(h=3, routing="minimal", engine="auto"))
+assert sim.engine_path == "undecided" and "numpy" not in sys.modules
+
+both(3, 0.6)  # 25.6: the first winning point loads it
 assert "numpy" in sys.modules, "the array core did not engage"
 assert "networkx" not in sys.modules
-assert auto == wheel
+assert fabric.fabric_cache_info().misses == 2
 """
 
 AUTO_WITHOUT_NUMPY_IS_THE_WHEEL = """
@@ -59,17 +84,25 @@ sys.modules["numpy"] = None  # ``import numpy`` raises ImportError
 import repro
 from repro import SimConfig, build_simulator, run_point
 
-auto = SimConfig(h=2, routing="minimal", engine="auto")
-sim = build_simulator(auto)
-assert sim._core is None
+from repro.traffic.patterns import UniformRandom
+from repro.traffic.processes import BernoulliTraffic
+
+# a point the core would win (25.6 offered flits a cycle): the decision's
+# import of ``arraysim`` fails and the point stays on the wheel
+auto = SimConfig(h=3, routing="minimal", engine="auto")
+sim = build_simulator(auto, BernoulliTraffic(UniformRandom(), 0.6))
+sim.step()
+assert (sim.engine_path, sim.engine_why) == ("wheel", "no numpy")
 assert type(sim.routers) is list and len(sim.routers) == sim.topo.num_routers
-assert (run_point(auto, "uniform", 0.4, 60, 60)
-        == run_point(auto.with_(engine="wheel"), "uniform", 0.4, 60, 60))
+assert (run_point(auto, "uniform", 0.6, 60, 60)
+        == run_point(auto.with_(engine="wheel"), "uniform", 0.6, 60, 60))
 """
 
 
 @pytest.mark.parametrize("script", [
     pytest.param(WHEEL_LOADS_NEITHER, id="wheel-loads-neither"),
+    pytest.param(AUTO_LOADS_NUMPY_WITH_THE_FIRST_POINT_THE_CORE_WINS,
+                 id="auto-loads-numpy-with-the-first-winning-point"),
     pytest.param(AUTO_WITHOUT_NUMPY_IS_THE_WHEEL, id="auto-without-numpy"),
 ])
 def test_in_a_fresh_interpreter(script):

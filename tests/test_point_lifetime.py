@@ -1,0 +1,195 @@
+"""A finished point is garbage the moment its entry returns.
+
+``facade.run_point`` / ``run_drain`` / ``run_transient`` close their
+session in a ``finally`` and a detached ``LatencyTap`` / ``MetricsHub``
+lets go of its simulator, so nothing a point built — the simulator, its
+routers, an array core's arrays — waits for the cyclic collector: with
+``gc.disable()`` every entry below leaves ``gc.collect() == 0`` behind
+and the ``Simulator`` it built is already dead.  (At the parent commit
+each of them left the whole simulator, 4 000 objects at h=2, in a cycle
+through the session's latency observer.)
+"""
+
+from __future__ import annotations
+
+import asyncio
+import gc
+import weakref
+
+import pytest
+
+import repro.facade as facade
+from repro.analysis.invariants import InvariantViolation
+from repro.facade import Cancelled, Session, run_drain, run_point, run_transient
+from repro.metrics.hub import MetricsHub
+from repro.network.config import SimConfig
+from repro.network.simulator import Simulator, build_simulator
+from repro.serve import ServeSettings, create_app
+from repro.serve.testclient import Client
+from repro.traffic.patterns import UniformRandom
+from repro.traffic.processes import BernoulliTraffic
+
+WHEEL = SimConfig(h=2, routing="olm", seed=4)
+#: minimal routing under ``auto`` with the rule pinned: a core point
+CORE = SimConfig(h=2, routing="minimal", seed=4, engine="auto")
+
+pytestmark = pytest.mark.usefixtures("core_wins_everywhere")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Weak references to every simulator the facade builds."""
+    refs = []
+
+    def recording(config, traffic=None):
+        sim = build_simulator(config, traffic)
+        refs.append(weakref.ref(sim))
+        return sim
+
+    monkeypatch.setattr(facade, "build_simulator", recording)
+    return refs
+
+
+@pytest.fixture
+def no_collector():
+    """The cyclic collector parked, with nothing of ours pending."""
+    import numpy  # noqa: F401  (its import leaves cycles of its own behind)
+
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def _cancel_after(polls: int):
+    left = [polls]
+
+    def should_cancel() -> bool:
+        left[0] -= 1
+        return left[0] < 0
+
+    return should_cancel
+
+
+def _violated(monkeypatch):
+    """Make every hub report one injection the engine never saw."""
+    verify = MetricsHub.verify
+
+    def lying(self, full=False):
+        self.injected += 1
+        return verify(self, full)
+
+    monkeypatch.setattr(MetricsHub, "verify", lying)
+
+
+ENTRIES = {
+    "wheel point": lambda: run_point(WHEEL, "uniform", 0.4, 60, 60),
+    "core point": lambda: run_point(CORE, "uniform", 0.9, 60, 60),
+    "wheel point, verify=full": lambda: run_point(
+        WHEEL, "uniform", 0.3, 200, 400, verify="full", bucket=50),
+    "steady warm-up": lambda: run_point(
+        WHEEL, "uniform", 0.3, 2000, 100, steady=True),
+    # warms up on its core, leaves it when the measurement's hub attaches
+    "core point left through a hub": lambda: run_point(
+        CORE, "uniform", 0.9, 60, 60, verify="flow"),
+    "streamed point": lambda: run_point(
+        CORE, "advg+1", 0.3, 60, 120, bucket=40, on_row=lambda row: None,
+        should_cancel=lambda: False),
+    "wheel drain": lambda: run_drain(WHEEL, "advg+1", 2, 100_000),
+    "core drain": lambda: run_drain(CORE, "advg+1", 2, 100_000),
+    "drain with on_row": lambda: run_drain(
+        CORE, "uniform", 2, 100_000, on_row=lambda row: None),
+    "transient": lambda: run_transient(
+        WHEEL, "uniform", 0.3, 2, 1000, 400, bucket=100),
+    "core transient": lambda: run_transient(
+        CORE, "uniform", 0.3, 2, 1000, 400, bucket=100, verify="flow"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_an_entry_leaves_nothing_for_the_collector(entry, built, no_collector):
+    record = ENTRIES[entry]()
+    assert record["delivered"] > 0
+    assert built and all(ref() is None for ref in built)  # dead on return
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("raises,entry", [
+    (Cancelled, lambda: run_point(CORE, "uniform", 0.9, 100, 100, bucket=25,
+                                  should_cancel=_cancel_after(2))),
+    (Cancelled, lambda: run_point(WHEEL, "uniform", 0.4, 50, 200, bucket=25,
+                                  should_cancel=_cancel_after(5))),
+    (Cancelled, lambda: run_transient(WHEEL, "uniform", 0.3, 2, 1000, 400,
+                                      should_cancel=_cancel_after(1))),
+    (InvariantViolation, lambda: run_point(CORE, "uniform", 0.5, 60, 60,
+                                           verify="flow")),
+    (InvariantViolation, lambda: run_drain(WHEEL, "uniform", 1, 100_000,
+                                           verify="flow")),
+], ids=["cancelled in warm-up", "cancelled in the window",
+        "cancelled transient", "violation", "violation in a drain"])
+def test_an_entry_that_raises_leaves_nothing_either(raises, entry, built,
+                                                   no_collector, monkeypatch):
+    if raises is InvariantViolation:
+        _violated(monkeypatch)
+    with pytest.raises(raises):
+        entry()
+    # the traceback held the frames (and so the session) until here
+    assert built and all(ref() is None for ref in built)
+    assert gc.collect() == 0
+
+
+def test_a_served_job_leaves_no_simulator(built, no_collector):
+    """asyncio leaves cycles of its own, so the claim here is about the
+    point: its simulator is dead when the job's stream has closed."""
+    payload = {"config": CORE.to_dict(), "pattern": "uniform", "load": 0.9,
+               "warmup": 60, "measure": 120, "bucket": 40}
+
+    async def main():
+        async with Client(create_app(ServeSettings(workers=1))) as client:
+            job = (await client.post("/v1/jobs", json_body=payload)).json()["job"]
+            rows = (await client.get(f"/v1/jobs/{job}/stream")).jsonl()
+            status = (await client.get(f"/v1/jobs/{job}")).json()
+            return rows, status
+
+    rows, status = asyncio.run(main())
+    assert status["state"] == "done" and rows[-1]["type"] == "summary"
+    assert built and all(ref() is None for ref in built)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, Simulator)]
+
+
+def test_a_session_kept_open_behaves_as_before_and_close_is_the_only_detach(
+        no_collector):
+    """No ``__del__``, no weak proxy: an open session keeps observing, a
+    closed one lets its simulator go by refcount — core points too,
+    where the core still holds the tap's batch form for the observer
+    list it last delivered to."""
+    for config in (WHEEL, CORE):
+        sim = build_simulator(config, BernoulliTraffic(UniformRandom(), 0.9))
+        s = Session(sim=sim)
+        first = s.warmup(60).measure(60)
+        assert s.measure(60).delivered > first.delivered  # still attached
+        probe = s._probe
+        s.close()
+        s.close()  # idempotent
+        assert probe.sim is None and probe.latencies  # samples stay readable
+        assert s.sim is sim  # the session itself keeps its simulator
+        ref = weakref.ref(sim)
+        del sim, s
+        assert ref() is None
+        assert gc.collect() == 0
+
+
+def test_a_detached_hub_lets_go_of_the_simulator_and_stays_readable(
+        no_collector):
+    sim = build_simulator(WHEEL, BernoulliTraffic(UniformRandom(), 0.4))
+    hub = MetricsHub(sim, bucket=50)
+    sim.run(200)
+    before = (hub.series(), hub.records(), hub.verify(full=True))
+    hub.detach()
+    hub.detach()  # idempotent
+    ref = weakref.ref(sim)
+    del sim
+    assert ref() is None
+    assert (hub.series(), hub.records(), hub.verify(full=True)) == before
+    assert gc.collect() == 0

@@ -132,12 +132,16 @@ def test_malformed_series_exits_2(tmp_path, capsys):
     assert "is not a record" in capsys.readouterr().err
 
 
-def test_live_single_combination(tmp_path, capsys):
+def test_live_rows_say_which_engine_path_they_took(tmp_path, capsys):
     path = _write(tmp_path, _figure_payload())
-    assert main(["verify-results", path, "--live", "--engines", "wheel",
+    assert main(["verify-results", path, "--live", "--engines", "wheel,auto",
                  "--topologies", "dragonfly"]) == 0
     out = capsys.readouterr().out
     assert "## ✅ live:dragonfly/wheel" in out
+    assert "engine wheel (wheel: engine='wheel')" in out
+    # smoke scale is h=2: 72 nodes x 0.3 / 8 phits — the wheel's point
+    assert ("## ✅ live:dragonfly/auto" in out and "engine auto (wheel: "
+            "offered 2.7 flits/cycle < 10 (vct))" in out)
     assert "little_law" not in out  # live gate failures would be listed
 
 

@@ -4,7 +4,7 @@
 Runs a pinned scenario set on the registered engines — the frozen seed
 hot path (``reference``), the live timing-wheel object engine
 (``wheel``) and the same simulator with the numpy structure-of-arrays
-core attached where the point is eligible (``auto``) — checks that
+core attached where it wins the point (``auto``) — checks that
 every emitted record is byte-identical across engines, and writes
 ``BENCH_engine.json`` with cycles/sec and per-scenario speedups.
 
@@ -52,7 +52,26 @@ Scenario families (all record-gated, speedup-gated where marked):
   (``tests/test_engine_selection.py`` pins that structurally).
 
 The ``auto`` engine is in the smoke matrix on every row, so CI proves
-its records match on the array core and on the wheel alike.
+its records match on the array core and on the wheel alike.  Which of
+the two an ``auto`` run took is printed with the row and stored as its
+``engine_path`` (``Simulator.engine_path`` / ``engine_why``): ``auto``
+decides at the first step, from the offered load
+(``repro.network.corechoice``), and the h=2 fabrics of the smoke matrix
+are the wheel's.  The smoke rows that exist to run on the core are
+marked ``core_row``: two moved to h=3, where the rule sends them there,
+and the two that need a thin backlog on a small fabric (the allocator's
+sparse scan and its closed gate) pin the rule for exactly their
+``auto`` runs (``pin_core``).  ``--smoke`` exits non-zero when a
+``core_row`` ran on the wheel (under ``--tap`` every ``auto`` run does,
+by design: the hub is an event tap).
+
+* ``rule_*`` (full mode) — whole points either side of the rule's two
+  constants: construction, warm-up and measurement inside the clock,
+  CPU time, wheel and ``auto`` interleaved in one process on a warm
+  fabric, best of ``--repeat`` x 3.  On the rows the rule gives to the
+  wheel ``auto`` *is* a wheel run plus one decision, gated at
+  ``speedup_auto_vs_wheel >= 0.95``; the rows it gives to the core are
+  reported.
 
 **Cold and warm fabrics.**  A process compiles a fabric once
 (``repro.topology.fabric``) and the repeats of a row share this
@@ -75,6 +94,8 @@ miss is never a CI failure (CI machines are noisy).  Record equality
 is always asserted.
 ``--smoke`` runs a short matrix over all engines and exits
 non-zero on any record mismatch — the CI engine-equivalence gate —
+when a ``core_row`` ran on the wheel (a ``rule_*`` row on the engine
+the rule does not give it to, in full mode),
 or when ``wheel`` and ``reference`` leave ``rng_route`` in different
 states: the wheel's stall-aware head retry may only skip ``decide``
 calls that draw no random number.
@@ -90,6 +111,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import operator
@@ -99,6 +121,7 @@ import time
 from pathlib import Path
 
 from repro.facade import Session, point_record
+from repro.network import corechoice
 from repro.network.config import SimConfig
 from repro.network.simulator import build_simulator
 from repro.runplan import canonical_record_json
@@ -135,6 +158,18 @@ def _cfg(fc: str, routing: str, **over) -> dict:
     return base
 
 
+@contextlib.contextmanager
+def _rule_pinned(pin: bool):
+    """``auto``'s offered-load rule answering "the core wins" (``pin_core`` rows)."""
+    real = corechoice.core_wins
+    if pin:
+        corechoice.core_wins = lambda *point: (True, "pinned by bench_engine")
+    try:
+        yield
+    finally:
+        corechoice.core_wins = real
+
+
 def _uniform_trace(topo, cycles_and_sources, rng_seed: int) -> list[tuple]:
     """(cycle, src, uniform dst) records; deterministic per rng_seed."""
     rng = random.Random(rng_seed)
@@ -162,26 +197,39 @@ def scenarios(smoke: bool) -> list[dict]:
     ]
     if smoke:
         # the CI gate: short windows, every engine on every row —
-        # including a saturated minimal-routing row that actually runs
-        # on the array core (on olm rows ``auto`` is a plain wheel run)
+        # including saturated minimal-routing rows that actually run on
+        # the array core (on olm rows ``auto`` is a plain wheel run): at
+        # h=3, where the offered-load rule sends a burst (judged at load
+        # 1.0: 42.8 flits a cycle) and a saturated wormhole window (30.8)
+        # to the core under both of its constants
         gated[0]["engines"] = gated[1]["engines"] = ENGINE_NAMES
         return gated + [
-            dict(name="saturated_burst_vct", kind="drain",
-                 cfg=_cfg("vct", "minimal"), pattern="advg+1",
-                 packets_per_node=4, max_cycles=200_000, gate=None,
-                 engines=ENGINE_NAMES),
-            dict(name="saturated_bernoulli_wh", kind="point",
-                 cfg=_cfg("wh", "minimal"), pattern="uniform", load=0.9,
-                 warmup=200, measure=200, gate=None, engines=ENGINE_NAMES),
+            dict(name="saturated_burst_vct_h3", kind="drain",
+                 cfg=_cfg("vct", "minimal", h=3), pattern="advg+1",
+                 packets_per_node=2, max_cycles=200_000, gate=None,
+                 engines=ENGINE_NAMES, core_row=True),
+            dict(name="saturated_bernoulli_wh_h3", kind="point",
+                 cfg=_cfg("wh", "minimal", h=3), pattern="uniform", load=0.9,
+                 warmup=100, measure=100, gate=None, engines=ENGINE_NAMES,
+                 core_row=True),
             # ... and the two rows that take the allocator's other ways:
-            # the sparse scan (few occupied ports) and the closed gate
+            # the sparse scan (few occupied ports) and the closed gate.
+            # They need a thin backlog on a small fabric, which the rule
+            # gives to the wheel, so their ``auto`` runs pin it
             dict(name="light_bernoulli_vct", kind="point",
                  cfg=_cfg("vct", "minimal"), pattern="uniform", load=0.05,
-                 warmup=200, measure=400, gate=None, engines=ENGINE_NAMES),
+                 warmup=200, measure=400, gate=None, engines=ENGINE_NAMES,
+                 core_row=True, pin_core=True),
             dict(name="sparse_hotspot_backlog_h2", kind="drain",
                  cfg=_cfg("vct", "minimal"), pattern="hotspot",
                  pattern_kwargs={"hot_node": 0}, packets_per_node=5,
-                 max_cycles=200_000, gate=None, engines=ENGINE_NAMES),
+                 max_cycles=200_000, gate=None, engines=ENGINE_NAMES,
+                 core_row=True, pin_core=True),
+            # an h=2 window under the real rule: ``auto`` goes to the
+            # wheel through the undecided stand-in
+            dict(name="saturated_bernoulli_vct_h2_rule", kind="point",
+                 cfg=_cfg("vct", "minimal"), pattern="uniform", load=0.9,
+                 warmup=200, measure=200, gate=None, engines=ENGINE_NAMES),
             *figure_mechanism_rows(200, 200),
         ]
     return gated + [
@@ -231,6 +279,29 @@ def scenarios(smoke: bool) -> list[dict]:
                cfg=_cfg("vct", "minimal", h=h), pattern="uniform", load=0.7,
                warmup=120, measure=120, gate=None, engines=("wheel", "auto"))
           for h in (3, 4)),
+        # ---- either side of ``auto``'s offered-load rule
+        # (``repro.network.corechoice``: the array core from 10 offered
+        # flits a cycle under VCT, 18 under WH).  Whole points, CPU time,
+        # interleaved on a warm fabric (``_rule_row``); the rows the rule
+        # gives to the wheel are gated: ``auto`` there is a wheel run
+        # plus one decision
+        *(dict(name=f"rule_{fc}_h{h}_load{load}", kind="rule",
+               cfg=_cfg(fc, "minimal", h=h,
+                        **({"packet_phits": 80} if fc == "wh" else {})),
+               pattern=pattern, load=load,
+               warmup=120, measure=120, path=path,
+               gate=_at_least(0.95, "auto", "wheel") if path == "wheel" else None,
+               engines=("wheel", "auto"))
+          # the presets ``repro sweep`` runs: 8-phit VCT packets, 80-phit
+          # WH packets in 10-phit flits
+          for fc, h, pattern, load, path in (
+              ("vct", 2, "uniform", 1.0, "wheel"),   # 9.0 flits a cycle
+              ("vct", 3, "uniform", 0.2, "wheel"),   # 8.6
+              ("vct", 3, "uniform", 0.4, "core"),    # 17.1
+              ("vct", 4, "uniform", 0.1, "core"),    # 13.2
+              ("wh", 3, "advg+1", 0.1, "wheel"),     # 3.4
+              ("wh", 4, "uniform", 0.1, "wheel"),    # 10.6
+          )),
         # ---- wheel-vs-seed context rows (PR 3).  The first is gated
         # since PR 18: injection is all a near-idle Bernoulli window
         # does, and the wheel injects exactly as the seed engine does
@@ -286,13 +357,23 @@ def _timed(fn) -> tuple[tuple[float, float], object]:
 
 def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple:
     """(``[(wall, CPU) seconds]``, cycles simulated, canonical record,
-    final ``rng_route`` state) for one engine name; a ``second_point``
-    scenario times two points and its list has two entries.
+    final ``rng_route`` state, ``"engine_path: engine_why"``) for one
+    engine name; a ``second_point`` scenario times two points and its
+    list has two entries.
 
     ``with_tap`` attaches a full MetricsHub (every event point wired)
     before the run — the instrumentation-overhead gate: the emitted
     record must stay byte-identical to the untapped reference engine.
     """
+    with _rule_pinned(engine == "auto" and sc.get("pin_core", False)):
+        return _run_scenario(sc, engine, with_tap)
+
+
+def _ran_on(sim) -> str:
+    return f"{sim.engine_path}: {sim.engine_why}"
+
+
+def _run_scenario(sc: dict, engine: str, with_tap: bool) -> tuple:
     cfg = SimConfig(**sc["cfg"])  # the record's config: engine-free
     kind = sc["kind"]
     if kind == "second_point":
@@ -332,7 +413,23 @@ def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple:
         elapsed, result = _timed(lambda: session.measure(sc["steps"] * sc["period"]))
         record = result.to_dict()
     cycles = sim.now - (sc["warmup"] if kind == "point" else 0)
-    return [elapsed], cycles, canonical_record_json(record), sim.rng_route.getstate()
+    return ([elapsed], cycles, canonical_record_json(record),
+            sim.rng_route.getstate(), _ran_on(sim))
+
+
+def _whole_point(sc: dict, config: SimConfig, engine: str,
+                 with_tap: bool = False) -> tuple:
+    """``(simulator, record)`` of one steady point of ``sc`` on ``engine``,
+    construction included: what the callers put inside the clock."""
+    session = Session(sim=build_simulator(config.with_(engine=engine)))
+    if with_tap:
+        from repro.metrics.hub import MetricsHub
+
+        MetricsHub(session.sim, bucket=500)
+    session.bernoulli(sc["pattern"], sc["load"]).warmup(sc["warmup"])
+    return session.sim, point_record(
+        session.measure(sc["measure"]), config, pattern=sc["pattern"],
+        load=sc["load"])
 
 
 def _second_point(sc: dict, cfg: SimConfig, engine: str, with_tap: bool) -> tuple:
@@ -340,23 +437,51 @@ def _second_point(sc: dict, cfg: SimConfig, engine: str, with_tap: bool) -> tupl
     construction, warm-up and measurement — and back to back: under
     ``auto`` the replica borrows the fabric the point compiled.  The
     record is both points' records."""
-    def whole_point(config: SimConfig):
-        session = Session(sim=build_simulator(config.with_(engine=engine)))
-        if with_tap:
-            from repro.metrics.hub import MetricsHub
-
-            MetricsHub(session.sim, bucket=500)
-        session.bernoulli(sc["pattern"], sc["load"]).warmup(sc["warmup"])
-        return session.sim, point_record(
-            session.measure(sc["measure"]), config, pattern=sc["pattern"],
-            load=sc["load"])
-
-    first, (_, record) = _timed(lambda: whole_point(cfg))
+    first, (_, record) = _timed(
+        lambda: _whole_point(sc, cfg, engine, with_tap))
     second, (sim, replica) = _timed(
-        lambda: whole_point(cfg.with_(seed=cfg.seed + 1)))
+        lambda: _whole_point(sc, cfg.with_(seed=cfg.seed + 1), engine, with_tap))
     return ([first, second], sim.now,
             canonical_record_json({"point": record, "replica": replica}),
-            sim.rng_route.getstate())
+            sim.rng_route.getstate(), _ran_on(sim))
+
+
+def _rule_row(sc: dict, repeat: int) -> dict:
+    """One ``rule_*`` row of the report.
+
+    A whole point — construction, warm-up, measurement — on ``wheel``
+    and on ``auto``, interleaved in this process with the order
+    alternating, CPU time, best of ``repeat``; the fabric is warm from
+    the first pass on, as it is for every point of a sweep but the first.
+    """
+    cfg = SimConfig(**sc["cfg"])
+    best: dict[str, float] = {}
+    recs: dict[str, str] = {}
+    ran_on = ""
+    for rep in range(repeat + 1):  # pass 0 warms the fabric, untimed
+        for name in ("wheel", "auto") if rep % 2 else ("auto", "wheel"):
+            (_, cpu), (sim, record) = _timed(
+                lambda: _whole_point(sc, cfg, name))
+            recs[name] = canonical_record_json(record)
+            if name == "auto":
+                ran_on = _ran_on(sim)
+            if rep:
+                best[name] = min(best.get(name, cpu), cpu)
+    cycles = sc["warmup"] + sc["measure"]
+    return {
+        "scenario": sc["name"],
+        "gate": sc["gate"],
+        "cycles": cycles,
+        "clock": "CPU s of a whole point (construction + warm-up + "
+                 "measurement), wheel / auto interleaved, warm fabric",
+        "engines": {name: {"seconds": round(s, 4),
+                           "cycles_per_sec": round(cycles / s, 1)}
+                    for name, s in best.items()},
+        "records_identical": recs["wheel"] == recs["auto"],
+        "speedup_auto_vs_wheel": round(best["wheel"] / best["auto"], 3),
+        "engine_path": ran_on,
+        "rule_expected_path": sc["path"],
+    }
 
 
 def _previous_rows(path: str | None) -> dict[str, dict]:
@@ -414,8 +539,30 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out or (None if args.smoke else "BENCH_engine.json")
     previous = _previous_rows(out)
-    rows, mismatches, rng_drift, missed = [], [], [], []
+    rows, mismatches, rng_drift, missed, off_core = [], [], [], [], []
     for sc in scenarios(args.smoke):
+        if sc["kind"] == "rule":
+            if args.engine != "all":
+                continue  # a ratio of two engines: nothing to time alone
+            row = _rule_row(sc, 3 * args.repeat)
+            if not row["records_identical"]:
+                mismatches.append(sc["name"])
+            if not row["engine_path"].startswith(sc["path"] + ":"):
+                off_core.append(sc["name"])
+            if sc["gate"] is not None:
+                row["gate_met"] = row["speedup_auto_vs_wheel"] >= sc["gate"]["value"]
+                if not row["gate_met"]:
+                    missed.append(sc["name"])
+            rows.append(row)
+            cpu = {n: e["seconds"] for n, e in row["engines"].items()}
+            verdict = {True: "  gate met", False: "  GATE MISSED"}.get(
+                row.get("gate_met"), "")
+            print(f"{sc['name']:30s} {row['cycles']:7d} cyc  whole point, "
+                  f"CPU s: wheel {cpu['wheel']:.4f}  auto {cpu['auto']:.4f}  "
+                  f"auto/wheel x{row['speedup_auto_vs_wheel']:5.2f}  "
+                  f"{'OK' if row['records_identical'] else 'RECORD MISMATCH'}"
+                  f"{verdict}\n{'':30s} auto ran on {row['engine_path']}")
+            continue
         repeat = 1 if args.smoke else max(1, sc.get("repeat", args.repeat))
         engines = sc["engines"]
         timed = engines if args.engine == "all" else tuple(
@@ -425,6 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         fabric_cpu: dict[str, float] = {}
         recs: dict[str, str] = {}
         rng_states: dict[str, tuple] = {}
+        ran_on = None  # which way ``auto`` went, and why
         cycles = 0
         # rep-major order: each repetition cycles through every engine,
         # so slow drift of the host machine (frequency scaling, noisy
@@ -442,11 +590,12 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 tap = args.tap and name != "reference"
                 clear_fabrics()  # every run compiles its own fabric ...
-                times, cycles, recs[name], rng_states[name] = run_scenario(
+                times, cycles, recs[name], rng_states[name], path = run_scenario(
                     sc, name, with_tap=tap)
                 if name == "auto":
+                    ran_on = path
                     if len(times) == 1:  # ... and ``auto`` reruns on the one it left
-                        warm, _, recs["auto, warm fabric"], _ = run_scenario(
+                        warm, _, recs["auto, warm fabric"], _, _ = run_scenario(
                             sc, name, with_tap=tap)
                         times += warm
                     for state, (_, cpu) in zip(("cold", "warm"), times):
@@ -483,6 +632,12 @@ def main(argv: list[str] | None = None) -> int:
                         for name, s in secs.items()},
             "records_identical": identical,
         }
+        if ran_on is not None:
+            row["engine_path"] = ran_on
+            # an event tap sends every ``auto`` run to the wheel: by design
+            if (sc.get("core_row") and not args.tap
+                    and not ran_on.startswith("core:")):
+                off_core.append(sc["name"])
         if "reference" in secs and "wheel" in secs:
             row["speedup_wheel_vs_reference"] = round(
                 secs["reference"] / secs["wheel"], 3)
@@ -520,6 +675,8 @@ def main(argv: list[str] | None = None) -> int:
             row.get("gate_met"), "")
         print(f"{sc['name']:30s} {cycles:7d} cyc  {perf}  {ratios}  "
               f"{'OK' if identical else 'RECORD MISMATCH'}{verdict}")
+        if ran_on is not None:
+            print(f"{'':30s} auto ran on {ran_on}")
         if "note" in row:
             print(f"{'':30s} note: {row['note']}")
 
@@ -539,7 +696,12 @@ def main(argv: list[str] | None = None) -> int:
                 "rows and >= 1x on the low-load Bernoulli window, auto >= "
                 "5x the wheel on saturated h=4 drains, >= 4x "
                 "on the saturated Bernoulli steady window; the "
-                "sparse-hotspot row is reported, not gated); a row's "
+                "sparse-hotspot row is reported, not gated; auto >= 0.95x "
+                "the wheel on the rule_* rows the offered-load rule gives "
+                "to the wheel, which are whole points in CPU seconds, "
+                "wheel and auto interleaved on a warm fabric); "
+                "'engine_path' is the way an auto run went and the clause "
+                "that sent it there; a row's "
                 "'note' says why it is not gated, or when an "
                 "auto-vs-wheel ratio fell below the previous report's only "
                 "because the wheel, its denominator, got faster; every "
@@ -560,7 +722,10 @@ def main(argv: list[str] | None = None) -> int:
     if rng_drift:
         print(f"ERROR: wheel and reference drew differently from rng_route "
               f"in {rng_drift}", flush=True)
-    return 1 if mismatches or rng_drift else 0
+    if off_core:
+        print(f"ERROR: auto took the other engine path than the row lists "
+              f"in {off_core}", flush=True)
+    return 1 if mismatches or rng_drift or off_core else 0
 
 
 if __name__ == "__main__":
