@@ -357,20 +357,6 @@ class MetricsHub:
         denom = self.sim.topo.num_nodes * self.bucket
         return [b.delivered_phits / denom for b in self.completed_buckets(end)]
 
-    def latency_series(self, end: int | None = None) -> list[float]:
-        """Mean delivery latency per completed bucket (NaN when empty)."""
-        return [b.latency_sum / b.delivered if b.delivered else math.nan
-                for b in self.completed_buckets(end)]
-
-    def in_flight_series(self, end: int | None = None) -> list[int]:
-        """Engine packets in flight, sampled at each bucket's open.
-
-        The L side of Little's law: an event-derived level (refreshed
-        while a bucket's open cycle is still in the future, exactly
-        like the occupancy snapshots), not a per-cycle average.
-        """
-        return [b.inflight for b in self.completed_buckets(end)]
-
     def occupancy_series(self, kind: PortKind, end: int | None = None) -> list[int]:
         """Total downstream occupancy (phits) of ``kind`` ports per bucket.
 

@@ -35,7 +35,7 @@ latencies).  Neither holds a reference to any simulator, and neither can
 show in a record: an entry is the same whoever wrote it.  A core
 allocates only what its point mutates — busy timers, round-robin
 pointers, FIFO links, credits, owners, the flit and packet pools, the
-staging lists.
+list of packets handed out since the last flush.
 
 **One way in** — ``corechoice._decide``, the one place that imports
 this module (numpy with it, unconditionally) and constructs an
@@ -99,18 +99,28 @@ With ``record_hops`` the whole hop log is prefilled at injection (the
 route is known then); the delivered log is byte-identical, it just
 exists earlier than the wheel's grant-time appends.
 
-**Batched injection** — :meth:`ArrayCore.step` is the only caller of
-the ``inject_batch(sim, now) -> (srcs, dsts)`` protocol (the wheel
-injects through ``traffic.inject``: undoing a batch packet by packet
-cost it more than the scalar loop at every fabric size it runs).  When
-the traffic process offers it (Bernoulli sources do; burst and trace
-processes fall through to ``inject``), each cycle's injections arrive
-as two index arrays and :meth:`ArrayCore.inject_batch` applies them
-without creating a single Packet object: identity lives in the packet
-SoA (*lazy packets*), the route comes from the fabric's dense
-``(src_router, dst_router)`` table, and the Packet is only reconstructed
-(``_ensure_pkt``) if something needs the object — a non-batch
-delivery observer or a materialization.
+**Batched injection** — a packet enters the arrays one way,
+:meth:`ArrayCore._enqueue`: any number of packets as index arrays,
+any flit count (the fixed split, repeated), any source order (packets
+of one node are chained in call order), every one of them *lazy* —
+identity lives in the packet SoA, the route comes from the fabric's
+dense ``(src_router, dst_router)`` table, and no Packet object exists
+unless something asks for it (``_ensure_pkt``: a non-batch delivery
+observer or a materialization).  Two thin callers.
+:meth:`ArrayCore.step` is the only caller of the ``inject_batch(sim,
+now) -> (srcs, dsts)`` protocol (the wheel injects through
+``traffic.inject``: undoing a batch packet by packet cost it more than
+the scalar loop at every fabric size it runs); when the traffic process
+offers it (Bernoulli sources do), :meth:`ArrayCore.inject_batch` hands
+the two arrays over, VCT and wormhole alike.  Burst and trace
+processes, and anyone calling ``Simulator.inject_packet`` by hand, come
+through :meth:`ArrayCore.inject`, and that one stays eager about the
+one thing it must: the caller is *returned* its ``Packet``, so the
+object, its pid and the counters the wheel would have bumped exist at
+call time.  The arrays hear of it at the next flush (at most a cycle
+later, before that cycle's batch, so each injection VC keeps call
+order), which enqueues the whole list in one kernel call and files the
+objects in their slots.
 Deliveries of all-lazy grants are batched too, through
 ``StatsCollector.on_delivered_batch`` and the observers' optional
 ``on_eject_batch``.
@@ -155,15 +165,45 @@ _INT_EJECT, _INT_LOCAL, _INT_GLOBAL = int(_EJECT), int(_LOCAL), int(_GLOBAL)
 _ALLOC_IDLE = 1 << 62
 
 
-def _grow(arr, needed: int, fill: int = 0):
+def _grow(arr, needed: int):
     """Return ``arr`` grown (amortized doubling) to hold ``needed`` items."""
     cap = len(arr)
     if needed <= cap:
         return arr
-    new_cap = max(needed, cap * 2, 64)
-    out = _np.full(new_cap, fill, dtype=arr.dtype)
+    out = _np.zeros(max(needed, cap * 2, 64), dtype=arr.dtype)
     out[:cap] = arr
     return out
+
+
+def _walk_minimal(topo, pkt: Packet, hops: int):
+    """Take ``pkt`` its first ``hops`` minimal hops from its source router
+    (fewer if it gets to its destination router first), yielding
+    ``(router, kind, port, vc)`` per hop taken.
+
+    The one mirror in this file of what the wheel's per-grant
+    ``RoutingAlgorithm.on_hop`` does to a packet's counters.  The oracle
+    reads them mid-path (dragonfly VC selection uses ``g_hops``), so the
+    packet carries them along the walk and is left as that many grants
+    would leave it; the eject hop is counter-neutral and not walked.
+    """
+    cur, dst = pkt.src_router, pkt.dst_router
+    for _ in range(hops):
+        if cur == dst:
+            return
+        kind, port, target, vc = topo.min_hop(cur, pkt)
+        here = cur
+        if kind is _GLOBAL:
+            pkt.g_hops += 1
+            pkt.local_hops_group = 0
+            pkt.prev_local_type = None
+            cur = topo.global_neighbor(cur, port)[0]
+        else:
+            pkt.local_hops_group += 1
+            pkt.local_hops_total += 1
+            pkt.last_local_vc = vc
+            pkt.prev_local_type = link_type(topo.index_in_group(cur), target)
+            cur = topo.router_id(topo.group_of(cur), target)
+        yield here, kind, port, vc
 
 
 class _RouteTable:
@@ -234,7 +274,6 @@ class _RouteTable:
             lbase = topo.p
             gbase = lbase + topo.local_ports
             ovc_base = self._ovc_base
-            min_hop = topo.min_hop
             intern = self._interned.setdefault
             ops: list[int] = []
             fovcs: list[int] = []
@@ -244,34 +283,19 @@ class _RouteTable:
             start = self._rt_len
             for pair in todo:
                 sr, dr = divmod(pair, nr)
-                # the oracle reads the packet's counters mid-path
-                # (dragonfly VC selection uses ``g_hops``), so a
-                # throwaway packet carries them along the walk; minimal
-                # routes depend on the router pair only, any node of
-                # each router stands for all of them
+                # minimal routes depend on the router pair only: a
+                # throwaway packet between any node of each stands for
+                # all of them (a minimal path visits no router twice, so
+                # ``nr`` hops is "all the way")
                 pkt = Packet(-1, topo.node_id(sr, 0), topo.node_id(dr, 0), 0, 0,
                              sr, topo.group_of(sr), dr, topo.group_of(dr))
                 first = len(ops)
                 offs.append(start + first)
-                cur = sr
-                while cur != dr:
-                    kind, port, target, vc = min_hop(cur, pkt)
+                for cur, kind, port, vc in _walk_minimal(topo, pkt, nr):
                     fop = cur * nout + ((lbase + port) if kind is _LOCAL
                                         else (gbase + port))
                     ops.append(fop)
                     fovcs.append(ovc_base[fop] + vc)
-                    if kind is _GLOBAL:
-                        pkt.g_hops += 1
-                        pkt.local_hops_group = 0
-                        pkt.prev_local_type = None
-                        cur = topo.global_neighbor(cur, port)[0]
-                    else:
-                        pkt.local_hops_group += 1
-                        pkt.local_hops_total += 1
-                        pkt.last_local_vc = vc
-                        pkt.prev_local_type = link_type(
-                            topo.index_in_group(cur), target)
-                        cur = topo.router_id(topo.group_of(cur), target)
                 nhs.append(len(ops) - first)
                 final = (pkt.g_hops, pkt.local_hops_group, pkt.local_hops_total,
                          pkt.prev_local_type, pkt.last_local_vc)
@@ -402,8 +426,8 @@ class _Layout:
         for arr in vars(self).values():
             if isinstance(arr, _np.ndarray):
                 arr.flags.writeable = False
-        # plain-list mirror for O(30ns) scalar lookups on the inject path
-        self._ovc_base_l = self._ip_vcbase_l = vcbase.tolist()
+        # plain-list mirror for the route table's scalar lookups
+        self._ovc_base_l = vcbase.tolist()
 
 
 def _layout_for(sim) -> _Layout:
@@ -470,36 +494,16 @@ class ArrayCore:
         self._ov_owner = _np.full(vc_count, -1, i64)
 
         # ---- growable flit / packet pools (free-list recycled)
-        self._fl_pkt = _np.zeros(0, i64)
-        self._fl_size = _np.zeros(0, i64)
-        self._fl_idx = _np.zeros(0, i64)
-        self._fl_head = _np.zeros(0, bool)
-        self._fl_tail = _np.zeros(0, bool)
-        self._fl_next = _np.zeros(0, i64)
-        # cached next-hop decision per flit: the (output, VC) this flit
-        # requests at the router it currently sits in.  Minimal routing
-        # makes this a pure function of (packet route, hop), so it is
-        # written once at injection and refreshed at each grant instead
-        # of being re-derived from the route pool on every alloc scan.
-        self._fl_eff_op = _np.zeros(0, i64)
-        self._fl_eff_fovc = _np.zeros(0, i64)
+        for name in self._FL_ARRAYS + self._PK_ARRAYS:
+            setattr(self, name, _np.zeros(0, bool if name in self._FLAGS else i64))
         self._fl_free: list[int] = []
         self._fl_used = 0
-        self._pk_birth = _np.zeros(0, i64)
-        self._pk_off = _np.zeros(0, i64)
-        self._pk_hop = _np.zeros(0, i64)
-        self._pk_nh = _np.zeros(0, i64)
-        self._pk_ej_op = _np.zeros(0, i64)
-        self._pk_ej_ovc = _np.zeros(0, i64)
         self._pk_free: list[int] = []
         self._pk_used = 0
         self._pkt_obj: list = []
-        # per-cycle injection staging (see _flush_injections):
-        # packet fields, flit fields + FIFO chain links, per-VC aggregates
-        self._stage: tuple = ([], [], [], [], [])
-        self._stage_fl: tuple = ([], [], [], [], [], [], [], [])
-        self._stage_ivc: dict = {}
-        self._stage_n = 0
+        #: packets :meth:`inject` has handed out and the arrays have not
+        #: seen yet (see _flush_injections)
+        self._staged: list[Packet] = []
 
         # ---- wheels: the simulator's own (still empty) timing-wheel
         # slots, holding chunk lists here — one (ids, payload) pair per
@@ -511,26 +515,15 @@ class ArrayCore:
         self._age_arb = config.arbitration == "age"
         self._packet_phits = config.packet_phits
         self._record_hops = config.record_hops
-        # every packet has the same phit size, so the flit split is fixed
-        size = config.packet_phits
-        fs = config.flit_phits
-        if self._is_vct or fs >= size:
-            self._flit_sizes: tuple = (size,)
-        else:
-            n = -(-size // fs)
-            self._flit_sizes = (fs,) * (n - 1) + (size - fs * (n - 1),)
+        # every packet has the same phit size, so the flit split is fixed:
+        # the one the flow-control policy gives the wheel
+        self._flit_sizes: tuple = tuple(flit.size for flit in sim.fc.flits_of(
+            self._new_packet(-1, 0, 1, 0)))
         # single-flit packets (VCT, or WH with flit >= packet): every
         # flit is head and tail, so routes are never held and output-VC
         # ownership never engages — the allocator skips that machinery
         self._sf = len(self._flit_sizes) == 1
 
-        # lazy-packet SoA: identity fields for batch-injected packets;
-        # the Packet object is reconstructed on demand (_ensure_pkt)
-        self._pk_pid = _np.zeros(0, i64)
-        self._pk_src = _np.zeros(0, i64)
-        self._pk_dst = _np.zeros(0, i64)
-        self._pk_rid = _np.zeros(0, i64)
-        self._pk_lazy = _np.zeros(0, bool)
         #: earliest cycle the allocator could grant — the one thing it
         #: keeps between cycles: :meth:`_alloc` sets it after a pass
         #: without a grant, :meth:`step` resets it when an arrival, a
@@ -540,231 +533,74 @@ class ArrayCore:
         #: _delivery_batch_observers
         self._obs_batch: tuple = (None, None)
 
-    def _alloc_pkt_slot(self) -> int:
-        if self._pk_free:
-            return self._pk_free.pop()
-        s = self._pk_used
-        self._pk_used += 1
-        if s >= len(self._pk_birth):
-            self._grow_pkt_pool(s + 1)
-        return s
-
+    #: the flit pool's columns.  ``_fl_eff_op`` / ``_fl_eff_fovc`` cache
+    #: the next-hop decision per flit: the (output, VC) it requests at the
+    #: router it currently sits in.  Minimal routing makes this a pure
+    #: function of (packet route, hop), so it is written once at injection
+    #: and refreshed at each grant instead of being re-derived from the
+    #: route pool on every alloc scan
+    _FL_ARRAYS = ("_fl_pkt", "_fl_size", "_fl_idx", "_fl_head", "_fl_tail",
+                  "_fl_next", "_fl_eff_op", "_fl_eff_fovc")
+    #: the packet pool's: what the kernels read, then the identity of a
+    #: lazy packet (``_ensure_pkt`` rebuilds the object from it on demand)
     _PK_ARRAYS = ("_pk_birth", "_pk_off", "_pk_hop", "_pk_nh", "_pk_ej_op",
                   "_pk_ej_ovc", "_pk_pid", "_pk_src", "_pk_dst", "_pk_rid",
                   "_pk_lazy")
+    _FLAGS = ("_fl_head", "_fl_tail", "_pk_lazy")  # bool columns; else int64
 
-    def _grow_pkt_pool(self, need: int) -> None:
-        for name in self._PK_ARRAYS:
-            setattr(self, name, _grow(getattr(self, name), need))
-        self._pkt_obj.extend([None] * (len(self._pk_birth) - len(self._pkt_obj)))
-
-    def _alloc_fl_slots(self, n: int) -> list[int]:
-        free = self._fl_free
+    def _take_slots(self, n: int, free: list, used: str, arrays: tuple):
+        """``n`` slots of one pool: recycled ones first, off the end of its
+        free list, then a contiguous block past its ``used`` mark, the
+        pool's ``arrays`` grown to hold it."""
+        slots = _np.empty(n, _np.int64)
         take = min(n, len(free))
-        slots = [free.pop() for _ in range(take)]
-        while len(slots) < n:
-            s = self._fl_used
-            self._fl_used += 1
-            if s >= len(self._fl_pkt):
-                self._grow_fl_pool(s + 1)
-            slots.append(s)
+        if take:
+            slots[:take] = free[:-take - 1:-1]
+            del free[-take:]
+        if take < n:
+            start = getattr(self, used)
+            end = start + n - take
+            setattr(self, used, end)
+            if end > len(getattr(self, arrays[0])):
+                for name in arrays:
+                    setattr(self, name, _grow(getattr(self, name), end))
+                # one object slot per packet slot (nothing to add when it
+                # was the flit pool that grew)
+                self._pkt_obj.extend(
+                    [None] * (len(self._pk_birth) - len(self._pkt_obj)))
+            slots[take:] = _np.arange(start, end)
         return slots
 
-    def _grow_fl_pool(self, need: int) -> None:
-        self._fl_pkt = _grow(self._fl_pkt, need)
-        self._fl_size = _grow(self._fl_size, need)
-        self._fl_idx = _grow(self._fl_idx, need)
-        self._fl_head = _grow(self._fl_head, need)
-        self._fl_tail = _grow(self._fl_tail, need)
-        self._fl_next = _grow(self._fl_next, need, fill=-1)
-        self._fl_eff_op = _grow(self._fl_eff_op, need)
-        self._fl_eff_fovc = _grow(self._fl_eff_fovc, need)
-
     # ------------------------------------------------------------ injection
-    def inject(self, sim, src: int, dst: int, t: int) -> Packet:
-        """``Simulator.inject_packet`` on the array state (``src != dst``)."""
-        topo = self.topo
-        sr = topo.router_of_node(src)
-        dr = topo.router_of_node(dst)
-        pkt = Packet(sim._next_pid, src, dst, self._packet_phits, t,
-                     sr, topo.group_of(sr), dr, topo.group_of(dr))
-        sim._next_pid += 1
-        ej_op = dr * self._nout + topo.node_index(dst)
+    def _enqueue(self, srcs, dsts, births, pids):
+        """Queue packets ``srcs[i] -> dsts[i]`` at their injection ports and
+        return their slots: the one way a packet enters the arrays.
 
-        # ---- stage the SoA writes: pure list appends here, one batch of
-        # vectorized array writes per cycle in _flush_injections (scalar
-        # numpy stores are ~100x a list append; injection is the hot path
-        # of every saturated scenario).  The route is looked up there
-        # too, so a cycle's unknown pairs are walked in one batch
-        ps = self._alloc_pkt_slot()
-        self._pkt_obj[ps] = pkt
-        st = self._stage
-        st[0].append(ps)
-        st[1].append(t)
-        st[2].append(sr * self._nr + dr)
-        st[3].append(ej_op)
-        st[4].append(self._ovc_base_l[ej_op])
-
-        sizes = self._flit_sizes  # all packets share one size: precomputed
-        n = len(sizes)
-        slots = self._alloc_fl_slots(n)
-        fl_slot, fl_pkt, fl_size, fl_idx, fl_hd, fl_tl, ln_src, ln_dst = \
-            self._stage_fl
-        last = n - 1
-        for i in range(n):
-            s = slots[i]
-            fl_slot.append(s)
-            fl_pkt.append(ps)
-            fl_size.append(sizes[i])
-            fl_idx.append(i)
-            fl_hd.append(i == 0)
-            fl_tl.append(i == last)
-            if i:
-                ln_src.append(slots[i - 1])
-                ln_dst.append(s)
-
-        fp = sr * self._nin + topo.node_index(src)
-        ivc = self._ip_vcbase_l[fp]  # injection ports have exactly one VC
-        entry = self._stage_ivc.get(ivc)
-        if entry is None:
-            self._stage_ivc[ivc] = [slots[0], slots[last], n,
-                                    self._packet_phits, fp]
-        else:  # second packet on this node this cycle: chain the FIFOs
-            ln_src.append(entry[1])
-            ln_dst.append(slots[0])
-            entry[1] = slots[last]
-            entry[2] += n
-            entry[3] += self._packet_phits
-        self._stage_n += n
-        self.buffered += n
-        sim.stats.on_generated(pkt)
-        sim.packets_in_flight += 1
-        return pkt
-
-    def _flush_injections(self) -> None:
-        """Apply this cycle's staged injections to the SoA state in batch."""
-        if not self._stage_n:
-            return
-        asarray = _np.asarray
-        i64 = _np.int64
-        st = self._stage
-        routes = self._routes
-        ps = asarray(st[0], i64)
-        rid = routes.rids(asarray(st[2], i64))
-        # minimal routes are fixed at injection: each packet carries
-        # the counters its whole walk leaves (a rewind rolls them back
-        # to the granted prefix if the run leaves the core) and, with
-        # ``record_hops``, its whole hop log
-        pkt_obj, nout = self._pkt_obj, self._nout
-        for slot, r, ej_op in zip(st[0], rid.tolist(), st[3]):
-            self._stamp_route(pkt_obj[slot], r, ej_op % nout)
-        self._pk_birth[ps] = st[1]
-        self._pk_hop[ps] = 0
-        self._pk_off[ps] = routes.pr_off[rid]
-        self._pk_nh[ps] = routes.pr_nh[rid]
-        self._pk_ej_op[ps] = st[3]
-        self._pk_ej_ovc[ps] = st[4]
-        rt_op, rt_fovc = routes.rt_op, routes.rt_fovc
-        fl_slot, fl_pkt, fl_size, fl_idx, fl_hd, fl_tl, ln_src, ln_dst = \
-            self._stage_fl
-        fs = asarray(fl_slot, i64)
-        self._fl_pkt[fs] = fl_pkt
-        self._fl_size[fs] = fl_size
-        self._fl_idx[fs] = fl_idx
-        self._fl_head[fs] = fl_hd
-        self._fl_tail[fs] = fl_tl
-        self._fl_next[fs] = -1
-        fps_of_flit = asarray(fl_pkt, i64)
-        off = self._pk_off[fps_of_flit]
-        in_rt = self._pk_nh[fps_of_flit] > 0
-        self._fl_eff_op[fs] = _np.where(in_rt, rt_op[off],
-                                        self._pk_ej_op[fps_of_flit])
-        self._fl_eff_fovc[fs] = _np.where(in_rt, rt_fovc[off],
-                                          self._pk_ej_ovc[fps_of_flit])
-        if ln_src:
-            self._fl_next[asarray(ln_src, i64)] = ln_dst
-        # per-VC FIFO appends: one aggregated chain per injection VC
-        items = self._stage_ivc
-        ivcs = asarray(list(items.keys()), i64)
-        agg = list(items.values())
-        firsts = asarray([e[0] for e in agg], i64)
-        tails = self._vb_tail[ivcs]
-        em = tails < 0
-        self._vb_head[ivcs[em]] = firsts[em]
-        self._fl_next[tails[~em]] = firsts[~em]
-        self._vb_tail[ivcs] = [e[1] for e in agg]
-        self._vb_occ[ivcs] += asarray([e[3] for e in agg], i64)
-        self._ip_buffered[asarray([e[4] for e in agg], i64)] += \
-            asarray([e[2] for e in agg], i64)
-        self._stage = ([], [], [], [], [])
-        self._stage_fl = ([], [], [], [], [], [], [], [])
-        self._stage_ivc = {}
-        self._stage_n = 0
-
-    def inject_batch(self, sim, srcs, dsts, t: int) -> None:
-        """Consume one cycle's batched injections without Packet objects.
-
-        The vectorized path covers the case that matters: single-flit
-        packets (VCT, or WH with flit >= packet) and strictly ascending
-        sources (what ``inject_batch`` emits — at most one packet per
-        node per cycle).  Packets land *lazy*: identity lives in the SoA
-        and the object is only reconstructed if something needs it.
-        Anything else falls through to the scalar injection loop — same
-        records either way.
+        ``srcs`` / ``dsts`` are node index arrays in call order, ``pids``
+        an array and ``births`` an array or one cycle for all.  Every
+        packet lands *lazy* — identity in the packet SoA, no object — and
+        is split the one fixed way (``_flit_sizes``).  The callers keep
+        the counts nothing here can know: ``buffered``, the simulator's
+        ``packets_in_flight`` and the statistics.
         """
-        if (len(self._flit_sizes) != 1
-                or bool((srcs[1:] <= srcs[:-1]).any())):
-            inject = self.inject
-            for s, d in zip(srcs.tolist(), dsts.tolist()):
-                inject(sim, s, d, t)
-            return
-        i64 = _np.int64
-        nb = int(srcs.size)
+        nb = len(srcs)
+        sizes = self._flit_sizes
+        nf = len(sizes)
         node_rt = self._node_rt
         routes = self._routes
         rid = routes.rids(node_rt[srcs] * self._nr + node_rt[dsts])
         # loaded after the ids: every row and hop ``rid`` names is in them
         pr_off, pr_nh = routes.pr_off, routes.pr_nh
         rt_op, rt_fovc = routes.rt_op, routes.rt_fovc
-
-        # ---- slot allocation: recycled free-list slots first, then a
-        # contiguous block off the end of each pool
-        ps = _np.empty(nb, i64)
-        free = self._pk_free
-        take = min(nb, len(free))
-        if take:  # bulk pop, preserving pop-from-the-end order
-            ps[:take] = free[:-take - 1:-1]
-            del free[-take:]
-        rest = nb - take
-        if rest:
-            s0 = self._pk_used
-            self._pk_used = s0 + rest
-            if self._pk_used > len(self._pk_birth):
-                self._grow_pkt_pool(self._pk_used)
-            ps[take:] = _np.arange(s0, s0 + rest)
-        fs = _np.empty(nb, i64)
-        ffree = self._fl_free
-        take = min(nb, len(ffree))
-        if take:
-            fs[:take] = ffree[:-take - 1:-1]
-            del ffree[-take:]
-        rest = nb - take
-        if rest:
-            s0 = self._fl_used
-            need = s0 + rest
-            self._fl_used = need
-            if need > len(self._fl_pkt):
-                self._grow_fl_pool(need)
-            fs[take:] = _np.arange(s0, need)
-
-        pid0 = sim._next_pid
-        sim._next_pid = pid0 + nb
-        self._pk_pid[ps] = _np.arange(pid0, pid0 + nb)
+        ps = self._take_slots(nb, self._pk_free, "_pk_used", self._PK_ARRAYS)
+        fs = self._take_slots(nb * nf, self._fl_free, "_fl_used",
+                              self._FL_ARRAYS)
+        self._pk_pid[ps] = pids
         self._pk_src[ps] = srcs
         self._pk_dst[ps] = dsts
         self._pk_rid[ps] = rid
         self._pk_lazy[ps] = True
-        self._pk_birth[ps] = t
+        self._pk_birth[ps] = births
         self._pk_hop[ps] = 0
         off = pr_off[rid]
         nh = pr_nh[rid]
@@ -774,60 +610,141 @@ class ArrayCore:
         self._pk_nh[ps] = nh
         self._pk_ej_op[ps] = ej_op
         self._pk_ej_ovc[ps] = ej_ovc
-        size = self._packet_phits
-        self._fl_pkt[fs] = ps
-        self._fl_size[fs] = size
-        self._fl_idx[fs] = 0
-        self._fl_head[fs] = True
-        self._fl_tail[fs] = True
-        self._fl_next[fs] = -1
-        # next-hop at the injection router (hop 0): first stored hop,
+        # next hop at the injection router (hop 0): the first stored hop,
         # or straight to eject when src and dst share a router
         in_rt = nh > 0
-        self._fl_eff_op[fs] = _np.where(in_rt, rt_op[off], ej_op)
-        self._fl_eff_fovc[fs] = _np.where(in_rt, rt_fovc[off], ej_ovc)
-        # FIFO appends: sources are unique, so every injection VC gains
-        # exactly one tail flit — one scatter per field
+        eff_op = _np.where(in_rt, rt_op[off], ej_op)
+        eff_fovc = _np.where(in_rt, rt_fovc[off], ej_ovc)
+        self._fl_next[fs] = -1
+        if nf == 1:  # every flit is its packet: head, tail, no link
+            fl_pkt, fl_idx, fl_size = ps, 0, sizes[0]
+            heads = tails = fs
+        else:
+            # flit j of packet i sits in slot fs[i * nf + j]
+            fl_pkt = _np.repeat(ps, nf)
+            fl_idx = _np.tile(_np.arange(nf), nb)
+            fl_size = _np.tile(sizes, nb)
+            eff_op = _np.repeat(eff_op, nf)
+            eff_fovc = _np.repeat(eff_fovc, nf)
+            by_pkt = fs.reshape(nb, nf)
+            heads, tails = by_pkt[:, 0], by_pkt[:, -1]
+            self._fl_next[by_pkt[:, :-1]] = by_pkt[:, 1:]
+        self._fl_pkt[fs] = fl_pkt
+        self._fl_size[fs] = fl_size
+        self._fl_idx[fs] = fl_idx
+        self._fl_head[fs] = fl_idx == 0
+        self._fl_tail[fs] = fl_idx == nf - 1
+        self._fl_eff_op[fs] = eff_op
+        self._fl_eff_fovc[fs] = eff_fovc
+        # ---- FIFO appends: one chain (first flit, last flit, packets) per
+        # injection VC.  Strictly ascending sources — what a Bernoulli
+        # batch emits — are distinct nodes: every chain is one packet
         ivcs = self._node_ivc[srcs]
-        tails = self._vb_tail[ivcs]
-        em = tails < 0
-        self._vb_head[ivcs[em]] = fs[em]
-        self._fl_next[tails[~em]] = fs[~em]
-        self._vb_tail[ivcs] = fs
-        self._vb_occ[ivcs] += size
-        self._ip_buffered[self._node_fp[srcs]] += 1
-        self.buffered += nb
+        npk = 1
+        if bool((srcs[1:] <= srcs[:-1]).any()):
+            # several packets of a node: a stable sort by injection VC
+            # brings them together in call order; link each to the next
+            order = _np.argsort(ivcs, kind="stable")
+            ivcs, heads, tails = ivcs[order], heads[order], tails[order]
+            same = ivcs[1:] == ivcs[:-1]
+            self._fl_next[tails[:-1][same]] = heads[1:][same]
+            starts = _np.concatenate(([0], (~same).nonzero()[0] + 1))
+            npk = _np.diff(starts, append=nb)
+            ivcs, heads, tails = ivcs[starts], heads[starts], tails[starts + npk - 1]
+        ends = self._vb_tail[ivcs]
+        em = ends < 0
+        self._vb_head[ivcs[em]] = heads[em]
+        self._fl_next[ends[~em]] = heads[~em]
+        self._vb_tail[ivcs] = tails
+        self._vb_occ[ivcs] += npk * self._packet_phits
+        self._ip_buffered[self._vb_port[ivcs]] += npk * nf
+        return ps
+
+    def inject_batch(self, sim, srcs, dsts, t: int) -> None:
+        """Consume one cycle's batched injections without Packet objects.
+
+        What ``traffic.inject_batch`` returned, in its order (ascending
+        for the shipped processes, but nothing here relies on it).  The
+        packets stay *lazy*: an object is only reconstructed if something
+        needs it (:meth:`_ensure_pkt`).
+        """
+        nb = len(srcs)
+        # a registered process is outside input: hold it to what
+        # ``Simulator.inject_packet`` asks of the scalar loop
+        if len(dsts) != nb or (srcs == dsts).any():
+            raise ValueError("source and destination nodes must differ")
+        pid0 = sim._next_pid
+        sim._next_pid = pid0 + nb
+        self._enqueue(srcs, dsts, t, _np.arange(pid0, pid0 + nb))
+        self.buffered += nb * len(self._flit_sizes)
         sim.packets_in_flight += nb
         sim.stats.on_generated_batch(nb)
 
-    def _stamp_route(self, pkt: Packet, rid: int, k: int) -> None:
-        """Give ``pkt`` what walking route ``rid`` to eject port ``k`` leaves."""
+    def inject(self, sim, src: int, dst: int, t: int) -> Packet:
+        """``Simulator.inject_packet`` on the array state (``src != dst``).
+
+        The caller gets its ``Packet`` now, with everything the wheel
+        would have done by now done — pid, statistics, the in-flight and
+        buffered counts; the arrays learn of it at the next flush.
+        """
+        pkt = self._new_packet(sim._next_pid, src, dst, t)
+        sim._next_pid += 1
+        self._staged.append(pkt)
+        self.buffered += len(self._flit_sizes)
+        sim.stats.on_generated(pkt)
+        sim.packets_in_flight += 1
+        return pkt
+
+    def _flush_injections(self) -> None:
+        """Enqueue the packets :meth:`inject` handed out since the last flush.
+
+        Their callers hold the objects, so these slots are not lazy: each
+        keeps its object, which from here on carries what its whole walk
+        leaves — minimal routes are fixed at injection (a rewind rolls
+        the counters back to the granted prefix if the run leaves the
+        core) — and, with ``record_hops``, its whole hop log.
+        """
+        staged, self._staged = self._staged, []
+        ps = self._enqueue(_np.array([pkt.src for pkt in staged]),
+                           _np.array([pkt.dst for pkt in staged]),
+                           _np.array([pkt.birth for pkt in staged]),
+                           _np.array([pkt.pid for pkt in staged]))
+        self._pk_lazy[ps] = False
+        pkt_obj = self._pkt_obj
+        for pkt, slot, rid in zip(staged, ps.tolist(),
+                                  self._pk_rid[ps].tolist()):
+            pkt_obj[slot] = pkt
+            self._stamp_route(pkt, rid)
+
+    def _new_packet(self, pid: int, src: int, dst: int, birth: int) -> Packet:
+        topo = self.topo
+        sr, dr = topo.router_of_node(src), topo.router_of_node(dst)
+        return Packet(pid, src, dst, self._packet_phits, birth,
+                      sr, topo.group_of(sr), dr, topo.group_of(dr))
+
+    def _stamp_route(self, pkt: Packet, rid: int) -> None:
+        """Give ``pkt`` what walking route ``rid`` to its node's eject port leaves."""
         routes = self._routes
         (pkt.g_hops, pkt.local_hops_group, pkt.local_hops_total,
          pkt.prev_local_type, pkt.last_local_vc) = routes.final[rid]
         if self._record_hops:
-            pkt.hops_log = [*routes.hop_log(rid), (_INT_EJECT, k, 0)]
+            pkt.hops_log = [*routes.hop_log(rid),
+                            (_INT_EJECT, self.topo.node_index(pkt.dst), 0)]
 
     def _ensure_pkt(self, ps: int) -> Packet:
         """The Packet object of slot ``ps``, reconstructing a lazy one.
 
-        The reconstruction is exactly what the scalar inject would have
-        built: final route-walk counters (a later rewind rolls them
-        back to the granted prefix when needed) and, with record_hops,
-        the prefilled hop log.
+        The reconstruction is exactly what :meth:`inject` and its flush
+        would have built: final route-walk counters (a later rewind
+        rolls them back to the granted prefix when needed) and, with
+        record_hops, the prefilled hop log.
         """
         pkt = self._pkt_obj[ps]
         if pkt is not None:
             return pkt
-        topo = self.topo
-        src = int(self._pk_src[ps])
-        dst = int(self._pk_dst[ps])
-        sr = int(self._node_rt[src])
-        dr = int(self._node_rt[dst])
-        pkt = Packet(int(self._pk_pid[ps]), src, dst, self._packet_phits,
-                     int(self._pk_birth[ps]), sr, topo.group_of(sr), dr,
-                     topo.group_of(dr))
-        self._stamp_route(pkt, int(self._pk_rid[ps]), int(self._node_kidx[dst]))
+        pkt = self._new_packet(int(self._pk_pid[ps]), int(self._pk_src[ps]),
+                               int(self._pk_dst[ps]), int(self._pk_birth[ps]))
+        self._stamp_route(pkt, int(self._pk_rid[ps]))
         self._pk_lazy[ps] = False
         self._pkt_obj[ps] = pkt
         return pkt
@@ -891,19 +808,20 @@ class ArrayCore:
         if traffic is not None:
             # batched-injection protocol (see processes.BernoulliTraffic):
             # one cycle's (srcs, dsts) in bulk when the process offers
-            # it, the scalar per-packet loop otherwise.  Out-of-step
-            # injections staged before this cycle flush first so FIFO
-            # order within each injection VC is preserved.
+            # it, its own per-packet loop otherwise (each call staged by
+            # ``inject``).  Packets handed out before this cycle's batch
+            # flush first so FIFO order within each injection VC is
+            # preserved.
             inject_batch = getattr(traffic, "inject_batch", None)
             batch = None if inject_batch is None else inject_batch(sim, t)
             if batch is None:
                 traffic.inject(sim, t)
             elif len(batch[0]):
-                if self._stage_n:
+                if self._staged:
                     self._flush_injections()
                 self.inject_batch(sim, batch[0], batch[1], t)
                 self._next_alloc_t = 0
-        if self._stage_n:
+        if self._staged:
             self._flush_injections()
             self._next_alloc_t = 0
         if self.buffered and t >= self._next_alloc_t:
@@ -1162,17 +1080,13 @@ class ArrayCore:
         mid-path) and never reads them again until delivery.  The wheel
         path re-applies ``on_hop`` per remaining grant, so handing over
         a packet with final-state counters would double-count — and
-        mis-route, since ``min_hop`` picks VCs from ``g_hops``.  Replay
-        each live packet's stored route prefix (``pk_hop`` grants) to
-        reconstruct exactly the wheel's mid-flight state; prefilled hop
-        logs are truncated to the granted prefix for the same reason.
+        mis-route, since ``min_hop`` picks VCs from ``g_hops``.  Walk
+        each live packet's first ``pk_hop`` hops again from zeroed
+        counters to reconstruct exactly the wheel's mid-flight state;
+        prefilled hop logs are truncated to the granted prefix for the
+        same reason.
         """
         topo = self.topo
-        nout = self._nout
-        lbase = topo.p
-        gbase = lbase + topo.local_ports
-        rt_op, rt_fovc = self._routes.rt_op, self._routes.rt_fovc
-        ovc_base = self._ovc_base
         lazy = self._pk_lazy
         for ps in range(self._pk_used):
             pkt = self._pkt_obj[ps]
@@ -1186,31 +1100,12 @@ class ArrayCore:
             pkt.g_hops = 0
             pkt.local_hops_group = 0
             pkt.local_hops_total = 0
-            pkt.misrouted_group = False
             pkt.prev_local_type = None
             pkt.last_local_vc = 0
-            off = int(self._pk_off[ps])
-            # the stored route excludes the (counter-neutral) eject hop;
-            # done == nh+1 for a WH packet whose head already ejected
-            nh = int(self._pk_nh[ps])
-            for i in range(min(done, nh)):
-                fop = int(rt_op[off + i])
-                oidx = fop % nout
-                if oidx >= gbase:
-                    pkt.g_hops += 1
-                    pkt.local_hops_group = 0
-                    pkt.misrouted_group = False
-                    pkt.prev_local_type = None
-                else:  # stored hops are LOCAL or GLOBAL, never EJECT
-                    pkt.local_hops_group += 1
-                    pkt.local_hops_total += 1
-                    pkt.last_local_vc = int(rt_fovc[off + i]) - int(ovc_base[fop])
-                    # next router: where the following hop is taken, or the
-                    # destination router when this is the last stored hop
-                    nxt = (int(rt_op[off + i + 1]) // nout if i + 1 < nh
-                           else pkt.dst_router)
-                    pkt.prev_local_type = link_type(
-                        topo.index_in_group(fop // nout), topo.index_in_group(nxt))
+            # done == nh + 1 for a WH packet whose head already ejected:
+            # the walk ends at the destination router either way
+            for _ in _walk_minimal(topo, pkt, done):
+                pass
 
     def materialize(self, sim) -> None:
         """Write the array state back into the simulator's object graph.
@@ -1223,7 +1118,7 @@ class ArrayCore:
         built it.
         """
         routers = sim.routers
-        if self._stage_n:
+        if self._staged:
             self._flush_injections()
         self._rewind_in_flight_packets()
         nin, nout = self._nin, self._nout

@@ -52,12 +52,14 @@ class BernoulliTraffic:
         """One cycle's injections as ``(srcs, dsts)`` index arrays.
 
         The batched-injection protocol: a live array core calls this
-        instead of :meth:`inject` and consumes the arrays without
-        per-packet Python work (the wheel only ever calls
-        :meth:`inject`: at its scales numpy's per-call floor costs more
-        than the scalar loop).  Returns ``None`` to decline — the one
-        case is an unrecognised RNG — and the core falls back to the
-        scalar loop.
+        instead of :meth:`inject` and enqueues the arrays — under VCT
+        and wormhole alike — without per-packet Python work or a
+        ``Packet`` object (the wheel only ever calls :meth:`inject`: at
+        its scales numpy's per-call floor costs more than the scalar
+        loop).  The pairs are held to ``inject_packet``'s contract:
+        equal lengths, no ``src == dst``.  Returns ``None`` to decline
+        — the one case is an unrecognised RNG — and the core calls
+        :meth:`inject` for that cycle instead.
 
         The draw stream is the scalar loop's, byte for byte: the first
         call replaces ``sim.rng_traffic`` with a :class:`StreamRandom`

@@ -209,9 +209,11 @@ def core_ledger_checks(core) -> dict[str, bool]:
     return {
         # _ip_buffered[p] is the flits chained in port p's VCs
         "port_count": bool((core._ip_buffered == per_port).all()),
-        # buffered is their sum (plus injections staged for the next flush)
+        # buffered is their sum (plus the flits of the packets ``inject``
+        # handed out and the next flush enqueues)
         "total_count":
-            core.buffered == int(core._ip_buffered.sum()) + core._stage_n,
+            core.buffered == (int(core._ip_buffered.sum())
+                              + len(core._staged) * len(core._flit_sizes)),
         # _vb_occ[v] is the phits chained in VC v ...
         "vc_occupancy": bool((core._vb_occ == phits).all()),
         # ... and fits the configured depth
@@ -228,5 +230,62 @@ def core_ledger_checks(core) -> dict[str, bool]:
 
 def assert_core_ledgers(core) -> None:
     broken = [name for name, holds in core_ledger_checks(core).items()
+              if not holds]
+    assert not broken, broken
+
+
+# ------------------------------------------------------------ wheel ledgers
+def wheel_ledger_checks(sim) -> dict[str, bool]:
+    """The wheel's half of :func:`core_ledger_checks`, by name -> holds.
+
+    The same counts on the object graph of a wheel run between two
+    steps, recomputed from the FIFOs and the two timing wheels — so what
+    ``ArrayCore.materialize`` hands over answers to the wheel's own
+    invariants, not only to the records it goes on to produce.  The wheel
+    visits the routers ``_active`` names and, in them, the ports whose
+    ``buffered`` is non-zero: a count that drifted low is a silent stall
+    here too.
+    """
+    routers = sim.routers
+    arriving: dict = {}  # id(input VC buffer) -> phits on the link to it
+    for bucket in sim._arr_wheel:
+        for router, port_idx, vc_idx, flit in bucket:
+            vcb = router.inputs[port_idx].vcs[vc_idx]
+            arriving[id(vcb)] = arriving.get(id(vcb), 0) + flit.size
+    returning: dict = {}  # (id(output), VC) -> credits on their way back
+    for bucket in sim._cr_wheel:
+        for out, vc, amount in bucket:
+            returning[id(out), vc] = returning.get((id(out), vc), 0) + amount
+    holds = dict.fromkeys(("port_count", "router_count", "active_set",
+                           "vc_occupancy", "vc_depth", "credits_nonnegative",
+                           "link_conservation"), True)
+    for router in routers:
+        for ip in router.inputs:
+            for vcb in ip.vcs:
+                if vcb.occupancy != sum(flit.size for flit in vcb.fifo):
+                    holds["vc_occupancy"] = False
+            if ip.buffered != ip.total_flits():
+                holds["port_count"] = False
+        if router.pending != sum(ip.buffered for ip in router.inputs):
+            holds["router_count"] = False
+        if router.pending and router.rid not in sim._active:
+            holds["active_set"] = False
+        for out in router.outputs:
+            if out.kind == PortKind.EJECT:
+                continue
+            fed = routers[out.dest_router].inputs[out.dest_port].vcs
+            for vc, credits in enumerate(out.credits):
+                if credits < 0:
+                    holds["credits_nonnegative"] = False
+                if fed[vc].occupancy > out.capacity:
+                    holds["vc_depth"] = False
+                if (credits + fed[vc].occupancy + arriving.get(id(fed[vc]), 0)
+                        + returning.get((id(out), vc), 0) != out.capacity):
+                    holds["link_conservation"] = False
+    return holds
+
+
+def assert_wheel_ledgers(sim) -> None:
+    broken = [name for name, holds in wheel_ledger_checks(sim).items()
               if not holds]
     assert not broken, broken

@@ -1,7 +1,7 @@
 """Property-based engine tests: random configurations, fixed invariants."""
 
 import pytest
-from helpers import pin_core_wins
+from helpers import assert_core_ledgers, pin_core_wins
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,6 +211,62 @@ def test_a_record_does_not_know_what_ran_before_it(fabric, points):
             assert outcome == _run_core_point(fabric, point, "auto")
             assert outcome == _run_core_point(fabric, point, "wheel")
             assert outcome == _run_core_point(fabric, point, "reference")
+
+
+# ------------------------------------ hand injections: core == wheel (differential)
+#: per cycle, the ``inject_packet`` calls made before its ``step``: (source
+#: — four nodes, so they repeat —, destination offset, cycles back-dated)
+_hand_script = st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 11), st.integers(0, 3)),
+             max_size=6),
+    min_size=1, max_size=8)
+
+
+def _run_hand_script(fabric, script, engine, *, wh, arbitration, record_hops,
+                     load, observe, seed) -> tuple:
+    cfg = SimConfig(routing="minimal", engine=engine, seed=seed,
+                    arbitration=arbitration, record_hops=record_hops,
+                    **(_WH if wh else {}), **fabric)
+    sim = Simulator(cfg)
+    n = sim.topo.num_nodes
+    if load:  # a Bernoulli batch lands in the same cycles, after the hand's
+        sim.traffic = BernoulliTraffic(UniformRandom(), load)
+    log = []
+    if observe:  # a scalar observer: every delivered packet gets built
+        sim.add_delivery_observer(lambda pkt, cycle: log.append(
+            (pkt.pid, cycle, pkt.src, pkt.dst, pkt.birth, pkt.hops_log,
+             pkt.g_hops, pkt.local_hops_total, pkt.last_local_vc)))
+    mine = []
+    for calls in script:
+        for src, offset, back in calls:
+            mine.append(sim.inject_packet(src, (src + offset) % n,
+                                          now=max(0, sim.now - back)))
+        sim.step()
+        if engine == "auto" and calls:
+            assert_core_ledgers(sim._core)
+    sim.traffic = None
+    sim.run_until_drained(100_000)
+    assert (sim._core is not None) == (engine == "auto")
+    return (log, [(pkt.pid, pkt.birth, pkt.delivered_cycle, pkt.hops_log)
+                  for pkt in mine],
+            repr(sim.stats.as_dict(n, sim.now)), sim.now)  # repr: NaNs compare
+
+
+@given(fabric=st.sampled_from(_SHARED_FABRICS), script=_hand_script,
+       wh=st.booleans(), arbitration=st.sampled_from(["rr", "age"]),
+       record_hops=st.booleans(), load=st.sampled_from([0.0, 0.6]),
+       observe=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_hand_injections_enter_the_core_as_they_enter_the_wheel(
+        fabric, script, **point):
+    """Any mix of ``inject_packet`` calls — repeated sources, several
+    packets a node a cycle, back-dated births, a Bernoulli batch behind
+    them — gives the wheel's per-packet delivery log, and the very
+    objects the caller got back end up as the wheel's do."""
+    with pytest.MonkeyPatch.context() as patch:
+        pin_core_wins(patch)
+        assert (_run_hand_script(fabric, script, "auto", **point)
+                == _run_hand_script(fabric, script, "wheel", **point))
 
 
 @given(seed=st.integers(0, 2**16))

@@ -212,6 +212,12 @@ def scenarios(smoke: bool) -> list[dict]:
                  cfg=_cfg("wh", "minimal", h=3), pattern="uniform", load=0.9,
                  warmup=100, measure=100, gate=None, engines=ENGINE_NAMES,
                  core_row=True),
+            # multi-flit *and* repeated sources, which neither row above
+            # enqueues: a burst's packets share their nodes' injection VCs
+            dict(name="saturated_burst_wh_h3", kind="drain",
+                 cfg=_cfg("wh", "minimal", h=3), pattern="advg+1",
+                 packets_per_node=2, max_cycles=200_000, gate=None,
+                 engines=ENGINE_NAMES, core_row=True),
             # ... and the two rows that take the allocator's other ways:
             # the sparse scan (few occupied ports) and the closed gate.
             # They need a thin backlog on a small fabric, which the rule
