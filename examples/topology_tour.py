@@ -15,7 +15,7 @@ from repro.core.paritysign import (
     min_route_guarantee,
 )
 from repro.network.packet import Packet
-from repro.topology import FlattenedButterfly, PortKind, Torus2D
+from repro.topology import FlattenedButterfly, PortKind, Torus2D, wiring
 from repro.topology.ring import hamiltonian_ring, validate_ring
 
 KIND = {PortKind.EJECT: "eject", PortKind.LOCAL: "local", PortKind.GLOBAL: "global"}
@@ -26,18 +26,15 @@ def oracle_path(topo, src_router: int, dst_router: int) -> list[str]:
     pkt = Packet(0, topo.node_id(src_router, 0), topo.node_id(dst_router, 0),
                  8, 0, src_router, topo.group_of(src_router),
                  dst_router, topo.group_of(dst_router))
+    links = wiring(topo)  # links[router][link port] = (peer, peer's port)
     cur, hops = src_router, []
     while True:
         kind, port, target, vc = topo.min_hop(cur, pkt)
         hops.append(f"{KIND[kind]}[{port}]@vc{vc}")
         if kind == PortKind.EJECT:
             return hops
-        if kind == PortKind.LOCAL:
-            cur = topo.router_id(
-                topo.group_of(cur),
-                topo.local_neighbor_index(topo.index_in_group(cur), port))
-        else:
-            cur, _ = topo.global_neighbor(cur, port)
+        cur, _ = links[cur][port if kind == PortKind.LOCAL
+                            else topo.local_ports + port]
 
 
 def main() -> None:

@@ -3,8 +3,10 @@
 Dally & Seitz: a routing function is deadlock-free if its channel
 dependency graph — nodes are (link, VC) buffers, edges are "a packet
 can hold the first while waiting for the second" — is acyclic.  This
-module *constructs* the CDG of each mechanism on a concrete Dragonfly
-and checks the paper's §III arguments mechanically:
+module *constructs* the CDG of each mechanism over a fabric's wiring
+table (:func:`repro.topology.fabric.wiring`) and checks the paper's
+§III arguments mechanically, on any fabric with the ``dragonfly-paths``
+capability (the others raise ``UnsupportedTopologyError``):
 
 * Minimal / Valiant / Piggybacking / PAR-6/2: strictly ascending
   Günther VC chains ⇒ the CDG is a DAG.
@@ -26,109 +28,111 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.core.paritysign import link_type, pair_allowed
-from repro.topology.dragonfly import Dragonfly
+from repro.topology.base import (
+    CAP_DRAGONFLY_PATHS,
+    DRAGONFLY_CAPS,
+    Topology,
+    UnsupportedTopologyError,
+)
+from repro.topology.fabric import wiring
 
 #: mechanisms with plain ascending chains (3 local / 2 global VCs)
 _ASCENDING = ("minimal", "valiant", "pb")
 
 
-def _local_pairs(topo: Dragonfly, group: int):
-    base = group * topo.a
-    for i in range(topo.a):
-        for j in range(topo.a):
-            if i != j:
-                yield base + i, base + j, i, j
+def _channels(topo: Topology) -> tuple[list, list]:
+    """Per router, the peers of its local and of its global links.
+
+    The VC disciplines modelled here are the paper's, which hold on
+    Dragonfly-shaped paths only: any other fabric is refused by name.
+    """
+    if CAP_DRAGONFLY_PATHS not in getattr(topo, "caps", DRAGONFLY_CAPS):
+        raise UnsupportedTopologyError(
+            f"the channel-dependency graph requires the {CAP_DRAGONFLY_PATHS!r} "
+            f"capability, which topology {type(topo).__name__} does not "
+            "provide: its VC disciplines are the paper's l-g-l ones")
+    nl = topo.local_ports
+    links = wiring(topo)
+    return ([[peer for peer, _ in row[:nl]] for row in links],
+            [[peer for peer, _ in row[nl:]] for row in links])
 
 
-def _global_links(topo: Dragonfly):
-    for r in range(topo.num_routers):
-        for k in range(topo.global_ports):
-            peer, _ = topo.global_neighbor(r, k)
-            yield r, peer
+def _links(peers: list) -> list:
+    """``(u, v)`` per link of an adjacency list, in port order."""
+    return [(u, v) for u, vs in enumerate(peers) for v in vs]
 
 
-def build_cdg(topo: Dragonfly, mechanism: str, *,
+def build_cdg(topo: Topology, mechanism: str, *,
               rlm_restricted: bool = True,
               escape_only: bool = False) -> nx.DiGraph:
     """Construct the channel dependency graph of ``mechanism`` on ``topo``.
 
     ``rlm_restricted=False`` builds the counterfactual RLM without the
     parity-sign restriction.  ``escape_only=True`` keeps only the
-    ascending escape continuations (meaningful for OLM).
+    ascending escape continuations (meaningful for OLM).  Raises
+    :class:`UnsupportedTopologyError` on a fabric without the
+    ``dragonfly-paths`` capability.
     """
+    local, glob = _channels(topo)
     if mechanism in _ASCENDING:
-        return _cdg_ascending(topo)
+        return _cdg_ascending(local, glob)
     if mechanism == "rlm":
-        return _cdg_rlm(topo, restricted=rlm_restricted)
+        return _cdg_rlm(topo, local, glob, restricted=rlm_restricted)
     if mechanism == "par62":
-        return _cdg_par62(topo)
+        return _cdg_par62(local, glob)
     if mechanism == "olm":
-        return _cdg_olm(topo, escape_only=escape_only)
+        return _cdg_olm(local, glob, escape_only=escape_only)
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
-def _add_channels(g: nx.DiGraph, topo: Dragonfly, local_vcs: int, global_vcs: int = 2):
-    for grp in range(topo.num_groups):
-        for u, v, _, _ in _local_pairs(topo, grp):
-            for vc in range(local_vcs):
-                g.add_node(("L", u, v, vc))
-    for u, v in _global_links(topo):
-        for vc in range(global_vcs):
-            g.add_node(("G", u, v, vc))
-    for r in range(topo.num_routers):
+def _add_channels(g: nx.DiGraph, local: list, glob: list, local_vcs: int,
+                  global_vcs: int = 2):
+    for kind, peers, vcs in (("L", local, local_vcs), ("G", glob, global_vcs)):
+        for u, v in _links(peers):
+            for vc in range(vcs):
+                g.add_node((kind, u, v, vc))
+    for r in range(len(local)):
         g.add_node(("EJ", r))
 
 
-def _globals_from(topo: Dragonfly, v: int):
-    for k in range(topo.global_ports):
-        peer, _ = topo.global_neighbor(v, k)
-        yield peer
-
-
-def _locals_from(topo: Dragonfly, v: int):
-    grp, vi = topo.group_of(v), topo.index_in_group(v)
-    for w_idx in range(topo.a):
-        if w_idx != vi:
-            yield topo.router_id(grp, w_idx), vi, w_idx
-
-
-def _cdg_ascending(topo: Dragonfly) -> nx.DiGraph:
+def _cdg_ascending(local: list, glob: list) -> nx.DiGraph:
     """MIN/VAL/PB: lVC_{g+1} per group, one local hop per group."""
     g = nx.DiGraph()
-    _add_channels(g, topo, local_vcs=3)
-    for grp in range(topo.num_groups):
-        for u, v, _, _ in _local_pairs(topo, grp):
-            for vc in range(3):
-                g.add_edge(("L", u, v, vc), ("EJ", v))
-                if vc <= 1:
-                    for peer in _globals_from(topo, v):
-                        g.add_edge(("L", u, v, vc), ("G", v, peer, vc))
-    for u, v in _global_links(topo):
+    _add_channels(g, local, glob, local_vcs=3)
+    for u, v in _links(local):
+        for vc in range(3):
+            g.add_edge(("L", u, v, vc), ("EJ", v))
+            if vc <= 1:
+                for peer in glob[v]:
+                    g.add_edge(("L", u, v, vc), ("G", v, peer, vc))
+    for u, v in _links(glob):
         for vc in range(2):
             g.add_edge(("G", u, v, vc), ("EJ", v))
-            for w, _, _ in _locals_from(topo, v):
+            for w in local[v]:
                 g.add_edge(("G", u, v, vc), ("L", v, w, vc + 1))
             if vc == 0:
-                for peer in _globals_from(topo, v):
+                for peer in glob[v]:
                     g.add_edge(("G", u, v, 0), ("G", v, peer, 1))
     return g
 
 
-def _cdg_rlm(topo: Dragonfly, *, restricted: bool) -> nx.DiGraph:
+def _cdg_rlm(topo: Topology, local: list, glob: list, *,
+             restricted: bool) -> nx.DiGraph:
     """RLM: ascending chains + same-VC local pairs filtered by Table I."""
-    g = _cdg_ascending(topo)
-    for grp in range(topo.num_groups):
-        for u, v, ui, vi in _local_pairs(topo, grp):
-            for w, _, wi in _locals_from(topo, v):
-                # note: u->v->u (a 180° turn) is included iff Table I allows it
-                if restricted and not pair_allowed(link_type(ui, vi), link_type(vi, wi)):
-                    continue
-                for vc in range(3):
-                    g.add_edge(("L", u, v, vc), ("L", v, w, vc))
+    g = _cdg_ascending(local, glob)
+    idx = [topo.index_in_group(r) for r in range(len(local))]
+    for u, v in _links(local):
+        for w in local[v]:
+            # note: u->v->u (a 180° turn) is included iff Table I allows it
+            if restricted and not pair_allowed(link_type(idx[u], idx[v]),
+                                               link_type(idx[v], idx[w])):
+                continue
+            for vc in range(3):
+                g.add_edge(("L", u, v, vc), ("L", v, w, vc))
     return g
 
 
-def _cdg_par62(topo: Dragonfly) -> nx.DiGraph:
+def _cdg_par62(local: list, glob: list) -> nx.DiGraph:
     """PAR-6/2: strictly ascending over the interleaved 6+2 VC ranks.
 
     rank: lVC1 lVC2 gVC1 lVC3 lVC4 gVC2 lVC5 lVC6  (paper §III-A).
@@ -136,46 +140,44 @@ def _cdg_par62(topo: Dragonfly) -> nx.DiGraph:
     lrank = [0, 1, 3, 4, 6, 7]
     grank = [2, 5]
     g = nx.DiGraph()
-    _add_channels(g, topo, local_vcs=6)
-    for grp in range(topo.num_groups):
-        for u, v, _, _ in _local_pairs(topo, grp):
-            for vc in range(6):
-                g.add_edge(("L", u, v, vc), ("EJ", v))
-                for w, _, _ in _locals_from(topo, v):
-                    if vc + 1 < 6 and lrank[vc + 1] > lrank[vc]:
-                        g.add_edge(("L", u, v, vc), ("L", v, w, vc + 1))
-                for gvc in range(2):
-                    if grank[gvc] > lrank[vc]:
-                        for peer in _globals_from(topo, v):
-                            g.add_edge(("L", u, v, vc), ("G", v, peer, gvc))
-    for u, v in _global_links(topo):
+    _add_channels(g, local, glob, local_vcs=6)
+    for u, v in _links(local):
+        for vc in range(6):
+            g.add_edge(("L", u, v, vc), ("EJ", v))
+            for w in local[v]:
+                if vc + 1 < 6 and lrank[vc + 1] > lrank[vc]:
+                    g.add_edge(("L", u, v, vc), ("L", v, w, vc + 1))
+            for gvc in range(2):
+                if grank[gvc] > lrank[vc]:
+                    for peer in glob[v]:
+                        g.add_edge(("L", u, v, vc), ("G", v, peer, gvc))
+    for u, v in _links(glob):
         for gvc in range(2):
             g.add_edge(("G", u, v, gvc), ("EJ", v))
-            for w, _, _ in _locals_from(topo, v):
+            for w in local[v]:
                 for vc in range(6):
                     if lrank[vc] > grank[gvc]:
                         g.add_edge(("G", u, v, gvc), ("L", v, w, vc))
             if gvc == 0:
-                for peer in _globals_from(topo, v):
+                for peer in glob[v]:
                     g.add_edge(("G", u, v, 0), ("G", v, peer, 1))
     return g
 
 
-def _cdg_olm(topo: Dragonfly, *, escape_only: bool) -> nx.DiGraph:
+def _cdg_olm(local: list, glob: list, *, escape_only: bool) -> nx.DiGraph:
     """OLM: escape chains (ascending) plus, unless ``escape_only``, the
     opportunistic misroute dependencies that may close cycles."""
-    g = _cdg_ascending(topo)  # the escape skeleton is the MIN/VAL chain
+    g = _cdg_ascending(local, glob)  # the escape skeleton is the MIN/VAL chain
     if escape_only:
         return g
-    for grp in range(topo.num_groups):
-        for u, v, _, _ in _local_pairs(topo, grp):
-            for w, _, _ in _locals_from(topo, v):
-                # source-group divert: second local hop on the same lVC1
-                g.add_edge(("L", u, v, 0), ("L", v, w, 0))
-                # intra-group misroute then ascending final hop
-                g.add_edge(("L", u, v, 0), ("L", v, w, 1))
-    for u, v in _global_links(topo):
-        for w, _, _ in _locals_from(topo, v):
+    for u, v in _links(local):
+        for w in local[v]:
+            # source-group divert: second local hop on the same lVC1
+            g.add_edge(("L", u, v, 0), ("L", v, w, 0))
+            # intra-group misroute then ascending final hop
+            g.add_edge(("L", u, v, 0), ("L", v, w, 1))
+    for u, v in _links(glob):
+        for w in local[v]:
             # misroute on arrival: lVC_j with j <= g_hops-1
             g.add_edge(("G", u, v, 0), ("L", v, w, 0))
             g.add_edge(("G", u, v, 1), ("L", v, w, 0))
@@ -184,7 +186,7 @@ def _cdg_olm(topo: Dragonfly, *, escape_only: bool) -> nx.DiGraph:
 
 
 # ------------------------------------------------------------- verification
-def is_deadlock_free(topo: Dragonfly, mechanism: str) -> bool:
+def is_deadlock_free(topo: Topology, mechanism: str) -> bool:
     """Check the paper's deadlock-freedom claim for ``mechanism``.
 
     For OLM this means: the *escape* CDG is acyclic and every channel
@@ -199,7 +201,7 @@ def is_deadlock_free(topo: Dragonfly, mechanism: str) -> bool:
     return nx.is_directed_acyclic_graph(g)
 
 
-def escape_reachable(topo: Dragonfly) -> bool:
+def escape_reachable(topo: Topology) -> bool:
     """Every OLM channel reaches an ejection sink through escape edges."""
     escape = build_cdg(topo, "olm", escape_only=True)
     sinks = {("EJ", r) for r in range(topo.num_routers)}
@@ -211,7 +213,7 @@ def escape_reachable(topo: Dragonfly) -> bool:
     return all(n in reach for n in escape.nodes)
 
 
-def cycle_witness(topo: Dragonfly, mechanism: str, **kwargs) -> list | None:
+def cycle_witness(topo: Topology, mechanism: str, **kwargs) -> list | None:
     """A concrete dependency cycle, or ``None`` if the CDG is acyclic."""
     g = build_cdg(topo, mechanism, **kwargs)
     try:

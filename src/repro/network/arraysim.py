@@ -27,7 +27,7 @@ per-flit tuples, so its one next-event scan serves both paths.
 fabric is compiled once per process (:mod:`repro.topology.fabric`) and
 shared by every core on it: the :class:`_Layout` (port / VC numbering,
 link wiring, initial credits, node tables — read-only arrays computed
-from the ``Topology`` protocol, no object router involved; one per VC
+from the fabric's wiring table, no object router involved; one per VC
 counts, buffer depths and latencies) and the :class:`_RouteTable`
 (minimal routes per router pair, append-only, filled by whichever point
 first needs a pair; one per VC counts, whatever the buffers and
@@ -62,13 +62,10 @@ plain instance attribute throughout, so the wheel path's own
 ``self.routers`` loads cost what they always did (a property, or a
 ``__getattr__`` hook on ``Simulator``, would tax every attribute load
 of the wheel hot path).
-A run that has left keeps the ``StreamRandom`` the core installed and
-injects through the wheel's one call, ``traffic.inject``, which draws
-each gate with a Python-level ``random()``: ≈ 1.5 µs a node a cycle
-more than the batched walk, measured as +0.15 s on a 0.39 s verified
-h=3 point (300 + 300 cycles, 0 of 12 alternating pairs faster) and
-unresolved at h=2.  The wheel keeps no batch branch to spare this
-path; no ``bench_e2e`` operation takes it.
+A run that has left injects through the wheel's one call,
+``traffic.inject``, on a plain ``random.Random``: ``materialize``
+swaps the core's ``StreamRandom`` for the generator standing at the
+same word (:meth:`~repro.traffic.mtstream.StreamRandom.release`).
 
 **Determinism contract** — records are byte-identical to the wheel
 path (and hence to the frozen seed engine), enforced over the golden
@@ -155,6 +152,7 @@ from repro.core.paritysign import link_type
 from repro.network.packet import Flit, Packet
 from repro.topology import PortKind
 from repro.topology.fabric import MAX_LAYOUTS
+from repro.traffic.mtstream import StreamRandom
 
 _EJECT = PortKind.EJECT
 _LOCAL = PortKind.LOCAL
@@ -175,10 +173,10 @@ def _grow(arr, needed: int):
     return out
 
 
-def _walk_minimal(topo, pkt: Packet, hops: int):
+def _walk_minimal(topo, wiring, pkt: Packet, hops: int):
     """Take ``pkt`` its first ``hops`` minimal hops from its source router
-    (fewer if it gets to its destination router first), yielding
-    ``(router, kind, port, vc)`` per hop taken.
+    (fewer if it gets to its destination router first) over the fabric's
+    ``wiring`` table, yielding ``(router, kind, port, vc)`` per hop taken.
 
     The one mirror in this file of what the wheel's per-grant
     ``RoutingAlgorithm.on_hop`` does to a packet's counters.  The oracle
@@ -187,6 +185,7 @@ def _walk_minimal(topo, pkt: Packet, hops: int):
     would leave it; the eject hop is counter-neutral and not walked.
     """
     cur, dst = pkt.src_router, pkt.dst_router
+    nl = topo.local_ports
     for _ in range(hops):
         if cur == dst:
             return
@@ -196,13 +195,13 @@ def _walk_minimal(topo, pkt: Packet, hops: int):
             pkt.g_hops += 1
             pkt.local_hops_group = 0
             pkt.prev_local_type = None
-            cur = topo.global_neighbor(cur, port)[0]
+            cur = wiring[cur][nl + port][0]
         else:
             pkt.local_hops_group += 1
             pkt.local_hops_total += 1
             pkt.last_local_vc = vc
             pkt.prev_local_type = link_type(topo.index_in_group(cur), target)
-            cur = topo.router_id(topo.group_of(cur), target)
+            cur = wiring[cur][port][0]
         yield here, kind, port, vc
 
 
@@ -233,8 +232,9 @@ class _RouteTable:
     table at each use rather than keeping their own references.
     """
 
-    def __init__(self, topo, nout: int, ovc_base: list, lock) -> None:
+    def __init__(self, topo, wiring, nout: int, ovc_base: list, lock) -> None:
         self._topo = topo
+        self._wiring = wiring
         self._nout = nout
         self._ovc_base = ovc_base
         self._lock = lock
@@ -291,7 +291,8 @@ class _RouteTable:
                              sr, topo.group_of(sr), dr, topo.group_of(dr))
                 first = len(ops)
                 offs.append(start + first)
-                for cur, kind, port, vc in _walk_minimal(topo, pkt, nr):
+                for cur, kind, port, vc in _walk_minimal(topo, self._wiring,
+                                                         pkt, nr):
                     fop = cur * nout + ((lbase + port) if kind is _LOCAL
                                         else (gbase + port))
                     ops.append(fop)
@@ -342,8 +343,8 @@ class _Layout:
     Everything here is a function of the topology and of what shapes a
     router — VC counts per port kind, buffer depths, link and router
     latencies — computed from the ``Topology`` protocol's port counts
-    and neighbour maps exactly as ``Router.__init__`` wires its ports
-    (``tests/test_fabric_memo.py`` compares the two).  The arrays are
+    and the fabric's wiring table, which ``Router.__init__`` wires its
+    ports from too (``tests/test_fabric_memo.py`` compares the two).  The arrays are
     read-only and borrowed by reference by every core on the fabric
     (``ArrayCore.__init__`` copies this object's attributes, which is why
     they carry the core's names); :attr:`_routes`, attached by
@@ -351,11 +352,12 @@ class _Layout:
     fabric and these VC counts.
     """
 
-    def __init__(self, topo, local_vcs: int, global_vcs: int,
+    def __init__(self, fabric, local_vcs: int, global_vcs: int,
                  local_buffer: int, global_buffer: int, local_latency: int,
                  global_latency: int, router_latency: int) -> None:
         i64 = _np.int64
-        self.topo = topo
+        topo = self.topo = fabric.topo
+        self._wiring = fabric.wiring
         p, nl, ng = topo.p, topo.local_ports, topo.global_ports
         nr = self._nr = topo.num_routers
         # a router's ports in index order: p inject/eject, local, global
@@ -391,19 +393,11 @@ class _Layout:
         self._op_delay_vct = self._op_lat + 1 + router_latency
         self._ov_credits0 = _np.repeat(
             _np.tile(_np.asarray(port_credits, i64), nr), nvc)
-        # flat input port each output feeds (-1: eject), through the
-        # protocol's neighbour maps
+        # flat input port each output feeds (-1: eject), off the wiring
         dest_fp = []
-        for r in range(nr):
-            group, idx = topo.group_of(r), topo.index_in_group(r)
+        for links in fabric.wiring:
             dest_fp += [-1] * p
-            for q in range(nl):
-                nbr_idx = topo.local_neighbor_index(idx, q)
-                dest_fp.append(topo.router_id(group, nbr_idx) * nin + p
-                               + topo.local_port_to(nbr_idx, idx))
-            for k in range(ng):
-                peer, pport = topo.global_neighbor(r, k)
-                dest_fp.append(peer * nin + p + nl + pport)
+            dest_fp += [peer * nin + p + peer_q for peer, peer_q in links]
         # wire each output VC to the downstream input VC it feeds, and
         # the reverse map (with the link latency) for credit returns
         dest_fp = _np.asarray(dest_fp, i64)[vb_port]
@@ -451,9 +445,10 @@ def _layout_for(sim) -> _Layout:
                            if shape[:2] == key[:2]), None)
             if len(layouts) >= MAX_LAYOUTS:
                 del layouts[next(iter(layouts))]  # least recently used out
-            layout = _Layout(fabric.topo, *key)
+            layout = _Layout(fabric, *key)
             layout._routes = routes if routes is not None else _RouteTable(
-                fabric.topo, layout._nout, layout._ovc_base_l, fabric.lock)
+                fabric.topo, fabric.wiring, layout._nout, layout._ovc_base_l,
+                fabric.lock)
         layouts[key] = layout  # most recently used last
     return layout
 
@@ -1104,7 +1099,7 @@ class ArrayCore:
             pkt.last_local_vc = 0
             # done == nh + 1 for a WH packet whose head already ejected:
             # the walk ends at the destination router either way
-            for _ in _walk_minimal(topo, pkt, done):
+            for _ in _walk_minimal(topo, self._wiring, pkt, done):
                 pass
 
     def materialize(self, sim) -> None:
@@ -1115,11 +1110,14 @@ class ArrayCore:
         byte-identically — every piece of engine state (FIFOs,
         occupancies, allocated routes, credit/owner/busy/rr state, the
         timing wheels) is reconstructed exactly as the wheel would have
-        built it.
+        built it — and a ``StreamRandom`` the traffic installed is swapped
+        for the plain generator standing at the same word.
         """
         routers = sim.routers
         if self._staged:
             self._flush_injections()
+        if type(sim.rng_traffic) is StreamRandom:  # the wheel draws at C speed
+            sim.rng_traffic = sim.rng_traffic.release()
         self._rewind_in_flight_packets()
         nin, nout = self._nin, self._nout
         fl_pkt, fl_size = self._fl_pkt, self._fl_size

@@ -16,8 +16,9 @@ The router is topology-agnostic: the port layout above is derived from
 the :class:`~repro.topology.base.Topology` protocol port counts
 (``p``, ``local_ports``, ``global_ports`` — ``a-1``/``h`` on the
 Dragonfly, ``2``/``2`` on the torus, ``R-1``/``0`` on the flattened
-butterfly) and wired through the protocol's neighbour maps, so any
-registered fabric rides the same engine fast path.
+butterfly) and wired from the fabric's wiring table
+(:func:`repro.topology.fabric.wiring`), so any registered fabric rides
+the same engine fast path.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ class Router:
     __slots__ = ("rid", "group", "idx", "inputs", "outputs", "pending",
                  "out_base", "wake_at")
 
-    def __init__(self, rid: int, topo: Topology, *, local_vcs: int, global_vcs: int,
-                 local_capacity: int, global_capacity: int,
+    def __init__(self, rid: int, topo: Topology, links: tuple, *, local_vcs: int,
+                 global_vcs: int, local_capacity: int, global_capacity: int,
                  local_latency: int, global_latency: int) -> None:
+        """``links`` is this router's row of the fabric's wiring table:
+        ``(peer router, peer link port)`` per local, then global port."""
         self.rid = rid
         self.group = topo.group_of(rid)
         self.idx = topo.index_in_group(rid)
@@ -65,16 +68,13 @@ class Router:
         for k in range(p):
             outputs.append(OutputUnit(PortKind.EJECT, k, 1, 0, 0, None, None))
         for q in range(nl):
-            nbr_idx = topo.local_neighbor_index(self.idx, q)
-            nbr = topo.router_id(self.group, nbr_idx)
-            nbr_port = p + topo.local_port_to(nbr_idx, self.idx)
+            peer, peer_q = links[q]
             outputs.append(OutputUnit(PortKind.LOCAL, q, local_vcs, local_capacity,
-                                      local_latency, nbr, nbr_port))
+                                      local_latency, peer, p + peer_q))
         for k in range(ng):
-            peer, pport = topo.global_neighbor(rid, k)
-            peer_port = p + nl + pport
+            peer, peer_q = links[nl + k]
             outputs.append(OutputUnit(PortKind.GLOBAL, k, global_vcs, global_capacity,
-                                      global_latency, peer, peer_port))
+                                      global_latency, peer, p + peer_q))
         self.outputs = outputs
 
     # ------------------------------------------------------------ port maps

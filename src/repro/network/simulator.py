@@ -220,9 +220,10 @@ class Simulator:
     def _build_routers(self) -> list:
         """Fresh object routers for this point, credit upstreams wired."""
         config = self.config
+        wiring = self._fabric.wiring
         routers = [
             Router(
-                rid, self.topo,
+                rid, self.topo, wiring[rid],
                 local_vcs=self.local_vcs, global_vcs=self.global_vcs,
                 local_capacity=config.local_buffer_phits,
                 global_capacity=config.global_buffer_phits,

@@ -18,7 +18,10 @@ Three fabrics register out of the box:
 Everything the engine needs from a fabric is the
 :class:`~repro.topology.base.Topology` protocol — including the
 ``min_hop`` routing oracle, the ``pick_via`` Valiant draw, the
-``escape_ring`` hook and the capability flags; see
+``escape_ring`` hook and the capability flags — and a fabric's links
+are read from one table derived from its port maps
+(:func:`~repro.topology.fabric.wiring`; :func:`as_networkx` exports
+it); see
 ``docs/ADDING_A_TOPOLOGY.md`` for a worked guide to registering a new
 fabric.
 """
@@ -40,6 +43,7 @@ from repro.topology.base import (
     UnsupportedTopologyError,
 )
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.fabric import as_networkx, wiring
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.topology.torus import Torus2D
 from repro.topology.validate import validate_topology
@@ -61,4 +65,6 @@ __all__ = [
     "ConsecutiveArrangement",
     "arrangement_by_name",
     "validate_topology",
+    "wiring",
+    "as_networkx",
 ]

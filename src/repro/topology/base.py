@@ -155,10 +155,10 @@ class Topology(Protocol):
     def node_index(self, node: int) -> int: ...
     def node_id(self, router: int, k: int) -> int: ...
 
-    # ---- port maps
+    # ---- port maps: the fabric's links are derived from these once, in
+    # ``repro.topology.fabric.wiring``, and read from that table after
     def local_port_to(self, src_index: int, dst_index: int) -> int: ...
     def local_neighbor_index(self, src_index: int, port: int) -> int: ...
-    def local_neighbor(self, router: int, port: int) -> int: ...
     def global_neighbor(self, router: int, gport: int) -> tuple[int, int]: ...
 
     # ---- route maps

@@ -114,11 +114,6 @@ class Dragonfly:
             raise ValueError(f"local port {port} out of range")
         return port if port < src_index else port + 1
 
-    def local_neighbor(self, router: int, port: int) -> int:
-        """Global router id behind local ``port`` of ``router``."""
-        g = self.group_of(router)
-        return self.router_id(g, self.local_neighbor_index(self.index_in_group(router), port))
-
     # ---------------------------------------------------------- global ports
     def global_link_index(self, router_index: int, gport: int) -> int:
         """Group-local global-link index of (router-in-group, global port)."""
@@ -261,23 +256,6 @@ class Dragonfly:
         if self.index_in_group(dst_router) != entry_idx:
             hops += 1
         return hops
-
-    def as_networkx(self):
-        """Router-level multigraph for offline analysis (needs networkx)."""
-        import networkx as nx
-
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(self.num_routers))
-        for r in range(self.num_routers):
-            for q in range(self.local_ports):
-                n = self.local_neighbor(r, q)
-                if r < n:
-                    g.add_edge(r, n, kind="local")
-            for k in range(self.global_ports):
-                n, _ = self.global_neighbor(r, k)
-                if r < n:
-                    g.add_edge(r, n, kind="global")
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,9 +1,10 @@
 """Compiled fabrics: what outlives a point, one per fabric per process.
 
 Everything a simulation derives from the fabric alone — the topology
-object with its lookup tables and, hanging off it, the array core's
-static layout and minimal-route table (``repro.network.arraysim``) — is
-built once per process and borrowed by every later point on that fabric.
+object with its lookup tables, its wiring table (:func:`wiring`) and,
+hanging off it, the array core's static layout and minimal-route table
+(``repro.network.arraysim``) — is built once per process and borrowed
+by every later point on that fabric.
 A load sweep, a replica set, a served job queue or a pool worker runs
 tens of points on one or two fabrics; each point allocates only what it
 mutates.
@@ -32,8 +33,15 @@ fabric's lock again) — reading routes never does.  There is no switch:
 :func:`clear_fabrics` exists for tests and ``tools/bench_engine.py``,
 which need to time a cold fabric.
 
+The wiring table is the one place the protocol's port maps
+(``local_neighbor_index`` / ``local_port_to`` / ``global_neighbor``)
+become links: the object routers, the array layout, the route walker,
+the escape ring, the validator, the CDG prover and :func:`as_networkx`
+all read it.
+
 Stdlib-only on purpose — the wheel path goes through this module and
-must not pay for numpy; the array half lives in ``arraysim``.
+must not pay for numpy (nor for networkx, which :func:`as_networkx`
+imports when called); the array half lives in ``arraysim``.
 """
 
 from __future__ import annotations
@@ -58,13 +66,59 @@ MAX_FABRICS = 4
 MAX_LAYOUTS = 4
 
 
+def wiring(topo) -> tuple:
+    """Every link of ``topo``, as ``table[router][q] = (peer, peer_q)``.
+
+    ``q`` numbers a router's *link ports* — its non-eject ports, local
+    ``0 .. local_ports-1`` first, then global ``local_ports + k`` — so
+    link port ``q`` is router port ``p + q``, input and output alike.
+    Output ``q`` of ``router`` lands on input ``peer_q`` of ``peer``.  A
+    pure function of the topology's port maps; nothing checks it here
+    (:func:`repro.topology.validate.validate_topology` does).
+    """
+    nl, ng = topo.local_ports, topo.global_ports
+    table = []
+    for r in range(topo.num_routers):
+        group, idx = topo.group_of(r), topo.index_in_group(r)
+        row = []
+        for q in range(nl):
+            peer_idx = topo.local_neighbor_index(idx, q)
+            row.append((topo.router_id(group, peer_idx),
+                        topo.local_port_to(peer_idx, idx)))
+        for k in range(ng):
+            peer, peer_k = topo.global_neighbor(r, k)
+            row.append((peer, nl + peer_k))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def as_networkx(topo):
+    """Router-level multigraph for offline analysis (needs networkx).
+
+    One edge per link, labelled ``kind="local"`` or ``"global"`` after
+    its ports, for every fabric alike.
+    """
+    import networkx as nx
+
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(topo.num_routers))
+    nl = topo.local_ports
+    for r, row in enumerate(wiring(topo)):
+        for q, (peer, peer_q) in enumerate(row):
+            if (r, q) < (peer, peer_q):  # each link once, from one end
+                g.add_edge(r, peer, kind="local" if q < nl else "global")
+    return g
+
+
 class Fabric:
     """One topology and everything compiled from it."""
 
-    __slots__ = ("topo", "layouts", "lock")
+    __slots__ = ("topo", "wiring", "layouts", "lock")
 
     def __init__(self, topo) -> None:
         self.topo = topo
+        #: the links, see :func:`wiring`
+        self.wiring = wiring(topo)
         #: array-core layouts by what shapes them, least recently used
         #: first (filled by ``arraysim``)
         self.layouts: dict = {}
@@ -108,4 +162,4 @@ def clear_fabrics() -> None:
 fabric_cache_info = _compile.cache_info
 
 __all__ = ["Fabric", "MAX_FABRICS", "MAX_LAYOUTS", "fabric_for",
-           "clear_fabrics", "fabric_cache_info"]
+           "clear_fabrics", "fabric_cache_info", "wiring", "as_networkx"]

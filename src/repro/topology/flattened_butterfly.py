@@ -106,9 +106,6 @@ class FlattenedButterfly:
             raise ValueError(f"local port {port} out of range")
         return port if port < src_index else port + 1
 
-    def local_neighbor(self, router: int, port: int) -> int:
-        return self.local_neighbor_index(router, port)
-
     # ---------------------------------------------------------- global ports
     def global_neighbor(self, router: int, gport: int) -> tuple[int, int]:
         raise UnsupportedTopologyError(
@@ -180,13 +177,6 @@ class FlattenedButterfly:
             )
             for r in range(self.a)
         }
-
-    def as_networkx(self):
-        """Router-level graph for offline analysis (needs networkx)."""
-        import networkx as nx
-
-        g = nx.complete_graph(self.num_routers)
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,7 +7,7 @@ Each fabric embeds its own ring through the
 :func:`hamiltonian_ring` dispatches to it (falling back to the
 Dragonfly construction for pre-hook third-party fabrics) and
 :func:`validate_ring` checks any successor map against the fabric's
-neighbour maps.
+wiring table (:func:`repro.topology.fabric.wiring`).
 
 On a Dragonfly the ring is embedded as: enter group ``g`` at the
 router holding the global link from group ``g-1``, snake through the
@@ -21,6 +21,7 @@ directly; the torus serpentines its grid (see each fabric's
 from __future__ import annotations
 
 from repro.topology.base import PortKind, Topology
+from repro.topology.fabric import wiring
 
 
 def hamiltonian_ring(topo: Topology) -> dict[int, tuple[int, PortKind, int]]:
@@ -53,12 +54,9 @@ def dragonfly_escape_ring(topo) -> dict[int, tuple[int, PortKind, int]]:
             "and exit routers per group"
         )
     g_count = topo.num_groups
-    entry: dict[int, int] = {}
-    for g in range(g_count):
-        prev = (g - 1) % g_count
-        exit_idx, exit_gport = topo.exit_port(prev, g)
-        peer, _ = topo.global_neighbor(topo.router_id(prev, exit_idx), exit_gport)
-        entry[g] = topo.index_in_group(peer)
+    # one global link per group pair: the ring enters group ``g`` at the
+    # router holding ``g``'s link back to the group before it
+    entry = {g: topo.exit_port(g, (g - 1) % g_count)[0] for g in range(g_count)}
 
     succ: dict[int, tuple[int, PortKind, int]] = {}
     for g in range(g_count):
@@ -90,20 +88,20 @@ def validate_ring(topo: Topology, succ: dict[int, tuple[int, PortKind, int]]) ->
     """Assert the successor map is one Hamiltonian cycle over all routers.
 
     Fabric-agnostic: each claimed hop is checked against the fabric's
-    ``local_neighbor``/``global_neighbor`` maps.
+    wiring table.
     """
     assert len(succ) == topo.num_routers, "ring must cover every router"
+    links, nl = wiring(topo), topo.local_ports
     seen = set()
     cur = 0
     for _ in range(topo.num_routers):
         assert cur not in seen, "ring revisits a router"
         seen.add(cur)
         nxt, kind, port = succ[cur]
-        if kind == PortKind.LOCAL:
-            assert topo.local_neighbor(cur, port) == nxt
-        else:
-            peer, _ = topo.global_neighbor(cur, port)
-            assert peer == nxt
+        peer, _ = links[cur][port if kind == PortKind.LOCAL else nl + port]
+        assert peer == nxt, (
+            f"ring hop from router {cur} over {kind.name.lower()} port {port} "
+            f"leads to router {peer}, not {nxt}")
         cur = nxt
     assert cur == 0, "ring must close"
     assert seen == set(range(topo.num_routers))

@@ -143,12 +143,6 @@ class Torus2D:
             return (src_index - 1) % self.cols
         raise ValueError(f"local port {port} out of range")
 
-    def local_neighbor(self, router: int, port: int) -> int:
-        return self.router_id(
-            self.group_of(router),
-            self.local_neighbor_index(self.index_in_group(router), port),
-        )
-
     # ---------------------------------------------------------- global ports
     def global_neighbor(self, router: int, gport: int) -> tuple[int, int]:
         """(peer router id, peer global port) across Y-ring ``gport``.
@@ -284,17 +278,6 @@ class Torus2D:
         for r in range(self.rows - 1, 0, -1):
             y_step(r, 0, 1)
         return succ
-
-    def as_networkx(self):
-        """Router-level graph for offline analysis (needs networkx)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_routers))
-        for r in range(self.num_routers):
-            g.add_edge(r, self.local_neighbor(r, 0), kind="local")
-            g.add_edge(r, self.global_neighbor(r, 0)[0], kind="global")
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,124 +1,167 @@
 """Structural validation of topology instances.
 
-These checks are cheap relative to a simulation and are run by the
-test suite for several sizes; :func:`validate_topology` dispatches on
-the fabric type — Dragonfly, flattened butterfly or torus — and can
-also be called by users after constructing exotic parameter
-combinations.  Third-party fabrics get the fabric-agnostic protocol
-checks (:func:`validate_protocol`).
+One validator for every fabric, shipped or third-party: it reads the
+fabric's wiring table (:func:`repro.topology.fabric.wiring`) and checks
+the protocol's id arithmetic, the links themselves, and whatever else
+the fabric's capability flags claim.  It knows no concrete fabric — a
+new one gets every check its ``caps`` promise by declaring them.
+Cheap relative to a simulation: the test suite runs it at several sizes
+per fabric, CI on every registered fabric at its ``SimConfig`` default.
 """
 
 from __future__ import annotations
 
-from repro.topology.base import Topology
-from repro.topology.dragonfly import Dragonfly
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.topology.torus import Torus2D
+import random
+from types import SimpleNamespace
+
+from repro.topology.base import (
+    CAP_GROUP_EXITS,
+    CAP_LOCAL_COMPLETE,
+    DRAGONFLY_CAPS,
+    PortKind,
+    Topology,
+)
+from repro.topology.fabric import wiring
 
 
 def validate_topology(topo: Topology) -> None:
     """Raise ``AssertionError`` if ``topo`` is structurally inconsistent.
 
-    Runs the fabric-specific checks for the shipped fabrics, plus the
-    fabric-agnostic protocol checks for everything.
+    Every check runs on every fabric except the two a capability flag
+    claims (``local-complete``, ``group-exits``); each failure names
+    the router and port it caught.
     """
-    validate_protocol(topo)
-    if isinstance(topo, Dragonfly):
-        _check_counts(topo)
-        _check_local_complete(topo)
-        _check_global_matching(topo)
-        _check_exit_tables(topo)
-    elif isinstance(topo, FlattenedButterfly):
-        validate_flattened_butterfly(topo)
-    elif isinstance(topo, Torus2D):
-        validate_torus(topo)
+    caps = getattr(topo, "caps", DRAGONFLY_CAPS)
+    _check_ids(topo)
+    links = wiring(topo)
+    _check_links(topo, links)
+    if CAP_LOCAL_COMPLETE in caps:
+        _check_local_complete(topo, links)
+    _check_pairing(topo, links)
+    if CAP_GROUP_EXITS in caps:
+        _check_group_exits(topo, links)
+    _check_min_hop_walks(topo, links)
 
 
-def validate_protocol(topo: Topology) -> None:
-    """Fabric-agnostic sanity of the protocol surface (any topology)."""
-    assert topo.num_routers == topo.num_groups * topo.a
-    assert topo.num_nodes == topo.num_routers * topo.p
+def _port(topo, q: int) -> str:
+    """Link port ``q`` as the protocol names it."""
+    nl = topo.local_ports
+    return f"local port {q}" if q < nl else f"global port {q - nl}"
+
+
+def _check_ids(topo) -> None:
+    assert topo.num_routers == topo.num_groups * topo.a, "router count is not groups x a"
+    assert topo.num_nodes == topo.num_routers * topo.p, "node count is not routers x p"
     assert topo.local_ports >= 0 and topo.global_ports >= 0
     assert topo.route_local_vcs >= 1 and topo.route_global_vcs >= 1
     for r in (0, topo.num_routers - 1):
         g, i = topo.group_of(r), topo.index_in_group(r)
-        assert topo.router_id(g, i) == r, "group/index arithmetic broken"
+        assert topo.router_id(g, i) == r, f"group/index arithmetic broken at router {r}"
         for k in range(topo.p):
             n = topo.node_id(r, k)
-            assert topo.router_of_node(n) == r and topo.node_index(n) == k
+            assert topo.router_of_node(n) == r and topo.node_index(n) == k, (
+                f"node arithmetic broken at router {r} node port {k}")
 
 
-def validate_flattened_butterfly(topo: FlattenedButterfly) -> None:
-    """The single group must be a complete graph with inverse port maps."""
-    assert topo.num_groups == 1
-    assert topo.global_ports == 0 and topo.h == 0
-    assert topo.local_ports == topo.a - 1
-    _check_local_complete(topo)
+def _check_links(topo, links) -> None:
+    """Each link leaves its router for a real port of the same kind, and
+    local links stay in their group."""
+    nl, nq = topo.local_ports, topo.local_ports + topo.global_ports
+    for r, row in enumerate(links):
+        for q, (peer, peer_q) in enumerate(row):
+            where = f"router {r} {_port(topo, q)}"
+            assert peer != r, f"{where} is a link to itself"
+            assert 0 <= peer < topo.num_routers and 0 <= peer_q < nq, (
+                f"{where} lands on router {peer} link port {peer_q}, which does not exist")
+            assert (q < nl) == (peer_q < nl), (
+                f"{where} lands on {_port(topo, peer_q)} of router {peer}: "
+                "a link joins two ports of one kind")
+            assert q >= nl or topo.group_of(peer) == topo.group_of(r), (
+                f"{where} leaves group {topo.group_of(r)} for router {peer} "
+                f"in group {topo.group_of(peer)}")
 
 
-def validate_torus(topo: Torus2D) -> None:
-    """Both dimensions must be symmetric wrap-around rings."""
-    assert topo.num_groups == topo.rows and topo.a == topo.cols
-    assert topo.local_ports == 2 and topo.global_ports == 2
-    for r in range(topo.num_routers):
-        # X ring: the two local ports are inverse neighbours
+def _check_local_complete(topo, links) -> None:
+    """Every in-group pair is one local hop, and ``local_port_to`` says
+    which."""
+    nl = topo.local_ports
+    for r, row in enumerate(links):
         i = topo.index_in_group(r)
-        fwd, back = topo.local_neighbor(r, 0), topo.local_neighbor(r, 1)
-        assert topo.group_of(fwd) == topo.group_of(r) == topo.group_of(back)
-        assert topo.local_neighbor(fwd, 1) == r and topo.local_neighbor(back, 0) == r
-        assert topo.local_port_to(i, topo.index_in_group(fwd)) == 0
-        assert topo.local_port_to(i, topo.index_in_group(back)) == 1
-        # Y ring: global links are a symmetric matching of port pairs
-        for gport in (0, 1):
-            peer, pport = topo.global_neighbor(r, gport)
-            assert topo.index_in_group(peer) == i, "Y links stay in a column"
-            assert topo.global_neighbor(peer, pport) == (r, gport), \
-                "global matching not symmetric"
-            assert topo.target_group_of(r, gport) == topo.group_of(peer)
-    # ring distances: opposite corner is rows//2 + cols//2 hops away
-    far = topo.router_id(topo.rows // 2, topo.cols // 2)
-    assert topo.minimal_hops(0, far) == topo.rows // 2 + topo.cols // 2
+        reached = sorted(topo.index_in_group(peer) for peer, _ in row[:nl])
+        assert reached == [j for j in range(topo.a) if j != i], (
+            f"router {r}'s local ports reach in-group indices {reached}, "
+            "not every other router once")
+        for q, (peer, _) in enumerate(row[:nl]):
+            j = topo.index_in_group(peer)
+            assert topo.local_port_to(i, j) == q, (
+                f"router {r} local port {q} reaches index {j}, but "
+                f"local_port_to({i}, {j}) is {topo.local_port_to(i, j)}")
 
 
-def _check_counts(topo: Dragonfly) -> None:
-    assert topo.num_groups == topo.a * topo.h + 1
-    assert topo.radix == topo.p + (topo.a - 1) + topo.h
+def _check_pairing(topo, links) -> None:
+    """The far end of every link leads back: links are symmetric pairs."""
+    for r, row in enumerate(links):
+        for q, (peer, peer_q) in enumerate(row):
+            back, back_q = links[peer][peer_q]
+            assert (back, back_q) == (r, q), (
+                f"router {r} {_port(topo, q)} lands on router {peer} "
+                f"{_port(topo, peer_q)}, whose link leads to router {back} "
+                f"{_port(topo, back_q)}, not back")
 
 
-def _check_local_complete(topo) -> None:
-    """Local ports of a complete-graph group reach every other router."""
-    for i in range(topo.a):
-        seen = set()
-        for q in range(topo.local_ports):
-            j = topo.local_neighbor_index(i, q)
-            assert j != i, "local link to self"
-            assert topo.local_port_to(i, j) == q, "local port maps not inverse"
-            seen.add(j)
-        assert seen == set(range(topo.a)) - {i}, "local ports must reach all others"
-
-
-def _check_global_matching(topo: Dragonfly) -> None:
-    pair_seen: dict[tuple[int, int], int] = {}
-    for r in range(topo.num_routers):
-        for k in range(topo.global_ports):
-            peer, pport = topo.global_neighbor(r, k)
-            back, bport = topo.global_neighbor(peer, pport)
-            assert (back, bport) == (r, k), "global matching not symmetric"
-            ga, gb = topo.group_of(r), topo.group_of(peer)
-            assert ga != gb, "global link inside a group"
-            key = (min(ga, gb), max(ga, gb))
-            pair_seen[key] = pair_seen.get(key, 0) + 1
-    expected_pairs = topo.num_groups * (topo.num_groups - 1) // 2
-    assert len(pair_seen) == expected_pairs, "some group pair not connected"
-    # each unordered pair counted once per direction
-    assert all(v == 2 for v in pair_seen.values()), "duplicate global links"
-
-
-def _check_exit_tables(topo: Dragonfly) -> None:
+def _check_group_exits(topo, links) -> None:
+    """One global link per group pair, which ``target_group_of`` and
+    ``exit_port`` name."""
+    nl = topo.local_ports
+    found: dict[tuple[int, int], list] = {}
+    for r, row in enumerate(links):
+        for k, (peer, _) in enumerate(row[nl:]):
+            found.setdefault((topo.group_of(r), topo.group_of(peer)), []).append((r, k))
     for g in range(topo.num_groups):
         for t in range(topo.num_groups):
             if t == g:
                 continue
-            i, k = topo.exit_port(g, t)
-            r = topo.router_id(g, i)
-            assert topo.target_group_of(r, k) == t, "exit table inconsistent"
+            i, exit_k = topo.exit_port(g, t)
+            exit_r = topo.router_id(g, i)
+            via = found.get((g, t), [])
+            assert len(via) == 1, (
+                f"group {g} has {len(via)} global links to group {t} ("
+                + (", ".join(f"router {r} global port {k}" for r, k in via)
+                   or f"exit_port names router {exit_r} global port {exit_k}")
+                + "), not one")
+            [(r, k)] = via
+            assert topo.target_group_of(r, k) == t, (
+                f"router {r} global port {k} reaches group {t}, but "
+                f"target_group_of says {topo.target_group_of(r, k)}")
+            assert (exit_r, exit_k) == (r, k), (
+                f"exit_port({g}, {t}) names router {exit_r} global port {exit_k}, "
+                f"which reaches group {topo.group_of(links[exit_r][nl + exit_k][0])}")
+
+
+def _check_min_hop_walks(topo, links) -> None:
+    """Following ``min_hop`` over the links takes exactly ``minimal_hops``,
+    from every router to four drawn destinations."""
+    nl, nr = topo.local_ports, topo.num_routers
+    rng = random.Random(nr)  # a fixed sample per fabric size, no global state
+    for src, dst in [(s, rng.randrange(nr)) for s in range(nr) for _ in range(4)]:
+        want = topo.minimal_hops(src, dst)
+        # the routing state ``min_hop`` may read, of a minimal packet
+        pkt = SimpleNamespace(
+            src_router=src, src_group=topo.group_of(src), dst=topo.node_id(dst, 0),
+            dst_router=dst, dst_group=topo.group_of(dst), valiant_group=None,
+            via_done=False, g_hops=0)
+        cur, hops = src, 0
+        while True:
+            kind, port, _, _ = topo.min_hop(cur, pkt)
+            if kind == PortKind.EJECT:
+                break
+            q = port if kind == PortKind.LOCAL else nl + port
+            hops += 1
+            assert hops <= want, (
+                f"min_hop walk from router {src} to router {dst} takes router "
+                f"{cur} {_port(topo, q)} as hop {hops}; minimal_hops says {want}")
+            pkt.g_hops += kind == PortKind.GLOBAL
+            cur = links[cur][q][0]
+        assert (cur, hops) == (dst, want), (
+            f"min_hop walk from router {src} to router {dst} ejects at router "
+            f"{cur} port {port} after {hops} hops; minimal_hops says {want}")

@@ -68,14 +68,15 @@ def closed_form_min_hop(topo, cur_router: int, packet):
 def replay_path(sim: Simulator, packet) -> list[tuple[int, int, int, int]]:
     """Reconstruct (kind, vc, from_router, to_router) hops from a hop log."""
     topo = sim.topo
+    links = sim._fabric.wiring
     cur = packet.src_router
     out = []
     assert packet.hops_log is not None, "enable record_hops"
     for kind, port, vc in packet.hops_log:
         if kind == LOCAL:
-            nxt = topo.local_neighbor(cur, port)
+            nxt, _ = links[cur][port]
         elif kind == GLOBAL:
-            nxt, _ = topo.global_neighbor(cur, port)
+            nxt, _ = links[cur][topo.local_ports + port]
         else:  # EJECT
             assert cur == packet.dst_router, "ejected at the wrong router"
             assert port == topo.node_index(packet.dst), "ejected at wrong node port"

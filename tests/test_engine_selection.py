@@ -21,7 +21,8 @@ Four tables:
 * **injection** — one injection path per engine: the wheel calls
   ``traffic.inject`` and keeps a plain ``random.Random``, a live core
   calls ``inject_batch`` and installs a ``StreamRandom``, and a run that
-  left its core continues through ``inject`` on that same stream.
+  left its core continues through ``inject`` on the plain generator the
+  exit released from that stream, in the wheel run's state.
 """
 
 from __future__ import annotations
@@ -380,28 +381,33 @@ class _SpyTraffic(BernoulliTraffic):
 
 
 def _spy_run(cfg: SimConfig, leave_at: int | None = None):
+    """Run 120 cycles (leaving the core at ``leave_at``); return the
+    simulator, the injection calls, the traffic RNG's type after each
+    cycle, the outcome and the RNG state entering cycle ``leave_at``."""
     traffic = _SpyTraffic(UniformRandom(), 0.6)
     sim = build_simulator(cfg, traffic)
     log = []
     sim.add_delivery_observer(
         lambda pkt, cycle: log.append((pkt.pid, pkt.src, pkt.dst, cycle)))
-    rng_types = set()
+    rng_types, state = [], None
     for cycle in range(120):
         if cycle == leave_at:
-            sim._leave_core()
+            if sim._core is not None:
+                sim._leave_core()
+            state = sim.rng_traffic.getstate()
         sim.step()
-        rng_types.add(type(sim.rng_traffic))
+        rng_types.append(type(sim.rng_traffic))
     outcome = (log, sim.stats.as_dict(sim.topo.num_nodes, sim.now))
-    return sim, traffic.calls, rng_types, outcome
+    return sim, traffic.calls, rng_types, outcome, state
 
 
 @pytest.mark.parametrize("engine", ["wheel", "auto"])
 def test_a_wheel_run_injects_through_inject_on_a_plain_random(engine):
     cfg = SimConfig(h=2, routing="olm", seed=5, engine=engine)
-    sim, calls, rng_types, _ = _spy_run(cfg)
+    sim, calls, rng_types, *_ = _spy_run(cfg)
     assert sim._core is None
     assert calls == ["inject"] * 120
-    assert rng_types == {random.Random}  # first cycle to last
+    assert rng_types == [random.Random] * 120  # first cycle to last
 
 
 @pinned
@@ -409,22 +415,26 @@ def test_a_live_core_injects_through_inject_batch_and_leaves_on_inject():
     from repro.traffic.mtstream import StreamRandom
 
     cfg = SimConfig(h=2, routing="minimal", seed=5)
-    *_, wheel = _spy_run(cfg.with_(engine="wheel"))
+    leave_at = random.Random(17).randrange(10, 110)
+    *_, wheel, wheel_state = _spy_run(cfg.with_(engine="wheel"), leave_at)
     assert len(wheel[0]) > 50  # a real window, not an empty one
 
-    sim, calls, rng_types, outcome = _spy_run(cfg.with_(engine="auto"))
+    sim, calls, rng_types, outcome, _ = _spy_run(cfg.with_(engine="auto"))
     assert sim._core is not None
     assert calls == ["inject_batch"] * 120
-    assert rng_types == {StreamRandom}
+    assert rng_types == [StreamRandom] * 120
     assert outcome == wheel
 
-    # a drawn-cycle exit: batched up to it, scalar after it, on the
-    # stream wrapper the core installed — and still the wheel's bytes
-    leave_at = random.Random(17).randrange(10, 110)
-    sim, calls, rng_types, outcome = _spy_run(cfg.with_(engine="auto"),
-                                              leave_at)
+    # a drawn-cycle exit: batched up to it on the stream wrapper the core
+    # installed, scalar after it on the plain generator the exit released
+    # — standing where the wheel's stands, and still the wheel's bytes
+    sim, calls, rng_types, outcome, state = _spy_run(
+        cfg.with_(engine="auto"), leave_at)
     assert sim._core is None and sim.packets_in_flight
     assert calls == (["inject_batch"] * leave_at
                      + ["inject"] * (120 - leave_at))
-    assert rng_types == {StreamRandom}
+    assert rng_types == ([StreamRandom] * leave_at
+                         + [random.Random] * (120 - leave_at))
+    assert type(sim.rng_traffic) is random.Random
+    assert state == wheel_state
     assert outcome == wheel

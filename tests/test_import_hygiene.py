@@ -2,7 +2,8 @@
 
 numpy is the array core's dependency (``network/arraysim.py``,
 ``traffic/mtstream.py``) and networkx the CDG prover's
-(``analysis/cdg.py``, ``Topology.as_networkx``).  Everything users run
+(``analysis/cdg.py``, and ``topology.as_networkx(topo)``, which imports
+it when called).  Everything users run
 on the wheel — ``import repro``, the service, the CLI, a point, a
 verified point, ``verify-results`` — must load neither, and a
 numpy-less interpreter must run ``engine="auto"`` as the wheel run it

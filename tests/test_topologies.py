@@ -10,6 +10,7 @@ fabrics.
 
 import random
 
+import networkx as nx
 import pytest
 
 import repro
@@ -29,7 +30,9 @@ from repro.topology import (
     PortKind,
     Torus2D,
     UnsupportedTopologyError,
+    as_networkx,
     validate_topology,
+    wiring,
 )
 from repro.topology.ring import dragonfly_escape_ring, hamiltonian_ring, validate_ring
 
@@ -49,6 +52,34 @@ TORUS_CONFIG = SimConfig(topology="torus", torus_rows=4, torus_cols=5, p=2,
 ])
 def test_validate_new_fabrics(topo):
     validate_topology(topo)
+
+
+@pytest.mark.parametrize("topo", [
+    Dragonfly(1), Dragonfly(3, arrangement="consecutive"),
+    FlattenedButterfly(5, p=1), FlattenedButterfly(12),
+    Torus2D(3, 4), Torus2D(5, 5),
+], ids=repr)
+def test_one_graph_export_for_every_fabric(topo):
+    """Same graph type everywhere, one edge per link, each labelled with
+    the kind of the ports it joins (checked against the port maps)."""
+    g = as_networkx(topo)
+    assert type(g) is nx.MultiGraph
+    assert g.number_of_nodes() == topo.num_routers
+    ports = topo.num_routers * (topo.local_ports + topo.global_ports)
+    assert g.number_of_edges() == ports // 2
+    kinds = {"local": 0, "global": 0}
+    for u, v, kind in g.edges(data="kind"):
+        iu = topo.index_in_group(u)
+        peers = {
+            "local": {topo.router_id(topo.group_of(u), topo.local_neighbor_index(iu, q))
+                      for q in range(topo.local_ports)},
+            "global": {topo.global_neighbor(u, k)[0] for k in range(topo.global_ports)},
+        }
+        assert v in peers[kind], (u, v, kind)
+        kinds[kind] += 1
+    assert kinds == {"local": topo.num_routers * topo.local_ports // 2,
+                     "global": topo.num_routers * topo.global_ports // 2}
+    assert nx.is_connected(g)
 
 
 def test_from_config_builds_the_selected_fabric():
@@ -133,12 +164,23 @@ def test_dragonfly_snake_rejects_coinciding_entry_and_exit():
 
         a = 2
         num_groups = 2
+        num_routers = 4
+        local_ports = global_ports = 1
 
         def exit_port(self, group, target):
             return 0, 0
 
+        def local_neighbor_index(self, index, port):
+            return 1 - index
+
+        def local_port_to(self, src_index, dst_index):
+            return 0
+
         def global_neighbor(self, router, gport):
             return (router + 2) % 4, 0
+
+        def group_of(self, router):
+            return router // 2
 
         def router_id(self, group, index):
             return group * 2 + index
@@ -156,6 +198,7 @@ def _walk(topo, src_r, dst_r, via=None):
     pkt = Packet(0, topo.node_id(src_r, 0), topo.node_id(dst_r, topo.p - 1),
                  8, 0, src_r, topo.group_of(src_r), dst_r, topo.group_of(dst_r))
     pkt.valiant_group = via
+    links = wiring(topo)
     cur, hops, vmax = src_r, 0, {PortKind.LOCAL: -1, PortKind.GLOBAL: -1}
     bound = 4 + 2 * (topo.num_groups + topo.a)
     while True:
@@ -165,12 +208,10 @@ def _walk(topo, src_r, dst_r, via=None):
             return hops, vmax
         vmax[kind] = max(vmax[kind], vc)
         if kind == PortKind.LOCAL:
-            cur = topo.router_id(
-                topo.group_of(cur),
-                topo.local_neighbor_index(topo.index_in_group(cur), port))
+            cur, _ = links[cur][port]
             assert topo.index_in_group(cur) == target
         else:
-            cur, _ = topo.global_neighbor(cur, port)
+            cur, _ = links[cur][topo.local_ports + port]
         hops += 1
         assert hops <= bound, f"oracle loops: {src_r}->{dst_r} via {via}"
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.packet import Packet
-from repro.topology import Dragonfly, PortKind, validate_topology
+from repro.topology import Dragonfly, PortKind, as_networkx, validate_topology, wiring
 from repro.topology.arrangements import _ARRANGEMENTS
 
 from tests.helpers import closed_form_min_hop
@@ -73,13 +73,14 @@ def test_local_port_to_self_rejected():
         t.local_neighbor_index(0, t.local_ports)
 
 
-def test_local_neighbor_global_ids_stay_in_group():
+def test_local_links_stay_in_group():
     t = Dragonfly(2)
     r = t.router_id(3, 1)
+    links = wiring(t)[r]
     for q in range(t.local_ports):
-        n = t.local_neighbor(r, q)
+        n, nq = links[q]
         assert t.group_of(n) == 3
-        assert n != r
+        assert n != r and nq < t.local_ports  # lands on a local port
 
 
 def test_global_neighbor_symmetry():
@@ -126,7 +127,7 @@ def test_global_link_owner_roundtrip():
 
 def test_networkx_export():
     t = Dragonfly(2)
-    g = t.as_networkx()
+    g = as_networkx(t)
     assert g.number_of_nodes() == t.num_routers
     # each router: a-1 local + h global edges, each edge counted once
     assert g.number_of_edges() == t.num_routers * (t.a - 1 + t.h) // 2
