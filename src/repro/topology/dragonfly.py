@@ -124,29 +124,14 @@ class Dragonfly:
         return link // self.h, link % self.h
 
     def global_neighbor(self, router: int, gport: int) -> tuple[int, int]:
-        """(peer router id, peer global port) across global ``gport`` (table lookup)."""
-        return self._gpeer[router][gport]
+        """(peer router id, peer global port) across global ``gport``."""
+        pg, plink = self.arrangement.peer(
+            self.group_of(router), self.global_link_index(self.index_in_group(router), gport))
+        pi, pport = self.global_link_owner(plink)
+        return self.router_id(pg, pi), pport
 
     # ------------------------------------------------------------- route maps
     def _build_tables(self) -> None:
-        # far end of each (router, gport): (peer router id, peer gport)
-        self._gpeer = []
-        for g in range(self.num_groups):
-            for i in range(self.a):
-                row = []
-                for k in range(self.h):
-                    pg, plink = self.arrangement.peer(g, self.global_link_index(i, k))
-                    pi, pport = self.global_link_owner(plink)
-                    row.append((self.router_id(pg, pi), pport))
-                self._gpeer.append(row)
-        # target group of each (group, router-in-group, gport)
-        self._gtarget = [
-            [
-                [self.arrangement.target_group(g, i * self.h + k) for k in range(self.h)]
-                for i in range(self.a)
-            ]
-            for g in range(self.num_groups)
-        ]
         # per group: for each target group, (router index, gport)
         self._exit = []
         for g in range(self.num_groups):
@@ -192,8 +177,9 @@ class Dragonfly:
                 ])
 
     def target_group_of(self, router: int, gport: int) -> int:
-        """Group reached through global ``gport`` of ``router`` (table lookup)."""
-        return self._gtarget[self.group_of(router)][self.index_in_group(router)][gport]
+        """Group reached through global ``gport`` of ``router``."""
+        return self.arrangement.target_group(
+            self.group_of(router), self.global_link_index(self.index_in_group(router), gport))
 
     def exit_port(self, group: int, target_group: int) -> tuple[int, int]:
         """Cached (router-in-group, gport) for the group's link to ``target_group``."""
