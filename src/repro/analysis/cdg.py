@@ -20,7 +20,8 @@ capability (the others raise ``UnsupportedTopologyError``):
   channel.
 
 Nodes: ``("L", u, v, vc)`` local link channel u→v, ``("G", u, v, vc)``
-global link channel, ``("EJ", r)`` ejection sink at router ``r``.
+global link channel, ``("EJ", r)`` ejection sink at router ``r``; every
+channel depends on the sink it can eject into, so the edges name them all.
 """
 
 from __future__ import annotations
@@ -41,11 +42,7 @@ _ASCENDING = ("minimal", "valiant", "pb")
 
 
 def _channels(topo: Topology) -> tuple[list, list]:
-    """Per router, the peers of its local and of its global links.
-
-    The VC disciplines modelled here are the paper's, which hold on
-    Dragonfly-shaped paths only: any other fabric is refused by name.
-    """
+    """Per router, the peers of its local and of its global links."""
     if CAP_DRAGONFLY_PATHS not in getattr(topo, "caps", DRAGONFLY_CAPS):
         raise UnsupportedTopologyError(
             f"the channel-dependency graph requires the {CAP_DRAGONFLY_PATHS!r} "
@@ -85,20 +82,9 @@ def build_cdg(topo: Topology, mechanism: str, *,
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
-def _add_channels(g: nx.DiGraph, local: list, glob: list, local_vcs: int,
-                  global_vcs: int = 2):
-    for kind, peers, vcs in (("L", local, local_vcs), ("G", glob, global_vcs)):
-        for u, v in _links(peers):
-            for vc in range(vcs):
-                g.add_node((kind, u, v, vc))
-    for r in range(len(local)):
-        g.add_node(("EJ", r))
-
-
 def _cdg_ascending(local: list, glob: list) -> nx.DiGraph:
     """MIN/VAL/PB: lVC_{g+1} per group, one local hop per group."""
     g = nx.DiGraph()
-    _add_channels(g, local, glob, local_vcs=3)
     for u, v in _links(local):
         for vc in range(3):
             g.add_edge(("L", u, v, vc), ("EJ", v))
@@ -140,7 +126,6 @@ def _cdg_par62(local: list, glob: list) -> nx.DiGraph:
     lrank = [0, 1, 3, 4, 6, 7]
     grank = [2, 5]
     g = nx.DiGraph()
-    _add_channels(g, local, glob, local_vcs=6)
     for u, v in _links(local):
         for vc in range(6):
             g.add_edge(("L", u, v, vc), ("EJ", v))

@@ -18,10 +18,8 @@ Three fabrics register out of the box:
 Everything the engine needs from a fabric is the
 :class:`~repro.topology.base.Topology` protocol — including the
 ``min_hop`` routing oracle, the ``pick_via`` Valiant draw, the
-``escape_ring`` hook and the capability flags — and a fabric's links
-are read from one table derived from its port maps
-(:func:`~repro.topology.fabric.wiring`; :func:`as_networkx` exports
-it); see
+``escape_ring`` hook and the capability flags, whose links are read from
+one table (:func:`~repro.topology.fabric.wiring`); see
 ``docs/ADDING_A_TOPOLOGY.md`` for a worked guide to registering a new
 fabric.
 """

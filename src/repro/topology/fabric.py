@@ -1,10 +1,11 @@
 """Compiled fabrics: what outlives a point, one per fabric per process.
 
 Everything a simulation derives from the fabric alone — the topology
-object with its lookup tables, its wiring table (:func:`wiring`) and,
-hanging off it, the array core's static layout and minimal-route table
-(``repro.network.arraysim``) — is built once per process and borrowed
-by every later point on that fabric.
+object with its lookup tables, its wiring table (:func:`wiring`: the one
+place the protocol's port maps become links, read by every consumer)
+and, hanging off it, the array core's static layout and minimal-route
+table (``repro.network.arraysim``) — is built once per process and
+borrowed by every later point on that fabric.
 A load sweep, a replica set, a served job queue or a pool worker runs
 tens of points on one or two fabrics; each point allocates only what it
 mutates.
@@ -32,12 +33,6 @@ after that only walking routes nobody has walked yet locks (the
 fabric's lock again) — reading routes never does.  There is no switch:
 :func:`clear_fabrics` exists for tests and ``tools/bench_engine.py``,
 which need to time a cold fabric.
-
-The wiring table is the one place the protocol's port maps
-(``local_neighbor_index`` / ``local_port_to`` / ``global_neighbor``)
-become links: the object routers, the array layout, the route walker,
-the escape ring, the validator, the CDG prover and :func:`as_networkx`
-all read it.
 
 Stdlib-only on purpose — the wheel path goes through this module and
 must not pay for numpy (nor for networkx, which :func:`as_networkx`
@@ -67,14 +62,10 @@ MAX_LAYOUTS = 4
 
 
 def wiring(topo) -> tuple:
-    """Every link of ``topo``, as ``table[router][q] = (peer, peer_q)``.
-
-    ``q`` numbers a router's *link ports* — its non-eject ports, local
-    ``0 .. local_ports-1`` first, then global ``local_ports + k`` — so
-    link port ``q`` is router port ``p + q``, input and output alike.
-    Output ``q`` of ``router`` lands on input ``peer_q`` of ``peer``.  A
-    pure function of the topology's port maps; nothing checks it here
-    (:func:`repro.topology.validate.validate_topology` does).
+    """Every link of ``topo``: output ``q`` of ``router`` lands on input
+    ``peer_q`` of ``peer``, ``table[router][q] = (peer, peer_q)``, where
+    link port ``q`` (router port ``p + q``) counts the local ports first,
+    then the global ones.  Checked by :func:`~repro.topology.validate.validate_topology`.
     """
     nl, ng = topo.local_ports, topo.global_ports
     table = []
@@ -93,11 +84,8 @@ def wiring(topo) -> tuple:
 
 
 def as_networkx(topo):
-    """Router-level multigraph for offline analysis (needs networkx).
-
-    One edge per link, labelled ``kind="local"`` or ``"global"`` after
-    its ports, for every fabric alike.
-    """
+    """Router-level multigraph (needs networkx): one edge per link,
+    labelled ``kind="local"`` or ``"global"``, for every fabric alike."""
     import networkx as nx
 
     g = nx.MultiGraph()

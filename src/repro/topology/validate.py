@@ -1,12 +1,8 @@
 """Structural validation of topology instances.
 
 One validator for every fabric, shipped or third-party: it reads the
-fabric's wiring table (:func:`repro.topology.fabric.wiring`) and checks
-the protocol's id arithmetic, the links themselves, and whatever else
-the fabric's capability flags claim.  It knows no concrete fabric — a
-new one gets every check its ``caps`` promise by declaring them.
-Cheap relative to a simulation: the test suite runs it at several sizes
-per fabric, CI on every registered fabric at its ``SimConfig`` default.
+wiring table (:func:`repro.topology.fabric.wiring`), knows no concrete
+fabric and checks whatever the fabric's ``caps`` claim.
 """
 
 from __future__ import annotations
@@ -25,12 +21,8 @@ from repro.topology.fabric import wiring
 
 
 def validate_topology(topo: Topology) -> None:
-    """Raise ``AssertionError`` if ``topo`` is structurally inconsistent.
-
-    Every check runs on every fabric except the two a capability flag
-    claims (``local-complete``, ``group-exits``); each failure names
-    the router and port it caught.
-    """
+    """Raise ``AssertionError``, naming the router and port, if ``topo``
+    is structurally inconsistent."""
     caps = getattr(topo, "caps", DRAGONFLY_CAPS)
     _check_ids(topo)
     links = wiring(topo)

@@ -18,11 +18,8 @@ scalar fallbacks, burst pre-loads) read the same word sequence the
 plain generator would have produced, so every draw matches the scalar
 reference run draw-for-draw.  The base generator merely runs ahead by
 the unconsumed prefetch; no ``getstate``/``setstate`` round-trips are
-needed on the hot path.  :meth:`StreamRandom.release` hands back a
-plain generator at the consumption point (the wrapper saved its base's
-state when it wrapped it and counts the words it fetched), so a run
-that stops batching — a simulation leaving its array core — draws on
-at C speed.
+needed on the hot path, and :meth:`StreamRandom.release` hands a run
+that stops batching a plain generator at the consumption point.
 
 Only the two primitive sources (``random``, ``getrandbits``) are
 overridden.  Everything built on them — ``randrange``, ``randint``,
@@ -72,8 +69,7 @@ class StreamRandom(random.Random):
         # deliberately no super().__init__(): it would reseed the C-level
         # state, which the wrapper never reads
         self._base = base
-        #: the base's state at the first word served, and the words
-        #: fetched from it since: what :meth:`release` replays
+        #: what :meth:`release` replays: the base's state, words fetched
         self._start = base.getstate()
         self._fetched = 0
         self._words = _np.empty(0, dtype=_np.uint32)
