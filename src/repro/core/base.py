@@ -15,7 +15,6 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
-from repro.core.paritysign import link_type
 from repro.core.trigger import MisroutingTrigger
 from repro.topology.base import (
     CAP_GROUP_EXITS,
@@ -52,7 +51,8 @@ class Decision:
         self.vc = vc
         self.valiant_group = valiant_group
         self.is_local_misroute = is_local_misroute
-        #: index-in-group of the local hop target (for parity-sign bookkeeping)
+        #: index-in-group of the local hop target (for parity-sign
+        #: bookkeeping): every LOCAL decision names it
         self.local_target = local_target
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -140,20 +140,12 @@ class RoutingAlgorithm(abc.ABC):
         """Apply packet-state updates when a head flit is granted.
 
         The engine calls this exactly once per hop.  Subclasses may
-        extend; the shared bookkeeping lives here.
+        extend; the hop counters advance in
+        :meth:`~repro.topology.route.RouteState.take_hop`, the decision's
+        flags are applied here.
         """
-        out = router.outputs[decision.out]
-        if out.kind == PortKind.GLOBAL:
-            packet.g_hops += 1
-            packet.local_hops_group = 0
-            packet.misrouted_group = False
-            packet.prev_local_type = None
-        elif out.kind == PortKind.LOCAL:
-            packet.local_hops_group += 1
-            packet.local_hops_total += 1
-            packet.last_local_vc = decision.vc
-            if decision.local_target is not None:
-                packet.prev_local_type = link_type(router.idx, decision.local_target)
+        packet.take_hop(router.outputs[decision.out].kind, router.idx,
+                        decision.local_target, decision.vc)
         if decision.valiant_group is not None:
             packet.valiant_group = decision.valiant_group
             packet.committed = True

@@ -89,12 +89,7 @@ class OfarRouting(AdaptiveRouting):
                 or (kind == PortKind.GLOBAL and vc == self.ESCAPE_GVC))
 
     def on_hop(self, router, packet, decision) -> None:
-        out = router.outputs[decision.out]
-        escape = (
-            (out.kind == PortKind.LOCAL and decision.vc == self.ESCAPE_LVC)
-            or (out.kind == PortKind.GLOBAL and decision.vc == self.ESCAPE_GVC)
-        )
         super().on_hop(router, packet, decision)
-        if out.kind == PortKind.EJECT:
-            return
-        packet.mode = "escape" if escape else None
+        kind = router.outputs[decision.out].kind
+        if kind != PortKind.EJECT:
+            packet.mode = "escape" if self.is_escape_hop(kind, decision.vc) else None

@@ -146,18 +146,18 @@ kernels trust against the FIFO chains and the rings.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as _np
 
-from repro.core.paritysign import link_type
 from repro.network.packet import Flit, Packet
 from repro.topology import PortKind
 from repro.topology.fabric import MAX_LAYOUTS
+from repro.topology.route import RouteState, walk
 from repro.traffic.mtstream import StreamRandom
 
 _EJECT = PortKind.EJECT
 _LOCAL = PortKind.LOCAL
-_GLOBAL = PortKind.GLOBAL
-_INT_EJECT, _INT_LOCAL, _INT_GLOBAL = int(_EJECT), int(_LOCAL), int(_GLOBAL)
 
 #: alloc-skip sentinel: "no time-driven unblock — wait for an event"
 _ALLOC_IDLE = 1 << 62
@@ -173,38 +173,6 @@ def _grow(arr, needed: int):
     return out
 
 
-def _walk_minimal(topo, wiring, pkt: Packet, hops: int):
-    """Take ``pkt`` its first ``hops`` minimal hops from its source router
-    (fewer if it gets to its destination router first) over the fabric's
-    ``wiring`` table, yielding ``(router, kind, port, vc)`` per hop taken.
-
-    The one mirror in this file of what the wheel's per-grant
-    ``RoutingAlgorithm.on_hop`` does to a packet's counters.  The oracle
-    reads them mid-path (dragonfly VC selection uses ``g_hops``), so the
-    packet carries them along the walk and is left as that many grants
-    would leave it; the eject hop is counter-neutral and not walked.
-    """
-    cur, dst = pkt.src_router, pkt.dst_router
-    nl = topo.local_ports
-    for _ in range(hops):
-        if cur == dst:
-            return
-        kind, port, target, vc = topo.min_hop(cur, pkt)
-        here = cur
-        if kind is _GLOBAL:
-            pkt.g_hops += 1
-            pkt.local_hops_group = 0
-            pkt.prev_local_type = None
-            cur = wiring[cur][nl + port][0]
-        else:
-            pkt.local_hops_group += 1
-            pkt.local_hops_total += 1
-            pkt.last_local_vc = vc
-            pkt.prev_local_type = link_type(topo.index_in_group(cur), target)
-            cur = wiring[cur][port][0]
-        yield here, kind, port, vc
-
-
 class _RouteTable:
     """Minimal routes of one compiled fabric and one pair of VC counts:
     append-only, shared by every point (and every :class:`_Layout`) on them.
@@ -215,10 +183,10 @@ class _RouteTable:
     ``rt_op`` / ``rt_fovc``: flat output port and flat output VC per
     hop, the eject hop excluded — it depends on the destination *node*),
     ``hops`` (the hop count a delivery adds to the statistics) and
-    ``final`` (the packet counters the wheel's per-grant ``on_hop``
-    calls would have left: five small values, interned, so a row costs
-    one pointer).  Every entry is a pure function of (fabric, pair), so
-    which point filled it never shows in a record.  The dtypes are as
+    ``final`` (the ``RouteState.counters()`` the wheel's per-grant
+    ``on_hop`` calls would have left: five small values, interned, so a
+    row costs one pointer).  Every entry is a pure function of (fabric,
+    pair), so which point filled it never shows in a record.  The dtypes are as
     narrow as the hot path tolerates: the paper's h=8 fabric has 4.26 M
     router pairs, so ``pair_rid`` alone is 17 MB as int32 and a fully
     touched table ≈ 47 B a pair (24 + 8 per hop).
@@ -284,22 +252,21 @@ class _RouteTable:
             for pair in todo:
                 sr, dr = divmod(pair, nr)
                 # minimal routes depend on the router pair only: a
-                # throwaway packet between any node of each stands for
-                # all of them (a minimal path visits no router twice, so
-                # ``nr`` hops is "all the way")
-                pkt = Packet(-1, topo.node_id(sr, 0), topo.node_id(dr, 0), 0, 0,
-                             sr, topo.group_of(sr), dr, topo.group_of(dr))
+                # route to node 0 of the destination stands for all of
+                # them up to the eject hop, which is not stored
+                route = RouteState(sr, topo.group_of(sr), topo.node_id(dr, 0),
+                                   dr, topo.group_of(dr))
                 first = len(ops)
                 offs.append(start + first)
-                for cur, kind, port, vc in _walk_minimal(topo, self._wiring,
-                                                         pkt, nr):
+                for cur, kind, port, vc in walk(topo, self._wiring, route):
+                    if kind is _EJECT:
+                        break
                     fop = cur * nout + ((lbase + port) if kind is _LOCAL
                                         else (gbase + port))
                     ops.append(fop)
                     fovcs.append(ovc_base[fop] + vc)
                 nhs.append(len(ops) - first)
-                final = (pkt.g_hops, pkt.local_hops_group, pkt.local_hops_total,
-                         pkt.prev_local_type, pkt.last_local_vc)
+                final = route.counters()
                 finals.append(intern(final, final))
             # one store per field for the whole batch of misses
             end = start + len(ops)
@@ -318,23 +285,6 @@ class _RouteTable:
             self.pr_hops[r0:r1] = [f[0] + f[2] for f in finals]
             self.final.extend(finals)
             pair_rid[todo] = range(r0, r1)  # published last
-
-    def hop_log(self, rid: int) -> list[tuple]:
-        """The ``record_hops`` entries ``(kind, port, vc)`` of route ``rid``."""
-        nout = self._nout
-        lbase = self._topo.p
-        gbase = lbase + self._topo.local_ports
-        ovc_base = self._ovc_base
-        off = int(self.pr_off[rid])
-        fops = self.rt_op[off:off + int(self.pr_nh[rid])].tolist()
-        fovcs = self.rt_fovc[off:off + len(fops)].tolist()
-        log = []
-        for fop, fovc in zip(fops, fovcs):
-            oidx = fop % nout
-            log.append((_INT_GLOBAL, oidx - gbase, fovc - ovc_base[fop])
-                       if oidx >= gbase
-                       else (_INT_LOCAL, oidx - lbase, fovc - ovc_base[fop]))
-        return log
 
 
 class _Layout:
@@ -691,14 +641,9 @@ class ArrayCore:
         return pkt
 
     def _flush_injections(self) -> None:
-        """Enqueue the packets :meth:`inject` handed out since the last flush.
-
-        Their callers hold the objects, so these slots are not lazy: each
-        keeps its object, which from here on carries what its whole walk
-        leaves — minimal routes are fixed at injection (a rewind rolls
-        the counters back to the granted prefix if the run leaves the
-        core) — and, with ``record_hops``, its whole hop log.
-        """
+        """Enqueue the packets :meth:`inject` handed out since the last
+        flush: their callers hold the objects, so these slots are not
+        lazy, and each object is stamped with its whole route."""
         staged, self._staged = self._staged, []
         ps = self._enqueue(_np.array([pkt.src for pkt in staged]),
                            _np.array([pkt.dst for pkt in staged]),
@@ -718,22 +663,18 @@ class ArrayCore:
                       sr, topo.group_of(sr), dr, topo.group_of(dr))
 
     def _stamp_route(self, pkt: Packet, rid: int) -> None:
-        """Give ``pkt`` what walking route ``rid`` to its node's eject port leaves."""
-        routes = self._routes
-        (pkt.g_hops, pkt.local_hops_group, pkt.local_hops_total,
-         pkt.prev_local_type, pkt.last_local_vc) = routes.final[rid]
+        """Give the unrouted ``pkt`` what walking its route ``rid`` leaves
+        (a rewind rolls it back to the granted prefix) — with
+        ``record_hops``, by walking it for the hop log."""
         if self._record_hops:
-            pkt.hops_log = [*routes.hop_log(rid),
-                            (_INT_EJECT, self.topo.node_index(pkt.dst), 0)]
+            pkt.hops_log = [(int(kind), port, vc) for _, kind, port, vc
+                            in walk(self.topo, self._wiring, pkt)]
+        else:
+            pkt.restore(self._routes.final[rid])
 
     def _ensure_pkt(self, ps: int) -> Packet:
-        """The Packet object of slot ``ps``, reconstructing a lazy one.
-
-        The reconstruction is exactly what :meth:`inject` and its flush
-        would have built: final route-walk counters (a later rewind
-        rolls them back to the granted prefix when needed) and, with
-        record_hops, the prefilled hop log.
-        """
+        """The Packet object of slot ``ps``, a lazy one rebuilt exactly
+        as :meth:`inject` and its flush would have built it."""
         pkt = self._pkt_obj[ps]
         if pkt is not None:
             return pkt
@@ -1070,16 +1011,11 @@ class ArrayCore:
     def _rewind_in_flight_packets(self) -> None:
         """Roll live packets' hop counters back to their granted prefix.
 
-        The array path applies every ``on_hop`` update at injection
-        (the walk needs them: dragonfly VC selection reads ``g_hops``
-        mid-path) and never reads them again until delivery.  The wheel
-        path re-applies ``on_hop`` per remaining grant, so handing over
-        a packet with final-state counters would double-count — and
-        mis-route, since ``min_hop`` picks VCs from ``g_hops``.  Walk
-        each live packet's first ``pk_hop`` hops again from zeroed
-        counters to reconstruct exactly the wheel's mid-flight state;
-        prefilled hop logs are truncated to the granted prefix for the
-        same reason.
+        A packet leaves injection with the counters of its whole route,
+        and the wheel advances them per remaining grant (``min_hop``
+        reads ``g_hops`` for the VC): each restarts unrouted and walks
+        its first ``pk_hop`` hops again; a prefilled hop log is cut to
+        the same prefix.
         """
         topo = self.topo
         lazy = self._pk_lazy
@@ -1092,14 +1028,10 @@ class ArrayCore:
             done = int(self._pk_hop[ps])
             if pkt.hops_log is not None:
                 del pkt.hops_log[done:]
-            pkt.g_hops = 0
-            pkt.local_hops_group = 0
-            pkt.local_hops_total = 0
-            pkt.prev_local_type = None
-            pkt.last_local_vc = 0
+            pkt.restore()
             # done == nh + 1 for a WH packet whose head already ejected:
-            # the walk ends at the destination router either way
-            for _ in _walk_minimal(topo, self._wiring, pkt, done):
+            # the eject hop it then takes last changes no counter
+            for _ in islice(walk(topo, self._wiring, pkt), done):
                 pass
 
     def materialize(self, sim) -> None:

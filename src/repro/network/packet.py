@@ -3,71 +3,33 @@
 A packet carries its routing state (Valiant commitment, hop counters,
 per-group misrouting bookkeeping) so that *on-the-fly* adaptive
 mechanisms can revisit the routing decision at every hop, as in the
-paper.  ``valiant_group`` holds the fabric-defined Valiant
-intermediate token (a group id on the Dragonfly, a router id on the
-flat fabrics — see ``Topology.pick_via``).  Under VCT a packet is a
-single flit of ``size_phits`` phits; under Wormhole it is split into
-fixed-size flits.
+paper; :class:`~repro.topology.route.RouteState` is the part ``min_hop``
+reads and the hop transition.  Under VCT a packet is a single flit of
+``size_phits`` phits; under Wormhole it is split into fixed-size flits.
 """
 
 from __future__ import annotations
 
+from repro.topology.route import RouteState
 
-class Packet:
+
+class Packet(RouteState):
     """A network packet plus its in-flight routing state."""
 
-    __slots__ = (
-        "pid",
-        "src",
-        "dst",
-        "size_phits",
-        "birth",
-        "dst_router",
-        "dst_group",
-        "src_router",
-        "src_group",
-        # routing state
-        "valiant_group",
-        "via_done",
-        "committed",
-        "g_hops",
-        "local_hops_group",
-        "local_hops_total",
-        "misrouted_group",
-        "prev_local_type",
-        "last_local_vc",
-        "mode",
-        "retry_at",
-        # instrumentation
-        "hops_log",
-        "delivered_cycle",
-        "local_misroutes",
-        "global_misrouted",
-    )
+    __slots__ = ("pid", "src", "size_phits", "birth",
+                 # routing state beyond what min_hop reads
+                 "committed", "mode", "retry_at",
+                 # instrumentation
+                 "hops_log", "delivered_cycle", "local_misroutes", "global_misrouted")
 
     def __init__(self, pid: int, src: int, dst: int, size_phits: int, birth: int,
                  src_router: int, src_group: int, dst_router: int, dst_group: int) -> None:
+        RouteState.__init__(self, src_router, src_group, dst, dst_router, dst_group)
         self.pid = pid
         self.src = src
-        self.dst = dst
         self.size_phits = size_phits
         self.birth = birth
-        self.src_router = src_router
-        self.src_group = src_group
-        self.dst_router = dst_router
-        self.dst_group = dst_group
-        self.valiant_group: int | None = None
-        # whether a router-granular Valiant intermediate has been reached
-        # (flipped by the fabric's min_hop oracle; unused on the Dragonfly,
-        # whose group-granular token resolves through g_hops instead)
-        self.via_done = False
         self.committed = False
-        self.g_hops = 0
-        self.local_hops_group = 0
-        self.local_hops_total = 0
-        self.misrouted_group = False
-        self.prev_local_type: int | None = None
-        self.last_local_vc = 0
         self.mode: str | None = None
         #: stall hint: a routing mechanism that refused this head without
         #: drawing a random number, because its only admissible output

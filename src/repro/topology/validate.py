@@ -8,7 +8,6 @@ fabric and checks whatever the fabric's ``caps`` claim.
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 from repro.topology.base import (
     CAP_GROUP_EXITS,
@@ -18,6 +17,7 @@ from repro.topology.base import (
     Topology,
 )
 from repro.topology.fabric import wiring
+from repro.topology.route import RouteState, walk
 
 
 def validate_topology(topo: Topology) -> None:
@@ -131,29 +131,44 @@ def _check_group_exits(topo, links) -> None:
 
 
 def _check_min_hop_walks(topo, links) -> None:
-    """Following ``min_hop`` over the links takes exactly ``minimal_hops``,
-    from every router to four drawn destinations."""
-    nl, nr = topo.local_ports, topo.num_routers
+    """Walk ``min_hop`` with the engine's counters from every router to
+    four drawn destinations: minimally in exactly ``minimal_hops`` hops,
+    then through a drawn Valiant token within twice the diameter."""
+    nr = topo.num_routers
     rng = random.Random(nr)  # a fixed sample per fabric size, no global state
-    for src, dst in [(s, rng.randrange(nr)) for s in range(nr) for _ in range(4)]:
+    pairs = [(s, rng.randrange(nr)) for s in range(nr) for _ in range(4)]
+    for src, dst in pairs:
         want = topo.minimal_hops(src, dst)
-        # the routing state ``min_hop`` may read, of a minimal packet
-        pkt = SimpleNamespace(
-            src_router=src, src_group=topo.group_of(src), dst=topo.node_id(dst, 0),
-            dst_router=dst, dst_group=topo.group_of(dst), valiant_group=None,
-            via_done=False, g_hops=0)
-        cur, hops = src, 0
-        while True:
-            kind, port, _, _ = topo.min_hop(cur, pkt)
-            if kind == PortKind.EJECT:
-                break
-            q = port if kind == PortKind.LOCAL else nl + port
-            hops += 1
-            assert hops <= want, (
-                f"min_hop walk from router {src} to router {dst} takes router "
-                f"{cur} {_port(topo, q)} as hop {hops}; minimal_hops says {want}")
-            pkt.g_hops += kind == PortKind.GLOBAL
-            cur = links[cur][q][0]
-        assert (cur, hops) == (dst, want), (
-            f"min_hop walk from router {src} to router {dst} ejects at router "
-            f"{cur} port {port} after {hops} hops; minimal_hops says {want}")
+        _check_walk(topo, links, _route(topo, src, dst), want, f"minimal_hops says {want}")
+    bound = 2 * max(topo.minimal_hops(s, d) for s in range(nr) for d in range(nr))
+    for src, dst in pairs:
+        route = _route(topo, src, dst)
+        route.valiant_group = topo.pick_via(rng, route)
+        _check_walk(topo, links, route, bound, f"twice the diameter is {bound}")
+
+
+def _route(topo, src: int, dst: int) -> RouteState:
+    return RouteState(src, topo.group_of(src), topo.node_id(dst, 0), dst, topo.group_of(dst))
+
+
+def _check_walk(topo, links, route, limit: int, why: str) -> None:
+    """``route``'s walk ejects at its destination router within ``limit``
+    hops (exactly ``limit`` without a Valiant token), every hop on a VC
+    of the fabric's budget for its port kind."""
+    nl, dst, via = topo.local_ports, route.dst_router, route.valiant_group
+    budget = {PortKind.LOCAL: ("route_local_vcs", topo.route_local_vcs),
+              PortKind.GLOBAL: ("route_global_vcs", topo.route_global_vcs)}
+    path = f"min_hop walk from router {route.src_router} to router {dst}" + (
+        "" if via is None else f" via {via}")
+    hops = 0
+    for cur, kind, port, vc in walk(topo, links, route):
+        if kind == PortKind.EJECT:
+            break
+        q = port if kind == PortKind.LOCAL else nl + port
+        hops += 1
+        assert hops <= limit, f"{path} takes router {cur} {_port(topo, q)} as hop {hops}; {why}"
+        name, vcs = budget[kind]
+        assert 0 <= vc < vcs, (
+            f"{path} takes router {cur} {_port(topo, q)} on VC {vc}; {name} is {vcs}")
+    assert cur == dst and (via is not None or hops == limit), (
+        f"{path} ejects at router {cur} port {port} after {hops} hops; {why}")

@@ -12,6 +12,8 @@ the rule and the undecided stand-in (``network/corechoice.py``) are
 stdlib, and numpy loads with the first point the core wins.  The
 per-process fabric memo (``repro.topology.fabric``) sits on the wheel's
 path too, so it is stdlib-only; its array half lives in ``arraysim``.
+``validate_topology`` and the route walker it shares with the engine
+(``topology/route.py``) load no engine at all.
 Each case needs a fresh interpreter, hence the subprocesses.
 """
 
@@ -99,12 +101,29 @@ assert (run_point(auto, "uniform", 0.6, 60, 60)
         == run_point(auto.with_(engine="wheel"), "uniform", 0.6, 60, 60))
 """
 
+VALIDATOR_LOADS_NO_ENGINE = """
+import importlib.util, sys, types
+
+# the validator's own import graph: stand in for the ``repro`` package,
+# whose ``__init__`` re-exports the engine
+package = types.ModuleType("repro")
+package.__path__ = importlib.util.find_spec("repro").submodule_search_locations
+sys.modules["repro"] = package
+
+from repro.topology import Dragonfly, validate_topology
+
+validate_topology(Dragonfly(2))
+loaded = {"numpy", "networkx", "repro.network", "repro.network.simulator"} & sys.modules.keys()
+assert not loaded, f"the validator loaded {sorted(loaded)}"
+"""
+
 
 @pytest.mark.parametrize("script", [
     pytest.param(WHEEL_LOADS_NEITHER, id="wheel-loads-neither"),
     pytest.param(AUTO_LOADS_NUMPY_WITH_THE_FIRST_POINT_THE_CORE_WINS,
                  id="auto-loads-numpy-with-the-first-winning-point"),
     pytest.param(AUTO_WITHOUT_NUMPY_IS_THE_WHEEL, id="auto-without-numpy"),
+    pytest.param(VALIDATOR_LOADS_NO_ENGINE, id="validator-loads-no-engine"),
 ])
 def test_in_a_fresh_interpreter(script):
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -9,6 +9,7 @@ fabrics.
 """
 
 import random
+from itertools import islice
 
 import networkx as nx
 import pytest
@@ -35,6 +36,7 @@ from repro.topology import (
     wiring,
 )
 from repro.topology.ring import dragonfly_escape_ring, hamiltonian_ring, validate_ring
+from repro.topology.route import walk
 
 FB_CONFIG = SimConfig(topology="flattened_butterfly", fb_routers=12, p=2,
                       routing="minimal")
@@ -198,22 +200,14 @@ def _walk(topo, src_r, dst_r, via=None):
     pkt = Packet(0, topo.node_id(src_r, 0), topo.node_id(dst_r, topo.p - 1),
                  8, 0, src_r, topo.group_of(src_r), dst_r, topo.group_of(dst_r))
     pkt.valiant_group = via
-    links = wiring(topo)
-    cur, hops, vmax = src_r, 0, {PortKind.LOCAL: -1, PortKind.GLOBAL: -1}
     bound = 4 + 2 * (topo.num_groups + topo.a)
-    while True:
-        kind, port, target, vc = topo.min_hop(cur, pkt)
-        if kind == PortKind.EJECT:
-            assert cur == dst_r and port == topo.node_index(pkt.dst)
-            return hops, vmax
+    *taken, (cur, kind, port, _) = islice(walk(topo, wiring(topo), pkt), bound + 1)
+    assert kind == PortKind.EJECT, f"oracle loops: {src_r}->{dst_r} via {via}"
+    assert cur == dst_r and port == topo.node_index(pkt.dst)
+    vmax = {PortKind.LOCAL: -1, PortKind.GLOBAL: -1}
+    for _, kind, _, vc in taken:
         vmax[kind] = max(vmax[kind], vc)
-        if kind == PortKind.LOCAL:
-            cur, _ = links[cur][port]
-            assert topo.index_in_group(cur) == target
-        else:
-            cur, _ = links[cur][topo.local_ports + port]
-        hops += 1
-        assert hops <= bound, f"oracle loops: {src_r}->{dst_r} via {via}"
+    return len(taken), vmax
 
 
 @pytest.mark.parametrize("topo", [FlattenedButterfly(9, p=2), Torus2D(4, 5, p=2),
@@ -229,6 +223,10 @@ def test_oracle_reaches_every_destination_within_vc_budget(topo):
             assert hops == topo.minimal_hops(src, dst)
             pkt = Packet(0, topo.node_id(src, 0), topo.node_id(dst, 0), 8, 0,
                          src, topo.group_of(src), dst, topo.group_of(dst))
+            # a LOCAL hop's target is the in-group index of where it lands
+            kind, port, target, _ = topo.min_hop(src, pkt)
+            if kind == PortKind.LOCAL:
+                assert topo.index_in_group(wiring(topo)[src][port][0]) == target
             _, vmax = _walk(topo, src, dst, via=topo.pick_via(rng, pkt))
             assert vmax[PortKind.LOCAL] < topo.route_local_vcs
             assert vmax[PortKind.GLOBAL] < topo.route_global_vcs

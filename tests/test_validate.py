@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.topology import Dragonfly, Torus2D, validate_topology
+from repro.topology import (
+    Dragonfly,
+    FlattenedButterfly,
+    PortKind,
+    Torus2D,
+    validate_topology,
+)
 
 
 def _exit(topo, group: int, target: int) -> tuple[int, int]:
@@ -95,6 +101,26 @@ class TorusWalkTooLong(Torus2D):
         return max(0, super().minimal_hops(src_router, dst_router) - 1)
 
 
+class ValiantVcOverflow(Dragonfly):
+    """Every hop of a Valiant route rides a VC five past the minimal one."""
+
+    def min_hop(self, cur_router, packet):
+        kind, port, target, vc = super().min_hop(cur_router, packet)
+        if packet.valiant_group is not None and kind != PortKind.EJECT:
+            vc += 5
+        return kind, port, target, vc
+
+
+class ValiantNeverLeaves(Torus2D):
+    """Once at the Valiant intermediate, the route circles its X ring."""
+
+    def min_hop(self, cur_router, packet):
+        if packet.valiant_group is not None and packet.via_done:
+            return (PortKind.LOCAL, 0,
+                    self.local_neighbor_index(self.index_in_group(cur_router), 0), 0)
+        return super().min_hop(cur_router, packet)
+
+
 D2 = Dragonfly(2)
 
 
@@ -121,10 +147,17 @@ D2 = Dragonfly(2)
     (TorusWalkTooLong(4, 5),
      r"min_hop walk from router \d+ to router \d+ takes router \d+ "
      r"(local|global) port \d+ as hop \d+; minimal_hops says \d+"),
+    (ValiantVcOverflow(2),
+     r"min_hop walk from router \d+ to router \d+ via \d+ takes router \d+ "
+     r"(local|global) port \d+ on VC \d+; route_(local|global)_vcs is [23]"),
+    (ValiantNeverLeaves(4, 5),
+     r"min_hop walk from router \d+ to router \d+ via \d+ takes router \d+ "
+     r"local port 0 as hop 9; twice the diameter is 8"),
 ], ids=["asymmetric-global", "local-leaves-group", "self-link",
         "local-port-to-not-inverse", "group-pair-without-link",
         "group-pair-with-two-links", "exit-port-disagrees", "walk-too-long",
-        "walk-too-long-without-caps"])
+        "walk-too-long-without-caps", "valiant-vc-over-budget",
+        "valiant-walk-too-long"])
 def test_each_check_fails_on_its_own_corruption(topo, message):
     with pytest.raises(AssertionError, match=message):
         validate_topology(topo)
@@ -142,3 +175,15 @@ def test_a_fabric_gets_the_checks_its_caps_claim():
                        match=r"router 0's local ports reach in-group indices "
                              r"\[1, 4\], not every other router once"):
         validate_topology(ClaimsComplete(4, 5))
+
+
+def test_the_walk_carries_every_counter_the_engine_keeps():
+    """A ``min_hop`` may read any routing counter an engine packet has."""
+
+    class CountsLocalHops(FlattenedButterfly):
+        def min_hop(self, cur_router, packet):
+            kind, port, target, vc = super().min_hop(cur_router, packet)
+            assert packet.local_hops_total <= 2, "a route is at most two hops"
+            return kind, port, target, vc
+
+    validate_topology(CountsLocalHops(8))
