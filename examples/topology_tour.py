@@ -14,27 +14,20 @@ from repro.core.paritysign import (
     build_allowed_table,
     min_route_guarantee,
 )
-from repro.network.packet import Packet
 from repro.topology import FlattenedButterfly, PortKind, Torus2D, wiring
 from repro.topology.ring import hamiltonian_ring, validate_ring
+from repro.topology.route import RouteState, walk
 
 KIND = {PortKind.EJECT: "eject", PortKind.LOCAL: "local", PortKind.GLOBAL: "global"}
 
 
 def oracle_path(topo, src_router: int, dst_router: int) -> list[str]:
     """Hops of the fabric's minimal route, as (kind, port, vc) labels."""
-    pkt = Packet(0, topo.node_id(src_router, 0), topo.node_id(dst_router, 0),
-                 8, 0, src_router, topo.group_of(src_router),
-                 dst_router, topo.group_of(dst_router))
-    links = wiring(topo)  # links[router][link port] = (peer, peer's port)
-    cur, hops = src_router, []
-    while True:
-        kind, port, target, vc = topo.min_hop(cur, pkt)
-        hops.append(f"{KIND[kind]}[{port}]@vc{vc}")
-        if kind == PortKind.EJECT:
-            return hops
-        cur, _ = links[cur][port if kind == PortKind.LOCAL
-                            else topo.local_ports + port]
+    route = RouteState(src_router, topo.group_of(src_router),
+                       topo.node_id(dst_router, 0), dst_router, topo.group_of(dst_router))
+    # wiring(topo)[router][link port] = (peer, peer's port)
+    return [f"{KIND[kind]}[{port}]@vc{vc}"
+            for _, kind, port, vc in walk(topo, wiring(topo), route)]
 
 
 def main() -> None:

@@ -2,9 +2,9 @@
 
 The wheel's per-grant ``on_hop`` and every walker consumer — the array
 core's route table and rewind, ``validate_topology`` — advance a
-packet's counters through ``RouteState.take_hop``.  The pins below hold
-the array core's minimal-route tables to what they were when each
-consumer still kept its own copy.
+packet's counters through ``RouteState.take_hop``.  The pins below fix
+the array core's minimal-route tables, hops and final counters, on the
+shipped fabrics.
 """
 
 from __future__ import annotations
