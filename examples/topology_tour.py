@@ -27,7 +27,7 @@ def oracle_path(topo, src_router: int, dst_router: int) -> list[str]:
                        topo.node_id(dst_router, 0), dst_router, topo.group_of(dst_router))
     # wiring(topo)[router][link port] = (peer, peer's port)
     return [f"{KIND[kind]}[{port}]@vc{vc}"
-            for _, kind, port, vc in walk(topo, wiring(topo), route)]
+            for _, kind, port, _, vc in walk(topo, wiring(topo), route)]
 
 
 def main() -> None:

@@ -258,13 +258,14 @@ class _RouteTable:
                                    dr, topo.group_of(dr))
                 first = len(ops)
                 offs.append(start + first)
-                for cur, kind, port, vc in walk(topo, self._wiring, route):
+                for cur, kind, port, _, vc in islice(walk(topo, self._wiring, route), nr + 1):
                     if kind is _EJECT:
                         break
                     fop = cur * nout + ((lbase + port) if kind is _LOCAL
                                         else (gbase + port))
                     ops.append(fop)
                     fovcs.append(ovc_base[fop] + vc)
+                assert kind is _EJECT, f"min_hop never ejects from router {sr} to router {dr}"
                 nhs.append(len(ops) - first)
                 final = route.counters()
                 finals.append(intern(final, final))
@@ -667,7 +668,7 @@ class ArrayCore:
         (a rewind rolls it back to the granted prefix) — with
         ``record_hops``, by walking it for the hop log."""
         if self._record_hops:
-            pkt.hops_log = [(int(kind), port, vc) for _, kind, port, vc
+            pkt.hops_log = [(int(kind), port, vc) for _, kind, port, _, vc
                             in walk(self.topo, self._wiring, pkt)]
         else:
             pkt.restore(self._routes.final[rid])

@@ -72,7 +72,7 @@ class RouteState:
 def walk(topo, links, route: RouteState):
     """Follow ``topo.min_hop`` for ``route`` from its source router over
     ``links`` (the fabric's wiring table), Valiant leg included, yielding
-    ``(router, kind, port, vc)`` per hop, the eject hop last.
+    ``(router, *min_hop(router, route))`` per hop, the eject hop last.
 
     A link hop is applied to ``route`` before it is yielded: a consumer
     that stops after ``n`` hops holds what ``n`` grants leave.  A walk
@@ -84,8 +84,8 @@ def walk(topo, links, route: RouteState):
     while True:
         kind, port, target, vc = min_hop(cur, route)
         if kind == _EJECT:
-            yield cur, kind, port, vc
+            yield cur, kind, port, target, vc
             return
         route.take_hop(kind, index_in_group(cur), target, vc)
-        yield cur, kind, port, vc
+        yield cur, kind, port, target, vc
         cur = links[cur][port if kind == _LOCAL else nl + port][0]

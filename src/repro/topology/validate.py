@@ -15,6 +15,7 @@ from repro.topology.base import (
     DRAGONFLY_CAPS,
     PortKind,
     Topology,
+    UnsupportedTopologyError,
 )
 from repro.topology.fabric import wiring
 from repro.topology.route import RouteState, walk
@@ -133,7 +134,7 @@ def _check_group_exits(topo, links) -> None:
 def _check_min_hop_walks(topo, links) -> None:
     """Walk ``min_hop`` with the engine's counters from every router to
     four drawn destinations: minimally in exactly ``minimal_hops`` hops,
-    then through a drawn Valiant token within twice the diameter."""
+    then through a drawn Valiant token, if any, within twice the diameter."""
     nr = topo.num_routers
     rng = random.Random(nr)  # a fixed sample per fabric size, no global state
     pairs = [(s, rng.randrange(nr)) for s in range(nr) for _ in range(4)]
@@ -143,7 +144,10 @@ def _check_min_hop_walks(topo, links) -> None:
     bound = 2 * max(topo.minimal_hops(s, d) for s in range(nr) for d in range(nr))
     for src, dst in pairs:
         route = _route(topo, src, dst)
-        route.valiant_group = topo.pick_via(rng, route)
+        try:
+            route.valiant_group = topo.pick_via(rng, route)
+        except UnsupportedTopologyError:
+            return  # no Valiant routing here (e.g. a two-router fabric)
         _check_walk(topo, links, route, bound, f"twice the diameter is {bound}")
 
 
@@ -154,21 +158,28 @@ def _route(topo, src: int, dst: int) -> RouteState:
 def _check_walk(topo, links, route, limit: int, why: str) -> None:
     """``route``'s walk ejects at its destination router within ``limit``
     hops (exactly ``limit`` without a Valiant token), every hop on a VC
-    of the fabric's budget for its port kind."""
+    of its port kind's budget, every local hop at the router it targets."""
     nl, dst, via = topo.local_ports, route.dst_router, route.valiant_group
     budget = {PortKind.LOCAL: ("route_local_vcs", topo.route_local_vcs),
               PortKind.GLOBAL: ("route_global_vcs", topo.route_global_vcs)}
     path = f"min_hop walk from router {route.src_router} to router {dst}" + (
         "" if via is None else f" via {via}")
-    hops = 0
-    for cur, kind, port, vc in walk(topo, links, route):
-        if kind == PortKind.EJECT:
-            break
-        q = port if kind == PortKind.LOCAL else nl + port
-        hops += 1
-        assert hops <= limit, f"{path} takes router {cur} {_port(topo, q)} as hop {hops}; {why}"
-        name, vcs = budget[kind]
-        assert 0 <= vc < vcs, (
-            f"{path} takes router {cur} {_port(topo, q)} on VC {vc}; {name} is {vcs}")
+    hops, cur = 0, route.src_router
+    try:
+        for here, kind, port, target, vc in walk(topo, links, route):
+            if kind == PortKind.EJECT:
+                break
+            q = port if kind == PortKind.LOCAL else nl + port
+            at = f"{path} takes router {here} {_port(topo, q)}"
+            hops += 1
+            assert hops <= limit, f"{at} as hop {hops}; {why}"
+            name, vcs = budget[kind]
+            assert 0 <= vc < vcs, f"{at} on VC {vc}; {name} is {vcs}"
+            cur = links[here][q][0]
+            landed = topo.index_in_group(cur)
+            assert kind != PortKind.LOCAL or landed == target, (  # RLM reads the target
+                f"{at} to in-group index {landed}, but min_hop names target {target}")
+    except ValueError as err:  # e.g. a local target that is the router's own index
+        raise AssertionError(f"{path} fails at router {cur}: {err}") from err
     assert cur == dst and (via is not None or hops == limit), (
         f"{path} ejects at router {cur} port {port} after {hops} hops; {why}")

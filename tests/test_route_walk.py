@@ -10,6 +10,7 @@ shipped fabrics.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.network import arraysim
 from repro.network.config import SimConfig
 from repro.network.packet import Packet
 from repro.network.simulator import Simulator, build_simulator
-from repro.topology import PortKind, wiring
+from repro.topology import PortKind, Torus2D, wiring
 from repro.topology.route import walk
 
 #: sha256 over every router pair's route: hops (flat output port and
@@ -69,7 +70,7 @@ def test_on_hop_leaves_what_the_walk_leaves(via):
 
     walked, granted = packet(), packet()
     hops = 0
-    for cur, kind, port, vc in walk(topo, links, walked):
+    for cur, kind, port, _, vc in walk(topo, links, walked):
         if kind == PortKind.EJECT:
             break
         router = sim.routers[cur]
@@ -79,3 +80,21 @@ def test_on_hop_leaves_what_the_walk_leaves(via):
         assert granted.counters() == walked.counters()
         hops += 1
     assert (hops, walked.g_hops) == ((5, 2) if via is not None else (3, 1))
+
+
+def test_route_table_refuses_a_route_that_never_ejects():
+    """A ``min_hop`` that circles a ring fails the route-table walk
+    instead of hanging it."""
+
+    class Circles(Torus2D):
+        def min_hop(self, cur_router, packet):
+            return (PortKind.LOCAL, 0,
+                    self.local_neighbor_index(self.index_in_group(cur_router), 0), 0)
+
+    topo = Circles(3, 4)
+    nout = topo.p + topo.local_ports + topo.global_ports
+    routes = arraysim._RouteTable(topo, wiring(topo), nout,
+                                  [0] * (topo.num_routers * nout), threading.Lock())
+    with pytest.raises(AssertionError,
+                       match=r"min_hop never ejects from router 0 to router 5"):
+        routes.rids(np.array([5]))

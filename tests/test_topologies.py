@@ -46,6 +46,7 @@ TORUS_CONFIG = SimConfig(topology="torus", torus_rows=4, torus_cols=5, p=2,
 
 # ------------------------------------------------------------- validation
 @pytest.mark.parametrize("topo", [
+    FlattenedButterfly(2),  # no Valiant intermediate: minimal walks only
     FlattenedButterfly(3, p=1),
     FlattenedButterfly(36, p=2),
     Torus2D(3, 3, p=1),
@@ -200,13 +201,17 @@ def _walk(topo, src_r, dst_r, via=None):
     pkt = Packet(0, topo.node_id(src_r, 0), topo.node_id(dst_r, topo.p - 1),
                  8, 0, src_r, topo.group_of(src_r), dst_r, topo.group_of(dst_r))
     pkt.valiant_group = via
+    links = wiring(topo)
     bound = 4 + 2 * (topo.num_groups + topo.a)
-    *taken, (cur, kind, port, _) = islice(walk(topo, wiring(topo), pkt), bound + 1)
+    *taken, (cur, kind, port, _, _) = islice(walk(topo, links, pkt), bound + 1)
     assert kind == PortKind.EJECT, f"oracle loops: {src_r}->{dst_r} via {via}"
     assert cur == dst_r and port == topo.node_index(pkt.dst)
     vmax = {PortKind.LOCAL: -1, PortKind.GLOBAL: -1}
-    for _, kind, _, vc in taken:
+    for here, kind, port, target, vc in taken:
         vmax[kind] = max(vmax[kind], vc)
+        if kind == PortKind.LOCAL:
+            # a LOCAL hop's target is the in-group index of where it lands
+            assert topo.index_in_group(links[here][port][0]) == target
     return len(taken), vmax
 
 
@@ -223,10 +228,6 @@ def test_oracle_reaches_every_destination_within_vc_budget(topo):
             assert hops == topo.minimal_hops(src, dst)
             pkt = Packet(0, topo.node_id(src, 0), topo.node_id(dst, 0), 8, 0,
                          src, topo.group_of(src), dst, topo.group_of(dst))
-            # a LOCAL hop's target is the in-group index of where it lands
-            kind, port, target, _ = topo.min_hop(src, pkt)
-            if kind == PortKind.LOCAL:
-                assert topo.index_in_group(wiring(topo)[src][port][0]) == target
             _, vmax = _walk(topo, src, dst, via=topo.pick_via(rng, pkt))
             assert vmax[PortKind.LOCAL] < topo.route_local_vcs
             assert vmax[PortKind.GLOBAL] < topo.route_global_vcs

@@ -121,6 +121,36 @@ class ValiantNeverLeaves(Torus2D):
         return super().min_hop(cur_router, packet)
 
 
+class WrongTargetAfterGlobal(Dragonfly):
+    """A local hop in the destination group names the wrong next router."""
+
+    def min_hop(self, cur_router, packet):
+        kind, port, target, vc = super().min_hop(cur_router, packet)
+        if kind == PortKind.LOCAL and packet.g_hops:
+            target = (target + 1) % self.a
+        return kind, port, target, vc
+
+
+class ValiantWrongTarget(Dragonfly):
+    """Every local hop of a Valiant route names the wrong next router."""
+
+    def min_hop(self, cur_router, packet):
+        kind, port, target, vc = super().min_hop(cur_router, packet)
+        if kind == PortKind.LOCAL and packet.valiant_group is not None:
+            target = (target + 1) % self.a
+        return kind, port, target, vc
+
+
+class TargetIsItself(Dragonfly):
+    """A local hop in the destination group names its own router."""
+
+    def min_hop(self, cur_router, packet):
+        kind, port, target, vc = super().min_hop(cur_router, packet)
+        if kind == PortKind.LOCAL and packet.g_hops:
+            target = self.index_in_group(cur_router)
+        return kind, port, target, vc
+
+
 D2 = Dragonfly(2)
 
 
@@ -153,11 +183,21 @@ D2 = Dragonfly(2)
     (ValiantNeverLeaves(4, 5),
      r"min_hop walk from router \d+ to router \d+ via \d+ takes router \d+ "
      r"local port 0 as hop 9; twice the diameter is 8"),
+    (WrongTargetAfterGlobal(2),
+     r"min_hop walk from router \d+ to router \d+ takes router \d+ local port \d+ "
+     r"to in-group index \d+, but min_hop names target \d+"),
+    (ValiantWrongTarget(2),
+     r"min_hop walk from router \d+ to router \d+ via \d+ takes router \d+ "
+     r"local port \d+ to in-group index \d+, but min_hop names target \d+"),
+    (TargetIsItself(2),
+     r"min_hop walk from router \d+ to router \d+ fails at router \d+: "
+     r"no local hop from a router to itself"),
 ], ids=["asymmetric-global", "local-leaves-group", "self-link",
         "local-port-to-not-inverse", "group-pair-without-link",
         "group-pair-with-two-links", "exit-port-disagrees", "walk-too-long",
         "walk-too-long-without-caps", "valiant-vc-over-budget",
-        "valiant-walk-too-long"])
+        "valiant-walk-too-long", "local-target-after-global",
+        "valiant-local-target", "local-target-is-itself"])
 def test_each_check_fails_on_its_own_corruption(topo, message):
     with pytest.raises(AssertionError, match=message):
         validate_topology(topo)
