@@ -1,7 +1,7 @@
 """Analytical helpers: throughput bounds (§II) and the physical-invariant
-verification layer, both stdlib-only.  The CDG deadlock proofs (§III)
-are :mod:`repro.analysis.cdg`, imported by that name only: they need a
-graph library, and nothing a simulation or ``verify-results`` runs does."""
+verification layer, both stdlib-only.  The CDG deadlock checks (§III),
+explored from the routing code, are :mod:`repro.analysis.cdg`, imported by
+that name only: they need a graph library, and no simulation does."""
 
 from repro.analysis.bounds import (
     advg_minimal_bound,

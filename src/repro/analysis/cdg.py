@@ -1,207 +1,302 @@
-"""Channel-dependency-graph (CDG) verification of deadlock freedom.
+"""Channel-dependency graphs (CDG), explored from the routing code.
 
-Dally & Seitz: a routing function is deadlock-free if its channel
-dependency graph — nodes are (link, VC) buffers, edges are "a packet
-can hold the first while waiting for the second" — is acyclic.  This
-module *constructs* the CDG of each mechanism over a fabric's wiring
-table (:func:`repro.topology.fabric.wiring`) and checks the paper's
-§III arguments mechanically, on any fabric with the ``dragonfly-paths``
-capability (the others raise ``UnsupportedTopologyError``):
-
-* Minimal / Valiant / Piggybacking / PAR-6/2: strictly ascending
-  Günther VC chains ⇒ the CDG is a DAG.
-* RLM: local hops inside a supernode reuse one VC, but only parity-sign
-  pairs from Table I are allowed ⇒ still a DAG.  Dropping the
-  restriction (what a naïve 3/2 local-misrouting scheme would do)
-  produces cycles — :func:`build_cdg` exposes that counterfactual.
-* OLM: the full dependency graph *contains cycles by design*; safety
-  comes from the escape sub-CDG (minimal/Valiant continuations in
-  ascending VC order), which must be acyclic and reachable from every
-  channel.
-
-Nodes: ``("L", u, v, vc)`` local link channel u→v, ``("G", u, v, vc)``
-global link channel, ``("EJ", r)`` ejection sink at router ``r``; every
-channel depends on the sink it can eject into, so the edges name them all.
+Routing is deadlock-free if its CDG — a node per buffer (link, VC), an
+edge wherever a packet can hold one while it waits for the other — is
+acyclic (Dally & Seitz).  :func:`explore` drives the mechanism's own
+``decide`` / ``on_hop`` over stub routers whose every read is a choice:
+per output one of six (busy, credits) profiles (free with ``capacity``,
+``2·size``, ``size`` or 0 credits, busy with ``capacity`` or 0; a
+wormhole VC is owned when it has no room), occupancy fractions, PB's
+queue depth and flags, ``rng`` draws and ``trigger.allows``.  It searches
+depth first from every injection state to ejection, memoising outcomes
+per router on the packet fields ``decide`` read, and records an edge per
+(held channel → requested channel).  A sampler drawing twice in one call
+(a redraw loop) is cut: its first draw offered every value.  Nodes:
+``("L"|"G", u, v, vc)`` the channel u→v, ``("EJ", r)`` ejection at ``r``.
 """
 
 from __future__ import annotations
 
+import sys
+from operator import attrgetter
+from types import SimpleNamespace
+
 import networkx as nx
 
-from repro.core.paritysign import link_type, pair_allowed
-from repro.topology.base import (
-    CAP_DRAGONFLY_PATHS,
-    DRAGONFLY_CAPS,
-    Topology,
-    UnsupportedTopologyError,
-)
-from repro.topology.fabric import wiring
+from repro.core import RoutingAlgorithm, routing_by_name
+from repro.registry import FLOW_CONTROL_REGISTRY
+from repro.topology.base import PortKind
+from repro.topology.fabric import fabric_for
+from repro.topology.route import RouteState
 
-#: mechanisms with plain ascending chains (3 local / 2 global VCs)
-_ASCENDING = ("minimal", "valiant", "pb")
-
-
-def _channels(topo: Topology) -> tuple[list, list]:
-    """Per router, the peers of its local and of its global links."""
-    if CAP_DRAGONFLY_PATHS not in getattr(topo, "caps", DRAGONFLY_CAPS):
-        raise UnsupportedTopologyError(
-            f"the channel-dependency graph requires the {CAP_DRAGONFLY_PATHS!r} "
-            f"capability, which topology {type(topo).__name__} does not "
-            "provide: its VC disciplines are the paper's l-g-l ones")
-    nl = topo.local_ports
-    links = wiring(topo)
-    return ([[peer for peer, _ in row[:nl]] for row in links],
-            [[peer for peer, _ in row[nl:]] for row in links])
+_EJECT, _LOCAL, _GLOBAL = PortKind.EJECT, PortKind.LOCAL, PortKind.GLOBAL
+_KIND = {"L": _LOCAL, "G": _GLOBAL}
+#: what a routing decision may read or write of a packet: the memo key
+_STATE = RouteState.__slots__ + ("committed", "mode")
 
 
-def _links(peers: list) -> list:
-    """``(u, v)`` per link of an adjacency list, in port order."""
-    return [(u, v) for u, vs in enumerate(peers) for v in vs]
+class _Probe(RouteState):
+    """A packet: routing state, and what else ``decide`` / ``on_hop`` touch."""
+
+    __slots__ = ("committed", "mode", "src", "size_phits", "retry_at",
+                 "local_misroutes", "global_misrouted")
+
+    def __init__(self, topo, src: int, dst: int, size: int) -> None:
+        super().__init__(src, topo.group_of(src), topo.node_id(dst, 0), dst, topo.group_of(dst))
+        self.committed, self.mode, self.src = False, None, topo.node_id(src, 0)
+        self.size_phits, self.retry_at, self.local_misroutes = size, 0, 0
+        self.global_misrouted = False
+
+    def clone(self) -> "_Probe":
+        twin = _Probe.__new__(_Probe)
+        for f, v in zip(_FIELDS, _every(self)):
+            setattr(twin, f, v)
+        return twin
 
 
-def build_cdg(topo: Topology, mechanism: str, *,
-              rlm_restricted: bool = True,
-              escape_only: bool = False) -> nx.DiGraph:
-    """Construct the channel dependency graph of ``mechanism`` on ``topo``.
+class _View:
+    """What ``decide`` sees of a probe: reads logged, writes kept aside."""
 
-    ``rlm_restricted=False`` builds the counterfactual RLM without the
-    parity-sign restriction.  ``escape_only=True`` keeps only the
-    ascending escape continuations (meaningful for OLM).  Raises
-    :class:`UnsupportedTopologyError` on a fabric without the
-    ``dragonfly-paths`` capability.
-    """
-    local, glob = _channels(topo)
-    if mechanism in _ASCENDING:
-        return _cdg_ascending(local, glob)
-    if mechanism == "rlm":
-        return _cdg_rlm(topo, local, glob, restricted=rlm_restricted)
-    if mechanism == "par62":
-        return _cdg_par62(local, glob)
-    if mechanism == "olm":
-        return _cdg_olm(local, glob, escape_only=escape_only)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    def __init__(self, probe: _Probe, reads: set) -> None:
+        self._probe, self._reads = probe, reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._probe, name)
 
 
-def _cdg_ascending(local: list, glob: list) -> nx.DiGraph:
-    """MIN/VAL/PB: lVC_{g+1} per group, one local hop per group."""
-    g = nx.DiGraph()
-    for u, v in _links(local):
-        for vc in range(3):
-            g.add_edge(("L", u, v, vc), ("EJ", v))
-            if vc <= 1:
-                for peer in glob[v]:
-                    g.add_edge(("L", u, v, vc), ("G", v, peer, vc))
-    for u, v in _links(glob):
-        for vc in range(2):
-            g.add_edge(("G", u, v, vc), ("EJ", v))
-            for w in local[v]:
-                g.add_edge(("G", u, v, vc), ("L", v, w, vc + 1))
-            if vc == 0:
-                for peer in glob[v]:
-                    g.add_edge(("G", u, v, 0), ("G", v, peer, 1))
-    return g
+_FIELDS = RouteState.__slots__ + _Probe.__slots__
+_every, _key = attrgetter(*_FIELDS), attrgetter(*_STATE)
 
 
-def _cdg_rlm(topo: Topology, local: list, glob: list, *,
-             restricted: bool) -> nx.DiGraph:
-    """RLM: ascending chains + same-VC local pairs filtered by Table I."""
-    g = _cdg_ascending(local, glob)
-    idx = [topo.index_in_group(r) for r in range(len(local))]
-    for u, v in _links(local):
-        for w in local[v]:
-            # note: u->v->u (a 180° turn) is included iff Table I allows it
-            if restricted and not pair_allowed(link_type(idx[u], idx[v]),
-                                               link_type(idx[v], idx[w])):
-                continue
-            for vc in range(3):
-                g.add_edge(("L", u, v, vc), ("L", v, w, vc))
-    return g
+class _Cut(Exception):
+    """A redraw: every value it could give, the first draw gave."""
 
 
-def _cdg_par62(local: list, glob: list) -> nx.DiGraph:
-    """PAR-6/2: strictly ascending over the interleaved 6+2 VC ranks.
+class _Lookup:
+    def __init__(self, get) -> None:
+        self.get = get
 
-    rank: lVC1 lVC2 gVC1 lVC3 lVC4 gVC2 lVC5 lVC6  (paper §III-A).
-    """
-    lrank = [0, 1, 3, 4, 6, 7]
-    grank = [2, 5]
-    g = nx.DiGraph()
-    for u, v in _links(local):
-        for vc in range(6):
-            g.add_edge(("L", u, v, vc), ("EJ", v))
-            for w in local[v]:
-                if vc + 1 < 6 and lrank[vc + 1] > lrank[vc]:
-                    g.add_edge(("L", u, v, vc), ("L", v, w, vc + 1))
-            for gvc in range(2):
-                if grank[gvc] > lrank[vc]:
-                    for peer in glob[v]:
-                        g.add_edge(("L", u, v, vc), ("G", v, peer, gvc))
-    for u, v in _links(glob):
-        for gvc in range(2):
-            g.add_edge(("G", u, v, gvc), ("EJ", v))
-            for w in local[v]:
-                for vc in range(6):
-                    if lrank[vc] > grank[gvc]:
-                        g.add_edge(("G", u, v, gvc), ("L", v, w, vc))
-            if gvc == 0:
-                for peer in glob[v]:
-                    g.add_edge(("G", u, v, 0), ("G", v, peer, 1))
-    return g
+    def __getitem__(self, key):
+        return self.get(key)
 
 
-def _cdg_olm(local: list, glob: list, *, escape_only: bool) -> nx.DiGraph:
-    """OLM: escape chains (ascending) plus, unless ``escape_only``, the
-    opportunistic misroute dependencies that may close cycles."""
-    g = _cdg_ascending(local, glob)  # the escape skeleton is the MIN/VAL chain
-    if escape_only:
-        return g
-    for u, v in _links(local):
-        for w in local[v]:
-            # source-group divert: second local hop on the same lVC1
-            g.add_edge(("L", u, v, 0), ("L", v, w, 0))
-            # intra-group misroute then ascending final hop
-            g.add_edge(("L", u, v, 0), ("L", v, w, 1))
-    for u, v in _links(glob):
-        for w in local[v]:
-            # misroute on arrival: lVC_j with j <= g_hops-1
-            g.add_edge(("G", u, v, 0), ("L", v, w, 0))
-            g.add_edge(("G", u, v, 1), ("L", v, w, 0))
-            g.add_edge(("G", u, v, 1), ("L", v, w, 1))
-    return g
+class _Output:
+    """A router output whose every field ``decide`` reads is a choice."""
+
+    def __init__(self, x: "_Chooser", kind: PortKind, capacity: int) -> None:
+        self.kind, self.capacity, self._x = kind, capacity, x
+        self.credits = _Lookup(lambda vc: x.credits(self, vc))
+        self.owner = _Lookup(lambda vc: None if x.credits(self, vc) >= x.size else -1)
+
+    @property
+    def busy_until(self) -> int:
+        return self._x.once(self, (0, 1))  # free or busy at ``now = 0``
+
+    def mean_occupancy_fraction(self) -> float:
+        return self._x.once(("occupancy", self), (0.0, 1.0))
 
 
-# ------------------------------------------------------------- verification
-def is_deadlock_free(topo: Topology, mechanism: str) -> bool:
-    """Check the paper's deadlock-freedom claim for ``mechanism``.
+class _Chooser:
+    """The choices of ``decide`` calls, and the mechanism's ``rng`` and
+    ``trigger``: :meth:`runs` replays a prefix of choices per call and
+    takes the first option past it, until every sequence is tried."""
 
-    For OLM this means: the *escape* CDG is acyclic and every channel
-    can step onto it; for the others, the full CDG is acyclic.
-    """
-    if mechanism == "olm":
-        escape = build_cdg(topo, "olm", escape_only=True)
-        if not nx.is_directed_acyclic_graph(escape):
-            return False
-        return escape_reachable(topo)
-    g = build_cdg(topo, mechanism)
-    return nx.is_directed_acyclic_graph(g)
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def runs(self, call):
+        """``call()`` (``_Cut`` for a cut redraw) under every choice sequence."""
+        self.path = []  # [option taken, options] per choice made
+        while True:
+            self.depth, self.seen, self.samplers, self.allowed = 0, {}, [], False
+            try:
+                yield call()
+            except _Cut:
+                yield _Cut
+            while self.path and self.path[-1][0] + 1 == self.path[-1][1]:
+                self.path.pop()
+            if not self.path:
+                return
+            self.path[-1][0] += 1
+
+    def pick(self, options):
+        d, self.depth = self.depth, self.depth + 1
+        if d == len(self.path):
+            self.path.append([0, len(options)])
+        return options[self.path[d][0]]
+
+    def once(self, key, options):
+        """One choice per ``key`` per ``decide`` call."""
+        if key not in self.seen:
+            self.seen[key] = self.pick(options)
+        return self.seen[key]
+
+    def credits(self, out: _Output, vc: int) -> int:
+        s, cap, busy = self.size, out.capacity, out.busy_until
+        return self.once((out, vc), (cap, 0) if busy else (cap, 2 * s, s, 0))
+
+    def draw(self, n: int) -> int:
+        sampler = sys._getframe(2)  # the code that called rng.getrandbits / randrange
+        if any(f is sampler for f in self.samplers):
+            raise _Cut
+        self.samplers.append(sampler)
+        return self.pick(range(n))
+
+    getrandbits = lambda self, k: self.draw(1 << k)
+    randrange = lambda self, n: self.draw(n)
+
+    def allows(self, minimal_occupancy, candidate_occupancy) -> bool:
+        ok = self.pick((False, True))
+        self.allowed |= ok
+        return ok
 
 
-def escape_reachable(topo: Topology) -> bool:
-    """Every OLM channel reaches an ejection sink through escape edges."""
-    escape = build_cdg(topo, "olm", escape_only=True)
-    sinks = {("EJ", r) for r in range(topo.num_routers)}
-    rev = escape.reverse(copy=False)
-    reach: set = set()
-    for s in sinks:
-        reach.add(s)
-        reach.update(nx.descendants(rev, s))
-    return all(n in reach for n in escape.nodes)
+class Cdg(SimpleNamespace):
+    """What :func:`explore` saw: the ``graph``, its ``escape`` sub-graph
+    (``decide`` with every ``allows`` refused), the ``criterion`` safety
+    rests on and, for a ring, the ``faults`` seen."""
+
+    def problem(self) -> str | None:
+        """``None`` if deadlock-free, else what fails, with a witness: an
+        acyclic graph; under ``requires_vct`` an acyclic escape sub-graph
+        through which every channel reaches ejection; with an escape
+        resource (OFAR's ring) a ring hop or ejection in every state,
+        granted with room for two packets onto the ring, one along it."""
+        if self.criterion == "ring":
+            return self.faults[0] if self.faults else None
+        which = "escape" if self.criterion == "escape" else "full"
+        cycle = cycle_witness(self.escape if which == "escape" else self.graph)
+        if cycle is not None:
+            return f"the {which} CDG has a cycle: {cycle}"
+        sinks = [c for c in self.escape if c[0] == "EJ"]
+        reach = set(sinks).union(*(nx.ancestors(self.escape, s) for s in sinks))
+        lost = [c for c in self.graph if c not in reach]
+        if self.criterion == "escape" and lost:
+            return f"channel {lost[0]} reaches no ejection through the escape CDG"
+        return None
 
 
-def cycle_witness(topo: Topology, mechanism: str, **kwargs) -> list | None:
-    """A concrete dependency cycle, or ``None`` if the CDG is acyclic."""
-    g = build_cdg(topo, mechanism, **kwargs)
+def cycle_witness(graph: nx.DiGraph) -> list | None:
+    """A concrete dependency cycle of ``graph``, or ``None`` if acyclic."""
     try:
-        return nx.find_cycle(g)
+        return nx.find_cycle(graph)
     except nx.NetworkXNoCycle:
         return None
+
+
+def explore(config) -> Cdg:
+    """The CDG of ``config``'s routing on its fabric under its flow control."""
+    topo, links = fabric_for(config).topo, fabric_for(config).wiring
+    algo_cls = routing_by_name(config.routing)
+    fc = FLOW_CONTROL_REGISTRY.get(config.flow_control).from_config(config)
+    if algo_cls.requires_vct and not fc.whole_packet_reservation:
+        raise ValueError(f"routing {config.routing!r} requires VCT flow control")
+    n, nl, p = topo.num_routers, topo.local_ports, topo.p
+    shift = getattr(topo, "rotation", 0)
+    for r in range(n if shift else 0):  # a declared rotation must be real
+        if links[(r + shift) % n] != tuple(((w + shift) % n, q) for w, q in links[r]):
+            raise ValueError(f"{topo!r} declares rotation {shift}, which does "
+                             f"not map router {r}'s links onto router {r + shift}'s")
+
+    head = fc.flits_of(_Probe(topo, 0, 0, config.packet_phits))[0]
+    x = _Chooser(head.size)
+    algo = algo_cls(topo, config.with_(misroute_candidates=1), x, x)
+    if isinstance(getattr(algo, "_flags", None), list):
+        # PB's broadcast: the one mechanism state ``per_cycle`` writes
+        algo._flags = _Lookup(lambda g: _Lookup(lambda k: x.once(("flag", g, k), (0, 1))))
+    ring = type(algo).is_escape_hop is not RoutingAlgorithm.is_escape_hop
+    cap = {_EJECT: 0, _LOCAL: config.local_buffer_phits, _GLOBAL: config.global_buffer_phits}
+    kinds = [_EJECT] * p + [_LOCAL] * nl + [_GLOBAL] * topo.global_ports
+    routers = [SimpleNamespace(
+        rid=r, group=topo.group_of(r), idx=topo.index_in_group(r), out_base=(0, p, p + nl),
+        outputs=[_Output(x, k, cap[k]) for k in kinds],
+        out_local=lambda q: p + q, out_global=lambda q: p + nl + q,
+        inputs=_Lookup(lambda k, r=r: SimpleNamespace(vcs=_Lookup(lambda v: SimpleNamespace(
+            occupancy=x.once(("queue", r, k, v), (0, sys.maxsize)))))))
+        for r in range(n)]
+    # a ring lap grows the hop counters for ever: past the longest Valiant
+    # route the edges stopped growing on every fabric measured; any other
+    # route must eject before it takes a hop per router
+    limit = 2 * max(topo.minimal_hops(s, d) for s in range(n) for d in range(n)) if ring else n
+
+    def outcomes(rid: int, probe: _Probe) -> tuple:
+        """The fields ``decide`` read, and ``[decision, fields written,
+        channel, escape, least credits granted]`` per distinct result."""
+        router, found, reads, views = routers[rid], {}, set(), []
+
+        def decide():
+            views.append(view := _View(probe, reads))
+            return algo.decide(router, view, 0, head)
+
+        for d in x.runs(decide):
+            wrote = tuple(sorted((f, v) for f, v in vars(views.pop()).items() if f in _STATE))
+            if d is _Cut:
+                continue
+            if d is not None:
+                q = d.out - p
+                channel = ("EJ", rid) if q < 0 else (
+                    "L" if q < nl else "G", rid, links[rid][q][0], d.vc)
+                entry = found.setdefault((d.out, d.vc, d.valiant_group, d.local_target,
+                                          d.is_local_misroute, wrote),
+                                         [d, wrote, channel, False, sys.maxsize])
+                if q >= 0:
+                    entry[4] = min(entry[4], x.seen.get((router.outputs[d.out], d.vc), -1))
+            elif wrote:  # a refusal that decided something (PB's mode)
+                entry = found.setdefault(wrote, [None, wrote, None, False, None])
+            else:
+                continue
+            entry[3] |= not x.allowed
+        return tuple(sorted(reads & set(_FIELDS))), list(found.values())
+
+    edges, escape, faults, seen = set(), set(), [], set()
+    memo: dict = {}  # router -> fields read -> (their getter, {values: outcomes})
+    stack = [(s, None, _Probe(topo, s, d, config.packet_phits))
+             for s in range(shift or n) for d in range(n)]
+    while stack:
+        rid, held, probe = stack.pop()
+        key = _key(probe)
+        if (rid, held, key) in seen:
+            continue
+        seen.add((rid, held, key))
+        tables = memo.setdefault(rid, {})
+        found = next((t[get(probe)] for get, t in tables.values() if get(probe) in t), None)
+        if found is None:
+            fields, found = outcomes(rid, probe)
+            get, table = tables.setdefault(fields, (attrgetter(*fields), {}))
+            table[get(probe)] = found
+            if ring and not any(c and (c[0] == "EJ" or algo.is_escape_hop(_KIND[c[0]], c[3]))
+                                for _, _, c, _, _ in found):
+                faults.append(f"no ring hop or ejection offered at router {rid} to {key}")
+        for d, wrote, channel, safe, credits in found:
+            nxt = probe.clone()
+            for f, v in wrote:
+                setattr(nxt, f, v)
+            if channel is None:
+                if _key(nxt) != key:
+                    stack.append((rid, held, nxt))
+                continue
+            algo.on_hop(routers[rid], nxt, d)
+            if held is not None:
+                edges.add((held, channel))
+                if safe:
+                    escape.add((held, channel))
+            if channel[0] == "EJ":
+                continue
+            if ring and algo.is_escape_hop(_KIND[channel[0]], channel[3]):
+                aboard = held is not None and algo.is_escape_hop(_KIND[held[0]], held[3])
+                if credits < (1 if aboard else 2) * head.size:
+                    faults.append(f"ring hop {held} -> {channel} granted on {credits} credits")
+            if nxt.g_hops + nxt.local_hops_total <= limit:
+                stack.append((channel[2], channel, nxt))
+            elif not ring:
+                raise RuntimeError(f"route {key} took {limit} hops without ejecting")
+
+    def turned(node: tuple, k: int) -> tuple:
+        return (node[0], *((v + k) % n for v in node[1:3]), *node[3:])
+
+    graph, esc = (nx.DiGraph(sorted((turned(u, k), turned(v, k)) for k in
+                                    range(0, n, shift or n) for u, v in pairs))
+                  for pairs in (edges, escape))
+    return Cdg(graph=graph, escape=esc, faults=faults,
+               criterion="ring" if ring else "escape" if algo_cls.requires_vct else "acyclic")

@@ -1,11 +1,12 @@
 """PAR-6/2: the naïve reference mechanism (§III-A).
 
 Progressive Adaptive Routing extended with one local misroute per
-intermediate/destination supernode.  Deadlock is avoided with Günther's
-distance classes: VCs are used in strictly ascending order along the
-longest 8-hop path ``l-l-g-l-l-g-l-l``, which costs **six** local VCs
-(``lVC1..lVC6``) and two global VCs.  Full routing freedom, maximum
-buffer cost — the paper uses it as an upper reference only.
+intermediate/destination supernode.  The paper avoids deadlock with
+Günther's distance classes (VCs ascending along the longest 8-hop path
+``l-l-g-l-l-g-l-l``: six local, two global VCs).  This map does not:
+the local VC counts local hops, so a ``g-l`` path rides lVC1 after gVC1
+and the explored CDG has a cycle (``tests/test_cdg.py``; fix: ROADMAP.md).
+Full routing freedom, maximum buffer cost — an upper reference only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.registry import ROUTING_REGISTRY
 
 @ROUTING_REGISTRY.register("par62", description="PAR-6/2: naive progressive adaptive routing, 6 local VCs")
 class Par62Routing(AdaptiveRouting):
-    """PAR with local misrouting, 6 local / 2 global VCs, WH- and VCT-safe."""
+    """PAR with local misrouting, 6 local / 2 global VCs."""
 
     name = "par62"
     local_vcs = 6
@@ -25,7 +26,7 @@ class Par62Routing(AdaptiveRouting):
     required_caps = frozenset({CAP_DRAGONFLY_PATHS})
 
     def vc_local_minimal(self, packet) -> int:
-        return packet.local_hops_total  # strictly ascending local VC chain
+        return packet.local_hops_total  # ascends along local hops only
 
     def vc_local_misroute(self, packet) -> int:
         return packet.local_hops_total

@@ -17,6 +17,8 @@ class GlobalArrangement(abc.ABC):
     """Strategy object mapping a group's local global-link index to its peer."""
 
     name: str = "abstract"
+    #: whether ``peer(g + 1, j)`` is ``peer(g, j)`` one group on
+    group_shift_invariant = False
 
     def __init__(self, num_groups: int, links_per_group: int) -> None:
         if num_groups != links_per_group + 1:
@@ -54,6 +56,7 @@ class PalmTreeArrangement(GlobalArrangement):
     """
 
     name = "palmtree"
+    group_shift_invariant = True
 
     def peer(self, group: int, link: int) -> tuple[int, int]:
         if not 0 <= link < self.links_per_group:

@@ -66,6 +66,8 @@ class Dragonfly:
         self.arrangement: GlobalArrangement = arrangement_by_name(
             arrangement, self.num_groups, self.links_per_group
         )
+        #: router-id shift mapping the fabric onto itself (0: none)
+        self.rotation = self.a if self.arrangement.group_shift_invariant else 0
         self._build_tables()
 
     @classmethod

@@ -13,10 +13,11 @@ discipline is the classic *date-line* scheme generalised to two
 phases: within one ring traversal the VC index is ``phase + crossed``,
 where ``crossed`` flips after the traversal passes the wrap-around
 edge and ``phase`` is 0 before the Valiant intermediate and 1 after
-it.  Channels are therefore consumed in strictly ascending VC order
-along any path — local VCs {0,1} for minimal, {0..2} for Valiant X
-traversals, global VCs {0..2} for Valiant Y traversals — which is why
-``route_local_vcs = route_global_vcs = 3``.
+it — local VCs {0,1} for minimal, {0..2} for Valiant X, global {0..2}
+for Valiant Y, hence ``route_local_vcs = route_global_vcs = 3``.  The
+minimal CDG is acyclic; the Valiant one has a cycle, as VC 1 carries
+phase 0 past the date line and phase 1 before it (``tests/test_cdg.py``),
+and deadlocks at load 1.0 with tight buffers (fix: ROADMAP.md).
 
 The torus advertises *no* capability flags: its local network is a
 ring, not a complete graph (no local misrouting), it has no per-group

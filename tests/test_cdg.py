@@ -1,185 +1,175 @@
-"""Channel-dependency-graph verification of the paper's §III claims."""
+"""The channel-dependency graph, explored from the routing code (§III).
 
+One table runs every topology × routing × flow-control triple the
+registries admit, at ``SimConfig``'s default sizes, through
+:func:`repro.analysis.cdg.explore` and asks the verdict its mechanism's
+safety rests on: an acyclic graph, OLM's acyclic and reachable escape
+sub-graph, OFAR's bubble ring.  A fabric or routing that registers joins
+it.  Two disciplines of the code are cyclic (``KNOWN_CYCLIC``); their
+rows pin the cycle, so the change that fixes them flips the rows.
+"""
+
+import functools
 import hashlib
 
-import networkx as nx
 import pytest
 
-from repro.analysis.cdg import (
-    build_cdg,
-    cycle_witness,
-    escape_reachable,
-    is_deadlock_free,
-)
-from repro.topology import (
-    Dragonfly,
-    FlattenedButterfly,
-    Torus2D,
-    UnsupportedTopologyError,
-)
+from repro.analysis.cdg import cycle_witness, explore
+from repro.core import OfarRouting, RlmRouting
+from repro.network.config import SimConfig
+from repro.registry import FLOW_CONTROL_REGISTRY, ROUTING_REGISTRY, TOPOLOGY_REGISTRY
+from repro.topology import torus
+from repro.topology.base import DRAGONFLY_CAPS
+from repro.topology.fabric import fabric_for
 
-TOPO = Dragonfly(2)
+TRIPLES = [
+    (topology, routing, fc)
+    for topology in TOPOLOGY_REGISTRY.available()
+    for routing, algo in ((r, ROUTING_REGISTRY.get(r)) for r in ROUTING_REGISTRY.available())
+    for fc in FLOW_CONTROL_REGISTRY.available()
+    if algo.required_caps <= getattr(fabric_for(SimConfig(topology=topology)).topo,
+                                     "caps", DRAGONFLY_CAPS)
+    and (not algo.requires_vct or FLOW_CONTROL_REGISTRY.get(fc).whole_packet_reservation)
+]
 
-#: (nodes, edges, sha256 of the sorted edge list) of each distinct graph,
-#: as the Dragonfly-only enumerators built them before the prover read
-#: the wiring table; minimal, valiant, pb and OLM's escape skeleton are
-#: one graph ("ascending")
+#: (topology, routing) whose CDG is cyclic: the size, the cycle (fix: ROADMAP.md)
+KNOWN_CYCLIC = {
+    # the local VC counts local hops only: gVC1 -> lVC1 descends in rank
+    ("dragonfly", "par62"): (dict(h=1), [
+        ("G", 3, 0, 1), ("L", 0, 1, 0), ("G", 1, 4, 0), ("L", 4, 5, 0),
+        ("G", 5, 2, 1), ("L", 2, 3, 1)]),
+    # VC 1 carries phase 0 past the date line and phase 1 before it
+    ("torus", "valiant"): (dict(), [
+        ("G", 0, 4, 1), ("L", 4, 5, 1), ("G", 5, 9, 0), ("G", 9, 13, 0),
+        ("G", 13, 1, 0), ("L", 1, 0, 1)]),
+}
+
+
+@functools.cache
+def _cached(knobs: frozenset):
+    return explore(SimConfig(**dict(knobs)))
+
+
+def _explored(**knobs):
+    """``explore`` once per distinct config in this module."""
+    return _cached(frozenset({"topology": "dragonfly", "flow_control": "vct", "h": 2,
+                              "arrangement": "palmtree", **knobs}.items()))
+
+
+def test_the_table_is_every_admitted_triple():
+    assert (len(TRIPLES), sum(t == "dragonfly" for t, _, _ in TRIPLES)) == (22, 12)
+
+
+@pytest.mark.parametrize("topology, routing, flow_control", TRIPLES,
+                         ids=["-".join(t) for t in TRIPLES])
+def test_every_admitted_triple(topology, routing, flow_control):
+    cdg = _explored(topology=topology, routing=routing, flow_control=flow_control)
+    problem = cdg.problem()
+    if (topology, routing) in KNOWN_CYCLIC:
+        assert problem is not None and "has a cycle" in problem
+    else:
+        assert problem is None, problem
+    assert cdg.criterion == {"olm": "escape", "ofar": "ring"}.get(routing, "acyclic")
+    assert all(cdg.graph.out_degree(n) == 0 for n in cdg.graph if n[0] == "EJ")
+    if routing == "olm":  # cyclic by design, safe through its escape sub-graph
+        assert cycle_witness(cdg.graph) is not None
+        assert cdg.escape.number_of_edges() < cdg.graph.number_of_edges()
+
+
+@pytest.mark.parametrize("row", sorted(KNOWN_CYCLIC), ids="-".join)
+def test_the_known_cycles_are_in_the_code(row):
+    knobs, cycle = KNOWN_CYCLIC[row]
+    graph = _explored(topology=row[0], routing=row[1], **knobs).graph
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        assert graph.has_edge(u, v), (u, v)
+
+
+# ------------------------------------------------------------------ mutations
+@pytest.fixture
+def mutant():
+    """Register a test-side routing mechanism; unregister it afterwards."""
+    yield lambda cls: ROUTING_REGISTRY.register("mutant", cls, description="mutation")
+    if "mutant" in ROUTING_REGISTRY:
+        ROUTING_REGISTRY.unregister("mutant")
+
+
+def test_rlm_without_table_i_has_a_cycle_inside_one_group(mutant):
+    class Unrestricted(RlmRouting):
+        def local_misroute_valid(self, router, packet, via, target):
+            return True
+
+    mutant(Unrestricted)
+    cdg = explore(SimConfig(routing="mutant"))
+    cycle = cycle_witness(cdg.graph)
+    assert cycle is not None and str(cycle) in cdg.problem()
+    assert {u[0] for u, _ in cycle} == {"L"} and len({u[1] // 4 for u, _ in cycle}) == 1
+
+
+def test_the_torus_without_its_date_line_has_a_y_ring_cycle(monkeypatch):
+    step = torus._ring_step
+    monkeypatch.setattr(torus, "_ring_step", lambda *a: (step(*a)[0], 0))
+    cdg = explore(SimConfig(topology="torus", routing="minimal"))
+    cycle = cycle_witness(cdg.graph)
+    assert cycle is not None and str(cycle) in cdg.problem()
+    assert {(u[0], u[3]) for u, _ in cycle} == {("G", 0)}
+    assert len({u[1] % 4 for u, _ in cycle}) == 1  # one column
+
+
+def test_ofar_without_its_ring_strands_packets(mutant):
+    class Ringless(OfarRouting):
+        def _escape(self, router, packet, now, flit, kind, min_occ):
+            return None
+
+    mutant(Ringless)
+    assert explore(SimConfig(h=1, routing="mutant")).problem().startswith("no ring hop")
+
+
+# ------------------------------------------------------------ symmetry, pins
+@pytest.mark.parametrize("routing", ROUTING_REGISTRY.available())
+def test_one_group_rotated_is_the_whole_dragonfly(routing, monkeypatch):
+    """Group 0 explored and rotated is every router explored."""
+    rotated = _explored(h=1, routing=routing)
+    topo = fabric_for(SimConfig(h=1)).topo
+    assert topo.rotation == topo.a
+    monkeypatch.setattr(topo, "rotation", 0)
+    whole = explore(SimConfig(h=1, routing=routing))
+    assert set(whole.graph.edges) == set(rotated.graph.edges)
+    assert set(whole.escape.edges) == set(rotated.escape.edges)
+
+
+def test_a_rotation_the_wiring_does_not_have_is_refused(monkeypatch):
+    topo = fabric_for(SimConfig(h=1, arrangement="consecutive")).topo
+    assert topo.rotation == 0
+    monkeypatch.setattr(topo, "rotation", topo.a)
+    with pytest.raises(ValueError, match="does not map"):
+        explore(SimConfig(h=1, arrangement="consecutive", routing="minimal"))
+
+
+#: (edges, sha256 prefix of the sorted edge list) of each explored graph
+#: under VCT; ``olm-escape`` is OLM's escape sub-graph
 PINNED = {
     (1, "consecutive"): {
-        "ascending": (36, 60, "fab7e2bba92ce49fb55bb8986d86a7705dda50bdd0d649e72134b19fd40a0154"),
-        "olm": (36, 90, "60e62a1c74a97ba4ddd6bb1873b99ab3b58d0005c815a9ecd3161cb5543b4a98"),
-        "par62": (54, 156, "1b1697d7d6fe7746f69635c36a9a49da0959fd0a45ea3c7e574f3f15db43688b"),
-        "rlm": (36, 69, "7bd502e32eb410e689810302066e43de8672c81f7904c2b1b81992c38adcac4b"),
-        "rlm_unrestricted": (36, 78, "b0317500714f739269fea844667f285f59fdea536e5c1faf693a4f4a40aa6251"),
-    },
+        "minimal": (30, "3697081e08dc813d"), "valiant": (42, "c32c33802779680b"),
+        "pb": (60, "fab7e2bba92ce49f"), "par62": (84, "c5c1bfeb75328023"),
+        "rlm": (60, "fab7e2bba92ce49f"), "olm": (60, "fab7e2bba92ce49f"),
+        "olm-escape": (60, "fab7e2bba92ce49f"), "ofar": (132, "120cd3d01dade15c")},
     (1, "palmtree"): {
-        "ascending": (36, 60, "a1c7932fdb4f32e30641cf5f5f024fc34bc3c08f5f97d12d932eecb13ad186eb"),
-        "olm": (36, 90, "8c4d3526d7677819960a062d88983fad0666609c795175c1c24019feb6c46ae9"),
-        "par62": (54, 156, "58031fc1e4ff5cad94ab1e24ba0ca618b70d2b350b293063b8ced00db70c3655"),
-        "rlm": (36, 69, "260ce92e6b98c6f1cfbeae96fd453d5da03f2c17161bca9ba0200f5c1dabad00"),
-        "rlm_unrestricted": (36, 78, "dd7b1bba2c0087862e6d1b9ababa6d4700898b1fb2d318844e423dd314eba813"),
-    },
-    (2, "consecutive"): {
-        "ascending": (504, 1476, "c0ee9e3fa9f4a85712a28da3f4feac735deddd673e6a99a3a2eaa23fc1ee49ed"),
-        "olm": (504, 2772, "c9c6422624be38b151370545575f9e4edf1f620295baac5bb1f9d5d76e8de50e"),
-        "par62": (828, 5148, "c7c39847da4e93b364a6788a471b6904c0e2322935964c37599bbae2e6d70e03"),
-        "rlm": (504, 2016, "bebe5e3e5e8596b7051b04788c5683b09855468c6c195b3ddf91653f039cfefe"),
-        "rlm_unrestricted": (504, 2448, "efe5082c5a4b2295634cb8622339fe8ac580ff8cc09e1fc9219f7e2a4eaa9d7f"),
-    },
+        "minimal": (30, "126abfc9f1ad071b"), "valiant": (42, "5bf0e31f6bbb3c11"),
+        "pb": (60, "a1c7932fdb4f32e3"), "par62": (84, "7ae6bd2b8e302e72"),
+        "rlm": (60, "a1c7932fdb4f32e3"), "olm": (60, "a1c7932fdb4f32e3"),
+        "olm-escape": (60, "a1c7932fdb4f32e3"), "ofar": (132, "f1a6bbd738b4a98b")},
     (2, "palmtree"): {
-        "ascending": (504, 1476, "77871cf2bc1379b3ade386348b8991a39c770cdaf0ac583fd9f881d94d05a4b5"),
-        "olm": (504, 2772, "2deb7e602f81b95f8cca507d68bf9177d2b2ab11a108d02316a79cb6ef5e1614"),
-        "par62": (828, 5148, "c118d84a9dd3eab9c09d4b8e6e238f0159843494270d11b8693e6a9c34b75785"),
-        "rlm": (504, 2016, "24aa509d986e249c0fc54c75c105314363574de03080b707b545f42e2c294ac7"),
-        "rlm_unrestricted": (504, 2448, "e2767683263b493f48116de384cf7f0d30f9f3e07bc9db5327cbe0f0e40c5482"),
-    },
-    (3, "consecutive"): {
-        "ascending": (2508, 10260, "d6859a9097795cf5e1219687b28ae99dc0fc616dd871f18439912f22b84bb188"),
-        "olm": (2508, 21090, "62165d12e217599f211853b1f1f76c27ab3b356558ca758d84df7f20addaa216"),
-        "par62": (4218, 39900, "c664a9b0b2870470c89b83a7ce6aee9bb3afd8b1891f3c32fa00fbbcf447ac3b"),
-        "rlm": (2508, 15105, "66055d474f870744dc74efee02acfe195d3fd401d768806ae21fcaf3f218f045"),
-        "rlm_unrestricted": (2508, 18810, "9d5fa4385d826d8e049607d31d8113c19f1ab88de979fad6fa24c5391ea4bd2d"),
-    },
-    (3, "palmtree"): {
-        "ascending": (2508, 10260, "2021e37adda99a315acfc5c42fc94579595cc4c0b72fb447068fa924fdf3e93a"),
-        "olm": (2508, 21090, "6a55cda7d0ec9a12b49c4f0d658d441c4f5f0009b9c0a7bfe1c9131b543d4dad"),
-        "par62": (4218, 39900, "3e9f869c916d5e7b00573b24a56fc7bccbb4691766b0319782a2af0d7b404ecf"),
-        "rlm": (2508, 15105, "370b77ef09d79823154b1789fd9f7a83b5924419584cada4eb939dd035236c0b"),
-        "rlm_unrestricted": (2508, 18810, "df292704b5a77b39209e18f3d2c201daacf559664f7467a5c95cab43f282d2a7"),
-    },
-}
-
-#: every graph the prover builds, by the pinned graph it must equal
-CASES = {
-    "minimal": ("minimal", {}, "ascending"),
-    "valiant": ("valiant", {}, "ascending"),
-    "pb": ("pb", {}, "ascending"),
-    "par62": ("par62", {}, "par62"),
-    "rlm": ("rlm", {}, "rlm"),
-    "rlm-unrestricted": ("rlm", {"rlm_restricted": False}, "rlm_unrestricted"),
-    "olm": ("olm", {}, "olm"),
-    "olm-escape": ("olm", {"escape_only": True}, "ascending"),
+        "minimal": (720, "f81812fecf64b4e0"), "valiant": (1188, "a5dca1e5b6db0cda"),
+        "pb": (1476, "77871cf2bc1379b3"), "par62": (3852, "a62af9ba53dbea32"),
+        "rlm": (1854, "bb1126649123ae92"), "olm": (2340, "093d4dcb28ff5a04"),
+        "olm-escape": (1908, "274ada4f2d3e236d"), "ofar": (3303, "e7fbc21feef34ee7")},
 }
 
 
-@pytest.mark.parametrize("mechanism", ["minimal", "valiant", "pb", "par62", "rlm"])
-def test_full_cdg_acyclic(mechanism):
-    """All mechanisms but OLM have an acyclic full dependency graph."""
-    assert is_deadlock_free(TOPO, mechanism)
-    assert cycle_witness(TOPO, mechanism) is None
-
-
-def test_rlm_without_restriction_has_cycles():
-    """The counterfactual: unrestricted same-VC local misrouting deadlocks."""
-    cycle = cycle_witness(TOPO, "rlm", rlm_restricted=False)
-    assert cycle is not None
-    # the witness cycle lives on local channels of one group, as §III-B argues
-    kinds = {edge[0][0] for edge in cycle}
-    assert kinds == {"L"}
-    groups = {TOPO.group_of(edge[0][1]) for edge in cycle}
-    assert len(groups) == 1
-
-
-def test_olm_full_graph_is_cyclic_by_design():
-    cycle = cycle_witness(TOPO, "olm")
-    assert cycle is not None
-
-
-def test_olm_escape_graph_is_dag_and_reachable():
-    escape = build_cdg(TOPO, "olm", escape_only=True)
-    assert nx.is_directed_acyclic_graph(escape)
-    assert escape_reachable(TOPO)
-    assert is_deadlock_free(TOPO, "olm")
-
-
-def test_unknown_mechanism_rejected():
-    with pytest.raises(ValueError):
-        build_cdg(TOPO, "ofar")
-
-
-@pytest.mark.parametrize("h", [1, 3])
-def test_cdg_scales_with_h(h):
-    topo = Dragonfly(h)
-    assert is_deadlock_free(topo, "rlm")
-    assert is_deadlock_free(topo, "olm")
-
-
-def test_cdg_node_population():
-    g = build_cdg(TOPO, "minimal")
-    a, groups = TOPO.a, TOPO.num_groups
-    n_local = groups * a * (a - 1) * 3          # ordered pairs x 3 VCs
-    n_global = TOPO.num_routers * TOPO.h * 2    # directed global channels x 2 VCs
-    n_eject = TOPO.num_routers
-    assert g.number_of_nodes() == n_local + n_global + n_eject
-
-
-def test_ejection_nodes_are_sinks():
-    g = build_cdg(TOPO, "rlm")
-    for node in g.nodes:
-        if node[0] == "EJ":
-            assert g.out_degree(node) == 0
-
-
-def test_par62_rank_edges_ascend():
-    """Every PAR-6/2 dependency increases the Günther rank."""
-    lrank = [0, 1, 3, 4, 6, 7]
-    grank = [2, 5]
-
-    def rank(node):
-        if node[0] == "L":
-            return lrank[node[3]]
-        if node[0] == "G":
-            return grank[node[3]]
-        return 99
-
-    g = build_cdg(TOPO, "par62")
-    for u, v in g.edges:
-        assert rank(v) > rank(u), (u, v)
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("graph", list(PINNED[1, "palmtree"]))
 @pytest.mark.parametrize("fabric", sorted(PINNED), ids=lambda f: f"h{f[0]}-{f[1]}")
-def test_the_graph_is_the_pinned_one(fabric, case):
-    """Node count, edge count and edge set of every mechanism's graph on
-    h=1..3 and both arrangements, against the pinned enumeration."""
-    h, arrangement = fabric
-    mechanism, kwargs, pinned = CASES[case]
-    g = build_cdg(Dragonfly(h, arrangement=arrangement), mechanism, **kwargs)
-    edges = hashlib.sha256(repr(sorted(g.edges)).encode()).hexdigest()
-    assert (g.number_of_nodes(), g.number_of_edges(), edges) == PINNED[fabric][pinned]
-
-
-@pytest.mark.parametrize("topo", [Torus2D(4, 4), FlattenedButterfly(8)], ids=repr)
-@pytest.mark.parametrize("ask", [
-    lambda topo: build_cdg(topo, "minimal"),
-    lambda topo: is_deadlock_free(topo, "minimal"),
-    lambda topo: is_deadlock_free(topo, "olm"),
-    lambda topo: cycle_witness(topo, "minimal"),
-    lambda topo: escape_reachable(topo),
-], ids=["build_cdg", "is_deadlock_free-minimal", "is_deadlock_free-olm",
-        "cycle_witness", "escape_reachable"])
-def test_a_fabric_without_dragonfly_paths_is_refused(topo, ask):
-    """The graphs model the paper's l-g-l VC disciplines: on any other
-    fabric the prover has no answer, and says which capability is missing."""
-    with pytest.raises(UnsupportedTopologyError, match="'dragonfly-paths'"):
-        ask(topo)
+def test_the_graph_is_the_pinned_one(fabric, graph):
+    cdg = _explored(h=fabric[0], arrangement=fabric[1], routing=graph.split("-")[0])
+    g = cdg.escape if graph.endswith("escape") else cdg.graph
+    digest = hashlib.sha256(repr(sorted(g.edges)).encode()).hexdigest()[:16]
+    assert (g.number_of_edges(), digest) == PINNED[fabric][graph]

@@ -8,7 +8,7 @@ whatever its flit count and whoever injected it.  Three tables:
   VCT one; a hand injection counts when it is made, not when it is
   flushed;
 * **the wheel's ledgers** — ``helpers.wheel_ledger_checks`` holds every
-  25 cycles of plain wheel runs on the three shipped fabrics, and each
+  25 cycles of wheel runs of every mechanism on each fabric it runs on, and each
   named check is shown to fail on a simulator corrupted in exactly that
   way (``tests/test_array_allocator.py`` does the same for the core's);
 * **the hand-over** — right after ``_leave_core`` on runs whose packets
@@ -139,10 +139,15 @@ def test_a_hand_injection_counts_when_it_is_made(fragment):
 
 
 # ------------------------------------------------------ the wheel's ledgers
-@pytest.mark.parametrize("routing, fragment", [
-    ("minimal", {}), ("minimal", _WH), ("valiant", {}), ("ofar", {}),
-], ids=["minimal", "minimal_wh", "valiant", "ofar"])
-@pytest.mark.parametrize("fabric", FABRICS)
+#: every shipped mechanism, on each shipped fabric it runs on
+_LEDGER_RUNS = [(fabric, routing, fragment) for fabric in FABRICS for routing, fragment in (
+    ("minimal", {}), ("minimal", _WH), ("valiant", {}), ("ofar", {}))] + [
+    ("dragonfly", routing, {}) for routing in ("pb", "par62", "rlm", "olm")] + [
+    ("dragonfly", "rlm", _WH)]
+
+
+@pytest.mark.parametrize("fabric, routing, fragment", _LEDGER_RUNS, ids=[
+    f"{f}-{r}{'_wh' if w else ''}" for f, r, w in _LEDGER_RUNS])
 def test_the_wheel_ledgers_hold_every_25_cycles(fabric, routing, fragment):
     sim = build_simulator(SimConfig(routing=routing, engine="wheel", seed=3,
                                     **fragment, **FABRICS[fabric]))

@@ -1,24 +1,17 @@
-"""Deadlock-freedom stress tests.
-
-Small buffers + high adversarial load + long runs; every configuration
-must keep making progress (the engine raises DeadlockError otherwise)
-and fully drain once sources stop.  These runs exercise exactly the
-cyclic-dependency scenarios the paper's mechanisms are designed for.
+"""Load-1.0 stress runs with tight buffers: the dynamic half of the CDG
+table (``tests/test_cdg.py``), on OLM under VCT, RLM under WH and PAR-6/2
+under WH (whose static check fails until its VC map is fixed).  Each must
+keep making progress (the engine raises DeadlockError otherwise), hold
+the wheel's ledgers every 25 cycles and drain once sources stop.
 """
 
 import pytest
+from helpers import assert_wheel_ledgers
 
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
-from repro.traffic.patterns import AdversarialGlobal, AdversarialLocal, MixedGlobalLocal
+from repro.traffic.patterns import AdversarialGlobal
 from repro.traffic.processes import BernoulliTraffic
-
-STRESS_PATTERNS = [
-    AdversarialGlobal(1),
-    AdversarialGlobal(2),
-    AdversarialLocal(1),
-    MixedGlobalLocal(0.5, global_offset=2),
-]
 
 
 def stress(routing, flow_control, pattern, seed, *, packet=8, flit=4):
@@ -34,32 +27,29 @@ def stress(routing, flow_control, pattern, seed, *, packet=8, flit=4):
         seed=seed, deadlock_window=4000,
     )
     sim = Simulator(cfg, BernoulliTraffic(pattern, 1.0))
-    sim.run(2000)  # would raise DeadlockError on a cycle
+    for _ in range(80):
+        sim.run(25)  # would raise DeadlockError on a cycle
+        assert_wheel_ledgers(sim)
     sim.traffic = None
     sim.run_until_drained(600000)
+    assert_wheel_ledgers(sim)
     assert sim.stats.delivered == sim.stats.generated
 
 
-@pytest.mark.parametrize("pattern", STRESS_PATTERNS, ids=lambda p: p.name + str(getattr(p, "offset", "")))
-@pytest.mark.parametrize("routing", ["minimal", "valiant", "pb", "par62", "rlm", "olm"])
-def test_vct_no_deadlock_tight_buffers(routing, pattern):
-    stress(routing, "vct", pattern, seed=13)
-
-
-@pytest.mark.parametrize("pattern", STRESS_PATTERNS, ids=lambda p: p.name + str(getattr(p, "offset", "")))
-@pytest.mark.parametrize("routing", ["minimal", "valiant", "pb", "par62", "rlm"])
+@pytest.mark.parametrize("pattern", [AdversarialGlobal(2)], ids=["advg2"])
+@pytest.mark.parametrize("routing", ["par62"])
 def test_wh_no_deadlock_tight_buffers(routing, pattern):
-    """Wormhole with multi-flit packets: the extended-dependency case."""
+    """PAR-6/2's explored CDG is cyclic (``test_cdg.KNOWN_CYCLIC``)."""
     stress(routing, "wh", pattern, seed=17, packet=16, flit=4)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1])
 def test_rlm_wh_seeds(seed):
-    """RLM under WH is the paper's headline safety claim; vary seeds."""
+    """RLM under WH is the paper's headline safety claim."""
     stress("rlm", "wh", AdversarialGlobal(2), seed=seed, packet=16, flit=4)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1])
 def test_olm_vct_seeds(seed):
     """OLM creates cycles by design; the escape path must always resolve them."""
     stress("olm", "vct", AdversarialGlobal(2), seed=seed)

@@ -1,7 +1,7 @@
 """The import graph is the contract: an engine pays only for what it uses.
 
 numpy is the array core's dependency (``network/arraysim.py``,
-``traffic/mtstream.py``) and networkx the CDG prover's
+``traffic/mtstream.py``) and networkx the CDG explorer's
 (``analysis/cdg.py``, and ``topology.as_networkx(topo)``, which imports
 it when called).  Everything users run
 on the wheel — ``import repro``, the service, the CLI, a point, a
@@ -13,7 +13,7 @@ stdlib, and numpy loads with the first point the core wins.  The
 per-process fabric memo (``repro.topology.fabric``) sits on the wheel's
 path too, so it is stdlib-only; its array half lives in ``arraysim``.
 ``validate_topology`` and the route walker it shares with the engine
-(``topology/route.py``) load no engine at all.
+(``topology/route.py``) load no engine at all, nor does the CDG explorer.
 Each case needs a fresh interpreter, hence the subprocesses.
 """
 
@@ -117,6 +117,19 @@ loaded = {"numpy", "networkx", "repro.network", "repro.network.simulator"} & sys
 assert not loaded, f"the validator loaded {sorted(loaded)}"
 """
 
+CDG_LOADS_NO_ENGINE = """
+import importlib.util, sys, types
+
+package = types.ModuleType("repro")  # stubbed as above
+package.__path__ = importlib.util.find_spec("repro").submodule_search_locations
+sys.modules["repro"] = package
+
+import repro.analysis.cdg
+
+loaded = {"numpy", "repro.network", "repro.network.simulator"} & sys.modules.keys()
+assert not loaded, f"the CDG explorer loaded {sorted(loaded)}"
+"""
+
 
 @pytest.mark.parametrize("script", [
     pytest.param(WHEEL_LOADS_NEITHER, id="wheel-loads-neither"),
@@ -124,6 +137,7 @@ assert not loaded, f"the validator loaded {sorted(loaded)}"
                  id="auto-loads-numpy-with-the-first-winning-point"),
     pytest.param(AUTO_WITHOUT_NUMPY_IS_THE_WHEEL, id="auto-without-numpy"),
     pytest.param(VALIDATOR_LOADS_NO_ENGINE, id="validator-loads-no-engine"),
+    pytest.param(CDG_LOADS_NO_ENGINE, id="cdg-loads-no-engine"),
 ])
 def test_in_a_fresh_interpreter(script):
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -265,8 +265,8 @@ def test_fabric_agnostic_mechanisms_run(config, routing):
 
 
 def test_torus_saturation_run_is_deadlock_free():
-    # full offered load on the riskiest discipline (Valiant date-lines);
-    # the engine's deadlock detector would raise if a cycle ever locked
+    # full offered load on Valiant's date-lines: its CDG is cyclic
+    # (test_cdg.KNOWN_CYCLIC), but a lock takes ~45 000 cycles to form
     cfg = TORUS_CONFIG.with_(routing="valiant", seed=5)
     result = repro.session(cfg, pattern="uniform", load=1.0).warmup(2000).measure(2000)
     assert result.delivered > 0
