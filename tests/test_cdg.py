@@ -12,6 +12,7 @@ rows pin the cycle, so the change that fixes them flips the rows.
 import functools
 import hashlib
 
+import networkx as nx
 import pytest
 
 from repro.analysis.cdg import cycle_witness, explore
@@ -44,6 +45,9 @@ KNOWN_CYCLIC = {
         ("G", 13, 1, 0), ("L", 1, 0, 1)]),
 }
 
+each_triple = pytest.mark.parametrize("topology, routing, flow_control", TRIPLES,
+                                      ids=["-".join(t) for t in TRIPLES])
+
 
 @functools.cache
 def _cached(knobs: frozenset):
@@ -60,10 +64,16 @@ def test_the_table_is_every_admitted_triple():
     assert (len(TRIPLES), sum(t == "dragonfly" for t, _, _ in TRIPLES)) == (22, 12)
 
 
-@pytest.mark.parametrize("topology, routing, flow_control", TRIPLES,
-                         ids=["-".join(t) for t in TRIPLES])
+@each_triple
 def test_every_admitted_triple(topology, routing, flow_control):
     cdg = _explored(topology=topology, routing=routing, flow_control=flow_control)
+    _assert_verdict(cdg, topology, routing)
+    if routing == "olm":  # cyclic by design, safe through its escape sub-graph
+        assert cycle_witness(cdg.graph) is not None
+        assert cdg.escape.number_of_edges() < cdg.graph.number_of_edges()
+
+
+def _assert_verdict(cdg, topology, routing):
     problem = cdg.problem()
     if (topology, routing) in KNOWN_CYCLIC:
         assert problem is not None and "has a cycle" in problem
@@ -71,17 +81,59 @@ def test_every_admitted_triple(topology, routing, flow_control):
         assert problem is None, problem
     assert cdg.criterion == {"olm": "escape", "ofar": "ring"}.get(routing, "acyclic")
     assert all(cdg.graph.out_degree(n) == 0 for n in cdg.graph if n[0] == "EJ")
-    if routing == "olm":  # cyclic by design, safe through its escape sub-graph
-        assert cycle_witness(cdg.graph) is not None
-        assert cdg.escape.number_of_edges() < cdg.graph.number_of_edges()
 
 
+@pytest.mark.parametrize("flow_control", ["vct", "wh"])
 @pytest.mark.parametrize("row", sorted(KNOWN_CYCLIC), ids="-".join)
-def test_the_known_cycles_are_in_the_code(row):
+def test_the_known_cycles_are_in_the_code(row, flow_control):
     knobs, cycle = KNOWN_CYCLIC[row]
-    graph = _explored(topology=row[0], routing=row[1], **knobs).graph
+    graph = _explored(topology=row[0], routing=row[1], flow_control=flow_control, **knobs).graph
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         assert graph.has_edge(u, v), (u, v)
+
+
+@each_triple
+def test_every_channel_is_a_wired_link_within_its_vc_budget(topology, routing, flow_control):
+    """The explorer names only channels the engine builds: a link of the
+    wiring table, of its port kind, on a VC the simulator allocates."""
+    cdg = _explored(topology=topology, routing=routing, flow_control=flow_control)
+    cfg, algo = SimConfig(topology=topology), ROUTING_REGISTRY.get(routing)
+    fabric = fabric_for(cfg)
+    topo, nl = fabric.topo, fabric.topo.local_ports
+    budget = {"L": max(cfg.local_vcs, algo.local_vcs, topo.route_local_vcs),
+              "G": max(cfg.global_vcs, algo.global_vcs, topo.route_global_vcs)}
+    wired = {("L" if q < nl else "G", u, peer)
+             for u, ports in enumerate(fabric.wiring) for q, (peer, _) in enumerate(ports)}
+    for channel in cdg.graph:
+        if channel[0] != "EJ":
+            assert channel[:3] in wired and 0 <= channel[3] < budget[channel[0]], channel
+
+
+@each_triple
+def test_every_channel_reaches_an_ejection(topology, routing, flow_control):
+    """No explored route strands a packet: every router ejects, and every
+    channel held leads on to some ejection in the full graph."""
+    graph = _explored(topology=topology, routing=routing, flow_control=flow_control).graph
+    sinks = [c for c in graph if c[0] == "EJ"]
+    assert {c[1] for c in sinks} == set(range(fabric_for(SimConfig(topology=topology))
+                                              .topo.num_routers))
+    reach = set(sinks).union(*(nx.ancestors(graph, s) for s in sinks))
+    assert [c for c in graph if c not in reach] == []
+
+
+@pytest.mark.parametrize("routing, flow_control",
+                         [(r, fc) for t, r, fc in TRIPLES if t == "dragonfly"],
+                         ids=[f"{r}-{fc}" for t, r, fc in TRIPLES if t == "dragonfly"])
+def test_the_verdicts_hold_on_the_consecutive_arrangement(routing, flow_control):
+    cdg = _explored(h=1, arrangement="consecutive", routing=routing, flow_control=flow_control)
+    _assert_verdict(cdg, "dragonfly", routing)
+
+
+@pytest.mark.parametrize("knobs", [dict(h=3), dict(topology="torus", torus_rows=6, torus_cols=5),
+                                   dict(topology="flattened_butterfly", fb_routers=12)],
+                         ids=["h3", "torus6x5", "fb12"])
+def test_minimal_is_acyclic_at_a_larger_size(knobs):
+    assert explore(SimConfig(routing="minimal", **knobs)).problem() is None
 
 
 # ------------------------------------------------------------------ mutations
