@@ -109,7 +109,12 @@ now) -> (srcs, dsts)`` protocol (the wheel injects through
 ``traffic.inject``: undoing a batch packet by packet cost it more than
 the scalar loop at every fabric size it runs); when the traffic process
 offers it (Bernoulli sources do), :meth:`ArrayCore.inject_batch` hands
-the two arrays over, VCT and wormhole alike.  Burst and trace
+the two arrays over, VCT and wormhole alike.  A Bernoulli source
+builds them from its stream's plan
+(:meth:`~repro.traffic.mtstream.StreamRandom.next_cycle`): every whole
+cycle the prefetched words hold, gates and UN destinations, in one
+vectorised pass, served a cycle per call and word for word the scalar
+loop's.  Burst and trace
 processes, and anyone calling ``Simulator.inject_packet`` by hand, come
 through :meth:`ArrayCore.inject`, and that one stays eager about the
 one thing it must: the caller is *returned* its ``Packet``, so the

@@ -13,7 +13,7 @@ every primitive draw — scalar or vectorised — from that FIFO in
 stream order.
 
 Because the wrapper *is* installed as the simulator's traffic RNG, all
-consumers (batched Bernoulli gates, interleaved destination draws,
+consumers (planned Bernoulli cycles, interleaved destination draws,
 scalar fallbacks, burst pre-loads) read the same word sequence the
 plain generator would have produced, so every draw matches the scalar
 reference run draw-for-draw.  The base generator merely runs ahead by
@@ -25,11 +25,21 @@ Only the two primitive sources (``random``, ``getrandbits``) are
 overridden.  Everything built on them — ``randrange``, ``randint``,
 ``choice``, ... — runs CPython's own pure-Python logic, so any traffic
 pattern's destination draw consumes the stream exactly as it would on
-the real generator.  The hot draws additionally have fused mirrors
-that consume the identical words without the call layers:
-``_randbelow`` (one rejection loop instead of three call levels per
-attempt) and ``walk_gates_uniform`` (the UN pattern's whole
-gate-plus-destination hit loop inside the gate walk).
+the real generator (``_randbelow`` is a fused mirror of CPython's
+rejection loop, word for word).
+
+Open-loop Bernoulli injection reads no network state, so the words
+already in the FIFO fix every whole cycle they hold.  A gate is
+``random() < p`` on words ``(c, c+1)``: with ``T = ceil(p * 2**53)``
+that is the integer test ``(w[c] >> 5) * 2**26 + (w[c+1] >> 6) < T``,
+which :meth:`StreamRandom._gate_hits` answers for every word offset of
+the window at once (``uint32`` compares, no floats).
+:meth:`StreamRandom.next_cycle` plans all the cycles the window holds
+in one vectorised pass — the uniform pattern's ``_randbelow(n - 1)``
+destination draws included, whose positions it chains by pointer
+doubling — and then serves them one per call, leaving the cursor where
+the scalar loop would stand at that cycle's end.  Any draw in between
+moves the cursor off the plan, and the next call re-plans from there.
 
 The contract is checked end to end by ``tests/test_inject_batch.py``
 and the engine golden matrix; the frozen reference engine never sees
@@ -44,7 +54,9 @@ gets here.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left
 
 import numpy as _np
 
@@ -74,13 +86,9 @@ class StreamRandom(random.Random):
         self._fetched = 0
         self._words = _np.empty(0, dtype=_np.uint32)
         self._pos = 0
-        # Bernoulli gate-phase caches (built per refill, per threshold)
-        self._thr = -1.0
-        self._he: list = []
-        self._ho: list = []
-        self._pe = 0
-        self._po = 0
-        self._phase_ok = False
+        self._gates = None  # _gate_hits' last answer, with its key
+        self._plan = None  # next_cycle's planned window
+        self._cycle = 0  # the plan's next cycle
         self.gauss_next = None  # random.Random API (gauss() bookkeeping)
 
     # -- FIFO plumbing ----------------------------------------------------
@@ -89,12 +97,19 @@ class StreamRandom(random.Random):
         """Append at least ``need`` more unconsumed words to the FIFO."""
         tail = self._words[self._pos:]
         k = max(need - tail.size, _REFILL)
-        big = self._base.getrandbits(32 * k)  # consumes exactly k words
+        words = _np.empty(tail.size + k, dtype=_np.uint32)
+        words[:tail.size] = tail
+        # ``getrandbits(32 * m)`` consumes exactly m words, little-endian;
+        # chunks bound the big-int temporaries
+        for at in range(tail.size, words.size, _REFILL):
+            m = min(_REFILL, words.size - at)
+            big = self._base.getrandbits(32 * m)
+            words[at:at + m] = _np.frombuffer(big.to_bytes(4 * m, "little"),
+                                              dtype="<u4")
         self._fetched += k
-        fresh = _np.frombuffer(big.to_bytes(4 * k, "little"), dtype="<u4")
-        self._words = _np.concatenate([tail, fresh]) if tail.size else fresh
+        self._words = words
         self._pos = 0
-        self._phase_ok = False
+        self._gates = self._plan = None  # both describe the old window
 
     def release(self) -> random.Random:
         """A plain generator standing where this stream's next word is.
@@ -191,136 +206,149 @@ class StreamRandom(random.Random):
                 self._pos = pos
                 return r
 
-    # -- vectorised access ------------------------------------------------
+    # -- Bernoulli gates ----------------------------------------------------
 
-    def uniform_block(self, count: int):
-        """The next ``count`` ``random()`` uniforms as a float64 array.
+    def _gate_hits(self, p: float):
+        """Where the window's gates hit: ``(pos, key, ne)``.
 
-        Consumes ``2 * count`` words — exactly what ``count`` scalar
-        ``random()`` calls would.  This is the deterministic-destination
-        fast path: gate the whole fabric in one compare.
+        The gate at word offset ``c`` is ``random() < p`` drawn from
+        words ``(c, c+1)``; an interleaved draw can leave the cursor at
+        either parity, so every offset is tested.  ``random() < p`` is
+        exactly ``(a << 26) + b < T`` with ``a = w[c] >> 5``,
+        ``b = w[c+1] >> 6`` and ``T = ceil(p * 2**53)`` (``p`` scales by
+        a power of two exactly; ``p >= 1`` hits every gate):
+        ``a <= T >> 26`` marks the hits, and the rare ``a == T >> 26``
+        ties are settled on ``b``.
+
+        Hits are numbered even offsets first, then odd ones, each run
+        closed by a sentinel at offset ``size`` (the window's end):
+        ``pos[i]`` is hit ``i``'s offset and ``ne`` the even sentinel's
+        number.  ``key`` is ``pos`` with ``size + 1`` added to the odd
+        run, ascending, so the first hit at or after offset ``c`` of
+        ``c``'s parity is ``searchsorted(key, c + (c & 1) * (size + 1))``.
+        Cached per window and ``p``.
         """
-        pos = self._pos
-        if self._words.size < pos + 2 * count:
-            self._refill(2 * count)
-            pos = 0
-        w = self._words[pos:pos + 2 * count].astype(_np.float64)
-        vals = (_np.floor(w[0::2] / 32.0) * 67108864.0 +
-                _np.floor(w[1::2] / 64.0)) * (1.0 / _TWO53)
-        self._pos = pos + 2 * count
-        return vals
+        words = self._words
+        g = self._gates
+        if g is not None and g[0] is words and g[1] == p:
+            return g[2]
+        size = words.size
+        thr = math.ceil(min(p, 1.0) * _TWO53)
+        a = thr >> 26
+        at = _np.flatnonzero(words[:-1] <= (a << 5 | 31))
+        ties = at[words[at] >= a << 5]
+        if ties.size:
+            at = _np.setdiff1d(
+                at, ties[(words[ties + 1] >> 6) >= (thr & 0x3FFFFFF)],
+                assume_unique=True)
+        odd = (at & 1).astype(bool)
+        even_at, odd_at = at[~odd], at[odd]
+        pos = _np.concatenate((even_at, [size], odd_at, [size]))
+        key = pos.copy()
+        key[even_at.size + 1:] += size + 1
+        found = (pos, key, even_at.size)
+        self._gates = (words, p, found)
+        return found
 
-    def _build_phases(self, thr: float) -> None:
-        """Precompute gate-hit word offsets for both cursor parities.
+    def next_cycle(self, count: int, p: float, nm1: int = 0):
+        """The scalar loop's next cycle: ``count`` gates in node order.
 
-        A gate draw at word cursor ``c`` reads words ``(c, c+1)``; an
-        interleaved destination draw can flip the cursor's parity, so
-        two hit lists are kept — ``_he[i]`` flags the gate starting at
-        word ``2i``, ``_ho[i]`` the one starting at ``2i+1``.  Values
-        compare as exact integers against ``thr * 2**53`` (both sides
-        are exactly representable), matching ``random() < p`` bit for
-        bit.
+        Consumes exactly what ``for i in range(count): if random() < p:
+        ...`` consumes, with one ``_randbelow(nm1)`` drawn after each hit
+        when ``nm1 > 0`` (the uniform pattern's destination, ``nm1 <
+        2**32``) and nothing when ``nm1 == 0`` (a deterministic
+        pattern).  Returns ``(nodes, draws)``: the hit gate indices,
+        ascending, and their raw draws (``None`` without draws), as
+        int64 arrays the caller must not write to.
+
+        Served from a plan of every whole cycle the window holds; a plan
+        is valid for its window, its ``(count, p, nm1)`` and while the
+        cursor stands where its last served cycle left it — any other
+        draw, refill or argument re-plans from the current cursor.
         """
-        w = self._words.astype(_np.float64)
-        hi = _np.floor(w / 32.0) * 67108864.0
-        lo = _np.floor(w / 64.0)
-        n = w.size
-        scaled = thr * _TWO53
-        if n >= 2:
-            ve = hi[0:n - 1:2] + lo[1:n:2]
-            self._he = _np.flatnonzero(ve < scaled).tolist()
+        pl = self._plan
+        k = self._cycle
+        if (pl is None or pl[0] is not self._words
+                or pl[1] != (count, p, nm1) or k + 1 >= len(pl[2])
+                or pl[2][k] != self._pos):
+            # 32 words a gate: 14-16 cycles a window at the paper's loads,
+            # enough to amortise the plan's numpy calls, not the footprint
+            need = 32 * count
+            while True:
+                if self._words.size - self._pos < need:
+                    self._refill(need)
+                pl = self._plan_window(count, p, nm1)
+                if pl is not None:
+                    break
+                need = 2 * (self._words.size - self._pos)  # not one cycle
+            self._plan, k = pl, 0
+        _, _, bounds, first, nodes, draws = pl
+        self._cycle = k + 1
+        self._pos = bounds[k + 1]
+        a, b = first[k], first[k + 1]
+        return nodes[a:b], (None if draws is None else draws[a:b])
+
+    def _plan_window(self, count: int, p: float, nm1: int):
+        """Every whole cycle the window holds from the cursor, or None."""
+        words, s = self._words, self._pos
+        size = words.size
+        pos, key, ne = self._gate_hits(p)
+        nxt = int(_np.searchsorted(key, s + (s & 1) * (size + 1)))
+        if nm1:
+            # hit i draws at the first accepted word at or after its
+            # gate's end, and the walk resumes after that word at its
+            # parity.  A hit whose draw lies past the window (and each
+            # sentinel) jumps to itself; the hits reached from the
+            # cursor follow by pointer doubling, in order
+            shift = 32 - nm1.bit_length()
+            ok = _np.ones(size + 3, dtype=bool)  # accepted past the end
+            _np.less(words, nm1 << shift, out=ok[:size])
+            draw_at = pos + 2
+            late = _np.flatnonzero(~ok[draw_at])
+            while late.size:  # rejected attempts: try the next word
+                draw_at[late] += 1
+                late = late[~ok[draw_at[late]]]
+            stuck = draw_at >= size
+            ends = draw_at + 1
+            jump = _np.searchsorted(key, ends + (ends & 1) * (size + 1))
+            jump[stuck] = _np.flatnonzero(stuck)
+            step = jump
+            path = _np.array([nxt])
+            while jump[path[-1]] != path[-1]:
+                path = _np.concatenate((path, step[path]))
+                step = step[step]
+            # the chain ends before its first self-jump; every gate before
+            # that one's offset, at the chain's parity, is a known miss
+            stop = int(_np.argmax(path == path[-1]))
+            frontier = int(pos[path[stop]])
+            path = path[:stop]
+            h = pos[path]
+            ends = ends[path]
+            draws = (words[ends - 1] >> shift).astype(_np.int64)
         else:
-            self._he = []
-        if n >= 3:
-            vo = hi[1:n - 1:2] + lo[2:n:2]
-            self._ho = _np.flatnonzero(vo < scaled).tolist()
-        else:
-            self._ho = []
-        self._pe = 0
-        self._po = 0
-        self._thr = thr
-        self._phase_ok = True
-
-    def walk_gates_uniform(self, count: int, p: float, nm1: int):
-        """Fused gate scan + uniform destination draws.
-
-        The UN pattern's hit body is a single ``_randbelow(nm1)`` (with
-        ``nm1 = num_nodes - 1``), so the rejection loop can run inline
-        in the gate walk — no Python call boundary per hit at all.
-        Consumes the word stream exactly as :meth:`walk_gates` would
-        with an ``on_hit`` that draws ``_randbelow(nm1)`` once: gates
-        read word pairs, every destination attempt reads one ``k``-bit
-        word (``k = nm1.bit_length()``), rejected attempts redraw.
-        Requires ``0 < nm1 < 2**32``.  Returns ``(srcs, draws)`` lists —
-        hit node ids and their raw ``_randbelow`` results; the caller
-        maps draws onto destinations (``d if d < src else d + 1``).
-        """
-        srcs: list = []
-        draws: list = []
-        add_src = srcs.append
-        add_draw = draws.append
-        shift = 32 - nm1.bit_length()
-        node = 0
-        while node < count:
-            remaining = count - node
-            c = self._pos
-            if self._words.size < c + 2 * remaining:
-                self._refill(2 * remaining + 64)
-                c = 0
-            if not self._phase_ok or self._thr != p:
-                self._build_phases(p)
-            he, ho = self._he, self._ho
-            pe, po = self._pe, self._po
-            words = self._words
-            size = words.size
-            while node < count:
-                remaining = count - node
-                if c & 1:
-                    hits, ptr, base = ho, po, (c - 1) >> 1
-                else:
-                    hits, ptr, base = he, pe, c >> 1
-                n = len(hits)
-                while ptr < n and hits[ptr] < base:
-                    ptr += 1
-                limit = base + remaining
-                if ptr < n and hits[ptr] < limit:
-                    j = hits[ptr] - base
-                    ptr += 1
-                    if c & 1:
-                        po = ptr
-                    else:
-                        pe = ptr
-                    c += 2 * (j + 1)
-                    node += j + 1
-                    while True:  # inline _randbelow(nm1) rejection loop
-                        if c >= size:
-                            self._pos = c
-                            self._pe, self._po = pe, po
-                            self._refill(1)
-                            c = 0
-                            words = self._words
-                            size = words.size
-                        r = int(words[c]) >> shift
-                        c += 1
-                        if r < nm1:
-                            break
-                    add_src(node - 1)
-                    add_draw(r)
-                    self._pos = c
-                    if not self._phase_ok:
-                        break  # a refill invalidated the phases; rescan
-                    if size < c + 2 * (count - node):
-                        break  # not enough window left; refill and rescan
-                else:
-                    if c & 1:
-                        po = ptr
-                    else:
-                        pe = ptr
-                    c += 2 * remaining
-                    node = count
-            self._pe, self._po = pe, po
-            self._pos = c
-        return srcs, draws
+            # no draws: the hits are those of the cursor's parity
+            h = pos[nxt:ne if nxt <= ne else pos.size - 1]
+            ends = h + 2
+            draws = None
+            frontier = size
+        # gate index of every hit: the misses skipped before it, plus one
+        gate = _np.cumsum((h - _np.concatenate(([s], ends[:-1]))) // 2 + 1) - 1
+        last_end, last_gate = (int(ends[-1]), int(gate[-1])) if h.size else (s, -1)
+        cycles = (last_gate + 1 + (frontier - last_end) // 2) // count
+        if not cycles:
+            return None
+        cut = _np.arange(cycles + 1) * count
+        first = _np.searchsorted(gate, cut)
+        # the cursor after each cycle's last gate: after the last hit's
+        # draw, plus a word pair per miss that follows it in the cycle
+        j = first[1:]
+        bounds = (_np.concatenate(([s], ends))[j]
+                  + 2 * (cut[1:] - 1 - _np.concatenate(([-1], gate))[j]))
+        n_hits = int(first[-1])
+        if draws is not None:
+            draws = draws[:n_hits]
+        return (words, (count, p, nm1), [s] + bounds.tolist(),
+                first.tolist(), gate[:n_hits] % count, draws)
 
     def walk_gates(self, count: int, p: float, on_hit) -> None:
         """Scan ``count`` Bernoulli(``p``) gate draws, calling ``on_hit(i)``.
@@ -329,53 +357,24 @@ class StreamRandom(random.Random):
         scan).  ``on_hit`` may draw from this generator — the next gate
         resumes after whatever those draws consumed, exactly like the
         scalar ``for node: if random() < p: dest(...)`` loop.  One
-        Python-level call per *hit*, not per node.
+        Python-level step per *hit*, not per node: the next hit at the
+        cursor is a ``bisect`` into :meth:`_gate_hits`' keys.
         """
         node = 0
+        seen = None
         while node < count:
-            remaining = count - node
             c = self._pos
-            if self._words.size < c + 2 * remaining:
-                self._refill(2 * remaining + 64)
-                c = 0
-            if not self._phase_ok or self._thr != p:
-                self._build_phases(p)
-            he, ho = self._he, self._ho
-            pe, po = self._pe, self._po
-            size = self._words.size
-            while node < count:
-                remaining = count - node
-                if c & 1:
-                    hits, ptr, base = ho, po, (c - 1) >> 1
-                else:
-                    hits, ptr, base = he, pe, c >> 1
-                n = len(hits)
-                while ptr < n and hits[ptr] < base:
-                    ptr += 1
-                limit = base + remaining
-                if ptr < n and hits[ptr] < limit:
-                    j = hits[ptr] - base
-                    ptr += 1
-                    if c & 1:
-                        po = ptr
-                    else:
-                        pe = ptr
-                    c += 2 * (j + 1)
-                    node += j + 1
-                    self._pos = c
-                    self._pe, self._po = pe, po
-                    on_hit(node - 1)
-                    c = self._pos  # destination draws advanced it
-                    if not self._phase_ok:
-                        break  # a draw refilled the FIFO; rebuild and rescan
-                    if size < c + 2 * (count - node):
-                        break  # not enough window left; refill and rescan
-                else:
-                    if c & 1:
-                        po = ptr
-                    else:
-                        pe = ptr
-                    c += 2 * remaining
-                    node = count
-            self._pe, self._po = pe, po
-            self._pos = c
+            end = c + 2 * (count - node)
+            if self._words.size < end:
+                self._refill(end - c)
+                c, end = 0, end - c
+            found = self._gate_hits(p)
+            if found is not seen:
+                seen, pos, keys = found, found[0].tolist(), found[1].tolist()
+            h = pos[bisect_left(keys, c + (c & 1) * (self._words.size + 1))]
+            if h >= end:
+                self._pos = end
+                return
+            node += (h - c) // 2 + 1
+            self._pos = h + 2
+            on_hit(node - 1)

@@ -63,11 +63,13 @@ class BernoulliTraffic:
 
         The draw stream is the scalar loop's, byte for byte: the first
         call replaces ``sim.rng_traffic`` with a :class:`StreamRandom`
-        serving the same generator's word stream, the per-node gate
-        uniforms are scanned in bulk, and destination draws interleave
-        at the hits exactly as the scalar loop would make them.
-        Deterministic patterns skip the hit loop entirely via a
-        precomputed destination table.
+        serving the same generator's word stream.  The uniform pattern
+        and the deterministic ones take each cycle from the stream's
+        plan (:meth:`StreamRandom.next_cycle`: the gates of a window of
+        cycles, with UN's one ``_randbelow(n - 1)`` per hit, in one
+        vectorised pass); every other pattern draws its destinations
+        itself at the hits of :meth:`StreamRandom.walk_gates`, exactly
+        where the scalar loop would draw them.
         """
         # numpy and the stream wrapper load with the first core that
         # batches, never with ``import repro.traffic``
@@ -95,21 +97,17 @@ class BernoulliTraffic:
                     dtype=_np.int64)
                 self._dest_map = dmap
                 self._dest_topo = topo
-            srcs = _np.flatnonzero(rng.uniform_block(n) < p)
+            srcs, _ = rng.next_cycle(n, p)
             dsts = dmap[srcs]
             keep = dsts != srcs
             if not keep.all():
                 srcs, dsts = srcs[keep], dsts[keep]
             return srcs, dsts
         if type(pattern) is UniformRandom and n > 1:
-            # The UN destination is exactly one ``_randbelow(n - 1)`` per
-            # hit and never equals the source, so the whole hit loop runs
-            # fused inside the stream walker (word consumption unchanged)
-            # and the ``d if d < src else d + 1`` mapping vectorises.
-            hit_srcs, hit_draws = rng.walk_gates_uniform(n, p, n - 1)
-            srcs_a = _np.array(hit_srcs, dtype=_np.int64)
-            d = _np.array(hit_draws, dtype=_np.int64)
-            return srcs_a, _np.where(d < srcs_a, d, d + 1)
+            # the UN destination is one ``_randbelow(n - 1)`` per hit and
+            # never the source: ``d if d < src else d + 1``
+            srcs, d = rng.next_cycle(n, p, n - 1)
+            return srcs, d + (d >= srcs)
         srcs: list = []
         dsts: list = []
         add_src = srcs.append

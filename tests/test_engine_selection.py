@@ -363,6 +363,49 @@ def test_leaving_the_core_mid_run_matches_a_wheel_run(fabric, flow, arbitration)
             assert _run(auto, leave, at) == wheel, (name, at)
 
 
+def _saturated_h3(cfg: SimConfig, leave=None, at: int | None = None,
+                  cycles: int = 48):
+    """Delivery log, counters and the traffic stream's next 100 words of a
+    saturated h=3 UN window (left at cycle ``at``) and its drain."""
+    sim = build_simulator(cfg, BernoulliTraffic(UniformRandom(), 1.0))
+    log = []
+    sim.add_delivery_observer(
+        lambda pkt, cycle: log.append((pkt.pid, pkt.src, pkt.dst, cycle)))
+    windows, last = [], None  # the cycles whose injection took a new window
+    for cycle in range(cycles):
+        if cycle == at:
+            leave(sim)
+            assert sim._core is None
+        sim.step()
+        words = getattr(sim.rng_traffic, "_words", None)
+        if words is not None and words is not last:
+            windows.append(cycle)
+            last = words
+    sim.traffic = None
+    sim.run_until_drained(50_000)
+    assert sim.total_buffered_flits() == 0
+    tail = [sim.rng_traffic.getrandbits(32) for _ in range(100)]
+    return (log, sim.stats.as_dict(sim.topo.num_nodes, sim.now), tail), windows
+
+
+@pinned
+@pytest.mark.parametrize("paper", [paper_vct_config, paper_wh_config])
+def test_leaving_the_core_inside_a_plan_window_matches_a_wheel_run(paper):
+    """The core serves injection a plan window of cycles at a time; an
+    exit inside the second window hands the wheel a generator standing at
+    the cycle's end, not the window's."""
+    cfg = paper(h=3, routing="minimal", seed=3)
+    wheel, _ = _saturated_h3(cfg.with_(engine="wheel"))
+    assert len(wheel[0]) > 150  # a real window, not an empty one
+    auto, windows = _saturated_h3(cfg.with_(engine="auto"))
+    assert auto == wheel
+    assert len(windows) >= 3  # the plan crossed two window boundaries
+    at = (windows[1] + windows[2]) // 2 + 1  # inside the second window
+    assert windows[1] < at < windows[2]
+    for name, leave in TRIGGERS.items():
+        assert _saturated_h3(cfg.with_(engine="auto"), leave, at)[0] == wheel, name
+
+
 # ---------------------------------------------------------------- injection
 class _SpyTraffic(BernoulliTraffic):
     """Logs which of the two injection entry points each cycle used."""

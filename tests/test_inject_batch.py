@@ -9,10 +9,13 @@ directly, below the engine layer; the golden matrix pins it end to end.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.traffic.extra  # noqa: F401 - populate PATTERN_REGISTRY
 from repro.network.config import SimConfig
@@ -158,12 +161,13 @@ def test_dest_map_rebuilds_on_topology_change():
     assert traffic._dest_map.size == big.num_nodes
 
 
-def test_uniform_block_and_walk_gates_share_one_stream():
-    """Mixing the two vector primitives keeps stream order."""
+def test_planned_gates_and_walk_gates_share_one_stream():
+    """Mixing the planner's gate-only cycles and the walker keeps stream order."""
     ref = random.Random(77)
     sr = StreamRandom(random.Random(77))
-    vals = sr.uniform_block(100)
-    assert vals.tolist() == [ref.random() for _ in range(100)]
+    nodes, draws = sr.next_cycle(100, 0.4)
+    assert draws is None
+    assert nodes.tolist() == [i for i in range(100) if ref.random() < 0.4]
     hits_ref = []
     for i in range(200):
         if ref.random() < 0.25:
@@ -171,5 +175,106 @@ def test_uniform_block_and_walk_gates_share_one_stream():
     hits = []
     sr.walk_gates(200, 0.25, lambda i: hits.append((i, sr.randrange(53))))
     assert hits == hits_ref
-    assert np.asarray(sr.uniform_block(5)).tolist() == \
-        [ref.random() for _ in range(5)]
+    assert sr.next_cycle(5, 0.4)[0].tolist() == \
+        [i for i in range(5) if ref.random() < 0.4]
+
+
+# ------------------------------------------------- the plan, window by window
+@pytest.mark.parametrize("p", [2 ** -3, 0.0875, 1 / 3, 1.0, 1.5])
+def test_integer_gate_verdict_is_random_below_p(p):
+    """The planner's integer gate agrees with ``random() < p`` at its edge.
+
+    ``random()`` on words ``(w0, w1)`` is ``((w0 >> 5) * 2**26 + (w1 >> 6))
+    * 2**-53``; the pairs below put that integer one below, at and one
+    above ``ceil(p * 2**53)``, in both word parities of the window.
+    """
+    thr = math.ceil(min(p, 1.0) * 2 ** 53)
+    pairs = []
+    for x in (thr - 1, thr, thr + 1):
+        if 0 <= x < 2 ** 53:
+            # low bits of each word are not read by random(): vary them
+            pairs.append(((x >> 26) << 5 | 31, (x & (2 ** 26 - 1)) << 6 | 1))
+            pairs.append(((x >> 26) << 5, (x & (2 ** 26 - 1)) << 6))
+    words = [w for pair in pairs for w in pair]
+
+    def stream(prefix):
+        sr = StreamRandom(random.Random(0))
+        sr._words = np.array(prefix + words + [0] * 8, dtype=np.uint32)
+        sr._pos = 0
+        return sr
+
+    for prefix in ([], [0]):  # even and odd word offsets
+        want = []
+        sr = stream(prefix)
+        sr.getrandbits(32 * len(prefix))
+        for _ in pairs:
+            want.append(sr.random() < p)
+        sr = stream(prefix)
+        pos, _, ne = sr._gate_hits(p)
+        odd = len(prefix)
+        run = pos[ne + 1:-1] if odd else pos[:ne]
+        got = [c in set(run.tolist()) for c in range(odd, odd + 2 * len(pairs), 2)]
+        assert got == want
+    assert any(want) and (p >= 1 or not all(want))
+
+
+class _Ring:
+    """A topology surface for any node count: one node per router, one
+    router per group, so ADVG+1 draws ``randrange(1)`` per packet."""
+
+    a = p = 1
+
+    def __init__(self, n: int) -> None:
+        self.num_nodes = self.num_groups = n
+
+    def router_of_node(self, node: int) -> int:
+        return node
+
+    def group_of(self, router: int) -> int:
+        return router
+
+
+_FABRICS = {2: _Ring(2), 5: _Ring(5), 72: TOPO, 342: Dragonfly(3),
+            1056: Dragonfly(4)}
+_FOREIGN = [lambda r: r.random(), lambda r: r.randrange(1000)] + [
+    (lambda k: lambda r: r.getrandbits(k))(k) for k in (1, 31, 32, 33, 64)]
+
+
+@given(n=st.sampled_from(sorted(_FABRICS)),
+       p=st.sampled_from([1e-4, 0.0125, 0.0875, 0.125, 1.0]),
+       name=st.sampled_from(["uniform", "shift", "advg"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_the_stream_contract_holds_over_many_plan_windows(n, p, name, seed):
+    """Thousands of words past the first window, foreign draws and a
+    ``release()`` included: every cycle is the scalar loop's, and the
+    stream stands where the scalar loop's does."""
+    scalar_sim, batch_sim = _CaptureSim(seed), _CaptureSim(seed)
+    scalar_sim.topo = batch_sim.topo = _FABRICS[n]
+    load = p * scalar_sim.config.packet_phits
+    scalar = BernoulliTraffic(_build(name), load)
+    batched = BernoulliTraffic(_build(name), load)
+    events = random.Random(seed)
+    released = False
+    windows, last = 0, None
+    cycle = 0
+    while windows < 4:  # the first window, then three more
+        assert cycle < 20_000, "the run never left its first windows"
+        scalar_sim.pairs.clear()
+        scalar.inject(scalar_sim, cycle)
+        srcs, dsts = batched.inject_batch(batch_sim, cycle)
+        assert list(zip(srcs.tolist(), dsts.tolist())) == scalar_sim.pairs, cycle
+        rng = batch_sim.rng_traffic
+        if rng._words is not last:
+            windows, last = windows + 1, rng._words
+        if events.random() < 0.2:  # a burst, a hand injection, ...
+            draw = events.choice(_FOREIGN)
+            assert draw(rng) == draw(scalar_sim.rng_traffic), cycle
+        if windows == 2 and not released:  # leaving the core, and back
+            released = True
+            batch_sim.rng_traffic = rng.release()
+            assert (batch_sim.rng_traffic.getstate()
+                    == scalar_sim.rng_traffic.getstate())
+        cycle += 1
+    assert ([batch_sim.rng_traffic.getrandbits(32) for _ in range(100)]
+            == [scalar_sim.rng_traffic.getrandbits(32) for _ in range(100)])

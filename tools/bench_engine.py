@@ -25,9 +25,11 @@ Scenario families (all record-gated, speedup-gated where marked):
   array core calls) lets the core consume a whole cycle's Bernoulli
   arrivals as (srcs, dsts) vectors, and the per-flit
   next-hop cache plus single-flit allocation fast path removed the
-  remaining per-cycle numpy overhead.  The RNG draw itself stays a
-  Python-loop contract floor shared by every engine, which is why the
-  gate is 4x rather than the drain rows' 5x.  Measured over a long
+  remaining per-cycle numpy overhead.  The RNG stream is a contract
+  every engine shares word for word (the core plans it a window of
+  cycles at a time, ``StreamRandom.next_cycle``, and still pays for
+  every Mersenne Twister word), which is why the gate is 4x rather
+  than the drain rows' 5x.  Measured over a long
   steady window (warmup excluded) because walking the routes of a cold
   fabric otherwise dilutes the steady-state ratio.
 * ``sparse_hotspot_backlog`` — the array core's worst case, reported
@@ -212,6 +214,15 @@ def scenarios(smoke: bool) -> list[dict]:
                  cfg=_cfg("wh", "minimal", h=3), pattern="uniform", load=0.9,
                  warmup=100, measure=100, gate=None, engines=ENGINE_NAMES,
                  core_row=True),
+            # the three consumers of the core's injection plan, each over
+            # a few dozen plan windows: UN's chained draws, a
+            # deterministic pattern's bare gates, ADVG's generic walker
+            *(dict(name=f"plan_windows_{pattern.split('+')[0]}_vct_h3",
+                   kind="point", cfg=_cfg("vct", "minimal", h=3),
+                   pattern=pattern, load=load, warmup=200, measure=200,
+                   gate=None, engines=ENGINE_NAMES, core_row=True)
+              for pattern, load in (("uniform", 0.9), ("shift", 0.9),
+                                    ("advg+1", 0.3))),
             # multi-flit *and* repeated sources, which neither row above
             # enqueues: a burst's packets share their nodes' injection VCs
             dict(name="saturated_burst_wh_h3", kind="drain",
