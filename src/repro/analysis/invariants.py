@@ -10,7 +10,8 @@ non-negative counters and sane confidence intervals — so silent drift
 that preserves record shape (the failure mode three engine rewrites
 make likely) still fails loudly.
 
-Two entry layers share one :class:`Check` vocabulary:
+:class:`Check` is the one verdict type: the shape claims of
+:mod:`repro.experiments.verify` emit it too.  Two entry layers:
 
 * **record checks** (:func:`check_record`, :func:`verify_result`) work
   on bare result dicts — a ``results/*.json`` figure payload, a served
@@ -23,9 +24,9 @@ Two entry layers share one :class:`Check` vocabulary:
   bucket-sampled in-flight level and ``λ·W``.
 
 Layering: this module imports only :mod:`repro.analysis.bounds`; the
-hub, facade, run-plan and serve layers all reach *down* into it (the
-hub lazily, from :meth:`~repro.metrics.hub.MetricsHub.verify`), never
-the other way.
+hub, facade, run-plan, serve and experiments layers all reach *down*
+into it (the hub lazily, from
+:meth:`~repro.metrics.hub.MetricsHub.verify`), never the other way.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def dragonfly_nodes(h: int) -> int:
 
 @dataclass(frozen=True)
 class Check:
-    """One verified invariant: name, verdict, and the compared terms.
+    """One verdict — an invariant or a shape claim: name, verdict, and
+    the compared terms.
 
     ``lhs``/``rhs`` are the two sides of the identity or bound (lhs is
     the measured quantity, rhs the model/bound), ``tolerance`` the
@@ -500,36 +502,35 @@ def check_record(rec: dict, *, tolerance: float = DEFAULT_TOLERANCE) -> list[Che
 # --------------------------------------------------------- figure reports
 
 @dataclass(frozen=True)
-class CheckSummary:
-    """One invariant's tally over a figure's records."""
-
-    name: str
-    applied: int
-    failed: int
-    detail: str = ""  # first failure's detail, for the report table
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-
-@dataclass(frozen=True)
 class ResultReport:
-    """Verification verdict for one figure/table result payload."""
+    """Verification verdict for one figure/table result payload.
+
+    ``checks`` holds every verdict as a ``(record label, Check)`` pair;
+    the per-invariant tallies and the failures are read off it.
+    """
 
     figure: str
     description: str
     records: int
-    summaries: list[CheckSummary] = field(compare=False)
-    failures: list[dict] = field(compare=False)
+    checks: list[tuple[str, Check]] = field(compare=False)
+
+    @property
+    def failures(self) -> list[tuple[str, Check]]:
+        return [(label, c) for label, c in self.checks if not c.ok]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    @property
-    def checks_applied(self) -> int:
-        return sum(s.applied for s in self.summaries)
+    def tallies(self) -> dict[str, list[int]]:
+        """``{invariant: [applied, failed]}``: every record check in
+        report order, then any other check the list carries."""
+        out = {name: [0, 0] for name, _ in RECORD_CHECKS}
+        for _, c in self.checks:
+            tally = out.setdefault(c.check, [0, 0])
+            tally[0] += 1
+            tally[1] += not c.ok
+        return out
 
 
 def iter_records(result: dict):
@@ -556,22 +557,12 @@ def verify_result(result: dict, *,
     fabric size, so a disagreement means a record was transplanted or a
     normalisation drifted.
     """
-    figure = result.get("id", "?")
-    applied = {name: 0 for name, _ in RECORD_CHECKS}
-    failed = {name: 0 for name, _ in RECORD_CHECKS}
-    first_detail = {name: "" for name, _ in RECORD_CHECKS}
-    failures: list[dict] = []
+    checks: list[tuple[str, Check]] = []
     records = 0
     implied_nodes: dict[int, str] = {}
     for label, rec in iter_records(result):
         records += 1
-        for check in check_record(rec, tolerance=tolerance):
-            applied[check.check] += 1
-            if not check.ok:
-                failed[check.check] += 1
-                if not first_detail[check.check]:
-                    first_detail[check.check] = check.detail
-                failures.append({"record": label, **check.to_dict()})
+        checks += [(label, c) for c in check_record(rec, tolerance=tolerance)]
         thr, phits = _num(rec, "throughput"), _num(rec, "delivered_phits")
         window = _window(rec)
         if thr and phits is not None and window is not None:
@@ -579,22 +570,13 @@ def verify_result(result: dict, *,
     if len(implied_nodes) > 1:
         sizes = ", ".join(f"{n} ({label})"
                           for n, label in sorted(implied_nodes.items()))
-        check = Check(
+        checks.append(("<cross-record>", Check(
             "throughput_consistency", False,
             detail=("records of one figure imply different fabric sizes: "
-                    + sizes))
-        failed["throughput_consistency"] += 1
-        applied["throughput_consistency"] += 1
-        if not first_detail["throughput_consistency"]:
-            first_detail["throughput_consistency"] = check.detail
-        failures.append({"record": "<cross-record>", **check.to_dict()})
-    summaries = [CheckSummary(name, applied[name], failed[name],
-                              first_detail[name])
-                 for name, _ in RECORD_CHECKS]
-    return ResultReport(figure=figure,
+                    + sizes))))
+    return ResultReport(figure=result.get("id", "?"),
                         description=str(result.get("description", "")),
-                        records=records, summaries=summaries,
-                        failures=failures)
+                        records=records, checks=checks)
 
 
 # ------------------------------------------------------------ live checks
@@ -713,10 +695,9 @@ def live_checks(hub, *, tolerance: float = DEFAULT_TOLERANCE,
 
 # ------------------------------------------------------ Markdown report
 
-def _status(summary: CheckSummary) -> str:
-    if summary.applied == 0:
-        return "–"
-    return "✅" if summary.ok else "❌"
+def mark(ok: bool) -> str:
+    """The verdict mark of every Markdown report row."""
+    return "✅" if ok else "❌"
 
 
 def render_markdown(reports, *, tolerance: float = DEFAULT_TOLERANCE,
@@ -729,7 +710,7 @@ def render_markdown(reports, *, tolerance: float = DEFAULT_TOLERANCE,
     each broken identity.
     """
     reports = list(reports)
-    total_checks = sum(r.checks_applied for r in reports)
+    total_checks = sum(len(r.checks) for r in reports)
     total_failures = sum(len(r.failures) for r in reports)
     lines = [f"# {title}", ""]
     verdict = ("all ✅" if total_failures == 0
@@ -738,32 +719,33 @@ def render_markdown(reports, *, tolerance: float = DEFAULT_TOLERANCE,
                  f"checks applied · {verdict}** (relative tolerance "
                  f"{tolerance:g}; see docs/VERIFICATION.md)")
     for r in reports:
-        lines += ["", f"## {'✅' if r.ok else '❌'} {r.figure} — "
+        lines += ["", f"## {mark(r.ok)} {r.figure} — "
                       f"{r.description or 'no description'}",
                   "",
-                  f"{r.records} record(s), {r.checks_applied} check(s) "
+                  f"{r.records} record(s), {len(r.checks)} check(s) "
                   f"applied.", "",
                   "| invariant | records checked | status |",
                   "|---|---|---|"]
-        for s in r.summaries:
-            checked = f"{s.applied - s.failed}/{s.applied}" if s.applied else "0"
-            lines.append(f"| {s.name} | {checked} | {_status(s)} |")
+        for name, (applied, failed) in r.tallies().items():
+            checked = f"{applied - failed}/{applied}" if applied else "0"
+            status = mark(not failed) if applied else "–"
+            lines.append(f"| {name} | {checked} | {status} |")
         if r.failures:
             lines.append("")
             lines.append("Failures:")
-            for f in r.failures:
-                lhs = "" if f.get("lhs") is None else f" lhs={f['lhs']}"
-                rhs = "" if f.get("rhs") is None else f" rhs={f['rhs']}"
-                lines.append(f"- ❌ `{f['record']}` **{f['check']}**:"
-                             f"{lhs}{rhs} — {f['detail']}")
+            for label, c in r.failures:
+                lhs = "" if c.lhs is None else f" lhs={c.lhs}"
+                rhs = "" if c.rhs is None else f" rhs={c.rhs}"
+                lines.append(f"- ❌ `{label}` **{c.check}**:"
+                             f"{lhs}{rhs} — {c.detail}")
     return "\n".join(lines) + "\n"
 
 
 __all__ = [
-    "Check", "CheckSummary", "DEFAULT_TOLERANCE", "FlowConservationError",
+    "Check", "DEFAULT_TOLERANCE", "FlowConservationError",
     "InvariantViolation", "LITTLE_MIN_DELIVERED", "LITTLE_TOLERANCE", "LIVE_CHECKS",
     "RECORD_CHECKS", "ResultReport", "VerifyReport", "check_record",
     "dragonfly_nodes", "enforce", "iter_records", "live_checks",
-    "min_hop_floor", "min_latency_floor", "render_markdown",
+    "mark", "min_hop_floor", "min_latency_floor", "render_markdown",
     "verify_result",
 ]

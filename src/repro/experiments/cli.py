@@ -297,7 +297,7 @@ def _run_point(args) -> int:
             config = SimConfig()
         if args.engine is not None:
             config = config.with_(engine=args.engine)
-    except ValueError as e:  # unknown engine etc. — did-you-mean included
+    except (ValueError, OSError) as e:  # unknown engine, unreadable --config
         print(f"error: {e}", file=sys.stderr)
         return 2
     s = session(config, pattern=args.pattern, load=args.load)
@@ -395,7 +395,7 @@ def _run_sweep(args) -> int:
                 seed=1 if args.seed is None else args.seed,
                 flow_control=args.preset)
         config = config.with_(engine=args.engine)
-    except ValueError as e:  # unknown engine etc. — did-you-mean included
+    except (ValueError, OSError) as e:  # unknown engine, unreadable --config
         print(f"error: {e}", file=sys.stderr)
         return 2
     loads = args.loads or scale.loads_for(args.pattern)
@@ -599,7 +599,7 @@ def _verify_live_matrix(engines, topologies, *, scale_name: str, load: float,
     its heading says which engine path the plain run took and why (an
     ``auto`` row is a core run only where the core wins the point).
     """
-    from repro.analysis.invariants import InvariantViolation, verify_result
+    from repro.analysis.invariants import Check, InvariantViolation, verify_result
     from repro.experiments.presets import cross_topology_config, get_scale
     from repro.facade import point_record, run_point, session
     from repro.runplan.cache import canonical_record_json
@@ -621,16 +621,6 @@ def _verify_live_matrix(engines, topologies, *, scale_name: str, load: float,
                 ran_on = f"{s.sim.engine_path}: {s.sim.engine_why}"
             finally:
                 s.close()
-            gate_failures: list[dict] = []
-            checked = None
-            try:
-                checked = run_point(config, "uniform", load, scale.warmup,
-                                    measure, verify=True)
-            except InvariantViolation as e:
-                gate_failures = [
-                    {"record": label, **c}
-                    for c in e.report.get("checks", ())
-                    if not c.get("ok", True)]
             payload = {
                 "id": f"live:{label}",
                 "description": (f"live re-run, scale {scale_name}, uniform "
@@ -639,15 +629,20 @@ def _verify_live_matrix(engines, topologies, *, scale_name: str, load: float,
                 "series": {label: [plain]},
             }
             report = verify_result(payload, tolerance=tolerance)
-            report.failures.extend(gate_failures)
-            if checked is not None and (canonical_record_json(plain)
-                                        != canonical_record_json(checked)):
-                report.failures.append({
-                    "record": label, "check": "record_identity", "ok": False,
-                    "lhs": None, "rhs": None,
-                    "detail": "instrumented (verified) record differs from "
-                              "the plain run — observation changed the "
-                              "measurement"})
+            try:
+                checked = run_point(config, "uniform", load, scale.warmup,
+                                    measure, verify=True)
+            except InvariantViolation as e:
+                report.checks.extend(
+                    (label, Check(**c)) for c in e.report.get("checks", ())
+                    if not c.get("ok", True))
+            else:
+                report.checks.append((label, Check(
+                    "record_identity",
+                    canonical_record_json(plain) == canonical_record_json(checked),
+                    detail="the instrumented (verified) record must be "
+                           "byte-identical to the plain run's: observation "
+                           "never changes the measurement")))
             reports.append(report)
     return reports
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from repro.analysis.invariants import Check
 from repro.experiments import figures, verify
 from repro.experiments.presets import Scale, get_scale
 from repro.runplan import aggregate_replicas, execute, parse_shard, series_map
@@ -34,8 +35,8 @@ class ExperimentSpec:
     #: the record column the figure plots
     metric: str
     description: str
-    #: shape check: ``check(result) -> list[Claim]``
-    check: Callable[[dict], list[verify.Claim]]
+    #: shape check: ``check(result) -> list[Check]``
+    check: Callable[[dict], list[Check]]
     #: what the paper reports for this element
     expectation: str
     #: ``False``: nothing to simulate, ``build()`` is the finished payload

@@ -103,10 +103,3 @@ def _x_key(point: dict) -> str:
             return key
     return next(iter(point))
 
-
-def summarize_saturation(result: dict) -> dict[str, float]:
-    """Max accepted load per series — the headline numbers of Figs 5/8."""
-    return {
-        name: max((p.get("throughput", 0.0) for p in pts), default=0.0)
-        for name, pts in result["series"].items()
-    }

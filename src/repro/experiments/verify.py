@@ -12,7 +12,7 @@ EXPERIMENTS.md from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.analysis.invariants import Check, mark
 
 
 def saturation(points) -> float:
@@ -28,19 +28,6 @@ def mean_drain(points) -> float:
     return sum(p["drain_cycles"] for p in points) / len(points)
 
 
-@dataclass
-class Claim:
-    """One checkable statement derived from the paper."""
-
-    text: str
-    passed: bool
-    detail: str
-
-    def row(self) -> str:
-        mark = "✅" if self.passed else "❌"
-        return f"| {self.text} | {mark} | {self.detail} |"
-
-
 def _sat_map(result) -> dict[str, float]:
     return {name: saturation(pts) for name, pts in result["series"].items()}
 
@@ -50,51 +37,51 @@ def _fmt_map(m: dict[str, float]) -> str:
 
 
 # ------------------------------------------------------------ claim checks
-def check_vct_uniform(result) -> list[Claim]:
+def check_vct_uniform(result) -> list[Check]:
     sat = _sat_map(result)
     lat = {m: low_load_latency(p) for m, p in result["series"].items()}
     return [
-        Claim("UN/VCT: misrouting mechanisms stay within ~5% of minimal "
+        Check("UN/VCT: misrouting mechanisms stay within ~5% of minimal "
               "(paper at h=8: slightly above; misrouting overhead is a larger "
               "fraction of capacity at reduced scale)",
               min(sat["par62"], sat["olm"], sat["rlm"]) >= 0.93 * sat["minimal"],
-              _fmt_map(sat)),
-        Claim("UN/VCT: OLM throughput within 5% of PAR-6/2 (paper: 'very similar')",
-              sat["olm"] >= 0.95 * sat["par62"], _fmt_map(sat)),
-        Claim("UN/VCT: all in-transit adaptive mechanisms beat PB",
+              detail=_fmt_map(sat)),
+        Check("UN/VCT: OLM throughput within 5% of PAR-6/2 (paper: 'very similar')",
+              sat["olm"] >= 0.95 * sat["par62"], detail=_fmt_map(sat)),
+        Check("UN/VCT: all in-transit adaptive mechanisms beat PB",
               min(sat["par62"], sat["olm"], sat["rlm"]) >= sat["pb"] * 0.98,
-              _fmt_map(sat)),
-        Claim("UN/VCT: minimal has the lowest low-load latency (misrouting costs hops)",
+              detail=_fmt_map(sat)),
+        Check("UN/VCT: minimal has the lowest low-load latency (misrouting costs hops)",
               lat["minimal"] <= 1.25 * min(lat.values()),
-              _fmt_map(lat)),
+              detail=_fmt_map(lat)),
     ]
 
 
-def check_vct_advg1(result) -> list[Claim]:
+def check_vct_advg1(result) -> list[Check]:
     sat = _sat_map(result)
     return [
-        Claim("ADVG+1/VCT: in-transit adaptive >= Valiant",
+        Check("ADVG+1/VCT: in-transit adaptive >= Valiant",
               min(sat["par62"], sat["olm"], sat["rlm"]) >= 0.95 * sat["valiant"],
-              _fmt_map(sat)),
-        Claim("ADVG+1/VCT: in-transit adaptive >= PB",
+              detail=_fmt_map(sat)),
+        Check("ADVG+1/VCT: in-transit adaptive >= PB",
               min(sat["par62"], sat["olm"], sat["rlm"]) >= 0.95 * sat["pb"],
-              _fmt_map(sat)),
+              detail=_fmt_map(sat)),
     ]
 
 
-def check_vct_advgh(result) -> list[Claim]:
+def check_vct_advgh(result) -> list[Check]:
     sat = _sat_map(result)
     best_local = max(sat["par62"], sat["olm"], sat["rlm"])
     return [
-        Claim("ADVG+h/VCT: local-misrouting mechanisms clearly beat Valiant",
-              best_local > sat["valiant"], _fmt_map(sat)),
-        Claim("ADVG+h/VCT: local-misrouting mechanisms beat PB",
+        Check("ADVG+h/VCT: local-misrouting mechanisms clearly beat Valiant",
+              best_local > sat["valiant"], detail=_fmt_map(sat)),
+        Check("ADVG+h/VCT: local-misrouting mechanisms beat PB",
               min(sat["par62"], sat["olm"], sat["rlm"]) > 0.95 * sat["pb"],
-              _fmt_map(sat)),
+              detail=_fmt_map(sat)),
     ]
 
 
-def check_mixed(result, mechs=("par62", "olm", "rlm", "pb")) -> list[Claim]:
+def check_mixed(result, mechs=("par62", "olm", "rlm", "pb")) -> list[Check]:
     series = result["series"]
     present = [m for m in mechs if m in series]
     ok_each = all(
@@ -104,70 +91,70 @@ def check_mixed(result, mechs=("par62", "olm", "rlm", "pb")) -> list[Claim]:
     )
     at0 = {m: series[m][0]["throughput"] for m in present}
     return [
-        Claim("Mixed: every local-misrouting mechanism >= PB at every mix point",
-              ok_each, _fmt_map(at0) + " (values at 0% global)"),
-        Claim("Mixed at 0% global (pure ADVL): misrouting mechanisms exceed PB",
+        Check("Mixed: every local-misrouting mechanism >= PB at every mix point",
+              ok_each, detail=_fmt_map(at0) + " (values at 0% global)"),
+        Check("Mixed at 0% global (pure ADVL): misrouting mechanisms exceed PB",
               all(at0[m] > at0["pb"] for m in present if m != "pb"),
-              _fmt_map(at0)),
+              detail=_fmt_map(at0)),
     ]
 
 
 def check_burst(result, *, olm_expected: float | None = 0.36,
-                rlm_expected: float = 0.425) -> list[Claim]:
+                rlm_expected: float = 0.425) -> list[Check]:
     series = result["series"]
     pb = mean_drain(series["pb"])
     claims = []
     if "olm" in series and olm_expected is not None:
         ratio = mean_drain(series["olm"]) / pb
-        claims.append(Claim(
+        claims.append(Check(
             f"Burst: OLM drains far faster than PB (paper ~{olm_expected:.0%} of PB's time)",
-            ratio < 0.8, f"measured {ratio:.1%} of PB"))
+            ratio < 0.8, detail=f"measured {ratio:.1%} of PB"))
     if "rlm" in series:
         ratio = mean_drain(series["rlm"]) / pb
-        claims.append(Claim(
+        claims.append(Check(
             f"Burst: RLM drains far faster than PB (paper ~{rlm_expected:.1%} of PB's time)",
-            ratio < 0.85, f"measured {ratio:.1%} of PB"))
+            ratio < 0.85, detail=f"measured {ratio:.1%} of PB"))
     return claims
 
 
-def check_wh_uniform(result) -> list[Claim]:
+def check_wh_uniform(result) -> list[Check]:
     sat = _sat_map(result)
     return [
-        Claim("UN/WH: PAR-6/2 leads the misrouting mechanisms and stays near "
+        Check("UN/WH: PAR-6/2 leads the misrouting mechanisms and stays near "
               "minimal (paper at h=8: highest overall)",
               sat["par62"] >= max(sat["rlm"], sat["pb"]) * 0.98
               and sat["par62"] >= 0.85 * sat["minimal"],
-              _fmt_map(sat)),
-        Claim("UN/WH: RLM close to PB or better",
-              sat["rlm"] >= 0.85 * sat["pb"], _fmt_map(sat)),
+              detail=_fmt_map(sat)),
+        Check("UN/WH: RLM close to PB or better",
+              sat["rlm"] >= 0.85 * sat["pb"], detail=_fmt_map(sat)),
     ]
 
 
-def check_wh_adv(result) -> list[Claim]:
+def check_wh_adv(result) -> list[Check]:
     sat = _sat_map(result)
     return [
-        Claim("ADVG/WH: RLM and PAR-6/2 above PB",
-              min(sat["rlm"], sat["par62"]) >= 0.95 * sat["pb"], _fmt_map(sat)),
-        Claim("ADVG/WH: RLM and PAR-6/2 above Valiant",
-              min(sat["rlm"], sat["par62"]) >= 0.95 * sat["valiant"], _fmt_map(sat)),
+        Check("ADVG/WH: RLM and PAR-6/2 above PB",
+              min(sat["rlm"], sat["par62"]) >= 0.95 * sat["pb"], detail=_fmt_map(sat)),
+        Check("ADVG/WH: RLM and PAR-6/2 above Valiant",
+              min(sat["rlm"], sat["par62"]) >= 0.95 * sat["valiant"], detail=_fmt_map(sat)),
     ]
 
 
-def check_threshold_uniform(result) -> list[Claim]:
-    sat = {name: saturation(pts) for name, pts in result["series"].items()}
+def check_threshold_uniform(result) -> list[Check]:
+    sat = _sat_map(result)
     return [
-        Claim("Fig 10: under UN, cautious thresholds do not lose to aggressive ones",
-              sat["th=30%"] >= 0.95 * sat["th=60%"], _fmt_map(sat)),
+        Check("Fig 10: under UN, cautious thresholds do not lose to aggressive ones",
+              sat["th=30%"] >= 0.95 * sat["th=60%"], detail=_fmt_map(sat)),
     ]
 
 
-def check_threshold_advg(result) -> list[Claim]:
-    sat = {name: saturation(pts) for name, pts in result["series"].items()}
+def check_threshold_advg(result) -> list[Check]:
+    sat = _sat_map(result)
     return [
-        Claim("Fig 11: under ADVG+1, aggressive thresholds pay off",
-              sat["th=60%"] >= 0.95 * sat["th=30%"], _fmt_map(sat)),
-        Claim("Fig 10/11: the paper's 45% stays near the best",
-              sat["th=45%"] >= 0.9 * max(sat.values()), _fmt_map(sat)),
+        Check("Fig 11: under ADVG+1, aggressive thresholds pay off",
+              sat["th=60%"] >= 0.95 * sat["th=30%"], detail=_fmt_map(sat)),
+        Check("Fig 10/11: the paper's 45% stays near the best",
+              sat["th=45%"] >= 0.9 * max(sat.values()), detail=_fmt_map(sat)),
     ]
 
 
@@ -175,7 +162,7 @@ def mean_recovery(points) -> float:
     return sum(p["recovery_cycles"] for p in points) / len(points)
 
 
-def check_burst_response(result) -> list[Claim]:
+def check_burst_response(result) -> list[Check]:
     series = result["series"]
     rec = {m: mean_recovery(pts) for m, pts in series.items()}
     adaptive = [m for m in ("par62", "olm", "rlm") if m in series]
@@ -187,25 +174,25 @@ def check_burst_response(result) -> list[Claim]:
     # so a missing key means at least one replica failed to recover
     recovered = all(p.get("recovered", False) for m in adaptive for p in series[m])
     claims = [
-        Claim("Transient: every adaptive mechanism absorbs the load step "
+        Check("Transient: every adaptive mechanism absorbs the load step "
               "within the observation window",
-              recovered, _fmt_map(rec) + " (mean recovery cycles)"),
-        Claim("Transient: recovery time grows with the burst size "
+              recovered, detail=_fmt_map(rec) + " (mean recovery cycles)"),
+        Check("Transient: recovery time grows with the burst size "
               "(larger backlog, longer drain)",
-              grows, _fmt_map(rec)),
+              grows, detail=_fmt_map(rec)),
     ]
     if "pb" in rec and adaptive:
         best = min(rec[m] for m in adaptive)
-        claims.append(Claim(
+        claims.append(Check(
             "Transient: the best local-misrouting mechanism recovers no "
             "slower than PB (§II: the escape/source-throttling designs "
             "hold congestion longest)",
             best <= 1.05 * rec["pb"],
-            _fmt_map(rec)))
+            detail=_fmt_map(rec)))
     return claims
 
 
-def check_cross_topology(result) -> list[Claim]:
+def check_cross_topology(result) -> list[Check]:
     """Shape checks of the cross-fabric figure (xtopo1).
 
     Fabric-independent physics, not paper claims: Valiant's doubled
@@ -222,43 +209,35 @@ def check_cross_topology(result) -> list[Claim]:
         p["throughput"] >= 0.85 * p["load"] for p in lowest.values()
     )
     return [
-        Claim("xtopo: every fabric/mechanism pair routes deadlock-free and "
+        Check("xtopo: every fabric/mechanism pair routes deadlock-free and "
               "accepts ~the offered load at the lowest load point",
-              min(sat.values()) > 0.05 and tracks, _fmt_map(sat)),
-        Claim("xtopo: under UN, minimal saturates within 10% of Valiant or "
+              min(sat.values()) > 0.05 and tracks, detail=_fmt_map(sat)),
+        Check("xtopo: under UN, minimal saturates within 10% of Valiant or "
               "better on every fabric (obligatory misrouting never pays "
               "off for uniform traffic)",
               all(sat[f"{t}/minimal"] >= 0.9 * sat[f"{t}/valiant"]
                   for t in fabrics),
-              _fmt_map(sat)),
-        Claim("xtopo: the flattened butterfly (one-hop minimal paths over "
+              detail=_fmt_map(sat)),
+        Check("xtopo: the flattened butterfly (one-hop minimal paths over "
               "10-cycle links) has the lowest low-load latency",
               lat["flattened_butterfly/minimal"] <= min(lat.values()) * 1.05,
-              _fmt_map(lat)),
-        Claim("xtopo: the torus saturates below the high-radix fabrics "
+              detail=_fmt_map(lat)),
+        Check("xtopo: the torus saturates below the high-radix fabrics "
               "(ring bisection vs complete graphs at matched node count)",
               sat["torus/minimal"] < min(sat["dragonfly/minimal"],
                                          sat["flattened_butterfly/minimal"]),
-              _fmt_map(sat)),
+              detail=_fmt_map(sat)),
     ]
 
 
-def check_table1(result) -> list[Claim]:
+def check_table1(result) -> list[Check]:
     rows = result["series"]["parity-sign"]
     allowed = sum(r["allowed"] for r in rows)
     return [
-        Claim("Table I: 10 allowed / 6 forbidden combinations, exactly as printed",
+        Check("Table I: 10 allowed / 6 forbidden combinations, exactly as printed",
               len(rows) == 16 and allowed == 10,
-              f"{allowed} allowed of {len(rows)}"),
+              detail=f"{allowed} allowed of {len(rows)}"),
     ]
-
-
-def verify_result(result: dict) -> list[Claim]:
-    """Run the catalogue's shape check for one experiment result."""
-    # imported here: the catalogue's rows name this module's checks
-    from repro.experiments.registry import EXPERIMENTS
-
-    return EXPERIMENTS[result["id"]].check(result)
 
 
 def render_experiments_md(results: dict[str, dict]) -> str:
@@ -292,19 +271,16 @@ def render_experiments_md(results: dict[str, dict]) -> str:
         "--jobs 4 --seeds 3 --cache .runcache` reproduces everything "
         "in parallel with mean ± 95% CI records.",
         "",
-        "Each point runs on the timing-wheel cycle engine (PR 3: "
-        "cycle-indexed event buckets, an active-router set and idle "
-        "fast-forwarding; PR 14: compiled minimal-hop rows and "
-        "stall-aware head retry).  The engine is byte-identical to the "
-        "seed engine on a pinned golden matrix "
-        "(`tests/test_engine_equivalence.py`), so these tables are "
-        "engine-revision-independent; `tools/bench_engine.py` writes "
-        "`BENCH_engine.json` with cycles/sec vs. the frozen seed hot "
-        "path, which shares the routing layer and so isolates the "
-        "engine: 2.4-3.9x on the sparse probe/superstep rows, 1.2-1.4x "
-        "on dense burst drains, 1.03-1.17x on the steady olm/pb rows, "
-        "0.92x on saturated par62/wormhole and 0.62x on the low-load "
-        "Bernoulli row (per-cycle injection overhead, not routing).",
+        "Each point runs on the timing-wheel cycle engine "
+        "(cycle-indexed event buckets, an active-router set, idle "
+        "fast-forwarding, compiled minimal-hop rows and stall-aware "
+        "head retry).  The engine is byte-identical to the seed engine "
+        "on a pinned golden matrix (`tests/test_engine_equivalence.py`), "
+        "so these tables are engine-revision-independent.  "
+        "`tools/bench_engine.py` writes `BENCH_engine.json`: cycles/sec "
+        "per workload row against the frozen seed hot path, which shares "
+        "the routing layer and so isolates the engine.  Read each row's "
+        "current speed-up there; it is not quoted here.",
         "",
         "Observability is event-driven (PR 4): instrumentation taps on "
         "the engine's event points (inject, grant/misroute, eject, "
@@ -347,10 +323,10 @@ def render_experiments_md(results: dict[str, dict]) -> str:
         lines.append("")
         lines.append("| claim | ok | measured |")
         lines.append("|---|---|---|")
-        for claim in verify_result(result):
-            lines.append(claim.row())
-            passed += claim.passed
-            failed += not claim.passed
+        for claim in EXPERIMENTS[exp_id].check(result):
+            lines.append(f"| {claim.check} | {mark(claim.ok)} | {claim.detail} |")
+            passed += claim.ok
+            failed += not claim.ok
         lines.append("")
         summary = _measured_summary(result)
         if summary:

@@ -4,12 +4,8 @@ from repro.metrics.collector import StatsCollector
 from repro.metrics.hub import OBS_SCHEMA_VERSION, LatencyTap, MetricsHub
 from repro.metrics.probes import injection_backlog, occupancy_snapshot
 from repro.metrics.statistics import (
-    BatchMeansResult,
-    batch_means,
-    compare_series,
     mean_ci,
     recovery_time,
-    saturation_point,
     steady_state_reached,
 )
 
@@ -20,11 +16,7 @@ __all__ = [
     "OBS_SCHEMA_VERSION",
     "occupancy_snapshot",
     "injection_backlog",
-    "BatchMeansResult",
-    "batch_means",
-    "compare_series",
     "mean_ci",
     "recovery_time",
-    "saturation_point",
     "steady_state_reached",
 ]

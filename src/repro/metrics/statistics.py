@@ -1,17 +1,12 @@
-"""Statistical tooling for steady-state simulation output.
+"""Statistical tooling for simulation output.
 
-Cycle simulations produce autocorrelated samples; the standard remedy
-is the batch-means method: split the measurement window into batches,
-treat batch means as (approximately) independent, and build a
-confidence interval from their spread.  This module also derives the
-headline numbers of the paper's figures from sweep records: saturation
-throughput and the saturation onset load.
+Confidence intervals across independent seed replicas, and the
+transient and warm-up tests read off a bucketed throughput series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # two-sided Student-t 97.5% quantiles for df = 1..30 (95% CI)
 _T975 = [
@@ -28,46 +23,11 @@ def t_quantile_975(df: int) -> float:
     return _T975[df - 1] if df <= 30 else 1.96
 
 
-@dataclass(frozen=True)
-class BatchMeansResult:
-    """Mean with a 95% confidence half-width from batch means."""
-
-    mean: float
-    half_width: float
-    batches: int
-
-    @property
-    def ci(self) -> tuple[float, float]:
-        return (self.mean - self.half_width, self.mean + self.half_width)
-
-    def relative_error(self) -> float:
-        return self.half_width / abs(self.mean) if self.mean else math.inf
-
-
-def batch_means(samples, num_batches: int = 10) -> BatchMeansResult:
-    """95% CI for the mean of an autocorrelated sample stream."""
-    samples = list(samples)
-    if num_batches < 2:
-        raise ValueError("need at least 2 batches")
-    if len(samples) < num_batches:
-        raise ValueError("need at least one sample per batch")
-    size = len(samples) // num_batches
-    means = [
-        sum(samples[i * size:(i + 1) * size]) / size
-        for i in range(num_batches)
-    ]
-    grand = sum(means) / num_batches
-    var = sum((m - grand) ** 2 for m in means) / (num_batches - 1)
-    half = t_quantile_975(num_batches - 1) * math.sqrt(var / num_batches)
-    return BatchMeansResult(mean=grand, half_width=half, batches=num_batches)
-
-
 def mean_ci(values) -> tuple[float, float]:
     """Mean and 95% confidence half-width across independent replicas.
 
-    Unlike :func:`batch_means` (which slices one autocorrelated stream),
-    this treats each value as an already-independent observation — e.g.
-    the same sweep point simulated under different RNG seeds.  A single
+    Each value is an already-independent observation — e.g. the same
+    sweep point simulated under different RNG seeds.  A single
     replica yields a zero half-width (no spread information); any NaN
     value poisons both outputs.
     """
@@ -83,40 +43,6 @@ def mean_ci(values) -> tuple[float, float]:
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     half = t_quantile_975(n - 1) * math.sqrt(var / n)
     return (mean, half)
-
-
-def saturation_point(points, *, rel_tolerance: float = 0.05) -> dict:
-    """Locate the saturation of an offered-vs-accepted sweep.
-
-    A sweep point is 'unsaturated' while accepted tracks offered within
-    ``rel_tolerance``.  Returns the last unsaturated load (onset), the
-    maximum accepted load, and the load achieving it.
-    """
-    pts = sorted(points, key=lambda p: p["load"])
-    if not pts:
-        raise ValueError("empty sweep")
-    onset = None
-    for p in pts:
-        if p["throughput"] >= p["load"] * (1 - rel_tolerance):
-            onset = p["load"]
-    best = max(pts, key=lambda p: p["throughput"])
-    return {
-        "onset_load": onset,
-        "max_throughput": best["throughput"],
-        "max_throughput_load": best["load"],
-    }
-
-
-def compare_series(series_a, series_b) -> dict:
-    """Ratio summary of two sweeps (e.g. OLM vs PB, the paper's +24.2%)."""
-    sat_a = max(p["throughput"] for p in series_a)
-    sat_b = max(p["throughput"] for p in series_b)
-    return {
-        "sat_a": sat_a,
-        "sat_b": sat_b,
-        "ratio": sat_a / sat_b if sat_b else math.inf,
-        "improvement_pct": 100.0 * (sat_a / sat_b - 1.0) if sat_b else math.inf,
-    }
 
 
 def recovery_time(series, baseline: float, *, bucket: int,

@@ -92,6 +92,14 @@ def test_point_command_rejects_bad_config(tmp_path, capsys):
     assert "unknown SimConfig field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["point", "sweep"])
+def test_missing_config_file_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    assert main([command, "--config", str(missing), "--measure", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_point_engine_flag_selects_backend(tmp_path, capsys):
     out_path = tmp_path / "point.json"
     assert main(["point", "--engine", "auto", "--pattern", "uniform",

@@ -17,8 +17,8 @@ from repro.experiments.reporting import (
     format_result,
     load_result,
     save_result,
-    summarize_saturation,
 )
+from repro.experiments.verify import saturation
 from repro.facade import run_point
 from repro.network.config import paper_vct_config
 from repro.runplan import RunPoint, RunSpec, execute, execute_points
@@ -93,8 +93,7 @@ def test_run_experiment_smoke_figure():
     res = run_experiment("fig5a", scale="smoke", seed=2)
     assert res["metric"] == "throughput"
     assert set(res["series"]) == {"par62", "olm", "rlm", "minimal", "pb"}
-    sat = summarize_saturation(res)
-    assert all(v > 0 for v in sat.values())
+    assert all(saturation(pts) > 0 for pts in res["series"].values())
 
 
 def test_reporting_roundtrip(tmp_path):

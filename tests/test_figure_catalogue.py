@@ -21,16 +21,18 @@ Three things are pinned here.
 """
 
 import hashlib
+import importlib.util
 import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.invariants import Check
 from repro.experiments import EXPERIMENTS, Scale, figures, registry, run_experiment
 from repro.experiments.presets import get_scale
 from repro.experiments.reporting import load_result
-from repro.experiments.verify import Claim, render_experiments_md, verify_result
+from repro.experiments.verify import render_experiments_md
 from repro.runplan import expand_specs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,7 +116,7 @@ def test_every_id_runs_end_to_end(micro_run, exp_id):
         assert all(row.metric in point
                    for points in result["series"].values() for point in points)
     claims = row.check(result)
-    assert claims and all(isinstance(c, Claim) for c in claims)
+    assert claims and all(isinstance(c, Check) for c in claims)
 
 
 # ---------------------------------------------------------- catalogue table
@@ -161,10 +163,30 @@ def test_checked_in_results_pass_every_shape_check_and_render_unchanged():
         result = load_result(path)
         results[result["id"]] = result
     assert set(results) == set(EXPERIMENTS)
-    claims = [c for result in results.values() for c in verify_result(result)]
+    claims = [c for exp_id, result in results.items()
+              for c in EXPERIMENTS[exp_id].check(result)]
     assert len(claims) == 46
-    assert all(c.passed for c in claims), [c.text for c in claims if not c.passed]
+    assert all(c.ok for c in claims), [c.check for c in claims if not c.ok]
     assert render_experiments_md(results) == (ROOT / "EXPERIMENTS.md").read_text()
+
+
+
+def test_generator_skips_partial_results(tmp_path, capsys):
+    """An interrupted ``run --json-dir`` leaves ``<id>.partial.json``
+    next to the finished figures; it sorts after ``<id>.json`` and must
+    not replace the finished figure in EXPERIMENTS.md."""
+    spec = importlib.util.spec_from_file_location(
+        "generate_experiments_md", ROOT / "tools" / "generate_experiments_md.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for path in (ROOT / "results").glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    finished = load_result(ROOT / "results" / "fig6b.json")
+    partial = dict(finished, partial=True,
+                   series={"olm": finished["series"]["olm"]})
+    (tmp_path / "fig6b.partial.json").write_text(json.dumps(partial))
+    assert tool.main(["--check", str(tmp_path), str(ROOT / "EXPERIMENTS.md")]) == 0
+    assert "fig6b.partial.json" in capsys.readouterr().err
 
 
 if __name__ == "__main__":  # regenerate the manifest after a deliberate change

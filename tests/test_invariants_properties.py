@@ -299,7 +299,7 @@ def test_verify_result_cross_record_node_consistency():
               "series": {"minimal": [a, b]}}
     report = verify_result(result)
     assert not report.ok
-    assert any(f["record"] == "<cross-record>" for f in report.failures)
+    assert any(label == "<cross-record>" for label, _ in report.failures)
 
 
 def test_iter_records_rejects_malformed_series():

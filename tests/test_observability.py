@@ -394,4 +394,4 @@ def test_auto_warmup_reproduces_fig5a_shape():
     assert all(rec["warmup_cycles"] <= 4 * scale.warmup for rec in records)
     result = {"series": series_map(records, VCT_UN_MECHS)}
     claims = check_vct_uniform(result)
-    assert all(c.passed for c in claims), [c.text for c in claims if not c.passed]
+    assert all(c.ok for c in claims), [c.check for c in claims if not c.ok]

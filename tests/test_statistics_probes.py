@@ -1,17 +1,8 @@
-"""Batch means, saturation/recovery detection and state snapshots."""
-
-import math
-import random
+"""Student-t quantiles, steady-state detection and state snapshots."""
 
 import pytest
 
-from repro.metrics.statistics import (
-    batch_means,
-    compare_series,
-    saturation_point,
-    steady_state_reached,
-    t_quantile_975,
-)
+from repro.metrics.statistics import steady_state_reached, t_quantile_975
 from repro.metrics import MetricsHub, injection_backlog, occupancy_snapshot
 from repro.traffic.patterns import AdversarialGlobal, UniformRandom
 from repro.traffic.processes import BernoulliTraffic
@@ -25,59 +16,6 @@ def test_t_quantiles():
     assert t_quantile_975(1000) == pytest.approx(1.96)
     with pytest.raises(ValueError):
         t_quantile_975(0)
-
-
-def test_batch_means_constant_stream():
-    r = batch_means([5.0] * 100, num_batches=10)
-    assert r.mean == pytest.approx(5.0)
-    assert r.half_width == pytest.approx(0.0)
-    assert r.ci == (5.0, 5.0)
-
-
-def test_batch_means_covers_true_mean():
-    rng = random.Random(0)
-    hits = 0
-    for trial in range(30):
-        samples = [rng.gauss(10.0, 2.0) for _ in range(400)]
-        r = batch_means(samples, num_batches=10)
-        if r.ci[0] <= 10.0 <= r.ci[1]:
-            hits += 1
-    assert hits >= 25  # ~95% coverage, generous slack
-
-
-def test_batch_means_validation():
-    with pytest.raises(ValueError):
-        batch_means([1.0, 2.0], num_batches=1)
-    with pytest.raises(ValueError):
-        batch_means([1.0], num_batches=2)
-
-
-def test_relative_error():
-    r = batch_means([10.0, 10.0, 12.0, 12.0, 10.0, 12.0, 11.0, 11.0], 4)
-    assert 0 <= r.relative_error() < 1
-
-
-def test_saturation_point():
-    pts = [
-        {"load": 0.1, "throughput": 0.1},
-        {"load": 0.3, "throughput": 0.295},
-        {"load": 0.5, "throughput": 0.42},
-        {"load": 0.7, "throughput": 0.44},
-    ]
-    s = saturation_point(pts)
-    assert s["onset_load"] == 0.3
-    assert s["max_throughput"] == 0.44
-    assert s["max_throughput_load"] == 0.7
-    with pytest.raises(ValueError):
-        saturation_point([])
-
-
-def test_compare_series():
-    a = [{"throughput": 0.62}]
-    b = [{"throughput": 0.50}]
-    c = compare_series(a, b)
-    assert c["improvement_pct"] == pytest.approx(24.0)
-    assert compare_series(a, [{"throughput": 0.0}])["ratio"] == math.inf
 
 
 def test_steady_state_reached():

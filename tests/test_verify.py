@@ -2,7 +2,6 @@
 
 
 from repro.experiments.verify import (
-    Claim,
     check_burst,
     check_cross_topology,
     check_mixed,
@@ -13,7 +12,6 @@ from repro.experiments.verify import (
     mean_drain,
     render_experiments_md,
     saturation,
-    verify_result,
 )
 
 
@@ -44,14 +42,14 @@ def good_uniform_result():
 
 def test_uniform_claims_pass():
     claims = check_vct_uniform(good_uniform_result())
-    assert all(c.passed for c in claims)
+    assert all(c.ok for c in claims)
 
 
 def test_uniform_claims_fail_when_olm_weak():
     r = good_uniform_result()
     r["series"]["olm"] = sweep_points([(0.2, 0.2), (0.8, 0.40)])
     claims = check_vct_uniform(r)
-    assert not all(c.passed for c in claims)
+    assert not all(c.ok for c in claims)
 
 
 def test_advgh_claims():
@@ -60,9 +58,9 @@ def test_advgh_claims():
         "par62": mk(0.40), "olm": mk(0.39), "rlm": mk(0.38),
         "valiant": mk(0.28), "pb": mk(0.30),
     }}
-    assert all(c.passed for c in check_vct_advgh(r))
+    assert all(c.ok for c in check_vct_advgh(r))
     r["series"]["par62"] = r["series"]["olm"] = r["series"]["rlm"] = mk(0.2)
-    assert not all(c.passed for c in check_vct_advgh(r))
+    assert not all(c.ok for c in check_vct_advgh(r))
 
 
 def test_mixed_and_burst_claims():
@@ -70,21 +68,21 @@ def test_mixed_and_burst_claims():
     r = {"id": "fig6a", "series": {
         "par62": mix(0.7), "olm": mix(0.7), "rlm": mix(0.6), "pb": mix(0.5),
     }}
-    assert all(c.passed for c in check_mixed(r))
+    assert all(c.ok for c in check_mixed(r))
     drain = lambda v: [{"global_pct": p, "drain_cycles": v} for p in (0, 100)]
     rb = {"id": "fig6b", "series": {"olm": drain(40), "rlm": drain(45), "pb": drain(100)}}
-    assert all(c.passed for c in check_burst(rb))
+    assert all(c.ok for c in check_burst(rb))
     rb_bad = {"id": "fig6b", "series": {"olm": drain(95), "rlm": drain(99), "pb": drain(100)}}
-    assert not any(c.passed for c in check_burst(rb_bad))
+    assert not any(c.ok for c in check_burst(rb_bad))
 
 
 def test_table1_claim():
-    from repro.experiments.registry import run_experiment
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
 
     res = run_experiment("tab1")
     claims = check_table1(res)
-    assert claims[0].passed
-    assert verify_result(res)[0].passed
+    assert claims[0].ok
+    assert EXPERIMENTS["tab1"].check(res)[0].ok
 
 
 def xtopo_points(sat, lat0):
@@ -108,7 +106,7 @@ def good_xtopo_result():
 def test_cross_topology_claims_pass():
     claims = check_cross_topology(good_xtopo_result())
     assert len(claims) == 4
-    assert all(c.passed for c in claims)
+    assert all(c.ok for c in claims)
 
 
 def test_cross_topology_claims_fail_on_broken_fabric():
@@ -119,11 +117,11 @@ def test_cross_topology_claims_fail_on_broken_fabric():
         for load in (0.1, 0.4, 0.8)
     ]
     claims = check_cross_topology(r)
-    assert not claims[0].passed
+    assert not claims[0].ok
     # and Valiant beating minimal on a fabric trips the ordering claim
     r = good_xtopo_result()
     r["series"]["dragonfly/valiant"] = xtopo_points(0.90, 240.0)
-    assert not check_cross_topology(r)[1].passed
+    assert not check_cross_topology(r)[1].ok
 
 
 def test_render_markdown():
@@ -138,9 +136,15 @@ def test_render_markdown():
 
 
 def test_claim_row_rendering():
-    c = Claim("demo", True, "x=1")
-    assert "✅" in c.row()
-    assert "❌" in Claim("demo", False, "x").row()
+    drain = lambda v: [{"global_pct": p, "drain_cycles": v} for p in (0, 100)]
+    bad = {"id": "fig6b", "description": "demo",
+           "series": {"olm": drain(95), "rlm": drain(99), "pb": drain(100)}}
+    md = render_experiments_md({"fig6b": bad})
+    assert "**0 shape checks pass, 2 fail.**" in md
+    assert ("| Burst: RLM drains far faster than PB (paper ~42.5% of PB's "
+            "time) | ❌ | measured 99.0% of PB |") in md
+    good = dict(bad, series={"olm": drain(40), "rlm": drain(45), "pb": drain(100)})
+    assert "| ✅ | measured 45.0% of PB |" in render_experiments_md({"fig6b": good})
 
 
 def test_checked_in_results_hold_the_orderings_no_claim_words():

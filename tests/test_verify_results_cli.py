@@ -145,6 +145,25 @@ def test_live_rows_say_which_engine_path_they_took(tmp_path, capsys):
     assert "little_law" not in out  # live gate failures would be listed
 
 
+
+def test_live_record_identity_failure_is_reported(tmp_path, monkeypatch, capsys):
+    """An instrumented run whose record differs from the plain run's is
+    a ❌ ``record_identity`` verdict and exit 1."""
+    import repro.facade
+
+    run_point = repro.facade.run_point
+    monkeypatch.setattr(repro.facade, "run_point", lambda *a, **kw: dict(
+        run_point(*a, **kw), throughput=-1.0))
+    path = _write(tmp_path, _figure_payload())
+    assert main(["verify-results", path, "--live", "--engines", "wheel",
+                 "--topologies", "dragonfly"]) == 1
+    captured = capsys.readouterr()
+    assert "## ❌ live:dragonfly/wheel" in captured.out
+    assert "| record_identity | 0/1 | ❌ |" in captured.out
+    assert "- ❌ `dragonfly/wheel` **record_identity**:" in captured.out
+    assert "1 invariant check(s) failed" in captured.err
+
+
 def test_run_verify_flag_passes_on_tab1(capsys):
     assert main(["run", "tab1", "--verify"]) == 0
     captured = capsys.readouterr()

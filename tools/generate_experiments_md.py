@@ -33,6 +33,10 @@ def main(argv=None) -> int:
     results = {}
     for path in sorted(Path(args.results_dir).glob("*.json")):
         result = load_result(path)
+        if result.get("partial"):
+            # an interrupted `run --json-dir` leaves <id>.partial.json
+            print(f"skipping partial result {path}", file=sys.stderr)
+            continue
         results[result["id"]] = result
     if not results:
         print(f"no result JSONs found in {args.results_dir!r}", file=sys.stderr)
