@@ -21,11 +21,14 @@ from repro.analysis.invariants import (
     InvariantViolation,
     LIVE_CHECKS,
     RECORD_CHECKS,
+    Check,
+    ResultReport,
     VerifyReport,
     check_record,
     dragonfly_nodes,
     enforce,
     iter_records,
+    render_markdown,
     verify_result,
 )
 from repro.experiments.presets import cross_topology_config, get_scale
@@ -300,6 +303,49 @@ def test_verify_result_cross_record_node_consistency():
     report = verify_result(result)
     assert not report.ok
     assert any(label == "<cross-record>" for label, _ in report.failures)
+
+
+def test_report_tallies_and_failures_read_off_its_checks():
+    """Tallies and failures are views of the one ``(label, Check)`` list:
+    every registered invariant first, in registry order, then any other
+    verdict the list carries (a live gate, ``record_identity``)."""
+    a, b = _steady_record(), _steady_record()
+    b["delivered_phits"] = b["throughput"] * 36 * 1000  # half the fabric
+    b["h"] = None
+    report = verify_result({"id": "fig4a", "description": "d",
+                            "series": {"minimal": [a, b]}})
+    tallies = report.tallies()
+    assert list(tallies) == [name for name, _ in RECORD_CHECKS]
+    assert sum(applied for applied, _ in tallies.values()) == len(report.checks)
+    assert sum(failed for _, failed in tallies.values()) == len(report.failures)
+    assert report.failures == [(label, c) for label, c in report.checks
+                               if not c.ok]
+    assert tallies["drain_conservation"] == [0, 0]
+    cross = [c.check for label, c in report.checks if label == "<cross-record>"]
+    assert cross == ["throughput_consistency"]
+
+    extra = ResultReport(figure="live", description="d", records=1, checks=[
+        ("dragonfly/wheel", Check("counters", True)),
+        ("dragonfly/wheel", Check("record_identity", False, detail="differs")),
+    ])
+    assert not extra.ok
+    assert list(extra.tallies())[-1] == "record_identity"
+    assert extra.tallies()["record_identity"] == [1, 1]
+    assert extra.tallies()["counters"] == [1, 0]
+    assert [c.check for _, c in extra.failures] == ["record_identity"]
+
+
+def test_markdown_lists_the_cross_record_failure_like_any_other():
+    a, b = _steady_record(), _steady_record()
+    b["delivered_phits"] = b["throughput"] * 36 * 1000  # half the fabric
+    b["h"] = None
+    report = verify_result({"id": "fig4a", "description": "d",
+                            "series": {"minimal": [a, b]}})
+    md = render_markdown([report])
+    assert "## ❌ fig4a — d" in md
+    assert "| throughput_consistency | 2/3 | ❌ |" in md
+    assert "- ❌ `<cross-record>` **throughput_consistency**:" in md
+    assert f"{len(report.failures)} check(s) ❌" in md
 
 
 def test_iter_records_rejects_malformed_series():

@@ -6,6 +6,8 @@ from repro.experiments.verify import (
     check_cross_topology,
     check_mixed,
     check_table1,
+    check_threshold_advg,
+    check_threshold_uniform,
     check_vct_advgh,
     check_vct_uniform,
     low_load_latency,
@@ -122,6 +124,21 @@ def test_cross_topology_claims_fail_on_broken_fabric():
     r = good_xtopo_result()
     r["series"]["dragonfly/valiant"] = xtopo_points(0.90, 240.0)
     assert not check_cross_topology(r)[1].ok
+
+
+def test_threshold_claims_compare_saturation_throughputs():
+    mk = lambda sat: sweep_points([(0.2, 0.2), (0.8, sat)])
+    cautious = {"id": "fig10", "series": {
+        "th=30%": mk(0.60), "th=45%": mk(0.58), "th=60%": mk(0.50)}}
+    (un,) = check_threshold_uniform(cautious)
+    assert un.ok
+    assert un.detail == "th=30%=0.600, th=45%=0.580, th=60%=0.500"
+    aggressive_loses, near_best = check_threshold_advg(cautious)
+    assert not aggressive_loses.ok and near_best.ok
+    aggressive = {"id": "fig11", "series": {
+        "th=30%": mk(0.30), "th=45%": mk(0.40), "th=60%": mk(0.45)}}
+    assert not check_threshold_uniform(aggressive)[0].ok
+    assert [c.ok for c in check_threshold_advg(aggressive)] == [True, False]
 
 
 def test_render_markdown():
