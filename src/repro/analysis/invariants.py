@@ -611,9 +611,9 @@ def live_checks(hub, *, tolerance: float = DEFAULT_TOLERANCE,
     """The full invariant set over a live :class:`MetricsHub` window.
 
     Everything here reads hub/engine state the record checks cannot
-    see: the engine's in-flight count, the bucket-sampled in-flight
-    series, per-(kind, vc) occupancy and the per-packet latency
-    extrema.  Returned checks complement the hub's own
+    see: the engine's in-flight count, the in-flight level and
+    per-(kind, vc) occupancy sampled at each bucket boundary, and the
+    per-packet latency extrema.  Returned checks complement the hub's own
     flow-conservation check (which :meth:`MetricsHub.verify` always
     emits first).
     """
@@ -634,8 +634,9 @@ def live_checks(hub, *, tolerance: float = DEFAULT_TOLERANCE,
         detail=("hub counters are monotone non-negative event counts"
                 + (f"; offending: {', '.join(bad)}" if bad else ""))))
 
-    # occupancy: credit accounting can never go below empty
-    occ_min = min(hub._occ.values(), default=0)
+    # occupancy: credits never exceed capacity, now or at any boundary
+    occ_min = min((v for occ in (hub._sample()[1], *(b.occupancy for b in buckets))
+                   for v in occ.values()), default=0)
     sample_min = min((b.inflight for b in buckets), default=0)
     ok = occ_min >= 0 and sample_min >= 0
     checks.append(Check(

@@ -91,6 +91,9 @@ class RoutingAlgorithm(abc.ABC):
         self.config = config
         self.trigger = trigger
         self.rng = rng
+        #: misrouting hops granted so far (for boundary samplers)
+        self.local_misroutes = 0
+        self.global_misroutes = 0
         self._min_hop = topo.min_hop
         # fabrics predating the capability flags were Dragonfly-shaped
         self.topo_caps: frozenset = getattr(topo, "caps", DRAGONFLY_CAPS)
@@ -150,9 +153,11 @@ class RoutingAlgorithm(abc.ABC):
             packet.valiant_group = decision.valiant_group
             packet.committed = True
             packet.global_misrouted = True
+            self.global_misroutes += 1
         if decision.is_local_misroute:
             packet.misrouted_group = True
             packet.local_misroutes += 1
+            self.local_misroutes += 1
 
     # ------------------------------------------------------- shared helpers
     def minimal_hop(self, router, packet: Packet):

@@ -282,12 +282,12 @@ def render_experiments_md(results: dict[str, dict]) -> str:
         "the routing layer and so isolates the engine.  Read each row's "
         "current speed-up there; it is not quoted here.",
         "",
-        "Observability is event-driven (PR 4): instrumentation taps on "
-        "the engine's event points (inject, grant/misroute, eject, "
-        "credit, ring-entry) feed a `MetricsHub` of counters and "
-        "cycle-bucketed series with JSONL export — free when detached, "
-        "invisible when attached (`tools/bench_engine.py --tap` pins "
-        "record equality).  Steady-state warm-up can be auto-detected "
+        "Observability: a `MetricsHub` samples the engine's counters, "
+        "occupancy and in-flight level at bucket boundaries, taps only "
+        "deliveries and escape-ring entries, and builds cycle-bucketed "
+        "series with JSONL export — free when detached, invisible when "
+        "attached (`tools/bench_engine.py --tap` pins record equality).  "
+        "Steady-state warm-up can be auto-detected "
         "(`Session.warmup_until_steady()`, a moving-window relative-"
         "precision rule), and the new `trans1` figure below is a "
         "*transient* scenario: a per-node packet burst stepped onto "

@@ -1,8 +1,11 @@
-"""Event-driven metrics: taps multiplexed into counters and time series.
+"""Metrics over a live simulator: engine counters sampled into time series.
 
-:class:`MetricsHub` attaches to a live simulator through the engine tap
-interface (:mod:`repro.network.taps`) and turns the raw event stream —
-inject, grant, eject, credit, ring-entry — into
+:class:`MetricsHub` reads the engine's cumulative counters (grants,
+returned credit phits, injections, local/global misroutes), per-(kind,
+VC) occupancy and the in-flight population at each bucket boundary,
+and taps (:mod:`repro.network.taps`) only ``on_eject`` — deliveries
+are stamped at tail-ejection completion — and ``on_ring_entry``.  It
+turns them into
 
 * running totals (packets, phits, misroutes, ring hops, credits),
 * cycle-bucketed series: throughput, latency mean/percentiles,
@@ -11,12 +14,11 @@ inject, grant, eject, credit, ring-entry — into
 * structured records (one dict per bucket plus a summary) exportable
   as deterministic JSONL under ``results/``.
 
-Nothing here polls the simulator: buckets are derived from event
-timestamps, so cycles skipped by the timing wheel's idle fast-forward
-simply show up as empty (zero) buckets.  A hub observes only — it
-never mutates simulator state or consumes RNG, so the simulated
-records are byte-identical with or without a hub attached
-(``tests/test_observability.py``).
+Boundaries crossed by an idle fast-forward jump read the same state,
+so the jump stays on and the cycles it skipped show up as empty
+buckets.  A hub observes only — it never mutates simulator state or consumes
+RNG, so the simulated records are byte-identical with or without a hub
+attached (``tests/test_observability.py``).
 """
 
 from __future__ import annotations
@@ -45,29 +47,28 @@ def _percentile(sorted_values, q: float) -> float:
 
 
 class _Bucket:
-    """Per-interval accumulators (one per ``bucket`` cycles)."""
+    """One ``bucket``-cycle interval: deliveries from the eject tap, the
+    rest filled from the boundary samples on read-out."""
 
     __slots__ = ("injected", "delivered", "delivered_phits", "latency_sum",
                  "latency_max", "latencies", "grants", "local_misroutes",
                  "global_misroutes", "ring_hops", "credit_phits", "occupancy",
                  "inflight")
 
-    def __init__(self, occupancy: dict, inflight: int = 0) -> None:
-        self.injected = 0
+    def __init__(self) -> None:
         self.delivered = 0
         self.delivered_phits = 0
         self.latency_sum = 0
         self.latency_max = 0
         self.latencies: list[int] = []
-        self.grants = 0
-        self.local_misroutes = 0
-        self.global_misroutes = 0
-        self.ring_hops = 0
-        self.credit_phits = 0
-        #: downstream occupancy in phits per (kind, vc) at bucket open
-        self.occupancy = occupancy
-        #: engine packets in flight at bucket open (Little's-law sample)
-        self.inflight = inflight
+
+    def fill(self, opened: tuple, closed: tuple) -> _Bucket:
+        """Counts between the open and close samples; levels at the open."""
+        (self.injected, self.grants, self.credit_phits, self.local_misroutes,
+         self.global_misroutes, self.ring_hops) = (
+            b - a for a, b in zip(opened[0], closed[0]))
+        self.occupancy, self.inflight = opened[1], opened[2]
+        return self
 
 
 class LatencyTap:
@@ -115,53 +116,63 @@ class LatencyTap:
             self.sim = None
 
 
+def _window_total(i: int, doc: str) -> property:
+    """Counter ``i`` of the boundary samples, since the window opened."""
+    return property(lambda self: self._counts()[i] - self._marks[0][0][i], doc=doc)
+
+
 class MetricsHub:
-    """Multiplexes the engine taps into counters and bucketed series.
+    """Engine counters and eject/ring taps, sampled into bucketed series.
 
     ``bucket`` is the series resolution in cycles; ``latencies=False``
     drops the per-bucket latency samples (and therefore the percentile
     series) for long headless runs.  The window starts at the cycle the
-    hub is attached; :meth:`reset` restarts it.
+    hub is attached; :meth:`reset` restarts it.  Attaching moves a live
+    array core to the wheel; the frozen ``reference`` engine, which keeps
+    no counters, refuses a hub.
     """
+
+    injected = _window_total(0, "packets injected in the window")
+    grants = _window_total(1, "switch grants (flit hops) in the window")
+    credit_phits = _window_total(2, "credit phits returned in the window")
+    local_misroutes = _window_total(3, "local misroute grants in the window")
+    global_misroutes = _window_total(4, "global misroute grants in the window")
 
     def __init__(self, sim, bucket: int = 500, *, latencies: bool = True) -> None:
         if bucket <= 0:
             raise ValueError("bucket must be positive")
+        # leaves a live array core; an engine without counters refuses
+        sim.add_sampler(self._on_boundary, sim.now + bucket)
         self.sim = sim
         self.bucket = int(bucket)
         self._keep_latencies = latencies
-        #: downstream occupancy in phits per (kind, vc), seeded from the
-        #: live credit state and tracked from grant/credit events after
-        #: that (physical state: survives ``reset``)
-        self._occ: dict[tuple[int, int], int] = {}
+        #: per (kind, vc): total capacity and the output units' credit
+        #: lists, so a sample's occupancy is capacity minus credits
+        groups: dict = {}
         for router in sim.routers:
             for out in router.outputs:
                 if out.kind is _EJECT:
                     continue
-                k = int(out.kind)
-                for vc, credits in enumerate(out.credits):
-                    key = (k, vc)
-                    self._occ[key] = self._occ.get(key, 0) + (out.capacity - credits)
+                for vc in range(len(out.credits)):
+                    group = groups.setdefault((int(out.kind), vc), [0, []])
+                    group[0] += out.capacity
+                    group[1].append(out.credits)
+        self._occ_groups = groups
         self._on_ring: set[int] = set()
         self._attached = True
-        self._zero_window(sim.now)
+        self._zero_window()
         sim.add_tap(self)
 
-    def _zero_window(self, now: int) -> None:
-        self.start_cycle = now
+    def _zero_window(self) -> None:
+        self.start_cycle = self.sim.now
         #: packets in flight when the window opened (flow conservation
         #: baseline for :meth:`verify`)
         self._inflight_at_window_start = self.sim.packets_in_flight
         self._buckets: list[_Bucket] = []
-        self.injected = 0
         self.delivered = 0
         self.delivered_phits = 0
-        self.grants = 0
-        self.local_misroutes = 0
-        self.global_misroutes = 0
         self.ring_hops = 0
         self.ring_entries = 0
-        self.credit_phits = 0
         #: total delivery latency (cycles) over the window — the λ·W
         #: side of the Little's-law identity in :meth:`verify(full=True)`
         self.latency_cycles = 0
@@ -174,66 +185,49 @@ class MetricsHub:
         #: the population never holds — subtracted from the λ·W side of
         #: the Little's-law identity
         self.eject_lead = 0
+        #: one ``(counters, occupancy, in flight)`` sample per boundary
+        #: reached, the window's open first
+        self._marks: list[tuple] = [self._sample()]
+
+    # -------------------------------------------------------------- sampling
+    def _counts(self) -> tuple:
+        """The cumulative counters: now, or as they stood at the detach."""
+        if not self._attached:
+            return self._frozen[0]
+        sim, algo = self.sim, self.sim.algo
+        return (sim._next_pid, sim.grants, sim.credit_phits,
+                algo.local_misroutes, algo.global_misroutes, self.ring_hops)
+
+    def _sample(self) -> tuple:
+        """Counters, per-(kind, vc) occupancy and packets in flight."""
+        if not self._attached:
+            return self._frozen
+        occupancy = {key: cap - sum([c[key[1]] for c in credits])
+                     for key, (cap, credits) in self._occ_groups.items()}
+        return self._counts(), occupancy, self.sim.packets_in_flight
+
+    def _on_boundary(self, cycle: int) -> int:
+        self._marks.append(self._sample())
+        return cycle + self.bucket
+
+    def _bucket_at(self, index: int) -> _Bucket:
+        buckets = self._buckets
+        while len(buckets) <= index:
+            buckets.append(_Bucket())
+        return buckets[index]
+
+    def _filled(self, index: int) -> _Bucket:
+        """Bucket ``index``; a boundary not reached yet reads the live state."""
+        marks = self._marks
+        opened, closed = (marks[i] if i < len(marks) else self._sample()
+                          for i in (index, index + 1))
+        return self._bucket_at(index).fill(opened, closed)
 
     # ------------------------------------------------------------ tap events
-    def _bucket_at(self, cycle: int) -> _Bucket:
-        idx = (cycle - self.start_cycle) // self.bucket
-        buckets = self._buckets
-        if idx < len(buckets):
-            return buckets[idx]
-        # open every bucket up to idx (fast-forward gaps stay empty but
-        # still snapshot the — unchanged — occupancy at their open)
-        occ = self._occ
-        inflight = self.sim.packets_in_flight
-        while len(buckets) <= idx:
-            buckets.append(_Bucket(dict(occ), inflight))
-        return buckets[idx]
-
-    def on_inject(self, packet, cycle: int) -> None:
-        self.injected += 1
-        self._bucket_at(cycle).injected += 1
-        self._refresh_future_snapshots(cycle)
-
-    def _refresh_future_snapshots(self, cycle: int) -> None:
-        """Re-snapshot buckets opened ahead of ``cycle``.
-
-        Eject events are stamped at tail-ejection *completion*
-        (``t + size``), so a delivery near a bucket boundary can open
-        the next bucket before the current cycle's remaining grants and
-        credits apply; those buckets' open cycle is still in the
-        future, so their occupancy-at-open (and in-flight sample) must
-        track every mutation until it is reached.  The common case (no
-        future bucket) costs one index comparison.
-        """
-        idx = (cycle - self.start_cycle) // self.bucket
-        buckets = self._buckets
-        if idx + 1 >= len(buckets):
-            return
-        inflight = self.sim.packets_in_flight
-        for j in range(idx + 1, len(buckets)):
-            buckets[j].occupancy = dict(self._occ)
-            buckets[j].inflight = inflight
-
-    def on_grant(self, router, out, vc: int, flit, decision, cycle: int) -> None:
-        self.grants += 1
-        b = self._bucket_at(cycle)
-        b.grants += 1
-        if out.kind is not _EJECT:
-            key = (int(out.kind), vc)
-            self._occ[key] = self._occ.get(key, 0) + flit.size
-            self._refresh_future_snapshots(cycle)
-        if decision is not None:
-            if decision.is_local_misroute:
-                self.local_misroutes += 1
-                b.local_misroutes += 1
-            if decision.valiant_group is not None:
-                self.global_misroutes += 1
-                b.global_misroutes += 1
-
     def on_eject(self, packet, cycle: int) -> None:
         self.delivered += 1
         self.delivered_phits += packet.size_phits
-        b = self._bucket_at(cycle)
+        b = self._bucket_at((cycle - self.start_cycle) // self.bucket)
         b.delivered += 1
         b.delivered_phits += packet.size_phits
         latency = cycle - packet.birth
@@ -247,28 +241,23 @@ class MetricsHub:
             self.latency_min = latency
         if self._keep_latencies:
             b.latencies.append(latency)
-        self._on_ring.discard(packet.pid)
-        self._refresh_future_snapshots(cycle)
-
-    def on_credit(self, out, vc: int, amount: int, cycle: int) -> None:
-        self.credit_phits += amount
-        self._bucket_at(cycle).credit_phits += amount
-        key = (int(out.kind), vc)
-        self._occ[key] = self._occ.get(key, 0) - amount
-        self._refresh_future_snapshots(cycle)
+        if self._on_ring:
+            self._on_ring.discard(packet.pid)
 
     def on_ring_entry(self, router, out, vc: int, flit, cycle: int) -> None:
         self.ring_hops += 1
-        self._bucket_at(cycle).ring_hops += 1
         pid = flit.packet.pid
         if pid not in self._on_ring:
             self._on_ring.add(pid)
             self.ring_entries += 1
 
     # ------------------------------------------------------------- lifecycle
-    def reset(self, now: int | None = None) -> None:
-        """Restart the measurement window (counters and series) at ``now``."""
-        self._zero_window(self.sim.now if now is None else now)
+    def reset(self) -> None:
+        """Restart the measurement window (counters and series) now."""
+        sim = self.sim
+        sim.remove_sampler(self._on_boundary)
+        sim.add_sampler(self._on_boundary, sim.now + self.bucket)
+        self._zero_window()
 
     def detach(self) -> None:
         """Stop observing (idempotent); collected data stays readable.
@@ -278,9 +267,11 @@ class MetricsHub:
         :meth:`verify` ask of one, as it stood.
         """
         if self._attached:
-            self._attached = False
             sim = self.sim
             sim.remove_tap(self)
+            sim.remove_sampler(self._on_boundary)
+            self._frozen = self._sample()
+            self._attached = False
             self.sim = SimpleNamespace(
                 now=sim.now, topo=sim.topo, config=sim.config,
                 packets_in_flight=sim.packets_in_flight)
@@ -296,11 +287,11 @@ class MetricsHub:
             injected == delivered + (in_flight_now - in_flight_at_window_start)
 
         At drain (``in_flight_now == 0``, hub attached before the first
-        injection) this reduces to ``injected == delivered``.  Inject
-        and eject taps mutate the counters at the same engine event
-        that mutates ``packets_in_flight``, so the identity holds
-        exactly at any point between cycles — a mismatch means lost or
-        double-counted packets.
+        injection) this reduces to ``injected == delivered``.  The
+        engine's injection counter and the eject tap move at the same
+        engine event that moves ``packets_in_flight``, so the identity
+        holds exactly at any point between cycles — a mismatch means
+        lost or double-counted packets.
 
         ``full=True`` adds the complete live invariant set of
         :func:`repro.analysis.invariants.live_checks`: Little's law
@@ -348,24 +339,12 @@ class MetricsHub:
         """
         end = self.sim.now if end is None else end
         n = (end - self.start_cycle) // self.bucket
-        if n > 0:
-            self._bucket_at(self.start_cycle + (n - 1) * self.bucket)
-        return self._buckets[:max(0, n)]
+        return [self._filled(i) for i in range(max(0, n))]
 
     def throughput_series(self, end: int | None = None) -> list[float]:
         """Accepted load in phits/(node·cycle) per completed bucket."""
         denom = self.sim.topo.num_nodes * self.bucket
         return [b.delivered_phits / denom for b in self.completed_buckets(end)]
-
-    def occupancy_series(self, kind: PortKind, end: int | None = None) -> list[int]:
-        """Total downstream occupancy (phits) of ``kind`` ports per bucket.
-
-        Sampled at each bucket's open — an event-derived level, not a
-        per-cycle average, so it costs nothing between events.
-        """
-        k = int(kind)
-        return [sum(v for (kk, _), v in b.occupancy.items() if kk == k)
-                for b in self.completed_buckets(end)]
 
     def series(self, end: int | None = None) -> dict:
         """Every bucketed series as plain lists (JSON-safe)."""
@@ -389,8 +368,11 @@ class MetricsHub:
                                          for b in buckets],
             "ring_utilisation": [b.ring_hops / b.grants if b.grants else 0.0
                                  for b in buckets],
-            "occupancy_local": self.occupancy_series(PortKind.LOCAL, end),
-            "occupancy_global": self.occupancy_series(PortKind.GLOBAL, end),
+            # total downstream occupancy (phits) per port kind, read at
+            # each bucket's open: a level, not a per-cycle average
+            **{f"occupancy_{name}": [sum(v for (k, _), v in b.occupancy.items()
+                                         if k == kind) for b in buckets]
+               for kind, name in _KIND_NAMES.items()},
         }
         if self._keep_latencies:
             p50, p95, p99 = [], [], []
@@ -433,13 +415,13 @@ class MetricsHub:
     def bucket_row(self, index: int) -> dict:
         """Row ``index`` of the bucket stream.
 
-        A bucket's row is final as soon as the simulator has advanced
-        past the bucket's closing cycle: every engine event is stamped
+        A bucket's row is final once the simulator reaches its closing
+        boundary: both samples are taken and every delivery is stamped
         at or after the cycle it is emitted, so closed buckets never
         change — which is what lets the serve layer stream rows live,
         byte-identical to a batch :meth:`records` export at the end.
         """
-        b = self._bucket_at(self.start_cycle + index * self.bucket)
+        b = self._filled(index)
         denom = self.sim.topo.num_nodes * self.bucket
         row = {
             "schema": OBS_SCHEMA_VERSION,

@@ -52,7 +52,8 @@ core's own arrays are built as it is installed.
 **One way out** — ``Simulator._leave_core``.  Eject-only taps (the
 Session's ``LatencyTap``) are delivery observers and keep the core.
 Attaching a tap with ``on_inject``/``on_grant``/``on_credit``/
-``on_ring_entry`` (e.g. a :class:`~repro.metrics.hub.MetricsHub`), or
+``on_ring_entry``, a boundary sampler (a
+:class:`~repro.metrics.hub.MetricsHub` reads the wheel's counters), or
 reading the object graph through ``sim.routers`` / ``arrivals_due``,
 leaves it: fresh object routers are built and wired — here, and only
 for runs that leave — :meth:`ArrayCore.materialize` writes the array

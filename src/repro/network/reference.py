@@ -45,6 +45,10 @@ class ReferenceSimulator(Simulator):
         self._arrivals: dict[int, list] = {}
         self._credit_events: dict[int, list] = {}
 
+    def add_sampler(self, fn, at: int) -> None:  # a MetricsHub would read zeros
+        raise TypeError("engine 'reference' (ReferenceSimulator) keeps no event "
+                        "counters and calls no sampler; use engine='wheel' or 'auto'")
+
     # ------------------------------------------------------------ injection
     def inject_packet(self, src: int, dst: int, now: int | None = None):
         if src == dst:

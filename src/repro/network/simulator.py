@@ -167,12 +167,18 @@ class Simulator:
         self._delivery_observers: list = []
         # ---- instrumentation taps (repro.network.taps): ``None`` when no
         # tap is registered for an event, so the hot path pays exactly one
-        # ``is None`` check per event site and nothing polls per cycle
+        # ``is None`` check per event site
         self._tap_inject: tuple | None = None
         self._tap_grant: tuple | None = None
         self._tap_credit: tuple | None = None
         self._tap_ring: tuple | None = None
         self._is_escape = self.algo.is_escape_hop
+        #: cumulative counts for boundary samplers, always on
+        self.grants = 0
+        self.credit_phits = 0
+        #: ``[next boundary, fn]`` per sampler, and the earliest boundary
+        self._samplers: list[list] = []
+        self._sample_at = _NEVER
         self.now = 0
         self.packets_in_flight = 0
         self._next_pid = 0
@@ -289,22 +295,26 @@ class Simulator:
         matching engine event point; at least one must be present.
         ``on_eject`` joins the delivery-observer list (so it fires in
         registration order, and before ``on_grant`` for the same
-        delivering tail flit).  Returns ``tap`` for chaining.
+        delivering tail flit).  ``on_ring_entry`` is wired only if the
+        routing overrides ``is_escape_hop``.  Returns ``tap`` for chaining.
 
         Eject-only taps keep a live array core; any other event needs
         the object engine's event sites, so the core is left first.
         """
         wired = False
+        escape = type(self.algo).is_escape_hop is not RoutingAlgorithm.is_escape_hop
         for attr, fn in (("_tap_inject", getattr(tap, "on_inject", None)),
                          ("_tap_grant", getattr(tap, "on_grant", None)),
                          ("_tap_credit", getattr(tap, "on_credit", None)),
                          ("_tap_ring", getattr(tap, "on_ring_entry", None))):
             if fn is not None:
+                wired = True
+                if attr == "_tap_ring" and not escape:
+                    continue  # no escape hop exists: the site never fires
                 if self._core is not None:
                     self._leave_core("an event tap attached")
                 current = getattr(self, attr)
                 setattr(self, attr, (fn,) if current is None else (*current, fn))
-                wired = True
         eject = getattr(tap, "on_eject", None)
         if eject is not None:
             self.add_delivery_observer(eject)
@@ -329,6 +339,28 @@ class Simulator:
         eject = getattr(tap, "on_eject", None)
         if eject is not None and eject in self._delivery_observers:
             self.remove_delivery_observer(eject)
+
+    def add_sampler(self, fn, at: int) -> None:
+        """Call ``fn(boundary)``, which returns the next one, from ``at`` on:
+        where a step reaches a boundary or a jump crosses it (see
+        :mod:`repro.network.taps`).  A live core is left first."""
+        if self._core is not None:
+            self._leave_core("a boundary sampler attached")
+        self._samplers = [*self._samplers, [at, fn]]
+        self._sample_at = min(self._sample_at, at)
+
+    def remove_sampler(self, fn) -> None:
+        """Detach a sampler added by :meth:`add_sampler` (idempotent)."""
+        self._samplers = [e for e in self._samplers if e[1] != fn]
+        self._sample_at = min((e[0] for e in self._samplers), default=_NEVER)
+
+    def _sample(self) -> None:
+        """Fire every sampler boundary at or before ``now``."""
+        now = self.now
+        for entry in self._samplers:
+            while entry[0] <= now:
+                entry[0] = entry[1](entry[0])
+        self._sample_at = min((e[0] for e in self._samplers), default=_NEVER)
 
     # ------------------------------------------------------------ injection
     def inject_packet(self, src: int, dst: int, now: int | None = None) -> Packet:
@@ -395,8 +427,11 @@ class Simulator:
             self._last_progress = t
         bucket = self._cr_wheel[slot]
         if bucket:
+            phits = 0
             for out, vc, amount in bucket:
                 out.credits[vc] += amount
+                phits += amount
+            self.credit_phits += phits
             ctaps = self._tap_credit
             if ctaps is not None:
                 for out, vc, amount in bucket:
@@ -429,6 +464,8 @@ class Simulator:
                 else:  # defensively drop stale members
                     active.discard(rid)
         self.now = t + 1
+        if t + 1 >= self._sample_at:
+            self._sample()
 
     def _next_event_cycle(self) -> int | None:
         """Earliest cycle >= ``now`` with a scheduled arrival or credit.
@@ -502,6 +539,8 @@ class Simulator:
                 target = self._fast_forward_target(end)
                 if target is not None:
                     self.now = target
+                    if target >= self._sample_at:
+                        self._sample()
 
     def run_until_drained(self, max_cycles: int) -> int:
         """Run until all traffic is injected and delivered; return the cycle count.
@@ -538,6 +577,8 @@ class Simulator:
             target = self._fast_forward_target(start + max_cycles)
             if target is not None:
                 self.now = target
+                if target >= self._sample_at:
+                    self._sample()
         return self.now - start
 
     # ------------------------------------------------------------ allocation
@@ -713,6 +754,7 @@ class Simulator:
             )
             self._pending_events += 1
         self._last_progress = t
+        self.grants += 1
         gtaps = self._tap_grant
         if gtaps is not None:
             for tap in gtaps:

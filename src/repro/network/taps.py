@@ -5,10 +5,14 @@ A *tap* is any object exposing one or more of the event methods below;
 and wires each implemented method straight onto the matching engine
 event point.  The design contract is **rich when attached, free when
 not**: with no tap registered the hot path pays a single ``is None``
-check per event site, and — crucially — nothing polls per cycle, so
-time-series collection composes with the timing wheel's idle
-fast-forward instead of disabling it (skipped cycles are provably
-event-free, hence observation-free).
+check per event site.
+
+Time series need no per-hop tap: the engine keeps cumulative counters
+(``grants``, ``credit_phits``, ``_next_pid``, the routing's misroute
+counts) and calls each *boundary sampler* (``Simulator.add_sampler``)
+at the end of the step that reaches a boundary, or at the idle jump
+that crosses it: skipped cycles are event-free, so each boundary in a
+jump reads the same state.  The ``MetricsHub`` samples so.
 
 Event points (all cycle-stamped):
 
@@ -29,12 +33,13 @@ Event points (all cycle-stamped):
     ring; see :meth:`~repro.core.base.RoutingAlgorithm.is_escape_hop`).
     Fires for every escape-ring hop; consumers that want entries
     rather than hops de-duplicate per packet (the
-    :class:`~repro.metrics.hub.MetricsHub` does).
+    :class:`~repro.metrics.hub.MetricsHub` does).  Wired only if the
+    routing overrides ``is_escape_hop``.
 
-Taps observe only — they must not mutate simulator, router or packet
-state, and they consume no RNG, so an attached tap never perturbs the
-simulated records (enforced by ``tools/bench_engine.py --tap`` and the
-golden-with-tap test in ``tests/test_observability.py``).
+Taps and samplers observe only — no state mutation, no RNG — so they
+never perturb the simulated records (enforced by
+``tools/bench_engine.py --tap``, a hub plus a tap on all five events,
+and the golden-with-hub test in ``tests/test_observability.py``).
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.facade import run_drain, run_point, run_transient, session
 from repro.metrics.hub import MetricsHub
 from repro.network.config import SimConfig
 from repro.runplan.cache import canonical_record_json
+from repro.topology.base import PortKind
 
 ENGINES = ("wheel", "auto")
 
@@ -125,7 +126,7 @@ def test_live_checks_pass_on_honest_window():
 def test_dropped_packet_fails_flow_conservation():
     s, hub = _instrumented_window()
     try:
-        hub.injected += 1  # one injection the engine never saw
+        s.sim._next_pid += 1  # one injection counted, never queued
         report = hub.verify(full=True)
         assert not report["ok"]
         assert not report.check("flow_conservation")["ok"]
@@ -151,8 +152,9 @@ def test_scaled_latency_fails_little_law():
 def test_negative_occupancy_fails_occupancy_check():
     s, hub = _instrumented_window()
     try:
-        key = next(iter(hub._occ), (0, 0))
-        hub._occ[key] = -5
+        out = next(o for r in s.sim.routers for o in r.outputs
+                   if o.kind is not PortKind.EJECT)
+        out.credits[0] += 1_000_000  # credits nobody returned
         report = hub.verify(full=True)
         assert not report.check("occupancy_nonnegative")["ok"]
     finally:

@@ -162,8 +162,9 @@ def test_hub_occupancy_tracks_credit_ledger():
             for vc, credits in enumerate(out.credits):
                 key = (int(out.kind), vc)
                 expected[key] = expected.get(key, 0) + (out.capacity - credits)
-    assert hub._occ == expected
-    assert all(v >= 0 for v in hub._occ.values())
+    assert hub._sample()[1] == expected
+    assert hub._marks[-1][1] == expected  # cycle 1500 is a boundary
+    assert all(v >= 0 for v in expected.values())
 
 
 def test_hub_buckets_fill_fast_forward_gaps_with_zeros():
@@ -201,11 +202,43 @@ def test_hub_reset_restarts_window_keeps_physical_occupancy():
     sim = _sim(seed=2)
     hub = MetricsHub(sim, bucket=200)
     sim.run(1000)
-    occ = dict(hub._occ)
+    occ = hub._sample()[1]
     hub.reset()
-    assert hub.delivered == 0 and hub._buckets == []
+    assert hub.delivered == 0 and hub.injected == 0 and hub._buckets == []
     assert hub.start_cycle == sim.now
-    assert hub._occ == occ
+    sim.run(200)
+    assert hub.completed_buckets()[0].occupancy == occ
+
+
+def test_hub_inflight_samples_are_the_engine_level_at_each_boundary():
+    """Little's-law samples: ``packets_in_flight`` at each bucket's open
+    cycle, read here by stepping cycle by cycle.  The event-fed hub
+    sampled it when a delivery stamped ahead opened the bucket and
+    missed the ejections granted after that."""
+    from tapped_hub import TappedHub
+
+    sim = _sim(seed=11, load=0.5)
+    sim.run(300)
+    hub, oracle = MetricsHub(sim, bucket=7), TappedHub(sim, bucket=7)
+    levels = [sim.packets_in_flight]
+    for _ in range(7 * 40):
+        sim.step()
+        if (sim.now - hub.start_cycle) % 7 == 0:
+            levels.append(sim.packets_in_flight)
+    assert [b.inflight for b in hub.completed_buckets()] == levels[:-1]
+    assert [b.inflight for b in oracle.completed_buckets()] != levels[:-1]
+
+
+def test_hub_refuses_an_engine_without_counters():
+    """The frozen reference engine counts nothing and calls no sampler: a
+    hub on it would report zeros, so it is refused by name."""
+    from repro.network.simulator import build_simulator
+
+    sim = build_simulator(SimConfig(h=2, routing="minimal", engine="reference"),
+                          BernoulliTraffic(UniformRandom(), 0.3))
+    with pytest.raises(TypeError, match="engine 'reference'.*no event counters"):
+        MetricsHub(sim)
+    assert not sim._samplers and not sim._delivery_observers
 
 
 # ------------------------------------------------------- fast-forward
@@ -305,7 +338,7 @@ def test_hub_verify_detects_imbalance():
                     BernoulliTraffic(UniformRandom(), 0.3))
     hub = MetricsHub(sim, bucket=100)
     sim.run(800)
-    hub.injected += 1  # simulate a lost packet
+    sim._next_pid += 1  # an injection counted but never queued: a lost packet
     report = hub.verify()
     assert not report["ok"]
     assert report["expected_in_flight"] == report["in_flight"] + 1

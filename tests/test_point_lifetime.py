@@ -72,11 +72,11 @@ def _cancel_after(polls: int):
 
 
 def _violated(monkeypatch):
-    """Make every hub report one injection the engine never saw."""
+    """Make every hub report one injection the engine never queued."""
     verify = MetricsHub.verify
 
     def lying(self, full=False):
-        self.injected += 1
+        self.sim._next_pid += 1
         return verify(self, full)
 
     monkeypatch.setattr(MetricsHub, "verify", lying)
@@ -192,4 +192,28 @@ def test_a_detached_hub_lets_go_of_the_simulator_and_stays_readable(
     del sim
     assert ref() is None
     assert (hub.series(), hub.records(), hub.verify(full=True)) == before
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("config", [CORE, WHEEL.with_(routing="ofar")],
+                         ids=["hubs moving a core", "hubs on an escape ring"])
+def test_hubs_attached_and_detached_leave_the_simulator_to_refcount(
+        config, no_collector):
+    """The boundary samplers and the ring tap are all the registration
+    there is, and detaching takes them back: no cycle is left."""
+    sim = build_simulator(config, BernoulliTraffic(UniformRandom(), 0.4))
+    sim.run(60)
+    hubs = [MetricsHub(sim, bucket=50), MetricsHub(sim, bucket=30)]
+    sim.run(100)
+    hubs[1].reset()
+    sim.run(100)
+    assert (sim._tap_ring is not None) == (config.routing == "ofar")
+    for hub in hubs:
+        hub.detach()
+    assert not sim._samplers and sim._tap_ring is None
+    assert not sim._delivery_observers
+    ref = weakref.ref(sim)
+    del sim
+    assert ref() is None
+    assert [len(hub.records()) for hub in hubs] == [2 + 4, 2 + 3]
     assert gc.collect() == 0

@@ -65,7 +65,8 @@ and the two that need a thin backlog on a small fabric (the allocator's
 sparse scan and its closed gate) pin the rule for exactly their
 ``auto`` runs (``pin_core``).  ``--smoke`` exits non-zero when a
 ``core_row`` ran on the wheel (under ``--tap`` every ``auto`` run does,
-by design: the hub is an event tap).
+by design: the hub samples the wheel's counters, and ``--tap`` also
+attaches a tap on all five event sites).
 
 * ``rule_*`` (full mode) — whole points either side of the rule's two
   constants: construction, warm-up and measurement inside the clock,
@@ -378,12 +379,45 @@ def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple:
     engine name; a ``second_point`` scenario times two points and its
     list has two entries.
 
-    ``with_tap`` attaches a full MetricsHub (every event point wired)
-    before the run — the instrumentation-overhead gate: the emitted
-    record must stay byte-identical to the untapped reference engine.
+    ``with_tap`` attaches a MetricsHub and a tap on all five event
+    points (:func:`_instrument`) before the run — the
+    instrumentation-overhead gate: the emitted record must stay
+    byte-identical to the untapped reference engine.
     """
     with _rule_pinned(engine == "auto" and sc.get("pin_core", False)):
         return _run_scenario(sc, engine, with_tap)
+
+
+class _EveryEventTap:
+    """A tap on all five event points: the hub samples counters and taps
+    only ``on_eject`` / ``on_ring_entry``, so ``--tap`` wires the other
+    sites itself to prove they leave records byte-identical."""
+
+    def __init__(self) -> None:
+        self.events = 0
+
+    def on_inject(self, packet, cycle) -> None:
+        self.events += 1
+
+    def on_grant(self, router, out, vc, flit, decision, cycle) -> None:
+        self.events += 1
+
+    def on_eject(self, packet, cycle) -> None:
+        self.events += 1
+
+    def on_credit(self, out, vc, amount, cycle) -> None:
+        self.events += 1
+
+    def on_ring_entry(self, router, out, vc, flit, cycle) -> None:
+        self.events += 1
+
+
+def _instrument(sim) -> None:
+    """Attach a MetricsHub and a tap on every event point."""
+    from repro.metrics.hub import MetricsHub
+
+    MetricsHub(sim, bucket=500)
+    sim.add_tap(_EveryEventTap())
 
 
 def _ran_on(sim) -> str:
@@ -398,9 +432,7 @@ def _run_scenario(sc: dict, engine: str, with_tap: bool) -> tuple:
     session = Session(sim=build_simulator(cfg.with_(engine=engine)))
     sim = session.sim
     if with_tap:
-        from repro.metrics.hub import MetricsHub
-
-        MetricsHub(sim, bucket=500)
+        _instrument(sim)
     if kind == "point":
         # Warm-up is outside the clock: steady-state rows compare the
         # engines' per-cycle rate, not one-time setup (on a cold fabric
@@ -440,9 +472,7 @@ def _whole_point(sc: dict, config: SimConfig, engine: str,
     construction included: what the callers put inside the clock."""
     session = Session(sim=build_simulator(config.with_(engine=engine)))
     if with_tap:
-        from repro.metrics.hub import MetricsHub
-
-        MetricsHub(session.sim, bucket=500)
+        _instrument(session.sim)
     session.bernoulli(sc["pattern"], sc["load"]).warmup(sc["warmup"])
     return session.sim, point_record(
         session.measure(sc["measure"]), config, pattern=sc["pattern"],
@@ -547,9 +577,10 @@ def main(argv: list[str] | None = None) -> int:
                          "by cumulative time (profiled runs are never "
                          "used for the timings in the report)")
     ap.add_argument("--tap", action="store_true",
-                    help="attach a MetricsHub to the non-reference engines: "
-                         "records must stay byte-identical to the untapped "
-                         "seed engine (the instrumentation-overhead gate)")
+                    help="attach a MetricsHub and a tap on every event point "
+                         "to the non-reference engines: records must stay "
+                         "byte-identical to the untapped seed engine (the "
+                         "instrumentation-overhead gate)")
     ap.add_argument("--out", default=None,
                     help="report path (default BENCH_engine.json; smoke: none)")
     args = ap.parse_args(argv)
@@ -651,7 +682,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         if ran_on is not None:
             row["engine_path"] = ran_on
-            # an event tap sends every ``auto`` run to the wheel: by design
+            # the hub and the event tap send every ``auto`` run to the
+            # wheel: by design
             if (sc.get("core_row") and not args.tap
                     and not ran_on.startswith("core:")):
                 off_core.append(sc["name"])
