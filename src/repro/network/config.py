@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from functools import cache
 
 from repro.registry import (
     ARBITER_REGISTRY,
@@ -31,6 +32,12 @@ from repro.registry import (
     ROUTING_REGISTRY,
     TOPOLOGY_REGISTRY,
 )
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Field names of a config dataclass, once per class (subclasses too)."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass
@@ -175,7 +182,7 @@ class SimConfig:
         Auto-derived fields are serialized as ``None`` so that the
         round-tripped config keeps re-deriving them.
         """
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {name: getattr(self, name) for name in _field_names(type(self))}
         if self._pb_update_period_auto:
             d["pb_update_period"] = None
         return d
@@ -208,7 +215,7 @@ class SimConfig:
         """
         if not isinstance(data, dict):
             raise ValueError(f"SimConfig.from_dict needs a dict, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
+        known = set(_field_names(cls))
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown SimConfig field(s): {unknown}; known: {sorted(known)}")

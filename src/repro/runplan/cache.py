@@ -40,6 +40,7 @@ class ResultCache:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._dir = os.fspath(self.root)  # str twin: reads skip Path objects
         self.hits = 0
         self.misses = 0
 
@@ -67,8 +68,10 @@ class ResultCache:
         :meth:`put` overwrites it.  Never a traceback, never a non-dict
         record.
         """
+        path = os.path.join(self._dir, key[:2], key + ".json")
         try:
-            payload = json.loads(self._path(key).read_text())
+            with open(path, encoding="utf-8") as f:
+                payload = json.loads(f.read())
         except (FileNotFoundError, ValueError):  # JSON / Unicode decode errors
             return None
         record = payload.get("record") if isinstance(payload, dict) else None
@@ -155,27 +158,41 @@ class ResultCache:
     #: the hit/miss counters of the most recent plan execution
     RUN_STATS_NAME = "last_run.json"
 
-    def save_run_stats(self) -> None:
-        """Persist this object's counters as the cache's last-run stats.
+    def save_run_stats(self, hits: int, misses: int) -> None:
+        """Persist one plan's hits and misses as the cache's last-run stats.
 
         :func:`~repro.runplan.runner.execute_points` calls this once per
-        plan; since CLI invocations build a fresh :class:`ResultCache`,
-        the sidecar holds exactly the last plan's hit-rate, which is
-        what ``repro cache stats`` reports.
+        plan with that call's own counts, which ``repro cache stats``
+        reports.  The sidecar is rewritten (temp file + atomic rename)
+        only when its text changes: a replay repeating the last plan's
+        counts writes nothing, and a damaged sidecar gets repaired.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        stats = {"hits": self.hits, "misses": self.misses,
-                 "saved_at": time.time()}
-        tmp = self.root / f".{self.RUN_STATS_NAME}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
-        tmp.write_text(json.dumps(stats, sort_keys=True, indent=1))
-        tmp.replace(self.root / self.RUN_STATS_NAME)
+        text = json.dumps({"hits": hits, "misses": misses}, sort_keys=True, indent=1)
+        path = os.path.join(self._dir, self.RUN_STATS_NAME)
+        try:
+            with open(path, encoding="utf-8") as f:
+                if f.read() == text:
+                    return
+        except (FileNotFoundError, ValueError):
+            pass
+        os.makedirs(self._dir, exist_ok=True)
+        tmp = os.path.join(self._dir, f".{self.RUN_STATS_NAME}.{os.getpid()}.{next(_TMP_SEQ)}.tmp")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
 
     def last_run_stats(self) -> dict | None:
-        """The persisted counters of the most recent plan, if any."""
+        """The persisted counts of the most recent plan; ``None`` for
+        anything but a JSON object with integer ``hits`` and ``misses``
+        (unreadable, non-UTF-8, truncated, a list...), never a traceback."""
         try:
-            return json.loads((self.root / self.RUN_STATS_NAME).read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
+            with open(os.path.join(self._dir, self.RUN_STATS_NAME), encoding="utf-8") as f:
+                stats = json.loads(f.read())
+        except (OSError, ValueError):  # missing, a directory, unreadable
             return None
+        ok = isinstance(stats, dict) and all(
+            type(stats.get(name)) is int for name in ("hits", "misses"))
+        return stats if ok else None
 
     def stats(self) -> dict:
         """Hit/miss counters for this cache object's lifetime."""

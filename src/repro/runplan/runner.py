@@ -202,6 +202,8 @@ def execute_points(points, *, jobs: int | None = None, scheduler=None,
     records: list[dict | None] = [None] * len(points)
     failures: list[PointError] = []
     worker = partial(execute_point, verify=True) if verify else execute_point
+    if cache is not None:  # the sidecar gets this plan's counts only
+        hits, misses = cache.hits, cache.misses
     for outcome in iter_outcomes(points, worker, jobs=jobs,
                                  scheduler=scheduler, cache=cache):
         records[outcome.index] = outcome.record
@@ -210,7 +212,7 @@ def execute_points(points, *, jobs: int | None = None, scheduler=None,
         if on_result is not None:
             on_result(outcome)
     if cache is not None:
-        cache.save_run_stats()
+        cache.save_run_stats(cache.hits - hits, cache.misses - misses)
     if failures:
         if errors == "raise":
             raise PlanExecutionError(

@@ -123,3 +123,28 @@ def test_damaged_entry_is_a_miss_and_gets_overwritten(tmp_path, damage):
     assert cache.get(point) is None and cache.misses == 1
     cache.put(point, {"version": 2})
     assert cache.get(point) == {"version": 2}
+
+
+@pytest.mark.parametrize("damage", [
+    b'{"hits": 1}',            # valid JSON, no misses
+    b"[1, 2]", b"3",           # valid JSON, not an object
+    b"\xff\xfe\x00 not utf-8",  # not text at all
+    b'{"hits": 1, "misses": "2"}',  # counts that are not integers
+    b'{"hits": 1, "misses": 2',     # truncated write
+], ids=["no-misses", "list", "number", "non-utf8", "string-count",
+        "truncated"])
+def test_damaged_run_stats_read_as_none_and_get_rewritten(tmp_path, damage):
+    """A damaged ``last_run.json`` is no stats, never a traceback, and
+    the next save repairs it even though the counts look unchanged."""
+    cache = ResultCache(tmp_path)
+    cache.save_run_stats(1, 2)
+    sidecar = tmp_path / ResultCache.RUN_STATS_NAME
+    sidecar.write_bytes(damage)
+    assert cache.last_run_stats() is None
+    cache.save_run_stats(1, 2)
+    assert cache.last_run_stats() == {"hits": 1, "misses": 2}
+
+
+def test_unreadable_run_stats_read_as_none(tmp_path):
+    (tmp_path / ResultCache.RUN_STATS_NAME).mkdir()  # a directory, not a file
+    assert ResultCache(tmp_path).last_run_stats() is None

@@ -330,6 +330,18 @@ def test_cache_stats_reports_entries_and_last_run(tmp_path, capsys):
     assert body["last_run"]["misses"] == 2 and body["last_run"]["hits"] == 0
 
 
+def test_cache_stats_with_damaged_last_run_reports_null(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    _, args = _sweep_args(tmp_path, "warm", "--cache", str(cache))
+    assert main(args) == 0
+    capsys.readouterr()
+    (cache / "last_run.json").write_bytes(b"\xff\xfe\x00 not utf-8")
+    assert main(["cache", "stats", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert '"last_run": null' in out
+    assert json.loads(out)["entries"] == 2
+
+
 def test_cache_prune_cli_age_and_dry_run(tmp_path, capsys):
     cache = tmp_path / "cache"
     _, args = _sweep_args(tmp_path, "warm", "--cache", str(cache))

@@ -1,5 +1,7 @@
 """SimConfig validation and presets."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.network.config import SimConfig, paper_vct_config, paper_wh_config
@@ -76,6 +78,25 @@ def test_to_dict_from_dict_round_trip():
     assert clone.with_(local_latency=21).pb_update_period == 21
     # explicit values serialize as-is
     assert SimConfig(pb_update_period=25).to_dict()["pb_update_period"] == 25
+
+
+@dataclass
+class TaggedConfig(SimConfig):
+    tag: str = "plain"
+
+
+def test_subclass_extra_field_round_trips():
+    """Field names are cached per class: a dataclass subclass keeps its
+    own extra field, also after the base class was serialized first."""
+    assert "tag" not in SimConfig().to_dict()
+    cfg = TaggedConfig(h=3, routing="rlm", tag="marked")
+    data = cfg.to_dict()
+    assert data["tag"] == "marked" and data["pb_update_period"] is None
+    clone = TaggedConfig.from_dict(data)
+    assert type(clone) is TaggedConfig and clone == cfg
+    assert "tag" not in SimConfig().to_dict()
+    with pytest.raises(ValueError, match="unknown SimConfig field"):
+        SimConfig.from_dict(data)
 
 
 def test_from_dict_rejects_unknown_keys():

@@ -127,6 +127,44 @@ def test_steady_flag_is_part_of_the_cache_key():
     assert base.key() != auto.key()  # different warm-up rule, different record
 
 
+#: literal cache addresses: a change to ``SimConfig.to_dict``, to
+#: ``RunPoint.describe`` or to the key encoding that moves any of these
+#: would silently orphan every existing cache (bump
+#: ``POINT_SCHEMA_VERSION`` and re-pin on purpose instead)
+PINNED_KEYS = {
+    "steady": (
+        RunPoint(config=SimConfig(h=2, routing="olm", seed=3),
+                 pattern="uniform", load=0.3, warmup=200, measure=400),
+        "ef5f1b80bac37e8c2d50f79c3d319c8d33d4c898a3d0b77de0e6bc189e4e3f1c"),
+    "drain": (
+        RunPoint(config=SimConfig(h=2, routing="minimal", flow_control="wh",
+                                  packet_phits=80),
+                 pattern="adversarial", kind="drain", packets_per_node=4,
+                 max_cycles=20000),
+        "27f0964c45a3046317d56d64c16719d9023718d18488515beea562ed1ddaaf5e"),
+    "transient": (
+        RunPoint(config=SimConfig(h=2, routing="rlm"), pattern="uniform",
+                 kind="transient", load=0.2, warmup=300, measure=600,
+                 packets_per_node=2, bucket=50),
+        "b06ed8857237521690f11f45c15f0b521fb0cf3b3b1364d4f5a64e620469eae5"),
+    "pb-period-auto": (
+        RunPoint(config=SimConfig(h=2, routing="pb", local_latency=20),
+                 pattern="uniform", load=0.1, warmup=100, measure=100),
+        "0130b441d056d40e60700f85bd69974946a18ea99a633ed797f8abcad2970380"),
+    "pb-period-explicit": (
+        RunPoint(config=SimConfig(h=2, routing="pb", local_latency=20,
+                                  pb_update_period=20),
+                 pattern="uniform", load=0.1, warmup=100, measure=100),
+        "c37202837b6b43724a1629ddee528f5b4a53cdfed08825fafea05404530d9498"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+def test_point_key_digests_are_pinned(name):
+    point, digest = PINNED_KEYS[name]
+    assert point.key() == digest
+
+
 # ------------------------------------------------------------- determinism
 def test_serial_process_and_cache_replay_identical(tmp_path):
     """The satellite contract: serial == process == cache replay, byte-wise."""

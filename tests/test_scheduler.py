@@ -322,6 +322,37 @@ def test_run_stats_sidecar_tracks_last_plan(tmp_path):
     assert stats["hits"] == 2 and stats["misses"] == 0
 
 
+def test_run_stats_sidecar_counts_each_plan_on_a_shared_object(tmp_path):
+    """One ResultCache object serving two plans: the sidecar holds the
+    second plan's own counts, not the object's lifetime totals."""
+    points = tiny_points(loads=(0.1, 0.2))
+    cache = ResultCache(tmp_path / "c")
+    execute_points(points, cache=cache)
+    execute_points(points, cache=cache)
+    assert (cache.hits, cache.misses) == (2, 2)  # lifetime counters
+    assert cache.last_run_stats() == {"hits": 2, "misses": 0}
+
+
+def test_identical_replay_leaves_run_stats_sidecar_untouched(tmp_path):
+    """The sidecar is rewritten only when its counts change: an all-hit
+    replay of the same plan writes nothing, a different count does."""
+    points = tiny_points(loads=(0.1, 0.2))
+    execute_points(points, cache=tmp_path / "c")
+    execute_points(points, cache=tmp_path / "c")  # all hits: 2/0
+    sidecar = tmp_path / "c" / ResultCache.RUN_STATS_NAME
+    before = sidecar.stat()
+    execute_points(points, cache=tmp_path / "c")  # the same 2/0 again
+    after = sidecar.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+    execute_points(points[:1], cache=tmp_path / "c")  # 1/0: rewritten
+    assert sidecar.stat().st_ino != before.st_ino
+    assert ResultCache(tmp_path / "c").last_run_stats() == {
+        "hits": 1, "misses": 0}
+    assert [p.name for p in (tmp_path / "c").iterdir()
+            if p.suffix == ".tmp"] == []
+
+
 # ------------------------------------------------------------- cache pruning
 def test_prune_requires_a_criterion(tmp_path):
     with pytest.raises(ValueError, match="refusing to prune"):
