@@ -73,7 +73,6 @@ from repro.facade import (
     session,
 )
 from repro.metrics import LatencyTap, MetricsHub
-from repro.network.taps import Tap
 from repro.runplan import (
     ResultCache,
     RunPoint,
@@ -99,8 +98,7 @@ __all__ = [
     "run_point",
     "run_drain",
     "run_transient",
-    # observability (taps + hub)
-    "Tap",
+    # observability (hub + latency recorder)
     "MetricsHub",
     "LatencyTap",
     # run plans (parallel execution, caching, replication)

@@ -94,6 +94,10 @@ class RoutingAlgorithm(abc.ABC):
         #: misrouting hops granted so far (for boundary samplers)
         self.local_misroutes = 0
         self.global_misroutes = 0
+        #: escape-ring hops and ring entries granted so far (for boundary
+        #: samplers): only a mechanism with a ring (OFAR) moves them
+        self.ring_hops = 0
+        self.ring_entries = 0
         self._min_hop = topo.min_hop
         # fabrics predating the capability flags were Dragonfly-shaped
         self.topo_caps: frozenset = getattr(topo, "caps", DRAGONFLY_CAPS)
@@ -134,8 +138,10 @@ class RoutingAlgorithm(abc.ABC):
         """Whether a hop on ``(kind, vc)`` rides an escape subnetwork.
 
         Only deadlock-avoidance mechanisms with a dedicated escape
-        resource override this (OFAR's bubble ring); the engine uses it
-        to fire the ``on_ring_entry`` instrumentation tap.
+        resource override this (OFAR's bubble ring); such a mechanism
+        counts its head hops onto the ring in ``ring_hops`` and its
+        entries (a ring hop whose previous hop was off the ring) in
+        ``ring_entries``, and the array core never runs it.
         """
         return False
 

@@ -84,12 +84,19 @@ class OfarRouting(AdaptiveRouting):
         return Decision(out_idx, vc, local_target=target)
 
     def is_escape_hop(self, kind: PortKind, vc: int) -> bool:
-        """The dedicated ring VCs are the escape resource (engine ring tap)."""
+        """The dedicated ring VCs are the escape resource."""
         return ((kind == PortKind.LOCAL and vc == self.ESCAPE_LVC)
                 or (kind == PortKind.GLOBAL and vc == self.ESCAPE_GVC))
 
     def on_hop(self, router, packet, decision) -> None:
         super().on_hop(router, packet, decision)
         kind = router.outputs[decision.out].kind
-        if kind != PortKind.EJECT:
-            packet.mode = "escape" if self.is_escape_hop(kind, decision.vc) else None
+        if kind == PortKind.EJECT:
+            return
+        if self.is_escape_hop(kind, decision.vc):
+            self.ring_hops += 1
+            if packet.mode != "escape":  # the previous hop was off the ring
+                self.ring_entries += 1
+                packet.mode = "escape"
+        else:
+            packet.mode = None

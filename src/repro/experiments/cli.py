@@ -307,7 +307,9 @@ def _run_point(args) -> int:
         s.warmup(args.warmup)
     bucket = args.series if args.series is not None else (250 if args.jsonl else None)
     if bucket is not None:
-        sr = s.measure_series(args.measure, bucket=bucket)
+        meta = {"pattern": args.pattern, "load": args.load,
+                "config_hash": config.content_hash()}
+        sr = s.measure_series(args.measure, bucket=bucket, meta=meta)
         result = sr.result
     else:
         sr = None
@@ -330,15 +332,12 @@ def _run_point(args) -> int:
             "occupancy": occupancy_snapshot(s.sim),
             "injection_backlog": injection_backlog(s.sim),
         })
-    if args.jsonl and sr is not None:
+    if args.jsonl:
         from repro.metrics.hub import jsonl_line
 
         path = Path(args.jsonl)
         path.parent.mkdir(parents=True, exist_ok=True)
-        meta = {"pattern": args.pattern, "load": args.load,
-                "config_hash": config.content_hash()}
-        rows = [dict(sr.records[0], **meta)] + [dict(r) for r in sr.records[1:]]
-        path.write_text("\n".join(jsonl_line(r) for r in rows) + "\n")
+        path.write_text("\n".join(jsonl_line(r) for r in sr.records) + "\n")
         payload["jsonl"] = str(path)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.json:

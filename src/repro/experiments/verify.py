@@ -282,9 +282,10 @@ def render_experiments_md(results: dict[str, dict]) -> str:
         "the routing layer and so isolates the engine.  Read each row's "
         "current speed-up there; it is not quoted here.",
         "",
-        "Observability: a `MetricsHub` samples the engine's counters, "
-        "occupancy and in-flight level at bucket boundaries, taps only "
-        "deliveries and escape-ring entries, and builds cycle-bucketed "
+        "Observability: a `MetricsHub` samples the engine's counters "
+        "(escape-ring hops and entries among them), occupancy and "
+        "in-flight level at bucket boundaries, observes deliveries, "
+        "and builds cycle-bucketed "
         "series with JSONL export — free when detached, invisible when "
         "attached (`tools/bench_engine.py --tap` pins record equality).  "
         "Steady-state warm-up can be auto-detected "

@@ -1,11 +1,12 @@
 """Metrics over a live simulator: engine counters sampled into time series.
 
 :class:`MetricsHub` reads the engine's cumulative counters (grants,
-returned credit phits, injections, local/global misroutes), per-(kind,
-VC) occupancy and the in-flight population at each bucket boundary,
-and taps (:mod:`repro.network.taps`) only ``on_eject`` — deliveries
-are stamped at tail-ejection completion — and ``on_ring_entry``.  It
-turns them into
+returned credit phits, injections, the routing's local/global misroutes
+and escape-ring hops and entries), per-(kind, VC) occupancy and the
+in-flight population at each bucket boundary
+(``Simulator.add_sampler``), and observes deliveries
+(``Simulator.add_delivery_observer``), which are stamped at
+tail-ejection completion.  It turns them into
 
 * running totals (packets, phits, misroutes, ring hops, credits),
 * cycle-bucketed series: throughput, latency mean/percentiles,
@@ -47,13 +48,13 @@ def _percentile(sorted_values, q: float) -> float:
 
 
 class _Bucket:
-    """One ``bucket``-cycle interval: deliveries from the eject tap, the
-    rest filled from the boundary samples on read-out."""
+    """One ``bucket``-cycle interval: deliveries from the delivery
+    observer, the rest filled from the boundary samples on read-out."""
 
     __slots__ = ("injected", "delivered", "delivered_phits", "latency_sum",
                  "latency_max", "latencies", "grants", "local_misroutes",
-                 "global_misroutes", "ring_hops", "credit_phits", "occupancy",
-                 "inflight")
+                 "global_misroutes", "ring_hops", "ring_entries",
+                 "credit_phits", "occupancy", "inflight")
 
     def __init__(self) -> None:
         self.delivered = 0
@@ -65,18 +66,18 @@ class _Bucket:
     def fill(self, opened: tuple, closed: tuple) -> _Bucket:
         """Counts between the open and close samples; levels at the open."""
         (self.injected, self.grants, self.credit_phits, self.local_misroutes,
-         self.global_misroutes, self.ring_hops) = (
+         self.global_misroutes, self.ring_hops, self.ring_entries) = (
             b - a for a, b in zip(opened[0], closed[0]))
         self.occupancy, self.inflight = opened[1], opened[2]
         return self
 
 
 class LatencyTap:
-    """Per-packet latency recorder on the eject tap.
+    """Per-packet latency recorder on the delivery hook.
 
-    Attaches through :meth:`Simulator.add_tap`, collects one latency
-    sample (bare int, delivery order) per ejected packet until
-    detached.  The Session facade uses it for its percentile fields.
+    Attaches through :meth:`Simulator.add_delivery_observer`, collects
+    one latency sample (bare int, delivery order) per ejected packet
+    until detached.  The Session facade uses it for its percentile fields.
     Memory is O(packets delivered while attached); ``clear()`` after
     warm-up to keep only the measurement window.
     """
@@ -84,8 +85,7 @@ class LatencyTap:
     def __init__(self, sim) -> None:
         self.sim = sim
         self.latencies: list[int] = []
-        self._attached = True
-        sim.add_tap(self)
+        self._observer = sim.add_delivery_observer(self.on_eject)
 
     def on_eject(self, packet, now: int) -> None:
         self.latencies.append(now - packet.birth)
@@ -96,7 +96,7 @@ class LatencyTap:
         The array core delivers a cycle's packets as one call with the
         latency and completion-cycle arrays in delivery order, so the
         sample list stays element-for-element identical to the scalar
-        tap while skipping per-packet Python work.
+        observer while skipping per-packet Python work.
         """
         self.latencies.extend(latencies.tolist())
 
@@ -109,11 +109,11 @@ class LatencyTap:
         Dropping ``sim`` is what lets a finished point be freed by
         refcount: an array core may still hold this tap's
         ``on_eject_batch`` for the observer list it last delivered to.
+        The bound observer refers back to the tap, so it goes too.
         """
-        if self._attached:
-            self._attached = False
-            self.sim.remove_tap(self)
-            self.sim = None
+        if self.sim is not None:
+            self.sim.remove_delivery_observer(self._observer)
+            self.sim = self._observer = None
 
 
 def _window_total(i: int, doc: str) -> property:
@@ -122,7 +122,7 @@ def _window_total(i: int, doc: str) -> property:
 
 
 class MetricsHub:
-    """Engine counters and eject/ring taps, sampled into bucketed series.
+    """Engine counters and deliveries, sampled into bucketed series.
 
     ``bucket`` is the series resolution in cycles; ``latencies=False``
     drops the per-bucket latency samples (and therefore the percentile
@@ -137,6 +137,8 @@ class MetricsHub:
     credit_phits = _window_total(2, "credit phits returned in the window")
     local_misroutes = _window_total(3, "local misroute grants in the window")
     global_misroutes = _window_total(4, "global misroute grants in the window")
+    ring_hops = _window_total(5, "head hops onto the escape ring in the window")
+    ring_entries = _window_total(6, "escape-ring entries in the window")
 
     def __init__(self, sim, bucket: int = 500, *, latencies: bool = True) -> None:
         if bucket <= 0:
@@ -158,10 +160,9 @@ class MetricsHub:
                     group[0] += out.capacity
                     group[1].append(out.credits)
         self._occ_groups = groups
-        self._on_ring: set[int] = set()
         self._attached = True
         self._zero_window()
-        sim.add_tap(self)
+        self._observer = sim.add_delivery_observer(self.on_eject)
 
     def _zero_window(self) -> None:
         self.start_cycle = self.sim.now
@@ -171,8 +172,6 @@ class MetricsHub:
         self._buckets: list[_Bucket] = []
         self.delivered = 0
         self.delivered_phits = 0
-        self.ring_hops = 0
-        self.ring_entries = 0
         #: total delivery latency (cycles) over the window — the λ·W
         #: side of the Little's-law identity in :meth:`verify(full=True)`
         self.latency_cycles = 0
@@ -196,7 +195,8 @@ class MetricsHub:
             return self._frozen[0]
         sim, algo = self.sim, self.sim.algo
         return (sim._next_pid, sim.grants, sim.credit_phits,
-                algo.local_misroutes, algo.global_misroutes, self.ring_hops)
+                algo.local_misroutes, algo.global_misroutes, algo.ring_hops,
+                algo.ring_entries)
 
     def _sample(self) -> tuple:
         """Counters, per-(kind, vc) occupancy and packets in flight."""
@@ -223,7 +223,7 @@ class MetricsHub:
                           for i in (index, index + 1))
         return self._bucket_at(index).fill(opened, closed)
 
-    # ------------------------------------------------------------ tap events
+    # ------------------------------------------------------------- deliveries
     def on_eject(self, packet, cycle: int) -> None:
         self.delivered += 1
         self.delivered_phits += packet.size_phits
@@ -241,15 +241,6 @@ class MetricsHub:
             self.latency_min = latency
         if self._keep_latencies:
             b.latencies.append(latency)
-        if self._on_ring:
-            self._on_ring.discard(packet.pid)
-
-    def on_ring_entry(self, router, out, vc: int, flit, cycle: int) -> None:
-        self.ring_hops += 1
-        pid = flit.packet.pid
-        if pid not in self._on_ring:
-            self._on_ring.add(pid)
-            self.ring_entries += 1
 
     # ------------------------------------------------------------- lifecycle
     def reset(self) -> None:
@@ -268,8 +259,9 @@ class MetricsHub:
         """
         if self._attached:
             sim = self.sim
-            sim.remove_tap(self)
+            sim.remove_delivery_observer(self._observer)
             sim.remove_sampler(self._on_boundary)
+            self._observer = None  # a bound method of self: a cycle
             self._frozen = self._sample()
             self._attached = False
             self.sim = SimpleNamespace(
@@ -288,7 +280,7 @@ class MetricsHub:
 
         At drain (``in_flight_now == 0``, hub attached before the first
         injection) this reduces to ``injected == delivered``.  The
-        engine's injection counter and the eject tap move at the same
+        engine's injection counter and the delivery observer move at the same
         engine event that moves ``packets_in_flight``, so the identity
         holds exactly at any point between cycles — a mismatch means
         lost or double-counted packets.

@@ -2,7 +2,7 @@
 
 `occupancy_snapshot` and `injection_backlog` are one-shot state reads
 (no per-cycle cost; ``repro point --probe`` prints them).  Time series
-and latency samples come from the event-driven tap layer:
+and latency samples come from boundary samplers and delivery observers:
 :class:`~repro.metrics.hub.MetricsHub` and
 :class:`~repro.metrics.hub.LatencyTap`.
 """

@@ -10,7 +10,6 @@ from repro.network.config import SimConfig
 from repro.network.flowcontrol import FlowControl, VirtualCutThrough, Wormhole
 from repro.network.packet import Packet, Flit
 from repro.network.simulator import Simulator, DeadlockError, build_simulator
-from repro.network.taps import TAP_EVENTS, Tap
 from repro.registry import ARBITER_REGISTRY, ENGINE_REGISTRY, FLOW_CONTROL_REGISTRY
 
 # the frozen seed engine registers here (its module must stay untouched)
@@ -38,6 +37,4 @@ __all__ = [
     "DeadlockError",
     "build_simulator",
     "ENGINE_REGISTRY",
-    "Tap",
-    "TAP_EVENTS",
 ]

@@ -11,7 +11,7 @@ becomes a fixed number of array kernels instead of O(buffered flits)
 interpreter work.
 
 The core is **not** a simulator.  The ``Simulator`` keeps the public
-API, the taps and observers, the run loops and every scalar they read
+API, the delivery observers and samplers, the run loops and every scalar they read
 (``now``, ``packets_in_flight``, ``_pending_events``,
 ``_last_progress``); the core holds the SoA state and the kernels
 (:meth:`~ArrayCore.step`, :meth:`~ArrayCore.inject`,
@@ -49,12 +49,10 @@ and pays for none of this.  A point that does constructs no ``Router``
 (``sim.routers`` is a ``ParkedRouters`` stand-in from the start) and the
 core's own arrays are built as it is installed.
 
-**One way out** — ``Simulator._leave_core``.  Eject-only taps (the
-Session's ``LatencyTap``) are delivery observers and keep the core.
-Attaching a tap with ``on_inject``/``on_grant``/``on_credit``/
-``on_ring_entry``, a boundary sampler (a
-:class:`~repro.metrics.hub.MetricsHub` reads the wheel's counters), or
-reading the object graph through ``sim.routers`` / ``arrivals_due``,
+**One way out** — ``Simulator._leave_core``.  Delivery observers (the
+Session's ``LatencyTap``) keep the core.  Attaching a boundary sampler
+(a :class:`~repro.metrics.hub.MetricsHub` reads the wheel's counters),
+or reading the object graph through ``sim.routers`` / ``arrivals_due``,
 leaves it: fresh object routers are built and wired — here, and only
 for runs that leave — :meth:`ArrayCore.materialize` writes the array
 state into them mid-run, the core is dropped and the simulation

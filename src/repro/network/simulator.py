@@ -165,14 +165,6 @@ class Simulator:
         #: hooks ``(packet, cycle) -> None`` fired at tail ejection, in
         #: registration order (see :meth:`add_delivery_observer`)
         self._delivery_observers: list = []
-        # ---- instrumentation taps (repro.network.taps): ``None`` when no
-        # tap is registered for an event, so the hot path pays exactly one
-        # ``is None`` check per event site
-        self._tap_inject: tuple | None = None
-        self._tap_grant: tuple | None = None
-        self._tap_credit: tuple | None = None
-        self._tap_ring: tuple | None = None
-        self._is_escape = self.algo.is_escape_hop
         #: cumulative counts for boundary samplers, always on
         self.grants = 0
         self.credit_phits = 0
@@ -270,7 +262,9 @@ class Simulator:
         number of observers may be attached (metrics probes, trace
         writers, the Session latency recorder, ...).  Observers fire in
         registration order.  Rebinds the list copy-on-write, like
-        :meth:`remove_delivery_observer`.
+        :meth:`remove_delivery_observer`.  A live array core keeps
+        running; it batches a cycle's deliveries when each observer is a
+        bound method whose object has ``on_eject_batch``.
         """
         self._delivery_observers = [*self._delivery_observers, fn]
         return fn
@@ -286,64 +280,16 @@ class Simulator:
         observers.remove(fn)  # equality match, as bound methods require
         self._delivery_observers = observers
 
-    # ------------------------------------------------------------------ taps
-    def add_tap(self, tap):
-        """Attach an instrumentation tap (see :mod:`repro.network.taps`).
-
-        Every ``on_inject`` / ``on_grant`` / ``on_eject`` / ``on_credit``
-        / ``on_ring_entry`` method defined on ``tap`` is wired onto the
-        matching engine event point; at least one must be present.
-        ``on_eject`` joins the delivery-observer list (so it fires in
-        registration order, and before ``on_grant`` for the same
-        delivering tail flit).  ``on_ring_entry`` is wired only if the
-        routing overrides ``is_escape_hop``.  Returns ``tap`` for chaining.
-
-        Eject-only taps keep a live array core; any other event needs
-        the object engine's event sites, so the core is left first.
-        """
-        wired = False
-        escape = type(self.algo).is_escape_hop is not RoutingAlgorithm.is_escape_hop
-        for attr, fn in (("_tap_inject", getattr(tap, "on_inject", None)),
-                         ("_tap_grant", getattr(tap, "on_grant", None)),
-                         ("_tap_credit", getattr(tap, "on_credit", None)),
-                         ("_tap_ring", getattr(tap, "on_ring_entry", None))):
-            if fn is not None:
-                wired = True
-                if attr == "_tap_ring" and not escape:
-                    continue  # no escape hop exists: the site never fires
-                if self._core is not None:
-                    self._leave_core("an event tap attached")
-                current = getattr(self, attr)
-                setattr(self, attr, (fn,) if current is None else (*current, fn))
-        eject = getattr(tap, "on_eject", None)
-        if eject is not None:
-            self.add_delivery_observer(eject)
-            wired = True
-        if not wired:
-            raise TypeError(
-                f"{tap!r} defines none of the tap event methods "
-                "(on_inject/on_grant/on_eject/on_credit/on_ring_entry)")
-        return tap
-
-    def remove_tap(self, tap) -> None:
-        """Detach a previously added tap from every event point (idempotent)."""
-        for attr, fn in (("_tap_inject", getattr(tap, "on_inject", None)),
-                         ("_tap_grant", getattr(tap, "on_grant", None)),
-                         ("_tap_credit", getattr(tap, "on_credit", None)),
-                         ("_tap_ring", getattr(tap, "on_ring_entry", None))):
-            current = getattr(self, attr)
-            if fn is None or current is None or fn not in current:
-                continue
-            remaining = tuple(f for f in current if f != fn)
-            setattr(self, attr, remaining or None)
-        eject = getattr(tap, "on_eject", None)
-        if eject is not None and eject in self._delivery_observers:
-            self.remove_delivery_observer(eject)
-
     def add_sampler(self, fn, at: int) -> None:
-        """Call ``fn(boundary)``, which returns the next one, from ``at`` on:
-        where a step reaches a boundary or a jump crosses it (see
-        :mod:`repro.network.taps`).  A live core is left first."""
+        """Call ``fn(boundary)``, which returns the next one, from ``at`` on.
+
+        A sampler fires at the end of the step that reaches a boundary,
+        or at the idle jump that crosses it: skipped cycles are
+        event-free, so each boundary in a jump reads the same state.  It
+        reads the engine's always-on counters (``grants``,
+        ``credit_phits``, ``_next_pid``, the routing's misroute and ring
+        counts) and observes only — no state mutation, no RNG.  A live
+        core is left first."""
         if self._core is not None:
             self._leave_core("a boundary sampler attached")
         self._samplers = [*self._samplers, [at, fn]]
@@ -392,10 +338,6 @@ class Simulator:
         self._active.add(sr)
         self.stats.on_generated(pkt)
         self.packets_in_flight += 1
-        taps = self._tap_inject
-        if taps is not None:
-            for tap in taps:
-                tap(pkt, t)
         return pkt
 
     # ------------------------------------------------------------ main loop
@@ -432,11 +374,6 @@ class Simulator:
                 out.credits[vc] += amount
                 phits += amount
             self.credit_phits += phits
-            ctaps = self._tap_credit
-            if ctaps is not None:
-                for out, vc, amount in bucket:
-                    for tap in ctaps:
-                        tap(out, vc, amount, t)
             self._pending_events -= len(bucket)
             bucket.clear()
             self._last_progress = t
@@ -720,10 +657,6 @@ class Simulator:
             vcb.route_vc = None
             if not is_eject:
                 out.owner[ovc] = None
-        if self._tap_ring is not None and dec is not None and \
-                self._is_escape(out.kind, ovc):
-            for tap in self._tap_ring:
-                tap(router, out, ovc, flit, t)
         if is_eject:
             if flit.is_tail:
                 done = busy
@@ -755,10 +688,6 @@ class Simulator:
             self._pending_events += 1
         self._last_progress = t
         self.grants += 1
-        gtaps = self._tap_grant
-        if gtaps is not None:
-            for tap in gtaps:
-                tap(router, out, ovc, flit, dec, t)
 
     # ------------------------------------------------------------ utilities
     def total_buffered_flits(self) -> int:

@@ -11,6 +11,7 @@ the same seed.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -165,7 +166,10 @@ class ResultCache:
         plan with that call's own counts, which ``repro cache stats``
         reports.  The sidecar is rewritten (temp file + atomic rename)
         only when its text changes: a replay repeating the last plan's
-        counts writes nothing, and a damaged sidecar gets repaired.
+        counts writes nothing, and a damaged sidecar gets repaired.  A
+        sidecar that cannot be read or written (a directory in its
+        place, a read-only cache) is skipped: the plan's records are
+        stored already, and telemetry must not fail them.
         """
         text = json.dumps({"hits": hits, "misses": misses}, sort_keys=True, indent=1)
         path = os.path.join(self._dir, self.RUN_STATS_NAME)
@@ -173,13 +177,17 @@ class ResultCache:
             with open(path, encoding="utf-8") as f:
                 if f.read() == text:
                     return
-        except (FileNotFoundError, ValueError):
+        except (OSError, ValueError):
             pass
-        os.makedirs(self._dir, exist_ok=True)
         tmp = os.path.join(self._dir, f".{self.RUN_STATS_NAME}.{os.getpid()}.{next(_TMP_SEQ)}.tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
+        try:
+            os.makedirs(self._dir, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
     def last_run_stats(self) -> dict | None:
         """The persisted counts of the most recent plan; ``None`` for

@@ -1,12 +1,13 @@
 """The event-fed metrics hub, kept as the oracle of the sampled one.
 
 Before ``MetricsHub`` read engine counters at bucket boundaries it was
-this class: a tap on every injection, grant, credit, delivery and
-ring entry, buckets opened by event timestamps, and an occupancy
-ledger kept from grant and credit events.  It is built on the public
-tap API only (:meth:`Simulator.add_tap`), so ``test_hub_oracle.py`` can
-hold the sampled hub's ``records()`` and ``series()`` to it byte for
-byte.
+this class: fed by every injection, grant, credit, delivery and ring
+hop, buckets opened by event timestamps, and an occupancy ledger kept
+from grant and credit events.  The engine no longer fires those
+events, so :class:`TappedSimulator` — the wheel engine with the event
+sites put back, test-side — fires them, and ``test_hub_oracle.py``
+holds the sampled hub's ``records()`` and ``series()`` to this one
+byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from types import SimpleNamespace
 
 from repro.metrics.hub import OBS_SCHEMA_VERSION, _percentile
+from repro.network.simulator import Simulator
 from repro.topology.base import PortKind
 
 _KIND_NAMES = {int(PortKind.LOCAL): "local", int(PortKind.GLOBAL): "global"}
@@ -49,8 +51,51 @@ class _Bucket:
 
 
 
+class TappedSimulator(Simulator):
+    """The wheel engine, firing an event per injection, credit and grant.
+
+    Every hub in ``taps`` hears ``on_inject(packet, cycle)``,
+    ``on_credit(out, vc, amount, cycle)`` and ``on_grant(router, out,
+    vc, flit, decision, cycle)``; a head hop onto an escape-ring VC
+    also fires ``on_ring_hop(packet, entry, cycle)`` just before its
+    grant, where ``entry`` says the packet's previous hop was off the
+    ring.  Deliveries reach hubs as delivery observers.  A subclass of
+    ``Simulator`` never carries an array core.
+    """
+
+    def __init__(self, config, traffic=None) -> None:
+        super().__init__(config, traffic)
+        self.taps: list = []
+
+    def inject_packet(self, src: int, dst: int, now: int | None = None):
+        pkt = super().inject_packet(src, dst, now)
+        for tap in self.taps:
+            tap.on_inject(pkt, self.now if now is None else now)
+        return pkt
+
+    def step(self) -> None:
+        # the credits this step pops come before anything else it does
+        # that a hub hears (arrivals are silent)
+        t = self.now
+        for out, vc, amount in self._cr_wheel[t % self._horizon]:
+            for tap in self.taps:
+                tap.on_credit(out, vc, amount, t)
+        super().step()
+
+    def _grant(self, router, out, sel, t: int) -> None:
+        flit, ovc, dec = sel[2], sel[4], sel[5]
+        pkt = flit.packet
+        entry = pkt.mode != "escape"  # read before on_hop updates it
+        super()._grant(router, out, sel, t)
+        ring = dec is not None and self.algo.is_escape_hop(out.kind, ovc)
+        for tap in self.taps:
+            if ring:
+                tap.on_ring_hop(pkt, entry, t)
+            tap.on_grant(router, out, ovc, flit, dec, t)
+
+
 class TappedHub:
-    """The event-fed hub: every grant, credit and injection tapped."""
+    """The event-fed hub: every grant, credit and injection heard."""
 
     def __init__(self, sim, bucket: int = 500, *, latencies: bool = True) -> None:
         if bucket <= 0:
@@ -70,10 +115,10 @@ class TappedHub:
                 for vc, credits in enumerate(out.credits):
                     key = (k, vc)
                     self._occ[key] = self._occ.get(key, 0) + (out.capacity - credits)
-        self._on_ring: set[int] = set()
         self._attached = True
         self._zero_window(sim.now)
-        sim.add_tap(self)
+        sim.taps.append(self)
+        self._observer = sim.add_delivery_observer(self.on_eject)
 
     def _zero_window(self, now: int) -> None:
         self.start_cycle = now
@@ -103,7 +148,7 @@ class TappedHub:
         #: the Little's-law identity
         self.eject_lead = 0
 
-    # ------------------------------------------------------------ tap events
+    # ---------------------------------------------------------------- events
     def _bucket_at(self, cycle: int) -> _Bucket:
         idx = (cycle - self.start_cycle) // self.bucket
         buckets = self._buckets
@@ -175,7 +220,6 @@ class TappedHub:
             self.latency_min = latency
         if self._keep_latencies:
             b.latencies.append(latency)
-        self._on_ring.discard(packet.pid)
         self._refresh_future_snapshots(cycle)
 
     def on_credit(self, out, vc: int, amount: int, cycle: int) -> None:
@@ -185,12 +229,10 @@ class TappedHub:
         self._occ[key] = self._occ.get(key, 0) - amount
         self._refresh_future_snapshots(cycle)
 
-    def on_ring_entry(self, router, out, vc: int, flit, cycle: int) -> None:
+    def on_ring_hop(self, packet, entry: bool, cycle: int) -> None:
         self.ring_hops += 1
         self._bucket_at(cycle).ring_hops += 1
-        pid = flit.packet.pid
-        if pid not in self._on_ring:
-            self._on_ring.add(pid)
+        if entry:
             self.ring_entries += 1
 
     # ------------------------------------------------------------- lifecycle
@@ -208,7 +250,8 @@ class TappedHub:
         if self._attached:
             self._attached = False
             sim = self.sim
-            sim.remove_tap(self)
+            sim.taps.remove(self)
+            sim.remove_delivery_observer(self._observer)
             self.sim = SimpleNamespace(
                 now=sim.now, topo=sim.topo, config=sim.config,
                 packets_in_flight=sim.packets_in_flight)

@@ -148,3 +148,18 @@ def test_damaged_run_stats_read_as_none_and_get_rewritten(tmp_path, damage):
 def test_unreadable_run_stats_read_as_none(tmp_path):
     (tmp_path / ResultCache.RUN_STATS_NAME).mkdir()  # a directory, not a file
     assert ResultCache(tmp_path).last_run_stats() is None
+
+
+def test_unwritable_run_stats_are_skipped_and_written_once_possible(tmp_path):
+    """A sidecar that cannot be written costs the sidecar only: no
+    traceback, no temp file left behind, and the next save after the
+    obstacle is gone writes it."""
+    sidecar = tmp_path / ResultCache.RUN_STATS_NAME
+    sidecar.mkdir()
+    cache = ResultCache(tmp_path)
+    cache.save_run_stats(3, 0)
+    assert sidecar.is_dir() and cache.last_run_stats() is None
+    assert not list(tmp_path.glob(".*.tmp"))
+    sidecar.rmdir()
+    cache.save_run_stats(3, 0)
+    assert cache.last_run_stats() == {"hits": 3, "misses": 0}

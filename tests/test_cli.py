@@ -1,6 +1,7 @@
 """CLI behaviour."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +337,36 @@ def test_cache_stats_with_damaged_last_run_reports_null(tmp_path, capsys):
     assert main(args) == 0
     capsys.readouterr()
     (cache / "last_run.json").write_bytes(b"\xff\xfe\x00 not utf-8")
+    assert main(["cache", "stats", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert '"last_run": null' in out
+    assert json.loads(out)["entries"] == 2
+
+
+def test_point_jsonl_bytes_are_pinned(tmp_path, capsys):
+    """``point --jsonl`` writes the series records with the identifying
+    fields in the meta row; the file is pinned byte for byte."""
+    out = tmp_path / "series.jsonl"
+    assert main(["point", "--pattern", "advg+1", "--load", "0.3",
+                 "--warmup", "200", "--measure", "400", "--series", "100",
+                 "--jsonl", str(out)]) == 0
+    capsys.readouterr()
+    pinned = Path(__file__).parent / "data" / "point_series.jsonl"
+    assert out.read_bytes() == pinned.read_bytes()
+
+
+def test_sweep_with_a_directory_for_last_run_still_writes_its_json(tmp_path, capsys):
+    """An unwritable stats sidecar costs the sidecar, not the plan: the
+    records are cached and ``--json`` is written, and ``cache stats``
+    reports no last run."""
+    cache = tmp_path / "cache"
+    (cache / "last_run.json").mkdir(parents=True)
+    out, args = _sweep_args(tmp_path, "dir", "--cache", str(cache))
+    assert main(args) == 0
+    assert len(json.loads(out.read_text())["records"]) == 2
+    assert (cache / "last_run.json").is_dir()
+    assert not list(cache.glob(".*.tmp"))  # the temp file is removed
+    capsys.readouterr()
     assert main(["cache", "stats", str(cache)]) == 0
     out = capsys.readouterr().out
     assert '"last_run": null' in out

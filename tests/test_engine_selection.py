@@ -9,14 +9,14 @@ Four tables:
   ``engine_path`` / ``engine_why`` before and after its first step.
   Everything below runs with the rule pinned to "the core wins"
   (``core_wins_everywhere``): the fabrics are tiny on purpose;
-* **selection** — for every registered routing × arbitration × tap
-  situation, an ``auto`` simulator carries a core exactly when the
-  eligibility clauses (``repro.network.corechoice.select_core`` + "event
-  taps end a core") say so, and an ineligible one is a plain wheel run:
-  no core, the same class, the same ``step`` / ``inject_packet``
-  functions;
+* **selection** — for every registered routing × arbitration ×
+  attachment (none, a delivery observer, a boundary sampler), an
+  ``auto`` simulator carries a core exactly when the eligibility
+  clauses (``repro.network.corechoice.select_core`` + "a sampler ends a
+  core") say so, and an ineligible one is a plain wheel run: no core,
+  the same class, the same ``step`` / ``inject_packet`` functions;
 * **exits** — leaving a live core mid-run through each of its three
-  triggers (an event tap, ``arrivals_due``, a look inside ``routers``) yields
+  triggers (``add_sampler``, ``arrivals_due``, a look inside ``routers``) yields
   delivery logs and counters byte-identical to a wheel run from cycle 0;
 * **injection** — one injection path per engine: the wheel calls
   ``traffic.inject`` and keeps a plain ``random.Random``, a live core
@@ -38,21 +38,6 @@ from repro.registry import ROUTING_REGISTRY
 from repro.traffic.extra import TraceReplay
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.processes import BernoulliTraffic, BurstTraffic
-
-
-class _EjectTap:
-    def on_eject(self, pkt, cycle):
-        pass
-
-
-class _GrantTap:
-    """A bare event tap: ``on_grant`` and nothing else."""
-
-    def __init__(self):
-        self.grants = 0
-
-    def on_grant(self, router, out, vc, flit, dec, cycle):
-        self.grants += 1
 
 
 # ----------------------------------------------------------------- the rule
@@ -199,7 +184,7 @@ def test_leaving_says_what_asked_for_the_object_graph(core_wins_everywhere):
         assert sim.engine_path == "wheel"
         return sim.engine_why
 
-    assert left_by(_leave_by_tap) == "an event tap attached"
+    assert left_by(_leave_by_sampler) == "a boundary sampler attached"
     assert left_by(_leave_by_arrivals_due) == "arrivals_due was read"
     assert left_by(_leave_by_routers_read) == "sim.routers was read"
 
@@ -209,21 +194,21 @@ pinned = pytest.mark.usefixtures("core_wins_everywhere")
 
 
 @pinned
-@pytest.mark.parametrize("tap", ["none", "eject", "event"])
+@pytest.mark.parametrize("attach", ["none", "observer", "sampler"])
 @pytest.mark.parametrize("arbitration", ["rr", "age", "random"])
 @pytest.mark.parametrize("routing", ROUTING_REGISTRY.available())
-def test_auto_carries_a_core_iff_the_rule_says_so(routing, arbitration, tap):
+def test_auto_carries_a_core_iff_the_rule_says_so(routing, arbitration, attach):
     cfg = SimConfig(h=2, routing=routing, arbitration=arbitration, seed=3,
                     engine="auto")
     sim = build_simulator(cfg)
-    if tap == "eject":
-        sim.add_tap(_EjectTap())
-    elif tap == "event":
-        sim.add_tap(_GrantTap())
+    if attach == "observer":
+        sim.add_delivery_observer(lambda pkt, cycle: None)
+    elif attach == "sampler":
+        _leave_by_sampler(sim)
     sim.inject_packet(0, sim.topo.num_nodes - 1)
     sim.step()
     expected = (ROUTING_REGISTRY.get(routing).array_core
-                and arbitration in ("rr", "age") and tap != "event")
+                and arbitration in ("rr", "age") and attach != "sampler")
     assert (sim._core is not None) == expected
     if expected:
         assert type(sim.routers) is not list  # parked on the core
@@ -246,7 +231,7 @@ def test_wheel_and_reference_never_carry_a_core():
 
 
 @pinned
-def test_nothing_is_built_before_the_first_step_and_an_early_event_tap_costs_nothing():
+def test_nothing_is_built_before_the_first_step_and_an_early_sampler_costs_nothing():
     import sys
 
     loaded = "repro.network.arraysim" in sys.modules
@@ -254,10 +239,10 @@ def test_nothing_is_built_before_the_first_step_and_an_early_event_tap_costs_not
     assert sim._core is corechoice.UNDECIDED  # eligible, not decided
     parked = sim.routers  # holding the stand-in is free: no arrays, no routers
     assert sim.engine_path == "undecided" and type(parked) is not list
-    sim.add_tap(_GrantTap())
-    # the early tap paid for object routers, as a wheel construction
+    _leave_by_sampler(sim)
+    # the early sampler paid for object routers, as a wheel construction
     # does, and for nothing else: no core was ever constructed
-    assert sim._core is None and sim.engine_why == "an event tap attached"
+    assert sim._core is None and sim.engine_why == "a boundary sampler attached"
     assert ("repro.network.arraysim" in sys.modules) == loaded
     assert type(sim.routers) is list and parked[0] is sim.routers[0]
 
@@ -304,8 +289,8 @@ INJECT_CYCLES = 300
 ATTACH_CYCLES = (1, 45, 290)
 
 
-def _leave_by_tap(sim):
-    sim.add_tap(_GrantTap())
+def _leave_by_sampler(sim):
+    sim.add_sampler(lambda boundary: boundary + 50, sim.now + 50)
 
 
 def _leave_by_arrivals_due(sim):
@@ -321,7 +306,7 @@ def _leave_by_routers_read(sim):
     assert routers[0] is sim.routers[0] and len(routers) == len(sim.routers)
 
 
-TRIGGERS = {"tap": _leave_by_tap, "arrivals_due": _leave_by_arrivals_due,
+TRIGGERS = {"sampler": _leave_by_sampler, "arrivals_due": _leave_by_arrivals_due,
             "routers": _leave_by_routers_read}
 
 

@@ -1,8 +1,10 @@
 """The sampled MetricsHub against the event-fed hub it replaced.
 
 ``MetricsHub`` reads engine counters at bucket boundaries;
-``tapped_hub.TappedHub`` is the hub as it was, fed by a tap on every
-injection, grant, credit, delivery and ring entry.  Both ride the same
+``tapped_hub.TappedHub`` is the hub as it was, fed by every injection,
+grant, credit, delivery and ring hop of a ``TappedSimulator``, and
+counting a ring entry at each ring hop whose previous hop was off the
+ring.  Both ride the same
 simulator, so every window below holds their ``records()`` and
 ``series()`` equal byte for byte: all seven routings under VCT and
 three under wormhole, on a steady window, a transient load step, a
@@ -14,11 +16,10 @@ fresh attach.
 from __future__ import annotations
 
 import pytest
-from tapped_hub import TappedHub
+from tapped_hub import TappedHub, TappedSimulator
 
 from repro.metrics.hub import MetricsHub, jsonl_line, strict_jsonable
 from repro.network.config import SimConfig
-from repro.network.simulator import Simulator
 from repro.registry import ROUTING_REGISTRY
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.processes import BernoulliTraffic, BurstTraffic
@@ -31,7 +32,7 @@ CASES = ([(r, "vct") for r in ROUTING_REGISTRY.available()]
 def _sim(routing, fc, pattern="advg+1", load=0.3, seed=3):
     cfg = SimConfig(h=2, routing=routing, seed=seed,
                     **(_WH if fc == "wh" else {}))
-    sim = Simulator(cfg)
+    sim = TappedSimulator(cfg)
     sim.traffic = BernoulliTraffic(pattern_by_name(pattern, sim.topo), load)
     return sim
 

@@ -1,9 +1,9 @@
-"""Event-driven observability: taps, MetricsHub, auto steady state.
+"""Observability: MetricsHub, the escape-ring counters, auto steady state.
 
 The two contracts under test:
 
-* **free when not attached / invisible when attached** — no tap, no
-  cost (the hot path stays on the fast-forward path); with a tap, the
+* **free when not attached / invisible when attached** — no hub, no
+  cost (the hot path stays on the fast-forward path); with a hub, the
   simulated records are byte-identical to an uninstrumented run;
 * **deterministic** — series and JSONL records depend only on the
   config/seed, never on wall clock, executor or attach bookkeeping.
@@ -28,75 +28,56 @@ from repro.traffic.processes import BernoulliTraffic, BurstTraffic
 GOLDENS = Path(__file__).parent / "data" / "engine_goldens.json"
 
 
-def _sim(routing="olm", load=0.4, seed=7, **over):
+def _sim(routing="olm", load=0.4, seed=7, pattern="uniform", cls=Simulator,
+         **over):
     cfg = SimConfig(h=2, routing=routing, seed=seed, **over)
-    return Simulator(cfg, BernoulliTraffic(UniformRandom(), load))
+    sim = cls(cfg)
+    sim.traffic = BernoulliTraffic(pattern_by_name(pattern, sim.topo), load)
+    return sim
 
 
-# ------------------------------------------------------------------ tap layer
-class _CountingTap:
-    def __init__(self):
-        self.events = {"inject": 0, "grant": 0, "eject": 0, "credit": 0,
-                       "ring": 0}
-
-    def on_inject(self, pkt, cycle):
-        self.events["inject"] += 1
-
-    def on_grant(self, router, out, vc, flit, dec, cycle):
-        self.events["grant"] += 1
-
-    def on_eject(self, pkt, cycle):
-        self.events["eject"] += 1
-
-    def on_credit(self, out, vc, amount, cycle):
-        self.events["credit"] += 1
-
-    def on_ring_entry(self, router, out, vc, flit, cycle):
-        self.events["ring"] += 1
+# ---------------------------------------------------------- escape ring
+def _is_ring_hop(hop):
+    kind, _, vc = hop
+    return (kind, vc) in ((int(PortKind.LOCAL), 3), (int(PortKind.GLOBAL), 2))
 
 
-def test_tap_sees_every_event_kind():
-    sim = _sim()
-    tap = sim.add_tap(_CountingTap())
-    sim.run(800)
-    ev = tap.events
-    assert ev["inject"] == sim.stats.generated
-    assert ev["eject"] == sim.stats.delivered
-    assert ev["grant"] > ev["eject"]  # every hop grants, not just ejects
-    assert ev["credit"] > 0
-    assert ev["ring"] == 0  # no escape ring outside OFAR
-
-
-def test_ring_tap_fires_only_on_escape_vcs():
-    sim = _sim(routing="ofar", load=0.5)
-    tap = sim.add_tap(_CountingTap())
+def test_ring_counters_count_escape_vc_head_hops_in_the_hop_logs():
+    sim = _sim(routing="ofar", load=0.5, pattern="advg+1", record_hops=True)
+    logs = []
+    sim.add_delivery_observer(lambda pkt, cycle: logs.append(pkt.hops_log))
     sim.run(1200)
-    assert tap.events["ring"] > 0
-    hub = MetricsHub(sim, bucket=200)
-    sim.run(600)
-    assert hub.ring_hops >= hub.ring_entries > 0
+    sim.traffic = None
+    sim.run_until_drained(50_000)
+    assert len(logs) == sim.stats.delivered
+    hops = entries = 0
+    for log in logs:
+        on_ring = False
+        for hop in log:
+            ring = _is_ring_hop(hop)
+            hops += ring
+            entries += ring and not on_ring
+            if hop[0] != int(PortKind.EJECT):
+                on_ring = ring
+    assert sim.algo.ring_hops == hops > sim.algo.ring_entries == entries > 0
 
 
-def test_remove_tap_detaches_every_event_and_is_idempotent():
-    sim = _sim()
-    tap = sim.add_tap(_CountingTap())
-    sim.run(300)
-    sim.remove_tap(tap)
-    sim.remove_tap(tap)  # idempotent
-    snapshot = dict(tap.events)
-    sim.run(300)
-    assert tap.events == snapshot
-    for attr in ("_tap_inject", "_tap_grant", "_tap_credit", "_tap_ring"):
-        assert getattr(sim, attr) is None  # back to the zero-cost path
-
-
-def test_add_tap_rejects_event_free_objects():
-    with pytest.raises(TypeError, match="tap event methods"):
-        _sim().add_tap(object())
+def test_ring_entries_of_a_window_do_not_depend_on_the_hub_history():
+    """A hub reset at the window's open and one attached there agree:
+    an entry is a fact about the hop, not about what the hub saw."""
+    sim = _sim(routing="ofar", load=0.3, pattern="advg+1", seed=1)
+    old = MetricsHub(sim, bucket=250)
+    sim.run(1000)
+    old.reset()
+    fresh = MetricsHub(sim, bucket=250)
+    sim.run(1000)
+    assert old.ring_entries == fresh.ring_entries > 0
+    assert old.ring_hops == fresh.ring_hops > old.ring_entries
+    assert old.summary_row() == fresh.summary_row()
 
 
 def test_taps_do_not_change_simulated_records():
-    """Acceptance: with taps attached, delivery records are unchanged."""
+    """Acceptance: with a hub attached, delivery records are unchanged."""
     def run(with_hub):
         sim = _sim(seed=13)
         hub = MetricsHub(sim, bucket=100) if with_hub else None
@@ -215,9 +196,9 @@ def test_hub_inflight_samples_are_the_engine_level_at_each_boundary():
     cycle, read here by stepping cycle by cycle.  The event-fed hub
     sampled it when a delivery stamped ahead opened the bucket and
     missed the ejections granted after that."""
-    from tapped_hub import TappedHub
+    from tapped_hub import TappedHub, TappedSimulator
 
-    sim = _sim(seed=11, load=0.5)
+    sim = _sim(seed=11, load=0.5, cls=TappedSimulator)
     sim.run(300)
     hub, oracle = MetricsHub(sim, bucket=7), TappedHub(sim, bucket=7)
     levels = [sim.packets_in_flight]

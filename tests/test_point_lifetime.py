@@ -195,23 +195,44 @@ def test_a_detached_hub_lets_go_of_the_simulator_and_stays_readable(
     assert gc.collect() == 0
 
 
+def test_detaching_one_hub_and_tap_leaves_the_others_observing():
+    """Each detach removes the exact bound methods it added: the hub and
+    tap kept attached count as if the detached pair had never been."""
+    from repro.metrics.hub import LatencyTap
+
+    def run(with_extra):
+        sim = build_simulator(WHEEL, BernoulliTraffic(UniformRandom(), 0.4))
+        keep = (MetricsHub(sim, bucket=50), LatencyTap(sim))
+        extra = (MetricsHub(sim, bucket=50), LatencyTap(sim)) if with_extra else ()
+        sim.run(100)
+        for obj in extra:
+            obj.detach()
+        assert sim._delivery_observers == [keep[0]._observer, keep[1]._observer]
+        assert [fn for _, fn in sim._samplers] == [keep[0]._on_boundary]
+        sim.run(300)
+        return keep[0].records(), keep[1].latencies
+
+    assert run(True) == run(False)
+
+
 @pytest.mark.parametrize("config", [CORE, WHEEL.with_(routing="ofar")],
                          ids=["hubs moving a core", "hubs on an escape ring"])
 def test_hubs_attached_and_detached_leave_the_simulator_to_refcount(
         config, no_collector):
-    """The boundary samplers and the ring tap are all the registration
-    there is, and detaching takes them back: no cycle is left."""
+    """A boundary sampler and a delivery observer per hub are all the
+    registration there is, and detaching takes them back: no cycle is
+    left."""
     sim = build_simulator(config, BernoulliTraffic(UniformRandom(), 0.4))
     sim.run(60)
     hubs = [MetricsHub(sim, bucket=50), MetricsHub(sim, bucket=30)]
     sim.run(100)
     hubs[1].reset()
     sim.run(100)
-    assert (sim._tap_ring is not None) == (config.routing == "ofar")
+    assert len(sim._samplers) == len(sim._delivery_observers) == 2
+    assert (sim.algo.ring_hops > 0) == (config.routing == "ofar")
     for hub in hubs:
         hub.detach()
-    assert not sim._samplers and sim._tap_ring is None
-    assert not sim._delivery_observers
+    assert not sim._samplers and not sim._delivery_observers
     ref = weakref.ref(sim)
     del sim
     assert ref() is None

@@ -23,7 +23,6 @@ PUBLIC_MODULES = [
     "repro.network.ports",
     "repro.network.router",
     "repro.network.simulator",
-    "repro.network.taps",
     "repro.core",
     "repro.core.base",
     "repro.core.paritysign",

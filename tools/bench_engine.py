@@ -65,8 +65,7 @@ and the two that need a thin backlog on a small fabric (the allocator's
 sparse scan and its closed gate) pin the rule for exactly their
 ``auto`` runs (``pin_core``).  ``--smoke`` exits non-zero when a
 ``core_row`` ran on the wheel (under ``--tap`` every ``auto`` run does,
-by design: the hub samples the wheel's counters, and ``--tap`` also
-attaches a tap on all five event sites).
+by design: the hub samples the wheel's counters).
 
 * ``rule_*`` (full mode) — whole points either side of the rule's two
   constants: construction, warm-up and measurement inside the clock,
@@ -379,45 +378,22 @@ def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple:
     engine name; a ``second_point`` scenario times two points and its
     list has two entries.
 
-    ``with_tap`` attaches a MetricsHub and a tap on all five event
-    points (:func:`_instrument`) before the run — the
-    instrumentation-overhead gate: the emitted record must stay
-    byte-identical to the untapped reference engine.
+    ``with_tap`` attaches a MetricsHub and a LatencyTap
+    (:func:`_instrument`) before the run — the instrumentation-overhead
+    gate: the emitted record must stay byte-identical to the
+    uninstrumented reference engine.
     """
     with _rule_pinned(engine == "auto" and sc.get("pin_core", False)):
         return _run_scenario(sc, engine, with_tap)
 
 
-class _EveryEventTap:
-    """A tap on all five event points: the hub samples counters and taps
-    only ``on_eject`` / ``on_ring_entry``, so ``--tap`` wires the other
-    sites itself to prove they leave records byte-identical."""
-
-    def __init__(self) -> None:
-        self.events = 0
-
-    def on_inject(self, packet, cycle) -> None:
-        self.events += 1
-
-    def on_grant(self, router, out, vc, flit, decision, cycle) -> None:
-        self.events += 1
-
-    def on_eject(self, packet, cycle) -> None:
-        self.events += 1
-
-    def on_credit(self, out, vc, amount, cycle) -> None:
-        self.events += 1
-
-    def on_ring_entry(self, router, out, vc, flit, cycle) -> None:
-        self.events += 1
-
-
 def _instrument(sim) -> None:
-    """Attach a MetricsHub and a tap on every event point."""
-    from repro.metrics.hub import MetricsHub
+    """Attach a MetricsHub (a boundary sampler and a delivery observer)
+    and a LatencyTap (a second delivery observer)."""
+    from repro.metrics.hub import LatencyTap, MetricsHub
 
     MetricsHub(sim, bucket=500)
-    sim.add_tap(_EveryEventTap())
+    LatencyTap(sim)
 
 
 def _ran_on(sim) -> str:
@@ -577,10 +553,10 @@ def main(argv: list[str] | None = None) -> int:
                          "by cumulative time (profiled runs are never "
                          "used for the timings in the report)")
     ap.add_argument("--tap", action="store_true",
-                    help="attach a MetricsHub and a tap on every event point "
-                         "to the non-reference engines: records must stay "
-                         "byte-identical to the untapped seed engine (the "
-                         "instrumentation-overhead gate)")
+                    help="attach a MetricsHub and a LatencyTap to the "
+                         "non-reference engines: records must stay "
+                         "byte-identical to the uninstrumented seed engine "
+                         "(the instrumentation-overhead gate)")
     ap.add_argument("--out", default=None,
                     help="report path (default BENCH_engine.json; smoke: none)")
     args = ap.parse_args(argv)
@@ -682,8 +658,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         if ran_on is not None:
             row["engine_path"] = ran_on
-            # the hub and the event tap send every ``auto`` run to the
-            # wheel: by design
+            # the hub's sampler sends every ``auto`` run to the wheel:
+            # by design
             if (sc.get("core_row") and not args.tap
                     and not ran_on.startswith("core:")):
                 off_core.append(sc["name"])
