@@ -630,7 +630,7 @@ def _verify_live_matrix(engines, topologies, *, scale_name: str, load: float,
             report = verify_result(payload, tolerance=tolerance)
             try:
                 checked = run_point(config, "uniform", load, scale.warmup,
-                                    measure, verify=True)
+                                    measure, verify="full")
             except InvariantViolation as e:
                 report.checks.extend(
                     (label, Check(**c)) for c in e.report.get("checks", ())

@@ -198,20 +198,16 @@ class Session:
                chunk: int = 250) -> "Session":
         """Run ``cycles`` cycles, then reset the measurement window; chainable.
 
-        With a ``should_cancel()`` hook the run is advanced in ``chunk``
-        -cycle pieces and the hook polled before each (:class:`Cancelled`
-        is raised when it returns true); chunked stepping is
-        cycle-for-cycle identical to the single ``run()`` of the
-        un-hooked call.
+        The run is advanced in ``chunk``-cycle pieces (cycle-for-cycle
+        identical to one long run) and ``should_cancel()``, when given,
+        is polled before each (:class:`Cancelled` is raised when it
+        returns true).
         """
         sim = self._sim
-        if should_cancel is None:
-            sim.run(cycles)
-        else:
-            end = sim.now + cycles
-            while sim.now < end:
-                _checkpoint(should_cancel)
-                sim.run(min(chunk, end - sim.now))
+        end = sim.now + cycles
+        while sim.now < end:
+            _checkpoint(should_cancel)
+            sim.run(min(chunk, end - sim.now))
         return self.reset()
 
     def warmup_until_steady(self, *, bucket: int = 250, window: int = 8,
@@ -283,8 +279,7 @@ class Session:
         self._sim.run(cycles)
         return self._snapshot("measure")
 
-    def measure_series(self, cycles: int, *, bucket: int = 250,
-                       latencies: bool = True, emit=None,
+    def measure_series(self, cycles: int, *, bucket: int = 250, emit=None,
                        should_cancel=None, meta: dict | None = None,
                        full_verify: bool = False) -> "SeriesResult":
         """Run ``cycles`` cycles with a metrics hub attached: a transient
@@ -300,18 +295,17 @@ class Session:
         :meth:`reset` between back-to-back series measurements when
         each result should cover its own series.
 
-        ``emit`` — when given, the structured record stream is pushed
-        row by row *while the window runs*: the meta header first (the
-        window's end cycle is known up front), each bucket row as soon
-        as the simulator passes the bucket's closing cycle (the run is
-        advanced in ``bucket``-cycle chunks; chunked runs are
-        cycle-for-cycle identical to one long run), and the summary row
+        The run is advanced in ``bucket``-cycle chunks (chunked runs
+        are cycle-for-cycle identical to one long run).  ``emit`` —
+        when given, the structured record stream is pushed row by row
+        *while the window runs*: the meta header first (the window's end
+        cycle is known up front), each bucket row as soon as the
+        simulator passes the bucket's closing cycle, and the summary row
         last.  The emitted rows equal ``SeriesResult.records`` exactly —
         the serve layer streams them as live JSONL.  ``meta`` merges
         extra fields into the meta row (emitted and in ``records``
         alike).  ``should_cancel()`` is polled before every chunk
-        (:class:`Cancelled` is raised when it returns true); a window
-        with neither hook is one single ``run()``.
+        (:class:`Cancelled` is raised when it returns true).
 
         ``full_verify`` upgrades the captured ``verify`` report from
         the always-on flow-conservation check to the complete live
@@ -320,23 +314,20 @@ class Session:
         measured result bytes are identical either way.
         """
         sim = self._sim
-        hub = MetricsHub(sim, bucket=bucket, latencies=latencies)
+        hub = MetricsHub(sim, bucket=bucket)
         try:
             end = sim.now + cycles
-            if emit is None and should_cancel is None:
-                sim.run(cycles)
-            else:
+            if emit is not None:
+                emit(hub.meta_row(end, meta))
+            emitted = 0
+            while sim.now < end:
+                _checkpoint(should_cancel)
+                sim.run(min(bucket, end - sim.now))
                 if emit is not None:
-                    emit(hub.meta_row(end, meta))
-                emitted = 0
-                while sim.now < end:
-                    _checkpoint(should_cancel)
-                    sim.run(min(bucket, end - sim.now))
-                    if emit is not None:
-                        closed = (sim.now - hub.start_cycle) // bucket
-                        while emitted < closed:
-                            emit(hub.bucket_row(emitted))
-                            emitted += 1
+                    closed = (sim.now - hub.start_cycle) // bucket
+                    while emitted < closed:
+                        emit(hub.bucket_row(emitted))
+                        emitted += 1
             sr = SeriesResult(
                 result=self._snapshot("measure"),
                 bucket=bucket,
@@ -432,12 +423,12 @@ def _full(verify) -> bool:
     """Whether a ``verify`` level asks for the full live invariant set.
 
     Levels: ``False`` (no gate), ``"flow"`` (flow conservation only),
-    ``"full"`` (``True`` means the same).
+    ``"full"``.
     """
-    if verify not in (False, True, "flow", "full"):
+    if verify is not False and verify not in ("flow", "full"):
         raise ValueError(
             f"verify must be False, 'flow' or 'full', got {verify!r}")
-    return verify in (True, "full")
+    return verify == "full"
 
 
 def _gate(report: dict, verify) -> None:
@@ -463,10 +454,11 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
     cap; the record then carries ``warmup_cycles`` (spent) and
     ``warmup_steady`` (whether the rule fired before the cap).
 
-    ``verify`` (``False | "flow" | "full"``, ``True`` ≡ ``"full"``)
-    runs the window instrumented and enforces flow conservation or the
-    full live invariant set (Little's law, occupancy, capacity and
-    latency floors), raising
+    The window is always measured through a metrics hub
+    (:meth:`Session.measure_series`), on whichever engine the point
+    runs.  ``verify`` (``False | "flow" | "full"``) enforces the hub's
+    flow conservation or the full live invariant set (Little's law,
+    occupancy, capacity and latency floors), raising
     :class:`~repro.analysis.invariants.InvariantViolation` on a
     violated check.
 
@@ -475,11 +467,9 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
     while it runs, at ``bucket``-cycle resolution, with ``meta`` merged
     into the meta row; ``should_cancel()`` is polled every ``bucket``
     cycles of warm-up and measurement and aborts the run with
-    :class:`Cancelled`.  The record is byte-identical with or without
-    ``verify`` and hooks — attaching a hub never changes what a
-    simulation measures and chunked stepping equals one long run — but
-    only the bare call keeps the single ``run()`` and hub-free
-    ``measure()`` that let the array core engage.
+    :class:`Cancelled`.  The record is byte-identical whatever
+    ``verify``, ``bucket`` and the hooks — a hub never changes what a
+    simulation measures and chunked stepping equals one long run.
     """
     full = _full(verify)
     s = session(config, pattern=pattern_spec, load=load)
@@ -488,17 +478,13 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
             s.warmup_until_steady(max_cycles=warmup, should_cancel=should_cancel)
         else:
             s.warmup(warmup, should_cancel=should_cancel, chunk=bucket)
-        if verify or on_row is not None or should_cancel is not None:
-            sr = s.measure_series(measure, bucket=bucket, emit=on_row,
-                                  should_cancel=should_cancel, meta=meta,
-                                  full_verify=full)
-            _gate(sr.verify, verify)
-            result = sr.result
-        else:
-            result = s.measure(measure)
+        sr = s.measure_series(measure, bucket=bucket, emit=on_row,
+                              should_cancel=should_cancel, meta=meta,
+                              full_verify=full)
+        _gate(sr.verify, verify)
     finally:
         s.close()
-    rec = point_record(result, config, pattern=pattern_spec, load=load)
+    rec = point_record(sr.result, config, pattern=pattern_spec, load=load)
     if steady:
         rec["warmup_cycles"] = s.auto_warmup["cycles"]
         rec["warmup_steady"] = s.auto_warmup["steady"]
@@ -511,10 +497,11 @@ def run_drain(config: SimConfig, pattern_spec: str, packets_per_node: int,
               meta: dict | None = None) -> dict:
     """One burst-consumption record: inject a burst, run until drained.
 
-    Picklable worker entry for ``kind="drain"`` run-plan points.
-    ``verify`` (levels as in :func:`run_point`) attaches a hub before
-    the first injection, so flow conservation reduces to
-    ``injected == delivered`` at drain.
+    Picklable worker entry for ``kind="drain"`` run-plan points.  A
+    metrics hub attaches before the first injection (the point stays
+    undecided until its first step), so flow conservation reduces to
+    ``injected == delivered`` at drain; ``verify`` (levels as in
+    :func:`run_point`) enforces it.
 
     A drain has no end cycle known up front (the meta row needs one),
     so ``on_row`` receives the row stream in one piece once the fabric
@@ -528,18 +515,15 @@ def run_drain(config: SimConfig, pattern_spec: str, packets_per_node: int,
     try:
         pattern = pattern_by_name(pattern_spec, s.sim.topo)
         s.with_traffic(BurstTraffic(pattern, packets_per_node))
-        if verify or on_row is not None:
-            hub = MetricsHub(s.sim, bucket=bucket, latencies=True)
-            try:
-                result = s.drain(max_cycles)
-                _gate(hub.verify(full=full), verify)
-                if on_row is not None:
-                    for row in hub.records(s.now, meta):
-                        on_row(row)
-            finally:
-                hub.detach()
-        else:
+        hub = MetricsHub(s.sim, bucket=bucket)
+        try:
             result = s.drain(max_cycles)
+            _gate(hub.verify(full=full), verify)
+            if on_row is not None:
+                for row in hub.records(s.now, meta):
+                    on_row(row)
+        finally:
+            hub.detach()
     finally:
         s.close()
     return point_record(result, config, pattern=pattern_spec,
@@ -582,9 +566,9 @@ def run_transient(config: SimConfig, pattern_spec: str, load: float,
         sim = s.sim
         burst_pattern = pattern_by_name(pattern_spec, sim.topo)
         BurstTraffic(burst_pattern, packets_per_node).inject(sim, sim.now)
-        sr = s.measure_series(measure, bucket=bucket, latencies=True,
-                              emit=on_row, should_cancel=should_cancel,
-                              meta=meta, full_verify=full)
+        sr = s.measure_series(measure, bucket=bucket, emit=on_row,
+                              should_cancel=should_cancel, meta=meta,
+                              full_verify=full)
         _gate(sr.verify, verify)
     finally:
         s.close()

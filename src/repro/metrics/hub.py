@@ -2,9 +2,9 @@
 
 :class:`MetricsHub` reads the engine's cumulative counters (grants,
 returned credit phits, injections, the routing's local/global misroutes
-and escape-ring hops and entries), per-(kind, VC) occupancy and the
-in-flight population at each bucket boundary
-(``Simulator.add_sampler``), and observes deliveries
+and escape-ring hops and entries), per-(kind, VC) occupancy
+(``Simulator.vc_occupancy``) and the in-flight population at each
+bucket boundary (``Simulator.add_sampler``), and observes deliveries
 (``Simulator.add_delivery_observer``), which are stamped at
 tail-ejection completion.  It turns them into
 
@@ -35,8 +35,6 @@ from repro.topology.base import PortKind
 OBS_SCHEMA_VERSION = 1
 
 _KIND_NAMES = {int(PortKind.LOCAL): "local", int(PortKind.GLOBAL): "global"}
-
-_EJECT = PortKind.EJECT
 
 
 def _percentile(sorted_values, q: float) -> float:
@@ -124,12 +122,13 @@ def _window_total(i: int, doc: str) -> property:
 class MetricsHub:
     """Engine counters and deliveries, sampled into bucketed series.
 
-    ``bucket`` is the series resolution in cycles; ``latencies=False``
-    drops the per-bucket latency samples (and therefore the percentile
-    series) for long headless runs.  The window starts at the cycle the
-    hub is attached; :meth:`reset` restarts it.  Attaching moves a live
-    array core to the wheel; the frozen ``reference`` engine, which keeps
-    no counters, refuses a hub.
+    ``bucket`` is the series resolution in cycles.  The window starts at
+    the cycle the hub is attached; :meth:`reset` restarts it.  The hub
+    reads only what every engine keeps — counters,
+    ``Simulator.vc_occupancy`` and ``packets_in_flight`` — and takes a
+    live array core's deliveries a cycle at a time
+    (:meth:`on_eject_batch`), so a watched point runs on the engine it
+    would run on unwatched, and its rows are the same bytes on any.
     """
 
     injected = _window_total(0, "packets injected in the window")
@@ -140,26 +139,13 @@ class MetricsHub:
     ring_hops = _window_total(5, "head hops onto the escape ring in the window")
     ring_entries = _window_total(6, "escape-ring entries in the window")
 
-    def __init__(self, sim, bucket: int = 500, *, latencies: bool = True) -> None:
+    def __init__(self, sim, bucket: int = 500) -> None:
         if bucket <= 0:
             raise ValueError("bucket must be positive")
-        # leaves a live array core; an engine without counters refuses
         sim.add_sampler(self._on_boundary, sim.now + bucket)
         self.sim = sim
         self.bucket = int(bucket)
-        self._keep_latencies = latencies
-        #: per (kind, vc): total capacity and the output units' credit
-        #: lists, so a sample's occupancy is capacity minus credits
-        groups: dict = {}
-        for router in sim.routers:
-            for out in router.outputs:
-                if out.kind is _EJECT:
-                    continue
-                for vc in range(len(out.credits)):
-                    group = groups.setdefault((int(out.kind), vc), [0, []])
-                    group[0] += out.capacity
-                    group[1].append(out.credits)
-        self._occ_groups = groups
+        self._packet_phits = sim.config.packet_phits
         self._attached = True
         self._zero_window()
         self._observer = sim.add_delivery_observer(self.on_eject)
@@ -202,9 +188,8 @@ class MetricsHub:
         """Counters, per-(kind, vc) occupancy and packets in flight."""
         if not self._attached:
             return self._frozen
-        occupancy = {key: cap - sum([c[key[1]] for c in credits])
-                     for key, (cap, credits) in self._occ_groups.items()}
-        return self._counts(), occupancy, self.sim.packets_in_flight
+        sim = self.sim
+        return self._counts(), sim.vc_occupancy(), sim.packets_in_flight
 
     def _on_boundary(self, cycle: int) -> int:
         self._marks.append(self._sample())
@@ -225,22 +210,38 @@ class MetricsHub:
 
     # ------------------------------------------------------------- deliveries
     def on_eject(self, packet, cycle: int) -> None:
-        self.delivered += 1
-        self.delivered_phits += packet.size_phits
-        b = self._bucket_at((cycle - self.start_cycle) // self.bucket)
-        b.delivered += 1
-        b.delivered_phits += packet.size_phits
         latency = cycle - packet.birth
-        b.latency_sum += latency
-        self.latency_cycles += latency
+        self._deliver(cycle, (latency,), latency, latency, latency)
+
+    def on_eject_batch(self, latencies, dones) -> None:
+        """Batched form of :meth:`on_eject`: a cycle's deliveries as
+        latency and completion-cycle arrays, in delivery order.  Every
+        packet splits into flits the same way, so every tail flit is the
+        same size and a cycle's deliveries all complete at ``dones[0]``."""
+        lats = latencies.tolist()
+        self._deliver(int(dones[0]), lats, sum(lats), max(lats), min(lats))
+
+    def _deliver(self, cycle: int, latencies, total: int, longest: int,
+                 shortest: int) -> None:
+        """Account packets whose tails finished ejecting at ``cycle``:
+        their ``latencies``, with its sum, maximum and minimum (every
+        packet is ``config.packet_phits`` long)."""
+        n = len(latencies)
+        phits = n * self._packet_phits
+        self.delivered += n
+        self.delivered_phits += phits
+        b = self._bucket_at((cycle - self.start_cycle) // self.bucket)
+        b.delivered += n
+        b.delivered_phits += phits
+        b.latency_sum += total
+        self.latency_cycles += total
         if cycle > self.sim.now:
-            self.eject_lead += cycle - self.sim.now
-        if latency > b.latency_max:
-            b.latency_max = latency
-        if self.latency_min is None or latency < self.latency_min:
-            self.latency_min = latency
-        if self._keep_latencies:
-            b.latencies.append(latency)
+            self.eject_lead += n * (cycle - self.sim.now)
+        if longest > b.latency_max:
+            b.latency_max = longest
+        if self.latency_min is None or shortest < self.latency_min:
+            self.latency_min = shortest
+        b.latencies.extend(latencies)
 
     # ------------------------------------------------------------- lifecycle
     def reset(self) -> None:
@@ -366,16 +367,15 @@ class MetricsHub:
                                          if k == kind) for b in buckets]
                for kind, name in _KIND_NAMES.items()},
         }
-        if self._keep_latencies:
-            p50, p95, p99 = [], [], []
-            for b in buckets:
-                lat = sorted(b.latencies)
-                p50.append(_percentile(lat, 0.50))
-                p95.append(_percentile(lat, 0.95))
-                p99.append(_percentile(lat, 0.99))
-            out["latency_p50"] = p50
-            out["latency_p95"] = p95
-            out["latency_p99"] = p99
+        p50, p95, p99 = [], [], []
+        for b in buckets:
+            lat = sorted(b.latencies)
+            p50.append(_percentile(lat, 0.50))
+            p95.append(_percentile(lat, 0.95))
+            p99.append(_percentile(lat, 0.99))
+        out["latency_p50"] = p50
+        out["latency_p95"] = p95
+        out["latency_p99"] = p99
         return out
 
     # --------------------------------------------------------------- records
@@ -434,11 +434,10 @@ class MetricsHub:
             "credit_phits": b.credit_phits,
             "occupancy": self._occupancy_record(b.occupancy),
         }
-        if self._keep_latencies:
-            lat = sorted(b.latencies)
-            row["latency_p50"] = _percentile(lat, 0.50) if lat else None
-            row["latency_p95"] = _percentile(lat, 0.95) if lat else None
-            row["latency_p99"] = _percentile(lat, 0.99) if lat else None
+        lat = sorted(b.latencies)
+        row["latency_p50"] = _percentile(lat, 0.50) if lat else None
+        row["latency_p95"] = _percentile(lat, 0.95) if lat else None
+        row["latency_p99"] = _percentile(lat, 0.99) if lat else None
         return row
 
     def summary_row(self, end: int | None = None) -> dict:

@@ -11,11 +11,12 @@ becomes a fixed number of array kernels instead of O(buffered flits)
 interpreter work.
 
 The core is **not** a simulator.  The ``Simulator`` keeps the public
-API, the delivery observers and samplers, the run loops and every scalar they read
-(``now``, ``packets_in_flight``, ``_pending_events``,
-``_last_progress``); the core holds the SoA state and the kernels
-(:meth:`~ArrayCore.step`, :meth:`~ArrayCore.inject`,
-:meth:`~ArrayCore.inject_batch`, ``buffered``,
+API, the delivery observers and samplers, the run loops and every
+scalar they read (``now``, ``packets_in_flight``, ``_pending_events``,
+``_last_progress``, the ``grants`` / ``credit_phits`` counters); the
+core holds the SoA state and the kernels (:meth:`~ArrayCore.step`,
+:meth:`~ArrayCore.inject`, :meth:`~ArrayCore.inject_batch`,
+``buffered``, :meth:`~ArrayCore.vc_occupancy`,
 :meth:`~ArrayCore.materialize`), is handed the simulator on every call
 (no back-reference, so a finished point is freed by refcount) and
 touches its scalars once per cycle or per batch, never per flit.
@@ -49,10 +50,11 @@ and pays for none of this.  A point that does constructs no ``Router``
 (``sim.routers`` is a ``ParkedRouters`` stand-in from the start) and the
 core's own arrays are built as it is installed.
 
-**One way out** — ``Simulator._leave_core``.  Delivery observers (the
-Session's ``LatencyTap``) keep the core.  Attaching a boundary sampler
-(a :class:`~repro.metrics.hub.MetricsHub` reads the wheel's counters),
-or reading the object graph through ``sim.routers`` / ``arrivals_due``,
+**One way out** — ``Simulator._leave_core``.  Delivery observers and
+boundary samplers keep the core (it bumps ``grants`` / ``credit_phits``
+as the wheel does and answers :meth:`ArrayCore.vc_occupancy`), so a
+:class:`~repro.metrics.hub.MetricsHub` watches a point where it runs.
+Reading the object graph through ``sim.routers`` / ``arrivals_due``
 leaves it: fresh object routers are built and wired — here, and only
 for runs that leave — :meth:`ArrayCore.materialize` writes the array
 state into them mid-run, the core is dropped and the simulation
@@ -154,6 +156,7 @@ from itertools import islice
 
 import numpy as _np
 
+from repro.network.corechoice import occupancy_keys
 from repro.network.packet import Flit, Packet
 from repro.topology import PortKind
 from repro.topology.fabric import MAX_LAYOUTS
@@ -364,6 +367,14 @@ class _Layout:
         self._vb_up_ovc[ivcs] = ovcs
         self._vb_up_lat = _np.zeros(len(vb_port), i64)
         self._vb_up_lat[ivcs] = self._op_lat[vb_port[ovcs]]
+
+        # ---- vc_occupancy's key index per flat output VC; eject VCs
+        # count in a spare last slot
+        keys = self._occ_keys = occupancy_keys(topo, local_vcs, global_vcs)
+        gkey = local_vcs if nl else 0
+        self._ov_occ_key = _np.tile(_np.asarray(
+            [len(keys)] * p + list(range(local_vcs)) * nl
+            + list(range(gkey, gkey + global_vcs)) * ng, i64), nr)
 
         # ---- node-level lookup tables of batched injection (src node ->
         # injection port/VC, dst node -> eject port/VC)
@@ -737,11 +748,13 @@ class ArrayCore:
             self._next_alloc_t = 0
         cchunks = self._cr_ring[slot]
         if cchunks:
-            popped = 0
+            popped = phits = 0
             for ovcs, amounts in cchunks:
                 self._ov_credits[ovcs] += amounts
                 popped += len(ovcs)
+                phits += int(amounts.sum())
             self._cr_ring[slot] = []
+            sim.credit_phits += phits
             sim._pending_events -= popped
             sim._last_progress = t
             self._next_alloc_t = 0
@@ -887,6 +900,7 @@ class ArrayCore:
         self._vb_occ[wivc] -= size
         self._ip_buffered[wp] -= 1
         self.buffered -= len(wp)
+        sim.grants += len(wp)
         busy = t + size
         self._ip_busy[wp] = busy
         self._op_busy[wop] = busy
@@ -1011,6 +1025,15 @@ class ArrayCore:
                                 observer(pkt, done)
                         pobj[slot_] = None
                         pk_free.append(slot_)
+
+    def vc_occupancy(self, sim) -> dict:
+        """``Simulator.vc_occupancy`` on the array state: capacity minus
+        credits, summed per (kind, VC) key."""
+        keys = self._occ_keys
+        occupancy = _np.bincount(self._ov_occ_key,
+                                 weights=self._ov_credits0 - self._ov_credits,
+                                 minlength=len(keys) + 1)
+        return dict(zip(keys, occupancy[:-1].astype(_np.int64).tolist()))
 
     # -------------------------------------------------------- materialization
     def _rewind_in_flight_packets(self) -> None:

@@ -36,6 +36,7 @@ import weakref
 
 from repro.core.base import RoutingAlgorithm
 from repro.network.flowcontrol import VirtualCutThrough, Wormhole
+from repro.topology.base import PortKind
 
 #: Offered flits a cycle (``num_nodes × load / unit``) from which the
 #: array core beats the wheel: the core's cycle costs a fixed number of
@@ -108,11 +109,25 @@ class _Undecided:
         _decide(sim)
         return sim.inject_packet(src, dst, t)
 
+    def vc_occupancy(self, sim) -> dict:
+        """Nothing ran on it: every buffer is empty."""
+        return dict.fromkeys(occupancy_keys(sim.topo, sim.local_vcs,
+                                            sim.global_vcs), 0)
+
     def materialize(self, sim) -> None:
         """Nothing ran on it: the fresh routers are the whole state."""
 
 
 UNDECIDED = _Undecided()
+
+
+def occupancy_keys(topo, local_vcs: int, global_vcs: int) -> list:
+    """The ``(port kind, VC)`` keys of ``Simulator.vc_occupancy``, in the
+    order a router lists its outputs: local, then global."""
+    return [(int(kind), vc)
+            for kind, ports, vcs in ((PortKind.LOCAL, topo.local_ports, local_vcs),
+                                     (PortKind.GLOBAL, topo.global_ports, global_vcs))
+            if ports for vc in range(vcs)]
 
 
 def select_core(sim) -> tuple[_Undecided | None, str]:
@@ -188,4 +203,4 @@ class ParkedRouters:
 
 
 __all__ = ["CORE_WINS_FROM_VCT", "CORE_WINS_FROM_WH", "UNDECIDED",
-           "ParkedRouters", "core_wins", "select_core"]
+           "ParkedRouters", "core_wins", "occupancy_keys", "select_core"]

@@ -25,7 +25,12 @@ Do not "fix" or optimise this module — behaviour drift here silently
 devalues both jobs.  The only intended divergence from the live engine
 is the seed's known deadlock-detector false positive (flits in flight
 on links longer than ``deadlock_window`` trip it); the regression test
-for the fix exercises the live engine only.
+for the fix exercises the live engine only.  The one addition to the
+seed's loop is what a :class:`~repro.metrics.hub.MetricsHub` reads —
+the ``grants`` / ``credit_phits`` counters and boundary samplers fired
+at the end of a step — so every engine measures a point the same way
+(``facade.run_point`` always does it through a hub); none of it
+touches a record.
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ class ReferenceSimulator(Simulator):
         super().__init__(config, traffic)
         self._arrivals: dict[int, list] = {}
         self._credit_events: dict[int, list] = {}
-
-    def add_sampler(self, fn, at: int) -> None:  # a MetricsHub would read zeros
-        raise TypeError("engine 'reference' (ReferenceSimulator) keeps no event "
-                        "counters and calls no sampler; use engine='wheel' or 'auto'")
 
     # ------------------------------------------------------------ injection
     def inject_packet(self, src: int, dst: int, now: int | None = None):
@@ -85,6 +86,7 @@ class ReferenceSimulator(Simulator):
         if credits:
             for out, vc, amount in credits:
                 out.credits[vc] += amount
+                self.credit_phits += amount
         if self.traffic is not None:
             self.traffic.inject(self, t)
         self.algo.per_cycle(self, t)
@@ -92,6 +94,8 @@ class ReferenceSimulator(Simulator):
             if router.pending:
                 self._process_router(router, t)
         self.now = t + 1
+        if t + 1 >= self._sample_at:
+            self._sample()
 
     def run(self, cycles: int) -> None:
         end = self.now + cycles
@@ -220,6 +224,7 @@ class ReferenceSimulator(Simulator):
                 (up, vcb.vc_index, flit.size)
             )
         self._last_progress = t
+        self.grants += 1
 
 
 __all__ = ["ReferenceSimulator"]

@@ -165,7 +165,8 @@ class Simulator:
         #: hooks ``(packet, cycle) -> None`` fired at tail ejection, in
         #: registration order (see :meth:`add_delivery_observer`)
         self._delivery_observers: list = []
-        #: cumulative counts for boundary samplers, always on
+        #: cumulative counts for boundary samplers, always on (a live
+        #: array core bumps them too)
         self.grants = 0
         self.credit_phits = 0
         #: ``[next boundary, fn]`` per sampler, and the earliest boundary
@@ -288,10 +289,9 @@ class Simulator:
         event-free, so each boundary in a jump reads the same state.  It
         reads the engine's always-on counters (``grants``,
         ``credit_phits``, ``_next_pid``, the routing's misroute and ring
-        counts) and observes only — no state mutation, no RNG.  A live
-        core is left first."""
-        if self._core is not None:
-            self._leave_core("a boundary sampler attached")
+        counts) and :meth:`vc_occupancy`, and observes only — no state
+        mutation, no RNG.  Every engine keeps those counters, so a live
+        core keeps running."""
         self._samplers = [*self._samplers, [at, fn]]
         self._sample_at = min(self._sample_at, at)
 
@@ -307,6 +307,26 @@ class Simulator:
             while entry[0] <= now:
                 entry[0] = entry[1](entry[0])
         self._sample_at = min((e[0] for e in self._samplers), default=_NEVER)
+
+    def vc_occupancy(self) -> dict:
+        """Downstream buffer occupancy in phits per ``(port kind, VC)``,
+        summed over every local and global output: what a boundary
+        sampler reads as the network's buffer level."""
+        core = self._core
+        if core is not None:
+            return core.vc_occupancy(self)
+        p, nl = self.topo.p, self.topo.local_ports
+        occupancy: dict = {}
+        # a router's local, then global outputs: one kind, one capacity
+        # and one VC count each
+        for first, last in ((p, p + nl), (p + nl, None)):
+            outs = [out for router in self.routers
+                    for out in router.outputs[first:last]]
+            if outs:
+                kind, cap = int(outs[0].kind), outs[0].capacity
+                for vc, credits in enumerate(zip(*[out.credits for out in outs])):
+                    occupancy[(kind, vc)] = cap * len(credits) - sum(credits)
+        return occupancy
 
     # ------------------------------------------------------------ injection
     def inject_packet(self, src: int, dst: int, now: int | None = None) -> Packet:
@@ -346,6 +366,8 @@ class Simulator:
         core = self._core
         if core is not None:
             core.step(self)
+            if self.now >= self._sample_at:
+                self._sample()
             return
         t = self.now
         slot = t % self._horizon

@@ -57,9 +57,8 @@ def execute_point(point: RunPoint, verify=False, *, bucket: int = 250,
     measurement content — cacheable under the point's content hash and
     shareable between differently-labelled plans.
 
-    ``verify`` (``False | "flow" | "full"``, ``True`` ≡ ``"full"``)
-    runs the point instrumented and enforces flow conservation or the
-    full physical-invariant set (plus Little's law, occupancy and
+    ``verify`` (``False | "flow" | "full"``) enforces flow conservation
+    or the full physical-invariant set (plus Little's law, occupancy and
     latency/capacity bounds) before the record is returned —
     :class:`~repro.analysis.invariants.InvariantViolation` quarantines
     the point instead of caching silently-wrong numbers.  ``on_row`` /
@@ -201,7 +200,7 @@ def execute_points(points, *, jobs: int | None = None, scheduler=None,
     cache = resolve_cache(cache)
     records: list[dict | None] = [None] * len(points)
     failures: list[PointError] = []
-    worker = partial(execute_point, verify=True) if verify else execute_point
+    worker = partial(execute_point, verify="full") if verify else execute_point
     if cache is not None:  # the sidecar gets this plan's counts only
         hits, misses = cache.hits, cache.misses
     for outcome in iter_outcomes(points, worker, jobs=jobs,

@@ -97,12 +97,11 @@ class TappedSimulator(Simulator):
 class TappedHub:
     """The event-fed hub: every grant, credit and injection heard."""
 
-    def __init__(self, sim, bucket: int = 500, *, latencies: bool = True) -> None:
+    def __init__(self, sim, bucket: int = 500) -> None:
         if bucket <= 0:
             raise ValueError("bucket must be positive")
         self.sim = sim
         self.bucket = int(bucket)
-        self._keep_latencies = latencies
         #: downstream occupancy in phits per (kind, vc), seeded from the
         #: live credit state and tracked from grant/credit events after
         #: that (physical state: survives ``reset``)
@@ -218,8 +217,7 @@ class TappedHub:
             b.latency_max = latency
         if self.latency_min is None or latency < self.latency_min:
             self.latency_min = latency
-        if self._keep_latencies:
-            b.latencies.append(latency)
+        b.latencies.append(latency)
         self._refresh_future_snapshots(cycle)
 
     def on_credit(self, out, vc: int, amount: int, cycle: int) -> None:
@@ -305,16 +303,15 @@ class TappedHub:
             "occupancy_local": self.occupancy_series(PortKind.LOCAL, end),
             "occupancy_global": self.occupancy_series(PortKind.GLOBAL, end),
         }
-        if self._keep_latencies:
-            p50, p95, p99 = [], [], []
-            for b in buckets:
-                lat = sorted(b.latencies)
-                p50.append(_percentile(lat, 0.50))
-                p95.append(_percentile(lat, 0.95))
-                p99.append(_percentile(lat, 0.99))
-            out["latency_p50"] = p50
-            out["latency_p95"] = p95
-            out["latency_p99"] = p99
+        p50, p95, p99 = [], [], []
+        for b in buckets:
+            lat = sorted(b.latencies)
+            p50.append(_percentile(lat, 0.50))
+            p95.append(_percentile(lat, 0.95))
+            p99.append(_percentile(lat, 0.99))
+        out["latency_p50"] = p50
+        out["latency_p95"] = p95
+        out["latency_p99"] = p99
         return out
 
     # --------------------------------------------------------------- records
@@ -373,11 +370,10 @@ class TappedHub:
             "credit_phits": b.credit_phits,
             "occupancy": self._occupancy_record(b.occupancy),
         }
-        if self._keep_latencies:
-            lat = sorted(b.latencies)
-            row["latency_p50"] = _percentile(lat, 0.50) if lat else None
-            row["latency_p95"] = _percentile(lat, 0.95) if lat else None
-            row["latency_p99"] = _percentile(lat, 0.99) if lat else None
+        lat = sorted(b.latencies)
+        row["latency_p50"] = _percentile(lat, 0.50) if lat else None
+        row["latency_p95"] = _percentile(lat, 0.95) if lat else None
+        row["latency_p99"] = _percentile(lat, 0.99) if lat else None
         return row
 
     def summary_row(self, end: int | None = None) -> dict:

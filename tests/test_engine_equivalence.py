@@ -97,29 +97,32 @@ def test_auto_engine_pinned_to_the_core_matches_seed_goldens(
     assert canonical_record_json(replay(entry, "auto")) == entry["record"]
 
 
-def test_auto_engine_takes_the_wheel_path_under_a_metrics_hub(
+def test_auto_engine_keeps_the_core_under_a_metrics_hub_with_the_same_bytes(
         core_wins_everywhere):
-    """``engine="auto"`` picks per point: the array core for a saturated
-    untapped minimal-routing point, the wheel path once a full
-    ``MetricsHub`` needs the object engine's event sites — and the
-    record bytes are the same either way."""
-    from repro.metrics.hub import MetricsHub
+    """``engine="auto"`` picks per point, and a ``MetricsHub`` does not
+    change the pick: a saturated minimal-routing point stays on the
+    array core with a hub attached before its first step, and the
+    record bytes — and the hub's own rows — are the wheel's."""
+    from repro.metrics.hub import MetricsHub, jsonl_line
 
-    cfg = SimConfig(h=2, routing="minimal", seed=11, engine="auto")
+    cfg = SimConfig(h=2, routing="minimal", seed=11)
 
-    def run(tapped):
-        s = Session(sim=build_simulator(cfg))
-        if tapped:
-            MetricsHub(s.sim, bucket=100)
+    def run(engine, hubbed):
+        s = Session(sim=build_simulator(cfg.with_(engine=engine)))
+        hub = MetricsHub(s.sim, bucket=100) if hubbed else None
         result = s.bernoulli("uniform", 0.9).warmup(200).measure(200)
         record = point_record(result, cfg, pattern="uniform", load=0.9)
-        return canonical_record_json(record), s.sim
+        rows = None if hub is None else [jsonl_line(r) for r in hub.records()]
+        return canonical_record_json(record), rows, s.sim.engine_path
 
-    untapped, sim = run(tapped=False)
-    assert sim._core is not None
-    tapped, sim = run(tapped=True)
-    assert sim._core is None
-    assert tapped == untapped
+    bare, _, path = run("auto", hubbed=False)
+    assert path == "core"
+    hubbed, rows, path = run("auto", hubbed=True)
+    assert path == "core"
+    assert hubbed == bare
+    wheel, wheel_rows, path = run("wheel", hubbed=True)
+    assert path == "wheel" and len(rows) == 6
+    assert (wheel, wheel_rows) == (bare, rows)
 
 
 def test_unknown_engine_fails_with_suggestion():

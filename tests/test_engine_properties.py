@@ -126,6 +126,7 @@ _core_point = st.fixed_dictionaries(dict(
     record_hops=st.booleans(),
     arbitration=st.sampled_from(["rr", "age"]),
     #: cycle at which the run leaves its core, if it does, and how
+    #: ("hub" leaves nothing: a hub watches the rest on the core)
     leave_at=st.none() | st.integers(0, _WARMUP + _MEASURE - 1),
     leave_by=st.sampled_from(["hub", "routers", "arrivals_due"]),
     #: a burst drain instead of a steady window
@@ -154,12 +155,15 @@ def _run_core_point(fabric: dict, point: dict, engine: str) -> tuple:
     hubs = []
 
     def leave() -> None:
-        """End the core, if the run has one, in the way the point drew."""
+        """End the core, if the run has one, in the way the point drew —
+        or attach a hub, which keeps it."""
         if sim._core is None:
             return
         if point["leave_by"] == "hub":
             hubs.append(MetricsHub(sim, bucket=20))
-        elif point["leave_by"] == "routers":
+            assert sim._core is not None
+            return
+        if point["leave_by"] == "routers":
             assert sim.routers[0].rid == 0
         else:
             sim.arrivals_due(sim.now)
@@ -176,7 +180,8 @@ def _run_core_point(fabric: dict, point: dict, engine: str) -> tuple:
         leave()
     result = (s.drain(200_000) if point["burst"]
               else s.measure(_WARMUP + _MEASURE - max(leave_at or 0, _WARMUP)))
-    assert (sim._core is None) == (engine != "auto" or leave_at is not None)
+    left = leave_at is not None and point["leave_by"] != "hub"
+    assert (sim._core is None) == (engine != "auto" or left)
     for hub in hubs:
         # the full live set but Little's law, which wants a stationary
         # window: these runs go to load 1.0, into drains, and the hub's
@@ -198,7 +203,8 @@ def test_a_record_does_not_know_what_ran_before_it(fabric, points):
     the fabric: a sequence sharing one warm fabric, each point again on
     a fabric nobody has used, the wheel and the frozen seed engine all
     give the same bytes — whichever way a run leaves its core, and with
-    the live invariants holding on the runs a hub watched from there.
+    the live invariants holding on the runs a hub watched from some
+    cycle on, which stay on their core.
     The fabrics are tiny, so the offered-load rule is pinned to the core
     (inside the body: hypothesis re-runs it, a fixture would not be).
     """

@@ -12,11 +12,13 @@ Four tables:
 * **selection** — for every registered routing × arbitration ×
   attachment (none, a delivery observer, a boundary sampler), an
   ``auto`` simulator carries a core exactly when the eligibility
-  clauses (``repro.network.corechoice.select_core`` + "a sampler ends a
-  core") say so, and an ineligible one is a plain wheel run: no core,
-  the same class, the same ``step`` / ``inject_packet`` functions;
-* **exits** — leaving a live core mid-run through each of its three
-  triggers (``add_sampler``, ``arrivals_due``, a look inside ``routers``) yields
+  clauses (``repro.network.corechoice.select_core``) say so — neither
+  attachment ends one — and an ineligible one is a plain wheel run: no
+  core, the same class, the same ``step`` / ``inject_packet`` functions;
+  a sampler on a core fires at the wheel's boundaries and reads the
+  wheel's counters and occupancy;
+* **exits** — leaving a live core mid-run through each of its two
+  triggers (``arrivals_due``, a look inside ``routers``) yields
   delivery logs and counters byte-identical to a wheel run from cycle 0;
 * **injection** — one injection path per engine: the wheel calls
   ``traffic.inject`` and keeps a plain ``random.Random``, a live core
@@ -181,12 +183,12 @@ def test_leaving_says_what_asked_for_the_object_graph(core_wins_everywhere):
         sim.run(20)
         assert (sim.engine_path, sim.engine_why) == ("core", "pinned by the test")
         leave(sim)
-        assert sim.engine_path == "wheel"
-        return sim.engine_why
+        return sim.engine_path, sim.engine_why
 
-    assert left_by(_leave_by_sampler) == "a boundary sampler attached"
-    assert left_by(_leave_by_arrivals_due) == "arrivals_due was read"
-    assert left_by(_leave_by_routers_read) == "sim.routers was read"
+    # a sampler reads what the core keeps: the core stays, on its clause
+    assert left_by(_attach_sampler) == ("core", "pinned by the test")
+    assert left_by(_leave_by_arrivals_due) == ("wheel", "arrivals_due was read")
+    assert left_by(_leave_by_routers_read) == ("wheel", "sim.routers was read")
 
 
 # ---------------------------------------------------------------- selection
@@ -204,11 +206,11 @@ def test_auto_carries_a_core_iff_the_rule_says_so(routing, arbitration, attach):
     if attach == "observer":
         sim.add_delivery_observer(lambda pkt, cycle: None)
     elif attach == "sampler":
-        _leave_by_sampler(sim)
+        _attach_sampler(sim)
     sim.inject_packet(0, sim.topo.num_nodes - 1)
     sim.step()
     expected = (ROUTING_REGISTRY.get(routing).array_core
-                and arbitration in ("rr", "age") and attach != "sampler")
+                and arbitration in ("rr", "age"))
     assert (sim._core is not None) == expected
     if expected:
         assert type(sim.routers) is not list  # parked on the core
@@ -239,12 +241,19 @@ def test_nothing_is_built_before_the_first_step_and_an_early_sampler_costs_nothi
     assert sim._core is corechoice.UNDECIDED  # eligible, not decided
     parked = sim.routers  # holding the stand-in is free: no arrays, no routers
     assert sim.engine_path == "undecided" and type(parked) is not list
-    _leave_by_sampler(sim)
-    # the early sampler paid for object routers, as a wheel construction
-    # does, and for nothing else: no core was ever constructed
-    assert sim._core is None and sim.engine_why == "a boundary sampler attached"
+    _attach_sampler(sim)
+    # the early sampler decided nothing and built nothing: no router, no
+    # core, no numpy ...
+    assert (sim.engine_path, sim.engine_why) == ("undecided", "")
+    assert sim._core is corechoice.UNDECIDED and type(sim.routers) is not list
     assert ("repro.network.arraysim" in sys.modules) == loaded
-    assert type(sim.routers) is list and parked[0] is sim.routers[0]
+    # ... and the first step decides as it does without one
+    bare = build_simulator(SimConfig(h=2, routing="minimal", engine="auto"))
+    for point in (sim, bare):
+        point.traffic = BernoulliTraffic(UniformRandom(), 0.5)
+        point.step()
+    assert (sim.engine_path, sim.engine_why) == (bare.engine_path, bare.engine_why)
+    assert sim.engine_path == "core" and type(sim.routers) is not list
 
 
 @pinned
@@ -289,7 +298,7 @@ INJECT_CYCLES = 300
 ATTACH_CYCLES = (1, 45, 290)
 
 
-def _leave_by_sampler(sim):
+def _attach_sampler(sim):
     sim.add_sampler(lambda boundary: boundary + 50, sim.now + 50)
 
 
@@ -301,13 +310,44 @@ def _leave_by_arrivals_due(sim):
 def _leave_by_routers_read(sim):
     routers = sim.routers  # holding the stand-in is not a read ...
     assert sim._core is not None
-    # ... looking inside is (MetricsHub and the probes iterate it)
+    # ... looking inside is (the occupancy probes iterate it)
     assert [r.rid for r in routers] == list(range(sim.topo.num_routers))
     assert routers[0] is sim.routers[0] and len(routers) == len(sim.routers)
 
 
-TRIGGERS = {"sampler": _leave_by_sampler, "arrivals_due": _leave_by_arrivals_due,
+TRIGGERS = {"arrivals_due": _leave_by_arrivals_due,
             "routers": _leave_by_routers_read}
+
+
+@pinned
+@pytest.mark.parametrize("flow", FLOW)
+@pytest.mark.parametrize("fabric", FABRICS)
+def test_a_sampler_on_the_core_fires_where_the_wheels_does(fabric, flow):
+    """Boundaries, counters and occupancy a sampler reads on a live core
+    are the wheel's, through a burst's drain and the idle tail after it,
+    where fast-forward jumps over several boundaries at once."""
+    def samples(engine):
+        cfg = SimConfig(routing="minimal", seed=4, engine=engine,
+                        **FABRICS[fabric], **FLOW[flow])
+        sim = build_simulator(cfg, BurstTraffic(UniformRandom(), 3))
+        log = []
+
+        def sample(boundary):
+            log.append((boundary, sim.now, sim._next_pid, sim.grants,
+                        sim.credit_phits, sim.packets_in_flight,
+                        sim.vc_occupancy()))
+            return boundary + 7
+
+        sim.add_sampler(sample, 5)
+        sim.run_until_drained(50_000)
+        sim.run(100)
+        return sim.engine_path, log
+
+    path, wheel = samples("wheel")
+    assert path == "wheel" and wheel[-1][3] and wheel[-1][4]
+    assert any(occ for *_, occupancy in wheel for occ in occupancy.values())
+    assert sum(now > boundary for boundary, now, *_ in wheel) >= 10  # jumps
+    assert samples("auto") == ("core", wheel)
 
 
 def _run(cfg: SimConfig, leave=None, at: int | None = None):

@@ -315,6 +315,18 @@ def test_the_layout_equals_the_object_routers_wiring(knobs):
                 dest_ivc[obase + v] = dbase + v
                 up_ovc[dbase + v] = obase + v
                 up_lat[dbase + v] = out.latency
+    # vc_occupancy's (kind, VC) key per output VC, in the order a walk
+    # of the routers first meets it; an eject VC takes the spare slot
+    keys, occ_key = [], []
+    for router in routers:
+        for out in router.outputs:
+            for v in range(len(out.credits)):
+                key = None if out.kind is PortKind.EJECT else (int(out.kind), v)
+                if key is not None and key not in keys:
+                    keys.append(key)
+                occ_key.append(key)
+    assert layout._occ_keys == keys
+    occ_key = [len(keys) if key is None else keys.index(key) for key in occ_key]
     topo = sim.topo
     node_rt = [topo.router_of_node(n) for n in range(topo.num_nodes)]
     node_k = [topo.node_index(n) for n in range(topo.num_nodes)]
@@ -327,6 +339,7 @@ def test_the_layout_equals_the_object_routers_wiring(knobs):
         _op_lat=lat, _op_eject=eject,
         _op_delay_vct=[x + 1 + sim.config.router_latency for x in lat],
         _ov_dest_ivc=dest_ivc, _vb_up_ovc=up_ovc, _vb_up_lat=up_lat,
+        _ov_occ_key=occ_key,
         _node_rt=node_rt, _node_kidx=node_k,
         _node_fp=[r * nin + k for r, k in zip(node_rt, node_k)],
         _node_ivc=[ip_vcbase[r * nin + k] for r, k in zip(node_rt, node_k)],

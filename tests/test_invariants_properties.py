@@ -67,7 +67,7 @@ def test_verified_steady_point_passes_and_preserves_bytes(point):
                        engine=point["engine"])
     plain = run_point(config, "uniform", point["load"], 500, 1000)
     checked = run_point(config, "uniform", point["load"], 500, 1000,
-                        verify=True)
+                        verify="full")
     assert canonical_record_json(plain) == canonical_record_json(checked)
 
 
@@ -78,7 +78,7 @@ def test_verified_run_matches_across_fabrics(engine):
                                    routing="minimal").with_(engine=engine)
     plain = run_point(config, "uniform", 0.25, scale.warmup, 1000)
     checked = run_point(config, "uniform", 0.25, scale.warmup, 1000,
-                        verify=True)
+                        verify="full")
     assert canonical_record_json(plain) == canonical_record_json(checked)
 
 
@@ -86,11 +86,32 @@ def test_verified_run_matches_across_fabrics(engine):
 def test_verified_drain_and_transient_run(engine):
     config = SimConfig(h=2, routing="minimal", seed=5, engine=engine)
     plain = run_drain(config, "uniform", 10, 100_000)
-    checked = run_drain(config, "uniform", 10, 100_000, verify=True)
+    checked = run_drain(config, "uniform", 10, 100_000, verify="full")
     assert canonical_record_json(plain) == canonical_record_json(checked)
     rec = run_transient(config, "uniform", 0.2, 5, 4000, 1000,
-                        bucket=100, verify=True)
+                        bucket=100, verify="full")
     assert rec["kind"] == "transient"
+
+
+def test_a_verified_core_point_stays_on_its_core(monkeypatch):
+    """The hub a verified point measures through keeps the array core:
+    minimal routing at h=4, load 0.3 is the core's under the real rule,
+    verified or not, and its record is the wheel's."""
+    import repro.facade as facade
+
+    sessions = []
+    opened = facade.session
+
+    def spy(*args, **kwargs):
+        sessions.append(opened(*args, **kwargs))
+        return sessions[-1]
+
+    monkeypatch.setattr(facade, "session", spy)
+    config = SimConfig(h=4, routing="minimal", seed=2, engine="auto")
+    checked = run_point(config, "uniform", 0.3, 100, 200, verify="flow")
+    wheel = run_point(config.with_(engine="wheel"), "uniform", 0.3, 100, 200)
+    assert [s.sim.engine_path for s in sessions] == ["core", "wheel"]
+    assert canonical_record_json(checked) == canonical_record_json(wheel)
 
 
 def test_verified_records_pass_record_checks():
@@ -104,13 +125,24 @@ def test_verified_records_pass_record_checks():
 
 # ---------------------------------------------- live corruption (hub state)
 
-def _instrumented_window(load=0.35, cycles=800, bucket=100):
-    s = session(SimConfig(h=2, routing="minimal", seed=3),
+def _instrumented_window(load=0.35, cycles=800, bucket=100, engine="wheel"):
+    s = session(SimConfig(h=2, routing="minimal", seed=3,
+                          engine="wheel" if engine == "wheel" else "auto"),
                 pattern="uniform", load=load)
     s.warmup(300)
-    hub = MetricsHub(s.sim, bucket=bucket, latencies=True)
+    hub = MetricsHub(s.sim, bucket=bucket)
     s.run(cycles)
+    assert s.sim.engine_path == engine
     return s, hub
+
+
+@pytest.fixture(params=["wheel", "core"])
+def hub_engine(request):
+    """A corruption must fail its check on both engines a hub watches
+    (``core``: the rule pinned, so the h=2 window keeps its array core)."""
+    if request.param == "core":
+        request.getfixturevalue("core_wins_everywhere")
+    return request.param
 
 
 def test_live_checks_pass_on_honest_window():
@@ -123,8 +155,8 @@ def test_live_checks_pass_on_honest_window():
         hub.detach()
 
 
-def test_dropped_packet_fails_flow_conservation():
-    s, hub = _instrumented_window()
+def test_dropped_packet_fails_flow_conservation(hub_engine):
+    s, hub = _instrumented_window(engine=hub_engine)
     try:
         s.sim._next_pid += 1  # one injection counted, never queued
         report = hub.verify(full=True)
@@ -149,13 +181,19 @@ def test_scaled_latency_fails_little_law():
         hub.detach()
 
 
-def test_negative_occupancy_fails_occupancy_check():
-    s, hub = _instrumented_window()
+def test_negative_occupancy_fails_occupancy_check(hub_engine):
+    s, hub = _instrumented_window(engine=hub_engine)
     try:
-        out = next(o for r in s.sim.routers for o in r.outputs
-                   if o.kind is not PortKind.EJECT)
-        out.credits[0] += 1_000_000  # credits nobody returned
+        # credits nobody returned, on the first local/global output VC
+        core = s.sim._core
+        if core is None:
+            out = next(o for r in s.sim.routers for o in r.outputs
+                       if o.kind is not PortKind.EJECT)
+            out.credits[0] += 1_000_000
+        else:
+            core._ov_credits[core._ov_credits0.nonzero()[0][0]] += 1_000_000
         report = hub.verify(full=True)
+        assert s.sim.engine_path == hub_engine
         assert not report.check("occupancy_nonnegative")["ok"]
     finally:
         hub.detach()

@@ -210,16 +210,24 @@ def test_hub_inflight_samples_are_the_engine_level_at_each_boundary():
     assert [b.inflight for b in oracle.completed_buckets()] != levels[:-1]
 
 
-def test_hub_refuses_an_engine_without_counters():
-    """The frozen reference engine counts nothing and calls no sampler: a
-    hub on it would report zeros, so it is refused by name."""
+@pytest.mark.parametrize("routing", ["minimal", "olm"])
+def test_a_hub_on_the_reference_engine_writes_the_wheels_rows(routing):
+    """The frozen reference engine keeps the counters a hub samples and
+    fires its samplers, so a point measures the same way on every
+    engine: its rows are the wheel's, byte for byte."""
     from repro.network.simulator import build_simulator
 
-    sim = build_simulator(SimConfig(h=2, routing="minimal", engine="reference"),
-                          BernoulliTraffic(UniformRandom(), 0.3))
-    with pytest.raises(TypeError, match="engine 'reference'.*no event counters"):
-        MetricsHub(sim)
-    assert not sim._samplers and not sim._delivery_observers
+    def rows(engine):
+        sim = build_simulator(SimConfig(h=2, routing=routing, seed=8,
+                                        engine=engine),
+                              BernoulliTraffic(UniformRandom(), 0.4))
+        sim.run(150)
+        hub = MetricsHub(sim, bucket=40)
+        sim.run(330)
+        assert hub.grants and hub.credit_phits
+        return [jsonl_line(row) for row in hub.records()]
+
+    assert rows("reference") == rows("wheel")
 
 
 # ------------------------------------------------------- fast-forward
@@ -232,7 +240,7 @@ def test_attached_hub_does_not_suppress_fast_forward():
         sim = Simulator(cfg)
         sim.traffic = BurstTraffic(pattern_by_name("uniform", sim.topo), 3)
         if attach_probe:
-            MetricsHub(sim, bucket=100, latencies=False)
+            MetricsHub(sim, bucket=100)
         steps = 0
         orig = sim.step
 

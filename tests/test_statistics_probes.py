@@ -28,7 +28,7 @@ def test_steady_state_reached():
 def test_hub_throughput_series_converges():
     sim = build_sim("minimal", record_hops=False)
     sim.traffic = BernoulliTraffic(UniformRandom(), 0.4)
-    hub = MetricsHub(sim, bucket=400, latencies=False)
+    hub = MetricsHub(sim, bucket=400)
     sim.run(4800)
     series = hub.throughput_series()
     assert len(series) == 12

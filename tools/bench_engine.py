@@ -64,8 +64,8 @@ marked ``core_row``: two moved to h=3, where the rule sends them there,
 and the two that need a thin backlog on a small fabric (the allocator's
 sparse scan and its closed gate) pin the rule for exactly their
 ``auto`` runs (``pin_core``).  ``--smoke`` exits non-zero when a
-``core_row`` ran on the wheel (under ``--tap`` every ``auto`` run does,
-by design: the hub samples the wheel's counters).
+``core_row`` ran on the wheel, ``--tap`` included: a hub reads what
+both engines keep, so it leaves a core where it is.
 
 * ``rule_*`` (full mode) — whole points either side of the rule's two
   constants: construction, warm-up and measurement inside the clock,
@@ -658,10 +658,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         if ran_on is not None:
             row["engine_path"] = ran_on
-            # the hub's sampler sends every ``auto`` run to the wheel:
-            # by design
-            if (sc.get("core_row") and not args.tap
-                    and not ran_on.startswith("core:")):
+            if sc.get("core_row") and not ran_on.startswith("core:"):
                 off_core.append(sc["name"])
         if "reference" in secs and "wheel" in secs:
             row["speedup_wheel_vs_reference"] = round(
