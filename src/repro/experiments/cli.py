@@ -17,6 +17,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -252,11 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect or prune a result cache directory",
         description="Operate on the content-addressed result cache shared by "
                     "run/sweep --cache and serve --cache-dir: 'stats' reports "
-                    "entry counts, bytes on disk and the last plan's hit "
-                    "rate; 'prune' garbage-collects old entries while "
-                    "protecting every key of a live plan.")
+                    "entry counts, bytes on disk and the hits and misses of "
+                    "the last run/sweep invocation; 'prune' garbage-collects "
+                    "old entries while protecting every key of a live plan.")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    stats = cache_sub.add_parser("stats", help="entry count, bytes, last-run hit rate")
+    stats = cache_sub.add_parser(
+        "stats", help="entry count, bytes, last run/sweep hits and misses")
     stats.add_argument("dir", help="cache directory")
     prune = cache_sub.add_parser("prune", help="remove stale cache entries")
     prune.add_argument("dir", help="cache directory")
@@ -354,6 +356,28 @@ def _progress_callback(args):
     return ProgressPrinter()
 
 
+@contextlib.contextmanager
+def _invocation_cache(directory):
+    """The one :class:`~repro.runplan.ResultCache` every plan of a
+    ``run`` / ``sweep`` invocation shares (``None`` without ``--cache``).
+
+    Its hit and miss totals are saved to the ``last_run.json`` sidecar
+    once, however the invocation ends — success, failed points or an
+    interrupt — so ``cache stats`` reports the whole invocation (every
+    figure of a ``run all``).  Library calls never write the sidecar.
+    """
+    if directory is None:
+        yield None
+        return
+    from repro.runplan import ResultCache
+
+    cache = ResultCache(directory)
+    try:
+        yield cache
+    finally:
+        cache.save_run_stats(cache.hits, cache.misses)
+
+
 def _print_plan_errors(exc) -> None:
     """Render a :class:`PlanExecutionError`'s quarantined points."""
     print(f"error: {exc}", file=sys.stderr)
@@ -435,9 +459,10 @@ def _run_sweep(args) -> int:
         return strict_jsonable(body)
 
     try:
-        records = execute(spec, jobs=args.jobs, cache=args.cache,
-                          aggregate=aggregate, shard=args.shard,
-                          on_result=collect)
+        with _invocation_cache(args.cache) as cache:
+            records = execute(spec, jobs=args.jobs, cache=cache,
+                              aggregate=aggregate, shard=args.shard,
+                              on_result=collect)
     except KeyboardInterrupt:
         payload = payload_for(aggregate_replicas(landed) if aggregate
                               else list(landed), partial=True)
@@ -690,25 +715,9 @@ def _run_verify_results(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "list":
-        for spec in EXPERIMENTS.values():
-            print(f"{spec.id:8} {spec.description}")
-        return 0
-    if args.command == "list-components":
-        _list_components()
-        return 0
-    if args.command == "point":
-        return _run_point(args)
-    if args.command == "sweep":
-        return _run_sweep(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "cache":
-        return _run_cache(args)
-    if args.command == "verify-results":
-        return _run_verify_results(args)
+def _run_experiments(args, cache) -> int:
+    """``run``: the named catalogue entry, or every one for ``all``, all
+    through one shared ``cache``."""
     from repro.runplan import PlanExecutionError
 
     progress = _progress_callback(args)
@@ -718,7 +727,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             result = run_experiment(exp_id, scale=args.scale, seed=args.seed,
                                     seeds=args.seeds, jobs=args.jobs,
-                                    cache=args.cache, shard=args.shard,
+                                    cache=cache, shard=args.shard,
                                     on_result=progress)
         except FigureInterrupted as e:
             result = dict(e.partial, id=exp_id)
@@ -759,6 +768,29 @@ def main(argv: list[str] | None = None) -> int:
         if any(not r.ok for r in verify_reports):
             return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.command == "list":
+        for spec in EXPERIMENTS.values():
+            print(f"{spec.id:8} {spec.description}")
+        return 0
+    if args.command == "list-components":
+        _list_components()
+        return 0
+    if args.command == "point":
+        return _run_point(args)
+    if args.command == "sweep":
+        return _run_sweep(args)
+    if args.command == "serve":
+        return _run_serve(args)
+    if args.command == "cache":
+        return _run_cache(args)
+    if args.command == "verify-results":
+        return _run_verify_results(args)
+    with _invocation_cache(args.cache) as cache:
+        return _run_experiments(args, cache)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,6 +34,12 @@ from repro.registry import (
 )
 
 
+#: the one encoder of canonical JSON (sorted keys, no spaces): config
+#: identity, run-point cache keys and cached records.  Shared because
+#: ``json.dumps(..., sort_keys=True)`` builds a new encoder per call.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @cache
 def _field_names(cls: type) -> tuple[str, ...]:
     """Field names of a config dataclass, once per class (subclasses too)."""
@@ -187,20 +193,28 @@ class SimConfig:
             d["pb_update_period"] = None
         return d
 
-    def canonical_json(self) -> str:
-        """Deterministic JSON encoding of :meth:`to_dict`, minus ``engine``.
+    def canonical_dict(self) -> dict:
+        """:meth:`to_dict` minus ``engine``: the fields that make a config's
+        identity.
 
-        Keys are sorted and separators fixed, so two equal configs always
-        encode to the same byte string — the basis of result-cache keys
-        and run-plan identity (:func:`config_hash`).  ``engine`` is
-        dropped: every backend is record-identical by contract (enforced
-        by the golden matrix), so the same physics must hash to the same
-        key no matter which engine computed it — a cache entry written
-        under one engine is a hit for all of them.
+        ``engine`` is dropped: every backend is record-identical by
+        contract (enforced by the golden matrix), so the same physics
+        must hash to the same key no matter which engine computed it — a
+        cache entry written under one engine is a hit for all of them.
         """
         d = self.to_dict()
         del d["engine"]
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return d
+
+    def canonical_json(self) -> str:
+        """Deterministic JSON encoding of :meth:`canonical_dict`.
+
+        Keys are sorted and separators fixed, so two equal configs always
+        encode to the same byte string — the basis of result-cache keys
+        (:meth:`repro.runplan.RunPoint.key` encodes the same dict) and
+        of :meth:`content_hash`.
+        """
+        return CANONICAL_JSON.encode(self.canonical_dict())
 
     def content_hash(self) -> str:
         """SHA-256 hex digest of :meth:`canonical_json` (stable across runs)."""

@@ -19,6 +19,7 @@ import os
 import time
 from pathlib import Path
 
+from repro.network.config import CANONICAL_JSON
 from repro.runplan.spec import RunPoint
 
 #: per-process counter making temp names unique across threads (the
@@ -33,7 +34,7 @@ def canonical_record_json(record: dict) -> str:
     The determinism contract ("serial == process == cache replay") is
     checked over this encoding, so dict insertion order never matters.
     """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return CANONICAL_JSON.encode(record)
 
 
 class ResultCache:
@@ -156,20 +157,24 @@ class ResultCache:
                 "kept": kept, "protected": protected, "dry_run": dry_run}
 
     #: sidecar (cache-root level, outside the ``xx/`` key shards) holding
-    #: the hit/miss counters of the most recent plan execution
+    #: the hit/miss totals of the most recent ``repro run`` / ``repro
+    #: sweep`` invocation; library calls never write it
     RUN_STATS_NAME = "last_run.json"
 
     def save_run_stats(self, hits: int, misses: int) -> None:
-        """Persist one plan's hits and misses as the cache's last-run stats.
+        """Persist one CLI invocation's hits and misses as the last-run stats.
 
-        :func:`~repro.runplan.runner.execute_points` calls this once per
-        plan with that call's own counts, which ``repro cache stats``
-        reports.  The sidecar is rewritten (temp file + atomic rename)
-        only when its text changes: a replay repeating the last plan's
+        ``repro run`` / ``repro sweep`` call this once per invocation,
+        however it ends (success, failed points, interrupt), with the
+        totals of the one cache object every plan of the invocation
+        shared; ``repro cache stats`` reports them.  Plan execution
+        (:func:`~repro.runplan.runner.execute_points`) never calls it.
+        The sidecar is rewritten (temp file + atomic rename) only when
+        its text changes: a replay repeating the last invocation's
         counts writes nothing, and a damaged sidecar gets repaired.  A
         sidecar that cannot be read or written (a directory in its
-        place, a read-only cache) is skipped: the plan's records are
-        stored already, and telemetry must not fail them.
+        place, a read-only cache) is skipped: the invocation's records
+        are stored already, and telemetry must not fail them.
         """
         text = json.dumps({"hits": hits, "misses": misses}, sort_keys=True, indent=1)
         path = os.path.join(self._dir, self.RUN_STATS_NAME)
@@ -190,7 +195,7 @@ class ResultCache:
                 os.remove(tmp)
 
     def last_run_stats(self) -> dict | None:
-        """The persisted counts of the most recent plan; ``None`` for
+        """The persisted counts of the most recent invocation; ``None`` for
         anything but a JSON object with integer ``hits`` and ``misses``
         (unreadable, non-UTF-8, truncated, a list...), never a traceback."""
         try:

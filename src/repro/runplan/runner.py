@@ -180,7 +180,13 @@ def execute_points(points, *, jobs: int | None = None, scheduler=None,
     :class:`ResultCache`) is consulted per point before any work is
     scheduled: hits are replayed verbatim, only misses reach the
     scheduler, and every fresh record is stored the moment it lands —
-    the checkpoint that makes killed runs resumable.  ``shard`` (``"i/n"`` or ``(i, n)``) restricts execution
+    the checkpoint that makes killed runs resumable.  Nothing else is
+    written: an all-hit replay opens cache entries and nothing more.
+    The hits and misses are counted on the :class:`ResultCache` object
+    (pass one object to several calls to total them); the
+    ``last_run.json`` sidecar is the CLI's to write, once per
+    invocation (:meth:`ResultCache.save_run_stats`).  ``shard``
+    (``"i/n"`` or ``(i, n)``) restricts execution
     to that deterministic partition of the plan (see
     :func:`~repro.runplan.spec.shard_points`); only the shard's records
     are returned.  ``on_result`` receives a :class:`PointOutcome` per
@@ -201,8 +207,6 @@ def execute_points(points, *, jobs: int | None = None, scheduler=None,
     records: list[dict | None] = [None] * len(points)
     failures: list[PointError] = []
     worker = partial(execute_point, verify="full") if verify else execute_point
-    if cache is not None:  # the sidecar gets this plan's counts only
-        hits, misses = cache.hits, cache.misses
     for outcome in iter_outcomes(points, worker, jobs=jobs,
                                  scheduler=scheduler, cache=cache):
         records[outcome.index] = outcome.record
@@ -210,8 +214,6 @@ def execute_points(points, *, jobs: int | None = None, scheduler=None,
             failures.append(outcome.error)
         if on_result is not None:
             on_result(outcome)
-    if cache is not None:
-        cache.save_run_stats(cache.hits - hits, cache.misses - misses)
     if failures:
         if errors == "raise":
             raise PlanExecutionError(

@@ -12,10 +12,9 @@ address results by point content alone.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
-from repro.network.config import SimConfig
+from repro.network.config import CANONICAL_JSON, SimConfig
 
 #: bump when the record schema produced by the workers changes, so stale
 #: cache entries from an older layout are never replayed
@@ -67,15 +66,14 @@ class RunPoint:
         Display labels (``series``, ``coords``) are deliberately absent:
         they don't influence the simulation, and keeping them out of the
         cache key lets differently-labelled plans share cached results.
-        ``config.engine`` is stripped for the same reason: every engine
-        backend is record-identical by contract, so a point computed on
-        the array core must hit the cache entry the wheel engine wrote.
+        The config enters as :meth:`SimConfig.canonical_dict`, which
+        strips ``engine`` for the same reason: every engine backend is
+        record-identical by contract, so a point computed on the array
+        core must hit the cache entry the wheel engine wrote.
         """
-        config = self.config.to_dict()
-        del config["engine"]
         return {
             "schema": POINT_SCHEMA_VERSION,
-            "config": config,
+            "config": self.config.canonical_dict(),
             "pattern": self.pattern,
             "kind": self.kind,
             "load": self.load,
@@ -94,7 +92,7 @@ class RunPoint:
         regardless of which spec produced them, how their records are
         labelled, or when they ran.
         """
-        blob = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
+        blob = CANONICAL_JSON.encode(self.describe())
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -33,10 +33,9 @@ which concurrent identical submissions coalesce.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
-from repro.network.config import SimConfig
+from repro.network.config import CANONICAL_JSON, SimConfig
 from repro.runplan.spec import RunPoint, RunSpec, replica_seeds
 
 #: bump when the submission grammar or job-key derivation changes
@@ -80,12 +79,12 @@ class Submission:
         coalesce exactly when they would produce the same result
         payload.
         """
-        blob = json.dumps({
+        blob = CANONICAL_JSON.encode({
             "schema": SERVE_SCHEMA_VERSION,
             "aggregate": self.aggregate,
             "progress": self.progress,
             "points": [p.key() for p in self.points],
-        }, sort_keys=True, separators=(",", ":"))
+        })
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

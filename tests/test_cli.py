@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import build_parser, main
+from repro.runplan import ResultCache
 
 
 def test_parser_rejects_no_command():
@@ -341,6 +342,104 @@ def test_cache_stats_with_damaged_last_run_reports_null(tmp_path, capsys):
     out = capsys.readouterr().out
     assert '"last_run": null' in out
     assert json.loads(out)["entries"] == 2
+
+
+def test_sweep_run_stats_sidecar_tracks_the_last_invocation(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    _, args = _sweep_args(tmp_path, "stats", "--cache", str(cache))
+    assert main(args) == 0
+    assert ResultCache(cache).last_run_stats() == {"hits": 0, "misses": 2}
+    assert main(args) == 0
+    capsys.readouterr()
+    assert ResultCache(cache).last_run_stats() == {"hits": 2, "misses": 0}
+
+
+def test_identical_sweep_replay_leaves_run_stats_sidecar_untouched(tmp_path, capsys):
+    """The sidecar is rewritten only when its counts change: an all-hit
+    replay of the same sweep writes nothing, a different count does."""
+    cache = tmp_path / "cache"
+    _, args = _sweep_args(tmp_path, "same", "--cache", str(cache))
+    assert main(args) == 0
+    assert main(args) == 0  # all hits: 2/0
+    sidecar = cache / ResultCache.RUN_STATS_NAME
+    before = sidecar.stat()
+    assert main(args) == 0  # the same 2/0 again
+    after = sidecar.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+    _, one = _sweep_args(tmp_path, "one", "--cache", str(cache),
+                         "--loads", "0.1")
+    assert main(one) == 0  # 1/0: rewritten
+    capsys.readouterr()
+    assert sidecar.stat().st_ino != before.st_ino
+    assert ResultCache(cache).last_run_stats() == {"hits": 1, "misses": 0}
+    assert not list(cache.glob("*.tmp")) and not list(cache.glob(".*.tmp"))
+
+
+def _tiny_figure(loads, pattern="uniform"):
+    """A catalogue row simulating one minimal h=2 curve over ``loads``."""
+    from repro.experiments.figures import FigurePlan
+    from repro.experiments.registry import ExperimentSpec
+    from repro.network.config import paper_vct_config
+    from repro.runplan import RunSpec, replica_seeds
+
+    def build(scale, seed, seeds):
+        spec = RunSpec(config=paper_vct_config(h=2, routing="minimal",
+                                               seed=seed),
+                       pattern=pattern, loads=loads, warmup=200, measure=200,
+                       seeds=replica_seeds(seed, seeds), series="minimal")
+        return FigurePlan([spec], pattern, ("minimal",))
+
+    return ExperimentSpec(f"tiny-{pattern}-{len(loads)}", build, "throughput",
+                          "tiny test figure", lambda result: [], "")
+
+
+def _two_figure_catalogue(monkeypatch, second):
+    from repro.experiments import cli, registry
+
+    table = {row.id: row for row in (_tiny_figure((0.1, 0.2)), second)}
+    monkeypatch.setattr(cli, "EXPERIMENTS", table)
+    monkeypatch.setattr(registry, "EXPERIMENTS", table)
+
+
+def test_run_all_sidecar_holds_the_whole_invocation(tmp_path, capsys, monkeypatch):
+    """``run all --cache`` shares one cache object between its figures,
+    so the sidecar holds the sum of their counts, not the last one's."""
+    _two_figure_catalogue(monkeypatch, _tiny_figure((0.3, 0.4, 0.5)))
+    cache = tmp_path / "cache"
+    assert main(["run", "all", "--cache", str(cache)]) == 0
+    assert ResultCache(cache).last_run_stats() == {"hits": 0, "misses": 5}
+    from repro.experiments.registry import clear_cache
+
+    clear_cache()  # drop the in-process memo so the disk cache is consulted
+    assert main(["run", "all", "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    assert ResultCache(cache).last_run_stats() == {"hits": 5, "misses": 0}
+
+
+def test_a_run_with_failed_points_still_saves_its_counts(tmp_path, capsys, monkeypatch):
+    _two_figure_catalogue(monkeypatch, _tiny_figure((0.3,), pattern="bogus"))
+    cache = tmp_path / "cache"
+    assert main(["run", "all", "--cache", str(cache)]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert ResultCache(cache).last_run_stats() == {"hits": 0, "misses": 3}
+
+
+def test_an_interrupted_run_still_saves_its_counts(tmp_path, capsys, monkeypatch):
+    from repro.experiments import reporting
+
+    class Interrupting:
+        def __call__(self, outcome):
+            if outcome.completed >= 2:
+                raise KeyboardInterrupt
+
+    _two_figure_catalogue(monkeypatch, _tiny_figure((0.3, 0.4, 0.5)))
+    monkeypatch.setattr(reporting, "ProgressPrinter", Interrupting)
+    cache = tmp_path / "cache"
+    assert main(["run", "all", "--cache", str(cache), "--progress"]) == 130
+    assert "interrupted" in capsys.readouterr().err
+    # every lookup of the first figure happens before its points run
+    assert ResultCache(cache).last_run_stats() == {"hits": 0, "misses": 2}
 
 
 def test_point_jsonl_bytes_are_pinned(tmp_path, capsys):

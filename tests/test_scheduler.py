@@ -12,7 +12,6 @@ The elastic-execution acceptance criteria live here:
   process-pool run, a resumed run and the union of shard runs.
 """
 
-import json
 import os
 import signal
 
@@ -27,6 +26,7 @@ from repro.runplan import (
     RunSpec,
     SerialScheduler,
     canonical_record_json,
+    execute,
     execute_points,
     expand_specs,
     in_shard,
@@ -309,48 +309,27 @@ def test_plan_execution_error_message_and_describe():
                  "message": "boom", "attempts": 3, "worker_death": False}
 
 
-def test_run_stats_sidecar_tracks_last_plan(tmp_path):
-    points = tiny_points(loads=(0.1, 0.2))
-    cache = ResultCache(tmp_path / "c")
-    execute_points(points, cache=cache)
-    stats = ResultCache(tmp_path / "c").last_run_stats()
-    assert stats["hits"] == 0 and stats["misses"] == 2
+def test_an_all_hit_library_replay_writes_nothing(tmp_path):
+    """Replaying cached plans through ``execute`` opens entries and
+    nothing else: every path under the cache root keeps its inode and
+    mtime, no sidecar and no temp file appear."""
+    root = tmp_path / "c"
+    small = RunSpec(config=paper_vct_config(h=2, routing="minimal", seed=3),
+                    pattern="uniform", loads=(0.1,), warmup=WARMUP,
+                    measure=MEASURE)
+    large = small.with_(loads=(0.2, 0.3, 0.4))
+    first = [execute(spec, cache=root) for spec in (small, large)]
 
-    cache2 = ResultCache(tmp_path / "c")
-    execute_points(points, cache=cache2)
-    stats = ResultCache(tmp_path / "c").last_run_stats()
-    assert stats["hits"] == 2 and stats["misses"] == 0
+    def snapshot():
+        return {path: (path.stat().st_ino, path.stat().st_mtime_ns)
+                for path in root.rglob("*")}
 
-
-def test_run_stats_sidecar_counts_each_plan_on_a_shared_object(tmp_path):
-    """One ResultCache object serving two plans: the sidecar holds the
-    second plan's own counts, not the object's lifetime totals."""
-    points = tiny_points(loads=(0.1, 0.2))
-    cache = ResultCache(tmp_path / "c")
-    execute_points(points, cache=cache)
-    execute_points(points, cache=cache)
-    assert (cache.hits, cache.misses) == (2, 2)  # lifetime counters
-    assert cache.last_run_stats() == {"hits": 2, "misses": 0}
-
-
-def test_identical_replay_leaves_run_stats_sidecar_untouched(tmp_path):
-    """The sidecar is rewritten only when its counts change: an all-hit
-    replay of the same plan writes nothing, a different count does."""
-    points = tiny_points(loads=(0.1, 0.2))
-    execute_points(points, cache=tmp_path / "c")
-    execute_points(points, cache=tmp_path / "c")  # all hits: 2/0
-    sidecar = tmp_path / "c" / ResultCache.RUN_STATS_NAME
-    before = sidecar.stat()
-    execute_points(points, cache=tmp_path / "c")  # the same 2/0 again
-    after = sidecar.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
-                                                 before.st_mtime_ns)
-    execute_points(points[:1], cache=tmp_path / "c")  # 1/0: rewritten
-    assert sidecar.stat().st_ino != before.st_ino
-    assert ResultCache(tmp_path / "c").last_run_stats() == {
-        "hits": 1, "misses": 0}
-    assert [p.name for p in (tmp_path / "c").iterdir()
-            if p.suffix == ".tmp"] == []
+    before = snapshot()
+    for _ in range(2):  # alternate plan sizes: 1/0 then 3/0 hits/misses
+        assert [execute(spec, cache=root) for spec in (small, large)] == first
+    assert snapshot() == before
+    assert not list(root.rglob("*.tmp"))
+    assert not (root / ResultCache.RUN_STATS_NAME).exists()
 
 
 # ------------------------------------------------------------- cache pruning
@@ -387,5 +366,3 @@ def test_prune_keep_keys_protects_live_plan(tmp_path):
     cache2 = ResultCache(tmp_path / "c")
     execute_points(live, cache=cache2)
     assert cache2.hits == 2 and cache2.misses == 0
-    assert json.loads((cache2.root / cache2.RUN_STATS_NAME).read_text())[
-        "hits"] == 2
