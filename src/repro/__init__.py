@@ -34,8 +34,9 @@ fabric's routing oracle; Dragonfly-only mechanisms raise
 :class:`~repro.topology.base.UnsupportedTopologyError` elsewhere (see
 ``docs/ARCHITECTURE.md`` and ``docs/ADDING_A_TOPOLOGY.md``).
 
-The lower-level surface (``build_simulator``, ``sim.stats``,
-``sim.add_delivery_observer``) remains available for custom loops.
+The lower-level surface (``build_simulator``, ``sim.ledger()`` — the
+engine's cumulative delivery counts, which every window differences —
+and ``sim.add_delivery_observer``) remains available for custom loops.
 """
 
 from repro.core import ROUTING_REGISTRY, MisroutingTrigger, routing_by_name

@@ -6,7 +6,7 @@ supernode ("piggybacked" on regular traffic), and every packet chooses
 **once, at injection**, between the minimal route and a Valiant route,
 based on the (possibly stale) flag of its minimal global channel.
 
-Modelling choices (documented in DESIGN.md): a global channel is
+Modelling choices (documented in docs/DESIGN.md §4): a global channel is
 flagged saturated when its mean downstream occupancy exceeds
 ``pb_threshold``; flags are re-broadcast every ``pb_update_period``
 cycles (default: the local link latency).  The deciding router reads

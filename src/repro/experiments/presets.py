@@ -3,8 +3,8 @@
 The paper simulates the maximum well-balanced Dragonfly with ``h = 8``
 (2 064 routers, 16 512 nodes).  A pure-Python cycle simulator cannot
 sweep that in reasonable time, so experiments default to reduced scales
-with identical router architecture and per-link parameters; DESIGN.md
-§3 records the substitution.  ``paper`` is provided for completeness
+with identical router architecture and per-link parameters;
+docs/DESIGN.md §3 records the substitution.  ``paper`` is provided for completeness
 (expect hours per point).
 """
 

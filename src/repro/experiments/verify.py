@@ -1,6 +1,6 @@
 """Shape verification: the paper's qualitative claims, checked on results.
 
-The reproduction contract (DESIGN.md): absolute numbers move with scale
+The reproduction contract (docs/DESIGN.md §1): absolute numbers move with scale
 (the paper simulates h=8, the default harness h=2/3), but *who wins, by
 roughly what factor, and where crossovers fall* must match.  This
 module encodes each figure's headline claims as predicates over the
@@ -250,7 +250,7 @@ def render_experiments_md(results: dict[str, dict]) -> str:
         "# EXPERIMENTS — paper vs. measured",
         "",
         f"Regenerated with `dragonfly-repro run all --scale {scale}` "
-        "(the paper simulates h=8 with 16 512 nodes — see DESIGN.md §3 "
+        "(the paper simulates h=8 with 16 512 nodes — see docs/DESIGN.md §3 "
         "for the scale substitution).  Absolute values differ with "
         "scale; the checks below verify the paper's *qualitative* "
         "claims: orderings, factors, crossovers.",

@@ -11,9 +11,10 @@ The canonical way to run a simulation::
 A :class:`Session` owns one live :class:`~repro.network.simulator.Simulator`
 and exposes the warm-up / measure / drain workflow; every measurement
 returns an immutable :class:`RunResult` snapshot (latency mean and
-percentiles, throughput, misroute fractions, drain cycles) so callers
-never poke ``sim.stats`` directly.  The raw simulator stays reachable
-through ``session.sim`` for low-level work.
+percentiles, throughput, misroute fractions, drain cycles), the
+difference of two samples of the engine's delivery ledger
+(``Simulator.ledger``).  The raw simulator stays reachable through
+``session.sim`` for low-level work.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ class RunResult:
     count packets, ``delivered_phits`` counts phits; ``throughput`` is
     accepted load in phits/(node·cycle) — 1.0 means every node sinks
     one phit per cycle; misroute fields are fractions of delivered
-    packets.  Equal configs (same ``SimConfig.canonical_json()``),
-    traffic and windows always reproduce the same result, bit for bit.
+    packets.  A window that delivered nothing reads NaN in the means,
+    percentiles and misroute fields and 0 in ``max_latency``.  Equal
+    configs (same ``SimConfig.canonical_json()``), traffic and windows
+    always reproduce the same result, bit for bit.
     """
 
     kind: str
@@ -121,10 +124,12 @@ class Session:
 
     Chainable: ``session(cfg, pattern="uniform", load=0.5)
     .warmup(2000).measure(2000)``.  All durations are in cycles and
-    offered loads in phits/(node·cycle).  The session attaches a
-    delivery observer to record per-packet latencies for the percentile
-    fields of :class:`RunResult`; further observers can be added freely
-    through ``session.sim.add_delivery_observer``.
+    offered loads in phits/(node·cycle).  The measurement window opens
+    when the session is built, also over a simulator that has already
+    run.  The session attaches a delivery observer to record per-packet
+    latencies for the percentile and maximum fields of
+    :class:`RunResult`; further observers can be added freely through
+    ``session.sim.add_delivery_observer``.
 
     Determinism: a session is a pure function of its config (seeded RNG
     streams for traffic and routing) and its call sequence — replaying
@@ -148,6 +153,8 @@ class Session:
                 sim.traffic = traffic
         self._sim = sim
         self._probe = LatencyTap(sim)
+        #: the ledger sample the measurement window opened at
+        self._opened = sim.ledger()
         #: metadata of the last :meth:`warmup_until_steady` call (or None)
         self.auto_warmup: dict | None = None
 
@@ -237,11 +244,11 @@ class Session:
         if bucket <= 0:
             raise ValueError("bucket must be positive")
         sim = self._sim
-        stats = sim.stats
+        phits = sim.config.packet_phits
         nodes = sim.topo.num_nodes
         start = sim.now
         samples: list[float] = []
-        last = stats.delivered_phits
+        last = sim.delivered * phits
         steady = False
         while sim.now - start < max_cycles:
             _checkpoint(should_cancel)
@@ -249,7 +256,7 @@ class Session:
             sim.run(step)
             if step < bucket:
                 break  # truncated final block: not a comparable sample
-            cur = stats.delivered_phits
+            cur = sim.delivered * phits
             samples.append((cur - last) / (nodes * bucket))
             last = cur
             if len(samples) >= window and steady_state_reached(
@@ -270,7 +277,7 @@ class Session:
 
     def reset(self) -> "Session":
         """Restart the measurement window at the current cycle; chainable."""
-        self._sim.stats.reset(self._sim.now)
+        self._opened = self._sim.ledger()
         self._probe.clear()
         return self
 
@@ -354,24 +361,29 @@ class Session:
     # -------------------------------------------------------------- snapshot
     def _snapshot(self, kind: str, *, drain_cycles: int | None = None) -> RunResult:
         sim = self._sim
-        stats = sim.stats
+        w = sim.ledger().since(self._opened)
+        n, phits = w.delivered, w.delivered * sim.config.packet_phits
         lat = sorted(self._probe.latencies)
+
+        def per_packet(total: int) -> float:
+            return total / n if n else float("nan")
+
         return RunResult(
             kind=kind,
-            start_cycle=stats.window_start,
+            start_cycle=self._opened.cycle,
             end_cycle=sim.now,
-            generated=stats.generated,
-            delivered=stats.delivered,
-            delivered_phits=stats.delivered_phits,
-            mean_latency=stats.mean_latency(),
-            max_latency=stats.latency_max,
+            generated=w.generated,
+            delivered=n,
+            delivered_phits=phits,
+            mean_latency=per_packet(w.latency_sum),
+            max_latency=lat[-1] if lat else 0,
             latency_p50=_percentile(lat, 0.50),
             latency_p95=_percentile(lat, 0.95),
             latency_p99=_percentile(lat, 0.99),
-            mean_hops=stats.mean_hops(),
-            throughput=stats.throughput(sim.topo.num_nodes, sim.now),
-            local_misroute_rate=stats.local_misroute_rate(),
-            global_misroute_fraction=stats.global_misroute_fraction(),
+            mean_hops=per_packet(w.hops_sum),
+            throughput=phits / (sim.topo.num_nodes * w.cycle) if w.cycle > 0 else 0.0,
+            local_misroute_rate=per_packet(w.local_misroutes),
+            global_misroute_fraction=per_packet(w.global_misroutes),
             drain_cycles=drain_cycles,
         )
 
@@ -445,7 +457,7 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
               warmup: int, measure: int, steady: bool = False,
               verify=False, *, bucket: int = 250, on_row=None,
               should_cancel=None, meta: dict | None = None) -> dict:
-    """One steady-state record: warm up, reset stats, measure.
+    """One steady-state record: warm up, open the window, measure.
 
     Picklable worker entry — the unit of work of the run-plan schedulers
     (:mod:`repro.runplan`) and of the service alike.  With

@@ -1,6 +1,5 @@
-"""Measurement: event-driven observability, steady state, statistics."""
+"""Measurement: windows over the engine's counters, steady state, statistics."""
 
-from repro.metrics.collector import StatsCollector
 from repro.metrics.hub import OBS_SCHEMA_VERSION, LatencyTap, MetricsHub
 from repro.metrics.probes import injection_backlog, occupancy_snapshot
 from repro.metrics.statistics import (
@@ -10,7 +9,6 @@ from repro.metrics.statistics import (
 )
 
 __all__ = [
-    "StatsCollector",
     "MetricsHub",
     "LatencyTap",
     "OBS_SCHEMA_VERSION",

@@ -1,12 +1,13 @@
 """Metrics over a live simulator: engine counters sampled into time series.
 
 :class:`MetricsHub` reads the engine's cumulative counters (grants,
-returned credit phits, injections, the routing's local/global misroutes
-and escape-ring hops and entries), per-(kind, VC) occupancy
-(``Simulator.vc_occupancy``) and the in-flight population at each
-bucket boundary (``Simulator.add_sampler``), and observes deliveries
-(``Simulator.add_delivery_observer``), which are stamped at
-tail-ejection completion.  It turns them into
+returned credit phits, injections, the delivery ledger's packets and
+latency sum, the routing's local/global misroutes and escape-ring hops
+and entries), per-(kind, VC) occupancy (``Simulator.vc_occupancy``)
+and the in-flight population at each bucket boundary
+(``Simulator.add_sampler``), and files each delivery's latency by the
+cycle its tail finished ejecting (``Simulator.add_delivery_observer``).
+It turns them into
 
 * running totals (packets, phits, misroutes, ring hops, credits),
 * cycle-bucketed series: throughput, latency mean/percentiles,
@@ -46,25 +47,27 @@ def _percentile(sorted_values, q: float) -> float:
 
 
 class _Bucket:
-    """One ``bucket``-cycle interval: deliveries from the delivery
-    observer, the rest filled from the boundary samples on read-out."""
+    """One ``bucket``-cycle interval: the latencies of the packets whose
+    tails finished ejecting in it, filed by the delivery observer (what
+    keeps a closed bucket's row final); the rest is filled on read-out,
+    from those latencies and the boundary samples."""
 
-    __slots__ = ("injected", "delivered", "delivered_phits", "latency_sum",
-                 "latency_max", "latencies", "grants", "local_misroutes",
+    __slots__ = ("latencies", "delivered", "delivered_phits", "latency_sum",
+                 "latency_max", "injected", "grants", "local_misroutes",
                  "global_misroutes", "ring_hops", "ring_entries",
                  "credit_phits", "occupancy", "inflight")
 
     def __init__(self) -> None:
-        self.delivered = 0
-        self.delivered_phits = 0
-        self.latency_sum = 0
-        self.latency_max = 0
         self.latencies: list[int] = []
 
-    def fill(self, opened: tuple, closed: tuple) -> _Bucket:
+    def fill(self, opened: tuple, closed: tuple, packet_phits: int) -> _Bucket:
         """Counts between the open and close samples; levels at the open."""
+        lat = self.latencies
+        self.delivered, self.latency_sum = len(lat), sum(lat)
+        self.delivered_phits = self.delivered * packet_phits
+        self.latency_max = max(lat, default=0)
         (self.injected, self.grants, self.credit_phits, self.local_misroutes,
-         self.global_misroutes, self.ring_hops, self.ring_entries) = (
+         self.global_misroutes, self.ring_hops, self.ring_entries, *_) = (
             b - a for a, b in zip(opened[0], closed[0]))
         self.occupancy, self.inflight = opened[1], opened[2]
         return self
@@ -75,7 +78,8 @@ class LatencyTap:
 
     Attaches through :meth:`Simulator.add_delivery_observer`, collects
     one latency sample (bare int, delivery order) per ejected packet
-    until detached.  The Session facade uses it for its percentile fields.
+    until detached.  The Session facade uses it for its percentile and
+    maximum fields.
     Memory is O(packets delivered while attached); ``clear()`` after
     warm-up to keep only the measurement window.
     """
@@ -138,6 +142,19 @@ class MetricsHub:
     global_misroutes = _window_total(4, "global misroute grants in the window")
     ring_hops = _window_total(5, "head hops onto the escape ring in the window")
     ring_entries = _window_total(6, "escape-ring entries in the window")
+    delivered = _window_total(7, "packets delivered in the window")
+    latency_cycles = _window_total(8, "total delivery latency (cycles) in the window")
+
+    @property
+    def delivered_phits(self) -> int:
+        """Phits delivered in the window (every packet is the same size)."""
+        return self.delivered * self._packet_phits
+
+    @property
+    def latency_min(self) -> int | None:
+        """Smallest single-packet latency seen (None until a delivery)."""
+        return min((min(b.latencies) for b in self._buckets if b.latencies),
+                   default=None)
 
     def __init__(self, sim, bucket: int = 500) -> None:
         if bucket <= 0:
@@ -156,13 +173,6 @@ class MetricsHub:
         #: baseline for :meth:`verify`)
         self._inflight_at_window_start = self.sim.packets_in_flight
         self._buckets: list[_Bucket] = []
-        self.delivered = 0
-        self.delivered_phits = 0
-        #: total delivery latency (cycles) over the window — the λ·W
-        #: side of the Little's-law identity in :meth:`verify(full=True)`
-        self.latency_cycles = 0
-        #: smallest single-packet latency seen (None until a delivery)
-        self.latency_min: int | None = None
         #: total eject-stamp lead (cycles): deliveries are stamped at
         #: tail-ejection *completion* while the engine removes the
         #: packet from ``packets_in_flight`` at the current cycle, so
@@ -182,7 +192,7 @@ class MetricsHub:
         sim, algo = self.sim, self.sim.algo
         return (sim._next_pid, sim.grants, sim.credit_phits,
                 algo.local_misroutes, algo.global_misroutes, algo.ring_hops,
-                algo.ring_entries)
+                algo.ring_entries, sim.delivered, sim.latency_sum)
 
     def _sample(self) -> tuple:
         """Counters, per-(kind, vc) occupancy and packets in flight."""
@@ -206,42 +216,27 @@ class MetricsHub:
         marks = self._marks
         opened, closed = (marks[i] if i < len(marks) else self._sample()
                           for i in (index, index + 1))
-        return self._bucket_at(index).fill(opened, closed)
+        return self._bucket_at(index).fill(opened, closed, self._packet_phits)
 
     # ------------------------------------------------------------- deliveries
     def on_eject(self, packet, cycle: int) -> None:
-        latency = cycle - packet.birth
-        self._deliver(cycle, (latency,), latency, latency, latency)
+        self._deliver(cycle, (cycle - packet.birth,))
 
     def on_eject_batch(self, latencies, dones) -> None:
         """Batched form of :meth:`on_eject`: a cycle's deliveries as
         latency and completion-cycle arrays, in delivery order.  Every
         packet splits into flits the same way, so every tail flit is the
         same size and a cycle's deliveries all complete at ``dones[0]``."""
-        lats = latencies.tolist()
-        self._deliver(int(dones[0]), lats, sum(lats), max(lats), min(lats))
+        self._deliver(int(dones[0]), latencies.tolist())
 
-    def _deliver(self, cycle: int, latencies, total: int, longest: int,
-                 shortest: int) -> None:
-        """Account packets whose tails finished ejecting at ``cycle``:
-        their ``latencies``, with its sum, maximum and minimum (every
-        packet is ``config.packet_phits`` long)."""
-        n = len(latencies)
-        phits = n * self._packet_phits
-        self.delivered += n
-        self.delivered_phits += phits
-        b = self._bucket_at((cycle - self.start_cycle) // self.bucket)
-        b.delivered += n
-        b.delivered_phits += phits
-        b.latency_sum += total
-        self.latency_cycles += total
+    def _deliver(self, cycle: int, latencies) -> None:
+        """File the ``latencies`` of packets whose tails finished
+        ejecting at ``cycle`` in that cycle's bucket; the window totals
+        come from the engine's ledger."""
+        self._bucket_at((cycle - self.start_cycle) // self.bucket).latencies.extend(
+            latencies)
         if cycle > self.sim.now:
-            self.eject_lead += n * (cycle - self.sim.now)
-        if longest > b.latency_max:
-            b.latency_max = longest
-        if self.latency_min is None or shortest < self.latency_min:
-            self.latency_min = shortest
-        b.latencies.extend(latencies)
+            self.eject_lead += len(latencies) * (cycle - self.sim.now)
 
     # ------------------------------------------------------------- lifecycle
     def reset(self) -> None:

@@ -1,10 +1,11 @@
 """Polling-free state snapshots of a live simulator.
 
 `occupancy_snapshot` and `injection_backlog` are one-shot state reads
-(no per-cycle cost; ``repro point --probe`` prints them).  Time series
-and latency samples come from boundary samplers and delivery observers:
-:class:`~repro.metrics.hub.MetricsHub` and
-:class:`~repro.metrics.hub.LatencyTap`.
+(no per-cycle cost; ``repro point --probe`` prints them).  Window
+totals come from the engine's delivery ledger (``Simulator.ledger``),
+time series from boundary samplers
+(:class:`~repro.metrics.hub.MetricsHub`) and latency samples from
+delivery observers (:class:`~repro.metrics.hub.LatencyTap`).
 """
 
 from __future__ import annotations

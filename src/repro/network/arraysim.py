@@ -124,9 +124,9 @@ call time.  The arrays hear of it at the next flush (at most a cycle
 later, before that cycle's batch, so each injection VC keeps call
 order), which enqueues the whole list in one kernel call and files the
 objects in their slots.
-Deliveries of all-lazy grants are batched too, through
-``StatsCollector.on_delivered_batch`` and the observers' optional
-``on_eject_batch``.
+Deliveries of all-lazy grants are batched too: their sums go straight
+into the simulator's delivery ledger and their latencies to the
+observers' optional ``on_eject_batch``.
 
 **What the allocator reads, and the one integer it keeps** —
 :meth:`ArrayCore._alloc` is a function of the arrays and the cycle.
@@ -639,7 +639,6 @@ class ArrayCore:
         self._enqueue(srcs, dsts, t, _np.arange(pid0, pid0 + nb))
         self.buffered += nb * len(self._flit_sizes)
         sim.packets_in_flight += nb
-        sim.stats.on_generated_batch(nb)
 
     def inject(self, sim, src: int, dst: int, t: int) -> Packet:
         """``Simulator.inject_packet`` on the array state (``src != dst``).
@@ -652,7 +651,6 @@ class ArrayCore:
         sim._next_pid += 1
         self._staged.append(pkt)
         self.buffered += len(self._flit_sizes)
-        sim.stats.on_generated(pkt)
         sim.packets_in_flight += 1
         return pkt
 
@@ -990,21 +988,21 @@ class ArrayCore:
             self._fl_free.extend(wflit[eject].tolist())
             deliver = eject if sf else (eject & tail)
             if deliver.any():
-                stats = sim.stats
                 dslots = pslot[deliver]
                 dones = busy[deliver]
                 # all-lazy deliveries with batch-capable sinks never
-                # materialize a Packet: counters and latency samples are
-                # computed straight from the SoA, in grant order
+                # materialize a Packet: the ledger's sums and the latency
+                # samples come straight from the SoA, in grant order (a
+                # lazy packet took its minimal route: no misroutes)
                 batch_obs = self._delivery_batch_observers(sim)
                 if (batch_obs is not False
                         and bool(self._pk_lazy[dslots].all())):
                     nd = len(dslots)
                     lats = dones - self._pk_birth[dslots]
-                    stats.on_delivered_batch(
-                        nd, nd * self._packet_phits, int(lats.sum()),
-                        int(lats.max()),
-                        int(self._routes.pr_hops[self._pk_rid[dslots]].sum()))
+                    sim.delivered += nd
+                    sim.latency_sum += int(lats.sum())
+                    sim.hops_sum += int(
+                        self._routes.pr_hops[self._pk_rid[dslots]].sum())
                     sim.packets_in_flight -= nd
                     for fn in batch_obs:
                         fn(lats, dones)
@@ -1014,15 +1012,9 @@ class ArrayCore:
                     pobj = self._pkt_obj
                     pk_free = self._pk_free
                     ensure = self._ensure_pkt
+                    deliver_one = sim._deliver
                     for slot_, done in zip(dslots.tolist(), dones.tolist()):
-                        pkt = ensure(slot_)
-                        pkt.delivered_cycle = done
-                        stats.on_delivered(pkt, done)
-                        sim.packets_in_flight -= 1
-                        observers = sim._delivery_observers
-                        if observers:
-                            for observer in observers:
-                                observer(pkt, done)
+                        deliver_one(ensure(slot_), done)
                         pobj[slot_] = None
                         pk_free.append(slot_)
 

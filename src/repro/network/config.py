@@ -76,7 +76,7 @@ class SimConfig:
     #: detour roughly doubles the path, so its queue is compared at this
     #: multiple.  1.0 reproduces the paper's unweighted trigger verbatim;
     #: at the reduced default scale the unweighted trigger over-misroutes
-    #: under uniform traffic (see DESIGN.md §3).
+    #: under uniform traffic (see docs/DESIGN.md §4).
     trigger_global_hop_weight: float = 2.0
     #: allow adaptive mechanisms to take a Valiant detour for intra-group traffic
     allow_global_misroute_local_traffic: bool = True

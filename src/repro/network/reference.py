@@ -5,7 +5,7 @@
 (PR 2) implementation: dict-of-lists event maps keyed by cycle, a full
 scan over all routers every cycle, no idle fast-forward and no
 per-port occupancy counters.  Construction, component resolution,
-wiring, observers and statistics are shared with the live engine.
+wiring, observers and the delivery ledger are shared with the live engine.
 
 It exists for two jobs:
 
@@ -30,7 +30,8 @@ seed's loop is what a :class:`~repro.metrics.hub.MetricsHub` reads —
 the ``grants`` / ``credit_phits`` counters and boundary samplers fired
 at the end of a step — so every engine measures a point the same way
 (``facade.run_point`` always does it through a hub); none of it
-touches a record.
+touches a record.  Deliveries are booked through the shared
+``Simulator._deliver``, so the delivery ledger is the live engine's.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class ReferenceSimulator(Simulator):
         for f in flits:
             vcb.push(f)
         router.pending += len(flits)
-        self.stats.on_generated(pkt)
         self.packets_in_flight += 1
         return pkt
 
@@ -205,13 +205,7 @@ class ReferenceSimulator(Simulator):
                 out.owner[ovc] = None
         if is_eject:
             if flit.is_tail:
-                done = t + flit.size
-                pkt.delivered_cycle = done
-                self.stats.on_delivered(pkt, done)
-                self.packets_in_flight -= 1
-                if self._delivery_observers:
-                    for observer in self._delivery_observers:
-                        observer(pkt, done)
+                self._deliver(pkt, t + flit.size)
         else:
             out.credits[ovc] -= flit.size
             when = t + self.fc.arrival_delay(out.latency, flit) + self._router_latency

@@ -1,4 +1,4 @@
-"""The cycle engine: arrivals, allocation, grants, credits, statistics.
+"""The cycle engine: arrivals, allocation, grants, credits, the delivery ledger.
 
 One :class:`Simulator` owns the routers, the routing algorithm instance
 and the traffic process, and *borrows* the topology: fabrics are
@@ -75,10 +75,10 @@ it the oracle for the skip.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from repro.core import MisroutingTrigger, routing_by_name
 from repro.core.base import RoutingAlgorithm
-from repro.metrics.collector import StatsCollector
 from repro.network import arbitration as _arbitration  # noqa: F401 (registers arbiters)
 from repro.network.config import SimConfig
 from repro.network.corechoice import UNDECIDED, ParkedRouters, select_core
@@ -100,6 +100,22 @@ _NEVER = 1 << 62
 
 class DeadlockError(RuntimeError):
     """Raised when no flit moves for ``deadlock_window`` cycles with traffic in flight."""
+
+
+class Ledger(NamedTuple):
+    """A sample of the engine's cumulative delivery ledger
+    (:meth:`Simulator.ledger`); a window is two samples apart."""
+
+    cycle: int
+    generated: int
+    delivered: int
+    latency_sum: int
+    hops_sum: int
+    local_misroutes: int
+    global_misroutes: int
+
+    def since(self, opened: Ledger) -> Ledger:
+        return Ledger(*(b - a for a, b in zip(opened, self)))
 
 
 @ENGINE_REGISTRY.register(
@@ -161,14 +177,19 @@ class Simulator:
         self.trigger = MisroutingTrigger(config.threshold)
         self.algo = algo_cls(self.topo, config, self.trigger, self.rng_route)
         self.traffic = traffic
-        self.stats = StatsCollector()
         #: hooks ``(packet, cycle) -> None`` fired at tail ejection, in
         #: registration order (see :meth:`add_delivery_observer`)
         self._delivery_observers: list = []
-        #: cumulative counts for boundary samplers, always on (a live
-        #: array core bumps them too)
+        #: cumulative counts, always on (a live array core bumps them
+        #: too): grants and returned credit phits for boundary samplers,
+        #: then the delivery ledger that every window reads (:meth:`ledger`)
         self.grants = 0
         self.credit_phits = 0
+        self.delivered = 0
+        self.latency_sum = 0
+        self.hops_sum = 0
+        self.delivered_local_misroutes = 0
+        self.delivered_global_misroutes = 0
         #: ``[next boundary, fn]`` per sampler, and the earliest boundary
         self._samplers: list[list] = []
         self._sample_at = _NEVER
@@ -356,7 +377,6 @@ class Simulator:
         router.pending += n
         router.wake_at = 0
         self._active.add(sr)
-        self.stats.on_generated(pkt)
         self.packets_in_flight += 1
         return pkt
 
@@ -681,14 +701,7 @@ class Simulator:
                 out.owner[ovc] = None
         if is_eject:
             if flit.is_tail:
-                done = busy
-                pkt.delivered_cycle = done
-                self.stats.on_delivered(pkt, done)
-                self.packets_in_flight -= 1
-                if self._delivery_observers:
-                    # safe without a snapshot: removal rebinds the list
-                    for observer in self._delivery_observers:
-                        observer(pkt, done)
+                self._deliver(pkt, busy)
         else:
             out.credits[ovc] -= size
             when = t + self._fc_arrival_delay(out.latency, flit) + self._router_latency
@@ -710,6 +723,28 @@ class Simulator:
             self._pending_events += 1
         self._last_progress = t
         self.grants += 1
+
+    def _deliver(self, pkt: Packet, done: int) -> None:
+        """Book ``pkt``, whose tail finishes ejecting at ``done``, and
+        tell the delivery observers (every engine's per-packet path)."""
+        pkt.delivered_cycle = done
+        self.delivered += 1
+        self.latency_sum += done - pkt.birth
+        self.hops_sum += pkt.local_hops_total + pkt.g_hops
+        self.delivered_local_misroutes += pkt.local_misroutes
+        if pkt.global_misrouted:
+            self.delivered_global_misroutes += 1
+        self.packets_in_flight -= 1
+        # safe without a snapshot: removal rebinds the list
+        for observer in self._delivery_observers:
+            observer(pkt, done)
+
+    def ledger(self) -> Ledger:
+        """The cycle, packets injected and the delivered packets' sums."""
+        return Ledger(self.now, self._next_pid, self.delivered,
+                      self.latency_sum, self.hops_sum,
+                      self.delivered_local_misroutes,
+                      self.delivered_global_misroutes)
 
     # ------------------------------------------------------------ utilities
     def total_buffered_flits(self) -> int:

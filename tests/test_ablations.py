@@ -1,6 +1,6 @@
 """Ablations of the design choices around the contribution.
 
-Not paper figures — these probe the knobs DESIGN.md calls out, each as
+Not paper figures — these probe the knobs docs/DESIGN.md §5 calls out, each as
 a throughput floor or spread at h=2 over 600 + 600 cycles (the cheapest
 windows at which the margins of the original 1 200-cycle runs hold):
 
@@ -14,6 +14,7 @@ windows at which the margins of the original 1 200-cycle runs hold):
 
 import pytest
 
+from repro.facade import Session
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.traffic.patterns import AdversarialGlobal, UniformRandom
@@ -24,9 +25,7 @@ def throughput(pattern, load: float, **config) -> float:
     sim = Simulator(SimConfig(h=2, seed=5, **config),
                     BernoulliTraffic(pattern, load))
     sim.run(600)
-    sim.stats.reset(sim.now)
-    sim.run(600)
-    return sim.stats.throughput(sim.topo.num_nodes, sim.now)
+    return Session(sim=sim).measure(600).throughput
 
 
 @pytest.mark.parametrize("arrangement", ["palmtree", "consecutive"])

@@ -53,7 +53,7 @@ def test_policies_conserve_and_are_deterministic(policy):
         sim.run(900)
         sim.traffic = None
         sim.run_until_drained(150000)
-        return (sim.stats.delivered, sim.stats.latency_sum)
+        return (sim.delivered, sim.latency_sum)
 
     first, second = run(), run()
     assert first == second

@@ -95,7 +95,7 @@ def test_the_ledgers_hold_every_25_cycles(fabric, run):
         watched.step()
     assert_core_ledgers(watched.core)
     assert set(watched.first_cycle) >= expected, watched.first_cycle
-    assert sim.stats.generated > 0 and sim._core is watched.core
+    assert sim.ledger().generated > 0 and sim._core is watched.core
 
 
 def _link_vc(core, want_flits: bool) -> tuple[int, int]:

@@ -8,6 +8,7 @@ from repro.analysis import (
     advl_minimal_bound,
     uniform_capacity,
 )
+from repro.facade import Session
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.traffic.patterns import AdversarialGlobal, AdversarialLocal
@@ -18,9 +19,7 @@ def throughput(routing, pattern, load, h=2, warmup=2500, measure=2500, **over):
     cfg = SimConfig(h=h, routing=routing, seed=3, **over)
     sim = Simulator(cfg, BernoulliTraffic(pattern, load))
     sim.run(warmup)
-    sim.stats.reset(sim.now)
-    sim.run(measure)
-    return sim.stats.throughput(sim.topo.num_nodes, sim.now)
+    return Session(sim=sim).measure(measure).throughput
 
 
 def test_bound_formulas():

@@ -31,7 +31,6 @@ from helpers import (
 )
 
 from repro.facade import session
-from repro.metrics.collector import StatsCollector
 from repro.network.config import SimConfig
 from repro.network.simulator import build_simulator
 from repro.topology import PortKind
@@ -78,23 +77,20 @@ def test_a_ragged_batch_is_refused():
                           _BadProcess([3, 5, 7], [4, 6]))
     with pytest.raises(ValueError, match="must differ"):
         sim.step()
-    assert sim.stats.generated == 0 and sim._core.buffered == 0
+    assert sim.ledger().generated == 0 and sim._core.buffered == 0
 
 
-class _CountingStats(StatsCollector):
-    __slots__ = ("scalar_calls", "batch_calls")
+class _CountingObserver:
+    """A batch-capable delivery observer counting its calls by form."""
 
     def __init__(self):
-        super().__init__()
         self.scalar_calls = self.batch_calls = 0
 
-    def on_delivered(self, packet, now):
+    def on_eject(self, packet, now):
         self.scalar_calls += 1
-        super().on_delivered(packet, now)
 
-    def on_delivered_batch(self, *counts):
+    def on_eject_batch(self, latencies, dones):
         self.batch_calls += 1
-        super().on_delivered_batch(*counts)
 
 
 @pytest.mark.parametrize("fragment", [{}, _WH], ids=["vct", "wh"])
@@ -105,11 +101,12 @@ def test_a_bernoulli_window_with_batch_observers_builds_no_packet(fragment):
     s = session(SimConfig(h=2, routing="minimal", engine="auto", seed=11,
                           **fragment))
     s.with_traffic(BernoulliTraffic(pattern_by_name("uniform", s.sim.topo), 0.5))
-    stats = s.sim.stats = _CountingStats()
+    calls = _CountingObserver()
+    s.sim.add_delivery_observer(calls.on_eject)
     s.run(400)
     core = s.sim._core
     assert core is not None
-    assert stats.delivered > 50 and stats.batch_calls and not stats.scalar_calls
+    assert s.sim.delivered > 50 and calls.batch_calls and not calls.scalar_calls
     assert all(pkt is None for pkt in core._pkt_obj)
     assert not core._pk_lazy[np.asarray(core._pk_free, int)].any()
     assert_core_ledgers(core)
@@ -117,22 +114,23 @@ def test_a_bernoulli_window_with_batch_observers_builds_no_packet(fragment):
 
 @pytest.mark.parametrize("fragment", [{}, _WH], ids=["vct", "wh"])
 def test_a_hand_injection_counts_when_it_is_made(fragment):
-    """``stats.reset()`` between ``inject_packet`` and the next ``step``
-    (what ``Session.measure`` does after a warm-up) drops the packet from
-    ``generated`` on both engines: the core stages the arrays, never the
-    statistics."""
+    """A window opened between ``inject_packet`` and the next ``step``
+    (what ``Session.reset`` does after a warm-up) leaves the packet out
+    of its ``generated`` on both engines: the core stages the arrays,
+    never the ledger."""
     seen = {}
     for engine in ("wheel", "auto"):
         sim = build_simulator(SimConfig(h=2, routing="minimal", engine=engine,
                                         **fragment))
         first = sim.inject_packet(0, 9)
-        assert (sim.stats.generated, sim.packets_in_flight) == (1, 1)
+        assert (sim.ledger().generated, sim.packets_in_flight) == (1, 1)
         assert sim.total_buffered_flits() == (4 if fragment else 1)
-        sim.stats.reset(sim.now)
+        opened = sim.ledger()
         second = sim.inject_packet(0, 17)
         sim.run_until_drained(10_000)
         assert (sim._core is not None) == (engine == "auto")
-        seen[engine] = (sim.stats.generated, sim.stats.delivered, first.pid,
+        window = sim.ledger().since(opened)
+        seen[engine] = (window.generated, window.delivered, first.pid,
                         second.pid, first.delivered_cycle, second.delivered_cycle)
     assert seen["auto"] == seen["wheel"]
     assert seen["wheel"][:2] == (1, 2)
@@ -155,7 +153,7 @@ def test_the_wheel_ledgers_hold_every_25_cycles(fabric, routing, fragment):
     for _ in range(12):
         sim.run(25)
         assert_wheel_ledgers(sim)
-    assert sim.stats.delivered > 0 and sim.total_buffered_flits() > 0
+    assert sim.delivered > 0 and sim.total_buffered_flits() > 0
 
 
 def _link(sim, want_flits: bool):
@@ -303,4 +301,4 @@ def test_what_materialize_hands_over_satisfies_the_wheel_ledgers(
     sim.traffic = None
     sim.run_until_drained(200_000)
     assert_wheel_ledgers(sim)
-    assert sim.stats.delivered == sim.stats.generated > 0
+    assert sim.delivered == sim.ledger().generated > 0

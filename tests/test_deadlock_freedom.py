@@ -33,7 +33,7 @@ def stress(routing, flow_control, pattern, seed, *, packet=8, flit=4):
     sim.traffic = None
     sim.run_until_drained(600000)
     assert_wheel_ledgers(sim)
-    assert sim.stats.delivered == sim.stats.generated
+    assert sim.delivered == sim.ledger().generated
 
 
 @pytest.mark.parametrize("pattern", [AdversarialGlobal(2)], ids=["advg2"])

@@ -45,7 +45,7 @@ def test_run_survives_long_link_flight():
     src, dst = far_pair(sim)
     sim.inject_packet(src, dst)
     sim.run(10_000)  # window elapses several times while the flit is on the wire
-    assert sim.stats.delivered == 1
+    assert sim.delivered == 1
 
 
 def test_seed_engine_had_the_false_positive():

@@ -198,6 +198,6 @@ def test_fast_forward_follows_trace_injections():
         sim.add_delivery_observer(lambda pkt, now: delivered.append(
             (pkt.pid, pkt.src, pkt.dst, pkt.birth, now, tuple(pkt.hops_log))))
         drained = sim.run_until_drained(100_000)
-        return drained, delivered, sim.stats.as_dict(sim.topo.num_nodes, sim.now)
+        return drained, delivered, sim.ledger()
 
     assert run(Simulator) == run(ReferenceSimulator)

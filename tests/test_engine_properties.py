@@ -36,7 +36,7 @@ def test_random_vct_runs_conserve_packets(routing, pattern, load, seed, threshol
     sim.run(400)
     sim.traffic = None
     sim.run_until_drained(300000)
-    assert sim.stats.delivered == sim.stats.generated
+    assert sim.delivered == sim.ledger().generated
     assert sim.packets_in_flight == 0
     assert sim.total_buffered_flits() == 0
     for router in sim.routers:
@@ -58,7 +58,7 @@ def test_random_wh_runs_conserve_packets(routing, flit, seed):
     sim.run(400)
     sim.traffic = None
     sim.run_until_drained(300000)
-    assert sim.stats.delivered == sim.stats.generated
+    assert sim.delivered == sim.ledger().generated
     assert sim.total_buffered_flits() == 0
 
 
@@ -255,7 +255,7 @@ def _run_hand_script(fabric, script, engine, *, wh, arbitration, record_hops,
     assert (sim._core is not None) == (engine == "auto")
     return (log, [(pkt.pid, pkt.birth, pkt.delivered_cycle, pkt.hops_log)
                   for pkt in mine],
-            repr(sim.stats.as_dict(n, sim.now)), sim.now)  # repr: NaNs compare
+            sim.ledger())
 
 
 @given(fabric=st.sampled_from(_SHARED_FABRICS), script=_hand_script,

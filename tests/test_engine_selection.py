@@ -369,7 +369,7 @@ def _run(cfg: SimConfig, leave=None, at: int | None = None):
     sim.traffic = None
     drained = sim.run_until_drained(50_000)
     assert sim.total_buffered_flits() == 0
-    return log, drained, sim.now, sim.stats.as_dict(sim.topo.num_nodes, sim.now)
+    return log, drained, sim.now, sim.ledger()
 
 
 @pinned
@@ -410,7 +410,7 @@ def _saturated_h3(cfg: SimConfig, leave=None, at: int | None = None,
     sim.run_until_drained(50_000)
     assert sim.total_buffered_flits() == 0
     tail = [sim.rng_traffic.getrandbits(32) for _ in range(100)]
-    return (log, sim.stats.as_dict(sim.topo.num_nodes, sim.now), tail), windows
+    return (log, sim.ledger(), tail), windows
 
 
 @pinned
@@ -465,7 +465,7 @@ def _spy_run(cfg: SimConfig, leave_at: int | None = None):
             state = sim.rng_traffic.getstate()
         sim.step()
         rng_types.append(type(sim.rng_traffic))
-    outcome = (log, sim.stats.as_dict(sim.topo.num_nodes, sim.now))
+    outcome = (log, sim.ledger())
     return sim, traffic.calls, rng_types, outcome, state
 
 

@@ -1,63 +1,83 @@
-"""StatsCollector arithmetic and the misrouting trigger."""
+"""Window arithmetic of ``RunResult`` over the delivery ledger, and the
+misrouting trigger."""
 
 import math
 
 import pytest
 
 from repro.core.trigger import MisroutingTrigger
-from repro.metrics.collector import StatsCollector
-from repro.network.packet import Packet
+from repro.facade import Session
+from repro.network.config import SimConfig
 
 
-def pkt(size=8, birth=0):
-    p = Packet(0, 0, 9, size, birth, 0, 0, 4, 1)
-    return p
+@pytest.fixture
+def s():
+    """A session over an h=2 wheel with no traffic (72 nodes, 8-phit
+    packets): the ledger moves only by hand."""
+    session = Session(SimConfig(h=2, routing="minimal"))
+    yield session
+    session.close()
 
 
-def test_collector_empty_readouts():
-    c = StatsCollector()
-    assert math.isnan(c.mean_latency())
-    assert math.isnan(c.mean_hops())
-    assert c.throughput(10, 100) == 0.0
-    assert c.throughput(10, 0) == 0.0
+def _inject(s, *births):
+    """One hand-injected packet per birth cycle, left in its source
+    queue: the tests book each delivery themselves."""
+    return [s.sim.inject_packet(i, 9, now=birth) for i, birth in enumerate(births)]
 
 
-def test_collector_accumulates():
-    c = StatsCollector()
-    c.reset(100)
-    p1, p2 = pkt(birth=100), pkt(birth=120)
+def test_empty_window_readouts(s):
+    empty = s.measure(0)
+    assert (empty.window_cycles, empty.delivered, empty.max_latency) == (0, 0, 0)
+    assert empty.throughput == 0.0
+    s.run(100)
+    idle = s.measure(0)
+    assert idle.window_cycles == 100 and idle.throughput == 0.0
+    for r in (empty, idle):
+        for name in ("mean_latency", "mean_hops", "local_misroute_rate",
+                     "global_misroute_fraction", "latency_p50", "latency_p99"):
+            assert math.isnan(getattr(r, name)), name
+
+
+def test_window_accumulates(s):
+    s.run(100)
+    s.reset()
+    p1, p2 = _inject(s, 100, 120)
     p1.local_hops_total, p1.g_hops = 2, 1
     p2.global_misrouted = True
     p2.local_misroutes = 2
-    c.on_generated(p1)
-    c.on_generated(p2)
-    c.on_delivered(p1, 150)  # latency 50
-    c.on_delivered(p2, 200)  # latency 80
-    assert c.generated == 2 and c.delivered == 2
-    assert c.mean_latency() == pytest.approx(65.0)
-    assert c.latency_max == 80
-    assert c.delivered_phits == 16
-    # throughput over window [100, 200) with 4 nodes
-    assert c.throughput(4, 200) == pytest.approx(16 / (4 * 100))
-    assert c.local_misroute_rate() == pytest.approx(1.0)
-    assert c.global_misroute_fraction() == pytest.approx(0.5)
-    assert c.mean_hops() == pytest.approx(1.5)
+    s.sim._deliver(p1, 150)  # latency 50
+    s.sim._deliver(p2, 200)  # latency 80
+    s.sim.now = 200
+    r = s.measure(0)
+    assert (r.start_cycle, r.end_cycle) == (100, 200)
+    assert r.generated == 2 and r.delivered == 2
+    assert s.sim.packets_in_flight == 0 and p2.delivered_cycle == 200
+    assert r.mean_latency == 65.0
+    assert r.max_latency == 80 and r.latency_p50 == 50.0 and r.latency_p99 == 80.0
+    assert r.delivered_phits == 16
+    # throughput over window [100, 200) with 72 nodes
+    assert r.throughput == 16 / (72 * 100)
+    assert r.local_misroute_rate == 1.0
+    assert r.global_misroute_fraction == 0.5
+    assert r.mean_hops == 1.5
 
 
-def test_collector_reset_zeroes():
-    c = StatsCollector()
-    c.on_generated(pkt())
-    c.on_delivered(pkt(), 10)
-    c.reset(500)
-    assert c.generated == 0 and c.delivered == 0
-    assert c.window_start == 500
+def test_reset_opens_an_empty_window(s):
+    (pkt,) = _inject(s, 0)
+    s.sim._deliver(pkt, 10)
+    s.sim.now = 500
+    assert s.measure(0).delivered == 1
+    s.reset()
+    r = s.measure(0)
+    assert r.generated == 0 and r.delivered == 0
+    assert r.start_cycle == 500 and math.isnan(r.mean_latency)
 
 
-def test_collector_as_dict_keys():
-    c = StatsCollector()
-    d = c.as_dict(4, 100)
-    for key in ("generated", "delivered", "mean_latency", "throughput",
-                "local_misroute_rate", "global_misroute_fraction", "mean_hops"):
+def test_run_result_keys(s):
+    d = s.measure(0).to_dict()
+    for key in ("generated", "delivered", "delivered_phits", "mean_latency",
+                "max_latency", "throughput", "local_misroute_rate",
+                "global_misroute_fraction", "mean_hops"):
         assert key in d
 
 

@@ -49,7 +49,7 @@ def test_ring_counters_count_escape_vc_head_hops_in_the_hop_logs():
     sim.run(1200)
     sim.traffic = None
     sim.run_until_drained(50_000)
-    assert len(logs) == sim.stats.delivered
+    assert len(logs) == sim.delivered
     hops = entries = 0
     for log in logs:
         on_ring = False
@@ -82,13 +82,13 @@ def test_taps_do_not_change_simulated_records():
         sim = _sim(seed=13)
         hub = MetricsHub(sim, bucket=100) if with_hub else None
         sim.run(1500)
-        return sim.stats.as_dict(sim.topo.num_nodes, sim.now), hub
+        return sim.ledger(), hub
 
     bare, _ = run(False)
     tapped, hub = run(True)
     assert bare == tapped
-    assert hub.delivered == tapped["delivered"]
-    assert hub.injected == tapped["generated"]
+    assert hub.delivered == tapped.delivered
+    assert hub.injected == tapped.generated
 
 
 def test_golden_record_unchanged_with_hub_attached():
@@ -109,7 +109,7 @@ def test_golden_record_unchanged_with_hub_attached():
 
 
 # ------------------------------------------------------------------- the hub
-def test_hub_series_totals_match_collector():
+def test_hub_series_totals_match_the_ledger():
     sim = _sim(seed=9)
     hub = MetricsHub(sim, bucket=300)
     sim.run(3000)
@@ -117,13 +117,13 @@ def test_hub_series_totals_match_collector():
     assert len(s["throughput"]) == 10
     # deliveries are stamped at tail-ejection *completion* (t + size), so
     # packets completing just past the window end fall into the next
-    # bucket: series totals trail the collector by at most one in-flight
+    # bucket: series totals trail the ledger by at most one in-flight
     # serialization worth of packets
-    spill = sim.stats.delivered - sum(s["delivered"])
+    spill = sim.delivered - sum(s["delivered"])
     assert 0 <= spill <= sim.topo.num_nodes
     assert sum(b * 72 * 300 for b in s["throughput"]) == pytest.approx(
-        sim.stats.delivered_phits - spill * sim.config.packet_phits)
-    assert sum(s["injected"]) == sim.stats.generated
+        (sim.delivered - spill) * sim.config.packet_phits)
+    assert sum(s["injected"]) == sim.ledger().generated
     # percentile series present and ordered where the bucket delivered
     for p50, p99, mx in zip(s["latency_p50"], s["latency_p99"], s["latency_max"]):
         if not math.isnan(p50):
@@ -269,7 +269,7 @@ def test_warmup_until_steady_detects_and_resets():
     assert 0 < info["cycles"] < 20_000
     assert info["cycles"] % 250 == 0
     assert info["steady_throughput"] == pytest.approx(0.3, rel=0.15)
-    assert s.sim.stats.window_start == s.now  # window reset
+    assert s.measure(0).start_cycle == s.now  # window reset
 
 
 def test_warmup_until_steady_zero_load_short_circuits():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.facade import Session
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.topology import Dragonfly
@@ -54,7 +55,7 @@ def test_ofar_delivers_and_drains(pattern):
     sim.run(1500)
     sim.traffic = None
     sim.run_until_drained(300000)
-    assert sim.stats.delivered == sim.stats.generated
+    assert sim.delivered == sim.ledger().generated
 
 
 def test_ofar_uses_escape_under_congestion():
@@ -92,7 +93,7 @@ def test_ofar_no_deadlock_tight_buffers():
     sim.run(2000)
     sim.traffic = None
     sim.run_until_drained(600000)
-    assert sim.stats.delivered == sim.stats.generated
+    assert sim.delivered == sim.ledger().generated
 
 
 def test_paper_claim_olm_beats_ofar_when_congested():
@@ -102,8 +103,6 @@ def test_paper_claim_olm_beats_ofar_when_congested():
         cfg = SimConfig(h=2, routing=routing, seed=7)
         sim = Simulator(cfg, BernoulliTraffic(AdversarialGlobal(2), 0.8))
         sim.run(2500)
-        sim.stats.reset(sim.now)
-        sim.run(2500)
-        return sim.stats.throughput(sim.topo.num_nodes, sim.now)
+        return Session(sim=sim).measure(2500).throughput
 
     assert saturation("olm") >= 0.95 * saturation("ofar")

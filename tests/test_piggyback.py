@@ -1,5 +1,6 @@
 """Piggybacking behaviour: flags, staleness, injection-time decisions."""
 
+from repro.facade import Session
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.traffic.patterns import AdversarialGlobal, AdversarialLocal, UniformRandom
@@ -27,9 +28,7 @@ def test_advg_flags_divert_to_valiant():
     sim = pb_sim()
     sim.traffic = BernoulliTraffic(AdversarialGlobal(1), 0.6)
     sim.run(3000)
-    sim.stats.reset(sim.now)
-    sim.run(1500)
-    assert sim.stats.global_misroute_fraction() > 0.3
+    assert Session(sim=sim).measure(1500).global_misroute_fraction > 0.3
 
 
 def test_flags_update_periodically():
@@ -65,11 +64,10 @@ def test_local_traffic_uses_valiant_under_backlog():
     sim = pb_sim(h=3)
     sim.traffic = BernoulliTraffic(AdversarialLocal(1), 0.8)
     sim.run(2500)
-    sim.stats.reset(sim.now)
-    sim.run(2000)
+    result = Session(sim=sim).measure(2000)
     # minimal-only bound is 1/h = 1/3; PB must beat it via Valiant detours
-    assert sim.stats.global_misroute_fraction() > 0.5
-    assert sim.stats.throughput(sim.topo.num_nodes, sim.now) > 0.34
+    assert result.global_misroute_fraction > 0.5
+    assert result.throughput > 0.34
 
 
 def test_mode_decided_once_and_committed():

@@ -39,7 +39,6 @@ PUBLIC_MODULES = [
     "repro.traffic.processes",
     "repro.traffic.extra",
     "repro.metrics",
-    "repro.metrics.collector",
     "repro.metrics.statistics",
     "repro.metrics.probes",
     "repro.metrics.hub",

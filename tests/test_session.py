@@ -38,12 +38,30 @@ def test_session_matches_manual_simulator_loop():
 
     sim.traffic = BernoulliTraffic(pattern_by_name("advg+1", sim.topo), 0.2)
     sim.run(600)
-    sim.stats.reset(sim.now)
+    opened = sim.ledger()
     sim.run(600)
-    assert facade.delivered == sim.stats.delivered
-    assert facade.mean_latency == pytest.approx(sim.stats.mean_latency())
-    assert facade.throughput == pytest.approx(
-        sim.stats.throughput(sim.topo.num_nodes, sim.now))
+    window = sim.ledger().since(opened)
+    assert window.cycle == 600
+    assert facade.delivered == window.delivered
+    assert facade.mean_latency == window.latency_sum / window.delivered
+    assert facade.throughput == (window.delivered * cfg.packet_phits
+                                 / (sim.topo.num_nodes * window.cycle))
+
+
+def test_a_session_over_a_run_simulator_opens_its_window_when_built():
+    """The window starts at the session's construction: totals, maximum
+    and percentiles all cover the same packets, never the cycles the
+    simulator ran before."""
+    sim = repro.build_simulator(SimConfig(h=2, routing="olm", seed=3),
+                                BernoulliTraffic(UniformRandom(), 0.3))
+    sim.run(2000)
+    injected = sim._next_pid
+    s = Session(sim=sim)
+    result = s.measure(10)
+    assert result.start_cycle == 2000 and result.window_cycles == 10
+    assert result.delivered == len(s._probe.latencies) > 0
+    assert result.max_latency == max(s._probe.latencies) >= result.latency_p99
+    assert result.generated == sim._next_pid - injected
 
 
 def test_session_drain_reports_drain_cycles():
@@ -64,7 +82,7 @@ def test_session_chaining_and_accessors():
     assert s.bernoulli("uniform", 0.1) is s
     assert s.run(50) is s and s.now == 50
     assert s.warmup(50) is s and s.now == 100
-    assert s.sim.stats.window_start == 100
+    assert s.measure(0).start_cycle == 100
 
 
 def test_session_argument_validation():
@@ -106,12 +124,12 @@ def test_multiple_delivery_observers_all_fire():
         seen_b.append((pkt.pid, now))
 
     sim.run(600)
-    assert seen_a and len(seen_a) == len(seen_b) == sim.stats.delivered
+    assert seen_a and len(seen_a) == len(seen_b) == sim.delivered
     sim.remove_delivery_observer(_record)
     before = len(seen_b)
     sim.run(200)
     assert len(seen_b) == before  # detached
-    assert len(seen_a) == sim.stats.delivered  # still attached
+    assert len(seen_a) == sim.delivered  # still attached
 
 
 def test_observers_fire_in_registration_order():
@@ -140,7 +158,7 @@ def test_observer_may_detach_itself_without_skipping_others():
     sim.run(400)
     assert events == ["one_shot"]
     # the observer registered after the self-removing one still saw every delivery
-    assert len(after) == sim.stats.delivered > 1
+    assert len(after) == sim.delivered > 1
 
 
 def test_session_close_detaches_from_prebuilt_sim():
@@ -162,8 +180,8 @@ def test_latency_tap_observer():
                                 BernoulliTraffic(UniformRandom(), 0.2))
     probe = LatencyTap(sim)
     sim.run(500)
-    assert len(probe.latencies) == sim.stats.delivered > 0
-    assert max(probe.latencies) == sim.stats.latency_max
+    assert len(probe.latencies) == sim.delivered > 0
+    assert sum(probe.latencies) == sim.latency_sum
     probe.detach()
     probe.detach()  # idempotent
     count = len(probe.latencies)

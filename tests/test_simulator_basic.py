@@ -68,7 +68,7 @@ def test_conservation_all_mechanisms(routing):
     sim.run(1500)
     sim.traffic = None  # stop sources, drain
     sim.run_until_drained(100000)
-    assert sim.stats.delivered == sim.stats.generated
+    assert sim.delivered == sim.ledger().generated
     assert sim.packets_in_flight == 0
     assert sim.total_buffered_flits() == 0
     # all credits returned eventually

@@ -98,14 +98,14 @@ def test_bernoulli_load_statistics():
     sim.traffic = BernoulliTraffic(UniformRandom(), 0.5)
     sim.run(2000)
     expected = 0.5 / sim.config.packet_phits * sim.topo.num_nodes * 2000
-    assert abs(sim.stats.generated - expected) < 0.15 * expected
+    assert abs(sim.ledger().generated - expected) < 0.15 * expected
 
 
 def test_bernoulli_zero_load_generates_nothing():
     sim = build_sim("minimal", record_hops=False)
     sim.traffic = BernoulliTraffic(UniformRandom(), 0.0)
     sim.run(300)
-    assert sim.stats.generated == 0
+    assert sim.ledger().generated == 0
     with pytest.raises(ValueError):
         BernoulliTraffic(UniformRandom(), -0.1)
 
@@ -114,9 +114,9 @@ def test_burst_injects_once():
     sim = build_sim("minimal", record_hops=False)
     sim.traffic = BurstTraffic(UniformRandom(), 5)
     sim.run(3)
-    assert sim.stats.generated == 5 * sim.topo.num_nodes
+    assert sim.ledger().generated == 5 * sim.topo.num_nodes
     sim.run(50)
-    assert sim.stats.generated == 5 * sim.topo.num_nodes  # no re-injection
+    assert sim.ledger().generated == 5 * sim.topo.num_nodes  # no re-injection
     with pytest.raises(ValueError):
         BurstTraffic(UniformRandom(), 0)
 
@@ -125,5 +125,5 @@ def test_burst_drains_completely():
     sim = build_sim("olm", record_hops=False)
     sim.traffic = BurstTraffic(AdversarialLocal(1), 4)
     cycles = sim.run_until_drained(200000)
-    assert sim.stats.delivered == 4 * sim.topo.num_nodes
+    assert sim.delivered == 4 * sim.topo.num_nodes
     assert cycles > 0

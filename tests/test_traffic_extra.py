@@ -70,15 +70,15 @@ def test_trace_replay_injection_order():
     trace = TraceReplay([(0, 0, 9), (0, 1, 12), (5, 2, 30), (100, 3, 40)])
     sim.traffic = trace
     sim.run(1)
-    assert sim.stats.generated == 2
+    assert sim.ledger().generated == 2
     sim.run(5)
-    assert sim.stats.generated == 3
+    assert sim.ledger().generated == 3
     sim.run(100)
-    assert sim.stats.generated == 4
+    assert sim.ledger().generated == 4
     assert trace.exhausted
     sim.traffic = None
     sim.run_until_drained(50000)
-    assert sim.stats.delivered == 4
+    assert sim.delivered == 4
 
 
 def test_trace_replay_skips_self_traffic_and_comments(tmp_path):
@@ -88,7 +88,7 @@ def test_trace_replay_skips_self_traffic_and_comments(tmp_path):
     sim = build_sim("minimal", record_hops=False)
     sim.traffic = trace
     sim.run(10)
-    assert sim.stats.generated == 2  # the 5->5 record is dropped
+    assert sim.ledger().generated == 2  # the 5->5 record is dropped
 
 
 def test_trace_drain_waits_for_future_phases():
@@ -98,7 +98,7 @@ def test_trace_drain_waits_for_future_phases():
     sim.traffic = trace
     cycles = sim.run_until_drained(50000)
     assert cycles > 500  # waited for the second phase
-    assert sim.stats.delivered == 2
+    assert sim.delivered == 2
     assert trace.exhausted
 
 
@@ -126,4 +126,4 @@ def test_extra_patterns_drive_simulation():
         sim.run(600)
         sim.traffic = None
         sim.run_until_drained(100000)
-        assert sim.stats.delivered == sim.stats.generated > 0
+        assert sim.delivered == sim.ledger().generated > 0

@@ -1,6 +1,6 @@
 """UGAL-style hop weighting of global misroute candidates."""
 
-
+from repro.facade import Session
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator
 from repro.traffic.patterns import AdversarialGlobal, UniformRandom
@@ -11,9 +11,7 @@ def misroute_fraction(weight: float, pattern, load: float) -> float:
     cfg = SimConfig(h=2, routing="olm", trigger_global_hop_weight=weight, seed=3)
     sim = Simulator(cfg, BernoulliTraffic(pattern, load))
     sim.run(1200)
-    sim.stats.reset(sim.now)
-    sim.run(1200)
-    return sim.stats.global_misroute_fraction()
+    return Session(sim=sim).measure(1200).global_misroute_fraction
 
 
 def test_default_weight_is_ugal():
@@ -39,8 +37,6 @@ def test_weighting_helps_uniform_throughput():
         cfg = SimConfig(h=2, routing="olm", trigger_global_hop_weight=weight, seed=3)
         sim = Simulator(cfg, BernoulliTraffic(UniformRandom(), 0.9))
         sim.run(1500)
-        sim.stats.reset(sim.now)
-        sim.run(1500)
-        return sim.stats.throughput(sim.topo.num_nodes, sim.now)
+        return Session(sim=sim).measure(1500).throughput
 
     assert thr(2.0) >= thr(1.0)

@@ -88,7 +88,9 @@ proves that a point on a borrowed fabric emits the bytes of a point on
 its own.  ``second_point_same_fabric_*`` (minimal, uniform, 120 + 120
 cycles at h=3 and h=4, construction inside the clock) is the number a
 sweep cares about: the first point of a fresh process against its
-replica on the now-warm fabric.
+replica on the now-warm fabric.  The array core (and numpy with it) is
+imported before the first row, so no row's clock holds a one-time
+import.
 
 Speed gates are ``{"metric", "operator", "value"}`` targets; every
 gated row reports ``gate_met`` and the report lists the misses, but a
@@ -563,6 +565,10 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out or (None if args.smoke else "BENCH_engine.json")
     previous = _previous_rows(out)
+    # the process's first core point would otherwise pay the one-time
+    # numpy and array-core imports inside its clock, and a one-run
+    # ``--smoke`` row would read that cost as the core losing the point
+    import repro.network.arraysim  # noqa: F401
     rows, mismatches, rng_drift, missed, off_core = [], [], [], [], []
     for sc in scenarios(args.smoke):
         if sc["kind"] == "rule":
