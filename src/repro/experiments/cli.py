@@ -302,29 +302,24 @@ def _run_point(args) -> int:
     except (ValueError, OSError) as e:  # unknown engine, unreadable --config
         print(f"error: {e}", file=sys.stderr)
         return 2
-    s = session(config, pattern=args.pattern, load=args.load)
+    s = session(config, pattern=args.pattern, load=args.load,
+                bucket=250 if args.series is None else args.series)
     if args.auto_warmup:
         s.warmup_until_steady(max_cycles=args.warmup)
     else:
         s.warmup(args.warmup)
-    bucket = args.series if args.series is not None else (250 if args.jsonl else None)
-    if bucket is not None:
-        meta = {"pattern": args.pattern, "load": args.load,
-                "config_hash": config.content_hash()}
-        sr = s.measure_series(args.measure, bucket=bucket, meta=meta)
-        result = sr.result
-    else:
-        sr = None
-        result = s.measure(args.measure)
+    meta = {"pattern": args.pattern, "load": args.load,
+            "config_hash": config.content_hash()}
+    sr = s.measure_series(args.measure, meta=meta)
     payload = {
         "config": config.to_dict(),
         "pattern": args.pattern,
         "load": args.load,
-        "result": strict_jsonable(result.to_dict()),
+        "result": strict_jsonable(sr.result.to_dict()),
     }
     if args.auto_warmup:
         payload["auto_warmup"] = strict_jsonable(dict(s.auto_warmup))
-    if sr is not None:
+    if args.series is not None or args.jsonl:
         payload["series"] = strict_jsonable({
             "bucket": sr.bucket, "start_cycle": sr.start_cycle, **sr.series})
     if args.probe:
@@ -335,12 +330,7 @@ def _run_point(args) -> int:
             "injection_backlog": injection_backlog(s.sim),
         })
     if args.jsonl:
-        from repro.metrics.hub import jsonl_line
-
-        path = Path(args.jsonl)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(jsonl_line(r) for r in sr.records) + "\n")
-        payload["jsonl"] = str(path)
+        payload["jsonl"] = str(s.hub.write_jsonl(args.jsonl, meta=meta))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.json:
         save_result(payload, args.json)

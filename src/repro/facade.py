@@ -11,17 +11,17 @@ The canonical way to run a simulation::
 A :class:`Session` owns one live :class:`~repro.network.simulator.Simulator`
 and exposes the warm-up / measure / drain workflow; every measurement
 returns an immutable :class:`RunResult` snapshot (latency mean and
-percentiles, throughput, misroute fractions, drain cycles), the
-difference of two samples of the engine's delivery ledger
-(``Simulator.ledger``).  The raw simulator stays reachable through
-``session.sim`` for low-level work.
+percentiles, throughput, misroute fractions, drain cycles) of the
+session's :class:`~repro.metrics.hub.MetricsHub`: a delivery-ledger
+difference and the window's latencies.  The raw simulator stays
+reachable through ``session.sim`` for low-level work.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from repro.metrics.hub import LatencyTap, MetricsHub, _percentile
+from repro.metrics.hub import MetricsHub, _percentile
 from repro.metrics.statistics import recovery_time, steady_state_reached
 from repro.network.config import SimConfig
 from repro.network.simulator import Simulator, build_simulator
@@ -99,8 +99,7 @@ class SeriesResult:
     :meth:`repro.metrics.hub.MetricsHub.series`); ``records`` is the
     structured meta/bucket/summary row stream of the JSONL schema;
     ``verify`` is the window's flow-conservation report
-    (:meth:`repro.metrics.hub.MetricsHub.verify`), captured before the
-    hub detaches.
+    (:meth:`repro.metrics.hub.MetricsHub.verify`) at the window's end.
     """
 
     result: RunResult
@@ -124,11 +123,11 @@ class Session:
 
     Chainable: ``session(cfg, pattern="uniform", load=0.5)
     .warmup(2000).measure(2000)``.  All durations are in cycles and
-    offered loads in phits/(node·cycle).  The measurement window opens
-    when the session is built, also over a simulator that has already
-    run.  The session attaches a delivery observer to record per-packet
-    latencies for the percentile and maximum fields of
-    :class:`RunResult`; further observers can be added freely through
+    offered loads in phits/(node·cycle).  The measurement window is one
+    :class:`~repro.metrics.hub.MetricsHub` (``session.hub``, ``bucket``
+    -cycle series), attached when the session is built, also over a run
+    simulator, and restarted by :meth:`reset`; every result, series, row
+    and verify report reads it.  Further observers can be added through
     ``session.sim.add_delivery_observer``.
 
     Determinism: a session is a pure function of its config (seeded RNG
@@ -138,7 +137,7 @@ class Session:
     """
 
     def __init__(self, config: SimConfig | None = None, *, traffic=None,
-                 sim: Simulator | None = None) -> None:
+                 sim: Simulator | None = None, bucket: int = 250) -> None:
         if sim is None:
             if config is None:
                 raise ValueError("Session needs a SimConfig (or a prebuilt sim)")
@@ -152,25 +151,35 @@ class Session:
             if traffic is not None:
                 sim.traffic = traffic
         self._sim = sim
-        self._probe = LatencyTap(sim)
-        #: the ledger sample the measurement window opened at
-        self._opened = sim.ledger()
+        self._hub = MetricsHub(sim, bucket=bucket)
         #: metadata of the last :meth:`warmup_until_steady` call (or None)
         self.auto_warmup: dict | None = None
 
     def close(self) -> None:
-        """Detach the session's latency observer from the simulator.
+        """Detach the session's hub from the simulator (idempotent).
 
         Call when wrapping a long-lived prebuilt simulator in several
         short-lived sessions; otherwise each session would keep
-        recording deliveries forever.  It also undoes the one reference
-        cycle a session makes (observer list ↔ latency tap), so a closed
-        session's simulator is freed by refcount when the last
-        reference to it goes — the worker entries below close theirs.
+        watching it forever.  It also undoes the one reference cycle a
+        session makes (the simulator's hooks ↔ the hub), so a closed
+        session's simulator is freed by refcount — the worker entries
+        below close theirs.  The hub stays readable; running or
+        measuring a closed session raises :class:`RuntimeError`.
         """
-        self._probe.detach()
+        self._hub.detach()
+
+    def _live(self) -> Simulator:
+        """The simulator, for a call that runs it or opens a window."""
+        if not self._hub.attached:
+            raise RuntimeError("session is closed")
+        return self._sim
 
     # ------------------------------------------------------------- accessors
+    @property
+    def hub(self) -> MetricsHub:
+        """The measurement window's :class:`~repro.metrics.hub.MetricsHub`."""
+        return self._hub
+
     @property
     def sim(self) -> Simulator:
         """The underlying simulator (escape hatch for low-level access)."""
@@ -197,20 +206,19 @@ class Session:
 
     # ------------------------------------------------------------- workflow
     def run(self, cycles: int) -> "Session":
-        """Advance without touching the measurement window; chainable."""
-        self._sim.run(cycles)
+        """Advance without restarting the measurement window; chainable."""
+        self._live().run(cycles)
         return self
 
-    def warmup(self, cycles: int, *, should_cancel=None,
-               chunk: int = 250) -> "Session":
+    def warmup(self, cycles: int, *, should_cancel=None) -> "Session":
         """Run ``cycles`` cycles, then reset the measurement window; chainable.
 
-        The run is advanced in ``chunk``-cycle pieces (cycle-for-cycle
-        identical to one long run) and ``should_cancel()``, when given,
-        is polled before each (:class:`Cancelled` is raised when it
-        returns true).
+        The run is advanced in pieces of the window's bucket
+        (cycle-for-cycle identical to one long run) and
+        ``should_cancel()``, when given, is polled before each
+        (:class:`Cancelled` is raised when it returns true).
         """
-        sim = self._sim
+        sim, chunk = self._live(), self._hub.bucket
         end = sim.now + cycles
         while sim.now < end:
             _checkpoint(should_cancel)
@@ -243,7 +251,7 @@ class Session:
         """
         if bucket <= 0:
             raise ValueError("bucket must be positive")
-        sim = self._sim
+        sim = self._live()
         phits = sim.config.packet_phits
         nodes = sim.topo.num_nodes
         start = sim.now
@@ -277,30 +285,27 @@ class Session:
 
     def reset(self) -> "Session":
         """Restart the measurement window at the current cycle; chainable."""
-        self._opened = self._sim.ledger()
-        self._probe.clear()
+        self._live()
+        self._hub.reset()
         return self
 
     def measure(self, cycles: int) -> RunResult:
         """Run ``cycles`` more cycles and snapshot the window."""
-        self._sim.run(cycles)
+        self._live().run(cycles)
         return self._snapshot("measure")
 
-    def measure_series(self, cycles: int, *, bucket: int = 250, emit=None,
-                       should_cancel=None, meta: dict | None = None,
+    def measure_series(self, cycles: int, *, emit=None, should_cancel=None,
+                       meta: dict | None = None,
                        full_verify: bool = False) -> "SeriesResult":
-        """Run ``cycles`` cycles with a metrics hub attached: a transient
-        window.
+        """Run ``cycles`` more cycles and snapshot the window with its
+        series.
 
         Returns a :class:`SeriesResult` pairing the window
         :class:`RunResult` with the hub's cycle-bucketed series and
-        structured records (JSONL-exportable).  The hub attaches for
-        exactly this call's cycles and detaches afterwards, so the
-        *series* covers only this call; the embedded ``RunResult`` —
-        exactly like :meth:`measure` — still spans the whole window
-        since the last :meth:`reset`/:meth:`warmup`, so call
-        :meth:`reset` between back-to-back series measurements when
-        each result should cover its own series.
+        structured records (JSONL-exportable).  All three read
+        ``session.hub`` and cover the same cycles: the window since the
+        last :meth:`reset`/:meth:`warmup`, at the resolution of the
+        session's ``bucket``.
 
         The run is advanced in ``bucket``-cycle chunks (chunked runs
         are cycle-for-cycle identical to one long run).  ``emit`` —
@@ -320,34 +325,31 @@ class Session:
         floors — :func:`repro.analysis.invariants.live_checks`); the
         measured result bytes are identical either way.
         """
-        sim = self._sim
-        hub = MetricsHub(sim, bucket=bucket)
-        try:
-            end = sim.now + cycles
+        sim, hub = self._live(), self._hub
+        bucket = hub.bucket
+        end = sim.now + cycles
+        if emit is not None:
+            emit(hub.meta_row(end, meta))
+        emitted = 0
+        while sim.now < end:
+            _checkpoint(should_cancel)
+            sim.run(min(bucket, end - sim.now))
             if emit is not None:
-                emit(hub.meta_row(end, meta))
-            emitted = 0
-            while sim.now < end:
-                _checkpoint(should_cancel)
-                sim.run(min(bucket, end - sim.now))
-                if emit is not None:
-                    closed = (sim.now - hub.start_cycle) // bucket
-                    while emitted < closed:
-                        emit(hub.bucket_row(emitted))
-                        emitted += 1
-            sr = SeriesResult(
-                result=self._snapshot("measure"),
-                bucket=bucket,
-                start_cycle=hub.start_cycle,
-                series=hub.series(end),
-                records=tuple(hub.records(end, meta)),
-                verify=hub.verify(full=full_verify),
-            )
-            if emit is not None:
-                emit(hub.summary_row(end))
-            return sr
-        finally:
-            hub.detach()
+                closed = (sim.now - hub.start_cycle) // bucket
+                while emitted < closed:
+                    emit(hub.bucket_row(emitted))
+                    emitted += 1
+        sr = SeriesResult(
+            result=self._snapshot("measure"),
+            bucket=bucket,
+            start_cycle=hub.start_cycle,
+            series=hub.series(end),
+            records=tuple(hub.records(end, meta)),
+            verify=hub.verify(full=full_verify),
+        )
+        if emit is not None:
+            emit(hub.summary_row(end))
+        return sr
 
     def drain(self, max_cycles: int = 1_000_000) -> RunResult:
         """Run until all injected traffic is delivered; snapshot with drain time.
@@ -355,22 +357,22 @@ class Session:
         ``max_cycles`` caps the run (a ``DeadlockError`` is raised past
         it); the result's ``drain_cycles`` is the cycles actually spent.
         """
-        cycles = self._sim.run_until_drained(max_cycles)
+        cycles = self._live().run_until_drained(max_cycles)
         return self._snapshot("drain", drain_cycles=cycles)
 
     # -------------------------------------------------------------- snapshot
     def _snapshot(self, kind: str, *, drain_cycles: int | None = None) -> RunResult:
-        sim = self._sim
-        w = sim.ledger().since(self._opened)
+        sim, hub = self._sim, self._hub
+        w = hub.window()
         n, phits = w.delivered, w.delivered * sim.config.packet_phits
-        lat = sorted(self._probe.latencies)
+        lat = sorted(hub.latencies())
 
         def per_packet(total: int) -> float:
             return total / n if n else float("nan")
 
         return RunResult(
             kind=kind,
-            start_cycle=self._opened.cycle,
+            start_cycle=hub.start_cycle,
             end_cycle=sim.now,
             generated=w.generated,
             delivered=n,
@@ -390,17 +392,18 @@ class Session:
 
 def session(config: SimConfig | None = None, *, traffic=None,
             pattern: str | None = None, load: float | None = None,
-            sim: Simulator | None = None) -> Session:
+            sim: Simulator | None = None, bucket: int = 250) -> Session:
     """Open a :class:`Session` (the public entry point, ``repro.session``).
 
     ``traffic`` attaches an explicit traffic process; alternatively
     ``pattern``/``load`` is shorthand for open-loop Bernoulli sources
     over a pattern spec (``"uniform"``, ``"advg+h"``, ``"mixed:40"``, a
-    registered pattern name, ...).
+    registered pattern name, ...).  ``bucket`` is the window's series
+    resolution in cycles (:meth:`Session.measure_series`).
     """
     if traffic is not None and (pattern is not None or load is not None):
         raise ValueError("pass either traffic or pattern/load, not both")
-    s = Session(config, traffic=traffic, sim=sim)
+    s = Session(config, traffic=traffic, sim=sim, bucket=bucket)
     if pattern is not None:
         if load is None:
             raise ValueError("pattern requires an offered load")
@@ -466,7 +469,7 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
     cap; the record then carries ``warmup_cycles`` (spent) and
     ``warmup_steady`` (whether the rule fired before the cap).
 
-    The window is always measured through a metrics hub
+    The window is always measured through the session's metrics hub
     (:meth:`Session.measure_series`), on whichever engine the point
     runs.  ``verify`` (``False | "flow" | "full"``) enforces the hub's
     flow conservation or the full live invariant set (Little's law,
@@ -484,15 +487,14 @@ def run_point(config: SimConfig, pattern_spec: str, load: float,
     simulation measures and chunked stepping equals one long run.
     """
     full = _full(verify)
-    s = session(config, pattern=pattern_spec, load=load)
+    s = session(config, pattern=pattern_spec, load=load, bucket=bucket)
     try:
         if steady:
             s.warmup_until_steady(max_cycles=warmup, should_cancel=should_cancel)
         else:
-            s.warmup(warmup, should_cancel=should_cancel, chunk=bucket)
-        sr = s.measure_series(measure, bucket=bucket, emit=on_row,
-                              should_cancel=should_cancel, meta=meta,
-                              full_verify=full)
+            s.warmup(warmup, should_cancel=should_cancel)
+        sr = s.measure_series(measure, emit=on_row, should_cancel=should_cancel,
+                              meta=meta, full_verify=full)
         _gate(sr.verify, verify)
     finally:
         s.close()
@@ -509,11 +511,11 @@ def run_drain(config: SimConfig, pattern_spec: str, packets_per_node: int,
               meta: dict | None = None) -> dict:
     """One burst-consumption record: inject a burst, run until drained.
 
-    Picklable worker entry for ``kind="drain"`` run-plan points.  A
-    metrics hub attaches before the first injection (the point stays
-    undecided until its first step), so flow conservation reduces to
-    ``injected == delivered`` at drain; ``verify`` (levels as in
-    :func:`run_point`) enforces it.
+    Picklable worker entry for ``kind="drain"`` run-plan points.  The
+    session's metrics hub attaches before the first injection (the
+    point stays undecided until its first step), so flow conservation
+    reduces to ``injected == delivered`` at drain; ``verify`` (levels as
+    in :func:`run_point`) enforces it.
 
     A drain has no end cycle known up front (the meta row needs one),
     so ``on_row`` receives the row stream in one piece once the fabric
@@ -523,19 +525,15 @@ def run_drain(config: SimConfig, pattern_spec: str, packets_per_node: int,
     """
     full = _full(verify)
     _checkpoint(should_cancel)
-    s = session(config)
+    s = session(config, bucket=bucket)
     try:
         pattern = pattern_by_name(pattern_spec, s.sim.topo)
         s.with_traffic(BurstTraffic(pattern, packets_per_node))
-        hub = MetricsHub(s.sim, bucket=bucket)
-        try:
-            result = s.drain(max_cycles)
-            _gate(hub.verify(full=full), verify)
-            if on_row is not None:
-                for row in hub.records(s.now, meta):
-                    on_row(row)
-        finally:
-            hub.detach()
+        result = s.drain(max_cycles)
+        _gate(s.hub.verify(full=full), verify)
+        if on_row is not None:
+            for row in s.hub.records(s.now, meta):
+                on_row(row)
     finally:
         s.close()
     return point_record(result, config, pattern=pattern_spec,
@@ -557,10 +555,11 @@ def run_transient(config: SimConfig, pattern_spec: str, load: float,
        the recovery baseline;
     2. every node enqueues a ``packets_per_node`` burst on top (the
        load step), drawn from the same traffic pattern;
-    3. a metrics hub records the next ``measure`` cycles in ``bucket``
-       -cycle buckets; ``recovery_cycles`` is when the throughput
-       series settles back within ``rel_tolerance`` of the baseline
-       for ``hold`` consecutive buckets
+    3. the session's metrics hub records the window — the burst and
+       the next ``measure`` cycles — in ``bucket``-cycle buckets;
+       ``recovery_cycles`` is when the throughput series settles back
+       within ``rel_tolerance`` of the baseline for ``hold``
+       consecutive buckets
        (:func:`repro.metrics.statistics.recovery_time`), clamped to
        ``measure`` with ``recovered=False`` when it never does.
 
@@ -570,17 +569,16 @@ def run_transient(config: SimConfig, pattern_spec: str, load: float,
     substitute a display default for the point's own.
     """
     full = _full(verify)
-    s = session(config, pattern=pattern_spec, load=load)
+    s = session(config, pattern=pattern_spec, load=load, bucket=bucket)
     try:
         s.warmup_until_steady(bucket=bucket, max_cycles=warmup,
                               should_cancel=should_cancel)
         baseline = s.auto_warmup["steady_throughput"]
         sim = s.sim
-        burst_pattern = pattern_by_name(pattern_spec, sim.topo)
-        BurstTraffic(burst_pattern, packets_per_node).inject(sim, sim.now)
-        sr = s.measure_series(measure, bucket=bucket, emit=on_row,
-                              should_cancel=should_cancel, meta=meta,
-                              full_verify=full)
+        BurstTraffic(pattern_by_name(pattern_spec, sim.topo),
+                     packets_per_node).inject(sim, sim.now)
+        sr = s.measure_series(measure, emit=on_row, should_cancel=should_cancel,
+                              meta=meta, full_verify=full)
         _gate(sr.verify, verify)
     finally:
         s.close()

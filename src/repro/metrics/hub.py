@@ -1,24 +1,25 @@
 """Metrics over a live simulator: engine counters sampled into time series.
 
-:class:`MetricsHub` reads the engine's cumulative counters (grants,
-returned credit phits, injections, the delivery ledger's packets and
-latency sum, the routing's local/global misroutes and escape-ring hops
-and entries), per-(kind, VC) occupancy (``Simulator.vc_occupancy``)
-and the in-flight population at each bucket boundary
+:class:`MetricsHub` reads the engine's cumulative counters (the
+delivery ledger ``Simulator.ledger``, grants, returned credit phits,
+the routing's local/global misroutes and escape-ring hops and
+entries), per-(kind, VC) occupancy (``Simulator.vc_occupancy``) and
+the in-flight population at each bucket boundary
 (``Simulator.add_sampler``), and files each delivery's latency by the
 cycle its tail finished ejecting (``Simulator.add_delivery_observer``).
 It turns them into
 
-* running totals (packets, phits, misroutes, ring hops, credits),
+* the window's ledger difference and latency list (a ``RunResult``)
+  and running totals (packets, phits, misroutes, ring hops, credits),
 * cycle-bucketed series: throughput, latency mean/percentiles,
   per-port-kind/per-VC occupancy, local/global misroute rates and
   escape-ring utilisation, and
 * structured records (one dict per bucket plus a summary) exportable
   as deterministic JSONL under ``results/``.
 
-Boundaries crossed by an idle fast-forward jump read the same state,
-so the jump stays on and the cycles it skipped show up as empty
-buckets.  A hub observes only — it never mutates simulator state or consumes
+Boundaries crossed by an idle fast-forward jump read the same state
+and share one sample, so the jump stays on and the cycles it skipped
+show up as empty buckets.  A hub observes only — it never mutates simulator state or consumes
 RNG, so the simulated records are byte-identical with or without a hub
 attached (``tests/test_observability.py``).
 """
@@ -30,6 +31,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+from repro.network.simulator import Ledger
 from repro.topology.base import PortKind
 
 #: bump when the bucket/summary record layout changes
@@ -66,9 +68,9 @@ class _Bucket:
         self.delivered, self.latency_sum = len(lat), sum(lat)
         self.delivered_phits = self.delivered * packet_phits
         self.latency_max = max(lat, default=0)
-        (self.injected, self.grants, self.credit_phits, self.local_misroutes,
-         self.global_misroutes, self.ring_hops, self.ring_entries, *_) = (
-            b - a for a, b in zip(opened[0], closed[0]))
+        (_cycles, self.injected, *_ledger, self.grants, self.credit_phits,
+         self.local_misroutes, self.global_misroutes, self.ring_hops,
+         self.ring_entries) = (b - a for a, b in zip(opened[0], closed[0]))
         self.occupancy, self.inflight = opened[1], opened[2]
         return self
 
@@ -78,10 +80,9 @@ class LatencyTap:
 
     Attaches through :meth:`Simulator.add_delivery_observer`, collects
     one latency sample (bare int, delivery order) per ejected packet
-    until detached.  The Session facade uses it for its percentile and
-    maximum fields.
-    Memory is O(packets delivered while attached); ``clear()`` after
-    warm-up to keep only the measurement window.
+    until detached: latencies without a hub (a Session's window keeps
+    them in its :class:`MetricsHub`).
+    Memory is O(packets delivered while attached).
     """
 
     def __init__(self, sim) -> None:
@@ -101,9 +102,6 @@ class LatencyTap:
         observer while skipping per-packet Python work.
         """
         self.latencies.extend(latencies.tolist())
-
-    def clear(self) -> None:
-        self.latencies.clear()
 
     def detach(self) -> None:
         """Stop observing and let go of the simulator (idempotent).
@@ -128,22 +126,22 @@ class MetricsHub:
 
     ``bucket`` is the series resolution in cycles.  The window starts at
     the cycle the hub is attached; :meth:`reset` restarts it.  The hub
-    reads only what every engine keeps — counters,
+    reads only what every engine keeps — the delivery ledger, counters,
     ``Simulator.vc_occupancy`` and ``packets_in_flight`` — and takes a
     live array core's deliveries a cycle at a time
     (:meth:`on_eject_batch`), so a watched point runs on the engine it
     would run on unwatched, and its rows are the same bytes on any.
+    Every :class:`~repro.facade.Session` measures through one.
     """
 
-    injected = _window_total(0, "packets injected in the window")
-    grants = _window_total(1, "switch grants (flit hops) in the window")
-    credit_phits = _window_total(2, "credit phits returned in the window")
-    local_misroutes = _window_total(3, "local misroute grants in the window")
-    global_misroutes = _window_total(4, "global misroute grants in the window")
-    ring_hops = _window_total(5, "head hops onto the escape ring in the window")
-    ring_entries = _window_total(6, "escape-ring entries in the window")
-    delivered = _window_total(7, "packets delivered in the window")
-    latency_cycles = _window_total(8, "total delivery latency (cycles) in the window")
+    injected = _window_total(1, "packets injected in the window")
+    delivered = _window_total(2, "packets delivered in the window")
+    grants = _window_total(-6, "switch grants (flit hops) in the window")
+    credit_phits = _window_total(-5, "credit phits returned in the window")
+    local_misroutes = _window_total(-4, "local misroute grants in the window")
+    global_misroutes = _window_total(-3, "global misroute grants in the window")
+    ring_hops = _window_total(-2, "head hops onto the escape ring in the window")
+    ring_entries = _window_total(-1, "escape-ring entries in the window")
 
     @property
     def delivered_phits(self) -> int:
@@ -153,8 +151,16 @@ class MetricsHub:
     @property
     def latency_min(self) -> int | None:
         """Smallest single-packet latency seen (None until a delivery)."""
-        return min((min(b.latencies) for b in self._buckets if b.latencies),
-                   default=None)
+        return min(self.latencies(), default=None)
+
+    def window(self) -> Ledger:
+        """The delivery ledger over the window: two samples' difference."""
+        return Ledger(*self._counts()[:len(Ledger._fields)]).since(
+            Ledger(*self._marks[0][0][:len(Ledger._fields)]))
+
+    def latencies(self) -> list[int]:
+        """Every latency filed in the window (tails ejecting after ``now`` too)."""
+        return [lat for b in self._buckets for lat in b.latencies]
 
     def __init__(self, sim, bucket: int = 500) -> None:
         if bucket <= 0:
@@ -163,7 +169,8 @@ class MetricsHub:
         self.sim = sim
         self.bucket = int(bucket)
         self._packet_phits = sim.config.packet_phits
-        self._attached = True
+        #: whether the hub still observes (:meth:`detach` clears it)
+        self.attached = True
         self._zero_window()
         self._observer = sim.add_delivery_observer(self.on_eject)
 
@@ -181,28 +188,33 @@ class MetricsHub:
         #: the Little's-law identity
         self.eject_lead = 0
         #: one ``(counters, occupancy, in flight)`` sample per boundary
-        #: reached, the window's open first
+        #: reached, the window's open first; the last taken at ``_sampled_at``
         self._marks: list[tuple] = [self._sample()]
+        self._sampled_at = self.start_cycle
 
     # -------------------------------------------------------------- sampling
     def _counts(self) -> tuple:
-        """The cumulative counters: now, or as they stood at the detach."""
-        if not self._attached:
+        """The cumulative counters — a ``Simulator.ledger()`` sample, then
+        six engine and routing counts: now, or as they stood at the detach."""
+        if not self.attached:
             return self._frozen[0]
         sim, algo = self.sim, self.sim.algo
-        return (sim._next_pid, sim.grants, sim.credit_phits,
+        return (*sim.ledger(), sim.grants, sim.credit_phits,
                 algo.local_misroutes, algo.global_misroutes, algo.ring_hops,
-                algo.ring_entries, sim.delivered, sim.latency_sum)
+                algo.ring_entries)
 
     def _sample(self) -> tuple:
         """Counters, per-(kind, vc) occupancy and packets in flight."""
-        if not self._attached:
+        if not self.attached:
             return self._frozen
         sim = self.sim
         return self._counts(), sim.vc_occupancy(), sim.packets_in_flight
 
     def _on_boundary(self, cycle: int) -> int:
-        self._marks.append(self._sample())
+        """The boundaries one idle jump crosses read one state: one sample."""
+        marks, now = self._marks, self.sim.now
+        marks.append(marks[-1] if now == self._sampled_at else self._sample())
+        self._sampled_at = now
         return cycle + self.bucket
 
     def _bucket_at(self, index: int) -> _Bucket:
@@ -253,13 +265,13 @@ class MetricsHub:
         no finished point alive, and holds on to what its read-out and
         :meth:`verify` ask of one, as it stood.
         """
-        if self._attached:
+        if self.attached:
             sim = self.sim
             sim.remove_delivery_observer(self._observer)
             sim.remove_sampler(self._on_boundary)
             self._observer = None  # a bound method of self: a cycle
             self._frozen = self._sample()
-            self._attached = False
+            self.attached = False
             self.sim = SimpleNamespace(
                 now=sim.now, topo=sim.topo, config=sim.config,
                 packets_in_flight=sim.packets_in_flight)
@@ -328,11 +340,6 @@ class MetricsHub:
         end = self.sim.now if end is None else end
         n = (end - self.start_cycle) // self.bucket
         return [self._filled(i) for i in range(max(0, n))]
-
-    def throughput_series(self, end: int | None = None) -> list[float]:
-        """Accepted load in phits/(node·cycle) per completed bucket."""
-        denom = self.sim.topo.num_nodes * self.bucket
-        return [b.delivered_phits / denom for b in self.completed_buckets(end)]
 
     def series(self, end: int | None = None) -> dict:
         """Every bucketed series as plain lists (JSON-safe)."""

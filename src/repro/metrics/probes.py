@@ -1,11 +1,10 @@
 """Polling-free state snapshots of a live simulator.
 
 `occupancy_snapshot` and `injection_backlog` are one-shot state reads
-(no per-cycle cost; ``repro point --probe`` prints them).  Window
-totals come from the engine's delivery ledger (``Simulator.ledger``),
-time series from boundary samplers
-(:class:`~repro.metrics.hub.MetricsHub`) and latency samples from
-delivery observers (:class:`~repro.metrics.hub.LatencyTap`).
+(no per-cycle cost; ``repro point --probe`` prints them).  Windows
+are :class:`~repro.metrics.hub.MetricsHub` instances: totals from the
+engine's delivery ledger (``Simulator.ledger``), time series from a
+boundary sampler and latency samples from a delivery observer.
 """
 
 from __future__ import annotations

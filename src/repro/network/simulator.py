@@ -282,7 +282,7 @@ class Simulator:
 
         Returns ``fn`` so the method can be used as a decorator.  Any
         number of observers may be attached (metrics probes, trace
-        writers, the Session latency recorder, ...).  Observers fire in
+        writers, a Session's hub, ...).  Observers fire in
         registration order.  Rebinds the list copy-on-write, like
         :meth:`remove_delivery_observer`.  A live array core keeps
         running; it batches a cycle's deliveries when each observer is a

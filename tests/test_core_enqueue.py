@@ -96,7 +96,7 @@ class _CountingObserver:
 @pytest.mark.parametrize("fragment", [{}, _WH], ids=["vct", "wh"])
 def test_a_bernoulli_window_with_batch_observers_builds_no_packet(fragment):
     """Every batch packet is lazy, multi-flit ones included: with only
-    batch-capable observers (the Session's ``LatencyTap``) nothing ever
+    batch-capable observers (the Session's ``MetricsHub``) nothing ever
     asks for the object."""
     s = session(SimConfig(h=2, routing="minimal", engine="auto", seed=11,
                           **fragment))

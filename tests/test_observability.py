@@ -18,7 +18,7 @@ import pytest
 import repro
 from repro import MetricsHub, SimConfig
 from repro.facade import Session, run_transient, session
-from repro.metrics.hub import LatencyTap, jsonl_line
+from repro.metrics.hub import jsonl_line
 from repro.metrics.statistics import recovery_time
 from repro.network.simulator import Simulator
 from repro.topology.base import PortKind
@@ -157,9 +157,26 @@ def test_hub_buckets_fill_fast_forward_gaps_with_zeros():
     hub = MetricsHub(sim, bucket=100)
     sim.run_until_drained(100_000)
     sim.run(1000)  # pure idle tail: fast-forwarded, event-free
-    series = hub.throughput_series()
+    series = hub.series()["throughput"]
     assert len(series) == (sim.now - hub.start_cycle) // 100
     assert series[-1] == 0.0 and series[-5] == 0.0
+
+
+def test_an_idle_jump_takes_one_sample_for_every_boundary_it_crosses():
+    """The boundaries one fast-forward jump crosses read the same state,
+    so the hub samples it once per jump, not once per boundary."""
+    sim = Simulator(SimConfig(h=2, routing="olm", seed=5))
+    sim.traffic = BurstTraffic(pattern_by_name("uniform", sim.topo), 2)
+    sim.run_until_drained(100_000)
+    hub = MetricsHub(sim, bucket=100)
+    sampled = []
+    occupancy = sim.vc_occupancy
+    sim.vc_occupancy = lambda: sampled.append(sim.now) or occupancy()
+    for _ in range(3):
+        sim.run(1000)  # pure idle: one jump across 10 boundaries each
+    assert sampled == [hub.start_cycle + 1000, hub.start_cycle + 2000,
+                       hub.start_cycle + 3000]
+    assert hub.series()["delivered"] == [0] * 30
 
 
 def test_hub_jsonl_deterministic_and_strict(tmp_path):
@@ -292,15 +309,15 @@ def test_warmup_until_steady_respects_cap():
 
 def test_measure_series_pairs_result_and_series():
     s = session(SimConfig(h=2, routing="rlm", seed=8),
-                pattern="advg+1", load=0.2).warmup(1000)
-    sr = s.measure_series(2000, bucket=500)
+                pattern="advg+1", load=0.2, bucket=500).warmup(1000)
+    sr = s.measure_series(2000)
     assert sr.result.kind == "measure"
     assert sr.result.window_cycles == 2000
     assert len(sr.series["throughput"]) == 4
     assert 0 <= sr.result.delivered - sum(sr.series["delivered"]) <= 72
     assert sr.records[0]["type"] == "meta"
     assert sr.records[-1]["type"] == "summary"
-    # the hub detached with the window: later runs don't grow the series
+    # the series is a snapshot: later runs don't grow it
     s.run(1000)
     assert len(sr.series["throughput"]) == 4
     # records are JSONL-encodable (strict)
@@ -338,9 +355,8 @@ def test_measure_series_emit_streams_the_exact_records():
     and the result carries the window's conservation report."""
     def run(emit):
         s = session(SimConfig(h=2, routing="olm", seed=6),
-                    pattern="uniform", load=0.25).warmup(600)
-        return s.measure_series(1000, bucket=250, emit=emit,
-                                meta={"tag": "live"})
+                    pattern="uniform", load=0.25, bucket=250).warmup(600)
+        return s.measure_series(1000, emit=emit, meta={"tag": "live"})
 
     streamed: list[dict] = []
     sr = run(streamed.append)
@@ -355,12 +371,13 @@ def test_measure_series_emit_streams_the_exact_records():
         run(bomb)
 
 
-def test_session_latency_recorder_is_tap_based():
+def test_session_latency_recorder_is_its_hub():
     s = session(SimConfig(h=2, routing="minimal", seed=3),
                 pattern="uniform", load=0.2)
-    assert isinstance(s._probe, LatencyTap)
+    assert isinstance(s.hub, MetricsHub)
     result = s.warmup(500).measure(500)
     assert result.latency_p50 <= result.latency_p99
+    assert result.max_latency == max(s.hub.latencies())
 
 
 # ------------------------------------------------------------ recovery rule

@@ -1,8 +1,8 @@
 """A finished point is garbage the moment its entry returns.
 
 ``facade.run_point`` / ``run_drain`` / ``run_transient`` close their
-session in a ``finally`` and a detached ``LatencyTap`` / ``MetricsHub``
-lets go of its simulator, so nothing a point built — the simulator, its
+session in a ``finally`` and the session's detached ``MetricsHub`` lets
+go of its simulator, so nothing a point built — the simulator, its
 routers, an array core's arrays — waits for the cyclic collector: with
 ``gc.disable()`` every entry below leaves ``gc.collect() == 0`` behind
 and the ``Simulator`` it built is already dead.  (At the parent commit
@@ -89,7 +89,7 @@ ENTRIES = {
         WHEEL, "uniform", 0.3, 200, 400, verify="full", bucket=50),
     "steady warm-up": lambda: run_point(
         WHEEL, "uniform", 0.3, 2000, 100, steady=True),
-    # warms up on its core, leaves it when the measurement's hub attaches
+    # (a historical name: the session's hub keeps the point on its core)
     "core point left through a hub": lambda: run_point(
         CORE, "uniform", 0.9, 60, 60, verify="flow"),
     "streamed point": lambda: run_point(
@@ -112,6 +112,53 @@ def test_an_entry_leaves_nothing_for_the_collector(entry, built, no_collector):
     assert record["delivered"] > 0
     assert built and all(ref() is None for ref in built)  # dead on return
     assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_an_entry_window_has_one_observer_and_one_sampler(entry, monkeypatch):
+    """The session's hub is the only watcher a point's simulator has,
+    through warm-up, measurement and drain alike: no second hub for the
+    series, no latency tap beside it."""
+    watchers = set()
+
+    def watched(run):
+        def wrapper(self, cycles):
+            watchers.add((len(self._delivery_observers), len(self._samplers)))
+            return run(self, cycles)
+        return wrapper
+
+    for name in ("run", "run_until_drained"):
+        monkeypatch.setattr(Simulator, name, watched(getattr(Simulator, name)))
+    ENTRIES[entry]()
+    assert watchers == {(1, 1)}
+
+
+@pytest.mark.parametrize("config", [WHEEL, CORE], ids=["wheel", "core"])
+def test_a_session_window_equals_the_bare_simulators_ledger(config):
+    """Observation only, now that every session watches: a simulator
+    with no observer and no sampler, run over the same window, reads
+    the same ledger difference and leaves ``rng_route`` in the same
+    state as the session whose ``RunResult`` its hub produced."""
+    def traffic():
+        return BernoulliTraffic(UniformRandom(), 0.9)
+
+    bare = build_simulator(config, traffic())
+    bare.run(300)
+    opened = bare.ledger()
+    bare.run(400)
+    window = bare.ledger().since(opened)
+    assert not bare._delivery_observers and not bare._samplers
+    s = Session(sim=build_simulator(config, traffic()), bucket=70)
+    result = s.warmup(300).measure(400)
+    assert s.sim.engine_path == bare.engine_path
+    assert bare.engine_path == ("core" if config is CORE else "wheel")
+    assert s.hub.window() == window
+    assert (result.start_cycle, result.window_cycles, result.generated,
+            result.delivered) == (opened.cycle, window.cycle,
+                                  window.generated, window.delivered)
+    assert result.mean_latency == window.latency_sum / window.delivered
+    assert result.mean_hops == window.hops_sum / window.delivered
+    assert s.sim.rng_route.getstate() == bare.rng_route.getstate()
 
 
 @pytest.mark.parametrize("raises,entry", [
@@ -169,10 +216,10 @@ def test_a_session_kept_open_behaves_as_before_and_close_is_the_only_detach(
         s = Session(sim=sim)
         first = s.warmup(60).measure(60)
         assert s.measure(60).delivered > first.delivered  # still attached
-        probe = s._probe
+        hub = s.hub
         s.close()
         s.close()  # idempotent
-        assert probe.sim is None and probe.latencies  # samples stay readable
+        assert hub.sim is not sim and hub.latencies()  # samples stay readable
         assert s.sim is sim  # the session itself keeps its simulator
         ref = weakref.ref(sim)
         del sim, s

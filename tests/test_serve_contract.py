@@ -30,7 +30,7 @@ import asyncio
 import pytest
 
 from repro.facade import run_drain, run_point, run_transient, session
-from repro.metrics.hub import MetricsHub, jsonl_line, strict_jsonable
+from repro.metrics.hub import jsonl_line, strict_jsonable
 from repro.network.config import SimConfig
 from repro.runplan import execute_point
 from repro.runplan.cache import canonical_record_json
@@ -115,13 +115,13 @@ def hub_export(point) -> list[dict]:
     ``run()`` calls, no hooks, the hub's batch ``records()``."""
     bucket = point.bucket or 150
     if point.kind == "drain":
-        s = session(point.config)
+        s = session(point.config, bucket=bucket)
         s.with_traffic(BurstTraffic(
             pattern_by_name(point.pattern, s.sim.topo), point.packets_per_node))
-        hub = MetricsHub(s.sim, bucket=bucket)
         s.drain(point.max_cycles)
-        return list(hub.records(s.now, stream_meta(point)))
-    s = session(point.config, pattern=point.pattern, load=point.load)
+        return list(s.hub.records(s.now, stream_meta(point)))
+    s = session(point.config, pattern=point.pattern, load=point.load,
+                bucket=bucket)
     if point.kind == "transient":
         s.warmup_until_steady(bucket=bucket, max_cycles=point.warmup)
         BurstTraffic(pattern_by_name(point.pattern, s.sim.topo),
@@ -129,8 +129,8 @@ def hub_export(point) -> list[dict]:
     elif point.steady:
         s.warmup_until_steady(max_cycles=point.warmup)
     else:
-        s.warmup(point.warmup)
-    return list(s.measure_series(point.measure, bucket=bucket,
+        s.run(point.warmup).reset()
+    return list(s.measure_series(point.measure,
                                  meta=stream_meta(point)).records)
 
 
@@ -182,9 +182,9 @@ def test_streamed_jsonl_equals_offline_hub_export():
     body, stream = run_job(STEADY)
     assert body["state"] == "done"
     [point] = parse_submission(STEADY).points
-    s = session(SimConfig(**CONFIG), pattern="uniform", load=0.25)
-    s.warmup(400)  # one blind run; the service warms up in chunks
-    sr = s.measure_series(600, bucket=150, meta=stream_meta(point))
+    s = session(SimConfig(**CONFIG), pattern="uniform", load=0.25, bucket=150)
+    s.run(400).reset()  # one blind run; the service warms up in chunks
+    sr = s.measure_series(600, meta=stream_meta(point))
     expected = "".join(jsonl_line(row) + "\n" for row in sr.records)
     assert stream == expected
 

@@ -59,8 +59,8 @@ def test_a_session_over_a_run_simulator_opens_its_window_when_built():
     s = Session(sim=sim)
     result = s.measure(10)
     assert result.start_cycle == 2000 and result.window_cycles == 10
-    assert result.delivered == len(s._probe.latencies) > 0
-    assert result.max_latency == max(s._probe.latencies) >= result.latency_p99
+    assert result.delivered == len(s.hub.latencies()) > 0
+    assert result.max_latency == max(s.hub.latencies()) >= result.latency_p99
     assert result.generated == sim._next_pid - injected
 
 
@@ -171,6 +171,30 @@ def test_session_close_detaches_from_prebuilt_sim():
         s.close()
         s.close()  # idempotent
     assert len(sim._delivery_observers) == baseline
+
+
+def test_a_closed_session_refuses_to_run_or_measure():
+    """A closed session's window is gone: every call that would run the
+    simulator or restart the window raises, instead of simulating on and
+    reporting a window whose totals and latencies disagree."""
+    s = session(SimConfig(h=2, routing="minimal", seed=3),
+                pattern="uniform", load=0.3)
+    s.warmup(500)
+    s.close()
+    s.close()  # idempotent
+    calls = {
+        "run": lambda: s.run(10),
+        "warmup": lambda: s.warmup(10),
+        "warmup_until_steady": lambda: s.warmup_until_steady(max_cycles=10),
+        "measure": lambda: s.measure(10),
+        "measure_series": lambda: s.measure_series(10),
+        "drain": lambda: s.drain(10),
+        "reset": s.reset,
+    }
+    for name, call in calls.items():
+        with pytest.raises(RuntimeError, match="session is closed"):
+            call()
+    assert s.now == 500
 
 
 def test_latency_tap_observer():

@@ -30,7 +30,7 @@ def test_hub_throughput_series_converges():
     sim.traffic = BernoulliTraffic(UniformRandom(), 0.4)
     hub = MetricsHub(sim, bucket=400)
     sim.run(4800)
-    series = hub.throughput_series()
+    series = hub.series()["throughput"]
     assert len(series) == 12
     # after warm-up the interval throughput approaches the offered load
     assert series[-1] == pytest.approx(0.4, rel=0.3)

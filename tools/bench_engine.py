@@ -380,18 +380,22 @@ def run_scenario(sc: dict, engine: str, with_tap: bool = False) -> tuple:
     engine name; a ``second_point`` scenario times two points and its
     list has two entries.
 
-    ``with_tap`` attaches a MetricsHub and a LatencyTap
+    Every row runs through a :class:`~repro.facade.Session`, so every
+    engine, ``reference`` included, is timed watched by the session's
+    own MetricsHub (one boundary sampler, one delivery observer).
+    ``with_tap`` attaches a second MetricsHub and a LatencyTap
     (:func:`_instrument`) before the run — the instrumentation-overhead
-    gate: the emitted record must stay byte-identical to the
-    uninstrumented reference engine.
+    gate: the emitted record must stay byte-identical to the reference
+    engine's, which carries the session's hub alone.
     """
     with _rule_pinned(engine == "auto" and sc.get("pin_core", False)):
         return _run_scenario(sc, engine, with_tap)
 
 
 def _instrument(sim) -> None:
-    """Attach a MetricsHub (a boundary sampler and a delivery observer)
-    and a LatencyTap (a second delivery observer)."""
+    """Attach a MetricsHub (a second boundary sampler and delivery
+    observer, beside the Session's own hub) and a LatencyTap (a third
+    delivery observer)."""
     from repro.metrics.hub import LatencyTap, MetricsHub
 
     MetricsHub(sim, bucket=500)
@@ -555,10 +559,11 @@ def main(argv: list[str] | None = None) -> int:
                          "by cumulative time (profiled runs are never "
                          "used for the timings in the report)")
     ap.add_argument("--tap", action="store_true",
-                    help="attach a MetricsHub and a LatencyTap to the "
-                         "non-reference engines: records must stay "
-                         "byte-identical to the uninstrumented seed engine "
-                         "(the instrumentation-overhead gate)")
+                    help="attach a second MetricsHub and a LatencyTap to "
+                         "the non-reference engines (every row already runs "
+                         "under its Session's hub): records must stay "
+                         "byte-identical to the seed engine's (the "
+                         "instrumentation-overhead gate)")
     ap.add_argument("--out", default=None,
                     help="report path (default BENCH_engine.json; smoke: none)")
     args = ap.parse_args(argv)
